@@ -15,7 +15,6 @@ from .dilation import (
     DilationBundle,
     KernelWindow,
     compare_minimal_dilations,
-    kernel,
     kolmogorov,
     verify_doubly_commuting_V,
     verify_hat_doubly_commuting,
@@ -69,7 +68,6 @@ __all__ = [
     "doubly_commuting_check",
     "hat_T",
     "interior_tensor",
-    "kernel",
     "kolmogorov",
     "localize",
     "make_algebra",

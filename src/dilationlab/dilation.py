@@ -1,19 +1,25 @@
-"""Regular isometric dilations via Toeplitz-kernel Kolmogorov factorization.
+"""Regular isometric dilations via Kolmogorov factorization of the
+generating-vector kernel.
 
-The block-lowering semigroup T^ on the truncated space determines a
-Toeplitz kernel K(t, s) = T^_{(s-t)_-}^H T^_{(s-t)_+}. Its Gram over a
-finite lattice window is positive semidefinite exactly when a regular
-isometric dilation exists for the windowed data; a rank-revealing factor
-R (kappa maps = column slices) realizes the dilation space C^p. The
-product-system isometries V_0(a), V_s(x) are recovered from their defining
-action on the generating vectors kappa_s(delta_s . x (x) h), and every
-dilation property is verified on those vectors. Identities involving
-adjoints are window compressions, so they are checked on vectors generated
-at lattice points at least a guard margin g inside the window.
+The minimal dilation space is spanned by the generating vectors
+delta_s . x (x) h, s in a lattice window W. Their
+kernel has block (t, s) = Theta(t, t-m)^H Theta(s, s-m) with m = t ^ s and
+Theta the lowering blocks of the representation, so it is built without
+forming any T^ matrix and has dimension sum over s in W of rank loc(s). It
+is positive semidefinite exactly when a regular isometric dilation exists
+for the windowed data: its minimum eigenvalue is the window's psd_margin,
+and the rank of its factor R, reported as window.rank, is dim K_min. The
+generating vectors are the column slices of R (in raw fiber (x) H
+coordinates); the product-system isometries V_0(a), V_s(x) are recovered
+from their defining action on them, and every dilation property is
+verified on those vectors. Identities involving adjoints are window
+compressions, so they are checked on vectors generated at lattice points
+at least a guard margin g inside the window.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -23,91 +29,103 @@ from .correspondence import descend_map, interior_tensor, localize, trivial_loca
 from .cstar import AlgebraElement, adjoint_table, multiplication_table
 from .errors import InvalidArgumentError, NotPositiveDefiniteError
 from .hatspace import TruncatedFock
-from .linalg import hermitize, lstsq_map, opnorm, pivoted_cholesky, psd_factor, require_descent
+from .linalg import lstsq_map, opnorm, pivoted_cholesky, psd_factor, require_descent
 
 LSQ_TOL = 1e-8  # consistency tolerance for least-squares operator recovery
 
 
 @dataclass(frozen=True)
 class KernelWindow:
+    """Generating-vector kernel over the window box, with its eigenpairs.
+
+    Rows and columns run over the localized coordinates of loc(s) for each
+    window point s in turn; `slices[i]` holds those of `points[i]`.
+    """
+
     space: TruncatedFock
     bound: lattice.Point
     points: tuple[lattice.Point, ...]
+    slices: tuple[slice, ...]
     gram: np.ndarray = field(compare=False)
-    psd_margin: float = 0.0
+    eigvals: np.ndarray = field(compare=False)
+    eigvecs: np.ndarray = field(compare=False)
 
     @property
-    def block_dim(self) -> int:
-        return self.space.dim
-
-
-def kernel(space: TruncatedFock, t: lattice.Point, s: lattice.Point) -> np.ndarray:
-    """Toeplitz kernel K(t, s) = T^_{(s-t)_-}^H T^_{(s-t)_+} on C^N."""
-    diff = lattice.sub(tuple(s), tuple(t))
-    neg = space.hat(lattice.neg_part(diff)).matrix
-    pos = space.hat(lattice.pos_part(diff)).matrix
-    return neg.conj().T @ pos
+    def psd_margin(self) -> float:
+        """Minimum eigenvalue; negative when no regular dilation exists."""
+        return float(self.eigvals.min())
 
 
 def window_gram(space: TruncatedFock, bound: lattice.Point) -> KernelWindow:
+    """Kernel of the generating vectors at the points 0 <= s <= bound."""
     bound = tuple(int(b) for b in bound)
-    if len(bound) != space.rep.system.k or any(b < 0 for b in bound):
+    rep = space.rep
+    if len(bound) != rep.system.k or any(b < 0 for b in bound):
         raise InvalidArgumentError(f"bad window bound {bound}")
     points = tuple(lattice.box(bound))
-    n = space.dim
-    gram = np.zeros((len(points) * n, len(points) * n), dtype=complex)
+    slices = []
+    dim = 0
+    for s in points:
+        rank = rep.loc(s).rank
+        slices.append(slice(dim, dim + rank))
+        dim += rank
+
+    @functools.cache
+    def theta(t: lattice.Point, m: lattice.Point) -> np.ndarray:
+        """Theta(t, t - m): loc(t) -> loc(m)."""
+        return rep.lowering_block(t, lattice.sub(t, m))
+
+    gram = np.zeros((dim, dim), dtype=complex)
     for a, t in enumerate(points):
-        for b, s in enumerate(points):
-            if b < a:
-                continue
-            block = kernel(space, t, s)
-            gram[a * n : (a + 1) * n, b * n : (b + 1) * n] = block
-            if b > a:
-                gram[b * n : (b + 1) * n, a * n : (a + 1) * n] = block.conj().T
-    margin = float(np.linalg.eigvalsh(hermitize(gram)).min()) if gram.size else 0.0
-    return KernelWindow(space, bound, points, gram, margin)
+        for b in range(a, len(points)):
+            s = points[b]
+            m = lattice.meet(t, s)
+            block = theta(t, m).conj().T @ theta(s, m)
+            gram[slices[a], slices[b]] = block
+            gram[slices[b], slices[a]] = block.conj().T
+    eigvals, eigvecs = np.linalg.eigh(gram)
+    return KernelWindow(space, bound, points, tuple(slices), gram, eigvals, eigvecs)
 
 
 class DilationBundle:
-    """Kolmogorov factor of a window Gram plus the recovered isometries."""
+    """Kolmogorov factor of a window kernel plus the recovered isometries."""
 
     def __init__(self, window: KernelWindow, factor: np.ndarray, method: str, tol: float):
         self.window = window
-        self.space = window.space
         self.rep = window.space.rep
         self.factor = factor
         self.rank = factor.shape[0]
         self.method = method
         self.tol = tol
-        self._point_index = {s: i for i, s in enumerate(window.points)}
+        # generating vectors in raw fiber (x) H coordinates, point after point
+        blocks = []
+        self._cols: dict[lattice.Point, slice] = {}
+        start = 0
+        for s, sl in zip(window.points, window.slices):
+            blocks.append(factor[:, sl] @ self.rep.loc(s).factor)
+            self._cols[s] = slice(start, start + blocks[-1].shape[1])
+            start += blocks[-1].shape[1]
+        self.generators = np.concatenate(blocks, axis=1)
         self._v0: dict[int, np.ndarray] = {}
 
     # -- generating vectors ---------------------------------------------------
 
-    def kappa(self, s: lattice.Point) -> np.ndarray:
-        """Kolmogorov map C^N -> C^p at window point s (column slice of R)."""
-        i = self._point_index.get(tuple(s))
-        if i is None:
-            raise InvalidArgumentError(f"point {tuple(s)} outside the window")
-        n = self.space.dim
-        return self.factor[:, i * n : (i + 1) * n]
-
     def gen_block(self, s: lattice.Point) -> np.ndarray:
-        """Images of the generating vectors kappa_s(delta_s . x (x) h).
+        """Images of the generating vectors delta_s . x (x) h in C^p.
 
         Columns are indexed by raw fiber (x) H coordinates (by H basis for
         s = 0), i.e. the map h -> V_s(x) h on basis pairs.
         """
-        s = tuple(s)
-        block = self.kappa(s)[:, self.space.block_slice(s)]
-        if lattice.is_zero(s):
-            return block
-        return block @ self.space.block_loc(s).factor
+        cols = self._cols.get(tuple(s))
+        if cols is None:
+            raise InvalidArgumentError(f"point {tuple(s)} outside the window")
+        return self.generators[:, cols]
 
     def generating_matrix(self, bound: lattice.Point | None = None) -> np.ndarray:
         """All generating vectors for window points <= bound, stacked."""
-        bound = self.window.bound if bound is None else tuple(bound)
-        cols = [self.gen_block(s) for s in self.window.points if lattice.leq(s, bound)]
+        if bound is None:
+            return self.generators
+        cols = [self.gen_block(s) for s in self.window.points if lattice.leq(s, tuple(bound))]
         return np.concatenate(cols, axis=1)
 
     def k_min_rank(self, bound: lattice.Point | None = None) -> int:
@@ -115,17 +133,6 @@ class DilationBundle:
         return int(np.linalg.matrix_rank(g, tol=1e-8 * max(1.0, opnorm(g))))
 
     # -- recovered operators ----------------------------------------------------
-
-    def hat_V(self, u: lattice.Point) -> "PartialIsometry":
-        """The dilated shift V^_u with its domain projection."""
-        u = tuple(u)
-        dom_pts = [s for s in self.window.points if lattice.leq(lattice.add(s, u), self.window.bound)]
-        if not dom_pts:
-            raise InvalidArgumentError(f"shift {u} leaves the window from every point")
-        domain = np.concatenate([self.kappa(s) for s in dom_pts], axis=1)
-        target = np.concatenate([self.kappa(lattice.add(s, u)) for s in dom_pts], axis=1)
-        pinv = np.linalg.pinv(domain)
-        return PartialIsometry(u, target @ pinv, domain @ pinv)
 
     def build_V0(self, a) -> np.ndarray:
         """V_0(a) on C^p, defined by V_0(a) V_s(x) h = V_s(phi_s(a) x) h."""
@@ -138,17 +145,15 @@ class DilationBundle:
         if cached is not None:
             return cached
         d = self.rep.dim
-        doms, tgts = [], []
+        tgts = []
         for s in self.window.points:
-            g = self.gen_block(s)
-            doms.append(g)
             if lattice.is_zero(s):
-                tgts.append(g @ self.rep.sigma.mats[p])
+                act = self.rep.sigma.mats[p]
             else:
-                act = self.rep.system.fiber(s).correspondence.left_action[p]
-                block = self.kappa(s)[:, self.space.block_slice(s)]
-                tgts.append(block @ self.space.block_loc(s).factor @ np.kron(act, np.eye(d)))
-        v0, res = lstsq_map(np.concatenate(tgts, axis=1), np.concatenate(doms, axis=1))
+                left = self.rep.system.fiber(s).correspondence.left_action[p]
+                act = np.kron(left, np.eye(d))
+            tgts.append(self.gen_block(s) @ act)
+        v0, res = lstsq_map(np.concatenate(tgts, axis=1), self.generators)
         require_descent(res, LSQ_TOL, "build_V0")
         self._v0[p] = v0
         return v0
@@ -173,39 +178,32 @@ class DilationBundle:
             if not lattice.leq(st, self.window.bound):
                 continue
             doms.append(self.gen_block(t))
-            block = self.kappa(st)[:, self.space.block_slice(st)]
             if lattice.is_zero(t):
                 raw = np.kron(x, np.eye(d))
             else:
                 mu = sys_.mult_iso(s, t).mu
                 raw = np.kron(mu @ np.kron(x, np.eye(sys_.fiber_dim(t))), np.eye(d))
-            tgts.append(block @ self.space.block_loc(st).factor @ raw)
+            tgts.append(self.gen_block(st) @ raw)
         vs, res = lstsq_map(np.concatenate(tgts, axis=1), np.concatenate(doms, axis=1))
         require_descent(res, LSQ_TOL, f"build_Vs at {s}")
         return vs
 
 
-@dataclass(frozen=True)
-class PartialIsometry:
-    point: lattice.Point
-    matrix: np.ndarray = field(compare=False)
-    domain_projection: np.ndarray = field(compare=False)
-
-
 def kolmogorov(window: KernelWindow, tol: float = 1e-10, method: str = "eig") -> DilationBundle:
-    """Factor the window Gram as R^H R; fails when the Gram is not PSD."""
+    """Factor the window kernel as R^H R; fails when it is not PSD."""
     if window.psd_margin < -tol:
         raise NotPositiveDefiniteError(
             f"window Gram has negative eigenvalue {window.psd_margin:.3e}: "
             "no regular isometric dilation exists for this window",
             margin=window.psd_margin,
         )
-    gram = window.gram
     if method == "eig":
-        lam_max = float(np.linalg.eigvalsh(hermitize(gram)).max()) if gram.size else 0.0
-        factor, _vals, _vecs = psd_factor(gram, tol * max(lam_max, 0.0), "kolmogorov")
+        cutoff = tol * max(float(window.eigvals.max()), 0.0)
+        factor, _vals, _vecs = psd_factor(
+            window.gram, cutoff, "kolmogorov", eig=(window.eigvals, window.eigvecs)
+        )
     elif method == "chol":
-        factor = pivoted_cholesky(gram, rel_tol=tol)
+        factor = pivoted_cholesky(window.gram, rel_tol=tol)
     else:
         raise InvalidArgumentError(f"unknown factorization method {method!r}")
     return DilationBundle(window, factor, method, tol)

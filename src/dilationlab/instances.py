@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -60,6 +61,7 @@ def json_to_complex(obj, where: str) -> complex:
         and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in obj),
         f"{where}: expected a [re, im] pair, got {obj!r}",
     )
+    _expect(all(math.isfinite(x) for x in obj), f"{where}: non-finite number in {obj!r}")
     return complex(obj[0], obj[1])
 
 

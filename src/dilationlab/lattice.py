@@ -1,4 +1,4 @@
-"""Lattice points of N^k: arithmetic, partial order, positive/negative parts.
+"""Lattice points of N^k: arithmetic, partial order, meets.
 
 Points are plain tuples of nonnegative ints (elements of the difference
 group Z^k may carry negative entries).
@@ -35,16 +35,13 @@ def leq(s: Point, t: Point) -> bool:
     return all(a <= b for a, b in zip(s, t, strict=True))
 
 
+def meet(s: Point, t: Point) -> Point:
+    """Coordinatewise minimum s ^ t, the greatest lower bound."""
+    return tuple(min(a, b) for a, b in zip(s, t, strict=True))
+
+
 def is_zero(s: Point) -> bool:
     return all(a == 0 for a in s)
-
-
-def pos_part(s: Point) -> Point:
-    return tuple(max(0, a) for a in s)
-
-
-def neg_part(s: Point) -> Point:
-    return tuple(max(0, -a) for a in s)
 
 
 def restrict(s: Point, u: Iterable[int]) -> Point:

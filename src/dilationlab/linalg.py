@@ -33,16 +33,18 @@ def warn_degenerate(eigvals: np.ndarray, tol: float, what: str) -> None:
         )
 
 
-def psd_factor(gram: np.ndarray, tol: float, what: str = "gram"):
+def psd_factor(gram: np.ndarray, tol: float, what: str = "gram", eig=None):
     """Rank-revealing factor F of a PSD Hermitian matrix, F^H F = gram.
 
-    Eigenvalues <= tol are treated as null. Returns (factor, kept eigvals,
-    kept eigvecs); factor rows are sqrt(eigval)-scaled eigenvector rows.
+    Eigenvalues <= tol are treated as null. `eig`, when given, is the
+    (eigvals, eigvecs) pair of gram and saves the solve. Returns (factor,
+    kept eigvals, kept eigvecs); factor rows are sqrt(eigval)-scaled
+    eigenvector rows.
     """
     n = gram.shape[0]
     if n == 0:
         return np.zeros((0, 0), dtype=complex), np.zeros(0), np.zeros((0, 0), dtype=complex)
-    vals, vecs = np.linalg.eigh(hermitize(gram))
+    vals, vecs = np.linalg.eigh(hermitize(gram)) if eig is None else eig
     warn_degenerate(vals, tol, what)
     keep = vals > tol
     vals_k = vals[keep]

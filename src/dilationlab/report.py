@@ -33,12 +33,6 @@ def _json_float(x: float) -> float | str:
     return x
 
 
-def _as_float(x) -> float:
-    if isinstance(x, str):
-        return float(x)
-    return float(x)
-
-
 def check_record(name: str, residual: float, tolerance: float | None = None) -> dict:
     tol = CHECK_TOLERANCES.get(name, 1e-10) if tolerance is None else tolerance
     ok = math.isfinite(residual) and residual <= tol
@@ -99,8 +93,8 @@ def compare_reports(reference: dict, fresh: dict) -> tuple[bool, list[str], list
             mismatches.append(f"check {name}: pass flag {ref_c['pass']} vs {new_c['pass']}")
             continue
         tol = float(ref_c.get("tolerance", 1e-10))
-        r_ref = _as_float(ref_c["residual"])
-        r_new = _as_float(new_c["residual"])
+        r_ref = float(ref_c["residual"])
+        r_new = float(new_c["residual"])
         if math.isfinite(r_ref) and math.isfinite(r_new):
             drift = abs(r_new - r_ref)
             if drift > 10.0 * tol:
@@ -118,7 +112,7 @@ def compare_reports(reference: dict, fresh: dict) -> tuple[bool, list[str], list
         if ref_win.get("M") != new_win.get("M") or ref_win.get("rank") != new_win.get("rank"):
             mismatches.append(f"window mismatch: {ref_win} vs {new_win}")
         else:
-            drift = abs(_as_float(ref_win.get("psd_margin", 0.0)) - _as_float(new_win.get("psd_margin", 0.0)))
+            drift = abs(float(ref_win.get("psd_margin", 0.0)) - float(new_win.get("psd_margin", 0.0)))
             if drift > 1e-8:
                 mismatches.append(f"window psd_margin drift {drift:.3e}")
 

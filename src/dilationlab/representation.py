@@ -155,9 +155,9 @@ class CCRepresentation:
         s = tuple(s)
         if not lattice.leq(s, t):
             raise InvalidArgumentError(f"lowering needs s <= t, got s={s}, t={t}")
-        d = self.dim
         if lattice.is_zero(s):
-            return np.eye(self.system.fiber_dim(t) * d, dtype=complex)
+            return np.eye(self.loc(t).source_dim, dtype=complex)
+        d = self.dim
         rest = lattice.sub(t, s)
         if lattice.is_zero(rest):
             return self.t_raw(s)
@@ -167,7 +167,9 @@ class CCRepresentation:
         return np.kron(np.eye(p_rest), self.t_raw(s)) @ np.kron(split, np.eye(d))
 
     def lowering_block(self, t: lattice.Point, s: lattice.Point) -> np.ndarray:
-        """Localized block map loc(t) -> loc(t-s)."""
+        """Localized block map loc(t) -> loc(t-s); the identity for s = 0."""
+        if lattice.is_zero(tuple(s)):
+            return np.eye(self.loc(t).rank, dtype=complex)
         return descend_map(
             self.lowering_raw(t, s), self.loc(t), self.loc(lattice.sub(t, s)), self.tol
         )

@@ -60,8 +60,7 @@ def brehmer_sum_scalar(ts: tuple[complex, ...], v: tuple[int, ...], s: tuple[int
 def toeplitz_margin_scalar(ts: tuple[complex, ...], bound: tuple[int, ...]) -> float:
     """Minimum eigenvalue of the brute-force scalar Toeplitz moment matrix
     [K(n, m)] over the window box, K(n, m) = conj(t^(m-n)_-) t^(m-n)_+."""
-    pts = list(itertools.product(*(range(b + 1) for b in bound)))
-    pts.sort(key=lambda p: (sum(p), p))
+    pts = window_points(bound)
 
     def power(exps):
         out = 1.0 + 0.0j
@@ -77,6 +76,35 @@ def toeplitz_margin_scalar(ts: tuple[complex, ...], bound: tuple[int, ...]) -> f
             pos = tuple(max(0, x) for x in diff)
             gram[a, b] = np.conj(power(neg)) * power(pos)
     return float(np.linalg.eigvalsh(0.5 * (gram + gram.conj().T)).min())
+
+
+def window_points(bound: tuple[int, ...]) -> list[tuple[int, ...]]:
+    """Lattice points of the window box in graded-lexicographic order."""
+    pts = list(itertools.product(*(range(b + 1) for b in bound)))
+    pts.sort(key=lambda p: (sum(p), p))
+    return pts
+
+
+def full_window_gram(space, bound: tuple[int, ...]) -> tuple[np.ndarray, float]:
+    """The T^ window Gram over one copy of the truncated space per window
+    point, block (t, s) = T^_{(s-t)_-}^H T^_{(s-t)_+}, and its minimum
+    eigenvalue.
+
+    `space` only has to provide `dim` and the lowering operators as
+    `space.hat(point).matrix`; everything else is computed here. The Gram
+    has dimension |W| dim H_L, so this is for small windows only.
+    """
+    pts = window_points(bound)
+    n = space.dim
+    gram = np.zeros((len(pts) * n, len(pts) * n), dtype=complex)
+    for a, t in enumerate(pts):
+        for b, s in enumerate(pts):
+            diff = tuple(x - y for x, y in zip(s, t, strict=True))
+            neg = space.hat(tuple(max(0, -x) for x in diff)).matrix
+            pos = space.hat(tuple(max(0, x) for x in diff)).matrix
+            gram[a * n : (a + 1) * n, b * n : (b + 1) * n] = neg.conj().T @ pos
+    margin = float(np.linalg.eigvalsh(0.5 * (gram + gram.conj().T)).min())
+    return gram, margin
 
 
 def matrix_units(n: int) -> list[np.ndarray]:

@@ -49,6 +49,18 @@ def test_format_error_exit(tmp_path):
     assert run(["validate", str(empty)]) == cli.EXIT_FORMAT
 
 
+@pytest.mark.parametrize("value, text", [(float("nan"), "NaN"), (float("inf"), "Infinity")])
+def test_non_finite_numbers_are_format_errors(tmp_path, scalar_pair, value, text):
+    import copy
+
+    data = copy.deepcopy(scalar_pair.data)
+    data["representation"]["T"][0][0][0][0] = [value, 0.0]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))  # written as NaN / Infinity
+    assert text in bad.read_text()
+    assert run(["dilate", str(bad)]) == cli.EXIT_FORMAT
+
+
 def test_check_reports_verdicts(tmp_path):
     out = tmp_path / "r.json"
     assert run(["check", SCALAR, "--out", str(out)]) == cli.EXIT_OK
@@ -89,6 +101,13 @@ def test_dilate_scalar_pair(tmp_path):
 
 def test_dilate_unitary_scalar():
     assert run(["dilate", UNITARY, "--L", "2"]) == cli.EXIT_OK
+
+
+def test_dilate_window_beyond_truncation(tmp_path):
+    # the generating-vector kernel does not depend on the truncation bound L
+    out = tmp_path / "r.json"
+    assert run(["dilate", SCALAR, "--L", "1", "--M", "2", "--out", str(out)]) == cli.EXIT_OK
+    assert read_report(out)["window"]["rank"] == 9
 
 
 def test_dilate_nilpotent_exits_3(tmp_path):

@@ -11,10 +11,10 @@ from dilationlab.dilation import (
     window_gram,
 )
 from dilationlab.errors import NotPositiveDefiniteError
-from dilationlab.families import _scalar_instance
+from dilationlab.families import _scalar_instance, generate
 from dilationlab.hatspace import TruncatedFock
 from dilationlab.instances import parse_instance
-from oracles import schaffer_inner_products
+from oracles import full_window_gram, schaffer_inner_products, toeplitz_margin_scalar, window_points
 
 
 def bundle_of(inst, bound, method="eig"):
@@ -47,6 +47,46 @@ def test_generating_gram_matches_schaffer(half_scalar):
     assert np.abs(g.conj().T @ g - oracle).max() <= 1e-12
 
 
+SMALL_WINDOWS = [
+    ("scalar_pair", (2, 2)),
+    ("nilpotent_pair", (2, 2)),
+    ("half_scalar", (3,)),
+    ("mult_m2", (2, 1)),
+]
+
+
+@pytest.mark.parametrize("name, bound", SMALL_WINDOWS)
+def test_kernel_is_generating_subblock_of_full_gram(request, name, bound):
+    inst = request.getfixturevalue(name)
+    space = TruncatedFock(inst.representation, bound)
+    window = window_gram(space, bound)
+    full, full_margin = full_window_gram(space, bound)
+    assert list(window.points) == window_points(bound)
+    rows = np.concatenate(
+        [a * space.dim + np.arange(space.dim)[space.block_slice(t)] for a, t in enumerate(window.points)]
+    )
+    assert window.gram.shape == (rows.size, rows.size)
+    assert np.abs(window.gram - full[np.ix_(rows, rows)]).max() <= 1e-12
+    assert abs(window.psd_margin - full_margin) <= 1e-10
+
+
+def test_scalar_margins_match_toeplitz_oracle(scalar_pair, half_scalar):
+    cases = [(scalar_pair, (3, 3)), (half_scalar, (4,))]
+    cases += [(parse_instance(generate("scalar-commuting", seed=seed)), (2, 2)) for seed in range(4)]
+    cases.append((parse_instance(generate("scalar-commuting", seed=7, k=3)), (1, 2, 1)))
+    for inst, bound in cases:
+        ts = tuple(complex(t[0, 0, 0]) for t in inst.representation.t_maps)
+        window = window_gram(TruncatedFock(inst.representation, bound), bound)
+        assert abs(window.psd_margin - toeplitz_margin_scalar(ts, bound)) <= 1e-12, (ts, bound)
+
+
+def test_window_rank_is_k_min(scalar_pair, mult_m2):
+    for inst in (scalar_pair, mult_m2):
+        bundle = bundle_of(inst, (2, 2))
+        assert bundle.rank == bundle.k_min_rank()
+        assert bundle.window.gram.shape[0] == sum(inst.representation.loc(s).rank for s in bundle.window.points)
+
+
 def test_kolmogorov_rejects_nilpotent(nilpotent_pair):
     space = TruncatedFock(nilpotent_pair.representation, (2, 2))
     window = window_gram(space, (2, 2))
@@ -57,13 +97,12 @@ def test_kolmogorov_rejects_nilpotent(nilpotent_pair):
 
 def test_hat_V_shifts_kappa(half_scalar):
     bundle = bundle_of(half_scalar, (2,))
-    hv = bundle.hat_V((1,))
-    assert np.linalg.norm(hv.matrix @ bundle.kappa((0,)) - bundle.kappa((1,))) <= 1e-12
-    assert np.linalg.norm(hv.matrix @ bundle.kappa((1,)) - bundle.kappa((2,))) <= 1e-12
+    v1 = bundle.build_Vs((1,), np.array([1.0]))
+    assert np.linalg.norm(v1 @ bundle.gen_block((0,)) - bundle.gen_block((1,))) <= 1e-12
+    assert np.linalg.norm(v1 @ bundle.gen_block((1,)) - bundle.gen_block((2,))) <= 1e-12
     # isometric on its domain
-    assert (
-        np.linalg.norm(hv.matrix.conj().T @ hv.matrix - hv.domain_projection) <= 1e-12
-    )
+    dom = np.concatenate([bundle.gen_block((0,)), bundle.gen_block((1,))], axis=1)
+    assert np.linalg.norm(dom.conj().T @ (v1.conj().T @ v1) @ dom - dom.conj().T @ dom) <= 1e-12
 
 
 def test_verify_regular_dilation_scalar(scalar_pair):

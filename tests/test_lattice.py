@@ -17,9 +17,11 @@ def test_zero_and_unit():
 
 @given(points, points)
 def test_pos_neg_parts_decompose(s, t):
-    diff = lattice.sub(s, t)
-    pos, neg = lattice.pos_part(diff), lattice.neg_part(diff)
-    assert lattice.sub(pos, neg) == diff
+    m = lattice.meet(s, t)
+    assert lattice.leq(m, s) and lattice.leq(m, t)
+    # s - m and t - m are the positive and negative parts of s - t
+    pos, neg = lattice.sub(s, m), lattice.sub(t, m)
+    assert lattice.sub(pos, neg) == lattice.sub(s, t)
     assert all(a == 0 or b == 0 for a, b in zip(pos, neg, strict=True))
 
 

@@ -98,3 +98,13 @@ def test_brehmer_nilpotent_is_minus_one(nilpotent_pair):
 def test_brehmer_isometric_is_zero(mult_m2):
     got = brehmer_check_NS(mult_m2.representation, (1, 2), (1, 1))
     assert got == pytest.approx(0.0, abs=1e-10)
+
+
+def test_lowering_block_zero_shift_is_identity(mult_m2, scalar_pair):
+    # loc(0) is H itself, not X(0) (x) H: the zero shift must be sized by loc(t)
+    for inst in (mult_m2, scalar_pair):
+        rep = inst.representation
+        for t in [(0, 0), (1, 0), (1, 1)]:
+            block = rep.lowering_block(t, (0, 0))
+            assert np.array_equal(block, np.eye(rep.loc(t).rank))
+        assert rep.lowering_raw((0, 0), (0, 0)).shape == (rep.dim, rep.dim)
