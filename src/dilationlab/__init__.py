@@ -30,8 +30,8 @@ from .errors import (
     NotPositiveDefiniteError,
     NotWellDefinedError,
 )
-from .hatspace import TruncatedFock, a_action, brehmer_check_hat, check_hat_semigroup, check_technology, hat_T
-from .prodsys import ProductSystem, make_product_system
+from .hatspace import TruncatedFock, a_action, brehmer_check_hat, check_hat_semigroup, check_technology
+from .prodsys import ProductSystem
 from .representation import (
     AlgebraRepresentation,
     CCRepresentation,
@@ -66,12 +66,10 @@ __all__ = [
     "check_technology",
     "compare_minimal_dilations",
     "doubly_commuting_check",
-    "hat_T",
     "interior_tensor",
     "kolmogorov",
     "localize",
     "make_algebra",
-    "make_product_system",
     "trivial_correspondence",
     "validate_correspondence",
     "validate_representation",

@@ -31,7 +31,7 @@ from .errors import (
 )
 from .families import FAMILIES, generate
 from .hatspace import TruncatedFock, check_hat_semigroup
-from .instances import Instance, digest, load_instance
+from .instances import Instance, check_tol, digest, load_instance
 from .linalg import opnorm
 from .report import check_record, compare_reports, make_report, render
 from .representation import brehmer_check_NS, doubly_commuting_check, validate_representation
@@ -69,6 +69,7 @@ def _resolve_params(inst: Instance, args) -> dict:
     if getattr(args, "guard", None) is not None:
         params["guard"] = args.guard
     if getattr(args, "tol", None) is not None:
+        check_tol(args.tol, "--tol")
         params["tol"] = args.tol
     if params.get("L") is None:
         params["L"] = [3] * k

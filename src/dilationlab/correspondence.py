@@ -178,32 +178,48 @@ def passes(report: dict[str, float], tol: float = DEFAULT_TOL) -> bool:
 def reduce_null(corr: Correspondence, tol: float = DEFAULT_TOL):
     """Quotient by module null vectors. Returns (correspondence, surjection).
 
-    The surjection maps old coordinates onto the quotient basis; the induced
-    Gram and actions are computed on the kept eigenvectors of the trace Gram.
+    With W the kept eigenvectors of the trace Gram (orthonormal columns) and
+    the surjection W^H, the quotient has Gram W^H G_p W and actions
+    W^H R_p W, W^H L_p W for every algebra basis index p.
     """
     kept, _null = null_split(corr.gram_trace(), tol, "reduce_null")
     w = kept  # (m, p), orthonormal columns
-    surjection = w.conj().T
-    gram = np.einsum("ia,jb,ijp->abp", np.conj(w), w, corr.gram)
-    right = np.einsum("ia,pij,jb->pab", np.conj(w), corr.right_action, w)
-    left = np.einsum("ia,pij,jb->pab", np.conj(w), corr.left_action, w)
+    # C-ordered: numpy's stacked matmul falls back to a slow non-BLAS loop
+    # for a transposed operand
+    surjection = np.ascontiguousarray(w.conj().T)
+    gram = congruent_gram(corr.gram, w)
+    right = surjection @ corr.right_action @ w
+    left = surjection @ corr.left_action @ w
     reduced = Correspondence(corr.algebra, gram, right, left)
     return reduced, surjection
 
 
+def congruent_gram(gram: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Gram of the vectors given by the columns of w: W^H G_p W for every p.
+
+    `gram` has shape (m, m, dim A) and w shape (m, n); the result has shape
+    (n, n, dim A).
+    """
+    stacked = np.ascontiguousarray(np.moveaxis(gram, 2, 0))
+    wh = np.ascontiguousarray(w.conj().T)
+    return np.moveaxis(wh @ stacked @ w, 0, 2)
+
+
 def _raw_tensor(e: Correspondence, f: Correspondence):
-    """Gram/actions of the algebraic tensor E (x) F on raw coordinates."""
+    """Gram/actions of the algebraic tensor E (x) F on raw coordinates.
+
+    The Gram is <e_i (x) f_j, e_k (x) f_l>_p = <f_j, <e_i, e_k> . f_l>_p
+    = sum over r, q of E.gram[i, k, r] F.left[r, q, l] F.gram[j, q, p],
+    with raw index i * m_F + j. The actions are I (x) F.right and
+    E.left (x) I.
+    """
     if e.algebra != f.algebra:
         raise InvalidArgumentError("interior tensor requires a common algebra")
     me, mf = e.dim, f.dim
     adim = e.algebra.dim
-    gram = np.zeros((me * mf, me * mf, adim), dtype=complex)
-    for i in range(me):
-        for k in range(me):
-            act = f.act_left(e.gram[i, k])  # (mf, mf): coords of <e_i,e_k> . f_l
-            # <e_i (x) f_j, e_k (x) f_l> = <f_j, <e_i,e_k> . f_l>
-            block = np.einsum("ql,jqp->jlp", act, f.gram)
-            gram[i * mf : (i + 1) * mf, k * mf : (k + 1) * mf, :] = block
+    act = np.tensordot(e.gram, f.left_action, axes=(2, 0))  # [i, k, q, l]
+    gram = np.tensordot(act, f.gram, axes=(2, 1))  # [i, k, l, j, p]
+    gram = gram.transpose(0, 3, 1, 2, 4).reshape(me * mf, me * mf, adim)
     right = np.stack([np.kron(np.eye(me), f.right_action[p]) for p in range(adim)])
     left = np.stack([np.kron(e.left_action[p], np.eye(mf)) for p in range(adim)])
     return Correspondence(e.algebra, gram, right, left)

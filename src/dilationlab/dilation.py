@@ -19,7 +19,6 @@ at least a guard margin g inside the window.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -70,17 +69,14 @@ def window_gram(space: TruncatedFock, bound: lattice.Point) -> KernelWindow:
         slices.append(slice(dim, dim + rank))
         dim += rank
 
-    @functools.cache
-    def theta(t: lattice.Point, m: lattice.Point) -> np.ndarray:
-        """Theta(t, t - m): loc(t) -> loc(m)."""
-        return rep.lowering_block(t, lattice.sub(t, m))
-
     gram = np.zeros((dim, dim), dtype=complex)
     for a, t in enumerate(points):
         for b in range(a, len(points)):
             s = points[b]
             m = lattice.meet(t, s)
-            block = theta(t, m).conj().T @ theta(s, m)
+            theta_t = rep.lowering_block(t, lattice.sub(t, m))  # loc(t) -> loc(m)
+            theta_s = rep.lowering_block(s, lattice.sub(s, m))
+            block = theta_t.conj().T @ theta_s
             gram[slices[a], slices[b]] = block
             gram[slices[b], slices[a]] = block.conj().T
     eigvals, eigvecs = np.linalg.eigh(gram)
@@ -107,6 +103,7 @@ class DilationBundle:
             start += blocks[-1].shape[1]
         self.generators = np.concatenate(blocks, axis=1)
         self._v0: dict[int, np.ndarray] = {}
+        self._v_raw: dict[lattice.Point, np.ndarray] = {}
 
     # -- generating vectors ---------------------------------------------------
 
@@ -187,6 +184,17 @@ class DilationBundle:
         vs, res = lstsq_map(np.concatenate(tgts, axis=1), np.concatenate(doms, axis=1))
         require_descent(res, LSQ_TOL, f"build_Vs at {s}")
         return vs
+
+    def v_raw(self, s: lattice.Point) -> np.ndarray:
+        """p x (p_s p) map x (x) k -> V_s(x) k on reduced-fiber (x) C^p raw
+        coordinates: the V_s(e_alpha) side by side, one build_Vs each."""
+        s = tuple(s)
+        cached = self._v_raw.get(s)
+        if cached is None:
+            basis = np.eye(self.rep.system.fiber_dim(s))
+            cached = np.concatenate([self.build_Vs(s, e) for e in basis], axis=1)
+            self._v_raw[s] = cached
+        return cached
 
 
 def kolmogorov(window: KernelWindow, tol: float = 1e-10, method: str = "eig") -> DilationBundle:
@@ -271,15 +279,11 @@ def verify_regular_dilation(bundle: DilationBundle, guard: int = 1) -> dict[str,
     # item 3: minimality - V_s(x) delta_0 h recovers every generating vector
     item3 = 0.0
     d = rep.dim
-    vs_cache: dict[tuple[lattice.Point, int], np.ndarray] = {}
+    rank = bundle.rank
 
     def v_of(s: lattice.Point, a: int) -> np.ndarray:
-        key = (tuple(s), a)
-        if key not in vs_cache:
-            e = np.zeros(sys_.fiber_dim(s))
-            e[a] = 1.0
-            vs_cache[key] = bundle.build_Vs(s, e)
-        return vs_cache[key]
+        """V_s(e_a) on C^p."""
+        return bundle.v_raw(s)[:, a * rank : (a + 1) * rank]
 
     for s in bundle.window.points:
         if lattice.is_zero(s):
@@ -409,20 +413,12 @@ def verify_doubly_commuting_V(bundle: DilationBundle, j: int, k: int, guard: int
     def loc_of(corr):
         return localize(corr, rho, 1e-8)
 
-    def v_raw(s: lattice.Point) -> np.ndarray:
-        cols = []
-        for alpha in range(sys_.fiber_dim(s)):
-            e = np.zeros(sys_.fiber_dim(s))
-            e[alpha] = 1.0
-            cols.append(bundle.build_Vs(s, e))
-        return np.concatenate(cols, axis=1)
-
     corr_a = sys_.fiber(a).correspondence
     corr_b = sys_.fiber(b).correspondence
     loc_a = loc_of(corr_a)
     loc_b = loc_of(corr_b)
-    vt_a = descend_map(v_raw(a), loc_a, trivial_localized(p), 1e-6)
-    vt_b = descend_map(v_raw(b), loc_b, trivial_localized(p), 1e-6)
+    vt_a = descend_map(bundle.v_raw(a), loc_a, trivial_localized(p), 1e-6)
+    vt_b = descend_map(bundle.v_raw(b), loc_b, trivial_localized(p), 1e-6)
     rhs = vt_b.conj().T @ vt_a
 
     pair_ab, q_ab = interior_tensor(corr_a, corr_b, rep.tol)
@@ -430,13 +426,13 @@ def verify_doubly_commuting_V(bundle: DilationBundle, j: int, k: int, guard: int
     loc_ab = loc_of(pair_ab)
     loc_ba = loc_of(pair_ba)
     ext_ab = descend_map(
-        np.kron(np.eye(sys_.fiber_dim(a)), v_raw(b)) @ np.kron(q_ab.conj().T, np.eye(p)),
+        np.kron(np.eye(sys_.fiber_dim(a)), bundle.v_raw(b)) @ np.kron(q_ab.conj().T, np.eye(p)),
         loc_ab,
         loc_a,
         1e-6,
     )
     ext_ba = descend_map(
-        np.kron(np.eye(sys_.fiber_dim(b)), v_raw(a)) @ np.kron(q_ba.conj().T, np.eye(p)),
+        np.kron(np.eye(sys_.fiber_dim(b)), bundle.v_raw(a)) @ np.kron(q_ba.conj().T, np.eye(p)),
         loc_ba,
         loc_b,
         1e-6,

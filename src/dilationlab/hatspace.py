@@ -92,14 +92,6 @@ class TruncatedFock:
         return op
 
 
-def build_truncated_space(rep: CCRepresentation, bound: lattice.Point) -> TruncatedFock:
-    return TruncatedFock(rep, bound)
-
-
-def hat_T(space: TruncatedFock, s: lattice.Point) -> HatOperator:
-    return space.hat(s)
-
-
 def check_hat_semigroup(space: TruncatedFock, s: lattice.Point, t: lattice.Point) -> float:
     """|| T^_s T^_t - T^_{s+t} || on H_L (exact, not truncated)."""
     prod = space.hat(s).matrix @ space.hat(t).matrix

@@ -65,6 +65,17 @@ def json_to_complex(obj, where: str) -> complex:
     return complex(obj[0], obj[1])
 
 
+def check_tol(value, where: str) -> None:
+    """A tolerance is a finite number >= 0; anything else is a format error."""
+    _expect(
+        isinstance(value, (int, float))
+        and not isinstance(value, bool)
+        and math.isfinite(value)
+        and value >= 0,
+        f"{where}: tolerance must be a finite number >= 0, got {value!r}",
+    )
+
+
 def json_to_vector(obj, length: int, where: str) -> np.ndarray:
     _expect(isinstance(obj, list), f"{where}: expected a list")
     _expect(len(obj) == length, f"{where}: expected {length} entries, got {len(obj)}")
@@ -165,6 +176,7 @@ def parse_instance(data: dict, tol: float | None = None) -> Instance:
 
     params = dict(DEFAULT_PARAMETERS)
     params.update(data.get("parameters", {}))
+    check_tol(params["tol"], "instance: parameters.tol")
     tol = params["tol"] if tol is None else tol
     system = ProductSystem(algebra, generators, flips, tol=tol)
 

@@ -16,6 +16,7 @@ from . import lattice
 from .correspondence import (
     Correspondence,
     algebra_correspondence,
+    congruent_gram,
     interior_tensor,
     passes,
     reduce_null,
@@ -132,7 +133,7 @@ class ProductSystem:
         ej = self.generators[j - 1]
         raw_ij = _raw_tensor(ei, ej)
         raw_ji = _raw_tensor(ej, ei)
-        lhs = np.einsum("Aa,Bb,ABp->abp", np.conj(phi), phi, raw_ji.gram)
+        lhs = congruent_gram(raw_ji.gram, phi)
         res = float(np.abs(lhs - raw_ij.gram).max())
         for p in range(self.algebra.dim):
             res = max(res, opnorm(phi @ raw_ij.left_action[p] - raw_ji.left_action[p] @ phi))
@@ -325,7 +326,3 @@ class ProductSystem:
         _c_str, q2 = interior_tensor(c_st, cr, self.tol)
         lift3 = np.kron(q1.conj().T, np.eye(cr.dim)) @ q2.conj().T
         return opnorm((lhs - rhs) @ lift3)
-
-
-def make_product_system(algebra, generators, flips=None, tol: float = DEFAULT_TOL) -> ProductSystem:
-    return ProductSystem(algebra, generators, flips, tol)

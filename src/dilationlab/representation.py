@@ -91,6 +91,7 @@ class CCRepresentation:
         self.t_maps: tuple[np.ndarray, ...] = tuple(maps)
         self._loc: dict[lattice.Point, LocalizedSpace] = {}
         self._t_raw: dict[lattice.Point, np.ndarray] = {}
+        self._lowering: dict[tuple[lattice.Point, lattice.Point], np.ndarray] = {}
 
     # -- localized fiber spaces ---------------------------------------------
 
@@ -168,11 +169,18 @@ class CCRepresentation:
 
     def lowering_block(self, t: lattice.Point, s: lattice.Point) -> np.ndarray:
         """Localized block map loc(t) -> loc(t-s); the identity for s = 0."""
-        if lattice.is_zero(tuple(s)):
-            return np.eye(self.loc(t).rank, dtype=complex)
-        return descend_map(
-            self.lowering_raw(t, s), self.loc(t), self.loc(lattice.sub(t, s)), self.tol
-        )
+        key = (tuple(t), tuple(s))
+        cached = self._lowering.get(key)
+        if cached is not None:
+            return cached
+        if lattice.is_zero(key[1]):
+            out = np.eye(self.loc(t).rank, dtype=complex)
+        else:
+            out = descend_map(
+                self.lowering_raw(t, s), self.loc(t), self.loc(lattice.sub(t, s)), self.tol
+            )
+        self._lowering[key] = out
+        return out
 
     # -- pair machinery for the doubly-commuting identity ---------------------
 

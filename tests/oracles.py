@@ -107,6 +107,34 @@ def full_window_gram(space, bound: tuple[int, ...]) -> tuple[np.ndarray, float]:
     return gram, margin
 
 
+def raw_tensor_gram_loop(e_gram: np.ndarray, f_gram: np.ndarray, f_left: np.ndarray) -> np.ndarray:
+    """Algebra-valued Gram of the raw tensor E (x) F, one (i, k) block at a
+    time: <e_i (x) f_j, e_k (x) f_l> = <f_j, <e_i, e_k> . f_l>.
+
+    `e_gram`, `f_gram` have shape (m, m, dim A) and `f_left` (dim A, m_F, m_F);
+    the raw index of e_i (x) f_j is i * m_F + j.
+    """
+    me, mf, adim = e_gram.shape[0], f_gram.shape[0], e_gram.shape[2]
+    gram = np.zeros((me * mf, me * mf, adim), dtype=complex)
+    for i in range(me):
+        for k in range(me):
+            act = np.tensordot(e_gram[i, k], f_left, axes=(0, 0))  # <e_i,e_k> . f_l
+            block = np.einsum("ql,jqp->jlp", act, f_gram)
+            gram[i * mf : (i + 1) * mf, k * mf : (k + 1) * mf, :] = block
+    return gram
+
+
+def congruent_gram_einsum(gram: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Algebra-valued Gram of the columns of w, sum_ij conj(w_ia) w_jb G_ijp,
+    as a single three-operand einsum."""
+    return np.einsum("ia,jb,ijp->abp", np.conj(w), w, gram)
+
+
+def compressed_action_einsum(action: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """W^H A_p W for every p, as a single three-operand einsum."""
+    return np.einsum("ia,pij,jb->pab", np.conj(w), action, w)
+
+
 def matrix_units(n: int) -> list[np.ndarray]:
     """Matrix units of M_n in row-major order (the canonical algebra basis)."""
     units = []

@@ -61,6 +61,18 @@ def test_non_finite_numbers_are_format_errors(tmp_path, scalar_pair, value, text
     assert run(["dilate", str(bad)]) == cli.EXIT_FORMAT
 
 
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
+def test_bad_tol_is_format_error(tmp_path, scalar_pair, value):
+    import copy
+
+    assert run(["dilate", SCALAR, "--L", "1", "--tol", str(value)]) == cli.EXIT_FORMAT
+    data = copy.deepcopy(scalar_pair.data)
+    data["parameters"] = {"tol": value}
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert run(["dilate", str(bad), "--L", "1"]) == cli.EXIT_FORMAT
+
+
 def test_check_reports_verdicts(tmp_path):
     out = tmp_path / "r.json"
     assert run(["check", SCALAR, "--out", str(out)]) == cli.EXIT_OK
@@ -108,6 +120,18 @@ def test_dilate_window_beyond_truncation(tmp_path):
     out = tmp_path / "r.json"
     assert run(["dilate", SCALAR, "--L", "1", "--M", "2", "--out", str(out)]) == cli.EXIT_OK
     assert read_report(out)["window"]["rank"] == 9
+
+
+def test_dilate_m3_algebra(tmp_path):
+    # the only tier-1 dilate over M_3: 81-dimensional raw tensors of the fibers
+    inst = tmp_path / "m3.json"
+    gen = ["gen", "--family", "multiplication-isometric", "--k", "2", "--dims", "3"]
+    assert run(gen + ["--out", str(inst)]) == cli.EXIT_OK
+    out = tmp_path / "r.json"
+    assert run(["dilate", str(inst), "--L", "2", "--M", "2", "--out", str(out)]) == cli.EXIT_OK
+    report = read_report(out)
+    assert report["verdicts"]["dilation_verified"] is True
+    assert report["window"]["rank"] == 3
 
 
 def test_dilate_nilpotent_exits_3(tmp_path):

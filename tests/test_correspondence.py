@@ -4,7 +4,9 @@ import pytest
 from dilationlab import cstar
 from dilationlab.correspondence import (
     Correspondence,
+    _raw_tensor,
     algebra_correspondence,
+    congruent_gram,
     descend_map,
     interior_tensor,
     localize,
@@ -14,6 +16,8 @@ from dilationlab.correspondence import (
     validate_correspondence,
 )
 from dilationlab.errors import InvalidArgumentError, NotWellDefinedError
+
+from oracles import compressed_action_einsum, congruent_gram_einsum, raw_tensor_gram_loop
 
 
 @pytest.fixture(scope="module")
@@ -125,3 +129,103 @@ def test_shape_validation(m2):
         Correspondence(m2, np.zeros((4, 4, 3)), eye4, eye4)
     with pytest.raises(InvalidArgumentError):
         Correspondence(m2, np.zeros((4, 4, 4)), np.zeros((2, 4, 4)), eye4)
+
+
+# -- contraction kernels against the einsum references -------------------------
+
+
+def _degenerate_scalar():
+    """Over C, Gram [[1, 1], [1, 1]]: e_1 and e_2 coincide in the quotient."""
+    alg = cstar.make_algebra([1])
+    eye = np.eye(2, dtype=complex)[None, :, :]
+    return Correspondence(alg, np.ones((2, 2, 1), dtype=complex), eye, eye)
+
+
+def _random_arrays(seed: int, blocks, me: int, mf: int):
+    """Correspondence-shaped arrays with no structure: the contractions are
+    identities of multilinear algebra and must hold for any entries."""
+    alg = cstar.make_algebra(blocks)
+    rng = np.random.default_rng(seed)
+
+    def arr(*shape):
+        return (rng.standard_normal(shape) + 1j * rng.standard_normal(shape)) / np.sqrt(np.prod(shape))
+
+    e = Correspondence(alg, arr(me, me, alg.dim), arr(alg.dim, me, me), arr(alg.dim, me, me))
+    f = Correspondence(alg, arr(mf, mf, alg.dim), arr(alg.dim, mf, mf), arr(alg.dim, mf, mf))
+    return e, f
+
+
+def _rotated_m2():
+    """M_2 over itself in a random complex basis: the kept eigenvectors of
+    its null quotients are complex."""
+    corr = algebra_correspondence(cstar.make_algebra([2]))
+    rng = np.random.default_rng(4)
+    u, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
+    uh = u.conj().T
+    return Correspondence(
+        corr.algebra,
+        congruent_gram_einsum(corr.gram, u),
+        uh @ corr.right_action @ u,
+        uh @ corr.left_action @ u,
+    )
+
+
+TENSOR_PAIRS = {
+    "C": lambda: (trivial_correspondence(cstar.make_algebra([1]), 2),) * 2,
+    "C-degenerate": lambda: (_degenerate_scalar(), trivial_correspondence(cstar.make_algebra([1]), 3)),
+    "M2": lambda: (algebra_correspondence(cstar.make_algebra([2])),) * 2,
+    "M3": lambda: (algebra_correspondence(cstar.make_algebra([3])),) * 2,
+    "C+M2": lambda: (algebra_correspondence(cstar.make_algebra([1, 2])),) * 2,
+    "M2-rotated": lambda: (_rotated_m2(),) * 2,
+    "M2-reduced": lambda: (
+        interior_tensor(*(algebra_correspondence(cstar.make_algebra([2])),) * 2)[0],
+        algebra_correspondence(cstar.make_algebra([2])),
+    ),
+    "C+M2-random": lambda: _random_arrays(3, [1, 2], 4, 3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(TENSOR_PAIRS))
+def test_raw_tensor_gram_matches_loop_oracle(name):
+    e, f = TENSOR_PAIRS[name]()
+    got = _raw_tensor(e, f).gram
+    want = raw_tensor_gram_loop(e.gram, f.gram, f.left_action)
+    np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", sorted(set(TENSOR_PAIRS) - {"C+M2-random"}))
+def test_reduce_null_matches_einsum_oracle(name):
+    raw = _raw_tensor(*TENSOR_PAIRS[name]())
+    reduced, surjection = reduce_null(raw)
+    if name != "C":
+        assert reduced.dim < raw.dim  # the raw tensor is rank-deficient
+    w = surjection.conj().T
+    np.testing.assert_allclose(reduced.gram, congruent_gram_einsum(raw.gram, w), rtol=0, atol=1e-12)
+    for got, action in ((reduced.right_action, raw.right_action), (reduced.left_action, raw.left_action)):
+        np.testing.assert_allclose(got, compressed_action_einsum(action, w), rtol=0, atol=1e-12)
+
+
+def _swap(m: int) -> np.ndarray:
+    """The flip e_a (x) e_b -> e_b (x) e_a on C^m (x) C^m."""
+    swap = np.zeros((m * m, m * m))
+    for a in range(m):
+        for b in range(m):
+            swap[b * m + a, a * m + b] = 1.0
+    return swap
+
+
+def test_flip_gram_matches_einsum_oracle():
+    for gen in (
+        trivial_correspondence(cstar.make_algebra([1]), 2),
+        algebra_correspondence(cstar.make_algebra([2])),
+    ):
+        gram = _raw_tensor(gen, gen).gram
+        swap = _swap(gen.dim)
+        np.testing.assert_allclose(
+            congruent_gram(gram, swap), congruent_gram_einsum(gram, swap), rtol=0, atol=1e-12
+        )
+    e, f = _random_arrays(5, [3], 3, 3)
+    gram = _raw_tensor(f, e).gram
+    rng = np.random.default_rng(6)
+    phi = (rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))) / 3
+    np.testing.assert_allclose(congruent_gram(gram, phi), congruent_gram_einsum(gram, phi), rtol=0, atol=1e-12)

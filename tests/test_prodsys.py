@@ -8,20 +8,20 @@ from dilationlab.errors import (
     InvalidArgumentError,
     InvalidFlipError,
 )
-from dilationlab.prodsys import make_product_system
+from dilationlab.prodsys import ProductSystem
 
 
 @pytest.fixture(scope="module")
 def scalar_system():
     alg = cstar.make_algebra([1])
     gens = [trivial_correspondence(alg, 1) for _ in range(2)]
-    return make_product_system(alg, gens, {(1, 2): np.eye(1)})
+    return ProductSystem(alg, gens, {(1, 2): np.eye(1)})
 
 
 @pytest.fixture(scope="module")
 def m2_system():
     alg = cstar.make_algebra([2])
-    return make_product_system(alg, [algebra_correspondence(alg)])
+    return ProductSystem(alg, [algebra_correspondence(alg)])
 
 
 def test_scalar_fibers_and_iso(scalar_system):
@@ -51,8 +51,6 @@ def test_associativity(m2_system, scalar_system):
 
 
 def test_normal_word():
-    from dilationlab.prodsys import ProductSystem
-
     assert ProductSystem.normal_word((2, 0, 1)) == (1, 1, 3)
     assert ProductSystem.normal_word((0, 0)) == ()
 
@@ -61,18 +59,18 @@ def test_invalid_flip_rejected():
     alg = cstar.make_algebra([1])
     gens = [trivial_correspondence(alg, 1) for _ in range(2)]
     with pytest.raises(InvalidFlipError):
-        make_product_system(alg, gens, {(1, 2): np.array([[2.0]])})
+        ProductSystem(alg, gens, {(1, 2): np.array([[2.0]])})
 
 
 def test_missing_and_misshapen_flips():
     alg = cstar.make_algebra([1])
     gens = [trivial_correspondence(alg, 1) for _ in range(2)]
     with pytest.raises(InvalidArgumentError):
-        make_product_system(alg, gens)  # no flip for the pair
+        ProductSystem(alg, gens)  # no flip for the pair
     with pytest.raises(InvalidArgumentError):
-        make_product_system(alg, gens, {(1, 2): np.eye(2)})
+        ProductSystem(alg, gens, {(1, 2): np.eye(2)})
     with pytest.raises(InvalidArgumentError):
-        make_product_system(alg, gens, {(2, 1): np.eye(1)})
+        ProductSystem(alg, gens, {(2, 1): np.eye(1)})
 
 
 def _random_unitary(rng, n):
@@ -90,11 +88,11 @@ def test_incoherent_flips_rejected():
     rng = np.random.default_rng(7)
     flips = {pair: _random_unitary(rng, 4) for pair in [(1, 2), (1, 3), (2, 3)]}
     with pytest.raises(IncoherentFlipsError):
-        make_product_system(alg, gens, flips)
+        ProductSystem(alg, gens, flips)
     # the plain swap is always coherent
     swap = np.zeros((4, 4))
     for a in range(2):
         for b in range(2):
             swap[b * 2 + a, a * 2 + b] = 1.0
-    system = make_product_system(alg, gens, {p: swap for p in flips})
+    system = ProductSystem(alg, gens, {p: swap for p in flips})
     assert max(system.validation.values()) < 1e-12
