@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -59,9 +58,23 @@ def _parse_point(text: str, k: int, what: str) -> lattice.Point:
     return parts
 
 
-def _resolve_params(inst: Instance, args) -> dict:
+def _is_count(value, least: int) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
+
+
+def _check_point(value, k: int, least: int, name: str) -> None:
+    if not (isinstance(value, list) and len(value) == k and all(_is_count(v, least) for v in value)):
+        raise InstanceFormatError(
+            f"parameter {name} must be a list of {k} integers >= {least}, got {value!r}"
+        )
+
+
+def _resolve_params(inst: Instance, args, reference: dict | None = None) -> dict:
+    """The instance's parameters, overlaid by a reference report's and then
+    by the flags, with defaults filled in. Every window parameter is checked
+    here, whatever its source; a bad one is a format error."""
     k = inst.system.k
-    params = dict(inst.parameters)
+    params = {**inst.parameters, **(reference or {})}
     if getattr(args, "L", None) is not None:
         params["L"] = list(_parse_point(args.L, k, "--L"))
     if getattr(args, "M", None) is not None:
@@ -69,7 +82,6 @@ def _resolve_params(inst: Instance, args) -> dict:
     if getattr(args, "guard", None) is not None:
         params["guard"] = args.guard
     if getattr(args, "tol", None) is not None:
-        check_tol(args.tol, "--tol")
         params["tol"] = args.tol
     if params.get("L") is None:
         params["L"] = [3] * k
@@ -78,6 +90,13 @@ def _resolve_params(inst: Instance, args) -> dict:
     params.setdefault("guard", 1)
     params.setdefault("tol", 1e-10)
     params.setdefault("NS_box", [2] * k)
+    _check_point(params["L"], k, 0, "L")
+    _check_point(params["NS_box"], k, 0, "NS_box")
+    # isometric_rep needs V_{e_i} for every generator
+    _check_point(params["M"], k, 1, "M")
+    if not _is_count(params["guard"], 0):
+        raise InstanceFormatError(f"parameter guard must be an integer >= 0, got {params['guard']!r}")
+    check_tol(params["tol"], "parameter tol")
     return params
 
 
@@ -222,13 +241,9 @@ def _emit(report: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _load(path: str) -> Instance:
-    return load_instance(path)
-
-
 def _run_command(args, command: str) -> int:
     try:
-        inst = _load(args.path)
+        inst = load_instance(args.path)
     except InstanceFormatError as exc:
         print(f"dilation-lab: {exc}", file=sys.stderr)
         return EXIT_FORMAT
@@ -287,8 +302,12 @@ def cmd_verify(args) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"dilation-lab: cannot read reference report: {exc}", file=sys.stderr)
         return EXIT_FORMAT
+    ref_params = (reference.get("parameters") or {}) if isinstance(reference, dict) else None
+    if not isinstance(ref_params, dict):
+        print("dilation-lab: reference report: parameters must be an object", file=sys.stderr)
+        return EXIT_FORMAT
     try:
-        inst = _load(args.path)
+        inst = load_instance(args.path)
     except InstanceFormatError as exc:
         print(f"dilation-lab: {exc}", file=sys.stderr)
         return EXIT_FORMAT
@@ -296,18 +315,8 @@ def cmd_verify(args) -> int:
         print(f"dilation-lab: invalid instance: {exc}", file=sys.stderr)
         return EXIT_INVALID
 
-    params = dict(reference.get("parameters") or {})
-    for key, flag in (("L", "L"), ("M", "M")):
-        if getattr(args, flag, None) is not None:
-            params[key] = list(_parse_point(getattr(args, flag), inst.system.k, f"--{flag}"))
-    command = reference.get("command", "dilate")
-    full = dict(inst.parameters)
-    full.update(params)
-    if full.get("L") is None:
-        full["L"] = [3] * inst.system.k
-    if full.get("M") is None:
-        full["M"] = list(full["L"])
-    fresh, _code = run_pipeline(inst, command, full)
+    params = _resolve_params(inst, args, ref_params)
+    fresh, _code = run_pipeline(inst, reference.get("command", "dilate"), params)
     ok, mismatches, warn = compare_reports(reference, fresh)
     for w in warn:
         print(f"dilation-lab: warning: {w}", file=sys.stderr)
@@ -365,11 +374,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    # single-process implementation; the env var is an upper bound on
-    # parallelism and a serial run always satisfies it
-    threads = os.environ.get("DILATION_LAB_THREADS")
-    if threads is not None:
-        print(f"dilation-lab: thread cap {threads} (serial execution)", file=sys.stderr)
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)

@@ -12,23 +12,31 @@ and the rank of its factor R, reported as window.rank, is dim K_min. The
 generating vectors are the column slices of R (in raw fiber (x) H
 coordinates); the product-system isometries V_0(a), V_s(x) are recovered
 from their defining action on them, and every dilation property is
-verified on those vectors. Identities involving adjoints are window
-compressions, so they are checked on vectors generated at lattice points
-at least a guard margin g inside the window.
+verified on those vectors. The recovered maps form an isometric
+CCRepresentation on C^p, so its *-homomorphism and doubly-commuting
+identities are checked by the same code as those of (sigma, T).
+Identities involving adjoints are window compressions, so they are
+checked on vectors generated at lattice points at least a guard margin g
+inside the window.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from . import lattice
-from .correspondence import descend_map, interior_tensor, localize, trivial_localized
-from .cstar import AlgebraElement, adjoint_table, multiplication_table
 from .errors import InvalidArgumentError, NotPositiveDefiniteError
 from .hatspace import TruncatedFock
 from .linalg import lstsq_map, opnorm, pivoted_cholesky, psd_factor, require_descent
+from .representation import (
+    AlgebraRepresentation,
+    CCRepresentation,
+    doubly_commuting_defect,
+    validate_sigma,
+)
 
 LSQ_TOL = 1e-8  # consistency tolerance for least-squares operator recovery
 
@@ -102,7 +110,6 @@ class DilationBundle:
             self._cols[s] = slice(start, start + blocks[-1].shape[1])
             start += blocks[-1].shape[1]
         self.generators = np.concatenate(blocks, axis=1)
-        self._v0: dict[int, np.ndarray] = {}
         self._v_raw: dict[lattice.Point, np.ndarray] = {}
 
     # -- generating vectors ---------------------------------------------------
@@ -125,22 +132,43 @@ class DilationBundle:
         cols = [self.gen_block(s) for s in self.window.points if lattice.leq(s, tuple(bound))]
         return np.concatenate(cols, axis=1)
 
+    def domain(self, s: lattice.Point) -> np.ndarray:
+        """Generating vectors at the window points t with s + t in the window,
+        on which V_s is defined."""
+        cols = [
+            self.gen_block(t)
+            for t in self.window.points
+            if lattice.leq(lattice.add(s, t), self.window.bound)
+        ]
+        return np.concatenate(cols, axis=1)
+
     def k_min_rank(self, bound: lattice.Point | None = None) -> int:
         g = self.generating_matrix(bound)
         return int(np.linalg.matrix_rank(g, tol=1e-8 * max(1.0, opnorm(g))))
 
     # -- recovered operators ----------------------------------------------------
 
-    def build_V0(self, a) -> np.ndarray:
-        """V_0(a) on C^p, defined by V_0(a) V_s(x) h = V_s(phi_s(a) x) h."""
-        coords = a.coords if isinstance(a, AlgebraElement) else np.asarray(a, dtype=complex)
-        mats = [self._v0_basis(p) for p in range(self.rep.system.algebra.dim)]
-        return np.tensordot(coords, np.stack(mats), axes=(0, 0))
+    @cached_property
+    def isometric_rep(self) -> CCRepresentation:
+        """The recovered (V_0, V) as a covariant representation on C^p.
+
+        Needs V_{e_i} for every generator, so the window bound must be >= 1
+        in every coordinate.
+        """
+        sys_ = self.rep.system
+        p = self.rank
+        sigma = AlgebraRepresentation(
+            sys_.algebra, p, np.stack([self._v0_basis(q) for q in range(sys_.algebra.dim)])
+        )
+        t_maps = []
+        for i, gen in enumerate(sys_.generators, start=1):
+            e_i = lattice.unit(sys_.k, i)
+            raw = self.v_raw(e_i) @ np.kron(sys_.fiber(e_i).surjection, np.eye(p))
+            t_maps.append(raw.reshape(p, gen.dim, p).transpose(1, 0, 2))
+        return CCRepresentation(sys_, sigma, t_maps, tol=LSQ_TOL)
 
     def _v0_basis(self, p: int) -> np.ndarray:
-        cached = self._v0.get(p)
-        if cached is not None:
-            return cached
+        """V_0(f_p) on C^p, defined by V_0(a) V_s(x) h = V_s(phi_s(a) x) h."""
         d = self.rep.dim
         tgts = []
         for s in self.window.points:
@@ -151,15 +179,14 @@ class DilationBundle:
                 act = np.kron(left, np.eye(d))
             tgts.append(self.gen_block(s) @ act)
         v0, res = lstsq_map(np.concatenate(tgts, axis=1), self.generators)
-        require_descent(res, LSQ_TOL, "build_V0")
-        self._v0[p] = v0
+        require_descent(res, LSQ_TOL, "V_0")
         return v0
 
     def build_Vs(self, s: lattice.Point, x: np.ndarray) -> np.ndarray:
         """V_s(x) on C^p, defined on generating vectors at points t <= M - s."""
         s = tuple(s)
         if lattice.is_zero(s):
-            raise InvalidArgumentError("use build_V0 for the zero fiber")
+            raise InvalidArgumentError("the zero fiber is isometric_rep.sigma")
         if not lattice.leq(s, self.window.bound):
             raise InvalidArgumentError(f"point {s} outside the window")
         x = np.asarray(x, dtype=complex).reshape(-1, 1)
@@ -239,32 +266,20 @@ def verify_regular_dilation(bundle: DilationBundle, guard: int = 1) -> dict[str,
     rep = bundle.rep
     sys_ = rep.system
     alg = sys_.algebra
-    bound = bundle.window.bound
-    gbound = _guarded(bound, guard)
+    gbound = _guarded(bundle.window.bound, guard)
     gen0 = bundle.gen_block(lattice.zero(sys_.k))
     p_h = gen0 @ gen0.conj().T
-    q_min = _orth_cols(bundle.generating_matrix())
-
-    v0 = [bundle._v0_basis(p) for p in range(alg.dim)]
+    v0 = bundle.isometric_rep.sigma
 
     # item 1: V_0(a) reduces H and restricts to sigma(a)
     item1 = 0.0
     for p in range(alg.dim):
-        item1 = max(item1, opnorm(v0[p] @ p_h - p_h @ v0[p]))
-        item1 = max(item1, opnorm(gen0.conj().T @ v0[p] @ gen0 - rep.sigma.mats[p]))
+        item1 = max(item1, opnorm(v0.mats[p] @ p_h - p_h @ v0.mats[p]))
+        item1 = max(item1, opnorm(gen0.conj().T @ v0.mats[p] @ gen0 - rep.sigma.mats[p]))
 
-    # V_0 is a *-homomorphism on K_min
-    mul_table = multiplication_table(alg)
-    adj = adjoint_table(alg)
-    star_hom = 0.0
-    for p in range(alg.dim):
-        for q in range(alg.dim):
-            combo = np.tensordot(mul_table[p, q], np.stack(v0), axes=(0, 0))
-            star_hom = max(star_hom, opnorm(combo - v0[p] @ v0[q]))
-        combo = np.tensordot(adj[p], np.stack(v0), axes=(0, 0))
-        star_hom = max(
-            star_hom, opnorm(q_min.conj().T @ (combo - v0[p].conj().T) @ q_min)
-        )
+    # V_0 is a *-homomorphism on K_min = C^p
+    sigma_res = validate_sigma(v0)
+    star_hom = max(sigma_res["multiplicative"], sigma_res["star_preserving"])
 
     # item 2: regularity <V_{s-}(x-) h, V_{s+}(x+) g> = <T~_{s-}(x-) h, T~_{s+}(x+) g>
     item2 = 0.0
@@ -311,15 +326,7 @@ def verify_regular_dilation(bundle: DilationBundle, guard: int = 1) -> dict[str,
     for s in bundle.window.points:
         if lattice.is_zero(s):
             continue
-        dom = np.concatenate(
-            [
-                bundle.gen_block(t)
-                for t in bundle.window.points
-                if lattice.leq(lattice.add(s, t), bound)
-            ],
-            axis=1,
-        )
-        q_dom = _orth_cols(dom)
+        q_dom = _orth_cols(bundle.domain(s))
         q_perp = _orth_cols(q_dom - p_h @ q_dom)
         for a in range(sys_.fiber_dim(s)):
             item4 = max(item4, opnorm(gen0.conj().T @ v_of(s, a) @ q_perp))
@@ -330,19 +337,12 @@ def verify_regular_dilation(bundle: DilationBundle, guard: int = 1) -> dict[str,
         if lattice.is_zero(s) or not lattice.leq(s, gbound):
             continue
         corr = sys_.fiber(s).correspondence
-        dom = np.concatenate(
-            [
-                bundle.gen_block(t)
-                for t in bundle.window.points
-                if lattice.leq(lattice.add(s, t), bound)
-            ],
-            axis=1,
-        )
+        dom = bundle.domain(s)
         for a in range(sys_.fiber_dim(s)):
             va = v_of(s, a) @ dom
             for b in range(sys_.fiber_dim(s)):
                 vb = v_of(s, b) @ dom
-                v0g = bundle.build_V0(corr.gram[a, b])
+                v0g = v0.apply(corr.gram[a, b])
                 iso_res = max(iso_res, float(np.abs(va.conj().T @ vb - dom.conj().T @ v0g @ dom).max()))
 
     # semigroup: V_{s+t}(U_{s,t}(x (x) y)) = V_s(x) V_t(y) on guarded vectors
@@ -355,19 +355,14 @@ def verify_regular_dilation(bundle: DilationBundle, guard: int = 1) -> dict[str,
                 continue
             st = lattice.add(s, t)
             mu = sys_.mult_iso(s, t).mu
-            dom = np.concatenate(
-                [
-                    bundle.gen_block(r)
-                    for r in bundle.window.points
-                    if lattice.leq(lattice.add(st, r), bound)
-                ],
-                axis=1,
-            )
+            dom = bundle.domain(st)
+            # V_{s+t} is linear: its value at U_{s,t}(e_a (x) e_b) = mu e_ab
+            # combines the cached V_{s+t}(e_alpha)
+            v_st = bundle.v_raw(st)
+            p_t = sys_.fiber_dim(t)
             for a in range(sys_.fiber_dim(s)):
-                for b in range(sys_.fiber_dim(t)):
-                    xy = np.zeros(sys_.fiber_dim(s) * sys_.fiber_dim(t))
-                    xy[a * sys_.fiber_dim(t) + b] = 1.0
-                    lhs = bundle.build_Vs(st, mu @ xy)
+                for b in range(p_t):
+                    lhs = v_st @ np.kron(mu[:, [a * p_t + b]], np.eye(rank))
                     rhs = v_of(s, a) @ v_of(t, b)
                     semi_res = max(semi_res, opnorm((lhs - rhs) @ dom))
 
@@ -395,61 +390,17 @@ def verify_hat_doubly_commuting(
 
 
 def verify_doubly_commuting_V(bundle: DilationBundle, j: int, k: int, guard: int = 1) -> float:
-    """Residual of V~_k^H V~_j = (I (x) V~_j)(t (x) I)(I (x) V~_k^H) for the
-    recovered isometric representation, on guarded generating vectors."""
-    if j == k:
-        raise InvalidArgumentError("directions must be distinct")
-    rep = bundle.rep
-    sys_ = rep.system
-    nlat = sys_.k
-    a = lattice.unit(nlat, j)
-    b = lattice.unit(nlat, k)
-    p = bundle.rank
-
-    # rho = V_0 as a representation on the dilation space C^p; V~ maps are
-    # assembled from the recovered V_s(x) exactly as T~ from T
-    rho = np.stack([bundle._v0_basis(q) for q in range(sys_.algebra.dim)])
-
-    def loc_of(corr):
-        return localize(corr, rho, 1e-8)
-
-    corr_a = sys_.fiber(a).correspondence
-    corr_b = sys_.fiber(b).correspondence
-    loc_a = loc_of(corr_a)
-    loc_b = loc_of(corr_b)
-    vt_a = descend_map(bundle.v_raw(a), loc_a, trivial_localized(p), 1e-6)
-    vt_b = descend_map(bundle.v_raw(b), loc_b, trivial_localized(p), 1e-6)
-    rhs = vt_b.conj().T @ vt_a
-
-    pair_ab, q_ab = interior_tensor(corr_a, corr_b, rep.tol)
-    pair_ba, q_ba = interior_tensor(corr_b, corr_a, rep.tol)
-    loc_ab = loc_of(pair_ab)
-    loc_ba = loc_of(pair_ba)
-    ext_ab = descend_map(
-        np.kron(np.eye(sys_.fiber_dim(a)), bundle.v_raw(b)) @ np.kron(q_ab.conj().T, np.eye(p)),
-        loc_ab,
-        loc_a,
-        1e-6,
-    )
-    ext_ba = descend_map(
-        np.kron(np.eye(sys_.fiber_dim(b)), bundle.v_raw(a)) @ np.kron(q_ba.conj().T, np.eye(p)),
-        loc_ba,
-        loc_b,
-        1e-6,
-    )
-    iso_ab = sys_.mult_iso(a, b)
-    iso_ba = sys_.mult_iso(b, a)
-    t_mod = np.linalg.pinv(iso_ba.matrix) @ iso_ab.matrix
-    t_loc = descend_map(np.kron(t_mod, np.eye(p)), loc_ab, loc_ba, 1e-6)
-    lhs = ext_ba @ t_loc @ ext_ab.conj().T
-
+    """Residual of the doubly-commuting identity for the recovered isometric
+    representation, on guarded generating vectors."""
+    iso = bundle.isometric_rep
+    defect = doubly_commuting_defect(iso, j, k)
     # adjoints are window compressions: restrict to x (x) (guarded vectors)
     gbound = _guarded(bundle.window.bound, max(guard, 1))
-    guard_cols = bundle.generating_matrix(gbound)
-    p_guard = _orth_cols(guard_cols)
-    proj = np.kron(np.eye(sys_.fiber_dim(a)), p_guard @ p_guard.conj().T)
-    proj_loc = loc_a.factor @ proj @ loc_a.lift
-    return opnorm((lhs - rhs) @ proj_loc)
+    p_guard = _orth_cols(bundle.generating_matrix(gbound))
+    a = lattice.unit(iso.system.k, j)
+    proj = np.kron(np.eye(iso.system.fiber_dim(a)), p_guard @ p_guard.conj().T)
+    loc_a = iso.loc(a)
+    return opnorm(defect @ loc_a.factor @ proj @ loc_a.lift)
 
 
 def compare_minimal_dilations(bundle_a: DilationBundle, bundle_b: DilationBundle) -> float:

@@ -175,6 +175,7 @@ def parse_instance(data: dict, tol: float | None = None) -> Instance:
         flips[(i, j)] = json_to_matrix(mat, (mj * mi, mi * mj), f"flip {key}")
 
     params = dict(DEFAULT_PARAMETERS)
+    _expect(isinstance(data.get("parameters", {}), dict), "instance: parameters must be an object")
     params.update(data.get("parameters", {}))
     check_tol(params["tol"], "instance: parameters.tol")
     tol = params["tol"] if tol is None else tol

@@ -256,6 +256,14 @@ def doubly_commuting_check(
     rep: CCRepresentation, j: int, k: int, s_j: int, s_k: int, tol: float | None = None
 ) -> float:
     """Residual of the doubly-commuting identity for generator directions j, k."""
+    return opnorm(doubly_commuting_defect(rep, j, k, s_j, s_k))
+
+
+def doubly_commuting_defect(
+    rep: CCRepresentation, j: int, k: int, s_j: int = 1, s_k: int = 1
+) -> np.ndarray:
+    """LHS - RHS of the doubly-commuting identity, a map loc(a) -> loc(b)
+    for a = s_j e_j and b = s_k e_k."""
     if j == k:
         raise InvalidArgumentError("doubly commuting check needs distinct directions")
     if s_j < 1 or s_k < 1:
@@ -273,7 +281,7 @@ def doubly_commuting_check(
     t_mod = np.linalg.pinv(iso_ba.matrix) @ iso_ab.matrix
     t_loc = descend_map(np.kron(t_mod, np.eye(rep.dim)), loc_ab, loc_ba, rep.tol)
     lhs = ext_ba @ t_loc @ ext_ab.conj().T
-    return opnorm(lhs - rhs)
+    return lhs - rhs
 
 
 def brehmer_check_NS(

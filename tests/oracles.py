@@ -2,7 +2,9 @@
 
 Everything here is implemented from first principles (classical formulas,
 brute-force sums, explicit matrix units) and deliberately shares no code
-with the package internals beyond numpy.
+with the package internals beyond numpy. The one exception is
+`doubly_commuting_V_inline`, which builds on the correspondence primitives
+(localization, interior tensor, descent) but not on CCRepresentation.
 """
 
 from __future__ import annotations
@@ -144,3 +146,57 @@ def matrix_units(n: int) -> list[np.ndarray]:
             m[i, j] = 1.0
             units.append(m)
     return units
+
+
+def doubly_commuting_V_inline(bundle, j: int, k: int, guard: int = 1) -> float:
+    """Residual of V~_k^H V~_j = (I (x) V~_j)(t (x) I)(I (x) V~_k^H) for a
+    recovered dilation, assembled directly from the correspondence
+    primitives instead of through CCRepresentation.
+
+    `bundle` provides the recovered V_0 (as `isometric_rep.sigma.mats`), the
+    raw maps `v_raw(s)`, `rank`, the window bound and `generating_matrix`.
+    The identity is restricted to x (x) (generating vectors at points at
+    least max(guard, 1) inside the window).
+    """
+    from dilationlab.correspondence import descend_map, interior_tensor, localize, trivial_localized
+
+    sys_ = bundle.rep.system
+    a = tuple(int(i == j - 1) for i in range(sys_.k))
+    b = tuple(int(i == k - 1) for i in range(sys_.k))
+    p = bundle.rank
+    rho = bundle.isometric_rep.sigma.mats
+
+    corr_a = sys_.fiber(a).correspondence
+    corr_b = sys_.fiber(b).correspondence
+    loc_a = localize(corr_a, rho, 1e-8)
+    loc_b = localize(corr_b, rho, 1e-8)
+    vt_a = descend_map(bundle.v_raw(a), loc_a, trivial_localized(p), 1e-6)
+    vt_b = descend_map(bundle.v_raw(b), loc_b, trivial_localized(p), 1e-6)
+    rhs = vt_b.conj().T @ vt_a
+
+    pair_ab, q_ab = interior_tensor(corr_a, corr_b, bundle.rep.tol)
+    pair_ba, q_ba = interior_tensor(corr_b, corr_a, bundle.rep.tol)
+    loc_ab = localize(pair_ab, rho, 1e-8)
+    loc_ba = localize(pair_ba, rho, 1e-8)
+    ext_ab = descend_map(
+        np.kron(np.eye(sys_.fiber_dim(a)), bundle.v_raw(b)) @ np.kron(q_ab.conj().T, np.eye(p)),
+        loc_ab,
+        loc_a,
+        1e-6,
+    )
+    ext_ba = descend_map(
+        np.kron(np.eye(sys_.fiber_dim(b)), bundle.v_raw(a)) @ np.kron(q_ba.conj().T, np.eye(p)),
+        loc_ba,
+        loc_b,
+        1e-6,
+    )
+    t_mod = np.linalg.pinv(sys_.mult_iso(b, a).matrix) @ sys_.mult_iso(a, b).matrix
+    t_loc = descend_map(np.kron(t_mod, np.eye(p)), loc_ab, loc_ba, 1e-6)
+    lhs = ext_ba @ t_loc @ ext_ab.conj().T
+
+    gbound = tuple(max(0, m - max(guard, 1)) for m in bundle.window.bound)
+    u, svals, _ = np.linalg.svd(bundle.generating_matrix(gbound), full_matrices=False)
+    p_guard = u[:, svals > 1e-8 * max(svals.max(initial=0.0), 1.0)]
+    proj = np.kron(np.eye(sys_.fiber_dim(a)), p_guard @ p_guard.conj().T)
+    proj_loc = loc_a.factor @ proj @ loc_a.lift
+    return float(np.linalg.norm((lhs - rhs) @ proj_loc, 2))

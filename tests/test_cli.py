@@ -73,6 +73,44 @@ def test_bad_tol_is_format_error(tmp_path, scalar_pair, value):
     assert run(["dilate", str(bad), "--L", "1"]) == cli.EXIT_FORMAT
 
 
+@pytest.mark.parametrize(
+    "source, value",
+    [
+        ("instance", {"guard": "x"}),
+        ("instance", {"guard": -2}),
+        ("instance", {"M": [-1, 1]}),
+        ("instance", {"M": [1]}),
+        ("instance", {"L": "3"}),
+        ("instance", {"NS_box": "x"}),
+        ("instance", [1]),
+        ("flags", ["--guard", "-2"]),
+        # M = 0 in some direction leaves V_{e_i} outside the window
+        ("flags", ["--M", "1,0"]),
+        ("flags", ["--M", "0,0"]),
+        ("reference", {"tol": float("nan")}),
+        ("verify flags", ["--tol", "nan"]),
+    ],
+)
+def test_bad_window_parameters_are_format_errors(tmp_path, scalar_pair, source, value):
+    import copy
+
+    data = copy.deepcopy(scalar_pair.data)
+    data["parameters"] = value if source == "instance" else {"L": [1, 1]}
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(data))
+    flags = value if source.endswith("flags") else []
+    if source in ("instance", "flags"):
+        assert run(["dilate", str(inst), *flags]) == cli.EXIT_FORMAT
+        return
+    golden = tmp_path / "golden.json"
+    assert run(["dilate", str(inst), "--out", str(golden)]) == cli.EXIT_OK
+    if source == "reference":
+        report = read_report(golden)
+        report["parameters"].update(value)
+        golden.write_text(json.dumps(report))
+    assert run(["verify", str(inst), "--report", str(golden), *flags]) == cli.EXIT_FORMAT
+
+
 def test_check_reports_verdicts(tmp_path):
     out = tmp_path / "r.json"
     assert run(["check", SCALAR, "--out", str(out)]) == cli.EXIT_OK

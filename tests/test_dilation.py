@@ -10,11 +10,17 @@ from dilationlab.dilation import (
     verify_regular_dilation,
     window_gram,
 )
-from dilationlab.errors import NotPositiveDefiniteError
+from dilationlab.errors import InvalidArgumentError, NotPositiveDefiniteError
 from dilationlab.families import _scalar_instance, generate
 from dilationlab.hatspace import TruncatedFock
 from dilationlab.instances import parse_instance
-from oracles import full_window_gram, schaffer_inner_products, toeplitz_margin_scalar, window_points
+from oracles import (
+    doubly_commuting_V_inline,
+    full_window_gram,
+    schaffer_inner_products,
+    toeplitz_margin_scalar,
+    window_points,
+)
 
 
 def bundle_of(inst, bound, method="eig"):
@@ -133,8 +139,9 @@ def test_V0_star_homomorphism(mult_m2):
     rng = np.random.default_rng(1)
     a = cstar.random_element(alg, rng)
     b = cstar.random_element(alg, rng)
-    va, vb = bundle.build_V0(a), bundle.build_V0(b)
-    vab = bundle.build_V0(cstar.mul(a, b))
+    v0 = bundle.isometric_rep.sigma
+    va, vb = v0.apply(a.coords), v0.apply(b.coords)
+    vab = v0.apply(cstar.mul(a, b).coords)
     gen = bundle.generating_matrix()
     assert np.linalg.norm((va @ vb - vab) @ gen) <= 1e-10
 
@@ -148,7 +155,7 @@ def test_Vs_covariance(mult_m2):
     a = cstar.random_element(alg, rng)
     xa = mult_m2.system.generators[0].act_right(a.coords) @ x
     lhs = bundle.build_Vs((1, 0), xa)
-    rhs = bundle.build_Vs((1, 0), x) @ bundle.build_V0(a)
+    rhs = bundle.build_Vs((1, 0), x) @ bundle.isometric_rep.sigma.apply(a.coords)
     gen = bundle.generating_matrix()
     assert np.linalg.norm((lhs - rhs) @ gen) <= 1e-10
 
@@ -185,3 +192,42 @@ def test_doubly_commuting_checks(scalar_pair):
     assert verify_hat_doubly_commuting(space, 1, 2, 2, 1) <= 1e-12
     bundle = bundle_of(scalar_pair, (2, 2))
     assert verify_doubly_commuting_V(bundle, 1, 2) <= 1e-6
+
+
+DOUBLY_COMMUTING_V_CASES = [
+    ("scalar_pair", None, (2, 2)),
+    ("mult_m2", None, (2, 2)),
+    ("multiplication-isometric", dict(k=3, dims=2), (1, 1, 1)),
+    ("multiplication-isometric", dict(k=2, dims=3), (2, 2)),
+    # dilatable but not doubly commuting: a nonzero residual
+    ("random-contractive", dict(seed=1, k=2), (2, 2)),
+]
+
+
+@pytest.mark.parametrize("name, gen_args, bound", DOUBLY_COMMUTING_V_CASES)
+def test_doubly_commuting_V_matches_inline_oracle(request, name, gen_args, bound):
+    if gen_args is None:
+        inst = request.getfixturevalue(name)
+    else:
+        inst = parse_instance(generate(name, **gen_args))
+    bundle = bundle_of(inst, bound)
+    k = inst.system.k
+    for j in range(1, k + 1):
+        for l in range(1, k + 1):
+            if j != l:
+                got = verify_doubly_commuting_V(bundle, j, l)
+                assert abs(got - doubly_commuting_V_inline(bundle, j, l)) <= 1e-12, (j, l, got)
+
+
+def test_isometric_rep_sigma_restricts_to_sigma(scalar_pair, mult_m2):
+    for inst in (scalar_pair, mult_m2):
+        bundle = bundle_of(inst, (2, 2))
+        gen0 = bundle.gen_block((0, 0))
+        v0 = bundle.isometric_rep.sigma.mats
+        assert np.abs(gen0.conj().T @ v0 @ gen0 - inst.representation.sigma.mats).max() <= 1e-10
+
+
+def test_doubly_commuting_V_needs_distinct_directions(scalar_pair):
+    bundle = bundle_of(scalar_pair, (2, 2))
+    with pytest.raises(InvalidArgumentError):
+        verify_doubly_commuting_V(bundle, 1, 1)
