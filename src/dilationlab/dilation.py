@@ -30,7 +30,7 @@ import numpy as np
 from . import lattice
 from .errors import InvalidArgumentError, NotPositiveDefiniteError
 from .hatspace import TruncatedFock
-from .linalg import lstsq_map, opnorm, pivoted_cholesky, psd_factor, require_descent
+from .linalg import kron, lstsq_map, opnorm, pivoted_cholesky, psd_factor, require_descent
 from .representation import (
     AlgebraRepresentation,
     CCRepresentation,
@@ -163,7 +163,7 @@ class DilationBundle:
         t_maps = []
         for i, gen in enumerate(sys_.generators, start=1):
             e_i = lattice.unit(sys_.k, i)
-            raw = self.v_raw(e_i) @ np.kron(sys_.fiber(e_i).surjection, np.eye(p))
+            raw = self.v_raw(e_i) @ kron(sys_.fiber(e_i).surjection, np.eye(p))
             t_maps.append(raw.reshape(p, gen.dim, p).transpose(1, 0, 2))
         return CCRepresentation(sys_, sigma, t_maps, tol=LSQ_TOL)
 
@@ -176,7 +176,7 @@ class DilationBundle:
                 act = self.rep.sigma.mats[p]
             else:
                 left = self.rep.system.fiber(s).correspondence.left_action[p]
-                act = np.kron(left, np.eye(d))
+                act = kron(left, np.eye(d))
             tgts.append(self.gen_block(s) @ act)
         v0, res = lstsq_map(np.concatenate(tgts, axis=1), self.generators)
         require_descent(res, LSQ_TOL, "V_0")
@@ -203,10 +203,10 @@ class DilationBundle:
                 continue
             doms.append(self.gen_block(t))
             if lattice.is_zero(t):
-                raw = np.kron(x, np.eye(d))
+                raw = kron(x, np.eye(d))
             else:
                 mu = sys_.mult_iso(s, t).mu
-                raw = np.kron(mu @ np.kron(x, np.eye(sys_.fiber_dim(t))), np.eye(d))
+                raw = kron(mu @ kron(x, np.eye(sys_.fiber_dim(t))), np.eye(d))
             tgts.append(self.gen_block(st) @ raw)
         vs, res = lstsq_map(np.concatenate(tgts, axis=1), np.concatenate(doms, axis=1))
         require_descent(res, LSQ_TOL, f"build_Vs at {s}")
@@ -362,7 +362,7 @@ def verify_regular_dilation(bundle: DilationBundle, guard: int = 1) -> dict[str,
             p_t = sys_.fiber_dim(t)
             for a in range(sys_.fiber_dim(s)):
                 for b in range(p_t):
-                    lhs = v_st @ np.kron(mu[:, [a * p_t + b]], np.eye(rank))
+                    lhs = v_st @ kron(mu[:, [a * p_t + b]], np.eye(rank))
                     rhs = v_of(s, a) @ v_of(t, b)
                     semi_res = max(semi_res, opnorm((lhs - rhs) @ dom))
 
@@ -398,7 +398,7 @@ def verify_doubly_commuting_V(bundle: DilationBundle, j: int, k: int, guard: int
     gbound = _guarded(bundle.window.bound, max(guard, 1))
     p_guard = _orth_cols(bundle.generating_matrix(gbound))
     a = lattice.unit(iso.system.k, j)
-    proj = np.kron(np.eye(iso.system.fiber_dim(a)), p_guard @ p_guard.conj().T)
+    proj = kron(np.eye(iso.system.fiber_dim(a)), p_guard @ p_guard.conj().T)
     loc_a = iso.loc(a)
     return opnorm(defect @ loc_a.factor @ proj @ loc_a.lift)
 

@@ -17,7 +17,7 @@ import numpy as np
 from . import lattice
 from .cstar import AlgebraElement
 from .errors import InvalidArgumentError
-from .linalg import opnorm
+from .linalg import kron, opnorm
 from .representation import CCRepresentation
 
 
@@ -68,7 +68,7 @@ class TruncatedFock:
         s = tuple(s)
         if lattice.is_zero(s):
             return self.inject(s, np.asarray(h, dtype=complex))
-        raw = np.kron(np.asarray(x, dtype=complex), np.asarray(h, dtype=complex))
+        raw = kron(np.asarray(x, dtype=complex), np.asarray(h, dtype=complex))
         return self.inject(s, self.block_loc(s).factor @ raw)
 
     def hat(self, s: lattice.Point) -> HatOperator:
@@ -104,7 +104,7 @@ def check_technology(space: TruncatedFock, s: lattice.Point, x: np.ndarray, h: n
     if lattice.is_zero(s) or not lattice.leq(s, space.bound):
         raise InvalidArgumentError("technology check needs 0 < s <= L")
     vec = space.delta(s, x, h)
-    raw = np.kron(np.asarray(x, dtype=complex), np.asarray(h, dtype=complex))
+    raw = kron(np.asarray(x, dtype=complex), np.asarray(h, dtype=complex))
     expected = space.delta(lattice.zero(len(s)), None, space.rep.t_raw(s) @ raw)
     return float(np.linalg.norm(space.hat(s).matrix @ vec - expected))
 
@@ -123,13 +123,13 @@ def a_action(space: TruncatedFock, a: AlgebraElement) -> np.ndarray:
             mat[sl, sl] = rep.sigma.apply(a.coords)
         else:
             corr = rep.system.fiber(s).correspondence
-            raw = np.kron(corr.act_left(a.coords), np.eye(rep.dim))
+            raw = kron(corr.act_left(a.coords), np.eye(rep.dim))
             loc = space.block_loc(s)
             mat[sl, sl] = descend_map(raw, loc, loc, rep.tol)
     return mat
 
 
-def brehmer_check_hat(space: TruncatedFock, v, s: lattice.Point, tol: float = 1e-10) -> float:
+def brehmer_check_hat(space: TruncatedFock, v, s: lattice.Point) -> float:
     """Minimum eigenvalue of sum over u subset v of (-1)^|u| T^_{s[u]}^H T^_{s[u]}."""
     total = np.zeros((space.dim, space.dim), dtype=complex)
     s = tuple(s)

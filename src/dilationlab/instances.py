@@ -55,13 +55,23 @@ def _expect(cond: bool, msg: str) -> None:
         raise InstanceFormatError(msg)
 
 
+_NUMBER_TYPES = {int, float}  # exact types: bool, str and null are not numbers
+
+
+def _finite(x) -> bool:
+    try:
+        return math.isfinite(x)
+    except OverflowError:  # an int beyond the float range
+        return False
+
+
 def json_to_complex(obj, where: str) -> complex:
     _expect(
         isinstance(obj, (list, tuple)) and len(obj) == 2
-        and all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in obj),
+        and all(type(x) in _NUMBER_TYPES for x in obj),
         f"{where}: expected a [re, im] pair, got {obj!r}",
     )
-    _expect(all(math.isfinite(x) for x in obj), f"{where}: non-finite number in {obj!r}")
+    _expect(all(_finite(x) for x in obj), f"{where}: non-finite number in {obj!r}")
     return complex(obj[0], obj[1])
 
 
@@ -76,15 +86,37 @@ def check_tol(value, where: str) -> None:
     )
 
 
-def json_to_vector(obj, length: int, where: str) -> np.ndarray:
-    _expect(isinstance(obj, list), f"{where}: expected a list")
-    _expect(len(obj) == length, f"{where}: expected {length} entries, got {len(obj)}")
-    return np.array([json_to_complex(z, where) for z in obj], dtype=complex)
+def _check_entries(obj, shape: tuple[int, ...], where: str) -> None:
+    """Walk nested lists of [re, im] pairs; raise at the first bad entry."""
+    if not shape:
+        json_to_complex(obj, where)
+        return
+    _expect(
+        isinstance(obj, (list, tuple)) and len(obj) == shape[0],
+        f"{where}: expected a list of {shape[0]} entries, got {obj!r:.60}",
+    )
+    for i, item in enumerate(obj):
+        _check_entries(item, shape[1:], f"{where}[{i}]")
 
 
-def json_to_matrix(obj, shape: tuple[int, int], where: str) -> np.ndarray:
-    _expect(isinstance(obj, list) and len(obj) == shape[0], f"{where}: expected {shape[0]} rows")
-    return np.stack([json_to_vector(row, shape[1], f"{where} row {i}") for i, row in enumerate(obj)])
+def json_to_array(obj, shape: tuple[int, ...], where: str) -> np.ndarray:
+    """Complex array of the given shape from nested lists of [re, im] pairs.
+
+    The whole array is checked at once: its nesting against the shape, every
+    number an int or float, every number finite. Only when a check fails is
+    the input walked entry by entry, to name the first bad one.
+    """
+    arr = np.array(obj, dtype=object)  # ragged nesting gives a wrong shape
+    if arr.shape == shape + (2,) and set(map(type, arr.flat)) <= _NUMBER_TYPES:
+        try:
+            vals = arr.astype(float)
+            if np.isfinite(vals).all():
+                return vals.view(complex)[..., 0]
+        except OverflowError:  # an int beyond the float range; the walk names it
+            pass
+    _check_entries(obj, shape, where)
+    # the walk accepts an input the fast path does not only when it is empty
+    return np.zeros(shape, dtype=complex)
 
 
 # -- instance <-> objects ----------------------------------------------------
@@ -103,24 +135,10 @@ def _parse_correspondence(obj, algebra: CStarAlgebra, where: str) -> Corresponde
     _expect(isinstance(obj, dict), f"{where}: expected an object")
     m = obj.get("dim")
     _expect(isinstance(m, int) and m >= 0, f"{where}: bad dim {m!r}")
-    gram_obj = obj.get("gram")
-    _expect(isinstance(gram_obj, list) and len(gram_obj) == m, f"{where}: gram needs {m} rows")
-    gram = np.zeros((m, m, algebra.dim), dtype=complex)
-    for i, row in enumerate(gram_obj):
-        _expect(isinstance(row, list) and len(row) == m, f"{where}: gram row {i} needs {m} entries")
-        for j, entry in enumerate(row):
-            gram[i, j] = json_to_vector(entry, algebra.dim, f"{where}: gram[{i}][{j}]")
-    actions = {}
-    for key in ("right_action", "left_action"):
-        mats = obj.get(key)
-        _expect(
-            isinstance(mats, list) and len(mats) == algebra.dim,
-            f"{where}: {key} needs one matrix per algebra basis element",
-        )
-        actions[key] = np.stack(
-            [json_to_matrix(mat, (m, m), f"{where}: {key}[{p}]") for p, mat in enumerate(mats)]
-        ) if m else np.zeros((algebra.dim, 0, 0), dtype=complex)
-    return Correspondence(algebra, gram, actions["right_action"], actions["left_action"])
+    gram = json_to_array(obj.get("gram"), (m, m, algebra.dim), f"{where}: gram")
+    right = json_to_array(obj.get("right_action"), (algebra.dim, m, m), f"{where}: right_action")
+    left = json_to_array(obj.get("left_action"), (algebra.dim, m, m), f"{where}: left_action")
+    return Correspondence(algebra, gram, right, left)
 
 
 def instance_to_json(system: ProductSystem, rep: CCRepresentation, parameters: dict | None = None) -> dict:
@@ -172,7 +190,7 @@ def parse_instance(data: dict, tol: float | None = None) -> Instance:
             raise InstanceFormatError(f"instance: bad flip key {key!r}") from None
         _expect(1 <= i < j <= k, f"instance: flip key {key!r} out of range")
         mi, mj = generators[i - 1].dim, generators[j - 1].dim
-        flips[(i, j)] = json_to_matrix(mat, (mj * mi, mi * mj), f"flip {key}")
+        flips[(i, j)] = json_to_array(mat, (mj * mi, mi * mj), f"flip {key}")
 
     params = dict(DEFAULT_PARAMETERS)
     _expect(isinstance(data.get("parameters", {}), dict), "instance: parameters must be an object")
@@ -185,28 +203,15 @@ def parse_instance(data: dict, tol: float | None = None) -> Instance:
     _expect(isinstance(rep_obj, dict), "instance: missing representation")
     d = rep_obj.get("H_dim")
     _expect(isinstance(d, int) and d >= 1, f"instance: bad H_dim {d!r}")
-    sigma_obj = rep_obj.get("sigma")
-    _expect(
-        isinstance(sigma_obj, list) and len(sigma_obj) == algebra.dim,
-        "instance: sigma needs one matrix per algebra basis element",
-    )
     sigma = AlgebraRepresentation(
-        algebra, d, np.stack([json_to_matrix(m, (d, d), f"sigma[{p}]") for p, m in enumerate(sigma_obj)])
+        algebra, d, json_to_array(rep_obj.get("sigma"), (algebra.dim, d, d), "sigma")
     )
     t_obj = rep_obj.get("T")
     _expect(isinstance(t_obj, list) and len(t_obj) == k, "instance: T needs one entry per generator")
-    t_maps = []
-    for i, (gen, mats) in enumerate(zip(generators, t_obj, strict=True), start=1):
-        _expect(
-            isinstance(mats, list) and len(mats) == gen.dim,
-            f"instance: T[{i}] needs one matrix per basis vector of generator {i}",
-        )
-        arr = (
-            np.stack([json_to_matrix(m, (d, d), f"T[{i}][{b}]") for b, m in enumerate(mats)])
-            if gen.dim
-            else np.zeros((0, d, d), dtype=complex)
-        )
-        t_maps.append(arr)
+    t_maps = [
+        json_to_array(mats, (gen.dim, d, d), f"T[{i}]")
+        for i, (gen, mats) in enumerate(zip(generators, t_obj, strict=True), start=1)
+    ]
     rep = CCRepresentation(system, sigma, t_maps, tol=tol)
     return Instance(algebra, system, rep, params, data)
 

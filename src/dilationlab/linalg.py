@@ -18,6 +18,18 @@ def opnorm(m: np.ndarray) -> float:
     return float(np.linalg.norm(m, 2))
 
 
+def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Kronecker product of two 1-D or two 2-D arrays.
+
+    One broadcast product and a reshape: the same entrywise products as
+    np.kron, so the same bits, without its per-call shape handling.
+    """
+    if a.ndim == 1 == b.ndim:
+        return (a[:, None] * b[None, :]).reshape(a.shape[0] * b.shape[0])
+    (m, n), (p, q) = a.shape, b.shape
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
+
+
 def hermitize(g: np.ndarray) -> np.ndarray:
     return 0.5 * (g + g.conj().T)
 

@@ -20,12 +20,13 @@ from .correspondence import (
     interior_tensor,
     passes,
     reduce_null,
+    tensor_surjection,
     validate_correspondence,
     _raw_tensor,
 )
 from .cstar import CStarAlgebra
 from .errors import IncoherentFlipsError, InvalidArgumentError, InvalidFlipError
-from .linalg import DEFAULT_TOL, opnorm
+from .linalg import DEFAULT_TOL, kron, opnorm
 
 
 @dataclass(frozen=True)
@@ -42,6 +43,13 @@ class MultIso:
     ``tensor_surjection`` maps the p_s * p_t tensor coordinates onto the
     reduced interior tensor; ``matrix`` is the unitary U on the quotient;
     ``mu`` = matrix @ tensor_surjection is the combined multiplication map.
+    The surjection comes from ``correspondence.tensor_surjection``, which
+    equals ``interior_tensor(X(s), X(t))[1]`` bit for bit. It has to:
+    ``doubly_commuting_defect`` applies ``matrix`` to the quotient
+    coordinates of ``CCRepresentation._pair``, which ``interior_tensor``
+    builds. A quotient basis is a set of kept eigenvectors, fixed only up to
+    phases (and rotations within repeated eigenvalues), so a surjection
+    computed any other way could name a different basis.
     """
 
     s: lattice.Point
@@ -148,14 +156,14 @@ class ProductSystem:
         f_il = self.flips[(i, l)]
         f_jl = self.flips[(j, l)]
         route_a = (
-            np.kron(f_jl, np.eye(mi))
-            @ np.kron(np.eye(mj), f_il)
-            @ np.kron(f_ij, np.eye(ml))
+            kron(f_jl, np.eye(mi))
+            @ kron(np.eye(mj), f_il)
+            @ kron(f_ij, np.eye(ml))
         )
         route_b = (
-            np.kron(np.eye(ml), f_ij)
-            @ np.kron(f_il, np.eye(mj))
-            @ np.kron(np.eye(mi), f_jl)
+            kron(np.eye(ml), f_ij)
+            @ kron(f_il, np.eye(mj))
+            @ kron(np.eye(mi), f_jl)
         )
         src = self._word((i, j, l))
         tgt = self._word((l, j, i))
@@ -188,8 +196,8 @@ class ProductSystem:
             prev = self._word(word[:-1])
             gen = self.generators[word[-1] - 1]
             corr, q = interior_tensor(prev.corr, gen, self.tol)
-            surj = q @ np.kron(prev.surj, np.eye(gen.dim))
-            lift = np.kron(prev.lift, np.eye(gen.dim)) @ q.conj().T
+            surj = q @ kron(prev.surj, np.eye(gen.dim))
+            lift = kron(prev.lift, np.eye(gen.dim)) @ q.conj().T
             data = _WordData(corr, surj, lift, q)
         self._words[word] = data
         return data
@@ -240,9 +248,9 @@ class ProductSystem:
             prefix, j = word[:-1], word[-1]
             m_j = self.generators[j - 1].dim
             p_prefix = self._word(prefix).corr.dim if prefix else 1
-            peel = np.kron(self._last_q(word).conj().T, np.eye(m_i))
-            flip = np.kron(np.eye(p_prefix), self.flip_for(j, i))
-            inner = np.kron(self._append_map(prefix, i), np.eye(m_j))
+            peel = kron(self._last_q(word).conj().T, np.eye(m_i))
+            flip = kron(np.eye(p_prefix), self.flip_for(j, i))
+            inner = kron(self._append_map(prefix, i), np.eye(m_j))
             rejoin = self._append_map(tuple(sorted(prefix + (i,))), j)
             out = rejoin @ inner @ flip @ peel
         self._appends[key] = out
@@ -258,7 +266,7 @@ class ProductSystem:
             return cached
         cs = self._word(self.normal_word(s)).corr
         ct = self._word(self.normal_word(t)).corr
-        tensor, q = interior_tensor(cs, ct, self.tol)
+        q = tensor_surjection(cs, ct, self.tol)
         if lattice.is_zero(s):
             # left action of A = X(0) on the fiber
             raw = np.transpose(ct.left_action, (1, 0, 2)).reshape(
@@ -275,7 +283,7 @@ class ProductSystem:
             i = max(lattice.support(t))
             t_prev = lattice.sub(t, lattice.unit(len(t), i))
             p_s = cs.dim
-            split = np.kron(np.eye(p_s), self._last_q(self.normal_word(t)).conj().T)
+            split = kron(np.eye(p_s), self._last_q(self.normal_word(t)).conj().T)
             if lattice.is_zero(t_prev):
                 mu = self._append_map(self.normal_word(s), i) @ split
             else:
@@ -283,7 +291,7 @@ class ProductSystem:
                 mu_prev = self.mult_iso(s, t_prev).mu
                 mu = (
                     self._append_map(self.normal_word(lattice.add(s, t_prev)), i)
-                    @ np.kron(mu_prev, np.eye(m_i))
+                    @ kron(mu_prev, np.eye(m_i))
                     @ split
                 )
             u = mu @ q.conj().T
@@ -300,10 +308,10 @@ class ProductSystem:
         tensor_red, _q = interior_tensor(cs, ct, self.tol)
         src = tensor_red.gram_embedded()
         tgt = self._word(self.normal_word(lattice.add(s, t))).corr.gram_embedded()
-        u_big = np.kron(iso.matrix, np.eye(n))
+        u_big = kron(iso.matrix, np.eye(n))
         fwd = opnorm(u_big.conj().T @ tgt @ u_big - src)
         # invertibility both ways: U^{-1} must also preserve inner products
-        inv_big = np.kron(iso.matrix_inv, np.eye(n))
+        inv_big = kron(iso.matrix_inv, np.eye(n))
         bwd = opnorm(inv_big.conj().T @ src @ inv_big - tgt)
         return max(fwd, bwd)
 
@@ -315,14 +323,14 @@ class ProductSystem:
         pr = self.fiber_dim(r)
         mu_st = self.mult_iso(s, t).mu
         mu_tr = self.mult_iso(t, r).mu
-        lhs = self.mult_iso(lattice.add(s, t), r).mu @ np.kron(mu_st, np.eye(pr))
-        rhs = self.mult_iso(s, lattice.add(t, r)).mu @ np.kron(np.eye(ps), mu_tr)
+        lhs = self.mult_iso(lattice.add(s, t), r).mu @ kron(mu_st, np.eye(pr))
+        rhs = self.mult_iso(s, lattice.add(t, r)).mu @ kron(np.eye(ps), mu_tr)
         # weight by the lift of the reduced triple tensor so null directions
         # of the semi-inner product do not contribute
         cs = self._word(self.normal_word(s)).corr
         ct = self._word(self.normal_word(t)).corr
         cr = self._word(self.normal_word(r)).corr
         c_st, q1 = interior_tensor(cs, ct, self.tol)
-        _c_str, q2 = interior_tensor(c_st, cr, self.tol)
-        lift3 = np.kron(q1.conj().T, np.eye(cr.dim)) @ q2.conj().T
+        q2 = tensor_surjection(c_st, cr, self.tol)
+        lift3 = kron(q1.conj().T, np.eye(cr.dim)) @ q2.conj().T
         return opnorm((lhs - rhs) @ lift3)

@@ -24,7 +24,7 @@ from .correspondence import (
 )
 from .cstar import CStarAlgebra, adjoint_table, multiplication_table, unit
 from .errors import InvalidArgumentError
-from .linalg import DEFAULT_TOL, opnorm
+from .linalg import DEFAULT_TOL, kron, opnorm
 from .prodsys import ProductSystem
 
 
@@ -44,7 +44,7 @@ class AlgebraRepresentation:
         return np.tensordot(np.asarray(coords, dtype=complex), self.mats, axes=(0, 0))
 
 
-def validate_sigma(sigma: AlgebraRepresentation, tol: float = DEFAULT_TOL) -> dict[str, float]:
+def validate_sigma(sigma: AlgebraRepresentation) -> dict[str, float]:
     """Residuals for sigma being a unital *-homomorphism."""
     alg = sigma.algebra
     res: dict[str, float] = {}
@@ -129,14 +129,14 @@ class CCRepresentation:
             word = self.system.normal_word(s)
             data = self.system.word_data(word)
             if len(word) == 1:
-                out = self.gen_t_raw(i) @ np.kron(data.lift, np.eye(d))
+                out = self.gen_t_raw(i) @ kron(data.lift, np.eye(d))
             else:
                 prev = lattice.sub(s, lattice.unit(len(s), i))
                 p_prev = self.system.fiber_dim(prev)
                 out = (
                     self.t_raw(prev)
-                    @ np.kron(np.eye(p_prev), self.gen_t_raw(i))
-                    @ np.kron(data.last_q.conj().T, np.eye(d))
+                    @ kron(np.eye(p_prev), self.gen_t_raw(i))
+                    @ kron(data.last_q.conj().T, np.eye(d))
                 )
         self._t_raw[s] = out
         return out
@@ -165,7 +165,7 @@ class CCRepresentation:
         iso = self.system.mult_iso(rest, s)
         p_rest = self.system.fiber_dim(rest)
         split = iso.tensor_surjection.conj().T @ iso.matrix_inv  # p_t -> p_rest p_s
-        return np.kron(np.eye(p_rest), self.t_raw(s)) @ np.kron(split, np.eye(d))
+        return kron(np.eye(p_rest), self.t_raw(s)) @ kron(split, np.eye(d))
 
     def lowering_block(self, t: lattice.Point, s: lattice.Point) -> np.ndarray:
         """Localized block map loc(t) -> loc(t-s); the identity for s = 0."""
@@ -196,13 +196,12 @@ class CCRepresentation:
         pair, q, loc_pair = self._pair(a, b)
         p_a = self.system.fiber_dim(a)
         d = self.dim
-        raw = np.kron(np.eye(p_a), self.t_raw(b)) @ np.kron(q.conj().T, np.eye(d))
+        raw = kron(np.eye(p_a), self.t_raw(b)) @ kron(q.conj().T, np.eye(d))
         return descend_map(raw, loc_pair, self.loc(a), self.tol), loc_pair
 
 
-def validate_representation(rep: CCRepresentation, tol: float | None = None) -> dict[str, float]:
+def validate_representation(rep: CCRepresentation) -> dict[str, float]:
     """Residuals: sigma axioms, covariance, contractivity, flip commutation."""
-    tol = rep.tol if tol is None else tol
     res = {f"sigma.{k}": v for k, v in validate_sigma(rep.sigma).items()}
     sys_ = rep.system
     sig = rep.sigma.mats
@@ -235,8 +234,8 @@ def _commutation_residual(rep: CCRepresentation, i: int, j: int) -> float:
     d = rep.dim
     ti = rep.gen_t_raw(i)
     tj = rep.gen_t_raw(j)
-    lhs = ti @ np.kron(np.eye(ei.dim), tj)
-    rhs = tj @ np.kron(np.eye(ej.dim), ti) @ np.kron(sys_.flips[(i, j)], np.eye(d))
+    lhs = ti @ kron(np.eye(ei.dim), tj)
+    rhs = tj @ kron(np.eye(ej.dim), ti) @ kron(sys_.flips[(i, j)], np.eye(d))
     raw_pair = _raw_tensor(ei, ej)
     loc_pair = localize(raw_pair, rep.sigma.mats, rep.tol)
     return opnorm((lhs - rhs) @ loc_pair.lift)
@@ -252,9 +251,7 @@ def is_fully_coisometric(rep: CCRepresentation, s: lattice.Point, tol: float = D
     return opnorm(tt @ tt.conj().T - np.eye(tt.shape[0])) <= tol
 
 
-def doubly_commuting_check(
-    rep: CCRepresentation, j: int, k: int, s_j: int, s_k: int, tol: float | None = None
-) -> float:
+def doubly_commuting_check(rep: CCRepresentation, j: int, k: int, s_j: int, s_k: int) -> float:
     """Residual of the doubly-commuting identity for generator directions j, k."""
     return opnorm(doubly_commuting_defect(rep, j, k, s_j, s_k))
 
@@ -279,14 +276,12 @@ def doubly_commuting_defect(
     iso_ab = rep.system.mult_iso(a, b)
     iso_ba = rep.system.mult_iso(b, a)
     t_mod = np.linalg.pinv(iso_ba.matrix) @ iso_ab.matrix
-    t_loc = descend_map(np.kron(t_mod, np.eye(rep.dim)), loc_ab, loc_ba, rep.tol)
+    t_loc = descend_map(kron(t_mod, np.eye(rep.dim)), loc_ab, loc_ba, rep.tol)
     lhs = ext_ba @ t_loc @ ext_ab.conj().T
     return lhs - rhs
 
 
-def brehmer_check_NS(
-    rep: CCRepresentation, v, s: lattice.Point, tol: float = DEFAULT_TOL
-) -> float:
+def brehmer_check_NS(rep: CCRepresentation, v, s: lattice.Point) -> float:
     """Minimum eigenvalue of the alternating sum over subsets u of v of
     (-1)^|u| (I (x) T~_{s[u]}^H T~_{s[u]}) on loc(fiber(s[v]), sigma)."""
     s = tuple(s)

@@ -61,6 +61,40 @@ def test_non_finite_numbers_are_format_errors(tmp_path, scalar_pair, value, text
     assert run(["dilate", str(bad)]) == cli.EXIT_FORMAT
 
 
+def _nilpotent_data():
+    with open(NILPOTENT, encoding="utf-8") as fh:
+        return json.load(fh)
+
+
+def _set_entry(data, path, value):
+    target = data
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+
+
+# (path into the instance, bad value, the entry the message names)
+BAD_MATRIX_ENTRIES = {
+    "bool": (("representation", "T", 0, 0, 1, 0), [True, 0.0], "T[1][0][1][0]"),
+    "string": (("representation", "T", 1, 0, 0, 1), ["1", 0.0], "T[2][0][0][1]"),
+    "null": (("representation", "sigma", 0, 1, 1), [None, 0.0], "sigma[0][1][1]"),
+    "ragged-row": (("representation", "T", 0, 0, 1), [[0.0, 0.0]], "T[1][0][1]"),
+    "nan-in-gram": (("generators", 0, "gram", 0, 0, 0), [float("nan"), 0.0], "generator 1: gram[0][0][0]"),
+    "huge-int": (("flips", "1,2", 0, 0), [10**400, 0], "flip 1,2[0][0]"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAD_MATRIX_ENTRIES))
+def test_bad_matrix_entry_is_format_error(tmp_path, capsys, name):
+    path, value, entry = BAD_MATRIX_ENTRIES[name]
+    data = _nilpotent_data()
+    _set_entry(data, path, value)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert run(["dilate", str(bad)]) == cli.EXIT_FORMAT
+    assert f"{entry}:" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
 def test_bad_tol_is_format_error(tmp_path, scalar_pair, value):
     import copy

@@ -12,6 +12,7 @@ from dilationlab.correspondence import (
     localize,
     passes,
     reduce_null,
+    tensor_surjection,
     trivial_correspondence,
     validate_correspondence,
 )
@@ -193,6 +194,16 @@ def test_raw_tensor_gram_matches_loop_oracle(name):
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("name", sorted(TENSOR_PAIRS))
+def test_raw_tensor_actions_match_kron_stacks(name):
+    e, f = TENSOR_PAIRS[name]()
+    raw = _raw_tensor(e, f)
+    right = np.stack([np.kron(np.eye(e.dim), r) for r in f.right_action])
+    left = np.stack([np.kron(l, np.eye(f.dim)) for l in e.left_action])
+    assert raw.right_action.tobytes() == right.tobytes()
+    assert raw.left_action.tobytes() == left.tobytes()
+
+
 @pytest.mark.parametrize("name", sorted(set(TENSOR_PAIRS) - {"C+M2-random"}))
 def test_reduce_null_matches_einsum_oracle(name):
     raw = _raw_tensor(*TENSOR_PAIRS[name]())
@@ -229,3 +240,12 @@ def test_flip_gram_matches_einsum_oracle():
     rng = np.random.default_rng(6)
     phi = (rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))) / 3
     np.testing.assert_allclose(congruent_gram(gram, phi), congruent_gram_einsum(gram, phi), rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", ["C", "C-degenerate", "M2", "M3", "C+M2"])
+def test_tensor_surjection_is_interior_tensor_surjection(name):
+    e, f = TENSOR_PAIRS[name]()
+    got = tensor_surjection(e, f)
+    want = interior_tensor(e, f)[1]
+    assert np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()

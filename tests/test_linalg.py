@@ -1,10 +1,15 @@
+import re
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import dilationlab
 from dilationlab.errors import NotWellDefinedError
 from dilationlab.linalg import (
+    kron,
     lstsq_map,
     null_split,
     opnorm,
@@ -17,6 +22,47 @@ from dilationlab.linalg import (
 def random_psd(rng, n, rank):
     a = rng.standard_normal((n, rank)) + 1j * rng.standard_normal((n, rank))
     return a @ a.conj().T
+
+
+def _kron_cases():
+    rng = np.random.default_rng(7)
+    a = rng.standard_normal((3, 4)) + 1j * rng.standard_normal((3, 4))
+    real = rng.standard_normal((2, 5))
+    return {
+        "vectors": (rng.standard_normal(3), rng.standard_normal(4) + 1j),
+        "row": (a[[1]], np.eye(3)),
+        "column": (a[:, [2]], np.eye(2)),
+        "identity-left": (np.eye(2), a),
+        "identity-right": (a, np.eye(2)),
+        "zero-size": (np.zeros((0, 3)), a),
+        "zero-size-vector": (np.zeros(0), rng.standard_normal(2)),
+        "real-complex": (real, a),
+        "complex-real": (a, real),
+        "signed-zeros": (np.array([[-0.0, 1.0], [2.0, -3.0]]), np.array([[0.0, -1.0]])),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_kron_cases()))
+def test_kron_equals_numpy_kron(name):
+    a, b = _kron_cases()[name]
+    got, want = kron(a, b), np.kron(a, b)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert np.array_equal(got, want)
+    assert got.tobytes() == want.tobytes()  # signed zeros too
+
+
+def test_package_calls_no_numpy_kron():
+    """np.kron's per-call overhead made it the largest self-time item of a
+    dilate run; the package builds Kronecker products with linalg.kron."""
+    pattern = re.compile(r"\b(np|numpy)\.kron\(")
+    package = Path(dilationlab.__file__).parent
+    hits = [
+        f"{path.relative_to(package)}:{number}"
+        for path in sorted(package.rglob("*.py"))
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
+        if pattern.search(line)
+    ]
+    assert hits == []
 
 
 def test_psd_factor_reconstructs():
