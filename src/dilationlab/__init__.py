@@ -30,7 +30,7 @@ from .errors import (
     NotPositiveDefiniteError,
     NotWellDefinedError,
 )
-from .hatspace import TruncatedFock, a_action, brehmer_check_hat, check_hat_semigroup, check_technology
+from .hatspace import TruncatedFock, check_hat_semigroup, hat_checks
 from .prodsys import ProductSystem
 from .representation import (
     AlgebraRepresentation,
@@ -58,14 +58,12 @@ __all__ = [
     "NotWellDefinedError",
     "ProductSystem",
     "TruncatedFock",
-    "a_action",
     "algebra_correspondence",
     "brehmer_check_NS",
-    "brehmer_check_hat",
     "check_hat_semigroup",
-    "check_technology",
     "compare_minimal_dilations",
     "doubly_commuting_check",
+    "hat_checks",
     "interior_tensor",
     "kolmogorov",
     "localize",

@@ -2,7 +2,9 @@
 
 Exit codes: 0 success (dilate: dilation verified), 1 mathematically invalid
 instance, 2 parse/schema/I-O error, 3 not dilatable (window Gram not PSD),
-4 dilatable but a verification check failed, 5 golden-file mismatch.
+4 dilatable but a verification check failed, 5 golden-file mismatch, 6 out
+of memory (validate/check/dilate/verify: an allocation failed; the report
+carries the message under "error" and has no verdicts).
 """
 
 from __future__ import annotations
@@ -29,9 +31,8 @@ from .errors import (
     NotWellDefinedError,
 )
 from .families import FAMILIES, generate
-from .hatspace import TruncatedFock, check_hat_semigroup
+from .hatspace import TruncatedFock, hat_checks
 from .instances import Instance, check_tol, digest, load_instance
-from .linalg import opnorm
 from .report import check_record, compare_reports, make_report, render
 from .representation import brehmer_check_NS, doubly_commuting_check, validate_representation
 
@@ -41,6 +42,7 @@ EXIT_FORMAT = 2
 EXIT_NOT_DILATABLE = 3
 EXIT_CHECK_FAILED = 4
 EXIT_GOLDEN_MISMATCH = 5
+EXIT_OUT_OF_MEMORY = 6
 
 VALIDATION_TOL = 1e-10
 DERIVED_TOL = 1e-8  # identities assembled through pseudo-inverses
@@ -133,23 +135,6 @@ def _nonempty_subsets(k: int):
         yield from combinations(range(1, k + 1), r)
 
 
-def _hat_checks(space: TruncatedFock) -> list[dict]:
-    rep = space.rep
-    bound = space.bound
-    semi = 0.0
-    for s in space.blocks:
-        for t in space.blocks:
-            semi = max(semi, check_hat_semigroup(space, s, t))
-    tech = 0.0
-    d_slice = space.block_slice(lattice.zero(len(bound)))
-    for s in space.blocks:
-        if lattice.is_zero(s):
-            continue
-        block = space.hat(s).matrix[d_slice, space.block_slice(s)]
-        tech = max(tech, opnorm(block @ space.block_loc(s).factor - rep.t_raw(s)))
-    return [check_record("hat_semigroup", semi), check_record("technology", tech)]
-
-
 def run_pipeline(inst: Instance, command: str, params: dict) -> tuple[dict, int]:
     """Shared validate -> check -> dilate -> verify pipeline."""
     start = time.monotonic()
@@ -176,7 +161,7 @@ def run_pipeline(inst: Instance, command: str, params: dict) -> tuple[dict, int]
             tol = float(params["tol"])
             guard = int(params["guard"])
             space = TruncatedFock(inst.representation, params["L"])
-            checks.extend(_hat_checks(space))
+            checks.extend(check_record(name, res) for name, res in hat_checks(space).items())
             k = inst.system.k
             if k >= 2 and verdicts["doubly_commuting"]:
                 dc_hat = 0.0
@@ -241,6 +226,19 @@ def _emit(report: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _emit_error(args, command: str, inst_digest: str, params: dict, verdicts: dict, error: str) -> None:
+    report = make_report(inst_digest, command, params, [], verdicts)
+    report["error"] = error
+    _emit(report, getattr(args, "out", None))
+
+
+def _out_of_memory(args, command: str, inst_digest: str, params: dict, exc: MemoryError) -> int:
+    error = f"out of memory: {exc}" if str(exc) else "out of memory"
+    print(f"dilation-lab: {error}", file=sys.stderr)
+    _emit_error(args, command, inst_digest, params, {}, error)
+    return EXIT_OUT_OF_MEMORY
+
+
 def _run_command(args, command: str) -> int:
     try:
         inst = load_instance(args.path)
@@ -249,19 +247,19 @@ def _run_command(args, command: str) -> int:
         return EXIT_FORMAT
     except (InvalidArgumentError, NotWellDefinedError) as exc:
         print(f"dilation-lab: invalid instance: {exc}", file=sys.stderr)
-        report = make_report("", command, {}, [], {"valid": False})
-        report["error"] = str(exc)
-        _emit(report, getattr(args, "out", None))
+        _emit_error(args, command, "", {}, {"valid": False}, str(exc))
         return EXIT_INVALID
+    except MemoryError as exc:
+        return _out_of_memory(args, command, "", {}, exc)
     params = _resolve_params(inst, args)
     try:
         report, code = run_pipeline(inst, command, params)
     except (InvalidArgumentError, NotWellDefinedError) as exc:
         print(f"dilation-lab: invalid instance: {exc}", file=sys.stderr)
-        report = make_report(digest(inst.data), command, params, [], {"valid": False})
-        report["error"] = str(exc)
-        _emit(report, getattr(args, "out", None))
+        _emit_error(args, command, digest(inst.data), params, {"valid": False}, str(exc))
         return EXIT_INVALID
+    except MemoryError as exc:
+        return _out_of_memory(args, command, digest(inst.data), params, exc)
     _emit(report, getattr(args, "out", None))
     return code
 
@@ -272,8 +270,8 @@ def cmd_validate(args) -> int:
 
 def cmd_check(args) -> int:
     code = _run_command(args, "check")
-    # check reports verdicts; a completed run exits 0 unless invalid/format
-    return code if code in (EXIT_INVALID, EXIT_FORMAT) else EXIT_OK
+    # check reports verdicts; a completed run exits 0 unless it could not run
+    return code if code in (EXIT_INVALID, EXIT_FORMAT, EXIT_OUT_OF_MEMORY) else EXIT_OK
 
 
 def cmd_dilate(args) -> int:
@@ -306,6 +304,7 @@ def cmd_verify(args) -> int:
     if not isinstance(ref_params, dict):
         print("dilation-lab: reference report: parameters must be an object", file=sys.stderr)
         return EXIT_FORMAT
+    command = reference.get("command", "dilate")
     try:
         inst = load_instance(args.path)
     except InstanceFormatError as exc:
@@ -314,9 +313,14 @@ def cmd_verify(args) -> int:
     except (InvalidArgumentError, NotWellDefinedError) as exc:
         print(f"dilation-lab: invalid instance: {exc}", file=sys.stderr)
         return EXIT_INVALID
+    except MemoryError as exc:
+        return _out_of_memory(args, command, "", {}, exc)
 
     params = _resolve_params(inst, args, ref_params)
-    fresh, _code = run_pipeline(inst, reference.get("command", "dilate"), params)
+    try:
+        fresh, _code = run_pipeline(inst, command, params)
+    except MemoryError as exc:
+        return _out_of_memory(args, command, digest(inst.data), params, exc)
     ok, mismatches, warn = compare_reports(reference, fresh)
     for w in warn:
         print(f"dilation-lab: warning: {w}", file=sys.stderr)

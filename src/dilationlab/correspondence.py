@@ -30,6 +30,7 @@ from .errors import InvalidArgumentError
 from .linalg import (
     DEFAULT_TOL,
     hermitize,
+    max_opnorm,
     null_split,
     opnorm,
     psd_factor,
@@ -136,17 +137,13 @@ def validate_correspondence(corr: Correspondence, tol: float = DEFAULT_TOL) -> d
     res["right_unital"] = opnorm(corr.act_right(unit_coords) - np.eye(m))
     res["left_unital"] = opnorm(corr.act_left(unit_coords) - np.eye(m))
 
+    # f_p f_q acts on the right as right(f_q) right(f_p), on the left as left(f_p) left(f_q)
     mul_table = cstar.multiplication_table(alg)
-    r_hom = 0.0
-    l_hom = 0.0
-    for p in range(alg.dim):
-        for q in range(alg.dim):
-            combo_r = np.tensordot(mul_table[p, q], corr.right_action, axes=(0, 0))
-            r_hom = max(r_hom, opnorm(combo_r - corr.right_action[q] @ corr.right_action[p]))
-            combo_l = np.tensordot(mul_table[p, q], corr.left_action, axes=(0, 0))
-            l_hom = max(l_hom, opnorm(combo_l - corr.left_action[p] @ corr.left_action[q]))
-    res["right_homomorphism"] = r_hom
-    res["left_homomorphism"] = l_hom
+    right, left = corr.right_action, corr.left_action
+    combo_r = np.tensordot(mul_table, right, axes=(2, 0)) - right[None, :] @ right[:, None]
+    combo_l = np.tensordot(mul_table, left, axes=(2, 0)) - left[:, None] @ left[None, :]
+    res["right_homomorphism"] = max_opnorm(combo_r.reshape(-1, m, m))
+    res["left_homomorphism"] = max_opnorm(combo_l.reshape(-1, m, m))
 
     # <e_i, e_j . f_p> = <e_i, e_j> f_p
     compat = 0.0

@@ -1,37 +1,35 @@
-"""The truncated block space H_L and the contractive semigroup of
-block-lowering operators.
+"""The truncated block space H_L and the checks of the contractive semigroup
+of block-lowering operators on it.
 
-H_L = H (+) sum over 0 < s <= L of X(s) (x)_sigma H, with blocks ordered
-graded-lexicographically. Every lowering operator maps block t into block
-t - s and annihilates blocks with t not >= s, so H_L is invariant and all
-semigroup identities hold exactly on it: the truncation only limits which
-vectors exist.
+H_L = H (+) sum over 0 < s <= L of X(s) (x)_sigma H, one block loc(s) per
+lattice point of the box. The lowering operator T^_s maps block r into
+block r - s by Theta(r, s) = CCRepresentation.lowering_block(r, s) and
+annihilates blocks with r not >= s, so H_L is invariant and all semigroup
+identities hold exactly on it: the truncation only limits which vectors
+exist.
+
+No T^ is formed as a dim H_L square matrix. Every identity checked here is
+an operator D on H_L that maps each block r into at most one block f(r),
+with f injective. Then D^H D is block diagonal with blocks D_r^H D_r, so
+||D|| = max_r ||D_r|| over the nonzero blocks D_r: r -> f(r), and each
+check is one max_opnorm over those blocks.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from collections.abc import Iterable, Iterator
 
 import numpy as np
 
 from . import lattice
-from .cstar import AlgebraElement
 from .errors import InvalidArgumentError
-from .linalg import kron, opnorm
+from .linalg import max_opnorm, opnorm  # noqa: F401  opnorm stays importable from here
 from .representation import CCRepresentation
 
 
-@dataclass(frozen=True)
-class HatOperator:
-    point: lattice.Point
-    matrix: np.ndarray = field(compare=False)
-
-    @property
-    def norm(self) -> float:
-        return opnorm(self.matrix)
-
-
 class TruncatedFock:
+    """The blocks loc(s), 0 <= s <= bound, of H_L and its dimension."""
+
     def __init__(self, rep: CCRepresentation, bound: lattice.Point):
         bound = tuple(int(b) for b in bound)
         if len(bound) != rep.system.k or any(b < 0 for b in bound):
@@ -39,104 +37,51 @@ class TruncatedFock:
         self.rep = rep
         self.bound = bound
         self.blocks: list[lattice.Point] = lattice.box(bound)
-        self.block_index = {s: i for i, s in enumerate(self.blocks)}
         self.locs = [rep.loc(s) for s in self.blocks]
-        offsets = []
-        total = 0
-        for loc in self.locs:
-            offsets.append(total)
-            total += loc.rank
-        self.offsets = offsets
-        self.dim = total
-        self._hats: dict[lattice.Point, HatOperator] = {}
+        self.dim = sum(loc.rank for loc in self.locs)
 
-    def block_slice(self, s: lattice.Point) -> slice:
-        i = self.block_index[tuple(s)]
-        return slice(self.offsets[i], self.offsets[i] + self.locs[i].rank)
 
-    def block_loc(self, s: lattice.Point):
-        return self.locs[self.block_index[tuple(s)]]
+def _semigroup_defects(
+    space: TruncatedFock, pairs: Iterable[tuple[lattice.Point, lattice.Point]]
+) -> Iterator[np.ndarray]:
+    """Blocks of T^_s T^_t - T^_{s+t} for each pair (s, t).
 
-    def inject(self, s: lattice.Point, block_vec: np.ndarray) -> np.ndarray:
-        """Embed a block coordinate vector as delta_s . (that vector)."""
-        out = np.zeros(self.dim, dtype=complex)
-        out[self.block_slice(s)] = block_vec
-        return out
-
-    def delta(self, s: lattice.Point, x: np.ndarray, h: np.ndarray) -> np.ndarray:
-        """Coordinates of delta_s . (x (x) h); for s = 0, x is ignored."""
-        s = tuple(s)
-        if lattice.is_zero(s):
-            return self.inject(s, np.asarray(h, dtype=complex))
-        raw = kron(np.asarray(x, dtype=complex), np.asarray(h, dtype=complex))
-        return self.inject(s, self.block_loc(s).factor @ raw)
-
-    def hat(self, s: lattice.Point) -> HatOperator:
-        """The lowering operator T^_s on H_L."""
-        s = tuple(s)
-        if any(c < 0 for c in s):
-            raise InvalidArgumentError(f"lattice point must be nonnegative: {s}")
-        cached = self._hats.get(s)
-        if cached is not None:
-            return cached
-        mat = np.zeros((self.dim, self.dim), dtype=complex)
-        if lattice.is_zero(s):
-            mat = np.eye(self.dim, dtype=complex)
-        else:
-            for t in self.blocks:
-                if lattice.leq(s, t):
-                    block = self.rep.lowering_block(t, s)
-                    mat[self.block_slice(lattice.sub(t, s)), self.block_slice(t)] = block
-        op = HatOperator(s, mat)
-        self._hats[s] = op
-        return op
+    The defect maps block r >= s + t to block r - s - t by
+    Theta(r - t, s) Theta(r, t) - Theta(r, s + t) and vanishes elsewhere,
+    so it is zero when s + t leaves the box. For s = 0 or t = 0 it is
+    exactly zero as well (Theta(r, 0) = I). Such pairs are skipped.
+    """
+    theta = space.rep.lowering_block
+    for s, t in pairs:
+        st = lattice.add(s, t)
+        if lattice.is_zero(s) or lattice.is_zero(t) or not lattice.leq(st, space.bound):
+            continue
+        for r in space.blocks:
+            if lattice.leq(st, r):
+                yield theta(lattice.sub(r, t), s) @ theta(r, t) - theta(r, st)
 
 
 def check_hat_semigroup(space: TruncatedFock, s: lattice.Point, t: lattice.Point) -> float:
     """|| T^_s T^_t - T^_{s+t} || on H_L (exact, not truncated)."""
-    prod = space.hat(s).matrix @ space.hat(t).matrix
-    return opnorm(prod - space.hat(lattice.add(s, t)).matrix)
+    return max_opnorm(_semigroup_defects(space, [(tuple(s), tuple(t))]))
 
 
-def check_technology(space: TruncatedFock, s: lattice.Point, x: np.ndarray, h: np.ndarray) -> float:
-    """|| T^_s (delta_s . x (x) h) - delta_0 . T_s(x) h ||."""
-    s = tuple(s)
-    if lattice.is_zero(s) or not lattice.leq(s, space.bound):
-        raise InvalidArgumentError("technology check needs 0 < s <= L")
-    vec = space.delta(s, x, h)
-    raw = kron(np.asarray(x, dtype=complex), np.asarray(h, dtype=complex))
-    expected = space.delta(lattice.zero(len(s)), None, space.rep.t_raw(s) @ raw)
-    return float(np.linalg.norm(space.hat(s).matrix @ vec - expected))
+def hat_checks(space: TruncatedFock) -> dict[str, float]:
+    """Residuals of the semigroup law over all pairs of box points, and of
+    the technology identity T^_s (delta_s . x (x) h) = delta_0 . T_s(x) h.
 
-
-def a_action(space: TruncatedFock, a: AlgebraElement) -> np.ndarray:
-    """Block-diagonal left action of an algebra element on H_L."""
+    The technology map is the block Theta(s, s): loc(s) -> H of T^_s, so
+    its residual is max over 0 < s <= L of ||Theta(s, s) F_s - T_s||, with
+    F_s the localization factor and T_s on raw fiber (x) H coordinates.
+    """
     rep = space.rep
-    if a.algebra != rep.system.algebra:
-        raise InvalidArgumentError("element lives over a different algebra")
-    from .correspondence import descend_map  # local import avoids a cycle at import time
-
-    mat = np.zeros((space.dim, space.dim), dtype=complex)
-    for s in space.blocks:
-        sl = space.block_slice(s)
-        if lattice.is_zero(s):
-            mat[sl, sl] = rep.sigma.apply(a.coords)
-        else:
-            corr = rep.system.fiber(s).correspondence
-            raw = kron(corr.act_left(a.coords), np.eye(rep.dim))
-            loc = space.block_loc(s)
-            mat[sl, sl] = descend_map(raw, loc, loc, rep.tol)
-    return mat
-
-
-def brehmer_check_hat(space: TruncatedFock, v, s: lattice.Point) -> float:
-    """Minimum eigenvalue of sum over u subset v of (-1)^|u| T^_{s[u]}^H T^_{s[u]}."""
-    total = np.zeros((space.dim, space.dim), dtype=complex)
-    s = tuple(s)
-    for u in lattice.subsets(tuple(v)):
-        su = lattice.restrict(s, u)
-        hat = space.hat(su).matrix
-        total += ((-1) ** len(u)) * (hat.conj().T @ hat)
-    if space.dim == 0:
-        return 0.0
-    return float(np.linalg.eigvalsh(0.5 * (total + total.conj().T)).min())
+    pairs = [(s, t) for s in space.blocks for t in space.blocks]
+    technology = (
+        rep.lowering_block(s, s) @ loc.factor - rep.t_raw(s)
+        for s, loc in zip(space.blocks, space.locs)
+        if not lattice.is_zero(s)
+    )
+    return {
+        "hat_semigroup": max_opnorm(_semigroup_defects(space, pairs)),
+        "technology": max_opnorm(technology),
+    }

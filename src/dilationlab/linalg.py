@@ -18,6 +18,23 @@ def opnorm(m: np.ndarray) -> float:
     return float(np.linalg.norm(m, 2))
 
 
+def max_opnorm(blocks) -> float:
+    """Largest operator norm over an iterable of 2-D blocks; 0.0 for none.
+
+    Blocks of one shape share a single stacked SVD, so a check that takes
+    the maximum over many small blocks pays one LAPACK dispatch per shape
+    instead of one per block. Blocks with an empty side have norm 0.
+    """
+    groups: dict[tuple[int, int], list[np.ndarray]] = {}
+    for b in blocks:
+        if b.size:
+            groups.setdefault(b.shape, []).append(b)
+    return max(
+        (float(np.linalg.svd(np.stack(g), compute_uv=False).max()) for g in groups.values()),
+        default=0.0,
+    )
+
+
 def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Kronecker product of two 1-D or two 2-D arrays.
 

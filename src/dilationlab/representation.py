@@ -24,7 +24,7 @@ from .correspondence import (
 )
 from .cstar import CStarAlgebra, adjoint_table, multiplication_table, unit
 from .errors import InvalidArgumentError
-from .linalg import DEFAULT_TOL, kron, opnorm
+from .linalg import DEFAULT_TOL, kron, max_opnorm, opnorm
 from .prodsys import ProductSystem
 
 
@@ -47,20 +47,13 @@ class AlgebraRepresentation:
 def validate_sigma(sigma: AlgebraRepresentation) -> dict[str, float]:
     """Residuals for sigma being a unital *-homomorphism."""
     alg = sigma.algebra
+    d = sigma.dim
     res: dict[str, float] = {}
-    mul_table = multiplication_table(alg)
-    mult = 0.0
-    for p in range(alg.dim):
-        for q in range(alg.dim):
-            combo = np.tensordot(mul_table[p, q], sigma.mats, axes=(0, 0))
-            mult = max(mult, opnorm(combo - sigma.mats[p] @ sigma.mats[q]))
-    res["multiplicative"] = mult
-    adj = adjoint_table(alg)
-    star = 0.0
-    for p in range(alg.dim):
-        combo = np.tensordot(adj[p], sigma.mats, axes=(0, 0))
-        star = max(star, opnorm(combo - sigma.mats[p].conj().T))
-    res["star_preserving"] = star
+    mats = sigma.mats
+    combos = np.tensordot(multiplication_table(alg), mats, axes=(2, 0))  # sigma(f_p f_q)
+    res["multiplicative"] = max_opnorm((combos - mats[:, None] @ mats[None, :]).reshape(-1, d, d))
+    adjoints = np.tensordot(adjoint_table(alg), mats, axes=(1, 0))  # sigma(f_p^*)
+    res["star_preserving"] = max_opnorm(adjoints - mats.conj().transpose(0, 2, 1))
     res["unital"] = opnorm(sigma.apply(unit(alg).coords) - np.eye(sigma.dim))
     return res
 
@@ -239,16 +232,6 @@ def _commutation_residual(rep: CCRepresentation, i: int, j: int) -> float:
     raw_pair = _raw_tensor(ei, ej)
     loc_pair = localize(raw_pair, rep.sigma.mats, rep.tol)
     return opnorm((lhs - rhs) @ loc_pair.lift)
-
-
-def is_isometric(rep: CCRepresentation, s: lattice.Point, tol: float = DEFAULT_TOL) -> bool:
-    tt = rep.t_tilde(s)
-    return opnorm(tt.conj().T @ tt - np.eye(tt.shape[1])) <= tol
-
-
-def is_fully_coisometric(rep: CCRepresentation, s: lattice.Point, tol: float = DEFAULT_TOL) -> bool:
-    tt = rep.t_tilde(s)
-    return opnorm(tt @ tt.conj().T - np.eye(tt.shape[0])) <= tol
 
 
 def doubly_commuting_check(rep: CCRepresentation, j: int, k: int, s_j: int, s_k: int) -> float:

@@ -2,9 +2,13 @@
 
 Everything here is implemented from first principles (classical formulas,
 brute-force sums, explicit matrix units) and deliberately shares no code
-with the package internals beyond numpy. The one exception is
-`doubly_commuting_V_inline`, which builds on the correspondence primitives
-(localization, interior tensor, descent) but not on CCRepresentation.
+with the package internals beyond numpy, with three kinds of exception:
+`doubly_commuting_V_inline` builds on the correspondence primitives
+(localization, interior tensor, descent) but not on CCRepresentation; the
+dense T^ references (`DenseFock` and the functions taking one) assemble
+the lowering blocks `CCRepresentation.lowering_block` into dim H_L square
+matrices, where the package only ever norms blocks; and the loop
+references reproduce a stacked package check one basis pair at a time.
 """
 
 from __future__ import annotations
@@ -87,23 +91,24 @@ def window_points(bound: tuple[int, ...]) -> list[tuple[int, ...]]:
     return pts
 
 
-def full_window_gram(space, bound: tuple[int, ...]) -> tuple[np.ndarray, float]:
+def full_window_gram(dense, bound: tuple[int, ...]) -> tuple[np.ndarray, float]:
     """The T^ window Gram over one copy of the truncated space per window
     point, block (t, s) = T^_{(s-t)_-}^H T^_{(s-t)_+}, and its minimum
     eigenvalue.
 
-    `space` only has to provide `dim` and the lowering operators as
-    `space.hat(point).matrix`; everything else is computed here. The Gram
-    has dimension |W| dim H_L, so this is for small windows only.
+    `dense` only has to provide `dim` and the lowering operators as dense
+    matrices `dense.hat(point)` (a `DenseFock`); everything else is computed
+    here. The Gram has dimension |W| dim H_L, so this is for small windows
+    only.
     """
     pts = window_points(bound)
-    n = space.dim
+    n = dense.dim
     gram = np.zeros((len(pts) * n, len(pts) * n), dtype=complex)
     for a, t in enumerate(pts):
         for b, s in enumerate(pts):
             diff = tuple(x - y for x, y in zip(s, t, strict=True))
-            neg = space.hat(tuple(max(0, -x) for x in diff)).matrix
-            pos = space.hat(tuple(max(0, x) for x in diff)).matrix
+            neg = dense.hat(tuple(max(0, -x) for x in diff))
+            pos = dense.hat(tuple(max(0, x) for x in diff))
             gram[a * n : (a + 1) * n, b * n : (b + 1) * n] = neg.conj().T @ pos
     margin = float(np.linalg.eigvalsh(0.5 * (gram + gram.conj().T)).min())
     return gram, margin
@@ -200,3 +205,288 @@ def doubly_commuting_V_inline(bundle, j: int, k: int, guard: int = 1) -> float:
     proj = np.kron(np.eye(sys_.fiber_dim(a)), p_guard @ p_guard.conj().T)
     proj_loc = loc_a.factor @ proj @ loc_a.lift
     return float(np.linalg.norm((lhs - rhs) @ proj_loc, 2))
+
+
+# -- dense references for the blockwise package checks --------------------------
+
+
+def _opnorm(m: np.ndarray) -> float:
+    return 0.0 if m.size == 0 else float(np.linalg.norm(m, 2))
+
+
+def _leq(s, t) -> bool:
+    return all(a <= b for a, b in zip(s, t, strict=True))
+
+
+def _sub(s, t) -> tuple[int, ...]:
+    return tuple(a - b for a, b in zip(s, t, strict=True))
+
+
+def _add(s, t) -> tuple[int, ...]:
+    return tuple(a + b for a, b in zip(s, t, strict=True))
+
+
+class DenseFock:
+    """H_L of a package TruncatedFock with every T^_s as a dense dim H_L
+    square matrix. For small L only.
+
+    Block loc(r) of the box occupies a contiguous coordinate slice, in the
+    order of `space.blocks`, and T^_s has block (r - s, r) equal to
+    `rep.lowering_block(r, s)` for every r >= s in the box. Only the blocks
+    come from the package; the layout, the products and the norms are
+    computed here.
+    """
+
+    def __init__(self, space):
+        self.space = space
+        self.rep = space.rep
+        self.dim = sum(loc.rank for loc in space.locs)
+        self._slices = {}
+        self._locs = {}
+        start = 0
+        for s, loc in zip(space.blocks, space.locs, strict=True):
+            self._slices[s] = slice(start, start + loc.rank)
+            self._locs[s] = loc
+            start += loc.rank
+        self._hats = {}
+
+    def block_slice(self, s) -> slice:
+        return self._slices[tuple(s)]
+
+    def block_loc(self, s):
+        return self._locs[tuple(s)]
+
+    def hat(self, s) -> np.ndarray:
+        """T^_s on H_L."""
+        s = tuple(s)
+        if s not in self._hats:
+            if not any(s):
+                mat = np.eye(self.dim, dtype=complex)
+            else:
+                mat = np.zeros((self.dim, self.dim), dtype=complex)
+                for r in self.space.blocks:
+                    if _leq(s, r):
+                        mat[self.block_slice(_sub(r, s)), self.block_slice(r)] = self.rep.lowering_block(r, s)
+            self._hats[s] = mat
+        return self._hats[s]
+
+    def delta(self, s, x, h) -> np.ndarray:
+        """Coordinates of delta_s . (x (x) h); for s = 0, x is ignored."""
+        s = tuple(s)
+        out = np.zeros(self.dim, dtype=complex)
+        h = np.asarray(h, dtype=complex)
+        if not any(s):
+            out[self.block_slice(s)] = h
+        else:
+            out[self.block_slice(s)] = self.block_loc(s).factor @ np.kron(np.asarray(x, dtype=complex), h)
+        return out
+
+
+def hat_semigroup_dense(dense: DenseFock, s, t) -> float:
+    """|| T^_s T^_t - T^_{s+t} || from the dense matrices."""
+    return _opnorm(dense.hat(s) @ dense.hat(t) - dense.hat(_add(s, t)))
+
+
+def technology_dense(dense: DenseFock) -> float:
+    """max over 0 < s <= L of || (T^_s restricted to block s, into block 0) F_s - T_s ||."""
+    zero = tuple(0 for _ in dense.space.bound)
+    worst = 0.0
+    for s in dense.space.blocks:
+        if any(s):
+            block = dense.hat(s)[dense.block_slice(zero), dense.block_slice(s)]
+            worst = max(worst, _opnorm(block @ dense.block_loc(s).factor - dense.rep.t_raw(s)))
+    return worst
+
+
+def check_technology(dense: DenseFock, s, x, h) -> float:
+    """|| T^_s (delta_s . x (x) h) - delta_0 . T_s(x) h || for one vector."""
+    s = tuple(s)
+    zero = tuple(0 for _ in s)
+    raw = np.kron(np.asarray(x, dtype=complex), np.asarray(h, dtype=complex))
+    expected = dense.delta(zero, None, dense.rep.t_raw(s) @ raw)
+    return float(np.linalg.norm(dense.hat(s) @ dense.delta(s, x, h) - expected))
+
+
+def hat_doubly_commuting_dense(dense: DenseFock, j: int, k: int, s_j: int = 1, s_k: int = 1) -> float:
+    """|| T^_a^H T^_b - T^_b T^_a^H || for a = s_j e_j, b = s_k e_k."""
+    nlat = len(dense.space.bound)
+    a = dense.hat(tuple(s_j if i == j - 1 else 0 for i in range(nlat)))
+    b = dense.hat(tuple(s_k if i == k - 1 else 0 for i in range(nlat)))
+    return _opnorm(a.conj().T @ b - b @ a.conj().T)
+
+
+def a_action(dense: DenseFock, a) -> np.ndarray:
+    """Block-diagonal left action of an algebra element on H_L."""
+    from dilationlab.correspondence import descend_map
+
+    rep = dense.rep
+    mat = np.zeros((dense.dim, dense.dim), dtype=complex)
+    for s in dense.space.blocks:
+        sl = dense.block_slice(s)
+        if not any(s):
+            mat[sl, sl] = rep.sigma.apply(a.coords)
+        else:
+            corr = rep.system.fiber(s).correspondence
+            loc = dense.block_loc(s)
+            raw = np.kron(corr.act_left(a.coords), np.eye(rep.dim))
+            mat[sl, sl] = descend_map(raw, loc, loc, rep.tol)
+    return mat
+
+
+def brehmer_check_hat(dense: DenseFock, v, s) -> float:
+    """Minimum eigenvalue of sum over u subset v of (-1)^|u| T^_{s[u]}^H T^_{s[u]}."""
+    total = np.zeros((dense.dim, dense.dim), dtype=complex)
+    v = tuple(sorted(v))
+    for r in range(len(v) + 1):
+        for u in itertools.combinations(v, r):
+            su = tuple(c if i + 1 in u else 0 for i, c in enumerate(s))
+            hat = dense.hat(su)
+            total += (-1) ** len(u) * (hat.conj().T @ hat)
+    if dense.dim == 0:
+        return 0.0
+    return float(np.linalg.eigvalsh(0.5 * (total + total.conj().T)).min())
+
+
+# -- per-pair loop references for the stacked package checks ------------------
+
+
+def homomorphism_residuals_loop(mul_table: np.ndarray, right: np.ndarray, left: np.ndarray) -> tuple[float, float]:
+    """max over basis pairs (p, q) of || right(f_p f_q) - right(f_q) right(f_p) ||
+    and || left(f_p f_q) - left(f_p) left(f_q) ||, one pair at a time."""
+    r_hom = l_hom = 0.0
+    n = mul_table.shape[0]
+    for p in range(n):
+        for q in range(n):
+            combo_r = np.tensordot(mul_table[p, q], right, axes=(0, 0))
+            r_hom = max(r_hom, _opnorm(combo_r - right[q] @ right[p]))
+            combo_l = np.tensordot(mul_table[p, q], left, axes=(0, 0))
+            l_hom = max(l_hom, _opnorm(combo_l - left[p] @ left[q]))
+    return r_hom, l_hom
+
+
+def sigma_residuals_loop(mul_table: np.ndarray, adj: np.ndarray, mats: np.ndarray) -> tuple[float, float]:
+    """Multiplicative and *-preserving residuals of a representation given by
+    its basis images `mats`, one basis element or pair at a time."""
+    _, left_hom = homomorphism_residuals_loop(mul_table, mats, mats)
+    star = 0.0
+    for p in range(mats.shape[0]):
+        combo = np.tensordot(adj[p], mats, axes=(0, 0))
+        star = max(star, _opnorm(combo - mats[p].conj().T))
+    return left_hom, star
+
+
+def verify_regular_dilation_loop(bundle, guard: int = 1) -> dict[str, float]:
+    """verify_regular_dilation with one operator norm per basis pair and one
+    Kronecker product per semigroup pair, as the package computed it before
+    its checks were stacked."""
+    from dilationlab import cstar
+    from dilationlab.dilation import _orth_cols
+
+    def support(s):
+        return {i for i, c in enumerate(s) if c}
+
+    rep = bundle.rep
+    sys_ = rep.system
+    alg = sys_.algebra
+    points = bundle.window.points
+    gbound = tuple(max(0, b - guard) for b in bundle.window.bound)
+    zero = tuple(0 for _ in bundle.window.bound)
+    gen0 = bundle.gen_block(zero)
+    p_h = gen0 @ gen0.conj().T
+    v0 = bundle.isometric_rep.sigma
+    rank = bundle.rank
+    d = rep.dim
+
+    def v_of(s, a):
+        return bundle.v_raw(s)[:, a * rank : (a + 1) * rank]
+
+    item1 = 0.0
+    for p in range(alg.dim):
+        item1 = max(item1, _opnorm(v0.mats[p] @ p_h - p_h @ v0.mats[p]))
+        item1 = max(item1, _opnorm(gen0.conj().T @ v0.mats[p] @ gen0 - rep.sigma.mats[p]))
+    star_hom = max(
+        sigma_residuals_loop(cstar.multiplication_table(alg), cstar.adjoint_table(alg), v0.mats)
+    )
+
+    item2 = 0.0
+    for s_neg in points:
+        for s_pos in points:
+            if support(s_neg) & support(s_pos):
+                continue
+            lhs = bundle.gen_block(s_neg).conj().T @ bundle.gen_block(s_pos)
+            rhs = rep.t_raw(s_neg).conj().T @ rep.t_raw(s_pos)
+            item2 = max(item2, _opnorm(lhs - rhs))
+
+    item3 = 0.0
+    for s in points:
+        if any(s):
+            g_s = bundle.gen_block(s)
+            for a in range(sys_.fiber_dim(s)):
+                item3 = max(item3, _opnorm(v_of(s, a) @ gen0 - g_s[:, a * d : (a + 1) * d]))
+    span_direct = np.concatenate(
+        [gen0] + [v_of(s, a) @ gen0 for s in points if any(s) for a in range(sys_.fiber_dim(s))],
+        axis=1,
+    )
+    if bundle.k_min_rank() != int(
+        np.linalg.matrix_rank(span_direct, tol=1e-8 * max(1.0, _opnorm(span_direct)))
+    ):
+        item3 = np.inf
+
+    item4 = 0.0
+    for s in points:
+        if any(s):
+            q_dom = _orth_cols(bundle.domain(s))
+            q_perp = _orth_cols(q_dom - p_h @ q_dom)
+            for a in range(sys_.fiber_dim(s)):
+                item4 = max(item4, _opnorm(gen0.conj().T @ v_of(s, a) @ q_perp))
+
+    iso_res = 0.0
+    for s in points:
+        if not any(s) or not _leq(s, gbound):
+            continue
+        corr = sys_.fiber(s).correspondence
+        dom = bundle.domain(s)
+        for a in range(sys_.fiber_dim(s)):
+            va = v_of(s, a) @ dom
+            for b in range(sys_.fiber_dim(s)):
+                vb = v_of(s, b) @ dom
+                v0g = v0.apply(corr.gram[a, b])
+                iso_res = max(iso_res, float(np.abs(va.conj().T @ vb - dom.conj().T @ v0g @ dom).max()))
+
+    semi_res = 0.0
+    for s in points:
+        for t in points:
+            st = _add(s, t)
+            if not any(s) or not any(t) or not _leq(st, gbound):
+                continue
+            mu = sys_.mult_iso(s, t).mu
+            dom = bundle.domain(st)
+            p_t = sys_.fiber_dim(t)
+            for a in range(sys_.fiber_dim(s)):
+                for b in range(p_t):
+                    lhs = bundle.v_raw(st) @ np.kron(mu[:, [a * p_t + b]], np.eye(rank))
+                    rhs = v_of(s, a) @ v_of(t, b)
+                    semi_res = max(semi_res, _opnorm((lhs - rhs) @ dom))
+
+    return {
+        "regular_item1": item1,
+        "regular_item2": item2,
+        "regular_item3": float(item3),
+        "regular_item4": item4,
+        "V_isometry": iso_res,
+        "V_semigroup": semi_res,
+        "V0_star_hom": star_hom,
+    }
+
+
+# -- predicates on package objects that only the tests use --------------------
+
+
+def is_isometric(rep, s, tol: float = 1e-10) -> bool:
+    tt = rep.t_tilde(s)
+    return _opnorm(tt.conj().T @ tt - np.eye(tt.shape[1])) <= tol
+
+
+def is_fully_coisometric(rep, s, tol: float = 1e-10) -> bool:
+    tt = rep.t_tilde(s)
+    return _opnorm(tt @ tt.conj().T - np.eye(tt.shape[0])) <= tol

@@ -259,3 +259,31 @@ def test_parse_point_broadcast():
         cli._parse_point("1,2,3", 2, "--L")
     with pytest.raises(InstanceFormatError):
         cli._parse_point("x", 2, "--L")
+
+
+def _raise_memory_error(*_args, **_kwargs):
+    raise MemoryError("Unable to allocate 64.0 GiB for an array with shape (92160, 92160)")
+
+
+@pytest.mark.parametrize(
+    "command, target",
+    [
+        ("validate", "validate_representation"),
+        ("check", "validate_representation"),
+        ("dilate", "window_gram"),
+        ("verify", "window_gram"),
+    ],
+)
+def test_out_of_memory_is_a_documented_exit(tmp_path, monkeypatch, capsys, command, target):
+    args = [command, SCALAR, "--out", str(tmp_path / "r.json")]
+    if command == "verify":
+        reference = tmp_path / "reference.json"
+        assert run(["dilate", SCALAR, "--L", "2", "--out", str(reference)]) == cli.EXIT_OK
+        args += ["--report", str(reference)]
+    monkeypatch.setattr(cli, target, _raise_memory_error)
+    assert run(args) == cli.EXIT_OUT_OF_MEMORY == 6
+    report = read_report(tmp_path / "r.json")
+    assert report["error"] == "out of memory: Unable to allocate 64.0 GiB for an array with shape (92160, 92160)"
+    assert report["verdicts"] == {} and report["checks"] == []
+    assert report["command"] == ("dilate" if command == "verify" else command)
+    assert "Traceback" not in capsys.readouterr().err

@@ -18,7 +18,12 @@ from dilationlab.correspondence import (
 )
 from dilationlab.errors import InvalidArgumentError, NotWellDefinedError
 
-from oracles import compressed_action_einsum, congruent_gram_einsum, raw_tensor_gram_loop
+from oracles import (
+    compressed_action_einsum,
+    congruent_gram_einsum,
+    homomorphism_residuals_loop,
+    raw_tensor_gram_loop,
+)
 
 
 @pytest.fixture(scope="module")
@@ -249,3 +254,16 @@ def test_tensor_surjection_is_interior_tensor_surjection(name):
     want = interior_tensor(e, f)[1]
     assert np.array_equal(got, want)
     assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("name", sorted(TENSOR_PAIRS))
+def test_homomorphism_residuals_match_loop_oracle(name):
+    """The stacked right/left homomorphism residuals equal the per-pair
+    loop's; the random arrays make them nonzero."""
+    for corr in TENSOR_PAIRS[name]():
+        res = validate_correspondence(corr)
+        want = homomorphism_residuals_loop(
+            cstar.multiplication_table(corr.algebra), corr.right_action, corr.left_action
+        )
+        got = (res["right_homomorphism"], res["left_homomorphism"])
+        assert np.allclose(got, want, rtol=0, atol=1e-13), (got, want)

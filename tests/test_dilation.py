@@ -14,11 +14,14 @@ from dilationlab.errors import InvalidArgumentError, NotPositiveDefiniteError
 from dilationlab.families import _scalar_instance, generate
 from dilationlab.hatspace import TruncatedFock
 from dilationlab.instances import parse_instance
+from dilationlab.representation import AlgebraRepresentation, CCRepresentation
 from oracles import (
+    DenseFock,
     doubly_commuting_V_inline,
     full_window_gram,
     schaffer_inner_products,
     toeplitz_margin_scalar,
+    verify_regular_dilation_loop,
     window_points,
 )
 
@@ -66,10 +69,11 @@ def test_kernel_is_generating_subblock_of_full_gram(request, name, bound):
     inst = request.getfixturevalue(name)
     space = TruncatedFock(inst.representation, bound)
     window = window_gram(space, bound)
-    full, full_margin = full_window_gram(space, bound)
+    dense = DenseFock(space)
+    full, full_margin = full_window_gram(dense, bound)
     assert list(window.points) == window_points(bound)
     rows = np.concatenate(
-        [a * space.dim + np.arange(space.dim)[space.block_slice(t)] for a, t in enumerate(window.points)]
+        [a * space.dim + np.arange(space.dim)[dense.block_slice(t)] for a, t in enumerate(window.points)]
     )
     assert window.gram.shape == (rows.size, rows.size)
     assert np.abs(window.gram - full[np.ix_(rows, rows)]).max() <= 1e-12
@@ -231,3 +235,54 @@ def test_doubly_commuting_V_needs_distinct_directions(scalar_pair):
     bundle = bundle_of(scalar_pair, (2, 2))
     with pytest.raises(InvalidArgumentError):
         verify_doubly_commuting_V(bundle, 1, 1)
+
+
+STACKED_VERIFY_CASES = [
+    ("scalar_pair", None, (2, 2)),
+    ("half_scalar", None, (3,)),
+    ("mult_m2", None, (2, 2)),
+    ("multiplication-isometric", dict(k=2, dims=3), (2, 2)),
+    ("multiplication-isometric", dict(k=3, dims=2), (1, 1, 1)),
+    ("diagonal-doubly-commuting", dict(seed=2, k=2, dims=3), (3, 3)),
+    ("random-contractive", dict(seed=1, k=2), (2, 2)),
+]
+
+
+def _push_off_the_dilation(bundle, eps: float) -> None:
+    """Perturb the recovered V_0 and every V_s by about eps, so that the
+    verification residuals are of that size instead of rounding noise."""
+    rng = np.random.default_rng(0)
+
+    def noise(shape):
+        return eps * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+    iso = bundle.isometric_rep
+    sigma = AlgebraRepresentation(iso.system.algebra, iso.dim, iso.sigma.mats + noise(iso.sigma.mats.shape))
+    bundle.__dict__["isometric_rep"] = CCRepresentation(iso.system, sigma, iso.t_maps, tol=iso.tol)
+    for s in bundle.window.points:
+        if any(s):
+            v = bundle.v_raw(s)
+            bundle._v_raw[s] = v + noise(v.shape)
+
+
+@pytest.mark.parametrize("name, gen_args, bound", STACKED_VERIFY_CASES)
+@pytest.mark.parametrize("guard", [0, 1])
+@pytest.mark.parametrize("eps", [0.0, 1e-3])
+def test_stacked_verify_matches_loop_oracle(request, name, gen_args, bound, guard, eps):
+    """verify_regular_dilation's stacked blocks give the residuals of its
+    per-pair form, up to summation order, on the recovered dilation and on
+    one pushed off it."""
+    if gen_args is None:
+        inst = request.getfixturevalue(name)
+    else:
+        inst = parse_instance(generate(name, **gen_args))
+    bundle = bundle_of(inst, bound)
+    if eps:
+        _push_off_the_dilation(bundle, eps)
+    got = verify_regular_dilation(bundle, guard=guard)
+    want = verify_regular_dilation_loop(bundle, guard=guard)
+    assert list(got) == list(want)
+    for key, value in want.items():
+        assert got[key] == value or abs(got[key] - value) <= 1e-13, (key, got[key], value)
+    if eps and guard == 0:  # every check has blocks when nothing is guarded away
+        assert min(got["V_isometry"], got["V_semigroup"], got["regular_item1"], got["V0_star_hom"]) > 1e-5

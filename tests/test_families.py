@@ -41,7 +41,7 @@ def test_diagonal_family_is_doubly_commuting():
 
 
 def test_multiplication_family_is_isometric():
-    from dilationlab.representation import is_isometric
+    from oracles import is_isometric
 
     inst = parse_instance(generate("multiplication-isometric", seed=0, k=2, dims=2))
     assert is_isometric(inst.representation, (1, 1))

@@ -1,25 +1,35 @@
 import itertools
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import dilationlab
 from dilationlab import cstar, lattice
-from dilationlab.errors import InvalidArgumentError
-from dilationlab.hatspace import (
-    TruncatedFock,
-    a_action,
-    brehmer_check_hat,
-    check_hat_semigroup,
-    check_technology,
-)
+from dilationlab.dilation import verify_hat_doubly_commuting
+from dilationlab.families import generate
+from dilationlab.hatspace import TruncatedFock, check_hat_semigroup, hat_checks
+from dilationlab.instances import parse_instance
 from dilationlab.linalg import opnorm
 from dilationlab.representation import brehmer_check_NS
+from oracles import (
+    DenseFock,
+    a_action,
+    brehmer_check_hat,
+    check_technology,
+    hat_doubly_commuting_dense,
+    hat_semigroup_dense,
+    technology_dense,
+)
+from test_acceptance import _suite_instances
 
 
 def test_scalar_space_dimensions(half_scalar):
     space = TruncatedFock(half_scalar.representation, (2,))
     assert space.dim == 3
-    assert [space.block_slice(s) for s in space.blocks] == [
+    dense = DenseFock(space)
+    assert [dense.block_slice(s) for s in space.blocks] == [
         slice(0, 1),
         slice(1, 2),
         slice(2, 3),
@@ -33,21 +43,21 @@ def test_m2_space_dimension(mult_m2):
 
 
 def test_hat_zero_is_identity(half_scalar):
-    space = TruncatedFock(half_scalar.representation, (2,))
-    assert np.array_equal(space.hat((0,)).matrix, np.eye(3))
+    dense = DenseFock(TruncatedFock(half_scalar.representation, (2,)))
+    assert np.array_equal(dense.hat((0,)), np.eye(3))
 
 
 def test_hat_scalar_entries(half_scalar):
-    space = TruncatedFock(half_scalar.representation, (2,))
+    dense = DenseFock(TruncatedFock(half_scalar.representation, (2,)))
     expected = np.zeros((3, 3))
     expected[0, 1] = expected[1, 2] = 0.5
-    assert np.allclose(space.hat((1,)).matrix, expected, atol=1e-14)
-    assert np.allclose(space.hat((2,)).matrix, np.diag([0.25], k=2), atol=1e-14)
+    assert np.allclose(dense.hat((1,)), expected, atol=1e-14)
+    assert np.allclose(dense.hat((2,)), np.diag([0.25], k=2), atol=1e-14)
 
 
 def test_hat_vanishes_beyond_bound(half_scalar):
-    space = TruncatedFock(half_scalar.representation, (2,))
-    assert opnorm(space.hat((3,)).matrix) == 0.0
+    dense = DenseFock(TruncatedFock(half_scalar.representation, (2,)))
+    assert opnorm(dense.hat((3,))) == 0.0
 
 
 def test_hat_semigroup(scalar_pair, mult_m2):
@@ -62,48 +72,46 @@ def test_hat_semigroup(scalar_pair, mult_m2):
 
 def test_hat_norm_contractive(scalar_pair, mult_m2, nilpotent_pair):
     for inst in (scalar_pair, mult_m2, nilpotent_pair):
-        space = TruncatedFock(inst.representation, (2, 2))
-        for s in space.blocks:
-            assert space.hat(s).norm <= 1.0 + 1e-10
+        dense = DenseFock(TruncatedFock(inst.representation, (2, 2)))
+        for s in dense.space.blocks:
+            assert opnorm(dense.hat(s)) <= 1.0 + 1e-10
 
 
 def test_technology(mult_m2):
     space = TruncatedFock(mult_m2.representation, (2, 1))
+    dense = DenseFock(space)
     rng = np.random.default_rng(5)
     for s in [(1, 0), (0, 1), (2, 1)]:
         m = mult_m2.system.fiber_dim(s)
         x = rng.standard_normal(m) + 1j * rng.standard_normal(m)
         h = rng.standard_normal(2) + 1j * rng.standard_normal(2)
-        assert check_technology(space, s, x, h) <= 1e-10
-    with pytest.raises(InvalidArgumentError):
-        check_technology(space, (0, 0), None, np.ones(2))
-    with pytest.raises(InvalidArgumentError):
-        check_technology(space, (3, 0), np.ones(8), np.ones(2))
+        assert check_technology(dense, s, x, h) <= 1e-10
+    assert hat_checks(space)["technology"] <= 1e-10
 
 
 def test_a_action_star_homomorphism(mult_m2):
-    space = TruncatedFock(mult_m2.representation, (2, 2))
+    dense = DenseFock(TruncatedFock(mult_m2.representation, (2, 2)))
     alg = mult_m2.algebra
     rng = np.random.default_rng(3)
     a = cstar.random_element(alg, rng)
     b = cstar.random_element(alg, rng)
-    pa, pb = a_action(space, a), a_action(space, b)
-    assert opnorm(a_action(space, cstar.unit(alg)) - np.eye(space.dim)) <= 1e-12
-    assert opnorm(pa @ pb - a_action(space, cstar.mul(a, b))) <= 1e-10
-    assert opnorm(a_action(space, cstar.adjoint(a)) - pa.conj().T) <= 1e-12
+    pa, pb = a_action(dense, a), a_action(dense, b)
+    assert opnorm(a_action(dense, cstar.unit(alg)) - np.eye(dense.dim)) <= 1e-12
+    assert opnorm(pa @ pb - a_action(dense, cstar.mul(a, b))) <= 1e-10
+    assert opnorm(a_action(dense, cstar.adjoint(a)) - pa.conj().T) <= 1e-12
 
 
 def test_a_action_commutes_with_hat(mult_m2):
-    space = TruncatedFock(mult_m2.representation, (2, 2))
-    pa = a_action(space, cstar.random_element(mult_m2.algebra, np.random.default_rng(4)))
-    for s in space.blocks:
-        hs = space.hat(s).matrix
+    dense = DenseFock(TruncatedFock(mult_m2.representation, (2, 2)))
+    pa = a_action(dense, cstar.random_element(mult_m2.algebra, np.random.default_rng(4)))
+    for s in dense.space.blocks:
+        hs = dense.hat(s)
         assert opnorm(pa @ hs - hs @ pa) <= 1e-10
 
 
 def test_brehmer_hat_half_scalar(half_scalar):
-    space = TruncatedFock(half_scalar.representation, (4,))
-    assert brehmer_check_hat(space, (1,), (1,)) == pytest.approx(0.75, abs=1e-12)
+    dense = DenseFock(TruncatedFock(half_scalar.representation, (4,)))
+    assert brehmer_check_hat(dense, (1,), (1,)) == pytest.approx(0.75, abs=1e-12)
 
 
 def test_ns_implies_hat_brehmer(scalar_pair, mult_m2):
@@ -111,15 +119,65 @@ def test_ns_implies_hat_brehmer(scalar_pair, mult_m2):
     # the truncated-space alternating sum stays essentially nonnegative
     for inst in (scalar_pair, mult_m2):
         rep = inst.representation
-        space = TruncatedFock(rep, (2, 2))
+        dense = DenseFock(TruncatedFock(rep, (2, 2)))
         for v in [(1,), (2,), (1, 2)]:
             for s in itertools.product([1, 2], repeat=2):
                 if any(s[i - 1] == 0 for i in v):
                     continue
                 assert brehmer_check_NS(rep, v, s) >= -1e-10
-                assert brehmer_check_hat(space, v, s) >= -1e-9
+                assert brehmer_check_hat(dense, v, s) >= -1e-9
 
 
 def test_nilpotent_hat_brehmer_negative(nilpotent_pair):
-    space = TruncatedFock(nilpotent_pair.representation, (2, 2))
-    assert brehmer_check_hat(space, (1, 2), (1, 1)) < -0.5
+    dense = DenseFock(TruncatedFock(nilpotent_pair.representation, (2, 2)))
+    assert brehmer_check_hat(dense, (1, 2), (1, 1)) < -0.5
+
+
+def _blockwise_cases():
+    """The criterion-1 corpus at L = (3, 3), plus k = 3 instances at L = (2, 2, 2),
+    one of them not doubly commuting."""
+    cases = [(inst, (3, 3)) for inst in _suite_instances()]
+    for family in ("random-contractive", "diagonal-doubly-commuting"):
+        cases.append((parse_instance(generate(family, seed=1, k=3, dims=2)), (2, 2, 2)))
+    return cases
+
+
+def test_blockwise_checks_match_dense_oracle():
+    """Each blockwise residual equals the norm of the dense T^ identity."""
+    worst = 0.0
+    dc_seen = 0.0
+    for inst, bound in _blockwise_cases():
+        space = TruncatedFock(inst.representation, bound)
+        dense = DenseFock(space)
+        semi = [
+            (check_hat_semigroup(space, s, t), hat_semigroup_dense(dense, s, t))
+            for s in space.blocks
+            for t in space.blocks
+        ]
+        worst = max([worst] + [abs(a - b) for a, b in semi])
+        checks = hat_checks(space)
+        worst = max(worst, abs(checks["hat_semigroup"] - max(b for _, b in semi)))
+        worst = max(worst, abs(checks["technology"] - technology_dense(dense)))
+        k = inst.system.k
+        for j, l in itertools.permutations(range(1, k + 1), 2):
+            for s_j, s_k in [(1, 1), (2, 1), (1, 2), (4, 1)]:
+                got = verify_hat_doubly_commuting(space, j, l, s_j, s_k)
+                worst = max(worst, abs(got - hat_doubly_commuting_dense(dense, j, l, s_j, s_k)))
+                dc_seen = max(dc_seen, got)
+    assert worst <= 1e-13
+    assert dc_seen > 1e-3  # the comparison covers a nonzero doubly-commuting defect
+
+
+def test_package_forms_no_dense_hat():
+    """The package checks T^ block by block; a dim H_L square T^ matrix is a
+    test oracle only (tests/oracles.py DenseFock)."""
+    pattern = re.compile(r"\bHatOperator\b|\bdef hat\(|\.hat\(")
+    package = Path(dilationlab.__file__).parent
+    hits = [
+        f"{path.relative_to(package)}:{number}"
+        for path in sorted(package.rglob("*.py"))
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1)
+        if pattern.search(line)
+    ]
+    assert hits == []
+    assert not hasattr(TruncatedFock, "hat")

@@ -11,6 +11,7 @@ from dilationlab.errors import NotWellDefinedError
 from dilationlab.linalg import (
     kron,
     lstsq_map,
+    max_opnorm,
     null_split,
     opnorm,
     pivoted_cholesky,
@@ -63,6 +64,39 @@ def test_package_calls_no_numpy_kron():
         if pattern.search(line)
     ]
     assert hits == []
+
+
+def _max_opnorm_cases():
+    rng = np.random.default_rng(11)
+
+    def rand(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    return {
+        "no-blocks": [],
+        "zero-size": [np.zeros((0, 3)), np.zeros((2, 0))],
+        "zero-size-and-one": [np.zeros((0, 3)), rand(2, 2)],
+        "one-block": [rand(4, 3)],
+        "mixed-shapes": [rand(3, 3), rand(2, 5), rand(3, 3) * 2.0, rand(5, 2), np.zeros((3, 3))],
+        "real-and-complex": [rng.standard_normal((2, 2)) * 3.0, rand(2, 2)],
+        "zeros": [np.zeros((2, 2)), np.zeros((2, 2))],
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_max_opnorm_cases()))
+def test_max_opnorm_equals_max_of_opnorms(name):
+    blocks = _max_opnorm_cases()[name]
+    want = max((opnorm(b) for b in blocks), default=0.0)
+    got = max_opnorm(blocks)
+    assert isinstance(got, float)
+    assert abs(got - want) <= 1e-14 * max(1.0, want)
+    # any iterable of blocks, a generator or a 3-D stack, gives the same
+    assert max_opnorm(b for b in blocks) == got
+
+
+def test_max_opnorm_takes_a_stack():
+    stack = np.random.default_rng(2).standard_normal((6, 3, 4))
+    assert abs(max_opnorm(stack) - max(opnorm(b) for b in stack)) <= 1e-14
 
 
 def test_psd_factor_reconstructs():

@@ -1,17 +1,18 @@
 import numpy as np
 import pytest
 
+from dilationlab import cstar
 from dilationlab.errors import InvalidArgumentError
-from dilationlab.families import _scalar_instance
+from dilationlab.families import _scalar_instance, generate
 from dilationlab.instances import parse_instance
 from dilationlab.representation import (
+    AlgebraRepresentation,
     brehmer_check_NS,
     doubly_commuting_check,
-    is_fully_coisometric,
-    is_isometric,
     validate_representation,
+    validate_sigma,
 )
-from oracles import brehmer_sum_scalar
+from oracles import brehmer_sum_scalar, is_fully_coisometric, is_isometric, sigma_residuals_loop
 
 
 def test_fixtures_validate(scalar_pair, nilpotent_pair, half_scalar, mult_m2):
@@ -108,3 +109,22 @@ def test_lowering_block_zero_shift_is_identity(mult_m2, scalar_pair):
             block = rep.lowering_block(t, (0, 0))
             assert np.array_equal(block, np.eye(rep.loc(t).rank))
         assert rep.lowering_raw((0, 0), (0, 0)).shape == (rep.dim, rep.dim)
+
+
+def test_validate_sigma_matches_loop_oracle(mult_m2):
+    """The stacked *-homomorphism residuals equal the per-pair loop's, on
+    representations of M_2, M_3 and C + M_2, and on random matrices (nonzero
+    residuals)."""
+    m3 = parse_instance(generate("multiplication-isometric", seed=0, k=2, dims=3))
+    sigmas = [mult_m2.representation.sigma, m3.representation.sigma]
+    rng = np.random.default_rng(8)
+    for blocks, d in (([1, 2], 3), ([3], 2)):
+        alg = cstar.make_algebra(blocks)
+        mats = rng.standard_normal((alg.dim, d, d)) + 1j * rng.standard_normal((alg.dim, d, d))
+        sigmas.append(AlgebraRepresentation(alg, d, mats))
+    for sigma in sigmas:
+        alg = sigma.algebra
+        res = validate_sigma(sigma)
+        want = sigma_residuals_loop(cstar.multiplication_table(alg), cstar.adjoint_table(alg), sigma.mats)
+        got = (res["multiplicative"], res["star_preserving"])
+        assert np.allclose(got, want, rtol=0, atol=1e-13), (got, want)
