@@ -111,7 +111,11 @@ def _validation_section(inst: Instance) -> tuple[dict, bool]:
 
 def _check_section(inst: Instance, params: dict) -> tuple[dict, dict]:
     """Doubly-commuting residuals per generator pair and the Brehmer-type
-    minimum eigenvalues over the configured box."""
+    minimum eigenvalues over the configured box.
+
+    The Brehmer sum for (v, s) depends on s only through s[v], so it is
+    computed once per restricted point and reported under every key.
+    """
     rep = inst.representation
     k = inst.system.k
     dc = {}
@@ -121,10 +125,14 @@ def _check_section(inst: Instance, params: dict) -> tuple[dict, dict]:
     ns_box = tuple(params.get("NS_box", [2] * k))
     ns = {}
     for v in _nonempty_subsets(k):
+        by_sv: dict[lattice.Point, float] = {}
         for s in lattice.box(ns_box):
             if any(s[i - 1] == 0 for i in v):
                 continue
-            ns[f"v={list(v)},s={list(s)}"] = float(brehmer_check_NS(rep, v, s))
+            sv = lattice.restrict(s, v)
+            if sv not in by_sv:
+                by_sv[sv] = float(brehmer_check_NS(rep, v, sv))
+            ns[f"v={list(v)},s={list(s)}"] = by_sv[sv]
     return dc, ns
 
 

@@ -8,12 +8,10 @@ Two kinds of quotient appear:
 
 * module-level null quotients (``reduce_null``, ``interior_tensor``), taken
   against the trace of the embedded Gram, which vanishes exactly on null
-  vectors of the A-valued semi-inner product. ``tensor_surjection`` builds
-  only the surjection of ``interior_tensor``, for callers that need no
-  reduced Gram or actions. It runs the same steps on the same arrays, so
-  its result equals ``interior_tensor(e, f)[1]`` bit for bit: quotient
-  coordinates made by either one may be mixed, as the doubly-commuting
-  check mixes ``ProductSystem.mult_iso`` with ``CCRepresentation._pair``;
+  vectors of the A-valued semi-inner product. A quotient basis is a set of
+  kept eigenvectors, fixed only up to phases (and rotations within repeated
+  eigenvalues), so coordinates on one quotient must all come from one
+  surjection;
 * Hilbert-space localizations E (x)_sigma H (``localize``), whose quotient
   coordinates carry the standard inner product via a rank-revealing factor.
 """
@@ -173,27 +171,19 @@ def passes(report: dict[str, float], tol: float = DEFAULT_TOL) -> bool:
 # -- quotients -------------------------------------------------------------
 
 
-def _null_quotient(gram: np.ndarray, algebra: CStarAlgebra, tol: float):
-    """Kept basis W and surjection W^H of the null quotient of a Gram.
-
-    W holds the kept eigenvectors of the m x m PSD matrix
-    tr(embed(<e_i, e_j>)), whose kernel is the module null space.
-    """
-    trace = np.einsum("ijp,pkk->ij", gram, algebra.basis_mats)
-    w, _null = null_split(trace, tol, "reduce_null")  # (m, p), orthonormal columns
-    # C-ordered: numpy's stacked matmul falls back to a slow non-BLAS loop
-    # for a transposed operand
-    return w, np.ascontiguousarray(w.conj().T)
-
-
 def reduce_null(corr: Correspondence, tol: float = DEFAULT_TOL):
     """Quotient by module null vectors. Returns (correspondence, surjection).
 
-    With W the kept eigenvectors of the trace Gram (orthonormal columns) and
+    With W the kept eigenvectors (orthonormal columns) of the m x m PSD
+    matrix tr(embed(<e_i, e_j>)), whose kernel is the module null space, and
     the surjection W^H, the quotient has Gram W^H G_p W and actions
     W^H R_p W, W^H L_p W for every algebra basis index p.
     """
-    w, surjection = _null_quotient(corr.gram, corr.algebra, tol)
+    trace = corr.gram @ np.trace(corr.algebra.basis_mats, axis1=1, axis2=2)
+    w, _null = null_split(trace, tol, "reduce_null")
+    # C-ordered: numpy's stacked matmul falls back to a slow non-BLAS loop
+    # for a transposed operand
+    surjection = np.ascontiguousarray(w.conj().T)
     gram = congruent_gram(corr.gram, w)
     right = surjection @ corr.right_action @ w
     left = surjection @ corr.left_action @ w
@@ -212,30 +202,22 @@ def congruent_gram(gram: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.moveaxis(wh @ stacked @ w, 0, 2)
 
 
-def _raw_tensor_gram(e: Correspondence, f: Correspondence) -> np.ndarray:
-    """Gram of the algebraic tensor E (x) F on raw coordinates.
+def _raw_tensor(e: Correspondence, f: Correspondence):
+    """Gram/actions of the algebraic tensor E (x) F on raw coordinates.
 
     <e_i (x) f_j, e_k (x) f_l>_p = <f_j, <e_i, e_k> . f_l>_p
     = sum over r, q of E.gram[i, k, r] F.left[r, q, l] F.gram[j, q, p],
-    with raw index i * m_F + j.
+    with raw index i * m_F + j. The actions are I (x) F.right and
+    E.left (x) I, built for every algebra basis index p in one broadcast
+    product each (entrywise the np.kron).
     """
     if e.algebra != f.algebra:
         raise InvalidArgumentError("interior tensor requires a common algebra")
     me, mf = e.dim, f.dim
+    adim = e.algebra.dim
     act = np.tensordot(e.gram, f.left_action, axes=(2, 0))  # [i, k, q, l]
     gram = np.tensordot(act, f.gram, axes=(2, 1))  # [i, k, l, j, p]
-    return gram.transpose(0, 3, 1, 2, 4).reshape(me * mf, me * mf, e.algebra.dim)
-
-
-def _raw_tensor(e: Correspondence, f: Correspondence):
-    """Gram/actions of the algebraic tensor E (x) F on raw coordinates.
-
-    The actions are I (x) F.right and E.left (x) I, built for every algebra
-    basis index p in one broadcast product each (entrywise the np.kron).
-    """
-    gram = _raw_tensor_gram(e, f)
-    me, mf = e.dim, f.dim
-    adim = e.algebra.dim
+    gram = gram.transpose(0, 3, 1, 2, 4).reshape(me * mf, me * mf, adim)
     right = np.eye(me)[None, :, None, :, None] * f.right_action[:, None, :, None, :]
     left = e.left_action[:, :, None, :, None] * np.eye(mf)[None, None, :, None, :]
     shape = (adim, me * mf, me * mf)
@@ -248,12 +230,6 @@ def interior_tensor(e: Correspondence, f: Correspondence, tol: float = DEFAULT_T
     Returns (correspondence, surjection from raw m_E * m_F coordinates).
     """
     return reduce_null(_raw_tensor(e, f), tol)
-
-
-def tensor_surjection(e: Correspondence, f: Correspondence, tol: float = DEFAULT_TOL) -> np.ndarray:
-    """The surjection of interior_tensor(e, f, tol), bit for bit, without the
-    reduced Gram and actions: raw tensor Gram, its trace, then null_split."""
-    return _null_quotient(_raw_tensor_gram(e, f), e.algebra, tol)[1]
 
 
 # -- localization ----------------------------------------------------------

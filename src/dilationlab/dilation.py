@@ -190,17 +190,25 @@ class DilationBundle:
         return v0
 
     def build_Vs(self, s: lattice.Point, x: np.ndarray) -> np.ndarray:
-        """V_s(x) on C^p, defined on generating vectors at points t <= M - s."""
+        """V_s(x) on C^p, defined on generating vectors at points t <= M - s.
+
+        `x` is one fiber element (a p x p result) or a (p_s, c) block of
+        them (a p x (c p) result, the V_s of the columns side by side). All
+        columns are solved against one pseudo-inverse of the shared domain;
+        the consistency check is the largest residual over the columns.
+        """
         s = tuple(s)
         if lattice.is_zero(s):
             raise InvalidArgumentError("the zero fiber is isometric_rep.sigma")
         if not lattice.leq(s, self.window.bound):
             raise InvalidArgumentError(f"point {s} outside the window")
-        x = np.asarray(x, dtype=complex).reshape(-1, 1)
+        x = np.asarray(x, dtype=complex)
+        x = x.reshape(-1, 1) if x.ndim < 2 else x
         sys_ = self.rep.system
-        if x.shape[0] != sys_.fiber_dim(s):
+        p_s = sys_.fiber_dim(s)
+        if x.shape[0] != p_s:
             raise InvalidArgumentError(
-                f"fiber element has {x.shape[0]} coordinates, expected {sys_.fiber_dim(s)}"
+                f"fiber element has {x.shape[0]} coordinates, expected {p_s}"
             )
         d = self.rep.dim
         doms, tgts = [], []
@@ -209,24 +217,24 @@ class DilationBundle:
             if not lattice.leq(st, self.window.bound):
                 continue
             doms.append(self.gen_block(t))
+            # the targets of e_1 .. e_{p_s} side by side, n columns each;
+            # contracting with x gives the (c, p, n) targets of its columns
             if lattice.is_zero(t):
-                raw = kron(x, np.eye(d))
+                raw = self.gen_block(st)
             else:
-                mu = sys_.mult_iso(s, t).mu
-                raw = kron(mu @ kron(x, np.eye(sys_.fiber_dim(t))), np.eye(d))
-            tgts.append(self.gen_block(st) @ raw)
-        vs, res = lstsq_map(np.concatenate(tgts, axis=1), np.concatenate(doms, axis=1))
+                raw = self.gen_block(st) @ kron(sys_.mult_iso(s, t).mu, np.eye(d))
+            tgts.append(np.tensordot(x, raw.reshape(self.rank, p_s, -1), axes=(0, 1)))
+        vs, res = lstsq_map(np.concatenate(tgts, axis=2), np.concatenate(doms, axis=1))
         require_descent(res, LSQ_TOL, f"build_Vs at {s}")
-        return vs
+        return vs.transpose(1, 0, 2).reshape(self.rank, -1)
 
     def v_raw(self, s: lattice.Point) -> np.ndarray:
         """p x (p_s p) map x (x) k -> V_s(x) k on reduced-fiber (x) C^p raw
-        coordinates: the V_s(e_alpha) side by side, one build_Vs each."""
+        coordinates: the V_s(e_alpha) side by side."""
         s = tuple(s)
         cached = self._v_raw.get(s)
         if cached is None:
-            basis = np.eye(self.rep.system.fiber_dim(s))
-            cached = np.concatenate([self.build_Vs(s, e) for e in basis], axis=1)
+            cached = self.build_Vs(s, np.eye(self.rep.system.fiber_dim(s)))
             self._v_raw[s] = cached
         return cached
 

@@ -94,10 +94,15 @@ def null_split(gram: np.ndarray, tol: float, what: str = "gram"):
 
 
 def lstsq_map(targets: np.ndarray, domain: np.ndarray) -> tuple[np.ndarray, float]:
-    """Least-squares B with B @ domain ~ targets; returns (B, residual norm)."""
-    b = targets @ np.linalg.pinv(domain)
-    res = opnorm(b @ domain - targets)
-    return b, res
+    """Least-squares B with B @ domain ~ targets; returns (B, residual norm).
+
+    A stack of targets (c, m, n) shares one pinv of the domain and gives a
+    stack of maps; its residual is the largest norm over the stack.
+    """
+    flat = targets.reshape(-1, targets.shape[-1])
+    b = flat @ np.linalg.pinv(domain)
+    res = max_opnorm((b @ domain - flat).reshape((-1,) + targets.shape[-2:]))
+    return b.reshape(targets.shape[:-1] + (-1,)), res
 
 
 def require_descent(residual: float, tol: float, what: str) -> None:

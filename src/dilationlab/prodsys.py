@@ -20,7 +20,6 @@ from .correspondence import (
     interior_tensor,
     passes,
     reduce_null,
-    tensor_surjection,
     validate_correspondence,
     _raw_tensor,
 )
@@ -40,30 +39,18 @@ class Fiber:
 class MultIso:
     """U_{s,t}: reduced fiber(s) (x) fiber(t) -> fiber(s+t), in coordinates.
 
-    ``tensor_surjection`` maps the p_s * p_t tensor coordinates onto the
-    reduced interior tensor; ``matrix`` is the unitary U on the quotient;
-    ``mu`` = matrix @ tensor_surjection is the combined multiplication map.
-    The surjection comes from ``correspondence.tensor_surjection``, which
-    equals ``interior_tensor(X(s), X(t))[1]`` bit for bit. It has to:
-    ``doubly_commuting_defect`` applies ``matrix`` to the quotient
-    coordinates of ``CCRepresentation._pair``, which ``interior_tensor``
-    builds. A quotient basis is a set of kept eigenvectors, fixed only up to
-    phases (and rotations within repeated eigenvalues), so a surjection
-    computed any other way could name a different basis.
+    ``mu`` maps the p_s * p_t tensor coordinates x (x) y onto X(s+t). It
+    vanishes on the null vectors of the interior tensor, so ``mu q^H`` is
+    the unitary U on the quotient coordinates of any surjection q with
+    orthonormal rows (such as ``interior_tensor``'s), and ``pinv(mu)`` =
+    ``q^H U^{-1}`` maps X(s+t) back to tensor coordinates: pinv(U q) =
+    q^H pinv(U) because U is invertible and q a coisometry. For s = 0 or
+    t = 0, mu is the left or right action map of A = X(0).
     """
 
     s: lattice.Point
     t: lattice.Point
-    tensor_surjection: np.ndarray = field(compare=False)
-    matrix: np.ndarray = field(compare=False)
-
-    @property
-    def mu(self) -> np.ndarray:
-        return self.matrix @ self.tensor_surjection
-
-    @property
-    def matrix_inv(self) -> np.ndarray:
-        return np.linalg.pinv(self.matrix)
+    mu: np.ndarray = field(compare=False)
 
 
 @dataclass
@@ -105,6 +92,7 @@ class ProductSystem:
 
         self._words: dict[tuple[int, ...], _WordData] = {}
         self._appends: dict[tuple[tuple[int, ...], int], np.ndarray] = {}
+        self._inverse_flips: dict[tuple[int, int], np.ndarray] = {}
         self._isos: dict[tuple[lattice.Point, lattice.Point], MultIso] = {}
         self.validation = self._validate()
 
@@ -176,7 +164,10 @@ class ProductSystem:
         if a < b:
             return self.flips[(a, b)]
         if a > b:
-            return np.linalg.pinv(self.flips[(b, a)])
+            inv = self._inverse_flips.get((a, b))
+            if inv is None:
+                inv = self._inverse_flips[(a, b)] = np.linalg.pinv(self.flips[(b, a)])
+            return inv
         ma = self.generators[a - 1].dim
         return np.eye(ma * ma, dtype=complex)
 
@@ -249,10 +240,11 @@ class ProductSystem:
             m_j = self.generators[j - 1].dim
             p_prefix = self._word(prefix).corr.dim if prefix else 1
             peel = kron(self._last_q(word).conj().T, np.eye(m_i))
-            flip = kron(np.eye(p_prefix), self.flip_for(j, i))
+            # I_{p_prefix} (x) flip, applied to each prefix slice of peel
+            flipped = self.flip_for(j, i) @ peel.reshape(p_prefix, m_j * m_i, -1)
             inner = kron(self._append_map(prefix, i), np.eye(m_j))
             rejoin = self._append_map(tuple(sorted(prefix + (i,))), j)
-            out = rejoin @ inner @ flip @ peel
+            out = rejoin @ inner @ flipped.reshape(p_prefix * m_i * m_j, -1)
         self._appends[key] = out
         return out
 
@@ -264,25 +256,22 @@ class ProductSystem:
         cached = self._isos.get((s, t))
         if cached is not None:
             return cached
-        cs = self._word(self.normal_word(s)).corr
-        ct = self._word(self.normal_word(t)).corr
-        q = tensor_surjection(cs, ct, self.tol)
         if lattice.is_zero(s):
             # left action of A = X(0) on the fiber
-            raw = np.transpose(ct.left_action, (1, 0, 2)).reshape(
+            ct = self._word(self.normal_word(t)).corr
+            mu = np.transpose(ct.left_action, (1, 0, 2)).reshape(
                 ct.dim, self.algebra.dim * ct.dim
             )
-            u = raw @ q.conj().T
         elif lattice.is_zero(t):
             # right action of A = X(0) on the fiber
-            raw = np.transpose(cs.right_action, (1, 2, 0)).reshape(
+            cs = self._word(self.normal_word(s)).corr
+            mu = np.transpose(cs.right_action, (1, 2, 0)).reshape(
                 cs.dim, cs.dim * self.algebra.dim
             )
-            u = raw @ q.conj().T
         else:
             i = max(lattice.support(t))
             t_prev = lattice.sub(t, lattice.unit(len(t), i))
-            p_s = cs.dim
+            p_s = self.fiber_dim(s)
             split = kron(np.eye(p_s), self._last_q(self.normal_word(t)).conj().T)
             if lattice.is_zero(t_prev):
                 mu = self._append_map(self.normal_word(s), i) @ split
@@ -294,43 +283,6 @@ class ProductSystem:
                     @ kron(mu_prev, np.eye(m_i))
                     @ split
                 )
-            u = mu @ q.conj().T
-        iso = MultIso(s, t, q, u)
+        iso = MultIso(s, t, mu)
         self._isos[(s, t)] = iso
         return iso
-
-    def mult_iso_unitarity(self, s: lattice.Point, t: lattice.Point) -> float:
-        """Residual of U preserving the embedded interior-tensor inner product."""
-        iso = self.mult_iso(s, t)
-        n = self.algebra.rep_dim
-        cs = self._word(self.normal_word(s)).corr
-        ct = self._word(self.normal_word(t)).corr
-        tensor_red, _q = interior_tensor(cs, ct, self.tol)
-        src = tensor_red.gram_embedded()
-        tgt = self._word(self.normal_word(lattice.add(s, t))).corr.gram_embedded()
-        u_big = kron(iso.matrix, np.eye(n))
-        fwd = opnorm(u_big.conj().T @ tgt @ u_big - src)
-        # invertibility both ways: U^{-1} must also preserve inner products
-        inv_big = kron(iso.matrix_inv, np.eye(n))
-        bwd = opnorm(inv_big.conj().T @ src @ inv_big - tgt)
-        return max(fwd, bwd)
-
-    def check_associativity(
-        self, s: lattice.Point, t: lattice.Point, r: lattice.Point
-    ) -> float:
-        """|| U_{s+t,r}(U_{s,t} (x) I) - U_{s,t+r}(I (x) U_{t,r}) || on quotients."""
-        ps = self.fiber_dim(s)
-        pr = self.fiber_dim(r)
-        mu_st = self.mult_iso(s, t).mu
-        mu_tr = self.mult_iso(t, r).mu
-        lhs = self.mult_iso(lattice.add(s, t), r).mu @ kron(mu_st, np.eye(pr))
-        rhs = self.mult_iso(s, lattice.add(t, r)).mu @ kron(np.eye(ps), mu_tr)
-        # weight by the lift of the reduced triple tensor so null directions
-        # of the semi-inner product do not contribute
-        cs = self._word(self.normal_word(s)).corr
-        ct = self._word(self.normal_word(t)).corr
-        cr = self._word(self.normal_word(r)).corr
-        c_st, q1 = interior_tensor(cs, ct, self.tol)
-        q2 = tensor_surjection(c_st, cr, self.tol)
-        lift3 = kron(q1.conj().T, np.eye(cr.dim)) @ q2.conj().T
-        return opnorm((lhs - rhs) @ lift3)

@@ -155,9 +155,8 @@ class CCRepresentation:
         rest = lattice.sub(t, s)
         if lattice.is_zero(rest):
             return self.t_raw(s)
-        iso = self.system.mult_iso(rest, s)
         p_rest = self.system.fiber_dim(rest)
-        split = iso.tensor_surjection.conj().T @ iso.matrix_inv  # p_t -> p_rest p_s
+        split = np.linalg.pinv(self.system.mult_iso(rest, s).mu)  # p_t -> p_rest p_s
         return kron(np.eye(p_rest), self.t_raw(s)) @ kron(split, np.eye(d))
 
     def lowering_block(self, t: lattice.Point, s: lattice.Point) -> np.ndarray:
@@ -185,12 +184,13 @@ class CCRepresentation:
         return pair, q, localize(pair, self.sigma.mats, self.tol)
 
     def _ext_map(self, a: lattice.Point, b: lattice.Point):
-        """(I_a (x) T~_b): loc(X(a) (x) X(b)) -> loc(a), plus pair data."""
+        """(I_a (x) T~_b): loc(X(a) (x) X(b)) -> loc(a), plus the pair's
+        localization and its quotient surjection q."""
         pair, q, loc_pair = self._pair(a, b)
         p_a = self.system.fiber_dim(a)
         d = self.dim
         raw = kron(np.eye(p_a), self.t_raw(b)) @ kron(q.conj().T, np.eye(d))
-        return descend_map(raw, loc_pair, self.loc(a), self.tol), loc_pair
+        return descend_map(raw, loc_pair, self.loc(a), self.tol), loc_pair, q
 
 
 def validate_representation(rep: CCRepresentation) -> dict[str, float]:
@@ -243,7 +243,13 @@ def doubly_commuting_defect(
     rep: CCRepresentation, j: int, k: int, s_j: int = 1, s_k: int = 1
 ) -> np.ndarray:
     """LHS - RHS of the doubly-commuting identity, a map loc(a) -> loc(b)
-    for a = s_j e_j and b = s_k e_k."""
+    for a = s_j e_j and b = s_k e_k.
+
+    The flip t = U_{b,a}^{-1} U_{a,b} acts on the quotient coordinates of
+    the reduced pairs X(a) (x) X(b) and X(b) (x) X(a). Each U = mu q^H is
+    formed from the surjection q of ``CCRepresentation._pair``, the same
+    one the extension maps use, so all the maps share one quotient basis.
+    """
     if j == k:
         raise InvalidArgumentError("doubly commuting check needs distinct directions")
     if s_j < 1 or s_k < 1:
@@ -254,11 +260,11 @@ def doubly_commuting_defect(
     # RHS: T~_b^H T~_a
     rhs = rep.t_tilde(b).conj().T @ rep.t_tilde(a)
     # LHS: (I_b (x) T~_a)(t (x) I_H)(I_a (x) T~_b^H)
-    ext_ab, loc_ab = rep._ext_map(a, b)  # loc(X(a)(x)X(b)) -> loc(a)
-    ext_ba, loc_ba = rep._ext_map(b, a)  # loc(X(b)(x)X(a)) -> loc(b)
-    iso_ab = rep.system.mult_iso(a, b)
-    iso_ba = rep.system.mult_iso(b, a)
-    t_mod = np.linalg.pinv(iso_ba.matrix) @ iso_ab.matrix
+    ext_ab, loc_ab, q_ab = rep._ext_map(a, b)  # loc(X(a)(x)X(b)) -> loc(a)
+    ext_ba, loc_ba, q_ba = rep._ext_map(b, a)  # loc(X(b)(x)X(a)) -> loc(b)
+    u_ab = rep.system.mult_iso(a, b).mu @ q_ab.conj().T
+    u_ba = rep.system.mult_iso(b, a).mu @ q_ba.conj().T
+    t_mod = np.linalg.pinv(u_ba) @ u_ab
     t_loc = descend_map(kron(t_mod, np.eye(rep.dim)), loc_ab, loc_ba, rep.tol)
     lhs = ext_ba @ t_loc @ ext_ab.conj().T
     return lhs - rhs

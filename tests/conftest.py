@@ -6,8 +6,12 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
+from dilationlab.correspondence import trivial_correspondence
+from dilationlab.cstar import make_algebra
 from dilationlab.families import _scalar_instance, generate
 from dilationlab.instances import parse_instance
+from dilationlab.prodsys import ProductSystem
+from dilationlab.representation import AlgebraRepresentation, CCRepresentation
 
 INSTANCES_DIR = Path(__file__).parent.parent / "instances"
 
@@ -36,3 +40,18 @@ def half_scalar():
 def mult_m2():
     """M_2 acting on C^2 by multiplication, k = 2: isometric fixed point."""
     return parse_instance(generate("multiplication-isometric", seed=0, k=2, dims=2))
+
+
+@pytest.fixture(scope="session")
+def unitary_flip_rep():
+    """k = 2 over C with generators C^2 and C^3, a random unitary flip and
+    random (not commuting) T maps on C^2. Every generated family has
+    identity flips; this representation is the one whose flip is not."""
+    alg = make_algebra([1])
+    rng = np.random.default_rng(11)
+    flip, _ = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
+    system = ProductSystem(alg, [trivial_correspondence(alg, m) for m in (2, 3)], {(1, 2): flip})
+    d = 2
+    sigma = AlgebraRepresentation(alg, d, np.eye(d, dtype=complex)[None])
+    t_maps = [0.3 * (rng.standard_normal((m, d, d)) + 1j * rng.standard_normal((m, d, d))) for m in (2, 3)]
+    return CCRepresentation(system, sigma, t_maps)

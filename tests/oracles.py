@@ -2,13 +2,16 @@
 
 Everything here is implemented from first principles (classical formulas,
 brute-force sums, explicit matrix units) and deliberately shares no code
-with the package internals beyond numpy, with three kinds of exception:
+with the package internals beyond numpy, with four kinds of exception:
 `doubly_commuting_V_inline` builds on the correspondence primitives
 (localization, interior tensor, descent) but not on CCRepresentation; the
 dense T^ references (`DenseFock` and the functions taking one) assemble
 the lowering blocks `CCRepresentation.lowering_block` into dim H_L square
-matrices, where the package only ever norms blocks; and the loop
-references reproduce a stacked package check one basis pair at a time.
+matrices, where the package only ever norms blocks; the loop references
+reproduce a stacked package check one basis pair at a time; and the
+multiplication-isomorphism references rebuild U_{s,t} on the quotient of
+`interior_tensor`, from the package's word surjections, as the unitary
+the package once stored next to that quotient.
 """
 
 from __future__ import annotations
@@ -195,7 +198,9 @@ def doubly_commuting_V_inline(bundle, j: int, k: int, guard: int = 1) -> float:
         loc_b,
         1e-6,
     )
-    t_mod = np.linalg.pinv(sys_.mult_iso(b, a).matrix) @ sys_.mult_iso(a, b).matrix
+    u_ab = sys_.mult_iso(a, b).mu @ q_ab.conj().T
+    u_ba = sys_.mult_iso(b, a).mu @ q_ba.conj().T
+    t_mod = np.linalg.pinv(u_ba) @ u_ab
     t_loc = descend_map(np.kron(t_mod, np.eye(p)), loc_ab, loc_ba, 1e-6)
     lhs = ext_ba @ t_loc @ ext_ab.conj().T
 
@@ -477,6 +482,162 @@ def verify_regular_dilation_loop(bundle, guard: int = 1) -> dict[str, float]:
         "V_semigroup": semi_res,
         "V0_star_hom": star_hom,
     }
+
+
+def build_Vs_loop(bundle, s, x) -> np.ndarray:
+    """V_s(x) for one fiber element x, by one Kronecker product per window
+    point and one least-squares solve, as the package built it per vector."""
+    s = tuple(s)
+    sys_ = bundle.rep.system
+    d = bundle.rep.dim
+    x = np.asarray(x, dtype=complex).reshape(-1, 1)
+    doms, tgts = [], []
+    for t in bundle.window.points:
+        st = _add(s, t)
+        if not _leq(st, bundle.window.bound):
+            continue
+        doms.append(bundle.gen_block(t))
+        if not any(t):
+            raw = np.kron(x, np.eye(d))
+        else:
+            mu = sys_.mult_iso(s, t).mu
+            raw = np.kron(mu @ np.kron(x, np.eye(sys_.fiber_dim(t))), np.eye(d))
+        tgts.append(bundle.gen_block(st) @ raw)
+    return np.concatenate(tgts, axis=1) @ np.linalg.pinv(np.concatenate(doms, axis=1))
+
+
+def v_raw_loop(bundle, s) -> np.ndarray:
+    """The V_s(e_alpha) side by side, one `build_Vs_loop` per basis vector."""
+    basis = np.eye(bundle.rep.system.fiber_dim(tuple(s)))
+    return np.concatenate([build_Vs_loop(bundle, s, e) for e in basis], axis=1)
+
+
+# -- multiplication isomorphisms on the interior-tensor quotient --------------
+
+
+def _word(s) -> tuple[int, ...]:
+    return tuple(i + 1 for i, c in enumerate(s) for _ in range(c))
+
+
+def append_map_dense(system, word, i) -> np.ndarray:
+    """Reduced map X(word) (x) E_i -> X(sorted(word + (i,))), flipping with
+    the dense I_{p_prefix} (x) flip and inverting flips afresh."""
+    word = tuple(word)
+    if not word or word[-1] <= i:
+        return system._last_q(word + (i,))
+    prefix, j = word[:-1], word[-1]
+    m_i = system.generators[i - 1].dim
+    m_j = system.generators[j - 1].dim
+    p_prefix = system.word_data(prefix).corr.dim if prefix else 1
+    flip = np.linalg.pinv(system.flips[(i, j)])  # E_j (x) E_i -> E_i (x) E_j, i < j
+    peel = np.kron(system._last_q(word).conj().T, np.eye(m_i))
+    inner = np.kron(append_map_dense(system, prefix, i), np.eye(m_j))
+    rejoin = append_map_dense(system, tuple(sorted(prefix + (i,))), j)
+    return rejoin @ inner @ np.kron(np.eye(p_prefix), flip) @ peel
+
+
+def mult_iso_quotient(system, s, t) -> tuple[np.ndarray, np.ndarray]:
+    """(q, U): the surjection q of interior_tensor(X(s), X(t)) and the
+    unitary U on its quotient, with the multiplication map projected onto
+    the quotient (mu = U q) at every step of the recursion over t."""
+    from dilationlab.correspondence import interior_tensor
+
+    s, t = tuple(s), tuple(t)
+    cs = system.fiber(s).correspondence
+    ct = system.fiber(t).correspondence
+    _, q = interior_tensor(cs, ct, system.tol)
+    adim = system.algebra.dim
+    if not any(s):
+        raw = np.transpose(ct.left_action, (1, 0, 2)).reshape(ct.dim, adim * ct.dim)
+    elif not any(t):
+        raw = np.transpose(cs.right_action, (1, 2, 0)).reshape(cs.dim, cs.dim * adim)
+    else:
+        i = max(j + 1 for j, c in enumerate(t) if c)
+        t_prev = tuple(c - (j == i - 1) for j, c in enumerate(t))
+        split = np.kron(np.eye(cs.dim), system._last_q(_word(t)).conj().T)
+        if not any(t_prev):
+            raw = append_map_dense(system, _word(s), i) @ split
+        else:
+            q_prev, u_prev = mult_iso_quotient(system, s, t_prev)
+            m_i = system.generators[i - 1].dim
+            raw = (
+                append_map_dense(system, _word(_add(s, t_prev)), i)
+                @ np.kron(u_prev @ q_prev, np.eye(m_i))
+                @ split
+            )
+    return q, raw @ q.conj().T
+
+
+def lowering_raw_quotient(rep, t, s) -> np.ndarray:
+    """Raw X(t) (x) H -> X(t-s) (x) H map of I (x) T~_s, split through
+    q^H U^{-1} for 0 < s < t."""
+    rest = _sub(t, s)
+    q, u = mult_iso_quotient(rep.system, rest, s)
+    split = q.conj().T @ np.linalg.pinv(u)
+    p_rest = rep.system.fiber_dim(rest)
+    return np.kron(np.eye(p_rest), rep.t_raw(s)) @ np.kron(split, np.eye(rep.dim))
+
+
+def doubly_commuting_defect_quotient(rep, j: int, k: int, s_j: int = 1, s_k: int = 1) -> np.ndarray:
+    """doubly_commuting_defect with the flip U_{b,a}^{-1} U_{a,b} taken from
+    `mult_iso_quotient`."""
+    from dilationlab.correspondence import descend_map
+
+    nlat = rep.system.k
+    a = tuple(s_j if i == j - 1 else 0 for i in range(nlat))
+    b = tuple(s_k if i == k - 1 else 0 for i in range(nlat))
+    rhs = rep.t_tilde(b).conj().T @ rep.t_tilde(a)
+    ext_ab, loc_ab, _ = rep._ext_map(a, b)
+    ext_ba, loc_ba, _ = rep._ext_map(b, a)
+    u_ab = mult_iso_quotient(rep.system, a, b)[1]
+    u_ba = mult_iso_quotient(rep.system, b, a)[1]
+    t_mod = np.linalg.pinv(u_ba) @ u_ab
+    t_loc = descend_map(np.kron(t_mod, np.eye(rep.dim)), loc_ab, loc_ba, rep.tol)
+    return ext_ba @ t_loc @ ext_ab.conj().T - rhs
+
+
+def _embedded_gram(corr) -> np.ndarray:
+    n = corr.algebra.rep_dim
+    blocks = np.einsum("ijp,pkl->ikjl", corr.gram, corr.algebra.basis_mats)
+    return blocks.reshape(corr.dim * n, corr.dim * n)
+
+
+def mult_iso_unitarity(system, s, t) -> float:
+    """Residual of U_{s,t} = mu q^H preserving the embedded interior-tensor
+    inner product, and of U^{-1} preserving it back."""
+    from dilationlab.correspondence import interior_tensor
+
+    s, t = tuple(s), tuple(t)
+    n = system.algebra.rep_dim
+    cs, ct = system.fiber(s).correspondence, system.fiber(t).correspondence
+    tensor_red, q = interior_tensor(cs, ct, system.tol)
+    u = system.mult_iso(s, t).mu @ q.conj().T
+    src = _embedded_gram(tensor_red)
+    tgt = _embedded_gram(system.fiber(_add(s, t)).correspondence)
+    u_big = np.kron(u, np.eye(n))
+    inv_big = np.kron(np.linalg.pinv(u), np.eye(n))
+    fwd = _opnorm(u_big.conj().T @ tgt @ u_big - src)
+    bwd = _opnorm(inv_big.conj().T @ src @ inv_big - tgt)
+    return max(fwd, bwd)
+
+
+def check_associativity(system, s, t, r) -> float:
+    """|| U_{s+t,r}(U_{s,t} (x) I) - U_{s,t+r}(I (x) U_{t,r}) || on the
+    reduced triple tensor (X(s) (x) X(t)) (x) X(r)."""
+    from dilationlab.correspondence import interior_tensor
+
+    s, t, r = tuple(s), tuple(t), tuple(r)
+    mu = system.mult_iso
+    ps, pr = system.fiber_dim(s), system.fiber_dim(r)
+    lhs = mu(_add(s, t), r).mu @ np.kron(mu(s, t).mu, np.eye(pr))
+    rhs = mu(s, _add(t, r)).mu @ np.kron(np.eye(ps), mu(t, r).mu)
+    # weight by the lift of the reduced triple tensor so null directions of
+    # the semi-inner product do not contribute
+    cr = system.fiber(r).correspondence
+    c_st, q1 = interior_tensor(system.fiber(s).correspondence, system.fiber(t).correspondence, system.tol)
+    _, q2 = interior_tensor(c_st, cr, system.tol)
+    lift3 = np.kron(q1.conj().T, np.eye(cr.dim)) @ q2.conj().T
+    return _opnorm((lhs - rhs) @ lift3)
 
 
 # -- predicates on package objects that only the tests use --------------------

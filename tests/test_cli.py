@@ -287,3 +287,23 @@ def test_out_of_memory_is_a_documented_exit(tmp_path, monkeypatch, capsys, comma
     assert report["verdicts"] == {} and report["checks"] == []
     assert report["command"] == ("dilate" if command == "verify" else command)
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_ns_section_matches_per_key_loop():
+    """The NS values, computed once per restricted point s[v], equal a
+    direct brehmer_check_NS for every reported key."""
+    from dilationlab import lattice
+    from dilationlab.families import generate
+    from dilationlab.instances import parse_instance
+    from dilationlab.representation import brehmer_check_NS
+
+    inst = parse_instance(generate("diagonal-doubly-commuting", seed=1, k=3))
+    _dc, ns = cli._check_section(inst, {"NS_box": [2, 2, 2]})
+    want = {}
+    for v in cli._nonempty_subsets(3):
+        for s in lattice.box((2, 2, 2)):
+            if all(s[i - 1] for i in v):
+                want[f"v={list(v)},s={list(s)}"] = float(brehmer_check_NS(inst.representation, v, s))
+    assert list(ns) == list(want)
+    assert ns == want
+    assert len(set(ns.values())) > 1

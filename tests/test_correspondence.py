@@ -12,7 +12,6 @@ from dilationlab.correspondence import (
     localize,
     passes,
     reduce_null,
-    tensor_surjection,
     trivial_correspondence,
     validate_correspondence,
 )
@@ -245,15 +244,6 @@ def test_flip_gram_matches_einsum_oracle():
     rng = np.random.default_rng(6)
     phi = (rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))) / 3
     np.testing.assert_allclose(congruent_gram(gram, phi), congruent_gram_einsum(gram, phi), rtol=0, atol=1e-12)
-
-
-@pytest.mark.parametrize("name", ["C", "C-degenerate", "M2", "M3", "C+M2"])
-def test_tensor_surjection_is_interior_tensor_surjection(name):
-    e, f = TENSOR_PAIRS[name]()
-    got = tensor_surjection(e, f)
-    want = interior_tensor(e, f)[1]
-    assert np.array_equal(got, want)
-    assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("name", sorted(TENSOR_PAIRS))

@@ -17,10 +17,12 @@ from dilationlab.instances import parse_instance
 from dilationlab.representation import AlgebraRepresentation, CCRepresentation
 from oracles import (
     DenseFock,
+    build_Vs_loop,
     doubly_commuting_V_inline,
     full_window_gram,
     schaffer_inner_products,
     toeplitz_margin_scalar,
+    v_raw_loop,
     verify_regular_dilation_loop,
     window_points,
 )
@@ -286,3 +288,29 @@ def test_stacked_verify_matches_loop_oracle(request, name, gen_args, bound, guar
         assert got[key] == value or abs(got[key] - value) <= 1e-13, (key, got[key], value)
     if eps and guard == 0:  # every check has blocks when nothing is guarded away
         assert min(got["V_isometry"], got["V_semigroup"], got["regular_item1"], got["V0_star_hom"]) > 1e-5
+
+
+@pytest.mark.parametrize(
+    "name, gen_args, bound",
+    [
+        ("multiplication-isometric", dict(k=2, dims=3), (2, 2)),
+        ("multiplication-isometric", dict(k=3, dims=2), (1, 1, 1)),
+        ("diagonal-doubly-commuting", dict(seed=2, k=2, dims=3), (3, 3)),
+    ],
+)
+def test_blocked_build_Vs_matches_per_vector_loop(name, gen_args, bound):
+    """v_raw (one build_Vs of the identity block) and build_Vs of a random
+    block equal the per-vector solves; a single vector keeps its p x p shape."""
+    bundle = bundle_of(parse_instance(generate(name, **gen_args)), bound)
+    rng = np.random.default_rng(3)
+    for s in bundle.window.points:
+        if not any(s):
+            continue
+        assert np.abs(bundle.v_raw(s) - v_raw_loop(bundle, s)).max() <= 1e-12, s
+        p_s = bundle.rep.system.fiber_dim(s)
+        x = rng.standard_normal((p_s, 2)) + 1j * rng.standard_normal((p_s, 2))
+        want = np.concatenate([build_Vs_loop(bundle, s, col) for col in x.T], axis=1)
+        assert np.abs(bundle.build_Vs(s, x) - want).max() <= 1e-12, s
+        single = bundle.build_Vs(s, x[:, 0])
+        assert single.shape == (bundle.rank, bundle.rank)
+        assert np.abs(single - want[:, : bundle.rank]).max() <= 1e-12, s

@@ -143,5 +143,20 @@ def test_lstsq_map_exact_and_inconsistent():
         require_descent(res2, 1e-8, "test")
 
 
+def test_lstsq_map_stack_shares_one_solve():
+    """A (c, m, n) stack of targets gives the per-slice maps, and the
+    residual is the largest per-slice residual."""
+    rng = np.random.default_rng(4)
+    dom = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
+    tgts = rng.standard_normal((4, 2, 5)) + 1j * rng.standard_normal((4, 2, 5))
+    b, res = lstsq_map(tgts, dom)
+    assert b.shape == (4, 2, 3)
+    slices = [lstsq_map(t, dom) for t in tgts]
+    for got, (want, _) in zip(b, slices):
+        assert np.abs(got - want).max() <= 1e-12
+    assert res == pytest.approx(max(r for _, r in slices), rel=1e-12)
+    assert res > 0.1
+
+
 def test_opnorm_empty():
     assert opnorm(np.zeros((0, 3))) == 0.0

@@ -1,14 +1,17 @@
 import numpy as np
 import pytest
 
-from dilationlab import cstar
+from dilationlab import cstar, lattice
 from dilationlab.correspondence import algebra_correspondence, trivial_correspondence
 from dilationlab.errors import (
     IncoherentFlipsError,
     InvalidArgumentError,
     InvalidFlipError,
 )
+from dilationlab.families import generate
+from dilationlab.instances import parse_instance
 from dilationlab.prodsys import ProductSystem
+from oracles import append_map_dense, check_associativity, mult_iso_quotient, mult_iso_unitarity
 
 
 @pytest.fixture(scope="module")
@@ -39,15 +42,15 @@ def test_m2_fiber_dims(m2_system):
 
 def test_mult_iso_unitarity(m2_system, scalar_system):
     for s, t in [((0,), (2,)), ((1,), (0,)), ((1,), (1,)), ((2,), (1,))]:
-        assert m2_system.mult_iso_unitarity(s, t) < 1e-10
+        assert mult_iso_unitarity(m2_system, s, t) < 1e-10
     for s, t in [((0, 0), (1, 1)), ((1, 0), (0, 1)), ((1, 2), (2, 1))]:
-        assert scalar_system.mult_iso_unitarity(s, t) < 1e-10
+        assert mult_iso_unitarity(scalar_system, s, t) < 1e-10
 
 
 def test_associativity(m2_system, scalar_system):
-    assert m2_system.check_associativity((1,), (1,), (1,)) < 1e-10
-    assert scalar_system.check_associativity((1, 0), (0, 1), (1, 1)) < 1e-10
-    assert scalar_system.check_associativity((0, 0), (1, 0), (0, 1)) < 1e-10
+    assert check_associativity(m2_system, (1,), (1,), (1,)) < 1e-10
+    assert check_associativity(scalar_system, (1, 0), (0, 1), (1, 1)) < 1e-10
+    assert check_associativity(scalar_system, (0, 0), (1, 0), (0, 1)) < 1e-10
 
 
 def test_normal_word():
@@ -96,3 +99,53 @@ def test_incoherent_flips_rejected():
             swap[b * 2 + a, a * 2 + b] = 1.0
     system = ProductSystem(alg, gens, {p: swap for p in flips})
     assert max(system.validation.values()) < 1e-12
+
+
+def _generated_system(k, dims):
+    return parse_instance(generate("multiplication-isometric", seed=0, k=k, dims=dims)).system
+
+
+MU_SYSTEMS = {
+    "scalar k=2": (lambda request: request.getfixturevalue("scalar_system"), (2, 2)),
+    "M2": (lambda request: request.getfixturevalue("m2_system"), (3,)),
+    "M3 k=2": (lambda request: _generated_system(2, 3), (2, 2)),
+    "M2 k=3": (lambda request: _generated_system(3, 2), (2, 1, 1)),
+    "C dims (2, 3), unitary flip": (
+        lambda request: request.getfixturevalue("unitary_flip_rep").system,
+        (2, 2),
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MU_SYSTEMS))
+def test_mu_is_the_projected_quotient_map(request, name):
+    """For every pair with s + t in the box, mu equals U q on the quotient q
+    of interior_tensor, and pinv(mu) equals q^H pinv(U)."""
+    make, bound = MU_SYSTEMS[name]
+    system = make(request)
+    box = lattice.box(bound)
+    pairs = [(s, t) for s in box for t in box if lattice.leq(lattice.add(s, t), bound)]
+    for s, t in pairs:
+        q, u = mult_iso_quotient(system, s, t)
+        mu = system.mult_iso(s, t).mu
+        assert np.abs(mu - u @ q).max() <= 1e-12, (s, t)
+        split = q.conj().T @ np.linalg.pinv(u)
+        assert np.abs(np.linalg.pinv(mu) - split).max() <= 1e-12, (s, t)
+
+
+def test_append_map_matches_dense_flip(unitary_flip_rep):
+    """The reshaped flip of _append_map equals the dense I (x) flip product
+    on every normal word of the box and each appended letter."""
+    system = unitary_flip_rep.system
+    for s in lattice.box((2, 2)):
+        word = ProductSystem.normal_word(s)
+        for i in (1, 2):
+            want = append_map_dense(system, word, i)
+            assert np.abs(system._append_map(word, i) - want).max() <= 1e-12, (word, i)
+
+
+def test_inverse_flip_is_computed_once(unitary_flip_rep):
+    system = unitary_flip_rep.system
+    inv = system.flip_for(2, 1)
+    assert system.flip_for(2, 1) is inv
+    assert np.abs(inv @ system.flips[(1, 2)] - np.eye(6)).max() <= 1e-12

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from dilationlab import cstar
+from dilationlab import cstar, lattice
 from dilationlab.errors import InvalidArgumentError
 from dilationlab.families import _scalar_instance, generate
 from dilationlab.instances import parse_instance
@@ -9,10 +9,18 @@ from dilationlab.representation import (
     AlgebraRepresentation,
     brehmer_check_NS,
     doubly_commuting_check,
+    doubly_commuting_defect,
     validate_representation,
     validate_sigma,
 )
-from oracles import brehmer_sum_scalar, is_fully_coisometric, is_isometric, sigma_residuals_loop
+from oracles import (
+    brehmer_sum_scalar,
+    doubly_commuting_defect_quotient,
+    is_fully_coisometric,
+    is_isometric,
+    lowering_raw_quotient,
+    sigma_residuals_loop,
+)
 
 
 def test_fixtures_validate(scalar_pair, nilpotent_pair, half_scalar, mult_m2):
@@ -128,3 +136,48 @@ def test_validate_sigma_matches_loop_oracle(mult_m2):
         want = sigma_residuals_loop(cstar.multiplication_table(alg), cstar.adjoint_table(alg), sigma.mats)
         got = (res["multiplicative"], res["star_preserving"])
         assert np.allclose(got, want, rtol=0, atol=1e-13), (got, want)
+
+
+def _quotient_cases(request):
+    """Representations with non-trivial module quotients (M_3, M_2 k=3), a
+    non-identity flip, and nonzero doubly-commuting defects."""
+    def rep_of(family, **kwargs):
+        return parse_instance(generate(family, **kwargs)).representation
+
+    yield "M3 k=2", rep_of("multiplication-isometric", k=2, dims=3)
+    yield "M2 k=3", rep_of("multiplication-isometric", k=3, dims=2)
+    yield "unitary flip", request.getfixturevalue("unitary_flip_rep")
+    for seed in (0, 1):
+        yield f"random-contractive {seed}", rep_of("random-contractive", seed=seed)
+    j = np.array([[0.5, 0.3], [0.0, 0.5]], dtype=complex)
+    yield "jordan", parse_instance(_scalar_instance([j, j])).representation
+
+
+def test_lowering_raw_matches_quotient_split(request):
+    """lowering_raw, split through pinv(mu), equals the q^H U^{-1} split for
+    every 0 < s < t in the box."""
+    for name, rep in _quotient_cases(request):
+        box = lattice.box((2,) * rep.system.k)
+        for t in box:
+            for s in box:
+                if lattice.is_zero(s) or s == t or not lattice.leq(s, t):
+                    continue
+                got = rep.lowering_raw(t, s)
+                want = lowering_raw_quotient(rep, t, s)
+                assert np.abs(got - want).max() <= 1e-12, (name, t, s)
+
+
+def test_doubly_commuting_defect_matches_quotient_oracle(request):
+    seen_nonzero = False
+    for name, rep in _quotient_cases(request):
+        k = rep.system.k
+        for j in range(1, k + 1):
+            for l in range(1, k + 1):
+                if j == l:
+                    continue
+                for s_j, s_k in ((1, 1), (2, 1), (1, 2)):
+                    got = doubly_commuting_defect(rep, j, l, s_j, s_k)
+                    want = doubly_commuting_defect_quotient(rep, j, l, s_j, s_k)
+                    assert np.abs(got - want).max() <= 1e-13, (name, j, l, s_j, s_k)
+                    seen_nonzero |= np.abs(want).max() > 1e-3
+    assert seen_nonzero
