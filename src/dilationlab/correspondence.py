@@ -70,10 +70,6 @@ class Correspondence:
         """Coordinate matrix of x -> x . a."""
         return np.tensordot(np.asarray(a_coords, dtype=complex), self.right_action, axes=(0, 0))
 
-    def gram_of(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        """Algebra coordinates of <x, y> for coordinate vectors x, y."""
-        return np.einsum("i,j,ijp->p", np.conj(x), y, self.gram)
-
     def __repr__(self):
         return f"Correspondence(dim={self.dim}, algebra={self.algebra!r})"
 

@@ -14,7 +14,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgumentError
-from .linalg import opnorm
 
 
 class CStarAlgebra:
@@ -96,46 +95,6 @@ def from_matrix(algebra: CStarAlgebra, m: np.ndarray) -> AlgebraElement:
 
 def unit(algebra: CStarAlgebra) -> AlgebraElement:
     return from_matrix(algebra, np.eye(algebra.rep_dim, dtype=complex))
-
-
-def _check_same_algebra(a: AlgebraElement, b: AlgebraElement) -> None:
-    if a.algebra != b.algebra:
-        raise InvalidArgumentError("elements live in different algebras")
-
-
-def mul(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    _check_same_algebra(a, b)
-    return from_matrix(a.algebra, embed(a) @ embed(b))
-
-
-def adjoint(a: AlgebraElement) -> AlgebraElement:
-    return from_matrix(a.algebra, embed(a).conj().T)
-
-
-def add(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
-    _check_same_algebra(a, b)
-    return AlgebraElement(a.algebra, a.coords + b.coords)
-
-
-def scale(lam: complex, a: AlgebraElement) -> AlgebraElement:
-    return AlgebraElement(a.algebra, lam * a.coords)
-
-
-def norm(a: AlgebraElement) -> float:
-    """C*-norm (operator norm of the faithful representation)."""
-    return opnorm(embed(a))
-
-
-def is_positive(a: AlgebraElement, tol: float = 1e-10) -> bool:
-    m = embed(a)
-    if opnorm(m - m.conj().T) > tol:
-        return False
-    return float(np.linalg.eigvalsh(0.5 * (m + m.conj().T)).min()) >= -tol
-
-
-def random_element(algebra: CStarAlgebra, rng: np.random.Generator) -> AlgebraElement:
-    coords = rng.standard_normal(algebra.dim) + 1j * rng.standard_normal(algebra.dim)
-    return AlgebraElement(algebra, coords)
 
 
 def multiplication_table(algebra: CStarAlgebra) -> np.ndarray:

@@ -170,7 +170,7 @@ class DilationBundle:
         t_maps = []
         for i, gen in enumerate(sys_.generators, start=1):
             e_i = lattice.unit(sys_.k, i)
-            raw = self.v_raw(e_i) @ kron(sys_.fiber(e_i).surjection, np.eye(p))
+            raw = self.v_raw(e_i) @ kron(sys_.word_data((i,)).last_q, np.eye(p))
             t_maps.append(raw.reshape(p, gen.dim, p).transpose(1, 0, 2))
         return CCRepresentation(sys_, sigma, t_maps, tol=LSQ_TOL)
 
@@ -182,7 +182,7 @@ class DilationBundle:
             if lattice.is_zero(s):
                 act = self.rep.sigma.mats[p]
             else:
-                left = self.rep.system.fiber(s).correspondence.left_action[p]
+                left = self.rep.system.fiber(s).left_action[p]
                 act = kron(left, np.eye(d))
             tgts.append(self.gen_block(s) @ act)
         v0, res = lstsq_map(np.concatenate(tgts, axis=1), self.generators)
@@ -348,12 +348,19 @@ def verify_regular_dilation(bundle: DilationBundle, guard: int = 1) -> dict[str,
             continue
         dom = doms[s]
         w = v_of[s] @ dom  # (p_s, p, n)
-        v0g = np.tensordot(sys_.fiber(s).correspondence.gram, v0.mats, axes=(2, 0))
+        v0g = np.tensordot(sys_.fiber(s).gram, v0.mats, axes=(2, 0))
         # one row (a, all b) at a time: the domain has far more columns
-        # than C^p has dimensions, so all p_s^2 n x n blocks at once are large
+        # than C^p has dimensions, so all p_s^2 n x n blocks at once are large.
+        # The row buffers are allocated once per point; multi-MB temporaries
+        # allocated afresh per row are page-faulted in again on every row.
+        lhs = np.empty((w.shape[0], dom.shape[1], dom.shape[1]), dtype=complex)
+        rhs = np.empty_like(lhs)
+        mag = np.empty(lhs.shape)
         for a in range(w.shape[0]):
-            diff = w[a].conj().T @ w - dom.conj().T @ v0g[a] @ dom
-            iso_res = max(iso_res, float(np.abs(diff).max()))
+            np.matmul(w[a].conj().T, w, out=lhs)
+            np.matmul(dom.conj().T @ v0g[a], dom, out=rhs)
+            np.abs(np.subtract(lhs, rhs, out=lhs), out=mag)
+            iso_res = max(iso_res, float(mag.max()))
 
     # semigroup: V_{s+t}(U_{s,t}(x (x) y)) = V_s(x) V_t(y) on guarded vectors
     semi_blocks = []

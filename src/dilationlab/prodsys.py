@@ -1,9 +1,13 @@
 """Product systems over N^k presented by generator correspondences and flips.
 
 Fibers X(s) are realized canonically as the reduced normal-ordered tensor
-E_1^{(x) s_1} (x) ... (x) E_k^{(x) s_k}; multiplication isomorphisms are
-assembled by bubble-sorting adjacent transpositions through the flips.
-Fibers and isomorphisms are memoized per lattice point / pair.
+E_1^{(x) s_1} (x) ... (x) E_k^{(x) s_k}, and exist only in reduced
+coordinates: a word is its reduced correspondence plus the surjection
+(reduced prefix) (x) (raw last generator) -> reduced word. Multiplication
+isomorphisms are assembled from these surjections by bubble-sorting
+adjacent transpositions through the flips. Raw word coordinates, of
+dimension m^n for n letters, appear only in the 3-letter braid check.
+Fibers and isomorphisms are memoized per word / pair.
 """
 
 from __future__ import annotations
@@ -29,13 +33,6 @@ from .linalg import DEFAULT_TOL, kron, opnorm
 
 
 @dataclass(frozen=True)
-class Fiber:
-    point: lattice.Point
-    correspondence: Correspondence = field(compare=False)
-    surjection: np.ndarray = field(compare=False)  # raw word coords -> quotient
-
-
-@dataclass(frozen=True)
 class MultIso:
     """U_{s,t}: reduced fiber(s) (x) fiber(t) -> fiber(s+t), in coordinates.
 
@@ -56,9 +53,10 @@ class MultIso:
 @dataclass
 class _WordData:
     corr: Correspondence
-    surj: np.ndarray  # full raw word coords -> quotient coords
-    lift: np.ndarray  # quotient coords -> full raw word coords
-    last_q: np.ndarray | None  # p_prefix * m_last -> quotient, for len >= 2
+    # (reduced prefix) (x) (raw last generator) -> reduced word, p_prefix *
+    # m_last columns; for one letter the prefix is scalar, so this is the
+    # generator's null-quotient surjection. None for the empty word.
+    last_q: np.ndarray | None
 
 
 class ProductSystem:
@@ -153,9 +151,17 @@ class ProductSystem:
             @ kron(f_il, np.eye(mj))
             @ kron(np.eye(mi), f_jl)
         )
-        src = self._word((i, j, l))
-        tgt = self._word((l, j, i))
-        return opnorm(tgt.surj @ (route_a - route_b) @ src.lift)
+        src = self._raw_surjection((i, j, l))
+        tgt = self._raw_surjection((l, j, i))
+        return opnorm(tgt @ (route_a - route_b) @ src.conj().T)
+
+    def _raw_surjection(self, word: tuple[int, ...]) -> np.ndarray:
+        """Raw word coordinates E_{w_1} (x) ... (x) E_{w_n} -> X(word)."""
+        q = self.word_data(word).last_q
+        if len(word) == 1:
+            return q
+        m_last = self.generators[word[-1] - 1].dim
+        return q @ kron(self._raw_surjection(word[:-1]), np.eye(m_last))
 
     # -- word machinery -----------------------------------------------------
 
@@ -171,25 +177,18 @@ class ProductSystem:
         ma = self.generators[a - 1].dim
         return np.eye(ma * ma, dtype=complex)
 
-    def _word(self, word: tuple[int, ...]) -> _WordData:
+    def word_data(self, word: tuple[int, ...]) -> _WordData:
         cached = self._words.get(word)
         if cached is not None:
             return cached
         if len(word) == 0:
-            corr = algebra_correspondence(self.algebra)
-            eye = np.eye(corr.dim, dtype=complex)
-            data = _WordData(corr, eye, eye, None)
+            data = _WordData(algebra_correspondence(self.algebra), None)
         elif len(word) == 1:
-            gen = self.generators[word[0] - 1]
-            corr, surj = reduce_null(gen, self.tol)
-            data = _WordData(corr, surj, surj.conj().T, None)
+            data = _WordData(*reduce_null(self.generators[word[0] - 1], self.tol))
         else:
-            prev = self._word(word[:-1])
+            prev = self.word_data(word[:-1])
             gen = self.generators[word[-1] - 1]
-            corr, q = interior_tensor(prev.corr, gen, self.tol)
-            surj = q @ kron(prev.surj, np.eye(gen.dim))
-            lift = kron(prev.lift, np.eye(gen.dim)) @ q.conj().T
-            data = _WordData(corr, surj, lift, q)
+            data = _WordData(*interior_tensor(prev.corr, gen, self.tol))
         self._words[word] = data
         return data
 
@@ -200,24 +199,11 @@ class ProductSystem:
             word.extend([idx] * count)
         return tuple(word)
 
-    def fiber(self, s: lattice.Point) -> Fiber:
-        data = self._word(self.normal_word(s))
-        return Fiber(tuple(s), data.corr, data.surj)
+    def fiber(self, s: lattice.Point) -> Correspondence:
+        return self.word_data(self.normal_word(s)).corr
 
     def fiber_dim(self, s: lattice.Point) -> int:
-        return self._word(self.normal_word(s)).corr.dim
-
-    def word_data(self, word: tuple[int, ...]) -> _WordData:
-        return self._word(word)
-
-    def _last_q(self, word: tuple[int, ...]) -> np.ndarray:
-        """Surjection (reduced prefix) (x) (raw last generator) -> reduced word.
-
-        For a length-1 word the prefix is scalar, so this is the generator's
-        null-quotient surjection itself.
-        """
-        data = self._word(word)
-        return data.surj if len(word) == 1 else data.last_q
+        return self.word_data(self.normal_word(s)).corr.dim
 
     def _append_map(self, word: tuple[int, ...], i: int) -> np.ndarray:
         """Reduced map X(word) (x) E_i -> X(sorted(word + (i,))).
@@ -234,12 +220,12 @@ class ProductSystem:
             return cached
         m_i = self.generators[i - 1].dim
         if not word or word[-1] <= i:
-            out = self._last_q(word + (i,))
+            out = self.word_data(word + (i,)).last_q
         else:
             prefix, j = word[:-1], word[-1]
             m_j = self.generators[j - 1].dim
-            p_prefix = self._word(prefix).corr.dim if prefix else 1
-            peel = kron(self._last_q(word).conj().T, np.eye(m_i))
+            p_prefix = self.word_data(prefix).corr.dim if prefix else 1
+            peel = kron(self.word_data(word).last_q.conj().T, np.eye(m_i))
             # I_{p_prefix} (x) flip, applied to each prefix slice of peel
             flipped = self.flip_for(j, i) @ peel.reshape(p_prefix, m_j * m_i, -1)
             inner = kron(self._append_map(prefix, i), np.eye(m_j))
@@ -258,13 +244,13 @@ class ProductSystem:
             return cached
         if lattice.is_zero(s):
             # left action of A = X(0) on the fiber
-            ct = self._word(self.normal_word(t)).corr
+            ct = self.word_data(self.normal_word(t)).corr
             mu = np.transpose(ct.left_action, (1, 0, 2)).reshape(
                 ct.dim, self.algebra.dim * ct.dim
             )
         elif lattice.is_zero(t):
             # right action of A = X(0) on the fiber
-            cs = self._word(self.normal_word(s)).corr
+            cs = self.word_data(self.normal_word(s)).corr
             mu = np.transpose(cs.right_action, (1, 2, 0)).reshape(
                 cs.dim, cs.dim * self.algebra.dim
             )
@@ -272,7 +258,7 @@ class ProductSystem:
             i = max(lattice.support(t))
             t_prev = lattice.sub(t, lattice.unit(len(t), i))
             p_s = self.fiber_dim(s)
-            split = kron(np.eye(p_s), self._last_q(self.normal_word(t)).conj().T)
+            split = kron(np.eye(p_s), self.word_data(self.normal_word(t)).last_q.conj().T)
             if lattice.is_zero(t_prev):
                 mu = self._append_map(self.normal_word(s), i) @ split
             else:

@@ -95,9 +95,7 @@ class CCRepresentation:
             if lattice.is_zero(s):
                 cached = trivial_localized(self.dim, self.tol)
             else:
-                cached = localize(
-                    self.system.fiber(s).correspondence, self.sigma.mats, self.tol
-                )
+                cached = localize(self.system.fiber(s), self.sigma.mats, self.tol)
             self._loc[s] = cached
         return cached
 
@@ -119,18 +117,14 @@ class CCRepresentation:
             out = np.eye(d, dtype=complex)
         else:
             i = max(lattice.support(s))
-            word = self.system.normal_word(s)
-            data = self.system.word_data(word)
-            if len(word) == 1:
-                out = self.gen_t_raw(i) @ kron(data.lift, np.eye(d))
+            last_q = self.system.word_data(self.system.normal_word(s)).last_q
+            split = kron(last_q.conj().T, np.eye(d))
+            prev = lattice.sub(s, lattice.unit(len(s), i))
+            if lattice.is_zero(prev):
+                out = self.gen_t_raw(i) @ split
             else:
-                prev = lattice.sub(s, lattice.unit(len(s), i))
                 p_prev = self.system.fiber_dim(prev)
-                out = (
-                    self.t_raw(prev)
-                    @ kron(np.eye(p_prev), self.gen_t_raw(i))
-                    @ kron(data.last_q.conj().T, np.eye(d))
-                )
+                out = self.t_raw(prev) @ kron(np.eye(p_prev), self.gen_t_raw(i)) @ split
         self._t_raw[s] = out
         return out
 
@@ -178,9 +172,7 @@ class CCRepresentation:
 
     def _pair(self, a: lattice.Point, b: lattice.Point):
         """Reduced X(a) (x) X(b) with its localization and surjection."""
-        ca = self.system.fiber(a).correspondence
-        cb = self.system.fiber(b).correspondence
-        pair, q = interior_tensor(ca, cb, self.tol)
+        pair, q = interior_tensor(self.system.fiber(a), self.system.fiber(b), self.tol)
         return pair, q, localize(pair, self.sigma.mats, self.tol)
 
     def _ext_map(self, a: lattice.Point, b: lattice.Point):

@@ -2,7 +2,7 @@
 
 Everything here is implemented from first principles (classical formulas,
 brute-force sums, explicit matrix units) and deliberately shares no code
-with the package internals beyond numpy, with four kinds of exception:
+with the package internals beyond numpy, with six kinds of exception:
 `doubly_commuting_V_inline` builds on the correspondence primitives
 (localization, interior tensor, descent) but not on CCRepresentation; the
 dense T^ references (`DenseFock` and the functions taking one) assemble
@@ -11,7 +11,11 @@ matrices, where the package only ever norms blocks; the loop references
 reproduce a stacked package check one basis pair at a time; and the
 multiplication-isomorphism references rebuild U_{s,t} on the quotient of
 `interior_tensor`, from the package's word surjections, as the unitary
-the package once stored next to that quotient.
+the package once stored next to that quotient, and `raw_word_maps` rebuilds
+the raw-word surjections and lifts the package once kept for every word;
+the algebra-element arithmetic (`mul`, `adjoint`, `norm`, `is_positive`,
+`random_element`) and `gram_of` go through `cstar.embed`/`from_matrix`
+and a correspondence's Gram array.
 """
 
 from __future__ import annotations
@@ -19,6 +23,9 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+
+from dilationlab.cstar import AlgebraElement, embed, from_matrix
+from dilationlab.errors import InvalidArgumentError
 
 
 def herm_sqrt(m: np.ndarray) -> np.ndarray:
@@ -174,8 +181,8 @@ def doubly_commuting_V_inline(bundle, j: int, k: int, guard: int = 1) -> float:
     p = bundle.rank
     rho = bundle.isometric_rep.sigma.mats
 
-    corr_a = sys_.fiber(a).correspondence
-    corr_b = sys_.fiber(b).correspondence
+    corr_a = sys_.fiber(a)
+    corr_b = sys_.fiber(b)
     loc_a = localize(corr_a, rho, 1e-8)
     loc_b = localize(corr_b, rho, 1e-8)
     vt_a = descend_map(bundle.v_raw(a), loc_a, trivial_localized(p), 1e-6)
@@ -331,7 +338,7 @@ def a_action(dense: DenseFock, a) -> np.ndarray:
         if not any(s):
             mat[sl, sl] = rep.sigma.apply(a.coords)
         else:
-            corr = rep.system.fiber(s).correspondence
+            corr = rep.system.fiber(s)
             loc = dense.block_loc(s)
             raw = np.kron(corr.act_left(a.coords), np.eye(rep.dim))
             mat[sl, sl] = descend_map(raw, loc, loc, rep.tol)
@@ -449,7 +456,7 @@ def verify_regular_dilation_loop(bundle, guard: int = 1) -> dict[str, float]:
     for s in points:
         if not any(s) or not _leq(s, gbound):
             continue
-        corr = sys_.fiber(s).correspondence
+        corr = sys_.fiber(s)
         dom = bundle.domain(s)
         for a in range(sys_.fiber_dim(s)):
             va = v_of(s, a) @ dom
@@ -524,13 +531,13 @@ def append_map_dense(system, word, i) -> np.ndarray:
     the dense I_{p_prefix} (x) flip and inverting flips afresh."""
     word = tuple(word)
     if not word or word[-1] <= i:
-        return system._last_q(word + (i,))
+        return system.word_data(word + (i,)).last_q
     prefix, j = word[:-1], word[-1]
     m_i = system.generators[i - 1].dim
     m_j = system.generators[j - 1].dim
     p_prefix = system.word_data(prefix).corr.dim if prefix else 1
     flip = np.linalg.pinv(system.flips[(i, j)])  # E_j (x) E_i -> E_i (x) E_j, i < j
-    peel = np.kron(system._last_q(word).conj().T, np.eye(m_i))
+    peel = np.kron(system.word_data(word).last_q.conj().T, np.eye(m_i))
     inner = np.kron(append_map_dense(system, prefix, i), np.eye(m_j))
     rejoin = append_map_dense(system, tuple(sorted(prefix + (i,))), j)
     return rejoin @ inner @ np.kron(np.eye(p_prefix), flip) @ peel
@@ -543,8 +550,8 @@ def mult_iso_quotient(system, s, t) -> tuple[np.ndarray, np.ndarray]:
     from dilationlab.correspondence import interior_tensor
 
     s, t = tuple(s), tuple(t)
-    cs = system.fiber(s).correspondence
-    ct = system.fiber(t).correspondence
+    cs = system.fiber(s)
+    ct = system.fiber(t)
     _, q = interior_tensor(cs, ct, system.tol)
     adim = system.algebra.dim
     if not any(s):
@@ -554,7 +561,7 @@ def mult_iso_quotient(system, s, t) -> tuple[np.ndarray, np.ndarray]:
     else:
         i = max(j + 1 for j, c in enumerate(t) if c)
         t_prev = tuple(c - (j == i - 1) for j, c in enumerate(t))
-        split = np.kron(np.eye(cs.dim), system._last_q(_word(t)).conj().T)
+        split = np.kron(np.eye(cs.dim), system.word_data(_word(t)).last_q.conj().T)
         if not any(t_prev):
             raw = append_map_dense(system, _word(s), i) @ split
         else:
@@ -609,11 +616,11 @@ def mult_iso_unitarity(system, s, t) -> float:
 
     s, t = tuple(s), tuple(t)
     n = system.algebra.rep_dim
-    cs, ct = system.fiber(s).correspondence, system.fiber(t).correspondence
+    cs, ct = system.fiber(s), system.fiber(t)
     tensor_red, q = interior_tensor(cs, ct, system.tol)
     u = system.mult_iso(s, t).mu @ q.conj().T
     src = _embedded_gram(tensor_red)
-    tgt = _embedded_gram(system.fiber(_add(s, t)).correspondence)
+    tgt = _embedded_gram(system.fiber(_add(s, t)))
     u_big = np.kron(u, np.eye(n))
     inv_big = np.kron(np.linalg.pinv(u), np.eye(n))
     fwd = _opnorm(u_big.conj().T @ tgt @ u_big - src)
@@ -633,11 +640,75 @@ def check_associativity(system, s, t, r) -> float:
     rhs = mu(s, _add(t, r)).mu @ np.kron(np.eye(ps), mu(t, r).mu)
     # weight by the lift of the reduced triple tensor so null directions of
     # the semi-inner product do not contribute
-    cr = system.fiber(r).correspondence
-    c_st, q1 = interior_tensor(system.fiber(s).correspondence, system.fiber(t).correspondence, system.tol)
+    cr = system.fiber(r)
+    c_st, q1 = interior_tensor(system.fiber(s), system.fiber(t), system.tol)
     _, q2 = interior_tensor(c_st, cr, system.tol)
     lift3 = np.kron(q1.conj().T, np.eye(cr.dim)) @ q2.conj().T
     return _opnorm((lhs - rhs) @ lift3)
+
+
+def raw_word_maps(system, word) -> tuple[np.ndarray, np.ndarray]:
+    """(surj, lift) between the raw word coordinates E_{w_1} (x) ... (x)
+    E_{w_n} and the reduced X(word), by the full-word recursion
+    surj = last_q (surj_prefix (x) I), lift = (lift_prefix (x) I) last_q^H."""
+    word = tuple(word)
+    q = system.word_data(word).last_q
+    if len(word) == 1:
+        return q, q.conj().T
+    surj, lift = raw_word_maps(system, word[:-1])
+    eye = np.eye(system.generators[word[-1] - 1].dim)
+    return q @ np.kron(surj, eye), np.kron(lift, eye) @ q.conj().T
+
+
+def braid_residual_raw(system, i: int, j: int, l: int) -> float:
+    """|| surj_{lji} (route_a - route_b) lift_{ijl} || for the two flip
+    routes E_i E_j E_l -> E_l E_j E_i, on `raw_word_maps`."""
+    mi, mj, ml = (system.generators[x - 1].dim for x in (i, j, l))
+    f_ij, f_il, f_jl = system.flips[(i, j)], system.flips[(i, l)], system.flips[(j, l)]
+    route_a = np.kron(f_jl, np.eye(mi)) @ np.kron(np.eye(mj), f_il) @ np.kron(f_ij, np.eye(ml))
+    route_b = np.kron(np.eye(ml), f_ij) @ np.kron(f_il, np.eye(mj)) @ np.kron(np.eye(mi), f_jl)
+    _, lift = raw_word_maps(system, (i, j, l))
+    surj, _ = raw_word_maps(system, (l, j, i))
+    return _opnorm(surj @ (route_a - route_b) @ lift)
+
+
+# -- algebra elements and Gram values that only the tests use ----------------
+
+
+def _check_same_algebra(a, b) -> None:
+    if a.algebra != b.algebra:
+        raise InvalidArgumentError("elements live in different algebras")
+
+
+def mul(a, b):
+    _check_same_algebra(a, b)
+    return from_matrix(a.algebra, embed(a) @ embed(b))
+
+
+def adjoint(a):
+    return from_matrix(a.algebra, embed(a).conj().T)
+
+
+def norm(a) -> float:
+    """C*-norm (operator norm of the faithful representation)."""
+    return _opnorm(embed(a))
+
+
+def is_positive(a, tol: float = 1e-10) -> bool:
+    m = embed(a)
+    if _opnorm(m - m.conj().T) > tol:
+        return False
+    return float(np.linalg.eigvalsh(0.5 * (m + m.conj().T)).min()) >= -tol
+
+
+def random_element(algebra, rng: np.random.Generator):
+    coords = rng.standard_normal(algebra.dim) + 1j * rng.standard_normal(algebra.dim)
+    return AlgebraElement(algebra, coords)
+
+
+def gram_of(corr, x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Algebra coordinates of <x, y> for coordinate vectors x, y of corr."""
+    return np.einsum("i,j,ijp->p", np.conj(x), y, corr.gram)
 
 
 # -- predicates on package objects that only the tests use --------------------

@@ -6,7 +6,7 @@ import time
 import numpy as np
 import pytest
 
-from dilationlab import cli, cstar, lattice
+from dilationlab import cli, lattice
 from dilationlab.dilation import (
     compare_minimal_dilations,
     kolmogorov,
@@ -21,7 +21,7 @@ from dilationlab.hatspace import TruncatedFock, check_hat_semigroup
 from dilationlab.instances import parse_instance
 from dilationlab.linalg import opnorm
 from dilationlab.representation import brehmer_check_NS
-from oracles import DenseFock, a_action, check_technology, schaffer_inner_products
+from oracles import DenseFock, a_action, check_technology, random_element, schaffer_inner_products
 
 from conftest import INSTANCES_DIR
 
@@ -71,7 +71,7 @@ def test_criterion_1_hat_semigroup_suite():
                 x = rng.standard_normal(m) + 1j * rng.standard_normal(m)
                 h = rng.standard_normal(inst.representation.dim) + 0j
                 worst = max(worst, check_technology(dense, s, x, h))
-        a = cstar.random_element(inst.algebra, rng)
+        a = random_element(inst.algebra, rng)
         pa = a_action(dense, a)
         for s in pts:
             hs = dense.hat(s)

@@ -20,6 +20,7 @@ from dilationlab.errors import InvalidArgumentError, NotWellDefinedError
 from oracles import (
     compressed_action_einsum,
     congruent_gram_einsum,
+    gram_of,
     homomorphism_residuals_loop,
     raw_tensor_gram_loop,
 )
@@ -64,7 +65,7 @@ def test_gram_of_matches_embedding(m2):
     # <x, y> = x* y inside M_2
     xm = np.tensordot(x, m2.basis_mats, axes=(0, 0))
     ym = np.tensordot(y, m2.basis_mats, axes=(0, 0))
-    got = np.tensordot(corr.gram_of(x, y), m2.basis_mats, axes=(0, 0))
+    got = np.tensordot(gram_of(corr, x, y), m2.basis_mats, axes=(0, 0))
     assert np.allclose(got, xm.conj().T @ ym, atol=1e-12)
 
 

@@ -1,8 +1,10 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from dilationlab import cstar, lattice
-from dilationlab.correspondence import algebra_correspondence, trivial_correspondence
+from dilationlab.correspondence import Correspondence, algebra_correspondence, trivial_correspondence
 from dilationlab.errors import (
     IncoherentFlipsError,
     InvalidArgumentError,
@@ -11,7 +13,13 @@ from dilationlab.errors import (
 from dilationlab.families import generate
 from dilationlab.instances import parse_instance
 from dilationlab.prodsys import ProductSystem
-from oracles import append_map_dense, check_associativity, mult_iso_quotient, mult_iso_unitarity
+from oracles import (
+    append_map_dense,
+    braid_residual_raw,
+    check_associativity,
+    mult_iso_quotient,
+    mult_iso_unitarity,
+)
 
 
 @pytest.fixture(scope="module")
@@ -99,6 +107,50 @@ def test_incoherent_flips_rejected():
             swap[b * 2 + a, a * 2 + b] = 1.0
     system = ProductSystem(alg, gens, {p: swap for p in flips})
     assert max(system.validation.values()) < 1e-12
+
+
+@pytest.mark.parametrize("raw_dim", [2, 3])
+def test_braid_residual_matches_full_word_reference(raw_dim):
+    """The braid check's own 3-letter raw surjections give the residual of
+    the full-word surj/lift recursion, for coherent swaps and for random
+    unitary flips (whose residual is O(1)).
+
+    With identity Grams on C^2 (the swap system of
+    test_incoherent_flips_rejected) every quotient surjection is unitary, so
+    the residual is ||route_a - route_b|| in any orientation. Random rank-2
+    Grams on C^3 make each raw surjection the quotient by a word-dependent
+    null space; every generated family has identity flips, so only this
+    case sees a mis-oriented 3-letter word."""
+    alg = cstar.make_algebra([1])
+    rng = np.random.default_rng(7)
+    eye = np.eye(raw_dim)[None]
+    gens = []
+    for _ in range(3):
+        b = np.eye(raw_dim) if raw_dim == 2 else rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+        gens.append(Correspondence(alg, (b.conj().T @ b)[:, :, None], eye, eye))
+    n = raw_dim
+    swap = np.eye(n * n).reshape(n, n, n, n).transpose(1, 0, 2, 3).reshape(n * n, n * n)
+    pairs = [(1, 2), (1, 3), (2, 3)]
+    system = ProductSystem(alg, gens, {p: swap for p in pairs})
+    assert abs(system._braid_residual(1, 2, 3) - braid_residual_raw(system, 1, 2, 3)) <= 1e-13
+    system.flips = {p: _random_unitary(rng, n * n) for p in pairs}
+    want = braid_residual_raw(system, 1, 2, 3)
+    assert want > 0.1
+    assert abs(system._braid_residual(1, 2, 3) - want) <= 1e-13
+
+
+def test_long_fibers_stay_small():
+    """Fibers and multiplication isomorphisms of 8-letter words over M_2 are
+    built without maps on the raw 4^8-dimensional word coordinates."""
+    system = _generated_system(2, 2)
+    tracemalloc.start()
+    try:
+        system.fiber((4, 4))
+        system.mult_iso((3, 4), (1, 0))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2**20
 
 
 def _generated_system(k, dims):
