@@ -4,7 +4,9 @@ Exit codes: 0 success (dilate: dilation verified), 1 mathematically invalid
 instance, 2 parse/schema/I-O error, 3 not dilatable (window Gram not PSD),
 4 dilatable but a verification check failed, 5 golden-file mismatch, 6 out
 of memory (validate/check/dilate/verify: an allocation failed; the report
-carries the message under "error" and has no verdicts).
+carries the message under "error" and has no verdicts). A numpy LinAlgError
+(a factorization that does not converge, a singular solve) exits 1 with the
+same kind of report.
 """
 
 from __future__ import annotations
@@ -13,6 +15,8 @@ import argparse
 import json
 import sys
 import time
+
+import numpy as np
 
 from . import lattice
 from .dilation import (
@@ -240,11 +244,18 @@ def _emit_error(args, command: str, inst_digest: str, params: dict, verdicts: di
     _emit(report, getattr(args, "out", None))
 
 
-def _out_of_memory(args, command: str, inst_digest: str, params: dict, exc: MemoryError) -> int:
-    error = f"out of memory: {exc}" if str(exc) else "out of memory"
+def _abort(args, command: str, inst_digest: str, params: dict, exc: Exception) -> int:
+    """Report a MemoryError (exit 6) or a numpy LinAlgError (exit 1): the
+    message goes under "error", with no checks or verdicts."""
+    if isinstance(exc, MemoryError):
+        error, code = "out of memory", EXIT_OUT_OF_MEMORY
+    else:
+        error, code = "linear algebra failure", EXIT_INVALID
+    if str(exc):
+        error = f"{error}: {exc}"
     print(f"dilation-lab: {error}", file=sys.stderr)
     _emit_error(args, command, inst_digest, params, {}, error)
-    return EXIT_OUT_OF_MEMORY
+    return code
 
 
 def _run_command(args, command: str) -> int:
@@ -257,8 +268,8 @@ def _run_command(args, command: str) -> int:
         print(f"dilation-lab: invalid instance: {exc}", file=sys.stderr)
         _emit_error(args, command, "", {}, {"valid": False}, str(exc))
         return EXIT_INVALID
-    except MemoryError as exc:
-        return _out_of_memory(args, command, "", {}, exc)
+    except (MemoryError, np.linalg.LinAlgError) as exc:
+        return _abort(args, command, "", {}, exc)
     params = _resolve_params(inst, args)
     try:
         report, code = run_pipeline(inst, command, params)
@@ -266,8 +277,8 @@ def _run_command(args, command: str) -> int:
         print(f"dilation-lab: invalid instance: {exc}", file=sys.stderr)
         _emit_error(args, command, digest(inst.data), params, {"valid": False}, str(exc))
         return EXIT_INVALID
-    except MemoryError as exc:
-        return _out_of_memory(args, command, digest(inst.data), params, exc)
+    except (MemoryError, np.linalg.LinAlgError) as exc:
+        return _abort(args, command, digest(inst.data), params, exc)
     _emit(report, getattr(args, "out", None))
     return code
 
@@ -321,14 +332,14 @@ def cmd_verify(args) -> int:
     except (InvalidArgumentError, NotWellDefinedError) as exc:
         print(f"dilation-lab: invalid instance: {exc}", file=sys.stderr)
         return EXIT_INVALID
-    except MemoryError as exc:
-        return _out_of_memory(args, command, "", {}, exc)
+    except (MemoryError, np.linalg.LinAlgError) as exc:
+        return _abort(args, command, "", {}, exc)
 
     params = _resolve_params(inst, args, ref_params)
     try:
         fresh, _code = run_pipeline(inst, command, params)
-    except MemoryError as exc:
-        return _out_of_memory(args, command, digest(inst.data), params, exc)
+    except (MemoryError, np.linalg.LinAlgError) as exc:
+        return _abort(args, command, digest(inst.data), params, exc)
     ok, mismatches, warn = compare_reports(reference, fresh)
     for w in warn:
         print(f"dilation-lab: warning: {w}", file=sys.stderr)

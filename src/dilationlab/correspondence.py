@@ -260,9 +260,14 @@ def descend_map(
 ) -> np.ndarray:
     """Quotient-coordinate matrix B with B F_source = F_target M.
 
-    Raises NotWellDefinedError when M does not respect the null spaces.
+    Raises NotWellDefinedError when M does not respect the null spaces, that
+    is when the operator norm of the defect B F_source - F_target M exceeds
+    tol. Its Frobenius norm bounds the operator norm, so a defect within tol
+    by that bound passes without an SVD; the exact operator norm is taken
+    only to decide and report a failure.
     """
     b = target.factor @ m @ source.lift
-    residual = opnorm(b @ source.factor - target.factor @ m)
-    require_descent(residual, tol, "descend_map")
+    defect = b @ source.factor - target.factor @ m
+    if not np.linalg.norm(defect) <= tol:  # NaN takes the exact path too
+        require_descent(opnorm(defect), tol, "descend_map")
     return b

@@ -37,7 +37,7 @@ import numpy as np
 from . import lattice
 from .errors import InvalidArgumentError, NotPositiveDefiniteError
 from .hatspace import TruncatedFock
-from .linalg import kron, lstsq_map, max_opnorm, opnorm, pivoted_cholesky, psd_factor, require_descent
+from .linalg import kron, lstsq_map, max_opnorm, opnorm, pivoted_cholesky, psd_factor
 from .representation import (
     AlgebraRepresentation,
     CCRepresentation,
@@ -150,8 +150,7 @@ class DilationBundle:
         return np.concatenate(cols, axis=1)
 
     def k_min_rank(self, bound: lattice.Point | None = None) -> int:
-        g = self.generating_matrix(bound)
-        return int(np.linalg.matrix_rank(g, tol=1e-8 * max(1.0, opnorm(g))))
+        return _rank(self.generating_matrix(bound))
 
     # -- recovered operators ----------------------------------------------------
 
@@ -185,9 +184,7 @@ class DilationBundle:
                 left = self.rep.system.fiber(s).left_action[p]
                 act = kron(left, np.eye(d))
             tgts.append(self.gen_block(s) @ act)
-        v0, res = lstsq_map(np.concatenate(tgts, axis=1), self.generators)
-        require_descent(res, LSQ_TOL, "V_0")
-        return v0
+        return lstsq_map(np.concatenate(tgts, axis=1), self.generators, LSQ_TOL, "V_0")
 
     def build_Vs(self, s: lattice.Point, x: np.ndarray) -> np.ndarray:
         """V_s(x) on C^p, defined on generating vectors at points t <= M - s.
@@ -224,8 +221,9 @@ class DilationBundle:
             else:
                 raw = self.gen_block(st) @ kron(sys_.mult_iso(s, t).mu, np.eye(d))
             tgts.append(np.tensordot(x, raw.reshape(self.rank, p_s, -1), axes=(0, 1)))
-        vs, res = lstsq_map(np.concatenate(tgts, axis=2), np.concatenate(doms, axis=1))
-        require_descent(res, LSQ_TOL, f"build_Vs at {s}")
+        vs = lstsq_map(
+            np.concatenate(tgts, axis=2), np.concatenate(doms, axis=1), LSQ_TOL, f"build_Vs at {s}"
+        )
         return vs.transpose(1, 0, 2).reshape(self.rank, -1)
 
     def v_raw(self, s: lattice.Point) -> np.ndarray:
@@ -269,6 +267,14 @@ def _orth_cols(m: np.ndarray, rtol: float = 1e-8) -> np.ndarray:
     u, svals, _ = np.linalg.svd(m, full_matrices=False)
     keep = svals > rtol * max(svals.max(initial=0.0), 1.0)
     return u[:, keep]
+
+
+def _rank(m: np.ndarray, rtol: float = 1e-8) -> int:
+    """Numerical rank: singular values above rtol * max(1, largest one)."""
+    if m.size == 0:
+        return 0
+    svals = np.linalg.svd(m, compute_uv=False)
+    return int(np.count_nonzero(svals > rtol * max(1.0, svals[0])))
 
 
 def _guarded(bound: lattice.Point, guard: int) -> lattice.Point:
@@ -328,17 +334,16 @@ def verify_regular_dilation(bundle: DilationBundle, guard: int = 1) -> dict[str,
     span_direct = np.concatenate(
         [gen0] + [v_gen0[s].transpose(1, 0, 2).reshape(rank, -1) for s in points], axis=1
     )
-    if bundle.k_min_rank() != int(
-        np.linalg.matrix_rank(span_direct, tol=1e-8 * max(1.0, opnorm(span_direct)))
-    ):
+    if bundle.k_min_rank() != _rank(span_direct):
         item3 = np.inf
 
-    # item 4: P_H V_s(x) vanishes on K_min (-) H (guarded generating span)
+    # item 4: P_H V_s(x) vanishes on K_min (-) H (guarded generating span).
+    # H lies in every domain (t = 0 is in it), so the projector onto
+    # domain (-) H is P_domain - P_H.
     item4_blocks = []
     for s in points:
         q_dom = _orth_cols(doms[s])
-        q_perp = _orth_cols(q_dom - p_h @ q_dom)
-        item4_blocks.extend(gen0.conj().T @ v_of[s] @ q_perp)
+        item4_blocks.extend(gen0.conj().T @ v_of[s] @ (q_dom @ q_dom.conj().T - p_h))
     item4 = max_opnorm(item4_blocks)
 
     # isometry: V_s(x)^H V_s(y) = V_0(<x, y>), weakly on guarded vectors
@@ -439,9 +444,7 @@ def compare_minimal_dilations(bundle_a: DilationBundle, bundle_b: DilationBundle
     g_a = bundle_a.generating_matrix(bound)
     g_b = bundle_b.generating_matrix(bound)
     gram_diff = float(np.abs(g_a.conj().T @ g_a - g_b.conj().T @ g_b).max())
-    rank_a = int(np.linalg.matrix_rank(g_a, tol=1e-8 * max(1.0, opnorm(g_a))))
-    rank_b = int(np.linalg.matrix_rank(g_b, tol=1e-8 * max(1.0, opnorm(g_b))))
-    if rank_a != rank_b:
+    if _rank(g_a) != _rank(g_b):
         return float("inf")
     omega = g_b @ np.linalg.pinv(g_a)
     intertwine = opnorm(omega @ g_a - g_b)

@@ -15,7 +15,7 @@ def opnorm(m: np.ndarray) -> float:
     """Operator (spectral) norm; 0.0 for maps with an empty side."""
     if m.size == 0:
         return 0.0
-    return float(np.linalg.norm(m, 2))
+    return float(np.linalg.svd(m, compute_uv=False)[0])
 
 
 def max_opnorm(blocks) -> float:
@@ -93,16 +93,22 @@ def null_split(gram: np.ndarray, tol: float, what: str = "gram"):
     return vecs[:, keep], vecs[:, ~keep]
 
 
-def lstsq_map(targets: np.ndarray, domain: np.ndarray) -> tuple[np.ndarray, float]:
-    """Least-squares B with B @ domain ~ targets; returns (B, residual norm).
+def lstsq_map(targets: np.ndarray, domain: np.ndarray, tol: float, what: str) -> np.ndarray:
+    """Least-squares B with B @ domain ~ targets, required consistent to tol.
 
     A stack of targets (c, m, n) shares one pinv of the domain and gives a
-    stack of maps; its residual is the largest norm over the stack.
+    stack of maps; the consistency residual is the largest operator norm of
+    a slice's defect B @ domain - targets. The Frobenius norm of the whole
+    stack bounds every slice's operator norm, so when it is <= tol the
+    check passes without an SVD; otherwise the exact residual is taken and
+    NotWellDefinedError reports it when it exceeds tol.
     """
     flat = targets.reshape(-1, targets.shape[-1])
     b = flat @ np.linalg.pinv(domain)
-    res = max_opnorm((b @ domain - flat).reshape((-1,) + targets.shape[-2:]))
-    return b.reshape(targets.shape[:-1] + (-1,)), res
+    defect = b @ domain - flat
+    if not np.linalg.norm(defect) <= tol:  # NaN takes the exact path too
+        require_descent(max_opnorm(defect.reshape((-1,) + targets.shape[-2:])), tol, what)
+    return b.reshape(targets.shape[:-1] + (-1,))
 
 
 def require_descent(residual: float, tol: float, what: str) -> None:

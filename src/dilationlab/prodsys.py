@@ -6,7 +6,9 @@ coordinates: a word is its reduced correspondence plus the surjection
 (reduced prefix) (x) (raw last generator) -> reduced word. Multiplication
 isomorphisms are assembled from these surjections by bubble-sorting
 adjacent transpositions through the flips. Raw word coordinates, of
-dimension m^n for n letters, appear only in the 3-letter braid check.
+dimension m^n for n letters, appear only in the 3-letter braid check and,
+through `raw_surjection`, in the representation's 2-letter commutation
+check.
 Fibers and isomorphisms are memoized per word / pair.
 """
 
@@ -151,17 +153,17 @@ class ProductSystem:
             @ kron(f_il, np.eye(mj))
             @ kron(np.eye(mi), f_jl)
         )
-        src = self._raw_surjection((i, j, l))
-        tgt = self._raw_surjection((l, j, i))
+        src = self.raw_surjection((i, j, l))
+        tgt = self.raw_surjection((l, j, i))
         return opnorm(tgt @ (route_a - route_b) @ src.conj().T)
 
-    def _raw_surjection(self, word: tuple[int, ...]) -> np.ndarray:
+    def raw_surjection(self, word: tuple[int, ...]) -> np.ndarray:
         """Raw word coordinates E_{w_1} (x) ... (x) E_{w_n} -> X(word)."""
         q = self.word_data(word).last_q
         if len(word) == 1:
             return q
         m_last = self.generators[word[-1] - 1].dim
-        return q @ kron(self._raw_surjection(word[:-1]), np.eye(m_last))
+        return q @ kron(self.raw_surjection(word[:-1]), np.eye(m_last))
 
     # -- word machinery -----------------------------------------------------
 

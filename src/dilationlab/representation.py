@@ -16,14 +16,13 @@ import numpy as np
 from . import lattice
 from .correspondence import (
     LocalizedSpace,
-    _raw_tensor,
     descend_map,
     interior_tensor,
     localize,
     trivial_localized,
 )
 from .cstar import CStarAlgebra, adjoint_table, multiplication_table, unit
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, NotWellDefinedError
 from .linalg import DEFAULT_TOL, kron, max_opnorm, opnorm
 from .prodsys import ProductSystem
 
@@ -150,7 +149,14 @@ class CCRepresentation:
         if lattice.is_zero(rest):
             return self.t_raw(s)
         p_rest = self.system.fiber_dim(rest)
-        split = np.linalg.pinv(self.system.mult_iso(rest, s).mu)  # p_t -> p_rest p_s
+        # mu is onto X(t), so its pseudo-inverse is mu^H (mu mu^H)^{-1}
+        mu = self.system.mult_iso(rest, s).mu
+        try:
+            split = np.linalg.solve(mu @ mu.conj().T, mu).conj().T  # p_t -> p_rest p_s
+        except np.linalg.LinAlgError:
+            raise NotWellDefinedError(
+                f"multiplication isomorphism {(rest, s)} is not onto its fiber"
+            ) from None
         return kron(np.eye(p_rest), self.t_raw(s)) @ kron(split, np.eye(d))
 
     def lowering_block(self, t: lattice.Point, s: lattice.Point) -> np.ndarray:
@@ -212,7 +218,9 @@ def validate_representation(rep: CCRepresentation) -> dict[str, float]:
 
 
 def _commutation_residual(rep: CCRepresentation, i: int, j: int) -> float:
-    """T~_i (I (x) T~_j) = T~_j (I (x) T~_i)(t_ij (x) I_H) on raw word coords."""
+    """T~_i (I (x) T~_j) = T~_j (I (x) T~_i)(t_ij (x) I_H) on raw word coords,
+    normed on the localization of the reduced fiber X(e_i + e_j), the word
+    (i, j), lifted to raw pair coordinates through its surjection."""
     sys_ = rep.system
     ei = sys_.generators[i - 1]
     ej = sys_.generators[j - 1]
@@ -221,9 +229,9 @@ def _commutation_residual(rep: CCRepresentation, i: int, j: int) -> float:
     tj = rep.gen_t_raw(j)
     lhs = ti @ kron(np.eye(ei.dim), tj)
     rhs = tj @ kron(np.eye(ej.dim), ti) @ kron(sys_.flips[(i, j)], np.eye(d))
-    raw_pair = _raw_tensor(ei, ej)
-    loc_pair = localize(raw_pair, rep.sigma.mats, rep.tol)
-    return opnorm((lhs - rhs) @ loc_pair.lift)
+    surj = sys_.raw_surjection((i, j))
+    e_ij = lattice.add(lattice.unit(sys_.k, i), lattice.unit(sys_.k, j))
+    return opnorm((lhs - rhs) @ kron(surj.conj().T, np.eye(d)) @ rep.loc(e_ij).lift)
 
 
 def doubly_commuting_check(rep: CCRepresentation, j: int, k: int, s_j: int, s_k: int) -> float:

@@ -3,8 +3,9 @@
 Everything here is implemented from first principles (classical formulas,
 brute-force sums, explicit matrix units) and deliberately shares no code
 with the package internals beyond numpy, with six kinds of exception:
-`doubly_commuting_V_inline` builds on the correspondence primitives
-(localization, interior tensor, descent) but not on CCRepresentation; the
+`doubly_commuting_V_inline` and `commutation_residual_raw_pair` build on
+the correspondence primitives (localization, raw and interior tensors,
+descent) but not on CCRepresentation's fibers; the
 dense T^ references (`DenseFock` and the functions taking one) assemble
 the lowering blocks `CCRepresentation.lowering_block` into dim H_L square
 matrices, where the package only ever norms blocks; the loop references
@@ -390,9 +391,8 @@ def sigma_residuals_loop(mul_table: np.ndarray, adj: np.ndarray, mats: np.ndarra
 def verify_regular_dilation_loop(bundle, guard: int = 1) -> dict[str, float]:
     """verify_regular_dilation with one operator norm per basis pair and one
     Kronecker product per semigroup pair, as the package computed it before
-    its checks were stacked."""
+    its checks were stacked; item 4 is `item4_two_orth`."""
     from dilationlab import cstar
-    from dilationlab.dilation import _orth_cols
 
     def support(s):
         return {i for i, c in enumerate(s) if c}
@@ -444,13 +444,7 @@ def verify_regular_dilation_loop(bundle, guard: int = 1) -> dict[str, float]:
     ):
         item3 = np.inf
 
-    item4 = 0.0
-    for s in points:
-        if any(s):
-            q_dom = _orth_cols(bundle.domain(s))
-            q_perp = _orth_cols(q_dom - p_h @ q_dom)
-            for a in range(sys_.fiber_dim(s)):
-                item4 = max(item4, _opnorm(gen0.conj().T @ v_of(s, a) @ q_perp))
+    item4 = item4_two_orth(bundle)
 
     iso_res = 0.0
     for s in points:
@@ -489,6 +483,42 @@ def verify_regular_dilation_loop(bundle, guard: int = 1) -> dict[str, float]:
         "V_semigroup": semi_res,
         "V0_star_hom": star_hom,
     }
+
+
+def item4_two_orth(bundle) -> float:
+    """Item 4 of verify_regular_dilation, max over points s and fiber basis
+    vectors e_a of ||P_H V_s(e_a) Q||, with Q an orthonormal basis of
+    domain (-) H found by orthonormalising the domain and then its part
+    orthogonal to H, as the package computed it before it took the
+    projector P_domain - P_H."""
+    from dilationlab.dilation import _orth_cols
+
+    rank = bundle.rank
+    gen0 = bundle.gen_block(tuple(0 for _ in bundle.window.bound))
+    p_h = gen0 @ gen0.conj().T
+    item4 = 0.0
+    for s in bundle.window.points:
+        if any(s):
+            q_dom = _orth_cols(bundle.domain(s))
+            q_perp = _orth_cols(q_dom - p_h @ q_dom)
+            v = bundle.v_raw(s)
+            for a in range(bundle.rep.system.fiber_dim(s)):
+                item4 = max(item4, _opnorm(gen0.conj().T @ v[:, a * rank : (a + 1) * rank] @ q_perp))
+    return item4
+
+
+def commutation_residual_raw_pair(rep, i: int, j: int) -> float:
+    """The commutation residual of validate_representation normed on the
+    localization of the raw, unreduced pair E_i (x) E_j."""
+    from dilationlab.correspondence import _raw_tensor, localize
+
+    ei, ej = rep.system.generators[i - 1], rep.system.generators[j - 1]
+    d = rep.dim
+    ti, tj = rep.gen_t_raw(i), rep.gen_t_raw(j)
+    lhs = ti @ np.kron(np.eye(ei.dim), tj)
+    rhs = tj @ np.kron(np.eye(ej.dim), ti) @ np.kron(rep.system.flips[(i, j)], np.eye(d))
+    loc_pair = localize(_raw_tensor(ei, ej), rep.sigma.mats, rep.tol)
+    return _opnorm((lhs - rhs) @ loc_pair.lift)
 
 
 def build_Vs_loop(bundle, s, x) -> np.ndarray:

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from dilationlab import cli
@@ -284,6 +285,38 @@ def test_out_of_memory_is_a_documented_exit(tmp_path, monkeypatch, capsys, comma
     assert run(args) == cli.EXIT_OUT_OF_MEMORY == 6
     report = read_report(tmp_path / "r.json")
     assert report["error"] == "out of memory: Unable to allocate 64.0 GiB for an array with shape (92160, 92160)"
+    assert report["verdicts"] == {} and report["checks"] == []
+    assert report["command"] == ("dilate" if command == "verify" else command)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+def _raise_linalg_error(*_args, **_kwargs):
+    raise np.linalg.LinAlgError("SVD did not converge")
+
+
+@pytest.mark.parametrize(
+    "command, target",
+    [
+        ("validate", "validate_representation"),
+        ("check", "brehmer_check_NS"),
+        ("dilate", "kolmogorov"),
+        ("dilate", "load_instance"),
+        ("verify", "verify_regular_dilation"),
+        ("verify", "load_instance"),
+    ],
+)
+def test_linalg_error_is_a_documented_exit(tmp_path, monkeypatch, capsys, command, target):
+    """A LinAlgError from any stage exits 1 with a report carrying the
+    message under "error", not a traceback."""
+    args = [command, SCALAR, "--out", str(tmp_path / "r.json")]
+    if command == "verify":
+        reference = tmp_path / "reference.json"
+        assert run(["dilate", SCALAR, "--L", "2", "--out", str(reference)]) == cli.EXIT_OK
+        args += ["--report", str(reference)]
+    monkeypatch.setattr(cli, target, _raise_linalg_error)
+    assert run(args) == cli.EXIT_INVALID == 1
+    report = read_report(tmp_path / "r.json")
+    assert report["error"] == "linear algebra failure: SVD did not converge"
     assert report["verdicts"] == {} and report["checks"] == []
     assert report["command"] == ("dilate" if command == "verify" else command)
     assert "Traceback" not in capsys.readouterr().err

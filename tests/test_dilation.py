@@ -19,6 +19,7 @@ from oracles import (
     build_Vs_loop,
     doubly_commuting_V_inline,
     full_window_gram,
+    item4_two_orth,
     mul,
     random_element,
     schaffer_inner_products,
@@ -289,6 +290,32 @@ def test_stacked_verify_matches_loop_oracle(request, name, gen_args, bound, guar
         assert got[key] == value or abs(got[key] - value) <= 1e-13, (key, got[key], value)
     if eps and guard == 0:  # every check has blocks when nothing is guarded away
         assert min(got["V_isometry"], got["V_semigroup"], got["regular_item1"], got["V0_star_hom"]) > 1e-5
+
+
+@pytest.mark.parametrize(
+    "name, gen_args, bound",
+    [
+        ("diagonal-doubly-commuting", dict(seed=0, k=2, dims=2), (3, 3)),
+        ("diagonal-doubly-commuting", dict(seed=2, k=2, dims=3), (3, 3)),
+        ("multiplication-isometric", dict(k=2, dims=3), (2, 2)),
+        ("multiplication-isometric", dict(k=3, dims=2), (1, 1, 1)),
+    ],
+)
+@pytest.mark.parametrize("eps", [0.0, 1e-3])
+def test_item4_matches_two_orthonormalisation_oracle(name, gen_args, bound, eps):
+    """Item 4 through the projector P_domain - P_H equals item 4 through a
+    second orthonormalisation of domain (-) H, on the recovered dilation
+    and on one pushed off it. For the isometric multiplication family
+    K_min = H, so domain (-) H is zero and so is item 4."""
+    bundle = bundle_of(parse_instance(generate(name, **gen_args)), bound)
+    if eps:
+        _push_off_the_dilation(bundle, eps)
+    got = verify_regular_dilation(bundle)["regular_item4"]
+    want = item4_two_orth(bundle)
+    assert abs(got - want) <= 1e-12, (got, want)
+    assert (bundle.rank > bundle.rep.dim) == (name == "diagonal-doubly-commuting")
+    if eps and bundle.rank > bundle.rep.dim:
+        assert want > 1e-5
 
 
 @pytest.mark.parametrize(

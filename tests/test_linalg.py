@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import dilationlab
+from dilationlab.correspondence import LocalizedSpace, descend_map, trivial_localized
 from dilationlab.errors import NotWellDefinedError
 from dilationlab.linalg import (
     kron,
@@ -16,7 +17,6 @@ from dilationlab.linalg import (
     opnorm,
     pivoted_cholesky,
     psd_factor,
-    require_descent,
 )
 
 
@@ -131,16 +131,17 @@ def test_lstsq_map_exact_and_inconsistent():
     rng = np.random.default_rng(2)
     b_true = rng.standard_normal((3, 3))
     dom = rng.standard_normal((3, 5))
-    b, res = lstsq_map(b_true @ dom, dom)
-    assert res < 1e-12
+    b = lstsq_map(b_true @ dom, dom, 1e-12, "test")
     assert np.allclose(b, b_true)
     # inconsistent targets: domain rank-deficient but targets full
     dom2 = np.array([[1.0, 1.0], [0.0, 0.0]])
     tgt2 = np.array([[1.0, 0.0], [0.0, 1.0]])
-    _, res2 = lstsq_map(tgt2, dom2)
-    assert res2 > 0.5
-    with pytest.raises(NotWellDefinedError):
-        require_descent(res2, 1e-8, "test")
+    with pytest.raises(NotWellDefinedError) as info:
+        lstsq_map(tgt2, dom2, 1e-8, "test")
+    assert info.value.residual > 0.5
+    # the residual is the operator norm of B @ domain - targets
+    defect = tgt2 @ np.linalg.pinv(dom2) @ dom2 - tgt2
+    assert info.value.residual == opnorm(defect)
 
 
 def test_lstsq_map_stack_shares_one_solve():
@@ -149,13 +150,64 @@ def test_lstsq_map_stack_shares_one_solve():
     rng = np.random.default_rng(4)
     dom = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
     tgts = rng.standard_normal((4, 2, 5)) + 1j * rng.standard_normal((4, 2, 5))
-    b, res = lstsq_map(tgts, dom)
+    b = lstsq_map(tgts, dom, np.inf, "test")
     assert b.shape == (4, 2, 3)
-    slices = [lstsq_map(t, dom) for t in tgts]
-    for got, (want, _) in zip(b, slices):
+    slices = [lstsq_map(t, dom, np.inf, "test") for t in tgts]
+    for got, want in zip(b, slices):
         assert np.abs(got - want).max() <= 1e-12
-    assert res == pytest.approx(max(r for _, r in slices), rel=1e-12)
-    assert res > 0.1
+    residuals = []
+    for t in tgts:
+        with pytest.raises(NotWellDefinedError) as info:
+            lstsq_map(t, dom, 0.0, "test")
+        residuals.append(info.value.residual)
+    with pytest.raises(NotWellDefinedError) as info:
+        lstsq_map(tgts, dom, 0.0, "test")
+    assert info.value.residual == pytest.approx(max(residuals), rel=1e-12)
+    assert info.value.residual > 0.1
+
+
+def _spectral_between_tol():
+    """A defect stack whose Frobenius norm exceeds tol while every slice's
+    operator norm stays below it, and one slice's operator norm above."""
+    dom = np.eye(4)[:2]  # B @ dom keeps the first two columns of each target
+    tgts = np.zeros((3, 3, 4), dtype=complex)
+    tgts[:, :, 2:] = 0.1 * np.eye(3)[:, :2]  # each slice's defect has norm 0.1
+    tgts[1, :, 3] += 0.05 * np.array([1.0, 1.0j, -1.0])
+    return dom, tgts
+
+
+def test_lstsq_map_residual_is_exact_largest_slice_norm():
+    """The Frobenius bound only lets a consistent stack through; a failure
+    reports the exact largest per-slice operator norm, and a stack whose
+    Frobenius norm exceeds tol but whose slices are within it passes."""
+    dom, tgts = _spectral_between_tol()
+    defects = tgts - tgts @ np.linalg.pinv(dom) @ dom
+    exact = max(opnorm(d) for d in defects)
+    assert np.linalg.norm(defects) > 1.2 * exact  # the bound is not tight here
+    with pytest.raises(NotWellDefinedError) as info:
+        lstsq_map(tgts, dom, 0.9 * exact, "test")
+    assert info.value.residual == pytest.approx(exact, rel=1e-14)
+    assert "test: descent residual" in str(info.value)
+    b = lstsq_map(tgts, dom, 1.01 * exact, "test")
+    assert np.allclose(b @ dom, tgts @ np.linalg.pinv(dom) @ dom)
+
+
+def test_failing_descend_map_reports_exact_spectral_residual():
+    """descend_map decides by the Frobenius bound, but a map that does not
+    descend reports the exact operator norm of its defect, and one whose
+    defect is within tol in operator norm only still passes."""
+    # the source quotient kills raw coordinates 2 and 3, which m does not
+    src = LocalizedSpace(3, 1, np.eye(3, dtype=complex)[:1], np.eye(3, dtype=complex)[:, :1])
+    tgt = trivial_localized(3)
+    m = np.array([[1.0, 0.3, 0.0], [0.0, 0.0, 0.4j], [2.0, 0.0, 0.0]], dtype=complex)
+    b = tgt.factor @ m @ src.lift
+    defect = b @ src.factor - tgt.factor @ m
+    exact = opnorm(defect)
+    assert np.linalg.norm(defect) > 1.2 * exact
+    with pytest.raises(NotWellDefinedError) as info:
+        descend_map(m, src, tgt, 0.9 * exact)
+    assert info.value.residual == exact
+    assert np.array_equal(descend_map(m, src, tgt, 1.01 * exact), b)
 
 
 def test_opnorm_empty():

@@ -1,10 +1,14 @@
+import sys
+
 import numpy as np
 import pytest
 
 from dilationlab import cstar, lattice
-from dilationlab.errors import InvalidArgumentError
+from dilationlab.correspondence import descend_map
+from dilationlab.errors import InvalidArgumentError, NotWellDefinedError
 from dilationlab.families import _scalar_instance, generate
 from dilationlab.instances import parse_instance
+from dilationlab.prodsys import MultIso
 from dilationlab.representation import (
     AlgebraRepresentation,
     brehmer_check_NS,
@@ -15,6 +19,7 @@ from dilationlab.representation import (
 )
 from oracles import (
     brehmer_sum_scalar,
+    commutation_residual_raw_pair,
     doubly_commuting_defect_quotient,
     is_fully_coisometric,
     is_isometric,
@@ -154,8 +159,8 @@ def _quotient_cases(request):
 
 
 def test_lowering_raw_matches_quotient_split(request):
-    """lowering_raw, split through pinv(mu), equals the q^H U^{-1} split for
-    every 0 < s < t in the box."""
+    """lowering_raw, split through the Hermitian solve mu^H (mu mu^H)^{-1},
+    equals the q^H U^{-1} split for every 0 < s < t in the box."""
     for name, rep in _quotient_cases(request):
         box = lattice.box((2,) * rep.system.k)
         for t in box:
@@ -180,4 +185,73 @@ def test_doubly_commuting_defect_matches_quotient_oracle(request):
                     want = doubly_commuting_defect_quotient(rep, j, l, s_j, s_k)
                     assert np.abs(got - want).max() <= 1e-13, (name, j, l, s_j, s_k)
                     seen_nonzero |= np.abs(want).max() > 1e-3
+    assert seen_nonzero
+
+
+def _forbid_svd(monkeypatch):
+    """Make numpy's svd and pinv raise, in numpy.linalg and in every loaded
+    numpy.linalg submodule that holds them (numpy calls them internally)."""
+    for name in ("svd", "pinv"):
+        original = getattr(np.linalg, name)
+
+        def refuse(*_args, _name=name, **_kwargs):
+            raise AssertionError(f"np.linalg.{_name} called")
+
+        for mod_name, module in list(sys.modules.items()):
+            if mod_name.startswith("numpy.linalg") and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, refuse)
+
+
+@pytest.mark.parametrize(
+    "family, gen_args",
+    [("diagonal-doubly-commuting", dict(seed=1, k=2, dims=3)), ("multiplication-isometric", dict(k=3, dims=2))],
+)
+def test_lowering_blocks_and_passing_descents_take_no_svd(monkeypatch, family, gen_args):
+    """Building every lowering block over the box, and a passing descend_map,
+    use no SVD: the split is a Hermitian solve and a descent passes on the
+    Frobenius bound of its defect. Only the product system's inverse flips,
+    one pinv per generator pair, are taken before numpy's SVD is disabled."""
+    rep = parse_instance(generate(family, **gen_args)).representation
+    sys_ = rep.system
+    for i in range(1, sys_.k + 1):
+        for j in range(1, i):
+            sys_.flip_for(i, j)
+    _forbid_svd(monkeypatch)
+    with pytest.raises(AssertionError, match="svd called"):
+        np.linalg.norm(np.eye(2), 2)
+    box = lattice.box((2,) * sys_.k)
+    for t in box:
+        for s in box:
+            if lattice.leq(s, t):
+                theta = rep.lowering_block(t, s)
+                assert theta.shape == (rep.loc(lattice.sub(t, s)).rank, rep.loc(t).rank)
+    e_1 = lattice.unit(sys_.k, 1)
+    b = descend_map(rep.t_raw(e_1), rep.loc(e_1), rep.loc(lattice.zero(sys_.k)), rep.tol)
+    assert np.array_equal(b, rep.t_tilde(e_1))
+
+
+def test_singular_split_is_not_well_defined():
+    """A multiplication map that is not onto its fiber has a singular
+    mu mu^H; the lowering split names the pair instead of dividing by it."""
+    rep = parse_instance(generate("diagonal-doubly-commuting", seed=0, k=2, dims=2)).representation
+    rest, s = (1, 0), (0, 1)
+    mu = rep.system.mult_iso(rest, s).mu
+    rep.system._isos[(rest, s)] = MultIso(rest, s, np.zeros_like(mu))
+    with pytest.raises(NotWellDefinedError, match=r"\(\(1, 0\), \(0, 1\)\)"):
+        rep.lowering_raw((1, 1), s)
+
+
+def test_commutation_residual_matches_raw_pair_oracle(request):
+    """The commutation residual, normed on the localized reduced pair X(e_i +
+    e_j), equals the one normed on the localized raw pair E_i (x) E_j."""
+    seen_nonzero = False
+    for name, rep in _quotient_cases(request):
+        report = validate_representation(rep)
+        k = rep.system.k
+        for i in range(1, k + 1):
+            for j in range(i + 1, k + 1):
+                got = report[f"commutation_{i}_{j}"]
+                want = commutation_residual_raw_pair(rep, i, j)
+                assert abs(got - want) <= 1e-13 * max(1.0, want), (name, i, j, got, want)
+                seen_nonzero |= want > 1e-3
     assert seen_nonzero
