@@ -128,7 +128,9 @@ def _check_section(inst: Instance, params: dict) -> tuple[dict, dict]:
             dc[f"{j},{l}"] = float(doubly_commuting_check(rep, j, l, 1, 1))
     ns_box = tuple(params.get("NS_box", [2] * k))
     ns = {}
-    for v in _nonempty_subsets(k):
+    for v in lattice.subsets(range(1, k + 1)):
+        if not v:
+            continue
         by_sv: dict[lattice.Point, float] = {}
         for s in lattice.box(ns_box):
             if any(s[i - 1] == 0 for i in v):
@@ -138,13 +140,6 @@ def _check_section(inst: Instance, params: dict) -> tuple[dict, dict]:
                 by_sv[sv] = float(brehmer_check_NS(rep, v, sv))
             ns[f"v={list(v)},s={list(s)}"] = by_sv[sv]
     return dc, ns
-
-
-def _nonempty_subsets(k: int):
-    from itertools import combinations
-
-    for r in range(1, k + 1):
-        yield from combinations(range(1, k + 1), r)
 
 
 def run_pipeline(inst: Instance, command: str, params: dict) -> tuple[dict, int]:
@@ -238,13 +233,14 @@ def _emit(report: dict, out: str | None) -> None:
         sys.stdout.write(text)
 
 
-def _emit_error(args, command: str, inst_digest: str, params: dict, verdicts: dict, error: str) -> None:
+def _emit_error(args, command: str, inst: Instance | None, params: dict, verdicts: dict, error: str) -> None:
+    inst_digest = "" if inst is None else digest(inst.data)
     report = make_report(inst_digest, command, params, [], verdicts)
     report["error"] = error
     _emit(report, getattr(args, "out", None))
 
 
-def _abort(args, command: str, inst_digest: str, params: dict, exc: Exception) -> int:
+def _abort(args, command: str, inst: Instance | None, params: dict, exc: Exception) -> int:
     """Report a MemoryError (exit 6) or a numpy LinAlgError (exit 1): the
     message goes under "error", with no checks or verdicts."""
     if isinstance(exc, MemoryError):
@@ -254,32 +250,36 @@ def _abort(args, command: str, inst_digest: str, params: dict, exc: Exception) -
     if str(exc):
         error = f"{error}: {exc}"
     print(f"dilation-lab: {error}", file=sys.stderr)
-    _emit_error(args, command, inst_digest, params, {}, error)
+    _emit_error(args, command, inst, params, {}, error)
     return code
 
 
-def _run_command(args, command: str) -> int:
+def _run(args, command: str, reference: dict | None = None) -> tuple[dict | None, int]:
+    """Load the instance, resolve its parameters (over a reference report's
+    when given) and run the pipeline: (report, exit code). A run that cannot
+    complete returns (None, exit code), having emitted its error report
+    unless the input is malformed."""
+    inst = None
+    params: dict = {}
     try:
         inst = load_instance(args.path)
+        params = _resolve_params(inst, args, reference)
+        return run_pipeline(inst, command, params)
     except InstanceFormatError as exc:
         print(f"dilation-lab: {exc}", file=sys.stderr)
-        return EXIT_FORMAT
+        return None, EXIT_FORMAT
     except (InvalidArgumentError, NotWellDefinedError) as exc:
         print(f"dilation-lab: invalid instance: {exc}", file=sys.stderr)
-        _emit_error(args, command, "", {}, {"valid": False}, str(exc))
-        return EXIT_INVALID
+        _emit_error(args, command, inst, params, {"valid": False}, str(exc))
+        return None, EXIT_INVALID
     except (MemoryError, np.linalg.LinAlgError) as exc:
-        return _abort(args, command, "", {}, exc)
-    params = _resolve_params(inst, args)
-    try:
-        report, code = run_pipeline(inst, command, params)
-    except (InvalidArgumentError, NotWellDefinedError) as exc:
-        print(f"dilation-lab: invalid instance: {exc}", file=sys.stderr)
-        _emit_error(args, command, digest(inst.data), params, {"valid": False}, str(exc))
-        return EXIT_INVALID
-    except (MemoryError, np.linalg.LinAlgError) as exc:
-        return _abort(args, command, digest(inst.data), params, exc)
-    _emit(report, getattr(args, "out", None))
+        return None, _abort(args, command, inst, params, exc)
+
+
+def _run_command(args, command: str) -> int:
+    report, code = _run(args, command)
+    if report is not None:
+        _emit(report, getattr(args, "out", None))
     return code
 
 
@@ -323,23 +323,9 @@ def cmd_verify(args) -> int:
     if not isinstance(ref_params, dict):
         print("dilation-lab: reference report: parameters must be an object", file=sys.stderr)
         return EXIT_FORMAT
-    command = reference.get("command", "dilate")
-    try:
-        inst = load_instance(args.path)
-    except InstanceFormatError as exc:
-        print(f"dilation-lab: {exc}", file=sys.stderr)
-        return EXIT_FORMAT
-    except (InvalidArgumentError, NotWellDefinedError) as exc:
-        print(f"dilation-lab: invalid instance: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except (MemoryError, np.linalg.LinAlgError) as exc:
-        return _abort(args, command, "", {}, exc)
-
-    params = _resolve_params(inst, args, ref_params)
-    try:
-        fresh, _code = run_pipeline(inst, command, params)
-    except (MemoryError, np.linalg.LinAlgError) as exc:
-        return _abort(args, command, digest(inst.data), params, exc)
+    fresh, code = _run(args, reference.get("command", "dilate"), ref_params)
+    if fresh is None:
+        return code
     ok, mismatches, warn = compare_reports(reference, fresh)
     for w in warn:
         print(f"dilation-lab: warning: {w}", file=sys.stderr)

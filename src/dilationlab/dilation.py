@@ -219,7 +219,7 @@ class DilationBundle:
             if lattice.is_zero(t):
                 raw = self.gen_block(st)
             else:
-                raw = self.gen_block(st) @ kron(sys_.mult_iso(s, t).mu, np.eye(d))
+                raw = self.gen_block(st) @ kron(sys_.mult_iso(s, t), np.eye(d))
             tgts.append(np.tensordot(x, raw.reshape(self.rank, p_s, -1), axes=(0, 1)))
         vs = lstsq_map(
             np.concatenate(tgts, axis=2), np.concatenate(doms, axis=1), LSQ_TOL, f"build_Vs at {s}"
@@ -376,7 +376,7 @@ def verify_regular_dilation(bundle: DilationBundle, guard: int = 1) -> dict[str,
                 continue
             # V_{s+t} is linear: its value at U_{s,t}(e_a (x) e_b) = mu e_ab
             # combines the V_{s+t}(e_alpha)
-            lhs = np.tensordot(sys_.mult_iso(s, t).mu, v_of[st], axes=(0, 0))
+            lhs = np.tensordot(sys_.mult_iso(s, t), v_of[st], axes=(0, 0))
             rhs = (v_of[s][:, None] @ v_of[t][None, :]).reshape(lhs.shape)
             semi_blocks.extend((lhs - rhs) @ doms[st])
     semi_res = max_opnorm(semi_blocks)
@@ -402,7 +402,8 @@ def verify_hat_doubly_commuting(
     Theta(r - b + a, a)^H Theta(r, b) - Theta(r + a, b) Theta(r + a, a)^H.
     The first term needs r - b + a <= L and the second r + a <= L; for
     distinct directions both say r_j + s_j <= L_j, so both terms live on
-    the same blocks.
+    the same blocks. The block r = b is the negated adjoint of
+    representation.doubly_commuting_defect(rep, j, k, s_j, s_k).
     """
     if j == k:
         raise InvalidArgumentError("directions must be distinct")
@@ -430,9 +431,11 @@ def verify_doubly_commuting_V(bundle: DilationBundle, j: int, k: int, guard: int
     gbound = _guarded(bundle.window.bound, max(guard, 1))
     p_guard = _orth_cols(bundle.generating_matrix(gbound))
     a = lattice.unit(iso.system.k, j)
-    proj = kron(np.eye(iso.system.fiber_dim(a)), p_guard @ p_guard.conj().T)
     loc_a = iso.loc(a)
-    return opnorm(defect @ loc_a.factor @ proj @ loc_a.lift)
+    # F_a (I_{p_a} (x) P P^H), with P P^H applied to each fiber slice of F_a
+    factor = loc_a.factor.reshape(loc_a.rank, iso.system.fiber_dim(a), iso.dim)
+    guarded = (factor @ (p_guard @ p_guard.conj().T)).reshape(loc_a.factor.shape)
+    return opnorm(defect @ guarded @ loc_a.lift)
 
 
 def compare_minimal_dilations(bundle_a: DilationBundle, bundle_b: DilationBundle) -> float:

@@ -14,7 +14,7 @@ Fibers and isomorphisms are memoized per word / pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -32,24 +32,6 @@ from .correspondence import (
 from .cstar import CStarAlgebra
 from .errors import IncoherentFlipsError, InvalidArgumentError, InvalidFlipError
 from .linalg import DEFAULT_TOL, kron, opnorm
-
-
-@dataclass(frozen=True)
-class MultIso:
-    """U_{s,t}: reduced fiber(s) (x) fiber(t) -> fiber(s+t), in coordinates.
-
-    ``mu`` maps the p_s * p_t tensor coordinates x (x) y onto X(s+t). It
-    vanishes on the null vectors of the interior tensor, so ``mu q^H`` is
-    the unitary U on the quotient coordinates of any surjection q with
-    orthonormal rows (such as ``interior_tensor``'s), and ``pinv(mu)`` =
-    ``q^H U^{-1}`` maps X(s+t) back to tensor coordinates: pinv(U q) =
-    q^H pinv(U) because U is invertible and q a coisometry. For s = 0 or
-    t = 0, mu is the left or right action map of A = X(0).
-    """
-
-    s: lattice.Point
-    t: lattice.Point
-    mu: np.ndarray = field(compare=False)
 
 
 @dataclass
@@ -93,7 +75,7 @@ class ProductSystem:
         self._words: dict[tuple[int, ...], _WordData] = {}
         self._appends: dict[tuple[tuple[int, ...], int], np.ndarray] = {}
         self._inverse_flips: dict[tuple[int, int], np.ndarray] = {}
-        self._isos: dict[tuple[lattice.Point, lattice.Point], MultIso] = {}
+        self._isos: dict[tuple[lattice.Point, lattice.Point], np.ndarray] = {}
         self.validation = self._validate()
 
     # -- construction-time validation --------------------------------------
@@ -238,7 +220,17 @@ class ProductSystem:
 
     # -- multiplication isomorphisms ----------------------------------------
 
-    def mult_iso(self, s: lattice.Point, t: lattice.Point) -> MultIso:
+    def mult_iso(self, s: lattice.Point, t: lattice.Point) -> np.ndarray:
+        """U_{s,t}: reduced fiber(s) (x) fiber(t) -> fiber(s+t), in coordinates:
+        the map mu of the p_s * p_t tensor coordinates x (x) y onto X(s+t).
+
+        mu vanishes on the null vectors of the interior tensor, so ``mu q^H``
+        is the unitary U on the quotient coordinates of any surjection q with
+        orthonormal rows (such as ``interior_tensor``'s), and ``pinv(mu)`` =
+        ``q^H U^{-1}`` maps X(s+t) back to tensor coordinates: pinv(U q) =
+        q^H pinv(U) because U is invertible and q a coisometry. For s = 0 or
+        t = 0, mu is the left or right action map of A = X(0).
+        """
         s = tuple(s)
         t = tuple(t)
         cached = self._isos.get((s, t))
@@ -265,12 +257,11 @@ class ProductSystem:
                 mu = self._append_map(self.normal_word(s), i) @ split
             else:
                 m_i = self.generators[i - 1].dim
-                mu_prev = self.mult_iso(s, t_prev).mu
+                mu_prev = self.mult_iso(s, t_prev)
                 mu = (
                     self._append_map(self.normal_word(lattice.add(s, t_prev)), i)
                     @ kron(mu_prev, np.eye(m_i))
                     @ split
                 )
-        iso = MultIso(s, t, mu)
-        self._isos[(s, t)] = iso
-        return iso
+        self._isos[(s, t)] = mu
+        return mu

@@ -2,9 +2,12 @@
 
 A representation is given by a unital *-representation sigma of the
 coefficient algebra on H = C^d and, per generator E_i, one d x d matrix per
-basis vector of E_i. The localized contractions T~_s for arbitrary lattice
-points are assembled by composing generator factors right-to-left in normal
-order and descending through the fiber quotients.
+basis vector of E_i. The raw maps of the contractions T~_s for arbitrary
+lattice points are assembled by composing generator factors right-to-left in
+normal order. Every localized map is a lowering block Theta(t, s), the
+descent of I (x) T~_s: loc(t) -> loc(t - s) through the fiber quotients, so
+T~_s is Theta(s, s), and the doubly-commuting identity is read off the same
+cached blocks the hat semigroup is built from.
 """
 
 from __future__ import annotations
@@ -17,7 +20,6 @@ from . import lattice
 from .correspondence import (
     LocalizedSpace,
     descend_map,
-    interior_tensor,
     localize,
     trivial_localized,
 )
@@ -127,13 +129,6 @@ class CCRepresentation:
         self._t_raw[s] = out
         return out
 
-    def t_tilde(self, s: lattice.Point) -> np.ndarray:
-        """Localized contraction T~_s: loc(fiber(s), sigma) -> C^d."""
-        s = tuple(s)
-        if lattice.is_zero(s):
-            return np.eye(self.dim, dtype=complex)
-        return descend_map(self.t_raw(s), self.loc(s), trivial_localized(self.dim), self.tol)
-
     # -- block lowering maps (shared with the hat semigroup) -----------------
 
     def lowering_raw(self, t: lattice.Point, s: lattice.Point) -> np.ndarray:
@@ -150,7 +145,7 @@ class CCRepresentation:
             return self.t_raw(s)
         p_rest = self.system.fiber_dim(rest)
         # mu is onto X(t), so its pseudo-inverse is mu^H (mu mu^H)^{-1}
-        mu = self.system.mult_iso(rest, s).mu
+        mu = self.system.mult_iso(rest, s)
         try:
             split = np.linalg.solve(mu @ mu.conj().T, mu).conj().T  # p_t -> p_rest p_s
         except np.linalg.LinAlgError:
@@ -160,7 +155,10 @@ class CCRepresentation:
         return kron(np.eye(p_rest), self.t_raw(s)) @ kron(split, np.eye(d))
 
     def lowering_block(self, t: lattice.Point, s: lattice.Point) -> np.ndarray:
-        """Localized block map loc(t) -> loc(t-s); the identity for s = 0."""
+        """Localized block map loc(t) -> loc(t-s); the identity for s = 0.
+
+        Theta(s, s) is the localized contraction T~_s: loc(s) -> H.
+        """
         key = (tuple(t), tuple(s))
         cached = self._lowering.get(key)
         if cached is not None:
@@ -173,22 +171,6 @@ class CCRepresentation:
             )
         self._lowering[key] = out
         return out
-
-    # -- pair machinery for the doubly-commuting identity ---------------------
-
-    def _pair(self, a: lattice.Point, b: lattice.Point):
-        """Reduced X(a) (x) X(b) with its localization and surjection."""
-        pair, q = interior_tensor(self.system.fiber(a), self.system.fiber(b), self.tol)
-        return pair, q, localize(pair, self.sigma.mats, self.tol)
-
-    def _ext_map(self, a: lattice.Point, b: lattice.Point):
-        """(I_a (x) T~_b): loc(X(a) (x) X(b)) -> loc(a), plus the pair's
-        localization and its quotient surjection q."""
-        pair, q, loc_pair = self._pair(a, b)
-        p_a = self.system.fiber_dim(a)
-        d = self.dim
-        raw = kron(np.eye(p_a), self.t_raw(b)) @ kron(q.conj().T, np.eye(d))
-        return descend_map(raw, loc_pair, self.loc(a), self.tol), loc_pair, q
 
 
 def validate_representation(rep: CCRepresentation) -> dict[str, float]:
@@ -210,7 +192,7 @@ def validate_representation(rep: CCRepresentation) -> dict[str, float]:
             cov = max(cov, float(np.abs(lhs - rhs).max()))
         res[f"covariance_{i}"] = cov
         e_i = lattice.unit(sys_.k, i)
-        res[f"contraction_{i}"] = max(0.0, opnorm(rep.t_tilde(e_i)) - 1.0)
+        res[f"contraction_{i}"] = max(0.0, opnorm(rep.lowering_block(e_i, e_i)) - 1.0)
     for i in range(1, sys_.k + 1):
         for j in range(i + 1, sys_.k + 1):
             res[f"commutation_{i}_{j}"] = _commutation_residual(rep, i, j)
@@ -242,13 +224,17 @@ def doubly_commuting_check(rep: CCRepresentation, j: int, k: int, s_j: int, s_k:
 def doubly_commuting_defect(
     rep: CCRepresentation, j: int, k: int, s_j: int = 1, s_k: int = 1
 ) -> np.ndarray:
-    """LHS - RHS of the doubly-commuting identity, a map loc(a) -> loc(b)
-    for a = s_j e_j and b = s_k e_k.
+    """LHS - RHS of the doubly-commuting identity
+    T~_b^H T~_a = (I_b (x) T~_a)(t (x) I_H)(I_a (x) T~_b^H), a map
+    loc(a) -> loc(b) for a = s_j e_j and b = s_k e_k, on lowering blocks:
 
-    The flip t = U_{b,a}^{-1} U_{a,b} acts on the quotient coordinates of
-    the reduced pairs X(a) (x) X(b) and X(b) (x) X(a). Each U = mu q^H is
-    formed from the surjection q of ``CCRepresentation._pair``, the same
-    one the extension maps use, so all the maps share one quotient basis.
+        Theta(a+b, a) Theta(a+b, b)^H - Theta(b, b)^H Theta(a, a).
+
+    Theta(a+b, b) is I_a (x) T~_b on X(a) (x) X(b) composed with U_{a,b}^{-1},
+    and Theta(a+b, a) is I_b (x) T~_a composed with U_{b,a}^{-1}, so the flip
+    t = U_{b,a}^{-1} U_{a,b} is carried by the blocks. The defect is the
+    negated adjoint of the block r = b of the T^ defect in
+    ``dilation.verify_hat_doubly_commuting``.
     """
     if j == k:
         raise InvalidArgumentError("doubly commuting check needs distinct directions")
@@ -257,17 +243,9 @@ def doubly_commuting_defect(
     nlat = rep.system.k
     a = lattice.unit(nlat, j, s_j)
     b = lattice.unit(nlat, k, s_k)
-    # RHS: T~_b^H T~_a
-    rhs = rep.t_tilde(b).conj().T @ rep.t_tilde(a)
-    # LHS: (I_b (x) T~_a)(t (x) I_H)(I_a (x) T~_b^H)
-    ext_ab, loc_ab, q_ab = rep._ext_map(a, b)  # loc(X(a)(x)X(b)) -> loc(a)
-    ext_ba, loc_ba, q_ba = rep._ext_map(b, a)  # loc(X(b)(x)X(a)) -> loc(b)
-    u_ab = rep.system.mult_iso(a, b).mu @ q_ab.conj().T
-    u_ba = rep.system.mult_iso(b, a).mu @ q_ba.conj().T
-    t_mod = np.linalg.pinv(u_ba) @ u_ab
-    t_loc = descend_map(kron(t_mod, np.eye(rep.dim)), loc_ab, loc_ba, rep.tol)
-    lhs = ext_ba @ t_loc @ ext_ab.conj().T
-    return lhs - rhs
+    ab = lattice.add(a, b)
+    theta = rep.lowering_block
+    return theta(ab, a) @ theta(ab, b).conj().T - theta(b, b).conj().T @ theta(a, a)
 
 
 def brehmer_check_NS(rep: CCRepresentation, v, s: lattice.Point) -> float:

@@ -3,9 +3,10 @@
 Everything here is implemented from first principles (classical formulas,
 brute-force sums, explicit matrix units) and deliberately shares no code
 with the package internals beyond numpy, with six kinds of exception:
-`doubly_commuting_V_inline` and `commutation_residual_raw_pair` build on
-the correspondence primitives (localization, raw and interior tensors,
-descent) but not on CCRepresentation's fibers; the
+`doubly_commuting_V_inline`, `commutation_residual_raw_pair` and
+`doubly_commuting_defect_quotient` build on the correspondence primitives
+(localization, raw and interior tensors, descent) and the raw maps of the
+representation, but not on its lowering blocks; the
 dense T^ references (`DenseFock` and the functions taking one) assemble
 the lowering blocks `CCRepresentation.lowering_block` into dim H_L square
 matrices, where the package only ever norms blocks; the loop references
@@ -206,8 +207,8 @@ def doubly_commuting_V_inline(bundle, j: int, k: int, guard: int = 1) -> float:
         loc_b,
         1e-6,
     )
-    u_ab = sys_.mult_iso(a, b).mu @ q_ab.conj().T
-    u_ba = sys_.mult_iso(b, a).mu @ q_ba.conj().T
+    u_ab = sys_.mult_iso(a, b) @ q_ab.conj().T
+    u_ba = sys_.mult_iso(b, a) @ q_ba.conj().T
     t_mod = np.linalg.pinv(u_ba) @ u_ab
     t_loc = descend_map(np.kron(t_mod, np.eye(p)), loc_ab, loc_ba, 1e-6)
     lhs = ext_ba @ t_loc @ ext_ab.conj().T
@@ -465,7 +466,7 @@ def verify_regular_dilation_loop(bundle, guard: int = 1) -> dict[str, float]:
             st = _add(s, t)
             if not any(s) or not any(t) or not _leq(st, gbound):
                 continue
-            mu = sys_.mult_iso(s, t).mu
+            mu = sys_.mult_iso(s, t)
             dom = bundle.domain(st)
             p_t = sys_.fiber_dim(t)
             for a in range(sys_.fiber_dim(s)):
@@ -537,7 +538,7 @@ def build_Vs_loop(bundle, s, x) -> np.ndarray:
         if not any(t):
             raw = np.kron(x, np.eye(d))
         else:
-            mu = sys_.mult_iso(s, t).mu
+            mu = sys_.mult_iso(s, t)
             raw = np.kron(mu @ np.kron(x, np.eye(sys_.fiber_dim(t))), np.eye(d))
         tgts.append(bundle.gen_block(st) @ raw)
     return np.concatenate(tgts, axis=1) @ np.linalg.pinv(np.concatenate(doms, axis=1))
@@ -615,17 +616,38 @@ def lowering_raw_quotient(rep, t, s) -> np.ndarray:
     return np.kron(np.eye(p_rest), rep.t_raw(s)) @ np.kron(split, np.eye(rep.dim))
 
 
+def _t_tilde(rep, s) -> np.ndarray:
+    """T~_s: loc(s) -> H, the descent of `rep.t_raw(s)` onto H itself."""
+    from dilationlab.correspondence import descend_map, trivial_localized
+
+    return descend_map(rep.t_raw(s), rep.loc(s), trivial_localized(rep.dim), rep.tol)
+
+
+def _ext_map(rep, a, b):
+    """(I_a (x) T~_b): loc(X(a) (x) X(b)) -> loc(a) on the reduced pair of
+    `interior_tensor`, with the pair's localization."""
+    from dilationlab.correspondence import descend_map, interior_tensor, localize
+
+    pair, q = interior_tensor(rep.system.fiber(a), rep.system.fiber(b), rep.tol)
+    loc_pair = localize(pair, rep.sigma.mats, rep.tol)
+    p_a = rep.system.fiber_dim(a)
+    raw = np.kron(np.eye(p_a), rep.t_raw(b)) @ np.kron(q.conj().T, np.eye(rep.dim))
+    return descend_map(raw, loc_pair, rep.loc(a), rep.tol), loc_pair
+
+
 def doubly_commuting_defect_quotient(rep, j: int, k: int, s_j: int = 1, s_k: int = 1) -> np.ndarray:
-    """doubly_commuting_defect with the flip U_{b,a}^{-1} U_{a,b} taken from
+    """(I_b (x) T~_a)(t (x) I_H)(I_a (x) T~_b^H) - T~_b^H T~_a for a = s_j e_j,
+    b = s_k e_k, on the localized reduced pairs X(a) (x) X(b) and X(b) (x) X(a)
+    of `interior_tensor`, with the flip t = U_{b,a}^{-1} U_{a,b} taken from
     `mult_iso_quotient`."""
     from dilationlab.correspondence import descend_map
 
     nlat = rep.system.k
     a = tuple(s_j if i == j - 1 else 0 for i in range(nlat))
     b = tuple(s_k if i == k - 1 else 0 for i in range(nlat))
-    rhs = rep.t_tilde(b).conj().T @ rep.t_tilde(a)
-    ext_ab, loc_ab, _ = rep._ext_map(a, b)
-    ext_ba, loc_ba, _ = rep._ext_map(b, a)
+    rhs = _t_tilde(rep, b).conj().T @ _t_tilde(rep, a)
+    ext_ab, loc_ab = _ext_map(rep, a, b)
+    ext_ba, loc_ba = _ext_map(rep, b, a)
     u_ab = mult_iso_quotient(rep.system, a, b)[1]
     u_ba = mult_iso_quotient(rep.system, b, a)[1]
     t_mod = np.linalg.pinv(u_ba) @ u_ab
@@ -648,7 +670,7 @@ def mult_iso_unitarity(system, s, t) -> float:
     n = system.algebra.rep_dim
     cs, ct = system.fiber(s), system.fiber(t)
     tensor_red, q = interior_tensor(cs, ct, system.tol)
-    u = system.mult_iso(s, t).mu @ q.conj().T
+    u = system.mult_iso(s, t) @ q.conj().T
     src = _embedded_gram(tensor_red)
     tgt = _embedded_gram(system.fiber(_add(s, t)))
     u_big = np.kron(u, np.eye(n))
@@ -666,8 +688,8 @@ def check_associativity(system, s, t, r) -> float:
     s, t, r = tuple(s), tuple(t), tuple(r)
     mu = system.mult_iso
     ps, pr = system.fiber_dim(s), system.fiber_dim(r)
-    lhs = mu(_add(s, t), r).mu @ np.kron(mu(s, t).mu, np.eye(pr))
-    rhs = mu(s, _add(t, r)).mu @ np.kron(np.eye(ps), mu(t, r).mu)
+    lhs = mu(_add(s, t), r) @ np.kron(mu(s, t), np.eye(pr))
+    rhs = mu(s, _add(t, r)) @ np.kron(np.eye(ps), mu(t, r))
     # weight by the lift of the reduced triple tensor so null directions of
     # the semi-inner product do not contribute
     cr = system.fiber(r)
@@ -745,10 +767,10 @@ def gram_of(corr, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 def is_isometric(rep, s, tol: float = 1e-10) -> bool:
-    tt = rep.t_tilde(s)
+    tt = rep.lowering_block(s, s)
     return _opnorm(tt.conj().T @ tt - np.eye(tt.shape[1])) <= tol
 
 
 def is_fully_coisometric(rep, s, tol: float = 1e-10) -> bool:
-    tt = rep.t_tilde(s)
+    tt = rep.lowering_block(s, s)
     return _opnorm(tt @ tt.conj().T - np.eye(tt.shape[0])) <= tol

@@ -322,6 +322,30 @@ def test_linalg_error_is_a_documented_exit(tmp_path, monkeypatch, capsys, comman
     assert "Traceback" not in capsys.readouterr().err
 
 
+def _raise_not_well_defined(*_args, **_kwargs):
+    from dilationlab.errors import NotWellDefinedError
+
+    raise NotWellDefinedError("descend_map: descent residual 1.2e-10 exceeds tolerance 1.0e-10")
+
+
+@pytest.mark.parametrize("command", ["dilate", "verify"])
+def test_pipeline_error_is_an_invalid_instance(tmp_path, monkeypatch, capsys, command):
+    """An error the pipeline raises on the instance exits 1 with a report
+    carrying it under "error", under verify as under dilate."""
+    args = [command, SCALAR, "--out", str(tmp_path / "r.json")]
+    if command == "verify":
+        reference = tmp_path / "reference.json"
+        assert run(["dilate", SCALAR, "--L", "2", "--out", str(reference)]) == cli.EXIT_OK
+        args += ["--report", str(reference)]
+    monkeypatch.setattr(cli, "window_gram", _raise_not_well_defined)
+    assert run(args) == cli.EXIT_INVALID == 1
+    report = read_report(tmp_path / "r.json")
+    assert report["error"] == "descend_map: descent residual 1.2e-10 exceeds tolerance 1.0e-10"
+    assert report["verdicts"] == {"valid": False} and report["checks"] == []
+    assert report["command"] == "dilate"
+    assert "Traceback" not in capsys.readouterr().err
+
+
 def test_ns_section_matches_per_key_loop():
     """The NS values, computed once per restricted point s[v], equal a
     direct brehmer_check_NS for every reported key."""
@@ -333,9 +357,9 @@ def test_ns_section_matches_per_key_loop():
     inst = parse_instance(generate("diagonal-doubly-commuting", seed=1, k=3))
     _dc, ns = cli._check_section(inst, {"NS_box": [2, 2, 2]})
     want = {}
-    for v in cli._nonempty_subsets(3):
+    for v in lattice.subsets((1, 2, 3)):
         for s in lattice.box((2, 2, 2)):
-            if all(s[i - 1] for i in v):
+            if v and all(s[i - 1] for i in v):
                 want[f"v={list(v)},s={list(s)}"] = float(brehmer_check_NS(inst.representation, v, s))
     assert list(ns) == list(want)
     assert ns == want

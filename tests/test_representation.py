@@ -7,8 +7,8 @@ from dilationlab import cstar, lattice
 from dilationlab.correspondence import descend_map
 from dilationlab.errors import InvalidArgumentError, NotWellDefinedError
 from dilationlab.families import _scalar_instance, generate
+from dilationlab.hatspace import TruncatedFock
 from dilationlab.instances import parse_instance
-from dilationlab.prodsys import MultIso
 from dilationlab.representation import (
     AlgebraRepresentation,
     brehmer_check_NS,
@@ -18,6 +18,7 @@ from dilationlab.representation import (
     validate_sigma,
 )
 from oracles import (
+    DenseFock,
     brehmer_sum_scalar,
     commutation_residual_raw_pair,
     doubly_commuting_defect_quotient,
@@ -188,6 +189,30 @@ def test_doubly_commuting_defect_matches_quotient_oracle(request):
     assert seen_nonzero
 
 
+def test_doubly_commuting_defect_is_hat_block(request):
+    """The defect loc(a) -> loc(b) is the negated adjoint of the block
+    loc(b) -> loc(a) of T^_a^H T^_b - T^_b T^_a^H, cut from the dense T^ on
+    the box up to a + b."""
+    seen_nonzero = False
+    for name, rep in _quotient_cases(request):
+        k = rep.system.k
+        for j in range(1, k + 1):
+            for l in range(1, k + 1):
+                if j == l:
+                    continue
+                for s_j, s_k in ((1, 1), (2, 1), (1, 2)):
+                    a = lattice.unit(k, j, s_j)
+                    b = lattice.unit(k, l, s_k)
+                    dense = DenseFock(TruncatedFock(rep, lattice.add(a, b)))
+                    hat_a, hat_b = dense.hat(a), dense.hat(b)
+                    hat_defect = hat_a.conj().T @ hat_b - hat_b @ hat_a.conj().T
+                    block = hat_defect[dense.block_slice(a), dense.block_slice(b)]
+                    got = doubly_commuting_defect(rep, j, l, s_j, s_k)
+                    assert np.abs(got + block.conj().T).max() <= 1e-13, (name, j, l, s_j, s_k)
+                    seen_nonzero |= np.abs(block).max() > 1e-3
+    assert seen_nonzero
+
+
 def _forbid_svd(monkeypatch):
     """Make numpy's svd and pinv raise, in numpy.linalg and in every loaded
     numpy.linalg submodule that holds them (numpy calls them internally)."""
@@ -227,7 +252,7 @@ def test_lowering_blocks_and_passing_descents_take_no_svd(monkeypatch, family, g
                 assert theta.shape == (rep.loc(lattice.sub(t, s)).rank, rep.loc(t).rank)
     e_1 = lattice.unit(sys_.k, 1)
     b = descend_map(rep.t_raw(e_1), rep.loc(e_1), rep.loc(lattice.zero(sys_.k)), rep.tol)
-    assert np.array_equal(b, rep.t_tilde(e_1))
+    assert np.array_equal(b, rep.lowering_block(e_1, e_1))
 
 
 def test_singular_split_is_not_well_defined():
@@ -235,8 +260,8 @@ def test_singular_split_is_not_well_defined():
     mu mu^H; the lowering split names the pair instead of dividing by it."""
     rep = parse_instance(generate("diagonal-doubly-commuting", seed=0, k=2, dims=2)).representation
     rest, s = (1, 0), (0, 1)
-    mu = rep.system.mult_iso(rest, s).mu
-    rep.system._isos[(rest, s)] = MultIso(rest, s, np.zeros_like(mu))
+    mu = rep.system.mult_iso(rest, s)
+    rep.system._isos[(rest, s)] = np.zeros_like(mu)
     with pytest.raises(NotWellDefinedError, match=r"\(\(1, 0\), \(0, 1\)\)"):
         rep.lowering_raw((1, 1), s)
 
