@@ -30,7 +30,7 @@ from .errors import (
     NotPositiveDefiniteError,
     NotWellDefinedError,
 )
-from .hatspace import TruncatedFock, check_hat_semigroup, hat_checks
+from .hatspace import TruncatedFock, hat_checks
 from .prodsys import ProductSystem
 from .representation import (
     AlgebraRepresentation,
@@ -60,7 +60,6 @@ __all__ = [
     "TruncatedFock",
     "algebra_correspondence",
     "brehmer_check_NS",
-    "check_hat_semigroup",
     "compare_minimal_dilations",
     "doubly_commuting_check",
     "hat_checks",

@@ -9,15 +9,17 @@ forming any T^ matrix and has dimension sum over s in W of rank loc(s). It
 is positive semidefinite exactly when a regular isometric dilation exists
 for the windowed data: its minimum eigenvalue is the window's psd_margin,
 and the rank of its factor R, reported as window.rank, is dim K_min. The
-generating vectors are the column slices of R (in raw fiber (x) H
-coordinates); the product-system isometries V_0(a), V_s(x) are recovered
-from their defining action on them, and every dilation property is
-verified on those vectors. The recovered maps form an isometric
-CCRepresentation on C^p, so its *-homomorphism and doubly-commuting
-identities are checked by the same code as those of (sigma, T).
-Identities involving adjoints are window compressions, so they are
-checked on vectors generated at lattice points at least a guard margin g
-inside the window.
+generating vectors at s are the columns of R at s, in the localized
+coordinates of loc(s), or those times the localization factor F_s, in raw
+fiber (x) H coordinates. V_0 and the generator isometries V_{e_i} are
+recovered by least squares from their defining action on the localized
+ones; every other V_s is their composition in normal order. The recovered
+maps form an isometric CCRepresentation on C^p, so its *-homomorphism and
+doubly-commuting identities are checked by the same code as those of
+(sigma, T). The semigroup law of the V_s is checked once per window point,
+as the composed maps' defining action on their domain. Identities involving
+adjoints are window compressions, so they are checked on vectors generated
+at lattice points at least a guard margin g inside the window.
 
 The doubly-commuting identity of T^ is checked on the lowering blocks, as
 the hatspace checks are: its defect maps each block of H_L into at most one
@@ -117,7 +119,7 @@ class DilationBundle:
             self._cols[s] = slice(start, start + blocks[-1].shape[1])
             start += blocks[-1].shape[1]
         self.generators = np.concatenate(blocks, axis=1)
-        self._v_raw: dict[lattice.Point, np.ndarray] = {}
+        self._guarded_basis: dict[int, np.ndarray] = {}
 
     # -- generating vectors ---------------------------------------------------
 
@@ -139,18 +141,50 @@ class DilationBundle:
         cols = [self.gen_block(s) for s in self.window.points if lattice.leq(s, tuple(bound))]
         return np.concatenate(cols, axis=1)
 
-    def domain(self, s: lattice.Point) -> np.ndarray:
-        """Generating vectors at the window points t with s + t in the window,
-        on which V_s is defined."""
-        cols = [
-            self.gen_block(t)
-            for t in self.window.points
-            if lattice.leq(lattice.add(s, t), self.window.bound)
-        ]
+    def localized(self, bound: lattice.Point) -> np.ndarray:
+        """Generating vectors at the window points t <= bound in localized
+        coordinates: the factor's rank loc(t) columns at each point."""
+        w = self.window
+        cols = [self.factor[:, sl] for t, sl in zip(w.points, w.slices) if lattice.leq(t, bound)]
         return np.concatenate(cols, axis=1)
+
+    def domain(self, s: lattice.Point) -> np.ndarray:
+        """Localized generating vectors at the window points t with s + t in
+        the window, on which V_s is defined."""
+        return self.localized(lattice.sub(self.window.bound, s))
+
+    def targets(self, s: lattice.Point) -> np.ndarray:
+        """The images V_s(e_a) must give domain(s), as a (p_s, p, n) stack:
+        V_s(x) delta_t . y (x) h = delta_{s+t} . U_{s,t}(x (x) y) (x) h,
+        with the raw images at t taken to loc(t) by its lift."""
+        s = tuple(s)
+        sys_ = self.rep.system
+        p_s = sys_.fiber_dim(s)
+        d = self.rep.dim
+        blocks = []
+        for t in self.window.points:
+            st = lattice.add(s, t)
+            if not lattice.leq(st, self.window.bound):
+                continue
+            raw = self.gen_block(st)
+            if not lattice.is_zero(t):
+                raw = raw @ kron(sys_.mult_iso(s, t), np.eye(d))
+            # columns (a, y, h): e_a's images are the (y, h) columns of slice a
+            raw = raw.reshape(self.rank, p_s, -1).transpose(1, 0, 2)
+            blocks.append(raw @ self.rep.loc(t).lift)
+        return np.concatenate(blocks, axis=2)
 
     def k_min_rank(self, bound: lattice.Point | None = None) -> int:
         return _rank(self.generating_matrix(bound))
+
+    def guarded_basis(self, guard: int) -> np.ndarray:
+        """Orthonormal basis of the span of the generating vectors at the
+        points at least `guard` inside the window."""
+        cached = self._guarded_basis.get(guard)
+        if cached is None:
+            cached = _orth_cols(self.localized(_guarded(self.window.bound, guard)))
+            self._guarded_basis[guard] = cached
+        return cached
 
     # -- recovered operators ----------------------------------------------------
 
@@ -158,14 +192,23 @@ class DilationBundle:
     def isometric_rep(self) -> CCRepresentation:
         """The recovered (V_0, V) as a covariant representation on C^p.
 
-        Needs V_{e_i} for every generator, so the window bound must be >= 1
-        in every coordinate.
+        V_0 is one solve over the algebra basis, on all generating vectors,
+        by V_0(a) V_s(x) h = V_s(phi_s(a) x) h; each V_{e_i} is v_raw(e_i),
+        so every other V_s is their composition t_raw(s). Needs V_{e_i} for
+        every generator, so the window bound must be >= 1 in every coordinate.
         """
         sys_ = self.rep.system
         p = self.rank
-        sigma = AlgebraRepresentation(
-            sys_.algebra, p, np.stack([self._v0_basis(q) for q in range(sys_.algebra.dim)])
-        )
+        tgts = []
+        for s in self.window.points:
+            if lattice.is_zero(s):
+                acts = self.rep.sigma.mats
+            else:
+                eye = np.eye(self.rep.dim)
+                acts = np.stack([kron(left, eye) for left in sys_.fiber(s).left_action])
+            tgts.append(self.gen_block(s) @ acts @ self.rep.loc(s).lift)
+        v0 = lstsq_map(np.concatenate(tgts, axis=2), self.factor, LSQ_TOL, "V_0")
+        sigma = AlgebraRepresentation(sys_.algebra, p, v0)
         t_maps = []
         for i, gen in enumerate(sys_.generators, start=1):
             e_i = lattice.unit(sys_.k, i)
@@ -173,26 +216,14 @@ class DilationBundle:
             t_maps.append(raw.reshape(p, gen.dim, p).transpose(1, 0, 2))
         return CCRepresentation(sys_, sigma, t_maps, tol=LSQ_TOL)
 
-    def _v0_basis(self, p: int) -> np.ndarray:
-        """V_0(f_p) on C^p, defined by V_0(a) V_s(x) h = V_s(phi_s(a) x) h."""
-        d = self.rep.dim
-        tgts = []
-        for s in self.window.points:
-            if lattice.is_zero(s):
-                act = self.rep.sigma.mats[p]
-            else:
-                left = self.rep.system.fiber(s).left_action[p]
-                act = kron(left, np.eye(d))
-            tgts.append(self.gen_block(s) @ act)
-        return lstsq_map(np.concatenate(tgts, axis=1), self.generators, LSQ_TOL, "V_0")
-
     def build_Vs(self, s: lattice.Point, x: np.ndarray) -> np.ndarray:
         """V_s(x) on C^p, defined on generating vectors at points t <= M - s.
 
         `x` is one fiber element (a p x p result) or a (p_s, c) block of
         them (a p x (c p) result, the V_s of the columns side by side). All
-        columns are solved against one pseudo-inverse of the shared domain;
-        the consistency check is the largest residual over the columns.
+        columns are solved against one pseudo-inverse of the shared
+        localized domain; the consistency check is the largest residual
+        over the columns.
         """
         s = tuple(s)
         if lattice.is_zero(s):
@@ -201,40 +232,20 @@ class DilationBundle:
             raise InvalidArgumentError(f"point {s} outside the window")
         x = np.asarray(x, dtype=complex)
         x = x.reshape(-1, 1) if x.ndim < 2 else x
-        sys_ = self.rep.system
-        p_s = sys_.fiber_dim(s)
+        p_s = self.rep.system.fiber_dim(s)
         if x.shape[0] != p_s:
             raise InvalidArgumentError(
                 f"fiber element has {x.shape[0]} coordinates, expected {p_s}"
             )
-        d = self.rep.dim
-        doms, tgts = [], []
-        for t in self.window.points:
-            st = lattice.add(s, t)
-            if not lattice.leq(st, self.window.bound):
-                continue
-            doms.append(self.gen_block(t))
-            # the targets of e_1 .. e_{p_s} side by side, n columns each;
-            # contracting with x gives the (c, p, n) targets of its columns
-            if lattice.is_zero(t):
-                raw = self.gen_block(st)
-            else:
-                raw = self.gen_block(st) @ kron(sys_.mult_iso(s, t), np.eye(d))
-            tgts.append(np.tensordot(x, raw.reshape(self.rank, p_s, -1), axes=(0, 1)))
-        vs = lstsq_map(
-            np.concatenate(tgts, axis=2), np.concatenate(doms, axis=1), LSQ_TOL, f"build_Vs at {s}"
-        )
+        # contracting the (p_s, p, n) targets with x gives those of its columns
+        tgts = np.tensordot(x, self.targets(s), axes=(0, 0))
+        vs = lstsq_map(tgts, self.domain(s), LSQ_TOL, f"build_Vs at {s}")
         return vs.transpose(1, 0, 2).reshape(self.rank, -1)
 
     def v_raw(self, s: lattice.Point) -> np.ndarray:
         """p x (p_s p) map x (x) k -> V_s(x) k on reduced-fiber (x) C^p raw
-        coordinates: the V_s(e_alpha) side by side."""
-        s = tuple(s)
-        cached = self._v_raw.get(s)
-        if cached is None:
-            cached = self.build_Vs(s, np.eye(self.rep.system.fiber_dim(s)))
-            self._v_raw[s] = cached
-        return cached
+        coordinates, solved on its domain: the V_s(e_alpha) side by side."""
+        return self.build_Vs(s, np.eye(self.rep.system.fiber_dim(tuple(s))))
 
 
 def kolmogorov(window: KernelWindow, tol: float = 1e-10, method: str = "eig") -> DilationBundle:
@@ -285,9 +296,14 @@ def verify_regular_dilation(bundle: DilationBundle, guard: int = 1) -> dict[str,
     """Residuals of the four dilation properties plus the isometry,
     semigroup, and *-homomorphism identities, keyed by fixed check names.
 
+    Every V_s is isometric_rep.t_raw(s). V_semigroup is the largest
+    ||V_s(e_a) domain(s) - targets(s)[a]|| over 0 < s <= M and basis
+    vectors e_a; with associativity it bounds V_s(x) V_t(y) -
+    V_{s+t}(U_{s,t}(x (x) y)) on the generating vectors at r, s + t + r <= M.
+
     Each operator-norm residual is the largest norm over a family of small
-    blocks (one per algebra basis element, pair of points or pair of fiber
-    basis vectors); the blocks of a check are built as stacks and normed
+    blocks (one per algebra basis element, point, pair of points or fiber
+    basis vector); the blocks of a check are built as stacks and normed
     with one max_opnorm.
     """
     rep = bundle.rep
@@ -296,14 +312,16 @@ def verify_regular_dilation(bundle: DilationBundle, guard: int = 1) -> dict[str,
     points = [s for s in bundle.window.points if not lattice.is_zero(s)]
     gen0 = bundle.gen_block(lattice.zero(sys_.k))
     p_h = gen0 @ gen0.conj().T
-    v0 = bundle.isometric_rep.sigma
+    iso = bundle.isometric_rep
+    v0 = iso.sigma
     d = rep.dim
     rank = bundle.rank
     # V_s(e_a) on C^p for every fiber basis vector e_a, stacked along axis 0
     v_of = {
-        s: bundle.v_raw(s).reshape(rank, sys_.fiber_dim(s), rank).transpose(1, 0, 2) for s in points
+        s: iso.t_raw(s).reshape(rank, sys_.fiber_dim(s), rank).transpose(1, 0, 2) for s in points
     }
     doms = {s: bundle.domain(s) for s in points}
+    images = {s: v_of[s] @ doms[s] for s in points}  # (p_s, p, n)
 
     # item 1: V_0(a) reduces H and restricts to sigma(a)
     item1 = max_opnorm(
@@ -351,35 +369,13 @@ def verify_regular_dilation(bundle: DilationBundle, guard: int = 1) -> dict[str,
     for s in points:
         if not lattice.leq(s, gbound):
             continue
-        dom = doms[s]
-        w = v_of[s] @ dom  # (p_s, p, n)
-        v0g = np.tensordot(sys_.fiber(s).gram, v0.mats, axes=(2, 0))
-        # one row (a, all b) at a time: the domain has far more columns
-        # than C^p has dimensions, so all p_s^2 n x n blocks at once are large.
-        # The row buffers are allocated once per point; multi-MB temporaries
-        # allocated afresh per row are page-faulted in again on every row.
-        lhs = np.empty((w.shape[0], dom.shape[1], dom.shape[1]), dtype=complex)
-        rhs = np.empty_like(lhs)
-        mag = np.empty(lhs.shape)
-        for a in range(w.shape[0]):
-            np.matmul(w[a].conj().T, w, out=lhs)
-            np.matmul(dom.conj().T @ v0g[a], dom, out=rhs)
-            np.abs(np.subtract(lhs, rhs, out=lhs), out=mag)
-            iso_res = max(iso_res, float(mag.max()))
+        dom, w = doms[s], images[s]
+        v0g = np.tensordot(sys_.fiber(s).gram, v0.mats, axes=(2, 0))  # (p_s, p_s, p, p)
+        lhs = w.conj().transpose(0, 2, 1)[:, None] @ w[None, :]
+        iso_res = max(iso_res, float(np.abs(lhs - dom.conj().T @ v0g @ dom).max()))
 
-    # semigroup: V_{s+t}(U_{s,t}(x (x) y)) = V_s(x) V_t(y) on guarded vectors
-    semi_blocks = []
-    for s in points:
-        for t in points:
-            st = lattice.add(s, t)
-            if not lattice.leq(st, gbound):
-                continue
-            # V_{s+t} is linear: its value at U_{s,t}(e_a (x) e_b) = mu e_ab
-            # combines the V_{s+t}(e_alpha)
-            lhs = np.tensordot(sys_.mult_iso(s, t), v_of[st], axes=(0, 0))
-            rhs = (v_of[s][:, None] @ v_of[t][None, :]).reshape(lhs.shape)
-            semi_blocks.extend((lhs - rhs) @ doms[st])
-    semi_res = max_opnorm(semi_blocks)
+    # semigroup: the composed V_s(e_a) against their defining action
+    semi_res = max_opnorm(chain.from_iterable(images[s] - bundle.targets(s) for s in points))
 
     return {
         "regular_item1": item1,
@@ -428,8 +424,7 @@ def verify_doubly_commuting_V(bundle: DilationBundle, j: int, k: int, guard: int
     iso = bundle.isometric_rep
     defect = doubly_commuting_defect(iso, j, k)
     # adjoints are window compressions: restrict to x (x) (guarded vectors)
-    gbound = _guarded(bundle.window.bound, max(guard, 1))
-    p_guard = _orth_cols(bundle.generating_matrix(gbound))
+    p_guard = bundle.guarded_basis(max(guard, 1))
     a = lattice.unit(iso.system.k, j)
     loc_a = iso.loc(a)
     # F_a (I_{p_a} (x) P P^H), with P P^H applied to each fiber slice of F_a

@@ -61,21 +61,23 @@ def _semigroup_defects(
                 yield theta(lattice.sub(r, t), s) @ theta(r, t) - theta(r, st)
 
 
-def check_hat_semigroup(space: TruncatedFock, s: lattice.Point, t: lattice.Point) -> float:
-    """|| T^_s T^_t - T^_{s+t} || on H_L (exact, not truncated)."""
-    return max_opnorm(_semigroup_defects(space, [(tuple(s), tuple(t))]))
-
-
 def hat_checks(space: TruncatedFock) -> dict[str, float]:
-    """Residuals of the semigroup law over all pairs of box points, and of
-    the technology identity T^_s (delta_s . x (x) h) = delta_0 . T_s(x) h.
+    """Residuals of the semigroup law at the generator steps, and of the
+    technology identity T^_s (delta_s . x (x) h) = delta_0 . T_s(x) h.
+
+    The semigroup residual eps is over the pairs (e_i, t), t in the box.
+    It bounds ||T^_s T^_t - T^_{s+t}|| by (2|s| - 1) eps for every pair,
+    by induction on |s|: with s = e_i + u, the defect of (s, t) is that of
+    (e_i, u + t) plus T^_{e_i} times that of (u, t) minus that of (e_i, u)
+    times T^_t, and every T^ is a contraction.
 
     The technology map is the block Theta(s, s): loc(s) -> H of T^_s, so
     its residual is max over 0 < s <= L of ||Theta(s, s) F_s - T_s||, with
     F_s the localization factor and T_s on raw fiber (x) H coordinates.
     """
     rep = space.rep
-    pairs = [(s, t) for s in space.blocks for t in space.blocks]
+    k = rep.system.k
+    pairs = [(lattice.unit(k, i), t) for i in range(1, k + 1) for t in space.blocks]
     technology = (
         rep.lowering_block(s, s) @ loc.factor - rep.t_raw(s)
         for s, loc in zip(space.blocks, space.locs)

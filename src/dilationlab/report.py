@@ -17,6 +17,7 @@ CHECK_TOLERANCES = {
     "regular_item4": 1e-6,
     "V_isometry": 1e-8,
     "V_semigroup": 1e-8,
+    "V_recovery": 1e-8,
     "V0_star_hom": 1e-8,
     "doubly_commuting_hat": 1e-10,
     "doubly_commuting_V": 1e-6,

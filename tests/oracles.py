@@ -296,6 +296,15 @@ class DenseFock:
         return out
 
 
+def check_hat_semigroup(space, s, t) -> float:
+    """|| T^_s T^_t - T^_{s+t} || on H_L for one pair, from the package's
+    defect blocks (exact, not truncated)."""
+    from dilationlab.hatspace import _semigroup_defects
+    from dilationlab.linalg import max_opnorm
+
+    return max_opnorm(_semigroup_defects(space, [(tuple(s), tuple(t))]))
+
+
 def hat_semigroup_dense(dense: DenseFock, s, t) -> float:
     """|| T^_s T^_t - T^_{s+t} || from the dense matrices."""
     return _opnorm(dense.hat(s) @ dense.hat(t) - dense.hat(_add(s, t)))
@@ -390,9 +399,12 @@ def sigma_residuals_loop(mul_table: np.ndarray, adj: np.ndarray, mats: np.ndarra
 
 
 def verify_regular_dilation_loop(bundle, guard: int = 1) -> dict[str, float]:
-    """verify_regular_dilation with one operator norm per basis pair and one
-    Kronecker product per semigroup pair, as the package computed it before
-    its checks were stacked; item 4 is `item4_two_orth`."""
+    """verify_regular_dilation with one operator norm per basis pair or per
+    point and fiber basis vector, and one Kronecker product per point of a
+    target; item 4 is `item4_two_orth`. Every V_s is the composition of the
+    recovered generator isometries, isometric_rep.t_raw(s), and the
+    isometry and semigroup checks run on the localized generating vectors
+    (`loc_domain_and_targets`)."""
     from dilationlab import cstar
 
     def support(s):
@@ -406,12 +418,13 @@ def verify_regular_dilation_loop(bundle, guard: int = 1) -> dict[str, float]:
     zero = tuple(0 for _ in bundle.window.bound)
     gen0 = bundle.gen_block(zero)
     p_h = gen0 @ gen0.conj().T
-    v0 = bundle.isometric_rep.sigma
+    iso = bundle.isometric_rep
+    v0 = iso.sigma
     rank = bundle.rank
     d = rep.dim
 
     def v_of(s, a):
-        return bundle.v_raw(s)[:, a * rank : (a + 1) * rank]
+        return iso.t_raw(s)[:, a * rank : (a + 1) * rank]
 
     item1 = 0.0
     for p in range(alg.dim):
@@ -448,32 +461,22 @@ def verify_regular_dilation_loop(bundle, guard: int = 1) -> dict[str, float]:
     item4 = item4_two_orth(bundle)
 
     iso_res = 0.0
+    semi_res = 0.0
     for s in points:
-        if not any(s) or not _leq(s, gbound):
+        if not any(s):
             continue
         corr = sys_.fiber(s)
-        dom = bundle.domain(s)
+        basis = np.eye(sys_.fiber_dim(s))
         for a in range(sys_.fiber_dim(s)):
+            dom, tgt = loc_domain_and_targets(bundle, s, basis[a])
+            semi_res = max(semi_res, _opnorm(v_of(s, a) @ dom - tgt))
+            if not _leq(s, gbound):
+                continue
             va = v_of(s, a) @ dom
             for b in range(sys_.fiber_dim(s)):
                 vb = v_of(s, b) @ dom
                 v0g = v0.apply(corr.gram[a, b])
                 iso_res = max(iso_res, float(np.abs(va.conj().T @ vb - dom.conj().T @ v0g @ dom).max()))
-
-    semi_res = 0.0
-    for s in points:
-        for t in points:
-            st = _add(s, t)
-            if not any(s) or not any(t) or not _leq(st, gbound):
-                continue
-            mu = sys_.mult_iso(s, t)
-            dom = bundle.domain(st)
-            p_t = sys_.fiber_dim(t)
-            for a in range(sys_.fiber_dim(s)):
-                for b in range(p_t):
-                    lhs = bundle.v_raw(st) @ np.kron(mu[:, [a * p_t + b]], np.eye(rank))
-                    rhs = v_of(s, a) @ v_of(t, b)
-                    semi_res = max(semi_res, _opnorm((lhs - rhs) @ dom))
 
     return {
         "regular_item1": item1,
@@ -486,12 +489,56 @@ def verify_regular_dilation_loop(bundle, guard: int = 1) -> dict[str, float]:
     }
 
 
+def v_semigroup_pairs(bundle, guard: int = 1) -> tuple[float, float]:
+    """The per-pair semigroup law V_{s+t}(U_{s,t}(e_a (x) e_b)) = V_s(e_a) V_t(e_b)
+    on the localized generating vectors at the points r with s + t + r in
+    the window, for s, t > 0 with s + t at least `guard` inside it, with
+    every V_s = isometric_rep.t_raw(s): (largest residual, constant).
+
+    The constant is the largest C(s, t, a, b) = ||mu_{s,t} e_ab||_1 +
+    max_r ||A_{t,r}(e_b)|| + ||V_s(e_a)|| over the same pairs, with
+    A_{t,r}(x) = `loc_action(bundle, t, x, r)`. With the associativity of
+    the product system, the pair residual is at most C times the
+    V_semigroup residual of verify_regular_dilation (one comparison per
+    point), because the pair defect at r is
+    sum_g mu[g, ab] E_{s+t,g} at r - E_{s,a} at t + r times A_{t,r}(e_b)
+    - V_s(e_a) E_{t,b} at r, with E_{u,c} = V_u(e_c) domain(u) - targets.
+    """
+    sys_ = bundle.rep.system
+    iso = bundle.isometric_rep
+    rank = bundle.rank
+    bound = bundle.window.bound
+    gbound = tuple(max(0, b - guard) for b in bound)
+    points = [s for s in bundle.window.points if any(s)]
+    worst = 0.0
+    const = 0.0
+    for s in points:
+        for t in points:
+            st = _add(s, t)
+            if not _leq(st, gbound):
+                continue
+            mu = sys_.mult_iso(s, t)
+            dom, _ = loc_domain_and_targets(bundle, st, np.eye(sys_.fiber_dim(st))[0])
+            rs = [r for r in bundle.window.points if _leq(_add(st, r), bound)]
+            p_t = sys_.fiber_dim(t)
+            basis_t = np.eye(p_t)
+            for a in range(sys_.fiber_dim(s)):
+                v_a = iso.t_raw(s)[:, a * rank : (a + 1) * rank]
+                for b in range(p_t):
+                    lhs = iso.t_raw(st) @ np.kron(mu[:, [a * p_t + b]], np.eye(rank))
+                    rhs = v_a @ iso.t_raw(t)[:, b * rank : (b + 1) * rank]
+                    worst = max(worst, _opnorm((lhs - rhs) @ dom))
+                    a_norm = max(_opnorm(loc_action(bundle, t, basis_t[b], r)) for r in rs)
+                    const = max(const, np.abs(mu[:, a * p_t + b]).sum() + a_norm + _opnorm(v_a))
+    return worst, const
+
+
 def item4_two_orth(bundle) -> float:
     """Item 4 of verify_regular_dilation, max over points s and fiber basis
     vectors e_a of ||P_H V_s(e_a) Q||, with Q an orthonormal basis of
-    domain (-) H found by orthonormalising the domain and then its part
-    orthogonal to H, as the package computed it before it took the
-    projector P_domain - P_H."""
+    domain (-) H found by orthonormalising the localized domain and then
+    its part orthogonal to H, as the package computed it before it took
+    the projector P_domain - P_H."""
     from dilationlab.dilation import _orth_cols
 
     rank = bundle.rank
@@ -500,9 +547,10 @@ def item4_two_orth(bundle) -> float:
     item4 = 0.0
     for s in bundle.window.points:
         if any(s):
-            q_dom = _orth_cols(bundle.domain(s))
+            dom, _ = loc_domain_and_targets(bundle, s, np.eye(bundle.rep.system.fiber_dim(s))[0])
+            q_dom = _orth_cols(dom)
             q_perp = _orth_cols(q_dom - p_h @ q_dom)
-            v = bundle.v_raw(s)
+            v = bundle.isometric_rep.t_raw(s)
             for a in range(bundle.rep.system.fiber_dim(s)):
                 item4 = max(item4, _opnorm(gen0.conj().T @ v[:, a * rank : (a + 1) * rank] @ q_perp))
     return item4
@@ -522,9 +570,48 @@ def commutation_residual_raw_pair(rep, i: int, j: int) -> float:
     return _opnorm((lhs - rhs) @ loc_pair.lift)
 
 
+def loc_action(bundle, s, x, t) -> np.ndarray:
+    """x . (-): loc(t) -> loc(s + t) for one element x of X(s), in localized
+    coordinates: F_{s+t} (U_{s,t}(x (x) -) (x) I_H) lift_t, and F_s (x (x) I_H)
+    on loc(0) = H."""
+    rep = bundle.rep
+    sys_ = rep.system
+    x = np.asarray(x, dtype=complex).reshape(-1, 1)
+    if not any(t):
+        raw = np.kron(x, np.eye(rep.dim))
+    else:
+        raw = np.kron(sys_.mult_iso(s, t) @ np.kron(x, np.eye(sys_.fiber_dim(t))), np.eye(rep.dim))
+    return rep.loc(_add(s, t)).factor @ raw @ rep.loc(t).lift
+
+
+def loc_domain_and_targets(bundle, s, x) -> tuple[np.ndarray, np.ndarray]:
+    """The localized generating vectors on which V_s is defined, one factor
+    slice per window point t with s + t in the window, and the images
+    V_s(x) must give them: the slice at s + t times `loc_action`."""
+    s = tuple(s)
+    window = bundle.window
+    slice_of = dict(zip(window.points, window.slices))
+    doms, tgts = [], []
+    for t in window.points:
+        st = _add(s, t)
+        if not _leq(st, window.bound):
+            continue
+        doms.append(bundle.factor[:, slice_of[t]])
+        tgts.append(bundle.factor[:, slice_of[st]] @ loc_action(bundle, s, x, t))
+    return np.concatenate(doms, axis=1), np.concatenate(tgts, axis=1)
+
+
 def build_Vs_loop(bundle, s, x) -> np.ndarray:
+    """V_s(x) for one fiber element x, by one least-squares solve on the
+    localized generating vectors of `loc_domain_and_targets`."""
+    dom, tgt = loc_domain_and_targets(bundle, s, x)
+    return tgt @ np.linalg.pinv(dom)
+
+
+def build_Vs_raw(bundle, s, x) -> np.ndarray:
     """V_s(x) for one fiber element x, by one Kronecker product per window
-    point and one least-squares solve, as the package built it per vector."""
+    point and one least-squares solve on the raw fiber (x) H generating
+    vectors, as the package built it before it solved on localized ones."""
     s = tuple(s)
     sys_ = bundle.rep.system
     d = bundle.rep.dim

@@ -1,0 +1,72 @@
+"""Equivalence sweep: `dilate` over every generated family on a fixed grid.
+
+The grid is every family x seeds 0-2 x (k, dims, L = M) in CASES. Each run
+goes through `cli.main`, so its exit code is the command's. Per run the
+baseline keeps the exit code, the verdicts, the window section (`M`, `rank`,
+`psd_margin`) and every check record (residual, tolerance, pass flag).
+`tests/test_sweep.py` re-runs the grid against the committed baseline.
+
+Regenerate the baseline, from the root of a checkout, with
+
+    PYTHONPATH=src python tests/sweep.py tests/sweep_baseline.json
+
+A change that redefines a residual regenerates it in the same commit.
+"""
+
+from __future__ import annotations
+
+import json
+import sys
+import tempfile
+from pathlib import Path
+
+from dilationlab import cli
+from dilationlab.families import FAMILIES, generate
+
+SEEDS = (0, 1, 2)
+# (k, dims, L = M)
+CASES = ((2, 2, 2), (2, 3, 3), (3, 2, 1), (2, 2, 3), (1, 2, 3), (3, 2, 2))
+
+
+def case_ids() -> list[tuple[str, int, int, int, int]]:
+    return [
+        (family, seed, k, dims, bound)
+        for family in sorted(FAMILIES)
+        for seed in SEEDS
+        for k, dims, bound in CASES
+    ]
+
+
+def run_case(family: str, seed: int, k: int, dims: int, bound: int, workdir: Path) -> dict:
+    """One `dilate` run: its exit code and the comparable part of its report."""
+    name = f"{family}-{seed}-{k}-{dims}-{bound}"
+    path = workdir / f"{name}.json"
+    out = workdir / f"{name}.report.json"
+    path.write_text(json.dumps(generate(family, seed=seed, k=k, dims=dims)), encoding="utf-8")
+    code = cli.main(["dilate", str(path), "--L", str(bound), "--M", str(bound), "--out", str(out)])
+    report = json.loads(out.read_text(encoding="utf-8")) if out.exists() else {}
+    return {
+        "exit": code,
+        "verdicts": report.get("verdicts", {}),
+        "window": report.get("window"),
+        "checks": report.get("checks", []),
+    }
+
+
+def run_sweep() -> dict[str, dict]:
+    with tempfile.TemporaryDirectory() as tmp:
+        return {
+            "/".join(str(x) for x in case): run_case(*case, Path(tmp)) for case in case_ids()
+        }
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 1:
+        print("usage: sweep.py OUT.json", file=sys.stderr)
+        return 2
+    Path(argv[0]).write_text(json.dumps(run_sweep(), indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

@@ -17,11 +17,18 @@ from dilationlab.dilation import (
 )
 from dilationlab.errors import NotPositiveDefiniteError
 from dilationlab.families import _scalar_instance, generate
-from dilationlab.hatspace import TruncatedFock, check_hat_semigroup
+from dilationlab.hatspace import TruncatedFock
 from dilationlab.instances import parse_instance
 from dilationlab.linalg import opnorm
 from dilationlab.representation import brehmer_check_NS
-from oracles import DenseFock, a_action, check_technology, random_element, schaffer_inner_products
+from oracles import (
+    DenseFock,
+    a_action,
+    check_hat_semigroup,
+    check_technology,
+    random_element,
+    schaffer_inner_products,
+)
 
 from conftest import INSTANCES_DIR
 

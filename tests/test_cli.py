@@ -346,6 +346,24 @@ def test_pipeline_error_is_an_invalid_instance(tmp_path, monkeypatch, capsys, co
     assert "Traceback" not in capsys.readouterr().err
 
 
+def test_recovery_failure_is_a_failed_V_recovery_check(tmp_path, monkeypatch, capsys):
+    """A least-squares recovery of V_0 or a V_{e_i} that fails its
+    consistency check ends the verification with a failed V_recovery check
+    and exit 4."""
+    from dilationlab import dilation
+
+    monkeypatch.setattr(dilation, "lstsq_map", _raise_not_well_defined)
+    out = tmp_path / "r.json"
+    assert run(["dilate", SCALAR, "--L", "2", "--out", str(out)]) == cli.EXIT_CHECK_FAILED == 4
+    report = read_report(out)
+    checks = {c["name"]: c for c in report["checks"]}
+    assert checks["V_recovery"]["residual"] == "inf" and checks["V_recovery"]["pass"] is False
+    assert "V_semigroup" not in checks
+    assert report["verdicts"]["dilatable"] is True
+    assert report["verdicts"]["dilation_verified"] is False
+    assert "operator recovery failed" in capsys.readouterr().err
+
+
 def test_ns_section_matches_per_key_loop():
     """The NS values, computed once per restricted point s[v], equal a
     direct brehmer_check_NS for every reported key."""

@@ -17,6 +17,7 @@ from dilationlab.representation import AlgebraRepresentation, CCRepresentation
 from oracles import (
     DenseFock,
     build_Vs_loop,
+    build_Vs_raw,
     doubly_commuting_V_inline,
     full_window_gram,
     item4_two_orth,
@@ -25,6 +26,7 @@ from oracles import (
     schaffer_inner_products,
     toeplitz_margin_scalar,
     v_raw_loop,
+    v_semigroup_pairs,
     verify_regular_dilation_loop,
     window_points,
 )
@@ -253,8 +255,9 @@ STACKED_VERIFY_CASES = [
 
 
 def _push_off_the_dilation(bundle, eps: float) -> None:
-    """Perturb the recovered V_0 and every V_s by about eps, so that the
-    verification residuals are of that size instead of rounding noise."""
+    """Perturb the recovered V_0 and generator isometries V_{e_i} by about
+    eps, and with them every composed V_s, so that the verification
+    residuals are of that size instead of rounding noise."""
     rng = np.random.default_rng(0)
 
     def noise(shape):
@@ -262,11 +265,8 @@ def _push_off_the_dilation(bundle, eps: float) -> None:
 
     iso = bundle.isometric_rep
     sigma = AlgebraRepresentation(iso.system.algebra, iso.dim, iso.sigma.mats + noise(iso.sigma.mats.shape))
-    bundle.__dict__["isometric_rep"] = CCRepresentation(iso.system, sigma, iso.t_maps, tol=iso.tol)
-    for s in bundle.window.points:
-        if any(s):
-            v = bundle.v_raw(s)
-            bundle._v_raw[s] = v + noise(v.shape)
+    t_maps = [m + noise(m.shape) for m in iso.t_maps]
+    bundle.__dict__["isometric_rep"] = CCRepresentation(iso.system, sigma, t_maps, tol=iso.tol)
 
 
 @pytest.mark.parametrize("name, gen_args, bound", STACKED_VERIFY_CASES)
@@ -274,8 +274,8 @@ def _push_off_the_dilation(bundle, eps: float) -> None:
 @pytest.mark.parametrize("eps", [0.0, 1e-3])
 def test_stacked_verify_matches_loop_oracle(request, name, gen_args, bound, guard, eps):
     """verify_regular_dilation's stacked blocks give the residuals of its
-    per-pair form, up to summation order, on the recovered dilation and on
-    one pushed off it."""
+    per-pair and per-point form, up to summation order, on the recovered
+    dilation and on one pushed off it."""
     if gen_args is None:
         inst = request.getfixturevalue(name)
     else:
@@ -328,7 +328,8 @@ def test_item4_matches_two_orthonormalisation_oracle(name, gen_args, bound, eps)
 )
 def test_blocked_build_Vs_matches_per_vector_loop(name, gen_args, bound):
     """v_raw (one build_Vs of the identity block) and build_Vs of a random
-    block equal the per-vector solves; a single vector keeps its p x p shape."""
+    block equal the per-vector solves on the localized generating vectors;
+    a single vector keeps its p x p shape."""
     bundle = bundle_of(parse_instance(generate(name, **gen_args)), bound)
     rng = np.random.default_rng(3)
     for s in bundle.window.points:
@@ -342,3 +343,48 @@ def test_blocked_build_Vs_matches_per_vector_loop(name, gen_args, bound):
         single = bundle.build_Vs(s, x[:, 0])
         assert single.shape == (bundle.rank, bundle.rank)
         assert np.abs(single - want[:, : bundle.rank]).max() <= 1e-12, s
+
+
+@pytest.mark.parametrize(
+    "name, gen_args, bound",
+    [
+        ("multiplication-isometric", dict(k=2, dims=3), (2, 2)),
+        ("multiplication-isometric", dict(k=3, dims=2), (1, 1, 1)),
+        ("diagonal-doubly-commuting", dict(seed=2, k=2, dims=3), (3, 3)),
+        ("random-contractive", dict(seed=1, k=2), (2, 2)),
+    ],
+)
+def test_localized_build_Vs_equals_raw_domain_solve(name, gen_args, bound):
+    """The localized generating vectors span what the raw fiber (x) H ones
+    span, so the least-squares V_s(x) on C^p is the same operator."""
+    bundle = bundle_of(parse_instance(generate(name, **gen_args)), bound)
+    rng = np.random.default_rng(4)
+    for s in bundle.window.points:
+        if not any(s):
+            continue
+        p_s = bundle.rep.system.fiber_dim(s)
+        x = rng.standard_normal(p_s) + 1j * rng.standard_normal(p_s)
+        assert np.abs(bundle.build_Vs(s, x) - build_Vs_raw(bundle, s, x)).max() <= 1e-12, s
+
+
+@pytest.mark.parametrize("name, gen_args, bound", STACKED_VERIFY_CASES)
+@pytest.mark.parametrize("eps", [0.0, 1e-3])
+def test_V_semigroup_bounds_the_pairwise_law(request, name, gen_args, bound, eps):
+    """The per-pair law V_{s+t}(U_{s,t}(x (x) y)) = V_s(x) V_t(y) is at most
+    the stated constant times V_semigroup, on the recovered dilation and on
+    one pushed off it. On the dilation both sides are rounding noise, and
+    the associativity defect of the product system (also rounding) is
+    allowed for by 1e-13."""
+    if gen_args is None:
+        inst = request.getfixturevalue(name)
+    else:
+        inst = parse_instance(generate(name, **gen_args))
+    bundle = bundle_of(inst, bound)
+    if eps:
+        _push_off_the_dilation(bundle, eps)
+    # guard 0 compares every pair with s + t in the window
+    new = verify_regular_dilation(bundle, guard=0)["V_semigroup"]
+    pairs, const = v_semigroup_pairs(bundle, guard=0)
+    assert pairs <= const * new + (0.0 if eps else 1e-13), (pairs, const, new)
+    if eps:
+        assert new > 1e-5
