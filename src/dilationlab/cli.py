@@ -31,12 +31,11 @@ from .errors import (
     DilationLabError,
     InstanceFormatError,
     InvalidArgumentError,
-    NotPositiveDefiniteError,
     NotWellDefinedError,
 )
 from .families import FAMILIES, generate
 from .hatspace import TruncatedFock, hat_checks
-from .instances import Instance, check_tol, digest, load_instance
+from .instances import Instance, digest, load_instance
 from .report import check_record, compare_reports, make_report, render
 from .representation import brehmer_check_NS, doubly_commuting_check, validate_representation
 
@@ -76,9 +75,11 @@ def _check_point(value, k: int, least: int, name: str) -> None:
 
 
 def _resolve_params(inst: Instance, args, reference: dict | None = None) -> dict:
-    """The instance's parameters, overlaid by a reference report's and then
-    by the flags, with defaults filled in. Every window parameter is checked
-    here, whatever its source; a bad one is a format error."""
+    """The instance's parameters (defaults filled in), overlaid by a
+    reference report's and then by the flags. The tolerance was resolved
+    the same way before the instance was built (see _run). Every window
+    parameter is checked here, whatever its source; a bad one is a format
+    error."""
     k = inst.system.k
     params = {**inst.parameters, **(reference or {})}
     if getattr(args, "L", None) is not None:
@@ -87,22 +88,15 @@ def _resolve_params(inst: Instance, args, reference: dict | None = None) -> dict
         params["M"] = list(_parse_point(args.M, k, "--M"))
     if getattr(args, "guard", None) is not None:
         params["guard"] = args.guard
-    if getattr(args, "tol", None) is not None:
-        params["tol"] = args.tol
-    if params.get("L") is None:
-        params["L"] = [3] * k
+    params["tol"] = inst.system.tol
     if params.get("M") is None:
         params["M"] = list(params["L"])
-    params.setdefault("guard", 1)
-    params.setdefault("tol", 1e-10)
-    params.setdefault("NS_box", [2] * k)
     _check_point(params["L"], k, 0, "L")
     _check_point(params["NS_box"], k, 0, "NS_box")
     # isometric_rep needs V_{e_i} for every generator
     _check_point(params["M"], k, 1, "M")
     if not _is_count(params["guard"], 0):
         raise InstanceFormatError(f"parameter guard must be an integer >= 0, got {params['guard']!r}")
-    check_tol(params["tol"], "parameter tol")
     return params
 
 
@@ -126,7 +120,7 @@ def _check_section(inst: Instance, params: dict) -> tuple[dict, dict]:
     for j in range(1, k + 1):
         for l in range(j + 1, k + 1):
             dc[f"{j},{l}"] = float(doubly_commuting_check(rep, j, l, 1, 1))
-    ns_box = tuple(params.get("NS_box", [2] * k))
+    ns_box = tuple(params["NS_box"])
     ns = {}
     for v in lattice.subsets(range(1, k + 1)):
         if not v:
@@ -155,6 +149,8 @@ def run_pipeline(inst: Instance, command: str, params: dict) -> tuple[dict, int]
     extra = {"validation": validation}
     if not valid:
         exit_code = EXIT_INVALID
+        failed = sorted(name for name, res in validation.items() if not res <= VALIDATION_TOL)
+        extra["error"] = f"validation residuals above {VALIDATION_TOL:.1e}: {', '.join(failed)}"
     elif command in ("check", "dilate"):
         dc, ns = _check_section(inst, params)
         extra["doubly_commuting"] = dc
@@ -263,7 +259,12 @@ def _run(args, command: str, reference: dict | None = None) -> tuple[dict | None
     inst = None
     params: dict = {}
     try:
-        inst = load_instance(args.path)
+        # the system is built with the tolerance of the run: the flag's,
+        # else the reference report's, else the instance's
+        tol = getattr(args, "tol", None)
+        if tol is None and reference is not None:
+            tol = reference.get("tol")
+        inst = load_instance(args.path, tol=tol)
         params = _resolve_params(inst, args, reference)
         return run_pipeline(inst, command, params)
     except InstanceFormatError as exc:
@@ -387,8 +388,6 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except NotPositiveDefiniteError:  # pragma: no cover - handled in pipeline
-        return EXIT_NOT_DILATABLE
     except DilationLabError as exc:
         print(f"dilation-lab: {exc}", file=sys.stderr)
         return EXIT_FORMAT

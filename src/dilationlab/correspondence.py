@@ -136,8 +136,8 @@ def validate_correspondence(corr: Correspondence, tol: float = DEFAULT_TOL) -> d
     right, left = corr.right_action, corr.left_action
     combo_r = np.tensordot(mul_table, right, axes=(2, 0)) - right[None, :] @ right[:, None]
     combo_l = np.tensordot(mul_table, left, axes=(2, 0)) - left[:, None] @ left[None, :]
-    res["right_homomorphism"] = max_opnorm(combo_r.reshape(-1, m, m))
-    res["left_homomorphism"] = max_opnorm(combo_l.reshape(-1, m, m))
+    res["right_homomorphism"] = max_opnorm(combo_r.reshape(alg.dim**2, m, m))
+    res["left_homomorphism"] = max_opnorm(combo_l.reshape(alg.dim**2, m, m))
 
     # <e_i, e_j . f_p> = <e_i, e_j> f_p
     compat = 0.0

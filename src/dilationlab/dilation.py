@@ -10,16 +10,21 @@ is positive semidefinite exactly when a regular isometric dilation exists
 for the windowed data: its minimum eigenvalue is the window's psd_margin,
 and the rank of its factor R, reported as window.rank, is dim K_min. The
 generating vectors at s are the columns of R at s, in the localized
-coordinates of loc(s), or those times the localization factor F_s, in raw
-fiber (x) H coordinates. V_0 and the generator isometries V_{e_i} are
-recovered by least squares from their defining action on the localized
-ones; every other V_s is their composition in normal order. The recovered
-maps form an isometric CCRepresentation on C^p, so its *-homomorphism and
-doubly-commuting identities are checked by the same code as those of
-(sigma, T). The semigroup law of the V_s is checked once per window point,
-as the composed maps' defining action on their domain. Identities involving
-adjoints are window compressions, so they are checked on vectors generated
-at lattice points at least a guard margin g inside the window.
+coordinates of loc(s), and are stored in no other form: they are taken to
+raw fiber (x) H coordinates, by the localization factor F_s, only where a
+fiber action is applied to them. V_0 and the generator isometries V_{e_i}
+are recovered by one least-squares path from their defining action on the
+localized generating vectors; every other V_s is their composition in
+normal order. The recovered maps form an isometric CCRepresentation on C^p,
+so its *-homomorphism and doubly-commuting identities are checked by the
+same code as those of (sigma, T). The semigroup law of the V_s is checked
+once per window point, as the composed maps' defining action on their
+domain, and minimality is its part on the generating vectors at 0.
+Regularity compares the factor's inner products with the kernel blocks of
+points of disjoint support, Theta(t, t)^H Theta(s, s).
+Identities involving adjoints are window compressions, so they are checked
+on vectors generated at lattice points at least a guard margin g inside
+the window.
 
 The doubly-commuting identity of T^ is checked on the lowering blocks, as
 the hatspace checks are: its defect maps each block of H_L into at most one
@@ -101,7 +106,12 @@ def window_gram(space: TruncatedFock, bound: lattice.Point) -> KernelWindow:
 
 
 class DilationBundle:
-    """Kolmogorov factor of a window kernel plus the recovered isometries."""
+    """Kolmogorov factor of a window kernel plus the recovered isometries.
+
+    The factor's columns at a window point s, `factor[:, slices[s]]`, are
+    the generating vectors delta_s . x (x) h in the localized coordinates
+    of loc(s); they are the only stored form of the generating vectors.
+    """
 
     def __init__(self, window: KernelWindow, factor: np.ndarray, method: str, tol: float):
         self.window = window
@@ -110,36 +120,9 @@ class DilationBundle:
         self.rank = factor.shape[0]
         self.method = method
         self.tol = tol
-        # generating vectors in raw fiber (x) H coordinates, point after point
-        blocks = []
-        self._cols: dict[lattice.Point, slice] = {}
-        start = 0
-        for s, sl in zip(window.points, window.slices):
-            blocks.append(factor[:, sl] @ self.rep.loc(s).factor)
-            self._cols[s] = slice(start, start + blocks[-1].shape[1])
-            start += blocks[-1].shape[1]
-        self.generators = np.concatenate(blocks, axis=1)
         self._guarded_basis: dict[int, np.ndarray] = {}
 
     # -- generating vectors ---------------------------------------------------
-
-    def gen_block(self, s: lattice.Point) -> np.ndarray:
-        """Images of the generating vectors delta_s . x (x) h in C^p.
-
-        Columns are indexed by raw fiber (x) H coordinates (by H basis for
-        s = 0), i.e. the map h -> V_s(x) h on basis pairs.
-        """
-        cols = self._cols.get(tuple(s))
-        if cols is None:
-            raise InvalidArgumentError(f"point {tuple(s)} outside the window")
-        return self.generators[:, cols]
-
-    def generating_matrix(self, bound: lattice.Point | None = None) -> np.ndarray:
-        """All generating vectors for window points <= bound, stacked."""
-        if bound is None:
-            return self.generators
-        cols = [self.gen_block(s) for s in self.window.points if lattice.leq(s, tuple(bound))]
-        return np.concatenate(cols, axis=1)
 
     def localized(self, bound: lattice.Point) -> np.ndarray:
         """Generating vectors at the window points t <= bound in localized
@@ -155,27 +138,37 @@ class DilationBundle:
 
     def targets(self, s: lattice.Point) -> np.ndarray:
         """The images V_s(e_a) must give domain(s), as a (p_s, p, n) stack:
-        V_s(x) delta_t . y (x) h = delta_{s+t} . U_{s,t}(x (x) y) (x) h,
-        with the raw images at t taken to loc(t) by its lift."""
+        V_s(x) delta_t . y (x) h = delta_{s+t} . U_{s,t}(x (x) y) (x) h, with
+        U_{0,t} the left action of A, V_s(x) delta_0 . h = delta_s . x (x) h
+        and V_0(a) h = sigma(a) h. The generating vectors at s + t are taken
+        to raw fiber (x) H coordinates by F_{s+t} for the action, and its
+        images at t back to loc(t) by the lift."""
         s = tuple(s)
         sys_ = self.rep.system
+        w = self.window
         p_s = sys_.fiber_dim(s)
         d = self.rep.dim
+        slice_of = dict(zip(w.points, w.slices))
         blocks = []
-        for t in self.window.points:
+        for t in w.points:
             st = lattice.add(s, t)
-            if not lattice.leq(st, self.window.bound):
+            if not lattice.leq(st, w.bound):
                 continue
-            raw = self.gen_block(st)
+            raw = self.factor[:, slice_of[st]] @ self.rep.loc(st).factor
+            if lattice.is_zero(st):
+                blocks.append(raw @ self.rep.sigma.mats)
+                continue
             if not lattice.is_zero(t):
                 raw = raw @ kron(sys_.mult_iso(s, t), np.eye(d))
             # columns (a, y, h): e_a's images are the (y, h) columns of slice a
-            raw = raw.reshape(self.rank, p_s, -1).transpose(1, 0, 2)
-            blocks.append(raw @ self.rep.loc(t).lift)
+            loc_t = self.rep.loc(t)
+            raw = raw.reshape(self.rank, p_s, loc_t.source_dim).transpose(1, 0, 2)
+            blocks.append(raw @ loc_t.lift)
         return np.concatenate(blocks, axis=2)
 
-    def k_min_rank(self, bound: lattice.Point | None = None) -> int:
-        return _rank(self.generating_matrix(bound))
+    def k_min_rank(self) -> int:
+        """dim K_min: the numerical rank of the localized generating vectors."""
+        return _rank(self.factor)
 
     def guarded_basis(self, guard: int) -> np.ndarray:
         """Orthonormal basis of the span of the generating vectors at the
@@ -192,60 +185,26 @@ class DilationBundle:
     def isometric_rep(self) -> CCRepresentation:
         """The recovered (V_0, V) as a covariant representation on C^p.
 
-        V_0 is one solve over the algebra basis, on all generating vectors,
-        by V_0(a) V_s(x) h = V_s(phi_s(a) x) h; each V_{e_i} is v_raw(e_i),
-        so every other V_s is their composition t_raw(s). Needs V_{e_i} for
-        every generator, so the window bound must be >= 1 in every coordinate.
+        V_0 and each generator isometry V_{e_i} are one least-squares solve
+        of their defining action, `targets`, on their domain: V_0 on all
+        generating vectors, over the algebra basis, and V_{e_i} over the
+        reduced basis of X(e_i), taken to E_i's basis by its surjection.
+        Every other V_s is their composition t_raw(s). Needs V_{e_i} for
+        every generator, so the window bound must be >= 1 in every
+        coordinate.
         """
         sys_ = self.rep.system
-        p = self.rank
-        tgts = []
-        for s in self.window.points:
-            if lattice.is_zero(s):
-                acts = self.rep.sigma.mats
-            else:
-                eye = np.eye(self.rep.dim)
-                acts = np.stack([kron(left, eye) for left in sys_.fiber(s).left_action])
-            tgts.append(self.gen_block(s) @ acts @ self.rep.loc(s).lift)
-        v0 = lstsq_map(np.concatenate(tgts, axis=2), self.factor, LSQ_TOL, "V_0")
-        sigma = AlgebraRepresentation(sys_.algebra, p, v0)
-        t_maps = []
-        for i, gen in enumerate(sys_.generators, start=1):
-            e_i = lattice.unit(sys_.k, i)
-            raw = self.v_raw(e_i) @ kron(sys_.word_data((i,)).last_q, np.eye(p))
-            t_maps.append(raw.reshape(p, gen.dim, p).transpose(1, 0, 2))
+        k = sys_.k
+        v0, *gens = (
+            lstsq_map(self.targets(s), self.domain(s), LSQ_TOL, f"V_{s}")
+            for s in [lattice.zero(k)] + [lattice.unit(k, i) for i in range(1, k + 1)]
+        )
+        sigma = AlgebraRepresentation(sys_.algebra, self.rank, v0)
+        t_maps = [
+            np.tensordot(sys_.word_data((i,)).last_q, v, axes=(0, 0))
+            for i, v in enumerate(gens, start=1)
+        ]
         return CCRepresentation(sys_, sigma, t_maps, tol=LSQ_TOL)
-
-    def build_Vs(self, s: lattice.Point, x: np.ndarray) -> np.ndarray:
-        """V_s(x) on C^p, defined on generating vectors at points t <= M - s.
-
-        `x` is one fiber element (a p x p result) or a (p_s, c) block of
-        them (a p x (c p) result, the V_s of the columns side by side). All
-        columns are solved against one pseudo-inverse of the shared
-        localized domain; the consistency check is the largest residual
-        over the columns.
-        """
-        s = tuple(s)
-        if lattice.is_zero(s):
-            raise InvalidArgumentError("the zero fiber is isometric_rep.sigma")
-        if not lattice.leq(s, self.window.bound):
-            raise InvalidArgumentError(f"point {s} outside the window")
-        x = np.asarray(x, dtype=complex)
-        x = x.reshape(-1, 1) if x.ndim < 2 else x
-        p_s = self.rep.system.fiber_dim(s)
-        if x.shape[0] != p_s:
-            raise InvalidArgumentError(
-                f"fiber element has {x.shape[0]} coordinates, expected {p_s}"
-            )
-        # contracting the (p_s, p, n) targets with x gives those of its columns
-        tgts = np.tensordot(x, self.targets(s), axes=(0, 0))
-        vs = lstsq_map(tgts, self.domain(s), LSQ_TOL, f"build_Vs at {s}")
-        return vs.transpose(1, 0, 2).reshape(self.rank, -1)
-
-    def v_raw(self, s: lattice.Point) -> np.ndarray:
-        """p x (p_s p) map x (x) k -> V_s(x) k on reduced-fiber (x) C^p raw
-        coordinates, solved on its domain: the V_s(e_alpha) side by side."""
-        return self.build_Vs(s, np.eye(self.rep.system.fiber_dim(tuple(s))))
 
 
 def kolmogorov(window: KernelWindow, tol: float = 1e-10, method: str = "eig") -> DilationBundle:
@@ -296,10 +255,12 @@ def verify_regular_dilation(bundle: DilationBundle, guard: int = 1) -> dict[str,
     """Residuals of the four dilation properties plus the isometry,
     semigroup, and *-homomorphism identities, keyed by fixed check names.
 
-    Every V_s is isometric_rep.t_raw(s). V_semigroup is the largest
+    Every V_s is isometric_rep.t_raw(s), and every residual is taken on the
+    localized generating vectors. V_semigroup is the largest
     ||V_s(e_a) domain(s) - targets(s)[a]|| over 0 < s <= M and basis
     vectors e_a; with associativity it bounds V_s(x) V_t(y) -
     V_{s+t}(U_{s,t}(x (x) y)) on the generating vectors at r, s + t + r <= M.
+    Item 3 is its t = 0 part, V_s(x) delta_0 . h = delta_s . x (x) h.
 
     Each operator-norm residual is the largest norm over a family of small
     blocks (one per algebra basis element, point, pair of points or fiber
@@ -308,9 +269,10 @@ def verify_regular_dilation(bundle: DilationBundle, guard: int = 1) -> dict[str,
     """
     rep = bundle.rep
     sys_ = rep.system
-    gbound = _guarded(bundle.window.bound, guard)
-    points = [s for s in bundle.window.points if not lattice.is_zero(s)]
-    gen0 = bundle.gen_block(lattice.zero(sys_.k))
+    window = bundle.window
+    gbound = _guarded(window.bound, guard)
+    points = [s for s in window.points if not lattice.is_zero(s)]
+    gen0 = bundle.localized(lattice.zero(sys_.k))  # loc(0) = H
     p_h = gen0 @ gen0.conj().T
     iso = bundle.isometric_rep
     v0 = iso.sigma
@@ -322,6 +284,7 @@ def verify_regular_dilation(bundle: DilationBundle, guard: int = 1) -> dict[str,
     }
     doms = {s: bundle.domain(s) for s in points}
     images = {s: v_of[s] @ doms[s] for s in points}  # (p_s, p, n)
+    defects = {s: images[s] - bundle.targets(s) for s in points}
 
     # item 1: V_0(a) reduces H and restricts to sigma(a)
     item1 = max_opnorm(
@@ -333,24 +296,25 @@ def verify_regular_dilation(bundle: DilationBundle, guard: int = 1) -> dict[str,
     star_hom = max(sigma_res["multiplicative"], sigma_res["star_preserving"])
 
     # item 2: regularity <V_{s-}(x-) h, V_{s+}(x+) g> = <T~_{s-}(x-) h, T~_{s+}(x+) g>
+    # for disjoint supports, where the kernel block is Theta(s-, s-)^H Theta(s+, s+)
+    cells = list(zip(window.points, window.slices))
     item2 = max_opnorm(
-        bundle.gen_block(s_neg).conj().T @ bundle.gen_block(s_pos)
-        - rep.t_raw(s_neg).conj().T @ rep.t_raw(s_pos)
-        for s_neg in bundle.window.points
-        for s_pos in bundle.window.points
+        bundle.factor[:, sl_neg].conj().T @ bundle.factor[:, sl_pos] - window.gram[sl_neg, sl_pos]
+        for s_neg, sl_neg in cells
+        for s_pos, sl_pos in cells
         if not set(lattice.support(s_neg)) & set(lattice.support(s_pos))
     )
 
-    # item 3: minimality - V_s(x) delta_0 h recovers every generating vector
-    v_gen0 = {s: v_of[s] @ gen0 for s in points}  # (p_s, p, d)
-    item3 = max_opnorm(
-        chain.from_iterable(
-            v_gen0[s] - bundle.gen_block(s).reshape(rank, sys_.fiber_dim(s), d).transpose(1, 0, 2)
-            for s in points
-        )
-    )
+    # item 3: minimality - V_s(x) delta_0 h recovers every generating vector;
+    # the first d columns of every domain are the generating vectors at 0
+    item3 = max_opnorm(chain.from_iterable(defects[s][..., :d] for s in points))
     span_direct = np.concatenate(
-        [gen0] + [v_gen0[s].transpose(1, 0, 2).reshape(rank, -1) for s in points], axis=1
+        [gen0]
+        + [
+            images[s][..., :d].transpose(1, 0, 2).reshape(rank, sys_.fiber_dim(s) * d)
+            for s in points
+        ],
+        axis=1,
     )
     if bundle.k_min_rank() != _rank(span_direct):
         item3 = np.inf
@@ -372,10 +336,10 @@ def verify_regular_dilation(bundle: DilationBundle, guard: int = 1) -> dict[str,
         dom, w = doms[s], images[s]
         v0g = np.tensordot(sys_.fiber(s).gram, v0.mats, axes=(2, 0))  # (p_s, p_s, p, p)
         lhs = w.conj().transpose(0, 2, 1)[:, None] @ w[None, :]
-        iso_res = max(iso_res, float(np.abs(lhs - dom.conj().T @ v0g @ dom).max()))
+        iso_res = max(iso_res, float(np.abs(lhs - dom.conj().T @ v0g @ dom).max(initial=0.0)))
 
     # semigroup: the composed V_s(e_a) against their defining action
-    semi_res = max_opnorm(chain.from_iterable(images[s] - bundle.targets(s) for s in points))
+    semi_res = max_opnorm(chain.from_iterable(defects.values()))
 
     return {
         "regular_item1": item1,
@@ -434,13 +398,15 @@ def verify_doubly_commuting_V(bundle: DilationBundle, j: int, k: int, guard: int
 
 
 def compare_minimal_dilations(bundle_a: DilationBundle, bundle_b: DilationBundle) -> float:
-    """Max inner-product discrepancy between the generating vectors of two
-    factorizations, plus the residual of the matched unitary intertwiner."""
+    """Max inner-product discrepancy between the localized generating
+    vectors of two factorizations of kernels of one representation (so in
+    the same loc(t) coordinates), plus the residual of the matched unitary
+    intertwiner."""
     bound = tuple(
         min(x, y) for x, y in zip(bundle_a.window.bound, bundle_b.window.bound, strict=True)
     )
-    g_a = bundle_a.generating_matrix(bound)
-    g_b = bundle_b.generating_matrix(bound)
+    g_a = bundle_a.localized(bound)
+    g_b = bundle_b.localized(bound)
     gram_diff = float(np.abs(g_a.conj().T @ g_a - g_b.conj().T @ g_b).max())
     if _rank(g_a) != _rank(g_b):
         return float("inf")

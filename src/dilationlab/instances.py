@@ -18,10 +18,15 @@ import numpy as np
 from .correspondence import Correspondence
 from .cstar import CStarAlgebra, make_algebra
 from .errors import InstanceFormatError
+from .linalg import DEFAULT_TOL
 from .prodsys import ProductSystem
 from .representation import AlgebraRepresentation, CCRepresentation
 
-DEFAULT_PARAMETERS = {"L": None, "M": None, "guard": 1, "tol": 1e-10}
+
+def default_parameters(k: int) -> dict:
+    """The run parameters of an instance with k generators that neither it,
+    a reference report nor the flags set; an unset M is L."""
+    return {"L": [3] * k, "guard": 1, "tol": DEFAULT_TOL, "NS_box": [2] * k}
 
 
 @dataclass
@@ -134,7 +139,7 @@ def correspondence_to_json(corr: Correspondence) -> dict:
 def _parse_correspondence(obj, algebra: CStarAlgebra, where: str) -> Correspondence:
     _expect(isinstance(obj, dict), f"{where}: expected an object")
     m = obj.get("dim")
-    _expect(isinstance(m, int) and m >= 0, f"{where}: bad dim {m!r}")
+    _expect(isinstance(m, int) and m >= 1, f"{where}: bad dim {m!r}")
     gram = json_to_array(obj.get("gram"), (m, m, algebra.dim), f"{where}: gram")
     right = json_to_array(obj.get("right_action"), (algebra.dim, m, m), f"{where}: right_action")
     left = json_to_array(obj.get("left_action"), (algebra.dim, m, m), f"{where}: left_action")
@@ -160,6 +165,12 @@ def instance_to_json(system: ProductSystem, rep: CCRepresentation, parameters: d
 
 def parse_instance(data: dict, tol: float | None = None) -> Instance:
     """Build the live objects from a decoded instance dict.
+
+    The product system and the representation are built with `tol` when
+    given (a flag's or a reference report's tolerance), else with the
+    instance's `parameters.tol`, else the default. `Instance.parameters`
+    holds the instance's parameters over `default_parameters`, null values
+    counting as unset, with `tol` the one the objects were built with.
 
     Schema problems raise InstanceFormatError; mathematically invalid data
     (bad Grams, incoherent flips, non-covariant T) raises the corresponding
@@ -192,12 +203,15 @@ def parse_instance(data: dict, tol: float | None = None) -> Instance:
         mi, mj = generators[i - 1].dim, generators[j - 1].dim
         flips[(i, j)] = json_to_array(mat, (mj * mi, mi * mj), f"flip {key}")
 
-    params = dict(DEFAULT_PARAMETERS)
-    _expect(isinstance(data.get("parameters", {}), dict), "instance: parameters must be an object")
-    params.update(data.get("parameters", {}))
+    given = data.get("parameters", {})
+    _expect(isinstance(given, dict), "instance: parameters must be an object")
+    params = default_parameters(k)
+    params.update((name, value) for name, value in given.items() if value is not None)
     check_tol(params["tol"], "instance: parameters.tol")
-    tol = params["tol"] if tol is None else tol
-    system = ProductSystem(algebra, generators, flips, tol=tol)
+    if tol is not None:
+        check_tol(tol, "parameter tol")
+        params["tol"] = tol
+    system = ProductSystem(algebra, generators, flips, tol=params["tol"])
 
     rep_obj = data.get("representation")
     _expect(isinstance(rep_obj, dict), "instance: missing representation")
@@ -212,7 +226,7 @@ def parse_instance(data: dict, tol: float | None = None) -> Instance:
         json_to_array(mats, (gen.dim, d, d), f"T[{i}]")
         for i, (gen, mats) in enumerate(zip(generators, t_obj, strict=True), start=1)
     ]
-    rep = CCRepresentation(system, sigma, t_maps, tol=tol)
+    rep = CCRepresentation(system, sigma, t_maps, tol=params["tol"])
     return Instance(algebra, system, rep, params, data)
 
 

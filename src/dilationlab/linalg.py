@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 import warnings
 
 import numpy as np
@@ -103,12 +104,13 @@ def lstsq_map(targets: np.ndarray, domain: np.ndarray, tol: float, what: str) ->
     check passes without an SVD; otherwise the exact residual is taken and
     NotWellDefinedError reports it when it exceeds tol.
     """
-    flat = targets.reshape(-1, targets.shape[-1])
+    flat = targets.reshape(math.prod(targets.shape[:-1]), targets.shape[-1])
     b = flat @ np.linalg.pinv(domain)
     defect = b @ domain - flat
     if not np.linalg.norm(defect) <= tol:  # NaN takes the exact path too
-        require_descent(max_opnorm(defect.reshape((-1,) + targets.shape[-2:])), tol, what)
-    return b.reshape(targets.shape[:-1] + (-1,))
+        stack = defect.reshape((math.prod(targets.shape[:-2]),) + targets.shape[-2:])
+        require_descent(max_opnorm(stack), tol, what)
+    return b.reshape(targets.shape[:-1] + domain.shape[:1])
 
 
 def require_descent(residual: float, tol: float, what: str) -> None:

@@ -210,11 +210,12 @@ class ProductSystem:
             m_j = self.generators[j - 1].dim
             p_prefix = self.word_data(prefix).corr.dim if prefix else 1
             peel = kron(self.word_data(word).last_q.conj().T, np.eye(m_i))
+            cols = peel.shape[1]
             # I_{p_prefix} (x) flip, applied to each prefix slice of peel
-            flipped = self.flip_for(j, i) @ peel.reshape(p_prefix, m_j * m_i, -1)
+            flipped = self.flip_for(j, i) @ peel.reshape(p_prefix, m_j * m_i, cols)
             inner = kron(self._append_map(prefix, i), np.eye(m_j))
             rejoin = self._append_map(tuple(sorted(prefix + (i,))), j)
-            out = rejoin @ inner @ flipped.reshape(p_prefix * m_i * m_j, -1)
+            out = rejoin @ inner @ flipped.reshape(p_prefix * m_i * m_j, cols)
         self._appends[key] = out
         return out
 

@@ -52,7 +52,8 @@ def validate_sigma(sigma: AlgebraRepresentation) -> dict[str, float]:
     res: dict[str, float] = {}
     mats = sigma.mats
     combos = np.tensordot(multiplication_table(alg), mats, axes=(2, 0))  # sigma(f_p f_q)
-    res["multiplicative"] = max_opnorm((combos - mats[:, None] @ mats[None, :]).reshape(-1, d, d))
+    products = combos - mats[:, None] @ mats[None, :]
+    res["multiplicative"] = max_opnorm(products.reshape(alg.dim**2, d, d))
     adjoints = np.tensordot(adjoint_table(alg), mats, axes=(1, 0))  # sigma(f_p^*)
     res["star_preserving"] = max_opnorm(adjoints - mats.conj().transpose(0, 2, 1))
     res["unital"] = opnorm(sigma.apply(unit(alg).coords) - np.eye(sigma.dim))
@@ -174,7 +175,8 @@ class CCRepresentation:
 
 
 def validate_representation(rep: CCRepresentation) -> dict[str, float]:
-    """Residuals: sigma axioms, covariance, contractivity, flip commutation."""
+    """Residuals: sigma axioms, covariance, vanishing on null vectors,
+    contractivity, flip commutation."""
     res = {f"sigma.{k}": v for k, v in validate_sigma(rep.sigma).items()}
     sys_ = rep.system
     sig = rep.sigma.mats
@@ -191,6 +193,11 @@ def validate_representation(rep: CCRepresentation) -> dict[str, float]:
             rhs = np.einsum("su,but->bst", sig[p], t_arr)
             cov = max(cov, float(np.abs(lhs - rhs).max()))
         res[f"covariance_{i}"] = cov
+        # a contraction vanishes on the module null vectors of E_i, which
+        # the reduced fiber X(e_i) drops: T on I - q^H q
+        q = sys_.word_data((i,)).last_q
+        null_proj = np.eye(gen.dim) - q.conj().T @ q
+        res[f"null_vanishing_{i}"] = opnorm(rep.gen_t_raw(i) @ kron(null_proj, np.eye(rep.dim)))
         e_i = lattice.unit(sys_.k, i)
         res[f"contraction_{i}"] = max(0.0, opnorm(rep.lowering_block(e_i, e_i)) - 1.0)
     for i in range(1, sys_.k + 1):

@@ -2,7 +2,7 @@
 
 Everything here is implemented from first principles (classical formulas,
 brute-force sums, explicit matrix units) and deliberately shares no code
-with the package internals beyond numpy, with six kinds of exception:
+with the package internals beyond numpy, with seven kinds of exception:
 `doubly_commuting_V_inline`, `commutation_residual_raw_pair` and
 `doubly_commuting_defect_quotient` build on the correspondence primitives
 (localization, raw and interior tensors, descent) and the raw maps of the
@@ -17,7 +17,10 @@ the package once stored next to that quotient, and `raw_word_maps` rebuilds
 the raw-word surjections and lifts the package once kept for every word;
 the algebra-element arithmetic (`mul`, `adjoint`, `norm`, `is_positive`,
 `random_element`) and `gram_of` go through `cstar.embed`/`from_matrix`
-and a correspondence's Gram array.
+and a correspondence's Gram array; and the raw generating-vector and
+least-squares V_s references (`gen_block`, `generating_matrix`,
+`build_Vs`, `v_raw`) rebuild, from a bundle's factor, targets and domains,
+the raw fiber (x) H copy and the general solve the package once kept.
 """
 
 from __future__ import annotations
@@ -170,8 +173,9 @@ def doubly_commuting_V_inline(bundle, j: int, k: int, guard: int = 1) -> float:
     recovered dilation, assembled directly from the correspondence
     primitives instead of through CCRepresentation.
 
-    `bundle` provides the recovered V_0 (as `isometric_rep.sigma.mats`), the
-    raw maps `v_raw(s)`, `rank`, the window bound and `generating_matrix`.
+    `bundle` provides the recovered V_0 (as `isometric_rep.sigma.mats`),
+    `rank` and the window bound; the raw maps are `v_raw(bundle, s)` and the
+    guarded vectors `generating_matrix(bundle, bound)`.
     The identity is restricted to x (x) (generating vectors at points at
     least max(guard, 1) inside the window).
     """
@@ -187,8 +191,8 @@ def doubly_commuting_V_inline(bundle, j: int, k: int, guard: int = 1) -> float:
     corr_b = sys_.fiber(b)
     loc_a = localize(corr_a, rho, 1e-8)
     loc_b = localize(corr_b, rho, 1e-8)
-    vt_a = descend_map(bundle.v_raw(a), loc_a, trivial_localized(p), 1e-6)
-    vt_b = descend_map(bundle.v_raw(b), loc_b, trivial_localized(p), 1e-6)
+    vt_a = descend_map(v_raw(bundle, a), loc_a, trivial_localized(p), 1e-6)
+    vt_b = descend_map(v_raw(bundle, b), loc_b, trivial_localized(p), 1e-6)
     rhs = vt_b.conj().T @ vt_a
 
     pair_ab, q_ab = interior_tensor(corr_a, corr_b, bundle.rep.tol)
@@ -196,13 +200,13 @@ def doubly_commuting_V_inline(bundle, j: int, k: int, guard: int = 1) -> float:
     loc_ab = localize(pair_ab, rho, 1e-8)
     loc_ba = localize(pair_ba, rho, 1e-8)
     ext_ab = descend_map(
-        np.kron(np.eye(sys_.fiber_dim(a)), bundle.v_raw(b)) @ np.kron(q_ab.conj().T, np.eye(p)),
+        np.kron(np.eye(sys_.fiber_dim(a)), v_raw(bundle, b)) @ np.kron(q_ab.conj().T, np.eye(p)),
         loc_ab,
         loc_a,
         1e-6,
     )
     ext_ba = descend_map(
-        np.kron(np.eye(sys_.fiber_dim(b)), bundle.v_raw(a)) @ np.kron(q_ba.conj().T, np.eye(p)),
+        np.kron(np.eye(sys_.fiber_dim(b)), v_raw(bundle, a)) @ np.kron(q_ba.conj().T, np.eye(p)),
         loc_ba,
         loc_b,
         1e-6,
@@ -214,7 +218,7 @@ def doubly_commuting_V_inline(bundle, j: int, k: int, guard: int = 1) -> float:
     lhs = ext_ba @ t_loc @ ext_ab.conj().T
 
     gbound = tuple(max(0, m - max(guard, 1)) for m in bundle.window.bound)
-    u, svals, _ = np.linalg.svd(bundle.generating_matrix(gbound), full_matrices=False)
+    u, svals, _ = np.linalg.svd(generating_matrix(bundle, gbound), full_matrices=False)
     p_guard = u[:, svals > 1e-8 * max(svals.max(initial=0.0), 1.0)]
     proj = np.kron(np.eye(sys_.fiber_dim(a)), p_guard @ p_guard.conj().T)
     proj_loc = loc_a.factor @ proj @ loc_a.lift
@@ -404,7 +408,10 @@ def verify_regular_dilation_loop(bundle, guard: int = 1) -> dict[str, float]:
     target; item 4 is `item4_two_orth`. Every V_s is the composition of the
     recovered generator isometries, isometric_rep.t_raw(s), and the
     isometry and semigroup checks run on the localized generating vectors
-    (`loc_domain_and_targets`)."""
+    (`loc_domain_and_targets`). Item 2 compares the factor's localized
+    columns with the lowering blocks Theta(s, s), item 3 the composed V_s
+    on H with the raw generating vectors `gen_block`, and its rank test
+    takes the rank of the factor."""
     from dilationlab import cstar
 
     def support(s):
@@ -416,7 +423,7 @@ def verify_regular_dilation_loop(bundle, guard: int = 1) -> dict[str, float]:
     points = bundle.window.points
     gbound = tuple(max(0, b - guard) for b in bundle.window.bound)
     zero = tuple(0 for _ in bundle.window.bound)
-    gen0 = bundle.gen_block(zero)
+    gen0 = gen_block(bundle, zero)
     p_h = gen0 @ gen0.conj().T
     iso = bundle.isometric_rep
     v0 = iso.sigma
@@ -434,28 +441,31 @@ def verify_regular_dilation_loop(bundle, guard: int = 1) -> dict[str, float]:
         sigma_residuals_loop(cstar.multiplication_table(alg), cstar.adjoint_table(alg), v0.mats)
     )
 
+    slice_of = dict(zip(points, bundle.window.slices))
     item2 = 0.0
     for s_neg in points:
         for s_pos in points:
             if support(s_neg) & support(s_pos):
                 continue
-            lhs = bundle.gen_block(s_neg).conj().T @ bundle.gen_block(s_pos)
-            rhs = rep.t_raw(s_neg).conj().T @ rep.t_raw(s_pos)
+            lhs = bundle.factor[:, slice_of[s_neg]].conj().T @ bundle.factor[:, slice_of[s_pos]]
+            rhs = rep.lowering_block(s_neg, s_neg).conj().T @ rep.lowering_block(s_pos, s_pos)
             item2 = max(item2, _opnorm(lhs - rhs))
 
     item3 = 0.0
     for s in points:
         if any(s):
-            g_s = bundle.gen_block(s)
+            g_s = gen_block(bundle, s)
             for a in range(sys_.fiber_dim(s)):
                 item3 = max(item3, _opnorm(v_of(s, a) @ gen0 - g_s[:, a * d : (a + 1) * d]))
     span_direct = np.concatenate(
         [gen0] + [v_of(s, a) @ gen0 for s in points if any(s) for a in range(sys_.fiber_dim(s))],
         axis=1,
     )
-    if bundle.k_min_rank() != int(
-        np.linalg.matrix_rank(span_direct, tol=1e-8 * max(1.0, _opnorm(span_direct)))
-    ):
+
+    def rank_of(m):
+        return int(np.linalg.matrix_rank(m, tol=1e-8 * max(1.0, _opnorm(m))))
+
+    if rank_of(bundle.factor) != rank_of(span_direct):
         item3 = np.inf
 
     item4 = item4_two_orth(bundle)
@@ -542,7 +552,7 @@ def item4_two_orth(bundle) -> float:
     from dilationlab.dilation import _orth_cols
 
     rank = bundle.rank
-    gen0 = bundle.gen_block(tuple(0 for _ in bundle.window.bound))
+    gen0 = gen_block(bundle, tuple(0 for _ in bundle.window.bound))
     p_h = gen0 @ gen0.conj().T
     item4 = 0.0
     for s in bundle.window.points:
@@ -621,13 +631,13 @@ def build_Vs_raw(bundle, s, x) -> np.ndarray:
         st = _add(s, t)
         if not _leq(st, bundle.window.bound):
             continue
-        doms.append(bundle.gen_block(t))
+        doms.append(gen_block(bundle, t))
         if not any(t):
             raw = np.kron(x, np.eye(d))
         else:
             mu = sys_.mult_iso(s, t)
             raw = np.kron(mu @ np.kron(x, np.eye(sys_.fiber_dim(t))), np.eye(d))
-        tgts.append(bundle.gen_block(st) @ raw)
+        tgts.append(gen_block(bundle, st) @ raw)
     return np.concatenate(tgts, axis=1) @ np.linalg.pinv(np.concatenate(doms, axis=1))
 
 
@@ -635,6 +645,70 @@ def v_raw_loop(bundle, s) -> np.ndarray:
     """The V_s(e_alpha) side by side, one `build_Vs_loop` per basis vector."""
     basis = np.eye(bundle.rep.system.fiber_dim(tuple(s)))
     return np.concatenate([build_Vs_loop(bundle, s, e) for e in basis], axis=1)
+
+
+def gen_block(bundle, s) -> np.ndarray:
+    """Images in C^p of the generating vectors delta_s . x (x) h, columns
+    indexed by raw fiber (x) H coordinates (by H basis for s = 0): the
+    factor's localized columns at s times the localization factor F_s."""
+    slice_of = dict(zip(bundle.window.points, bundle.window.slices))
+    return bundle.factor[:, slice_of[tuple(s)]] @ bundle.rep.loc(s).factor
+
+
+def generating_matrix(bundle, bound=None) -> np.ndarray:
+    """`gen_block` of every window point <= bound (default: the window's
+    bound), side by side."""
+    bound = bundle.window.bound if bound is None else tuple(bound)
+    return np.concatenate(
+        [gen_block(bundle, s) for s in bundle.window.points if _leq(s, bound)], axis=1
+    )
+
+
+def build_Vs(bundle, s, x) -> np.ndarray:
+    """V_s(x) on C^p for one fiber element x (a p x p result) or a (p_s, c)
+    block of them (a p x (c p) result), by one least-squares solve of the
+    package's targets contracted with x on its domain(s)."""
+    from dilationlab.dilation import LSQ_TOL
+    from dilationlab.linalg import lstsq_map
+
+    x = np.asarray(x, dtype=complex)
+    x = x.reshape(-1, 1) if x.ndim < 2 else x
+    tgts = np.tensordot(x, bundle.targets(s), axes=(0, 0))
+    vs = lstsq_map(tgts, bundle.domain(s), LSQ_TOL, f"build_Vs at {tuple(s)}")
+    return vs.transpose(1, 0, 2).reshape(bundle.rank, -1)
+
+
+def v_raw(bundle, s) -> np.ndarray:
+    """p x (p_s p) map x (x) k -> V_s(x) k: the V_s(e_alpha) side by side."""
+    return build_Vs(bundle, s, np.eye(bundle.rep.system.fiber_dim(tuple(s))))
+
+
+def isometric_maps_two_paths(bundle) -> tuple[np.ndarray, list[np.ndarray]]:
+    """(V_0, [T_i]) of the recovered representation by the two solves the
+    package once used: V_0 by one solve on all generating vectors with
+    targets in raw fiber (x) H coordinates, sigma at 0 and the stacked
+    left actions kron(phi(a), I_H) elsewhere; each V_{e_i} as `v_raw`, taken
+    to E_i's basis by kron(last_q, I_p)."""
+    from dilationlab.dilation import LSQ_TOL
+    from dilationlab.linalg import lstsq_map
+
+    rep = bundle.rep
+    sys_ = rep.system
+    p = bundle.rank
+    tgts = []
+    for s in bundle.window.points:
+        if any(s):
+            acts = np.stack([np.kron(left, np.eye(rep.dim)) for left in sys_.fiber(s).left_action])
+        else:
+            acts = rep.sigma.mats
+        tgts.append(gen_block(bundle, s) @ acts @ rep.loc(s).lift)
+    v0 = lstsq_map(np.concatenate(tgts, axis=2), bundle.factor, LSQ_TOL, "V_0")
+    t_maps = []
+    for i, gen in enumerate(sys_.generators, start=1):
+        e_i = tuple(int(j == i - 1) for j in range(sys_.k))
+        raw = v_raw(bundle, e_i) @ np.kron(sys_.word_data((i,)).last_q, np.eye(p))
+        t_maps.append(raw.reshape(p, gen.dim, p).transpose(1, 0, 2))
+    return v0, t_maps
 
 
 # -- multiplication isomorphisms on the interior-tensor quotient --------------

@@ -1,7 +1,11 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from dilationlab import cli
 
@@ -48,6 +52,19 @@ def test_format_error_exit(tmp_path):
     empty = tmp_path / "empty.json"
     empty.write_text("{}")
     assert run(["validate", str(empty)]) == cli.EXIT_FORMAT
+
+
+def test_zero_dimensional_generator_is_a_format_error(tmp_path, capsys):
+    """A generator needs a basis vector; a zero correspondence is a zero
+    Gram (see the fuzz test below)."""
+    data = _nilpotent_data()
+    data["generators"][0] = {"dim": 0, "gram": [], "left_action": [[]], "right_action": [[]]}
+    data["representation"]["T"][0] = []
+    data["flips"]["1,2"] = []
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert run(["dilate", str(bad)]) == cli.EXIT_FORMAT
+    assert "generator 1: bad dim 0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value, text", [(float("nan"), "NaN"), (float("inf"), "Infinity")])
@@ -382,3 +399,128 @@ def test_ns_section_matches_per_key_loop():
     assert list(ns) == list(want)
     assert ns == want
     assert len(set(ns.values())) > 1
+
+
+# -- fuzzing the CLI with mutated sample instances ------------------------------
+
+# every exit code the README documents
+DOCUMENTED_EXITS = {0, 1, 2, 3, 4, 5, 6}
+SAMPLE_INSTANCES = ("scalar_pair", "nilpotent_pair", "unitary_scalar")
+
+
+def _complex_array(obj) -> np.ndarray:
+    pairs = np.array(obj, dtype=float)
+    return pairs[..., 0] + 1j * pairs[..., 1]
+
+
+def _json_array(a) -> list:
+    a = np.asarray(a, dtype=complex)
+    return np.stack([a.real, a.imag], axis=-1).tolist()
+
+
+def _swap(m: int, n: int) -> np.ndarray:
+    """The flip C^m (x) C^n -> C^n (x) C^m of scalar correspondences."""
+    out = np.zeros((n * m, m * n))
+    for x in range(m):
+        for y in range(n):
+            out[y * m + x, x * n + y] = 1.0
+    return out
+
+
+def _mutated_instance(name: str, perm, gens) -> dict:
+    """A sample instance (over C, one-dimensional generators, scalar flips)
+    with its generators permuted by `perm` and generator a, taken from
+    generator perm[a], changed by gens[a] = (scale, gram, zero_t): Gram times
+    scale^2 and T times scale; gram "zero" sets the Gram to 0 and
+    "duplicate" adds a second basis vector equal to the first (a rank-one
+    2 x 2 Gram); zero_t sets every T map to 0."""
+    data = json.loads((INSTANCES_DIR / f"{name}.json").read_text(encoding="utf-8"))
+    k = len(data["generators"])
+    flips = {
+        tuple(int(i) for i in key.split(",")): _complex_array(v)[0, 0]
+        for key, v in data["flips"].items()
+    }
+    generators, t_maps, dims = [], [], []
+    for (scale, gram_kind, zero_t), old in zip(gens, perm, strict=True):
+        gram = _complex_array(data["generators"][old]["gram"])[0, 0, 0] * scale**2
+        gram = 0.0 if gram_kind == "zero" else gram
+        t = 0.0 if zero_t else _complex_array(data["representation"]["T"][old])[0] * scale
+        m = 2 if gram_kind == "duplicate" else 1
+        eye = _json_array(np.eye(m)[None])
+        generators.append(
+            {"dim": m, "gram": _json_array(np.full((m, m, 1), gram)), "left_action": eye, "right_action": eye}
+        )
+        d = data["representation"]["H_dim"]
+        t_maps.append(_json_array(np.broadcast_to(t, (m, d, d))))
+        dims.append(m)
+    data["generators"] = generators
+    data["representation"]["T"] = t_maps
+    data["flips"] = {}
+    for a in range(k):
+        for b in range(a + 1, k):
+            i, j = perm[a] + 1, perm[b] + 1
+            phase = flips[(i, j)] if i < j else np.conj(flips[(j, i)])
+            data["flips"][f"{a + 1},{b + 1}"] = _json_array(phase * _swap(dims[a], dims[b]))
+    return data
+
+
+@st.composite
+def _mutations(draw):
+    name = draw(st.sampled_from(SAMPLE_INSTANCES))
+    k = 1 if name == "unitary_scalar" else 2
+    perm = draw(st.permutations(range(k)))
+    gens = [
+        (
+            draw(st.sampled_from((1e-6, 1e-3, 1.0, 1e3, 1e6))),
+            draw(st.sampled_from(("full", "zero", "duplicate"))),
+            draw(st.booleans()),
+        )
+        for _ in range(k)
+    ]
+    # window corners: every coordinate of L at 0, 1 or 2 and of M at 1 or 2
+    # (M = 0 in some direction is a format error, tested above)
+    bound_l = draw(st.lists(st.integers(0, 2), min_size=k, max_size=k))
+    bound_m = draw(st.lists(st.integers(1, 2), min_size=k, max_size=k))
+    return name, perm, gens, (bound_l, bound_m)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@example(("scalar_pair", [0, 1], [(1.0, "zero", False), (1.0, "full", False)], ([2, 2], [2, 2])))
+@example(("scalar_pair", [0, 1], [(1.0, "zero", True), (1.0, "full", False)], ([2, 2], [2, 2])))
+@given(_mutations())
+def test_dilate_on_mutated_instances_ends_in_a_documented_exit(case):
+    """Rescaled and permuted generators, zero or rank-deficient Grams, zero
+    T maps and window corners end in a documented exit code, with a report
+    carrying "error" for exits 1 and 6, and never in an exception."""
+    name, perm, gens, (bound_l, bound_m) = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "instance.json"
+        out = Path(tmp) / "report.json"
+        path.write_text(json.dumps(_mutated_instance(name, perm, gens)), encoding="utf-8")
+        window = ["--L", ",".join(map(str, bound_l)), "--M", ",".join(map(str, bound_m))]
+        code = cli.main(["dilate", str(path), *window, "--out", str(out)])
+        assert code in DOCUMENTED_EXITS
+        if code in (1, 6):
+            assert "error" in read_report(out)
+
+
+def test_tol_flag_and_instance_parameter_give_the_same_run(tmp_path):
+    """--tol x and parameters.tol: x build the system with the same
+    tolerance, so they give the same exit code, verdicts, checks and window
+    (here on scalar_pair with generator 1 rescaled by 1e3, where the
+    default tolerance fails a descent)."""
+    data = _mutated_instance("scalar_pair", [0, 1], [(1e3, "full", False), (1.0, "full", False)])
+    plain = tmp_path / "plain.json"
+    plain.write_text(json.dumps(data), encoding="utf-8")
+    data["parameters"] = {"tol": 1e-6}
+    with_tol = tmp_path / "with_tol.json"
+    with_tol.write_text(json.dumps(data), encoding="utf-8")
+    runs = []
+    for path, flags in ((plain, ["--tol", "1e-6"]), (with_tol, [])):
+        out = tmp_path / f"{path.stem}.report.json"
+        code = run(["dilate", str(path), "--L", "2", "--M", "2", *flags, "--out", str(out)])
+        report = read_report(out)
+        runs.append((code, report["verdicts"], report["checks"], report["window"]))
+        assert report["parameters"]["tol"] == 1e-6
+    assert runs[0] == runs[1]
+    assert runs[0][0] != cli.EXIT_INVALID

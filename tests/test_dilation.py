@@ -16,15 +16,20 @@ from dilationlab.instances import parse_instance
 from dilationlab.representation import AlgebraRepresentation, CCRepresentation
 from oracles import (
     DenseFock,
+    build_Vs,
     build_Vs_loop,
     build_Vs_raw,
     doubly_commuting_V_inline,
     full_window_gram,
+    gen_block,
+    generating_matrix,
+    isometric_maps_two_paths,
     item4_two_orth,
     mul,
     random_element,
     schaffer_inner_products,
     toeplitz_margin_scalar,
+    v_raw,
     v_raw_loop,
     v_semigroup_pairs,
     verify_regular_dilation_loop,
@@ -40,7 +45,7 @@ def bundle_of(inst, bound, method="eig"):
 def test_unitary_scalar_generating_gram():
     inst = parse_instance(_scalar_instance([np.array([[1.0]])]))
     bundle = bundle_of(inst, (3,))
-    g = bundle.generating_matrix()
+    g = generating_matrix(bundle)
     gram = g.conj().T @ g
     assert np.allclose(gram, np.ones((4, 4)), atol=1e-12)
     assert bundle.k_min_rank() == 1
@@ -48,7 +53,7 @@ def test_unitary_scalar_generating_gram():
 
 def test_ar1_generating_gram(half_scalar):
     bundle = bundle_of(half_scalar, (2,))
-    g = bundle.generating_matrix()
+    g = generating_matrix(bundle)
     gram = (g.conj().T @ g).real
     expected = np.array([[1.0, 0.5, 0.25], [0.5, 1.0, 0.5], [0.25, 0.5, 1.0]])
     assert np.allclose(gram, expected, atol=1e-12)
@@ -57,7 +62,7 @@ def test_ar1_generating_gram(half_scalar):
 
 def test_generating_gram_matches_schaffer(half_scalar):
     bundle = bundle_of(half_scalar, (3,))
-    g = bundle.generating_matrix()
+    g = generating_matrix(bundle)
     oracle = schaffer_inner_products(np.array([[0.5]], dtype=complex), 3)
     assert np.abs(g.conj().T @ g - oracle).max() <= 1e-12
 
@@ -113,11 +118,11 @@ def test_kolmogorov_rejects_nilpotent(nilpotent_pair):
 
 def test_hat_V_shifts_kappa(half_scalar):
     bundle = bundle_of(half_scalar, (2,))
-    v1 = bundle.build_Vs((1,), np.array([1.0]))
-    assert np.linalg.norm(v1 @ bundle.gen_block((0,)) - bundle.gen_block((1,))) <= 1e-12
-    assert np.linalg.norm(v1 @ bundle.gen_block((1,)) - bundle.gen_block((2,))) <= 1e-12
+    v1 = build_Vs(bundle, (1,), np.array([1.0]))
+    assert np.linalg.norm(v1 @ gen_block(bundle, (0,)) - gen_block(bundle, (1,))) <= 1e-12
+    assert np.linalg.norm(v1 @ gen_block(bundle, (1,)) - gen_block(bundle, (2,))) <= 1e-12
     # isometric on its domain
-    dom = np.concatenate([bundle.gen_block((0,)), bundle.gen_block((1,))], axis=1)
+    dom = np.concatenate([gen_block(bundle, (0,)), gen_block(bundle, (1,))], axis=1)
     assert np.linalg.norm(dom.conj().T @ (v1.conj().T @ v1) @ dom - dom.conj().T @ dom) <= 1e-12
 
 
@@ -152,7 +157,7 @@ def test_V0_star_homomorphism(mult_m2):
     v0 = bundle.isometric_rep.sigma
     va, vb = v0.apply(a.coords), v0.apply(b.coords)
     vab = v0.apply(mul(a, b).coords)
-    gen = bundle.generating_matrix()
+    gen = generating_matrix(bundle)
     assert np.linalg.norm((va @ vb - vab) @ gen) <= 1e-10
 
 
@@ -164,20 +169,20 @@ def test_Vs_covariance(mult_m2):
     x = rng.standard_normal(4) + 1j * rng.standard_normal(4)
     a = random_element(alg, rng)
     xa = mult_m2.system.generators[0].act_right(a.coords) @ x
-    lhs = bundle.build_Vs((1, 0), xa)
-    rhs = bundle.build_Vs((1, 0), x) @ bundle.isometric_rep.sigma.apply(a.coords)
-    gen = bundle.generating_matrix()
+    lhs = build_Vs(bundle, (1, 0), xa)
+    rhs = build_Vs(bundle, (1, 0), x) @ bundle.isometric_rep.sigma.apply(a.coords)
+    gen = generating_matrix(bundle)
     assert np.linalg.norm((lhs - rhs) @ gen) <= 1e-10
 
 
 def test_Vs_compresses_to_T(mult_m2):
     bundle = bundle_of(mult_m2, (2, 2))
     rng = np.random.default_rng(2)
-    gen0 = bundle.gen_block((0, 0))
+    gen0 = gen_block(bundle, (0, 0))
     for i, s in [(0, (1, 0)), (1, (0, 1))]:
         m = mult_m2.system.generators[i].dim
         x = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-        v = bundle.build_Vs(s, x)
+        v = build_Vs(bundle, s, x)
         t = np.tensordot(x, mult_m2.representation.t_maps[i], axes=(0, 0))
         assert np.linalg.norm(gen0.conj().T @ v @ gen0 - t) <= 1e-10
 
@@ -232,7 +237,7 @@ def test_doubly_commuting_V_matches_inline_oracle(request, name, gen_args, bound
 def test_isometric_rep_sigma_restricts_to_sigma(scalar_pair, mult_m2):
     for inst in (scalar_pair, mult_m2):
         bundle = bundle_of(inst, (2, 2))
-        gen0 = bundle.gen_block((0, 0))
+        gen0 = gen_block(bundle, (0, 0))
         v0 = bundle.isometric_rep.sigma.mats
         assert np.abs(gen0.conj().T @ v0 @ gen0 - inst.representation.sigma.mats).max() <= 1e-10
 
@@ -335,12 +340,12 @@ def test_blocked_build_Vs_matches_per_vector_loop(name, gen_args, bound):
     for s in bundle.window.points:
         if not any(s):
             continue
-        assert np.abs(bundle.v_raw(s) - v_raw_loop(bundle, s)).max() <= 1e-12, s
+        assert np.abs(v_raw(bundle, s) - v_raw_loop(bundle, s)).max() <= 1e-12, s
         p_s = bundle.rep.system.fiber_dim(s)
         x = rng.standard_normal((p_s, 2)) + 1j * rng.standard_normal((p_s, 2))
         want = np.concatenate([build_Vs_loop(bundle, s, col) for col in x.T], axis=1)
-        assert np.abs(bundle.build_Vs(s, x) - want).max() <= 1e-12, s
-        single = bundle.build_Vs(s, x[:, 0])
+        assert np.abs(build_Vs(bundle, s, x) - want).max() <= 1e-12, s
+        single = build_Vs(bundle, s, x[:, 0])
         assert single.shape == (bundle.rank, bundle.rank)
         assert np.abs(single - want[:, : bundle.rank]).max() <= 1e-12, s
 
@@ -364,7 +369,7 @@ def test_localized_build_Vs_equals_raw_domain_solve(name, gen_args, bound):
             continue
         p_s = bundle.rep.system.fiber_dim(s)
         x = rng.standard_normal(p_s) + 1j * rng.standard_normal(p_s)
-        assert np.abs(bundle.build_Vs(s, x) - build_Vs_raw(bundle, s, x)).max() <= 1e-12, s
+        assert np.abs(build_Vs(bundle, s, x) - build_Vs_raw(bundle, s, x)).max() <= 1e-12, s
 
 
 @pytest.mark.parametrize("name, gen_args, bound", STACKED_VERIFY_CASES)
@@ -388,3 +393,40 @@ def test_V_semigroup_bounds_the_pairwise_law(request, name, gen_args, bound, eps
     assert pairs <= const * new + (0.0 if eps else 1e-13), (pairs, const, new)
     if eps:
         assert new > 1e-5
+
+
+@pytest.mark.parametrize("name, gen_args, bound", STACKED_VERIFY_CASES)
+def test_one_recovery_path_matches_the_former_two(request, name, gen_args, bound):
+    """V_0 and the generator maps of isometric_rep, all solved by one path
+    on localized targets, equal the former raw-coordinate V_0 solve and the
+    v_raw generator solves."""
+    if gen_args is None:
+        inst = request.getfixturevalue(name)
+    else:
+        inst = parse_instance(generate(name, **gen_args))
+    bundle = bundle_of(inst, bound)
+    iso = bundle.isometric_rep
+    v0, t_maps = isometric_maps_two_paths(bundle)
+    assert np.abs(iso.sigma.mats - v0).max() <= 1e-12
+    for got, want in zip(iso.t_maps, t_maps, strict=True):
+        assert got.shape == want.shape
+        assert np.abs(got - want).max() <= 1e-12
+
+
+def test_generating_vectors_are_stored_localized_only():
+    """The bundle keeps its generating vectors as the factor's localized
+    columns only: no raw fiber (x) H copy and no general V_s solve remain
+    in the package."""
+    from pathlib import Path
+
+    import dilationlab
+    from dilationlab.dilation import DilationBundle
+
+    inst = parse_instance(generate("multiplication-isometric", seed=0, k=2, dims=2))
+    bundle = bundle_of(inst, (1, 1))
+    removed = ("gen_block", "generating_matrix", "build_Vs", "v_raw", "generators", "_cols")
+    assert [n for n in removed if hasattr(bundle, n) or hasattr(DilationBundle, n)] == []
+    src = Path(dilationlab.__file__).parent
+    for path in sorted(src.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        assert [n for n in removed[:4] if n in text] == [], path.name
