@@ -2,9 +2,10 @@
 
 Exit codes: 0 success (dilate: dilation verified), 1 mathematically invalid
 instance, 2 parse/schema/I-O error, 3 not dilatable (window Gram not PSD),
-4 dilatable but a verification check failed, 5 golden-file mismatch, 6 out
-of memory (validate/check/dilate/verify: an allocation failed; the report
-carries the message under "error" and has no verdicts). A numpy LinAlgError
+4 dilatable but a verification check failed, 5 golden-file mismatch (verify
+of a matching report exits with the fresh run's code), 6 out of memory
+(validate/check/dilate/verify: an allocation failed; the report carries the
+message under "error" and has no verdicts). A numpy LinAlgError
 (a factorization that does not converge, a singular solve) exits 1 with the
 same kind of report.
 """
@@ -336,7 +337,8 @@ def cmd_verify(args) -> int:
             print(f"dilation-lab: mismatch: {m}", file=sys.stderr)
         return EXIT_GOLDEN_MISMATCH
     _emit(fresh, getattr(args, "out", None))
-    return EXIT_OK
+    # matching reports: the exit code is the fresh run's, as under its command
+    return code
 
 
 def build_parser() -> argparse.ArgumentParser:

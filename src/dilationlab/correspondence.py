@@ -100,8 +100,8 @@ def trivial_correspondence(algebra: CStarAlgebra, m: int) -> Correspondence:
 def algebra_correspondence(algebra: CStarAlgebra) -> Correspondence:
     """The algebra as a correspondence over itself: <a, b> = a* b."""
     dim = algebra.dim
-    mul_table = cstar.multiplication_table(algebra)
-    adj = cstar.adjoint_table(algebra)
+    mul_table = algebra.mul_table
+    adj = algebra.adj_table
     # <f_p, f_q> = f_p^* f_q
     gram = np.einsum("pr,rqs->pqs", adj, mul_table)
     # x . f_p : coords of f_q f_p in slot [r, q]
@@ -132,7 +132,7 @@ def validate_correspondence(corr: Correspondence, tol: float = DEFAULT_TOL) -> d
     res["left_unital"] = opnorm(corr.act_left(unit_coords) - np.eye(m))
 
     # f_p f_q acts on the right as right(f_q) right(f_p), on the left as left(f_p) left(f_q)
-    mul_table = cstar.multiplication_table(alg)
+    mul_table = alg.mul_table
     right, left = corr.right_action, corr.left_action
     combo_r = np.tensordot(mul_table, right, axes=(2, 0)) - right[None, :] @ right[:, None]
     combo_l = np.tensordot(mul_table, left, axes=(2, 0)) - left[:, None] @ left[None, :]
@@ -148,7 +148,7 @@ def validate_correspondence(corr: Correspondence, tol: float = DEFAULT_TOL) -> d
     res["right_compatibility"] = compat
 
     # <f_p . e_i, e_j> = <e_i, f_p^* . e_j>
-    adj = cstar.adjoint_table(alg)
+    adj = alg.adj_table
     star = 0.0
     for p in range(alg.dim):
         lhs = np.einsum("li,ljst->ijst", np.conj(corr.left_action[p]), gram_mats)
@@ -198,34 +198,48 @@ def congruent_gram(gram: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.moveaxis(wh @ stacked @ w, 0, 2)
 
 
-def _raw_tensor(e: Correspondence, f: Correspondence):
-    """Gram/actions of the algebraic tensor E (x) F on raw coordinates.
+def _raw_tensor(e: Correspondence, f: Correspondence) -> np.ndarray:
+    """Gram of the algebraic tensor E (x) F on raw coordinates.
 
     <e_i (x) f_j, e_k (x) f_l>_p = <f_j, <e_i, e_k> . f_l>_p
     = sum over r, q of E.gram[i, k, r] F.left[r, q, l] F.gram[j, q, p],
-    with raw index i * m_F + j. The actions are I (x) F.right and
-    E.left (x) I, built for every algebra basis index p in one broadcast
-    product each (entrywise the np.kron).
+    with raw index i * m_F + j; shape (m_E m_F, m_E m_F, dim A).
     """
-    if e.algebra != f.algebra:
-        raise InvalidArgumentError("interior tensor requires a common algebra")
     me, mf = e.dim, f.dim
-    adim = e.algebra.dim
     act = np.tensordot(e.gram, f.left_action, axes=(2, 0))  # [i, k, q, l]
     gram = np.tensordot(act, f.gram, axes=(2, 1))  # [i, k, l, j, p]
-    gram = gram.transpose(0, 3, 1, 2, 4).reshape(me * mf, me * mf, adim)
-    right = np.eye(me)[None, :, None, :, None] * f.right_action[:, None, :, None, :]
-    left = e.left_action[:, :, None, :, None] * np.eye(mf)[None, None, :, None, :]
-    shape = (adim, me * mf, me * mf)
-    return Correspondence(e.algebra, gram, right.reshape(shape), left.reshape(shape))
+    return gram.transpose(0, 3, 1, 2, 4).reshape(me * mf, me * mf, e.algebra.dim)
 
 
 def interior_tensor(e: Correspondence, f: Correspondence, tol: float = DEFAULT_TOL):
     """Balanced tensor product E (x)_A F, quotiented by null vectors.
 
-    Returns (correspondence, surjection from raw m_E * m_F coordinates).
+    Returns (correspondence, surjection from raw m_E * m_F coordinates),
+    the quotient ``reduce_null`` takes of the algebraic tensor, whose Gram
+    is ``_raw_tensor``'s and whose actions are I (x) F.right and
+    E.left (x) I on raw index i * m_F + j. No raw Gram or action stack is
+    formed: the null trace is sum over r of E.gram[:, :, r] (x)
+    (tr F.gram) F.left[r], and the compressions W^H G_p W, W^H (I (x) R_p) W
+    and W^H (L_p (x) I) W apply each factor to W reshaped to (m_E, m_F, n).
     """
-    return reduce_null(_raw_tensor(e, f), tol)
+    if e.algebra != f.algebra:
+        raise InvalidArgumentError("interior tensor requires a common algebra")
+    me, mf, adim = e.dim, f.dim, e.algebra.dim
+    f_trace = f.gram @ np.trace(e.algebra.basis_mats, axis1=1, axis2=2)  # [j, q]
+    trace = np.tensordot(e.gram, f_trace @ f.left_action, axes=(2, 0))  # [i, k, j, l]
+    trace = trace.transpose(0, 2, 1, 3).reshape(me * mf, me * mf)
+    w, _null = null_split(trace, tol, "interior_tensor")
+    n = w.shape[1]
+    surjection = np.ascontiguousarray(w.conj().T)
+    w3 = w.reshape(me, mf, n)
+    # G_p W = sum over k, r, q of E.gram[i, k, r] F.gram[j, q, p] (F.left[r] W[k])[q]
+    left_f = f.left_action[:, None] @ w3  # [r, k, q, b]
+    inner = np.tensordot(e.gram, left_f, axes=([1, 2], [1, 0]))  # [i, q, b]
+    gram_w = np.moveaxis(f.gram, 2, 0)[:, None] @ inner  # [p, i, j, b]
+    gram = np.moveaxis(surjection @ gram_w.reshape(adim, me * mf, n), 0, 2)
+    right = surjection @ (f.right_action[:, None] @ w3).reshape(adim, me * mf, n)
+    left = surjection @ (e.left_action @ w.reshape(me, mf * n)).reshape(adim, me * mf, n)
+    return Correspondence(e.algebra, gram, right, left), surjection
 
 
 # -- localization ----------------------------------------------------------

@@ -24,24 +24,30 @@ class CStarAlgebra:
         self.block_sizes = sizes
         self.dim = sum(n * n for n in sizes)
         self.rep_dim = sum(sizes)
-        # canonical basis: (block, row, col) per coordinate, and the embedded
-        # matrix-unit stack used by embed()
-        self._index: list[tuple[int, int, int]] = []
-        offset = 0
-        offsets = []
-        for b, n in enumerate(sizes):
-            offsets.append(offset)
-            for i in range(n):
-                for j in range(n):
-                    self._index.append((b, i, j))
-            offset += n
-        self.block_offsets = tuple(offsets)
-        mats = np.zeros((self.dim, self.rep_dim, self.rep_dim), dtype=complex)
-        for p, (b, i, j) in enumerate(self._index):
-            o = offsets[b]
-            mats[p, o + i, o + j] = 1.0
-        self.basis_mats = mats
-        self.basis_mats.flags.writeable = False
+        # canonical basis: coordinate p is the matrix unit at (row[p], col[p])
+        # of block blk[p], whose first coordinate is first[p] and whose first
+        # row in the faithful representation is offset[p]
+        index = [(b, i, j) for b, n in enumerate(sizes) for i in range(n) for j in range(n)]
+        blk, row, col = (np.array(v) for v in zip(*index))
+        size = np.array(sizes)[blk]
+        first = np.cumsum([0] + [n * n for n in sizes])[blk]
+        offset = np.cumsum([0, *sizes])[blk]
+        # coordinate p of an element is this entry of its embedding
+        self._rows, self._cols = offset + row, offset + col
+        coords = np.arange(self.dim)
+        # embedded matrix units, used by embed()
+        self.basis_mats = np.zeros((self.dim, self.rep_dim, self.rep_dim), dtype=complex)
+        self.basis_mats[coords, self._rows, self._cols] = 1.0
+        # structure constants: f_p f_q = sum_r mul_table[p, q, r] f_r, the
+        # unit at (row p, col q) of their common block when col p = row q
+        p, q = np.nonzero((blk[:, None] == blk[None, :]) & (col[:, None] == row[None, :]))
+        self.mul_table = np.zeros((self.dim, self.dim, self.dim), dtype=complex)
+        self.mul_table[p, q, first[p] + row[p] * size[p] + col[q]] = 1.0
+        # f_p^* = sum_r adj_table[p, r] f_r, the unit at (col p, row p)
+        self.adj_table = np.zeros((self.dim, self.dim), dtype=complex)
+        self.adj_table[coords, first + col * size + row] = 1.0
+        for table in (self.basis_mats, self.mul_table, self.adj_table):
+            table.flags.writeable = False
 
     def __eq__(self, other):
         return isinstance(other, CStarAlgebra) and self.block_sizes == other.block_sizes
@@ -86,34 +92,8 @@ def from_matrix(algebra: CStarAlgebra, m: np.ndarray) -> AlgebraElement:
     m = np.asarray(m, dtype=complex)
     if m.shape != (algebra.rep_dim, algebra.rep_dim):
         raise InvalidArgumentError(f"matrix shape {m.shape} != faithful rep size")
-    coords = np.empty(algebra.dim, dtype=complex)
-    for p, (b, i, j) in enumerate(algebra._index):
-        o = algebra.block_offsets[b]
-        coords[p] = m[o + i, o + j]
-    return AlgebraElement(algebra, coords)
+    return AlgebraElement(algebra, m[algebra._rows, algebra._cols])
 
 
 def unit(algebra: CStarAlgebra) -> AlgebraElement:
     return from_matrix(algebra, np.eye(algebra.rep_dim, dtype=complex))
-
-
-def multiplication_table(algebra: CStarAlgebra) -> np.ndarray:
-    """Structure constants c[p, q, r] with f_p f_q = sum_r c[p,q,r] f_r."""
-    dim = algebra.dim
-    table = np.zeros((dim, dim, dim), dtype=complex)
-    for p in range(dim):
-        for q in range(dim):
-            prod = from_matrix(
-                algebra, algebra.basis_mats[p] @ algebra.basis_mats[q]
-            )
-            table[p, q, :] = prod.coords
-    return table
-
-
-def adjoint_table(algebra: CStarAlgebra) -> np.ndarray:
-    """Matrix s[p, r] with f_p^* = sum_r s[p,r] f_r."""
-    dim = algebra.dim
-    table = np.zeros((dim, dim), dtype=complex)
-    for p in range(dim):
-        table[p, :] = from_matrix(algebra, algebra.basis_mats[p].conj().T).coords
-    return table

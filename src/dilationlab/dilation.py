@@ -44,7 +44,7 @@ import numpy as np
 from . import lattice
 from .errors import InvalidArgumentError, NotPositiveDefiniteError
 from .hatspace import TruncatedFock
-from .linalg import kron, lstsq_map, max_opnorm, opnorm, pivoted_cholesky, psd_factor
+from .linalg import lstsq_map, max_opnorm, opnorm, pivoted_cholesky, psd_factor
 from .representation import (
     AlgebraRepresentation,
     CCRepresentation,
@@ -121,6 +121,8 @@ class DilationBundle:
         self.method = method
         self.tol = tol
         self._guarded_basis: dict[int, np.ndarray] = {}
+        # generating vectors at a point s in raw coordinates, factor[:, s] F_s
+        self._raw: dict[lattice.Point, np.ndarray] = {}
 
     # -- generating vectors ---------------------------------------------------
 
@@ -141,8 +143,8 @@ class DilationBundle:
         V_s(x) delta_t . y (x) h = delta_{s+t} . U_{s,t}(x (x) y) (x) h, with
         U_{0,t} the left action of A, V_s(x) delta_0 . h = delta_s . x (x) h
         and V_0(a) h = sigma(a) h. The generating vectors at s + t are taken
-        to raw fiber (x) H coordinates by F_{s+t} for the action, and its
-        images at t back to loc(t) by the lift."""
+        to raw fiber (x) H coordinates by F_{s+t} for the action, once per
+        point and bundle, and its images at t back to loc(t) by the lift."""
         s = tuple(s)
         sys_ = self.rep.system
         w = self.window
@@ -154,16 +156,23 @@ class DilationBundle:
             st = lattice.add(s, t)
             if not lattice.leq(st, w.bound):
                 continue
-            raw = self.factor[:, slice_of[st]] @ self.rep.loc(st).factor
+            raw = self._raw.get(st)
+            if raw is None:
+                raw = self._raw[st] = self.factor[:, slice_of[st]] @ self.rep.loc(st).factor
             if lattice.is_zero(st):
                 blocks.append(raw @ self.rep.sigma.mats)
                 continue
-            if not lattice.is_zero(t):
-                raw = raw @ kron(sys_.mult_iso(s, t), np.eye(d))
             # columns (a, y, h): e_a's images are the (y, h) columns of slice a
+            p_st = sys_.fiber_dim(st)
+            raw = raw.reshape(self.rank, p_st, d)
+            if lattice.is_zero(t):
+                raw = raw.transpose(1, 0, 2)
+            else:
+                # raw (mu (x) I_d) for mu = U_{s,t}, as [a, rank, y, h]
+                mu = sys_.mult_iso(s, t).reshape(p_st, p_s, sys_.fiber_dim(t))
+                raw = np.tensordot(mu, raw, axes=(0, 1)).transpose(0, 2, 1, 3)
             loc_t = self.rep.loc(t)
-            raw = raw.reshape(self.rank, p_s, loc_t.source_dim).transpose(1, 0, 2)
-            blocks.append(raw @ loc_t.lift)
+            blocks.append(raw.reshape(p_s, self.rank, loc_t.source_dim) @ loc_t.lift)
         return np.concatenate(blocks, axis=2)
 
     def k_min_rank(self) -> int:

@@ -24,11 +24,12 @@ def max_opnorm(blocks) -> float:
 
     Blocks of one shape share a single stacked SVD, so a check that takes
     the maximum over many small blocks pays one LAPACK dispatch per shape
-    instead of one per block. Blocks with an empty side have norm 0.
+    instead of one per block. Blocks with an empty side or no nonzero
+    entry have norm exactly 0 and take no SVD.
     """
     groups: dict[tuple[int, int], list[np.ndarray]] = {}
     for b in blocks:
-        if b.size:
+        if b.any():
             groups.setdefault(b.shape, []).append(b)
     return max(
         (float(np.linalg.svd(np.stack(g), compute_uv=False).max()) for g in groups.values()),

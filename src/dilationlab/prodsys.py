@@ -5,10 +5,15 @@ E_1^{(x) s_1} (x) ... (x) E_k^{(x) s_k}, and exist only in reduced
 coordinates: a word is its reduced correspondence plus the surjection
 (reduced prefix) (x) (raw last generator) -> reduced word. Multiplication
 isomorphisms are assembled from these surjections by bubble-sorting
-adjacent transpositions through the flips. Raw word coordinates, of
-dimension m^n for n letters, appear only in the 3-letter braid check and,
-through `raw_surjection`, in the representation's 2-letter commutation
-check.
+adjacent transpositions through the flips. Every map of the form A (x) I or
+I (x) A on the way (the peeled surjection, the flip under a prefix, the
+shorter append map or multiplication map, the split of the last letter) is
+applied to its neighbour as a reshape and a matmul on the factors, never
+formed as a Kronecker product. Raw word coordinates, of dimension m^n for
+n letters, appear only in the flip check (the raw Gram of a 2-letter word;
+the actions are applied to the flip factor by factor), in the 3-letter
+braid check and, through `raw_surjection`, in the representation's
+2-letter commutation check.
 Fibers and isomorphisms are memoized per word / pair.
 """
 
@@ -31,7 +36,7 @@ from .correspondence import (
 )
 from .cstar import CStarAlgebra
 from .errors import IncoherentFlipsError, InvalidArgumentError, InvalidFlipError
-from .linalg import DEFAULT_TOL, kron, opnorm
+from .linalg import DEFAULT_TOL, kron, max_opnorm, opnorm
 
 
 @dataclass
@@ -107,16 +112,25 @@ class ProductSystem:
         return report
 
     def _flip_residual(self, i: int, j: int, phi: np.ndarray) -> float:
+        """Largest defect of phi: E_i (x) E_j -> E_j (x) E_i as a
+        correspondence isomorphism: its congruence of the raw Gram, and its
+        intertwining of the left actions L_p (x) I and of the right actions
+        I (x) R_p, each action applied to phi on its own tensor slot."""
         ei = self.generators[i - 1]
         ej = self.generators[j - 1]
-        raw_ij = _raw_tensor(ei, ej)
-        raw_ji = _raw_tensor(ej, ei)
-        lhs = congruent_gram(raw_ji.gram, phi)
-        res = float(np.abs(lhs - raw_ij.gram).max())
-        for p in range(self.algebra.dim):
-            res = max(res, opnorm(phi @ raw_ij.left_action[p] - raw_ji.left_action[p] @ phi))
-            res = max(res, opnorm(phi @ raw_ij.right_action[p] - raw_ji.right_action[p] @ phi))
-        return res
+        mi, mj, adim = ei.dim, ej.dim, self.algebra.dim
+        lhs = congruent_gram(_raw_tensor(ej, ei), phi)
+        res = float(np.abs(lhs - _raw_tensor(ei, ej)).max(initial=0.0))
+        shape = (adim, mj * mi, mi * mj)
+        # phi (L_p (x) I) - (L_p (x) I) phi
+        phi_l = np.tensordot(phi.reshape(mj * mi, mi, mj), ei.left_action, axes=(1, 1))
+        l_phi = ej.left_action @ phi.reshape(mj, mi * mi * mj)
+        left = phi_l.transpose(2, 0, 3, 1).reshape(shape) - l_phi.reshape(shape)
+        # phi (I (x) R_p) - (I (x) R_p) phi
+        phi_r = phi.reshape(mj * mi * mi, mj) @ ej.right_action
+        r_phi = ei.right_action[:, None] @ phi.reshape(mj, mi, mi * mj)
+        right = phi_r.reshape(shape) - r_phi.reshape(shape)
+        return max(res, max_opnorm(left), max_opnorm(right))
 
     def _braid_residual(self, i: int, j: int, l: int) -> float:
         mi = self.generators[i - 1].dim
@@ -202,20 +216,25 @@ class ProductSystem:
         cached = self._appends.get(key)
         if cached is not None:
             return cached
-        m_i = self.generators[i - 1].dim
         if not word or word[-1] <= i:
             out = self.word_data(word + (i,)).last_q
         else:
             prefix, j = word[:-1], word[-1]
+            m_i = self.generators[i - 1].dim
             m_j = self.generators[j - 1].dim
             p_prefix = self.word_data(prefix).corr.dim if prefix else 1
-            peel = kron(self.word_data(word).last_q.conj().T, np.eye(m_i))
-            cols = peel.shape[1]
-            # I_{p_prefix} (x) flip, applied to each prefix slice of peel
-            flipped = self.flip_for(j, i) @ peel.reshape(p_prefix, m_j * m_i, cols)
-            inner = kron(self._append_map(prefix, i), np.eye(m_j))
+            # (I_{p_prefix} (x) flip)(last_q^H (x) I_{m_i}), with rows split
+            # as ((prefix, i), j) and columns (word, i)
+            last_q = self.word_data(word).last_q
+            peel = last_q.conj().T.reshape(p_prefix, m_j, last_q.shape[0])
+            flip = self.flip_for(j, i).reshape(m_i * m_j, m_j, m_i)
+            flipped = np.tensordot(peel, flip, axes=(1, 1)).transpose(0, 2, 1, 3)
+            cols = last_q.shape[0] * m_i
+            flipped = flipped.reshape(p_prefix * m_i, m_j * cols)
             rejoin = self._append_map(tuple(sorted(prefix + (i,))), j)
-            out = rejoin @ inner @ flipped.reshape(p_prefix * m_i * m_j, cols)
+            # (append(prefix, i) (x) I_{m_j}) acts on the (prefix, i) rows
+            inner = (self._append_map(prefix, i) @ flipped).reshape(rejoin.shape[1], cols)
+            out = rejoin @ inner
         self._appends[key] = out
         return out
 
@@ -253,16 +272,18 @@ class ProductSystem:
             i = max(lattice.support(t))
             t_prev = lattice.sub(t, lattice.unit(len(t), i))
             p_s = self.fiber_dim(s)
-            split = kron(np.eye(p_s), self.word_data(self.normal_word(t)).last_q.conj().T)
-            if lattice.is_zero(t_prev):
-                mu = self._append_map(self.normal_word(s), i) @ split
-            else:
-                m_i = self.generators[i - 1].dim
+            split = self.word_data(self.normal_word(t)).last_q.conj().T  # (t_prev, i) <- t
+            append = self._append_map(self.normal_word(lattice.add(s, t_prev)), i)
+            p_out = append.shape[0]
+            if not lattice.is_zero(t_prev):
+                # append (mu_prev (x) I_{m_i}), with columns ordered (s, t_prev, i)
                 mu_prev = self.mult_iso(s, t_prev)
-                mu = (
-                    self._append_map(self.normal_word(lattice.add(s, t_prev)), i)
-                    @ kron(mu_prev, np.eye(m_i))
-                    @ split
-                )
+                m_i = self.generators[i - 1].dim
+                append = append.reshape(p_out, mu_prev.shape[0], m_i)
+                append = np.tensordot(append, mu_prev, axes=(1, 0))
+                append = append.reshape(p_out, m_i, p_s, self.fiber_dim(t_prev)).transpose(0, 2, 3, 1)
+            # (I_{p_s} (x) split) acts on the (t_prev, i) columns
+            mu = append.reshape(p_out * p_s, split.shape[0]) @ split
+            mu = mu.reshape(p_out, p_s * split.shape[1])
         self._isos[(s, t)] = mu
         return mu

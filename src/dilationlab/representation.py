@@ -23,7 +23,7 @@ from .correspondence import (
     localize,
     trivial_localized,
 )
-from .cstar import CStarAlgebra, adjoint_table, multiplication_table, unit
+from .cstar import CStarAlgebra, unit
 from .errors import InvalidArgumentError, NotWellDefinedError
 from .linalg import DEFAULT_TOL, kron, max_opnorm, opnorm
 from .prodsys import ProductSystem
@@ -51,10 +51,10 @@ def validate_sigma(sigma: AlgebraRepresentation) -> dict[str, float]:
     d = sigma.dim
     res: dict[str, float] = {}
     mats = sigma.mats
-    combos = np.tensordot(multiplication_table(alg), mats, axes=(2, 0))  # sigma(f_p f_q)
+    combos = np.tensordot(alg.mul_table, mats, axes=(2, 0))  # sigma(f_p f_q)
     products = combos - mats[:, None] @ mats[None, :]
     res["multiplicative"] = max_opnorm(products.reshape(alg.dim**2, d, d))
-    adjoints = np.tensordot(adjoint_table(alg), mats, axes=(1, 0))  # sigma(f_p^*)
+    adjoints = np.tensordot(alg.adj_table, mats, axes=(1, 0))  # sigma(f_p^*)
     res["star_preserving"] = max_opnorm(adjoints - mats.conj().transpose(0, 2, 1))
     res["unital"] = opnorm(sigma.apply(unit(alg).coords) - np.eye(sigma.dim))
     return res
@@ -145,15 +145,21 @@ class CCRepresentation:
         if lattice.is_zero(rest):
             return self.t_raw(s)
         p_rest = self.system.fiber_dim(rest)
+        p_s = self.system.fiber_dim(s)
         # mu is onto X(t), so its pseudo-inverse is mu^H (mu mu^H)^{-1}
         mu = self.system.mult_iso(rest, s)
         try:
-            split = np.linalg.solve(mu @ mu.conj().T, mu).conj().T  # p_t -> p_rest p_s
+            split_h = np.linalg.solve(mu @ mu.conj().T, mu)  # adjoint of p_t -> p_rest p_s
         except np.linalg.LinAlgError:
             raise NotWellDefinedError(
                 f"multiplication isomorphism {(rest, s)} is not onto its fiber"
             ) from None
-        return kron(np.eye(p_rest), self.t_raw(s)) @ kron(split, np.eye(d))
+        # (I_{p_rest} (x) t_raw(s))(split (x) I_d), entry ((a, h'), (c, h)) =
+        # sum over b of split[(a, b), c] t_raw(s)[h', (b, h)]: one matmul
+        # batched over (a, h')
+        split = split_h.conj().reshape(mu.shape[0], p_rest, p_s).transpose(1, 0, 2)
+        out = np.ascontiguousarray(split)[:, None] @ self.t_raw(s).reshape(d, p_s, d)
+        return out.reshape(p_rest * d, mu.shape[0] * d)
 
     def lowering_block(self, t: lattice.Point, s: lattice.Point) -> np.ndarray:
         """Localized block map loc(t) -> loc(t-s); the identity for s = 0.

@@ -2,7 +2,7 @@
 
 Everything here is implemented from first principles (classical formulas,
 brute-force sums, explicit matrix units) and deliberately shares no code
-with the package internals beyond numpy, with seven kinds of exception:
+with the package internals beyond numpy, with these kinds of exception:
 `doubly_commuting_V_inline`, `commutation_residual_raw_pair` and
 `doubly_commuting_defect_quotient` build on the correspondence primitives
 (localization, raw and interior tensors, descent) and the raw maps of the
@@ -20,7 +20,12 @@ the algebra-element arithmetic (`mul`, `adjoint`, `norm`, `is_positive`,
 and a correspondence's Gram array; and the raw generating-vector and
 least-squares V_s references (`gen_block`, `generating_matrix`,
 `build_Vs`, `v_raw`) rebuild, from a bundle's factor, targets and domains,
-the raw fiber (x) H copy and the general solve the package once kept.
+the raw fiber (x) H copy and the general solve the package once kept; and
+the Kronecker-product builders (`raw_tensor`, `interior_tensor_dense`,
+`flip_residual_dense`, `append_map_kron`, `mult_iso_kron`,
+`lowering_raw_kron`, `targets_kron`) are the dense bodies of the builders
+the package now contracts factor by factor, run on the package's own
+fibers, surjections and raw Gram.
 """
 
 from __future__ import annotations
@@ -412,7 +417,6 @@ def verify_regular_dilation_loop(bundle, guard: int = 1) -> dict[str, float]:
     columns with the lowering blocks Theta(s, s), item 3 the composed V_s
     on H with the raw generating vectors `gen_block`, and its rank test
     takes the rank of the factor."""
-    from dilationlab import cstar
 
     def support(s):
         return {i for i, c in enumerate(s) if c}
@@ -437,9 +441,7 @@ def verify_regular_dilation_loop(bundle, guard: int = 1) -> dict[str, float]:
     for p in range(alg.dim):
         item1 = max(item1, _opnorm(v0.mats[p] @ p_h - p_h @ v0.mats[p]))
         item1 = max(item1, _opnorm(gen0.conj().T @ v0.mats[p] @ gen0 - rep.sigma.mats[p]))
-    star_hom = max(
-        sigma_residuals_loop(cstar.multiplication_table(alg), cstar.adjoint_table(alg), v0.mats)
-    )
+    star_hom = max(sigma_residuals_loop(alg.mul_table, alg.adj_table, v0.mats))
 
     slice_of = dict(zip(points, bundle.window.slices))
     item2 = 0.0
@@ -569,14 +571,14 @@ def item4_two_orth(bundle) -> float:
 def commutation_residual_raw_pair(rep, i: int, j: int) -> float:
     """The commutation residual of validate_representation normed on the
     localization of the raw, unreduced pair E_i (x) E_j."""
-    from dilationlab.correspondence import _raw_tensor, localize
+    from dilationlab.correspondence import localize
 
     ei, ej = rep.system.generators[i - 1], rep.system.generators[j - 1]
     d = rep.dim
     ti, tj = rep.gen_t_raw(i), rep.gen_t_raw(j)
     lhs = ti @ np.kron(np.eye(ei.dim), tj)
     rhs = tj @ np.kron(np.eye(ej.dim), ti) @ np.kron(rep.system.flips[(i, j)], np.eye(d))
-    loc_pair = localize(_raw_tensor(ei, ej), rep.sigma.mats, rep.tol)
+    loc_pair = localize(raw_tensor(ei, ej), rep.sigma.mats, rep.tol)
     return _opnorm((lhs - rhs) @ loc_pair.lift)
 
 
@@ -935,3 +937,148 @@ def is_isometric(rep, s, tol: float = 1e-10) -> bool:
 def is_fully_coisometric(rep, s, tol: float = 1e-10) -> bool:
     tt = rep.lowering_block(s, s)
     return _opnorm(tt @ tt.conj().T - np.eye(tt.shape[0])) <= tol
+
+
+# -- C*-algebra tables, one matrix product at a time --------------------------
+
+
+def basis_mats_loop(block_sizes) -> np.ndarray:
+    """Embedded matrix units, block-major then row-major, one entry at a time."""
+    n = sum(block_sizes)
+    mats = []
+    offset = 0
+    for size in block_sizes:
+        for i in range(size):
+            for j in range(size):
+                m = np.zeros((n, n), dtype=complex)
+                m[offset + i, offset + j] = 1.0
+                mats.append(m)
+        offset += size
+    return np.array(mats)
+
+
+def multiplication_table_loop(algebra) -> np.ndarray:
+    """Structure constants c[p, q, r] with f_p f_q = sum_r c[p, q, r] f_r,
+    one `from_matrix` of a basis product at a time."""
+    dim = algebra.dim
+    table = np.zeros((dim, dim, dim), dtype=complex)
+    for p in range(dim):
+        for q in range(dim):
+            table[p, q] = from_matrix(algebra, algebra.basis_mats[p] @ algebra.basis_mats[q]).coords
+    return table
+
+
+def adjoint_table_loop(algebra) -> np.ndarray:
+    """Matrix s[p, r] with f_p^* = sum_r s[p, r] f_r, one basis element at a time."""
+    return np.array([from_matrix(algebra, b.conj().T).coords for b in algebra.basis_mats])
+
+
+# -- Kronecker-product builders the package now contracts factor by factor ----
+
+
+def raw_tensor(e, f):
+    """The algebraic tensor E (x) F on raw coordinates i * m_F + j: the
+    package's raw Gram with the action stacks I (x) F.right and
+    E.left (x) I, built in one broadcast product each (entrywise np.kron)."""
+    from dilationlab.correspondence import Correspondence, _raw_tensor
+
+    me, mf = e.dim, f.dim
+    right = np.eye(me)[None, :, None, :, None] * f.right_action[:, None, :, None, :]
+    left = e.left_action[:, :, None, :, None] * np.eye(mf)[None, None, :, None, :]
+    shape = (e.algebra.dim, me * mf, me * mf)
+    return Correspondence(e.algebra, _raw_tensor(e, f), right.reshape(shape), left.reshape(shape))
+
+
+def interior_tensor_dense(e, f, tol: float = 1e-10):
+    """The null quotient of the dense raw tensor: (correspondence, surjection)."""
+    from dilationlab.correspondence import reduce_null
+
+    return reduce_null(raw_tensor(e, f), tol)
+
+
+def flip_residual_dense(system, i: int, j: int, phi: np.ndarray) -> float:
+    """Flip residual on the dense raw tensors, one SVD per algebra basis
+    element and side."""
+    from dilationlab.correspondence import congruent_gram
+
+    raw_ij = raw_tensor(system.generators[i - 1], system.generators[j - 1])
+    raw_ji = raw_tensor(system.generators[j - 1], system.generators[i - 1])
+    res = float(np.abs(congruent_gram(raw_ji.gram, phi) - raw_ij.gram).max())
+    for p in range(system.algebra.dim):
+        res = max(res, _opnorm(phi @ raw_ij.left_action[p] - raw_ji.left_action[p] @ phi))
+        res = max(res, _opnorm(phi @ raw_ij.right_action[p] - raw_ji.right_action[p] @ phi))
+    return res
+
+
+def append_map_kron(system, word, i) -> np.ndarray:
+    """Reduced map X(word) (x) E_i -> X(sorted(word + (i,))), peeling with
+    last_q^H (x) I and rejoining with append (x) I as np.kron products."""
+    word = tuple(word)
+    if not word or word[-1] <= i:
+        return system.word_data(word + (i,)).last_q
+    prefix, j = word[:-1], word[-1]
+    m_i = system.generators[i - 1].dim
+    m_j = system.generators[j - 1].dim
+    p_prefix = system.word_data(prefix).corr.dim if prefix else 1
+    peel = np.kron(system.word_data(word).last_q.conj().T, np.eye(m_i))
+    cols = peel.shape[1]
+    flipped = system.flip_for(j, i) @ peel.reshape(p_prefix, m_j * m_i, cols)
+    inner = np.kron(append_map_kron(system, prefix, i), np.eye(m_j))
+    rejoin = append_map_kron(system, tuple(sorted(prefix + (i,))), j)
+    return rejoin @ inner @ flipped.reshape(p_prefix * m_i * m_j, cols)
+
+
+def mult_iso_kron(system, s, t) -> np.ndarray:
+    """mu of U_{s,t}, splitting with I (x) last_q^H and composing with
+    mu_prev (x) I as np.kron products."""
+    s, t = tuple(s), tuple(t)
+    if not any(s):
+        ct = system.fiber(t)
+        return np.transpose(ct.left_action, (1, 0, 2)).reshape(ct.dim, system.algebra.dim * ct.dim)
+    if not any(t):
+        cs = system.fiber(s)
+        return np.transpose(cs.right_action, (1, 2, 0)).reshape(cs.dim, cs.dim * system.algebra.dim)
+    i = max(j + 1 for j, c in enumerate(t) if c)
+    t_prev = tuple(c - (j == i - 1) for j, c in enumerate(t))
+    split = np.kron(np.eye(system.fiber_dim(s)), system.word_data(_word(t)).last_q.conj().T)
+    append = append_map_kron(system, _word(_add(s, t_prev)), i)
+    if not any(t_prev):
+        return append @ split
+    m_i = system.generators[i - 1].dim
+    return append @ np.kron(mult_iso_kron(system, s, t_prev), np.eye(m_i)) @ split
+
+
+def lowering_raw_kron(rep, t, s) -> np.ndarray:
+    """(I_{p_rest} (x) t_raw(s)) (split (x) I_d) as np.kron products, for
+    0 < s < t, with the split mu^H (mu mu^H)^{-1} of the package's mu."""
+    rest = _sub(t, s)
+    mu = rep.system.mult_iso(rest, s)
+    split = np.linalg.solve(mu @ mu.conj().T, mu).conj().T
+    p_rest = rep.system.fiber_dim(rest)
+    return np.kron(np.eye(p_rest), rep.t_raw(s)) @ np.kron(split, np.eye(rep.dim))
+
+
+def targets_kron(bundle, s) -> np.ndarray:
+    """`DilationBundle.targets`, with the raw generating vectors at s + t
+    formed afresh for every t and U_{s,t} applied as mu (x) I_d."""
+    s = tuple(s)
+    rep = bundle.rep
+    sys_ = rep.system
+    w = bundle.window
+    p_s = sys_.fiber_dim(s)
+    slice_of = dict(zip(w.points, w.slices))
+    blocks = []
+    for t in w.points:
+        st = _add(s, t)
+        if not _leq(st, w.bound):
+            continue
+        raw = bundle.factor[:, slice_of[st]] @ rep.loc(st).factor
+        if not any(st):
+            blocks.append(raw @ rep.sigma.mats)
+            continue
+        if any(t):
+            raw = raw @ np.kron(sys_.mult_iso(s, t), np.eye(rep.dim))
+        loc_t = rep.loc(t)
+        raw = raw.reshape(bundle.rank, p_s, loc_t.source_dim).transpose(1, 0, 2)
+        blocks.append(raw @ loc_t.lift)
+    return np.concatenate(blocks, axis=2)

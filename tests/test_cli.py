@@ -258,6 +258,29 @@ def test_verify_detects_tampering(tmp_path):
     assert run(["verify", SCALAR, "--report", str(golden)]) == cli.EXIT_GOLDEN_MISMATCH
 
 
+def test_verify_of_a_matching_invalid_run_exits_1(tmp_path, scalar_pair):
+    """A report that matches its fresh run exits with the run's code: an
+    instance that dilate rejects with exit 1 (generator 1's Gram is 0, so
+    T_1 does not vanish on its null vectors) exits 1 under verify too."""
+    import copy
+
+    data = copy.deepcopy(scalar_pair.data)
+    data["generators"][0]["gram"] = [[[[0.0, 0.0]]]]
+    inst = tmp_path / "zero_gram.json"
+    inst.write_text(json.dumps(data))
+    golden = tmp_path / "golden.json"
+    assert run(["dilate", str(inst), "--L", "2", "--M", "2", "--out", str(golden)]) == cli.EXIT_INVALID
+    assert run(["verify", str(inst), "--report", str(golden)]) == cli.EXIT_INVALID
+
+
+def test_verify_of_a_matching_non_dilatable_run_exits_3(tmp_path):
+    inst = tmp_path / "nilpotent.json"
+    assert run(["gen", "--family", "nilpotent-counterexample", "--out", str(inst)]) == cli.EXIT_OK
+    golden = tmp_path / "golden.json"
+    assert run(["dilate", str(inst), "--out", str(golden)]) == cli.EXIT_NOT_DILATABLE
+    assert run(["verify", str(inst), "--report", str(golden)]) == cli.EXIT_NOT_DILATABLE
+
+
 def test_reports_deterministic(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert run(["dilate", SCALAR, "--L", "2", "--out", str(a)]) == cli.EXIT_OK

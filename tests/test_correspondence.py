@@ -22,6 +22,8 @@ from oracles import (
     congruent_gram_einsum,
     gram_of,
     homomorphism_residuals_loop,
+    interior_tensor_dense,
+    raw_tensor,
     raw_tensor_gram_loop,
 )
 
@@ -194,7 +196,7 @@ TENSOR_PAIRS = {
 @pytest.mark.parametrize("name", sorted(TENSOR_PAIRS))
 def test_raw_tensor_gram_matches_loop_oracle(name):
     e, f = TENSOR_PAIRS[name]()
-    got = _raw_tensor(e, f).gram
+    got = _raw_tensor(e, f)
     want = raw_tensor_gram_loop(e.gram, f.gram, f.left_action)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
@@ -202,16 +204,58 @@ def test_raw_tensor_gram_matches_loop_oracle(name):
 @pytest.mark.parametrize("name", sorted(TENSOR_PAIRS))
 def test_raw_tensor_actions_match_kron_stacks(name):
     e, f = TENSOR_PAIRS[name]()
-    raw = _raw_tensor(e, f)
+    raw = raw_tensor(e, f)
     right = np.stack([np.kron(np.eye(e.dim), r) for r in f.right_action])
     left = np.stack([np.kron(l, np.eye(f.dim)) for l in e.left_action])
     assert raw.right_action.tobytes() == right.tobytes()
     assert raw.left_action.tobytes() == left.tobytes()
 
 
+def _zero_gram_scalar():
+    """C^2 over C with zero Gram: every tensor with it is null."""
+    alg = cstar.make_algebra([1])
+    eye = np.eye(2, dtype=complex)[None]
+    return Correspondence(alg, np.zeros((2, 2, 1)), eye, eye)
+
+
+def _empty_scalar():
+    alg = cstar.make_algebra([1])
+    return Correspondence(alg, np.zeros((0, 0, 1)), np.zeros((1, 0, 0)), np.zeros((1, 0, 0)))
+
+
+FACTORWISE_PAIRS = {
+    **TENSOR_PAIRS,
+    "zero Gram": lambda: (_zero_gram_scalar(), trivial_correspondence(cstar.make_algebra([1]), 3)),
+    "empty": lambda: (trivial_correspondence(cstar.make_algebra([1]), 2), _empty_scalar()),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FACTORWISE_PAIRS))
+def test_interior_tensor_matches_dense_body(name):
+    """The factor-wise interior tensor is the null quotient of the dense raw
+    tensor: the same kept space, and the same Gram and actions in the basis
+    U = q q_dense^H that relates the two surjections. A kept basis is fixed
+    only up to rotations within repeated eigenvalues, which a rounding-level
+    change of the null trace can turn (the degenerate Gram has such
+    eigenvalues); where the arithmetic is exact, the surjections are equal."""
+    e, f = FACTORWISE_PAIRS[name]()
+    got, q = interior_tensor(e, f)
+    want, q_dense = interior_tensor_dense(e, f)
+    assert q.shape == q_dense.shape
+    if name in ("C", "M2", "M3", "C+M2", "zero Gram", "empty"):
+        assert np.array_equal(q, q_dense)
+    u = q @ q_dense.conj().T
+    assert np.abs(u @ u.conj().T - np.eye(q.shape[0])).max(initial=0.0) <= 1e-13
+    assert np.abs(q.conj().T @ q - q_dense.conj().T @ q_dense).max(initial=0.0) <= 1e-13
+    uh = u.conj().T
+    np.testing.assert_allclose(got.gram, congruent_gram(want.gram, uh), rtol=0, atol=1e-13)
+    np.testing.assert_allclose(got.right_action, u @ want.right_action @ uh, rtol=0, atol=1e-13)
+    np.testing.assert_allclose(got.left_action, u @ want.left_action @ uh, rtol=0, atol=1e-13)
+
+
 @pytest.mark.parametrize("name", sorted(set(TENSOR_PAIRS) - {"C+M2-random"}))
 def test_reduce_null_matches_einsum_oracle(name):
-    raw = _raw_tensor(*TENSOR_PAIRS[name]())
+    raw = raw_tensor(*TENSOR_PAIRS[name]())
     reduced, surjection = reduce_null(raw)
     if name != "C":
         assert reduced.dim < raw.dim  # the raw tensor is rank-deficient
@@ -235,13 +279,13 @@ def test_flip_gram_matches_einsum_oracle():
         trivial_correspondence(cstar.make_algebra([1]), 2),
         algebra_correspondence(cstar.make_algebra([2])),
     ):
-        gram = _raw_tensor(gen, gen).gram
+        gram = _raw_tensor(gen, gen)
         swap = _swap(gen.dim)
         np.testing.assert_allclose(
             congruent_gram(gram, swap), congruent_gram_einsum(gram, swap), rtol=0, atol=1e-12
         )
     e, f = _random_arrays(5, [3], 3, 3)
-    gram = _raw_tensor(f, e).gram
+    gram = _raw_tensor(f, e)
     rng = np.random.default_rng(6)
     phi = (rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))) / 3
     np.testing.assert_allclose(congruent_gram(gram, phi), congruent_gram_einsum(gram, phi), rtol=0, atol=1e-12)
@@ -254,7 +298,7 @@ def test_homomorphism_residuals_match_loop_oracle(name):
     for corr in TENSOR_PAIRS[name]():
         res = validate_correspondence(corr)
         want = homomorphism_residuals_loop(
-            cstar.multiplication_table(corr.algebra), corr.right_action, corr.left_action
+            corr.algebra.mul_table, corr.right_action, corr.left_action
         )
         got = (res["right_homomorphism"], res["left_homomorphism"])
         assert np.allclose(got, want, rtol=0, atol=1e-13), (got, want)

@@ -3,7 +3,17 @@ import pytest
 
 from dilationlab import cstar
 from dilationlab.errors import InvalidArgumentError
-from oracles import adjoint, is_positive, matrix_units, mul, norm, random_element
+from oracles import (
+    adjoint,
+    adjoint_table_loop,
+    basis_mats_loop,
+    is_positive,
+    matrix_units,
+    mul,
+    multiplication_table_loop,
+    norm,
+    random_element,
+)
 
 
 def test_dimensions():
@@ -58,12 +68,26 @@ def test_unit_and_positivity():
 
 def test_multiplication_table_structure():
     alg = cstar.make_algebra([2])
-    table = cstar.multiplication_table(alg)
+    table = alg.mul_table
     # e_12 e_21 = e_11
     p12, p21, p11 = 1, 2, 0
     expected = np.zeros(4)
     expected[p11] = 1.0
     assert np.allclose(table[p12, p21], expected)
+
+
+@pytest.mark.parametrize("blocks", [[1], [2], [3], [1, 2], [2, 1, 3]])
+def test_tables_match_loops_and_are_read_only(blocks):
+    """The basis, multiplication and adjoint tables built once per algebra
+    equal their one-product-at-a-time loops and cannot be written."""
+    alg = cstar.make_algebra(blocks)
+    assert np.array_equal(alg.basis_mats, basis_mats_loop(blocks))
+    assert np.array_equal(alg.mul_table, multiplication_table_loop(alg))
+    assert np.array_equal(alg.adj_table, adjoint_table_loop(alg))
+    for table in (alg.basis_mats, alg.mul_table, alg.adj_table):
+        assert not table.flags.writeable
+        with pytest.raises(ValueError):
+            table[(0,) * table.ndim] = 2.0
 
 
 def test_invalid_blocks():

@@ -1,0 +1,177 @@
+"""The builders that apply maps of the form A (x) I factor by factor, against
+their former Kronecker-product bodies, and a guard that they form no
+Kronecker product or raw tensor."""
+
+import numpy as np
+import pytest
+
+from dilationlab import correspondence, cstar, dilation, lattice, prodsys
+from dilationlab.correspondence import Correspondence, algebra_correspondence, trivial_correspondence
+from dilationlab.dilation import DilationBundle, kolmogorov, window_gram
+from dilationlab.families import generate
+from dilationlab.hatspace import TruncatedFock
+from dilationlab.instances import parse_instance
+from dilationlab.prodsys import ProductSystem
+from dilationlab.representation import AlgebraRepresentation, CCRepresentation
+from oracles import (
+    append_map_kron,
+    flip_residual_dense,
+    lowering_raw_kron,
+    mult_iso_kron,
+    targets_kron,
+)
+
+TOL = 1e-13
+
+
+def _multiplication_rep(blocks, k=2):
+    """A acting on C^n by multiplication, k generators A with identity flips."""
+    alg = cstar.make_algebra(blocks)
+    corr = algebra_correspondence(alg)
+    m = corr.dim
+    flips = {(i, j): np.eye(m * m) for i in range(1, k + 1) for j in range(i + 1, k + 1)}
+    system = ProductSystem(alg, [corr] * k, flips)
+    sigma = AlgebraRepresentation(alg, alg.rep_dim, alg.basis_mats)
+    return CCRepresentation(system, sigma, [alg.basis_mats] * k)
+
+
+def _degenerate_rep():
+    """Generators C^3 over C with random rank-2 Grams B_i^H B_i and swap
+    flips; T_i(e_a) = sum_c B_i[c, a] S_ic vanishes on the null vectors."""
+    alg = cstar.make_algebra([1])
+    rng = np.random.default_rng(5)
+    eye = np.eye(3)[None]
+    swap = np.eye(9).reshape(3, 3, 3, 3).transpose(1, 0, 2, 3).reshape(9, 9)
+    gens, t_maps = [], []
+    for _ in range(2):
+        b = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+        gens.append(Correspondence(alg, (b.conj().T @ b)[:, :, None], eye, eye))
+        s = 0.1 * (rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2)))
+        t_maps.append(np.tensordot(b, s, axes=(0, 0)))
+    system = ProductSystem(alg, gens, {(1, 2): swap})
+    sigma = AlgebraRepresentation(alg, 2, np.eye(2, dtype=complex)[None])
+    return CCRepresentation(system, sigma, t_maps)
+
+
+def _zero_fiber_rep():
+    """Scalar pair whose first generator has Gram 0: every fiber X(s) with
+    s_1 > 0 is zero-dimensional."""
+    alg = cstar.make_algebra([1])
+    one = np.ones((1, 1, 1), dtype=complex)
+    gens = [Correspondence(alg, 0.0 * one, one, one), trivial_correspondence(alg, 1)]
+    system = ProductSystem(alg, gens, {(1, 2): np.eye(1)})
+    sigma = AlgebraRepresentation(alg, 1, one)
+    return CCRepresentation(system, sigma, [0.0 * one, 0.8 * one])
+
+
+CASES = {
+    "M2": lambda request: _multiplication_rep([2]),
+    "M3": lambda request: _multiplication_rep([3]),
+    "C+M2": lambda request: _multiplication_rep([1, 2]),
+    "degenerate Gram": lambda request: _degenerate_rep(),
+    "zero-dimensional fiber": lambda request: _zero_fiber_rep(),
+    "unitary flip": lambda request: request.getfixturevalue("unitary_flip_rep"),
+}
+BOX = (2, 2)
+
+
+def _bundle(rep, bound):
+    """A bundle over the window at `bound`: the Kolmogorov factor where the
+    kernel is PSD, else (targets being linear in it) a random factor."""
+    window = window_gram(TruncatedFock(rep, bound), bound)
+    if window.psd_margin >= -1e-10:
+        return kolmogorov(window)
+    rng = np.random.default_rng(0)
+    n = window.gram.shape[0]
+    return DilationBundle(window, rng.standard_normal((n, n)) + 0j, "eig", 1e-10)
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_product_system_builders_match_kron_bodies(request, name):
+    """Append maps, multiplication maps and flip residuals equal their
+    Kronecker-product bodies on the same fibers."""
+    system = CASES[name](request).system
+    box = lattice.box(BOX)
+    for s in box:
+        word = ProductSystem.normal_word(s)
+        for i in range(1, system.k + 1):
+            got = system._append_map(word, i)
+            assert np.abs(got - append_map_kron(system, word, i)).max(initial=0.0) <= TOL, (word, i)
+    for s in box:
+        for t in box:
+            if lattice.leq(lattice.add(s, t), BOX):
+                got = system.mult_iso(s, t)
+                assert np.abs(got - mult_iso_kron(system, s, t)).max(initial=0.0) <= TOL, (s, t)
+    for (i, j), phi in system.flips.items():
+        got = system._flip_residual(i, j, phi)
+        assert abs(got - flip_residual_dense(system, i, j, phi)) <= TOL
+        assert got == system.validation[f"flip_{i}_{j}"]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_lowering_and_targets_match_kron_bodies(request, name):
+    """Lowering maps for 0 < s < t and the targets of every V_s over the box
+    equal their Kronecker-product bodies."""
+    rep = CASES[name](request)
+    box = lattice.box(BOX)
+    for t in box:
+        for s in box:
+            if lattice.is_zero(s) or s == t or not lattice.leq(s, t):
+                continue
+            got = rep.lowering_raw(t, s)
+            assert np.abs(got - lowering_raw_kron(rep, t, s)).max(initial=0.0) <= TOL, (t, s)
+    bundle = _bundle(rep, BOX)
+    for s in box:
+        got = bundle.targets(s)
+        want = targets_kron(bundle, s)
+        assert got.shape == want.shape
+        assert np.abs(got - want).max(initial=0.0) <= TOL * max(1.0, np.abs(want).max(initial=0.0)), s
+
+
+def _forbid(monkeypatch, module, name):
+    def refuse(*_args, **_kwargs):
+        raise AssertionError(f"{module.__name__}.{name} called")
+
+    # raising=False: the guard also holds once a module stops importing the name
+    monkeypatch.setattr(module, name, refuse, raising=False)
+
+
+def _generated_rep(k, dims):
+    return parse_instance(generate("multiplication-isometric", k=k, dims=dims)).representation
+
+
+GUARDED = {
+    "M3 k=2": lambda request: _generated_rep(2, 3),
+    "M2 k=3": lambda request: _generated_rep(3, 2),
+    "unitary flip": lambda request: request.getfixturevalue("unitary_flip_rep"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(GUARDED))
+def test_builders_form_no_kron_or_raw_tensor(request, monkeypatch, name):
+    """With the product-system and dilation Kronecker products, np.kron and
+    the raw tensor made to raise, every fiber, multiplication map, lowering
+    block and targets(s) over the box builds. The system and representation
+    are rebuilt first, so only the validation's flip and braid checks (which
+    use the raw Gram and raw 3-letter words) run before the guard."""
+    given = GUARDED[name](request)
+    given_sys = given.system
+    system = ProductSystem(given_sys.algebra, given_sys.generators, given_sys.flips)
+    rep = CCRepresentation(system, given.sigma, given.t_maps)
+    forbidden = ((prodsys, "kron"), (dilation, "kron"), (correspondence, "_raw_tensor"), (np, "kron"))
+    for module, attr in forbidden:
+        _forbid(monkeypatch, module, attr)
+    with pytest.raises(AssertionError, match="called"):
+        correspondence._raw_tensor(system.generators[0], system.generators[0])
+    bound = (2,) * system.k if system.k == 2 else (1,) * system.k
+    box = lattice.box(bound)
+    for t in box:
+        assert system.fiber(t).dim == system.fiber_dim(t)
+        for s in box:
+            if lattice.leq(lattice.add(s, t), bound):
+                system.mult_iso(s, t)
+            if lattice.leq(s, t):
+                rep.lowering_block(t, s)
+    bundle = _bundle(rep, bound)
+    for s in box:
+        assert bundle.targets(s).shape[0] == system.fiber_dim(s)

@@ -94,6 +94,23 @@ def test_max_opnorm_equals_max_of_opnorms(name):
     assert max_opnorm(b for b in blocks) == got
 
 
+def test_max_opnorm_of_zero_blocks_takes_no_svd(monkeypatch):
+    """Exactly zero blocks, such as an identity flip's defects, are normed
+    0.0 without an SVD; a nonzero block among them still takes one."""
+    blocks = np.zeros((4, 81, 81), dtype=complex)
+    want = max_opnorm(np.concatenate([blocks, np.eye(81)[None]]))
+
+    def refuse(*_args, **_kwargs):
+        raise AssertionError("svd called")
+
+    monkeypatch.setattr(np.linalg, "svd", refuse)
+    got = max_opnorm(blocks)
+    assert isinstance(got, float) and got == 0.0
+    with pytest.raises(AssertionError, match="svd called"):
+        max_opnorm(np.concatenate([blocks, np.eye(81)[None]]))
+    assert abs(want - 1.0) <= 1e-14
+
+
 def test_max_opnorm_takes_a_stack():
     stack = np.random.default_rng(2).standard_normal((6, 3, 4))
     assert abs(max_opnorm(stack) - max(opnorm(b) for b in stack)) <= 1e-14

@@ -139,7 +139,7 @@ def test_validate_sigma_matches_loop_oracle(mult_m2):
     for sigma in sigmas:
         alg = sigma.algebra
         res = validate_sigma(sigma)
-        want = sigma_residuals_loop(cstar.multiplication_table(alg), cstar.adjoint_table(alg), sigma.mats)
+        want = sigma_residuals_loop(alg.mul_table, alg.adj_table, sigma.mats)
         got = (res["multiplicative"], res["star_preserving"])
         assert np.allclose(got, want, rtol=0, atol=1e-13), (got, want)
 
