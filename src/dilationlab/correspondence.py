@@ -226,15 +226,16 @@ def interior_tensor(e: Correspondence, f: Correspondence, tol: float = DEFAULT_T
         raise InvalidArgumentError("interior tensor requires a common algebra")
     me, mf, adim = e.dim, f.dim, e.algebra.dim
     f_trace = f.gram @ np.trace(e.algebra.basis_mats, axis1=1, axis2=2)  # [j, q]
-    trace = np.tensordot(e.gram, f_trace @ f.left_action, axes=(2, 0))  # [i, k, j, l]
-    trace = trace.transpose(0, 2, 1, 3).reshape(me * mf, me * mf)
+    trace = e.gram.reshape(me * me, adim) @ (f_trace @ f.left_action).reshape(adim, mf * mf)
+    trace = trace.reshape(me, me, mf, mf).transpose(0, 2, 1, 3).reshape(me * mf, me * mf)
     w, _null = null_split(trace, tol, "interior_tensor")
     n = w.shape[1]
     surjection = np.ascontiguousarray(w.conj().T)
     w3 = w.reshape(me, mf, n)
     # G_p W = sum over k, r, q of E.gram[i, k, r] F.gram[j, q, p] (F.left[r] W[k])[q]
     left_f = f.left_action[:, None] @ w3  # [r, k, q, b]
-    inner = np.tensordot(e.gram, left_f, axes=([1, 2], [1, 0]))  # [i, q, b]
+    left_f = left_f.transpose(1, 0, 2, 3).reshape(me * adim, mf * n)  # [(k, r), (q, b)]
+    inner = (e.gram.reshape(me, me * adim) @ left_f).reshape(me, mf, n)  # [i, q, b]
     gram_w = np.moveaxis(f.gram, 2, 0)[:, None] @ inner  # [p, i, j, b]
     gram = np.moveaxis(surjection @ gram_w.reshape(adim, me * mf, n), 0, 2)
     right = surjection @ (f.right_action[:, None] @ w3).reshape(adim, me * mf, n)
@@ -280,8 +281,9 @@ def descend_map(
     by that bound passes without an SVD; the exact operator norm is taken
     only to decide and report a failure.
     """
-    b = target.factor @ m @ source.lift
-    defect = b @ source.factor - target.factor @ m
+    fm = target.factor @ m
+    b = fm @ source.lift
+    defect = b @ source.factor - fm
     if not np.linalg.norm(defect) <= tol:  # NaN takes the exact path too
         require_descent(opnorm(defect), tol, "descend_map")
     return b

@@ -121,8 +121,10 @@ class DilationBundle:
         self.method = method
         self.tol = tol
         self._guarded_basis: dict[int, np.ndarray] = {}
+        self._slice_of = dict(zip(window.points, window.slices))
         # generating vectors at a point s in raw coordinates, factor[:, s] F_s
         self._raw: dict[lattice.Point, np.ndarray] = {}
+        self._k_min_rank: int | None = None
 
     # -- generating vectors ---------------------------------------------------
 
@@ -147,37 +149,36 @@ class DilationBundle:
         point and bundle, and its images at t back to loc(t) by the lift."""
         s = tuple(s)
         sys_ = self.rep.system
-        w = self.window
         p_s = sys_.fiber_dim(s)
         d = self.rep.dim
-        slice_of = dict(zip(w.points, w.slices))
         blocks = []
-        for t in w.points:
+        # the points t <= bound - s, in the order of the window's points
+        for t in lattice.box(lattice.sub(self.window.bound, s)):
             st = lattice.add(s, t)
-            if not lattice.leq(st, w.bound):
-                continue
             raw = self._raw.get(st)
             if raw is None:
-                raw = self._raw[st] = self.factor[:, slice_of[st]] @ self.rep.loc(st).factor
+                raw = self._raw[st] = self.factor[:, self._slice_of[st]] @ self.rep.loc(st).factor
             if lattice.is_zero(st):
                 blocks.append(raw @ self.rep.sigma.mats)
                 continue
             # columns (a, y, h): e_a's images are the (y, h) columns of slice a
             p_st = sys_.fiber_dim(st)
-            raw = raw.reshape(self.rank, p_st, d)
-            if lattice.is_zero(t):
-                raw = raw.transpose(1, 0, 2)
-            else:
-                # raw (mu (x) I_d) for mu = U_{s,t}, as [a, rank, y, h]
-                mu = sys_.mult_iso(s, t).reshape(p_st, p_s, sys_.fiber_dim(t))
-                raw = np.tensordot(mu, raw, axes=(0, 1)).transpose(0, 2, 1, 3)
+            raw = raw.reshape(self.rank, p_st, d).transpose(1, 0, 2)
+            if not lattice.is_zero(t):
+                # raw (mu (x) I_d) for mu = U_{s,t}, as [a, rank, y, h]: the
+                # p_st axis of raw contracted with mu's rows in one matmul
+                raw = sys_.mult_iso(s, t).T @ raw.reshape(p_st, self.rank * d)
+                raw = raw.reshape(p_s, sys_.fiber_dim(t), self.rank, d).transpose(0, 2, 1, 3)
             loc_t = self.rep.loc(t)
             blocks.append(raw.reshape(p_s, self.rank, loc_t.source_dim) @ loc_t.lift)
         return np.concatenate(blocks, axis=2)
 
     def k_min_rank(self) -> int:
-        """dim K_min: the numerical rank of the localized generating vectors."""
-        return _rank(self.factor)
+        """dim K_min: the numerical rank of the localized generating vectors,
+        computed once per bundle."""
+        if self._k_min_rank is None:
+            self._k_min_rank = _rank(self.factor)
+        return self._k_min_rank
 
     def guarded_basis(self, guard: int) -> np.ndarray:
         """Orthonormal basis of the span of the generating vectors at the
@@ -209,10 +210,12 @@ class DilationBundle:
             for s in [lattice.zero(k)] + [lattice.unit(k, i) for i in range(1, k + 1)]
         )
         sigma = AlgebraRepresentation(sys_.algebra, self.rank, v0)
-        t_maps = [
-            np.tensordot(sys_.word_data((i,)).last_q, v, axes=(0, 0))
-            for i, v in enumerate(gens, start=1)
-        ]
+        # E_i's basis vector e_c goes to sum over a of last_q[a, c] V_{e_i}(e_a)
+        t_maps = []
+        for i, v in enumerate(gens, start=1):
+            last_q = sys_.word_data((i,)).last_q
+            t_map = last_q.T @ v.reshape(last_q.shape[0], self.rank * self.rank)
+            t_maps.append(t_map.reshape(last_q.shape[1], self.rank, self.rank))
         return CCRepresentation(sys_, sigma, t_maps, tol=LSQ_TOL)
 
 
@@ -306,12 +309,12 @@ def verify_regular_dilation(bundle: DilationBundle, guard: int = 1) -> dict[str,
 
     # item 2: regularity <V_{s-}(x-) h, V_{s+}(x+) g> = <T~_{s-}(x-) h, T~_{s+}(x+) g>
     # for disjoint supports, where the kernel block is Theta(s-, s-)^H Theta(s+, s+)
-    cells = list(zip(window.points, window.slices))
+    cells = [(frozenset(lattice.support(s)), sl) for s, sl in zip(window.points, window.slices)]
     item2 = max_opnorm(
         bundle.factor[:, sl_neg].conj().T @ bundle.factor[:, sl_pos] - window.gram[sl_neg, sl_pos]
-        for s_neg, sl_neg in cells
-        for s_pos, sl_pos in cells
-        if not set(lattice.support(s_neg)) & set(lattice.support(s_pos))
+        for sup_neg, sl_neg in cells
+        for sup_pos, sl_pos in cells
+        if sup_neg.isdisjoint(sup_pos)
     )
 
     # item 3: minimality - V_s(x) delta_0 h recovers every generating vector;
@@ -343,7 +346,10 @@ def verify_regular_dilation(bundle: DilationBundle, guard: int = 1) -> dict[str,
         if not lattice.leq(s, gbound):
             continue
         dom, w = doms[s], images[s]
-        v0g = np.tensordot(sys_.fiber(s).gram, v0.mats, axes=(2, 0))  # (p_s, p_s, p, p)
+        gram = sys_.fiber(s).gram  # (p_s, p_s, dim A)
+        p_s, adim = gram.shape[1:]
+        v0g = gram.reshape(p_s * p_s, adim) @ v0.mats.reshape(adim, rank * rank)
+        v0g = v0g.reshape(p_s, p_s, rank, rank)
         lhs = w.conj().transpose(0, 2, 1)[:, None] @ w[None, :]
         iso_res = max(iso_res, float(np.abs(lhs - dom.conj().T @ v0g @ dom).max(initial=0.0)))
 
@@ -417,7 +423,10 @@ def compare_minimal_dilations(bundle_a: DilationBundle, bundle_b: DilationBundle
     g_a = bundle_a.localized(bound)
     g_b = bundle_b.localized(bound)
     gram_diff = float(np.abs(g_a.conj().T @ g_a - g_b.conj().T @ g_b).max())
-    if _rank(g_a) != _rank(g_b):
+    # over a bundle's own window bound the localized vectors are its factor
+    rank_a = bundle_a.k_min_rank() if bound == bundle_a.window.bound else _rank(g_a)
+    rank_b = bundle_b.k_min_rank() if bound == bundle_b.window.bound else _rank(g_b)
+    if rank_a != rank_b:
         return float("inf")
     omega = g_b @ np.linalg.pinv(g_a)
     intertwine = opnorm(omega @ g_a - g_b)

@@ -49,16 +49,18 @@ def _semigroup_defects(
     The defect maps block r >= s + t to block r - s - t by
     Theta(r - t, s) Theta(r, t) - Theta(r, s + t) and vanishes elsewhere,
     so it is zero when s + t leaves the box. For s = 0 or t = 0 it is
-    exactly zero as well (Theta(r, 0) = I). Such pairs are skipped.
+    exactly zero as well (Theta(r, 0) = I). Such pairs are skipped. The
+    blocks r = s + t + u run over u in the box up to bound - s - t, which
+    lists them in the order of space.blocks.
     """
     theta = space.rep.lowering_block
     for s, t in pairs:
         st = lattice.add(s, t)
         if lattice.is_zero(s) or lattice.is_zero(t) or not lattice.leq(st, space.bound):
             continue
-        for r in space.blocks:
-            if lattice.leq(st, r):
-                yield theta(lattice.sub(r, t), s) @ theta(r, t) - theta(r, st)
+        for u in lattice.box(lattice.sub(space.bound, st)):
+            r = lattice.add(st, u)
+            yield theta(lattice.add(s, u), s) @ theta(r, t) - theta(r, st)
 
 
 def hat_checks(space: TruncatedFock) -> dict[str, float]:

@@ -1,12 +1,16 @@
 """Lattice points of N^k: arithmetic, partial order, meets.
 
 Points are plain tuples of nonnegative ints (elements of the difference
-group Z^k may carry negative entries).
+group Z^k may carry negative entries). The binary helpers (add, sub, leq,
+meet) raise ValueError on points of different lengths, as zip(strict=True)
+would; they check the lengths once and then run one map over the
+coordinates, because the T^ checks call them thousands of times per run.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import Iterable, Iterator, Sequence
 
 Point = tuple[int, ...]
@@ -23,25 +27,37 @@ def unit(k: int, i: int, amount: int = 1) -> Point:
     return tuple(amount if j == i - 1 else 0 for j in range(k))
 
 
+def _length_error(s: Point, t: Point) -> ValueError:
+    return ValueError(f"lattice points of different lengths: {s} and {t}")
+
+
 def add(s: Point, t: Point) -> Point:
-    return tuple(a + b for a, b in zip(s, t, strict=True))
+    if len(s) != len(t):
+        raise _length_error(s, t)
+    return tuple(map(operator.add, s, t))
 
 
 def sub(s: Point, t: Point) -> Point:
-    return tuple(a - b for a, b in zip(s, t, strict=True))
+    if len(s) != len(t):
+        raise _length_error(s, t)
+    return tuple(map(operator.sub, s, t))
 
 
 def leq(s: Point, t: Point) -> bool:
-    return all(a <= b for a, b in zip(s, t, strict=True))
+    if len(s) != len(t):
+        raise _length_error(s, t)
+    return not any(map(operator.gt, s, t))
 
 
 def meet(s: Point, t: Point) -> Point:
     """Coordinatewise minimum s ^ t, the greatest lower bound."""
-    return tuple(min(a, b) for a, b in zip(s, t, strict=True))
+    if len(s) != len(t):
+        raise _length_error(s, t)
+    return tuple(map(min, s, t))
 
 
 def is_zero(s: Point) -> bool:
-    return all(a == 0 for a in s)
+    return not any(s)
 
 
 def restrict(s: Point, u: Iterable[int]) -> Point:

@@ -14,7 +14,10 @@ n letters, appear only in the flip check (the raw Gram of a 2-letter word;
 the actions are applied to the flip factor by factor), in the 3-letter
 braid check and, through `raw_surjection`, in the representation's
 2-letter commutation check.
-Fibers and isomorphisms are memoized per word / pair.
+Fibers and isomorphisms are memoized per word / pair, and a lattice
+point's word data (its fiber, dimension and split of the last letter) per
+point, so the T^ block loops look a point up without rebuilding its
+normal word.
 """
 
 from __future__ import annotations
@@ -78,6 +81,7 @@ class ProductSystem:
                     raise InvalidArgumentError(f"missing flip for generator pair {(i, j)}")
 
         self._words: dict[tuple[int, ...], _WordData] = {}
+        self._points: dict[lattice.Point, _WordData] = {}
         self._appends: dict[tuple[tuple[int, ...], int], np.ndarray] = {}
         self._inverse_flips: dict[tuple[int, int], np.ndarray] = {}
         self._isos: dict[tuple[lattice.Point, lattice.Point], np.ndarray] = {}
@@ -197,11 +201,18 @@ class ProductSystem:
             word.extend([idx] * count)
         return tuple(word)
 
+    def point_data(self, s: lattice.Point) -> _WordData:
+        """word_data of the normal word of the point s, memoized per point."""
+        data = self._points.get(s)
+        if data is None:
+            data = self._points[s] = self.word_data(self.normal_word(s))
+        return data
+
     def fiber(self, s: lattice.Point) -> Correspondence:
-        return self.word_data(self.normal_word(s)).corr
+        return self.point_data(s).corr
 
     def fiber_dim(self, s: lattice.Point) -> int:
-        return self.word_data(self.normal_word(s)).corr.dim
+        return self.point_data(s).corr.dim
 
     def _append_map(self, word: tuple[int, ...], i: int) -> np.ndarray:
         """Reduced map X(word) (x) E_i -> X(sorted(word + (i,))).
@@ -226,10 +237,14 @@ class ProductSystem:
             # (I_{p_prefix} (x) flip)(last_q^H (x) I_{m_i}), with rows split
             # as ((prefix, i), j) and columns (word, i)
             last_q = self.word_data(word).last_q
-            peel = last_q.conj().T.reshape(p_prefix, m_j, last_q.shape[0])
-            flip = self.flip_for(j, i).reshape(m_i * m_j, m_j, m_i)
-            flipped = np.tensordot(peel, flip, axes=(1, 1)).transpose(0, 2, 1, 3)
-            cols = last_q.shape[0] * m_i
+            p_word = last_q.shape[0]
+            # contract the j slot of the peel with the j slot of the flip,
+            # as [prefix, word] x [j] @ [j] x [(i, j), i] -> [prefix, word, (i, j), i]
+            peel = last_q.conj().T.reshape(p_prefix, m_j, p_word).transpose(0, 2, 1)
+            flip = self.flip_for(j, i).reshape(m_i * m_j, m_j, m_i).transpose(1, 0, 2)
+            flipped = peel.reshape(p_prefix * p_word, m_j) @ flip.reshape(m_j, m_i * m_j * m_i)
+            flipped = flipped.reshape(p_prefix, p_word, m_i * m_j, m_i).transpose(0, 2, 1, 3)
+            cols = p_word * m_i
             flipped = flipped.reshape(p_prefix * m_i, m_j * cols)
             rejoin = self._append_map(tuple(sorted(prefix + (i,))), j)
             # (append(prefix, i) (x) I_{m_j}) acts on the (prefix, i) rows
@@ -258,13 +273,13 @@ class ProductSystem:
             return cached
         if lattice.is_zero(s):
             # left action of A = X(0) on the fiber
-            ct = self.word_data(self.normal_word(t)).corr
+            ct = self.point_data(t).corr
             mu = np.transpose(ct.left_action, (1, 0, 2)).reshape(
                 ct.dim, self.algebra.dim * ct.dim
             )
         elif lattice.is_zero(t):
             # right action of A = X(0) on the fiber
-            cs = self.word_data(self.normal_word(s)).corr
+            cs = self.point_data(s).corr
             mu = np.transpose(cs.right_action, (1, 2, 0)).reshape(
                 cs.dim, cs.dim * self.algebra.dim
             )
@@ -272,15 +287,15 @@ class ProductSystem:
             i = max(lattice.support(t))
             t_prev = lattice.sub(t, lattice.unit(len(t), i))
             p_s = self.fiber_dim(s)
-            split = self.word_data(self.normal_word(t)).last_q.conj().T  # (t_prev, i) <- t
+            split = self.point_data(t).last_q.conj().T  # (t_prev, i) <- t
             append = self._append_map(self.normal_word(lattice.add(s, t_prev)), i)
             p_out = append.shape[0]
             if not lattice.is_zero(t_prev):
                 # append (mu_prev (x) I_{m_i}), with columns ordered (s, t_prev, i)
                 mu_prev = self.mult_iso(s, t_prev)
                 m_i = self.generators[i - 1].dim
-                append = append.reshape(p_out, mu_prev.shape[0], m_i)
-                append = np.tensordot(append, mu_prev, axes=(1, 0))
+                append = append.reshape(p_out, mu_prev.shape[0], m_i).transpose(0, 2, 1)
+                append = append.reshape(p_out * m_i, mu_prev.shape[0]) @ mu_prev
                 append = append.reshape(p_out, m_i, p_s, self.fiber_dim(t_prev)).transpose(0, 2, 3, 1)
             # (I_{p_s} (x) split) acts on the (t_prev, i) columns
             mu = append.reshape(p_out * p_s, split.shape[0]) @ split

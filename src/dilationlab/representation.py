@@ -119,7 +119,7 @@ class CCRepresentation:
             out = np.eye(d, dtype=complex)
         else:
             i = max(lattice.support(s))
-            last_q = self.system.word_data(self.system.normal_word(s)).last_q
+            last_q = self.system.point_data(s).last_q
             split = kron(last_q.conj().T, np.eye(d))
             prev = lattice.sub(s, lattice.unit(len(s), i))
             if lattice.is_zero(prev):

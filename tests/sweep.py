@@ -11,6 +11,13 @@ Regenerate the baseline, from the root of a checkout, with
     PYTHONPATH=src python tests/sweep.py tests/sweep_baseline.json
 
 A change that redefines a residual regenerates it in the same commit.
+A change that claims to keep every number checks it with
+
+    PYTHONPATH=src python tests/sweep.py --exact tests/sweep_baseline.json
+
+which re-runs the grid, lists every exit code, verdict, window field and
+check field that differs from the baseline in any bit, and exits 1 if one
+does.
 """
 
 from __future__ import annotations
@@ -60,9 +67,43 @@ def run_sweep() -> dict[str, dict]:
         }
 
 
+def exact_mismatches(ref, new, path: str = "") -> list[str]:
+    """Every leaf of `new` that differs from `ref`, as "path: ref -> new".
+
+    Floats are compared by repr, which round-trips every bit (and makes two
+    NaNs equal); lists and dicts are walked entry by entry.
+    """
+    if isinstance(ref, dict) and isinstance(new, dict):
+        out = []
+        for key in sorted(ref.keys() | new.keys(), key=str):
+            if key not in ref or key not in new:
+                out.append(f"{path}/{key}: {ref.get(key, '<absent>')!r} -> {new.get(key, '<absent>')!r}")
+            else:
+                out.extend(exact_mismatches(ref[key], new[key], f"{path}/{key}"))
+        return out
+    if isinstance(ref, list) and isinstance(new, list) and len(ref) == len(new):
+        # a check record is named by its "name", other entries by position
+        names = [x.get("name", i) if isinstance(x, dict) else i for i, x in enumerate(ref)]
+        return [
+            m for name, a, b in zip(names, ref, new) for m in exact_mismatches(a, b, f"{path}/{name}")
+        ]
+    if type(ref) is not type(new) or repr(ref) != repr(new):
+        return [f"{path}: {ref!r} -> {new!r}"]
+    return []
+
+
 def main(argv: list[str]) -> int:
+    if len(argv) == 2 and argv[0] == "--exact":
+        baseline = json.loads(Path(argv[1]).read_text(encoding="utf-8"))
+        # round-trip through JSON so that floats compare as the baseline stores them
+        fresh = json.loads(json.dumps(run_sweep()))
+        mismatches = exact_mismatches(baseline, fresh)
+        for line in mismatches:
+            print(line)
+        print(f"{len(mismatches)} field(s) differ from {argv[1]}", file=sys.stderr)
+        return 1 if mismatches else 0
     if len(argv) != 1:
-        print("usage: sweep.py OUT.json", file=sys.stderr)
+        print("usage: sweep.py OUT.json | sweep.py --exact BASELINE.json", file=sys.stderr)
         return 2
     Path(argv[0]).write_text(json.dumps(run_sweep(), indent=1, sort_keys=True) + "\n", encoding="utf-8")
     return 0

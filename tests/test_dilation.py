@@ -1,3 +1,5 @@
+import sys
+
 import numpy as np
 import pytest
 
@@ -199,6 +201,29 @@ def test_uniqueness_across_windows(scalar_pair):
     small = kolmogorov(window_gram(space, (2, 2)))
     big = kolmogorov(window_gram(space, (3, 3)))
     assert compare_minimal_dilations(small, big) <= 1e-9
+
+
+def test_factor_rank_is_taken_once_per_bundle(monkeypatch, mult_m2):
+    """k_min_rank takes one SVD per bundle, and compare_minimal_dilations
+    over the bundles' own window reuses it: with both ranks known, only the
+    pinv and the intertwiner norm take an SVD."""
+    a = bundle_of(mult_m2, (2, 2), method="eig")
+    b = bundle_of(mult_m2, (2, 2), method="chol")
+    calls = []
+    original = np.linalg.svd
+
+    def counted(*args, **kwargs):
+        calls.append(args[0].shape)
+        return original(*args, **kwargs)
+
+    for mod_name, module in list(sys.modules.items()):
+        if mod_name.startswith("numpy.linalg") and getattr(module, "svd", None) is original:
+            monkeypatch.setattr(module, "svd", counted)
+    ranks = (a.k_min_rank(), b.k_min_rank())
+    assert len(calls) == 2
+    assert (a.k_min_rank(), b.k_min_rank()) == ranks
+    assert compare_minimal_dilations(a, b) <= 1e-9
+    assert len(calls) == 4
 
 
 def test_doubly_commuting_checks(scalar_pair):

@@ -175,3 +175,26 @@ def test_builders_form_no_kron_or_raw_tensor(request, monkeypatch, name):
     bundle = _bundle(rep, bound)
     for s in box:
         assert bundle.targets(s).shape[0] == system.fiber_dim(s)
+
+
+@pytest.mark.parametrize(
+    "family, gen_args",
+    [("diagonal-doubly-commuting", dict(seed=1, k=2, dims=2)), ("multiplication-isometric", dict(k=2, dims=2))],
+)
+def test_lowering_blocks_and_targets_take_no_tensordot(monkeypatch, family, gen_args):
+    """Every lowering block over the (2, 2) box, the fibers and multiplication
+    maps behind them, and a targets(s) call run each contraction as one
+    matmul on reshaped operands: np.tensordot is made to raise once the
+    instance (whose validation uses it) is built."""
+    rep = parse_instance(generate(family, **gen_args)).representation
+    _forbid(monkeypatch, np, "tensordot")
+    with pytest.raises(AssertionError, match="called"):
+        np.tensordot(np.eye(2), np.eye(2))
+    box = lattice.box(BOX)
+    for t in box:
+        for s in box:
+            if lattice.leq(s, t):
+                rep.lowering_block(t, s)
+    bundle = _bundle(rep, BOX)
+    s = lattice.unit(rep.system.k, 1)
+    assert bundle.targets(s).shape[0] == rep.system.fiber_dim(s)

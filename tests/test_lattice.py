@@ -47,3 +47,12 @@ def test_restrict_and_support():
 def test_subsets_order():
     subs = list(lattice.subsets((1, 2)))
     assert subs == [(), (1,), (2,), (1, 2)]
+
+
+@pytest.mark.parametrize("name", ["add", "sub", "leq", "meet"])
+def test_binary_helpers_reject_points_of_different_lengths(name):
+    helper = getattr(lattice, name)
+    with pytest.raises(ValueError):
+        helper((1, 2), (1, 2, 3))
+    with pytest.raises(ValueError):
+        helper((1, 2, 3), (1, 2))

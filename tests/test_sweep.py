@@ -4,7 +4,7 @@ import json
 from pathlib import Path
 
 from dilationlab.report import compare_reports
-from sweep import case_ids, run_sweep
+from sweep import case_ids, exact_mismatches, run_sweep
 
 BASELINE = Path(__file__).parent / "sweep_baseline.json"
 
@@ -25,3 +25,28 @@ def test_sweep_matches_baseline():
         _ok, mismatches, _warnings = compare_reports(ref, new)
         problems.extend(f"{case}: {m}" for m in mismatches)
     assert problems == []
+
+
+def test_exact_mismatches_flag_any_bit():
+    """The --exact comparison names every leaf that differs in any bit,
+    checks by name, and treats two NaNs as equal."""
+    ref = {
+        "case": {
+            "exit": 0,
+            "verdicts": {"valid": True},
+            "window": {"rank": 4, "psd_margin": float("nan")},
+            "checks": [{"name": "V_isometry", "residual": 0.1, "pass": True}],
+        }
+    }
+    assert exact_mismatches(ref, json.loads(json.dumps(ref))) == []
+    new = json.loads(json.dumps(ref))
+    new["case"]["checks"][0]["residual"] = 0.1 + 2**-56  # one ulp above 0.1
+    new["case"]["window"]["rank"] = 5
+    new["case"]["verdicts"]["valid"] = 1
+    del new["case"]["exit"]
+    assert exact_mismatches(ref, new) == [
+        "/case/checks/V_isometry/residual: 0.1 -> 0.10000000000000002",
+        "/case/exit: 0 -> '<absent>'",
+        "/case/verdicts/valid: True -> 1",
+        "/case/window/rank: 4 -> 5",
+    ]
