@@ -3,7 +3,8 @@
 The grid is every family x seeds 0-2 x (k, dims, L = M) in CASES. Each run
 goes through `cli.main`, so its exit code is the command's. Per run the
 baseline keeps the exit code, the verdicts, the window section (`M`, `rank`,
-`psd_margin`) and every check record (residual, tolerance, pass flag).
+`psd_margin`), every check record (residual, tolerance, pass flag) and the
+validation residuals.
 `tests/test_sweep.py` re-runs the grid against the committed baseline.
 
 Regenerate the baseline, from the root of a checkout, with
@@ -15,8 +16,8 @@ A change that claims to keep every number checks it with
 
     PYTHONPATH=src python tests/sweep.py --exact tests/sweep_baseline.json
 
-which re-runs the grid, lists every exit code, verdict, window field and
-check field that differs from the baseline in any bit, and exits 1 if one
+which re-runs the grid, lists every exit code, verdict, window field,
+check field and validation residual that differs from the baseline in any bit, and exits 1 if one
 does.
 """
 
@@ -57,6 +58,7 @@ def run_case(family: str, seed: int, k: int, dims: int, bound: int, workdir: Pat
         "verdicts": report.get("verdicts", {}),
         "window": report.get("window"),
         "checks": report.get("checks", []),
+        "validation": report.get("validation", {}),
     }
 
 

@@ -7,11 +7,15 @@ from dilationlab.report import compare_reports
 from sweep import case_ids, exact_mismatches, run_sweep
 
 BASELINE = Path(__file__).parent / "sweep_baseline.json"
+# 10x the CLI's VALIDATION_TOL: the band compare_reports allows a check
+VALIDATION_DRIFT = 1e-9
 
 
 def test_sweep_matches_baseline():
     """Exit codes and window ranks are equal; verdicts, pass flags, residual
-    drift and psd_margin follow report.compare_reports's rule."""
+    drift and psd_margin follow report.compare_reports's rule; the
+    validation residuals have the same names and drift by at most
+    VALIDATION_DRIFT."""
     baseline = json.loads(BASELINE.read_text(encoding="utf-8"))
     fresh = run_sweep()
     assert sorted(fresh) == sorted(baseline) and len(fresh) == len(case_ids())
@@ -24,6 +28,15 @@ def test_sweep_matches_baseline():
             problems.append(f"{case}: window rank {ref['window']} vs {new['window']}")
         _ok, mismatches, _warnings = compare_reports(ref, new)
         problems.extend(f"{case}: {m}" for m in mismatches)
+        ref_val, new_val = ref["validation"], new["validation"]
+        if sorted(ref_val) != sorted(new_val):
+            problems.append(f"{case}: validation keys {sorted(ref_val)} vs {sorted(new_val)}")
+            continue
+        problems.extend(
+            f"{case}: validation {name} {ref_val[name]!r} vs {new_val[name]!r}"
+            for name in sorted(ref_val)
+            if not abs(new_val[name] - ref_val[name]) <= VALIDATION_DRIFT
+        )
     assert problems == []
 
 
