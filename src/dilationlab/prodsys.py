@@ -3,17 +3,18 @@
 Fibers X(s) are realized canonically as the reduced normal-ordered tensor
 E_1^{(x) s_1} (x) ... (x) E_k^{(x) s_k}, and exist only in reduced
 coordinates: a word is its reduced correspondence plus the surjection
-(reduced prefix) (x) (raw last generator) -> reduced word. Multiplication
-isomorphisms are assembled from these surjections by bubble-sorting
-adjacent transpositions through the flips. Every map of the form A (x) I or
-I (x) A on the way (the peeled surjection, the flip under a prefix, the
-shorter append map or multiplication map, the split of the last letter) is
-applied to its neighbour as a reshape and a matmul on the factors, never
-formed as a Kronecker product. Raw word coordinates, of dimension m^n for
-n letters, appear only in the flip check (the raw Gram of a 2-letter word;
-the actions are applied to the flip factor by factor), in the 3-letter
-braid check and, through `raw_surjection`, in the representation's
-2-letter commutation check.
+(reduced prefix) (x) (raw last generator) -> reduced word. Only normal
+(sorted) words are built. Multiplication isomorphisms are assembled from
+these surjections by bubble-sorting adjacent transpositions through the
+flips. Every map of the form A (x) I or I (x) A on the way (the peeled
+surjection, the flip under a prefix, the shorter append map or
+multiplication map, the split of the last letter) is applied to its
+neighbour as a reshape and a matmul on the factors, never formed as a
+Kronecker product. Raw coordinates appear only in the flip check, on the
+flip's own domain E_i (x) E_j (the raw Gram of the pair; the actions are
+applied to the flip factor by factor). The braid check compares the two
+reduced words of the longest permutation of three letters through the
+multiplication isomorphisms.
 Fibers and isomorphisms are memoized per word / pair, and a lattice
 point's word data (its fiber, dimension and split of the last letter) per
 point, so the T^ block loops look a point up without rebuilding its
@@ -39,7 +40,7 @@ from .correspondence import (
 )
 from .cstar import CStarAlgebra
 from .errors import IncoherentFlipsError, InvalidArgumentError, InvalidFlipError
-from .linalg import DEFAULT_TOL, kron, max_opnorm, opnorm
+from .linalg import DEFAULT_TOL, max_opnorm, opnorm
 
 
 @dataclass
@@ -137,47 +138,39 @@ class ProductSystem:
         return max(res, max_opnorm(left), max_opnorm(right))
 
     def _braid_residual(self, i: int, j: int, l: int) -> float:
-        mi = self.generators[i - 1].dim
-        mj = self.generators[j - 1].dim
-        ml = self.generators[l - 1].dim
-        f_ij = self.flips[(i, j)]
-        f_il = self.flips[(i, l)]
-        f_jl = self.flips[(j, l)]
-        route_a = (
-            kron(f_jl, np.eye(mi))
-            @ kron(np.eye(mj), f_il)
-            @ kron(f_ij, np.eye(ml))
-        )
-        route_b = (
-            kron(np.eye(ml), f_ij)
-            @ kron(f_il, np.eye(mj))
-            @ kron(np.eye(mi), f_jl)
-        )
-        src = self.raw_surjection((i, j, l))
-        tgt = self.raw_surjection((l, j, i))
-        return opnorm(tgt @ (route_a - route_b) @ src.conj().T)
+        """Operator norm, on X(e_l) (x) X(e_j) (x) X(e_i) for i < j < l, of
 
-    def raw_surjection(self, word: tuple[int, ...]) -> np.ndarray:
-        """Raw word coordinates E_{w_1} (x) ... (x) E_{w_n} -> X(word)."""
-        q = self.word_data(word).last_q
-        if len(word) == 1:
-            return q
-        m_last = self.generators[word[-1] - 1].dim
-        return q @ kron(self.raw_surjection(word[:-1]), np.eye(m_last))
+            U_{e_l+e_j, e_i}(U_{e_l,e_j} (x) I) - U_{e_l, e_i+e_j}(I (x) U_{e_j,e_i}).
+
+        The two routes sort the letters (l, j, i) along the two reduced words
+        of the longest permutation of three letters, so they agree exactly
+        when the flips braid on the reduced words."""
+        e_i, e_j, e_l = (lattice.unit(self.k, x) for x in (i, j, l))
+        p_i, p_j, p_l = (self.fiber_dim(e) for e in (e_i, e_j, e_l))
+        p_lj = self.fiber_dim(lattice.add(e_l, e_j))
+        p_ij = self.fiber_dim(lattice.add(e_i, e_j))
+        outer = self.mult_iso(lattice.add(e_l, e_j), e_i)  # columns (lj, i)
+        p_out = outer.shape[0]
+        # (U_{e_l,e_j} (x) I) acts on the lj slot
+        outer = outer.reshape(p_out, p_lj, p_i).transpose(0, 2, 1).reshape(p_out * p_i, p_lj)
+        route_a = (outer @ self.mult_iso(e_l, e_j)).reshape(p_out, p_i, p_l * p_j)
+        route_a = route_a.transpose(0, 2, 1).reshape(p_out, p_l * p_j * p_i)
+        # (I (x) U_{e_j,e_i}) acts on the ij slot
+        inner = self.mult_iso(e_l, lattice.add(e_i, e_j)).reshape(p_out * p_l, p_ij)
+        route_b = (inner @ self.mult_iso(e_j, e_i)).reshape(p_out, p_l * p_j * p_i)
+        return opnorm(route_a - route_b)
 
     # -- word machinery -----------------------------------------------------
 
     def flip_for(self, a: int, b: int) -> np.ndarray:
-        """Isomorphism E_a (x) E_b -> E_b (x) E_a in raw coordinates."""
-        if a < b:
-            return self.flips[(a, b)]
-        if a > b:
-            inv = self._inverse_flips.get((a, b))
-            if inv is None:
-                inv = self._inverse_flips[(a, b)] = np.linalg.pinv(self.flips[(b, a)])
-            return inv
-        ma = self.generators[a - 1].dim
-        return np.eye(ma * ma, dtype=complex)
+        """Isomorphism E_a (x) E_b -> E_b (x) E_a in raw coordinates for
+        a > b: the inverse of the stored flip (b, a), computed once.
+        `_append_map` moves a letter left only past a larger one, so it asks
+        for nothing else."""
+        inv = self._inverse_flips.get((a, b))
+        if inv is None:
+            inv = self._inverse_flips[(a, b)] = np.linalg.pinv(self.flips[(b, a)])
+        return inv
 
     def word_data(self, word: tuple[int, ...]) -> _WordData:
         cached = self._words.get(word)

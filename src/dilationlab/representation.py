@@ -6,8 +6,9 @@ basis vector of E_i. The raw maps of the contractions T~_s for arbitrary
 lattice points are assembled by composing generator factors right-to-left in
 normal order. Every localized map is a lowering block Theta(t, s), the
 descent of I (x) T~_s: loc(t) -> loc(t - s) through the fiber quotients, so
-T~_s is Theta(s, s), and the doubly-commuting identity is read off the same
-cached blocks the hat semigroup is built from.
+T~_s is Theta(s, s), and the commutation relation of validation and the
+doubly-commuting identity are read off the same cached blocks the hat
+semigroup is built from.
 """
 
 from __future__ import annotations
@@ -213,20 +214,18 @@ def validate_representation(rep: CCRepresentation) -> dict[str, float]:
 
 
 def _commutation_residual(rep: CCRepresentation, i: int, j: int) -> float:
-    """T~_i (I (x) T~_j) = T~_j (I (x) T~_i)(t_ij (x) I_H) on raw word coords,
-    normed on the localization of the reduced fiber X(e_i + e_j), the word
-    (i, j), lifted to raw pair coordinates through its surjection."""
-    sys_ = rep.system
-    ei = sys_.generators[i - 1]
-    ej = sys_.generators[j - 1]
-    d = rep.dim
-    ti = rep.gen_t_raw(i)
-    tj = rep.gen_t_raw(j)
-    lhs = ti @ kron(np.eye(ei.dim), tj)
-    rhs = tj @ kron(np.eye(ej.dim), ti) @ kron(sys_.flips[(i, j)], np.eye(d))
-    surj = sys_.raw_surjection((i, j))
-    e_ij = lattice.add(lattice.unit(sys_.k, i), lattice.unit(sys_.k, j))
-    return opnorm((lhs - rhs) @ kron(surj.conj().T, np.eye(d)) @ rep.loc(e_ij).lift)
+    """T~_i (I (x) T~_j) = T~_j (I (x) T~_i)(t_ij (x) I_H) on loc(e_i + e_j),
+    on lowering blocks:
+
+        ||Theta(e_i, e_i) Theta(e_i+e_j, e_j) - Theta(e_j, e_j) Theta(e_i+e_j, e_i)||.
+
+    Theta(e_i+e_j, e_j) is I (x) T~_j composed with U_{e_i,e_j}^{-1}, and
+    Theta(e_i+e_j, e_i) is I (x) T~_i composed with U_{e_j,e_i}^{-1}, so the
+    flip t_ij = U_{e_j,e_i}^{-1} U_{e_i,e_j} is carried by the blocks."""
+    e_i, e_j = lattice.unit(rep.system.k, i), lattice.unit(rep.system.k, j)
+    e_ij = lattice.add(e_i, e_j)
+    theta = rep.lowering_block
+    return opnorm(theta(e_i, e_i) @ theta(e_ij, e_j) - theta(e_j, e_j) @ theta(e_ij, e_i))
 
 
 def doubly_commuting_check(rep: CCRepresentation, j: int, k: int, s_j: int, s_k: int) -> float:

@@ -547,3 +547,20 @@ def test_tol_flag_and_instance_parameter_give_the_same_run(tmp_path):
         assert report["parameters"]["tol"] == 1e-6
     assert runs[0] == runs[1]
     assert runs[0][0] != cli.EXIT_INVALID
+
+
+@pytest.mark.parametrize("command", ["validate", "check", "dilate"])
+def test_fiber_dropped_by_the_null_cutoff_is_invalid_under_every_command(tmp_path, command):
+    """scalar_pair with generator 1 rescaled by 1e6, generator 2 by 1e-6 and
+    both T maps zero: the null cutoff drops X(e_2) (Gram 1e-12) but keeps
+    X(e_1 + e_2) (Gram 1), so U_{e_1,e_2} is not onto its fiber. validate
+    builds the generator pairs' lowering blocks for the commutation
+    residual, so it meets this as check and dilate do."""
+    data = _mutated_instance("scalar_pair", [0, 1], [(1e6, "full", True), (1e-6, "full", True)])
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    out = tmp_path / "report.json"
+    assert run([command, str(path), "--out", str(out)]) == cli.EXIT_INVALID
+    report = read_report(out)
+    assert "is not onto its fiber" in report["error"]
+    assert report["verdicts"] == {"valid": False}

@@ -149,18 +149,20 @@ GUARDED = {
 
 @pytest.mark.parametrize("name", sorted(GUARDED))
 def test_builders_form_no_kron_or_raw_tensor(request, monkeypatch, name):
-    """With the product-system and dilation Kronecker products, np.kron and
-    the raw tensor made to raise, every fiber, multiplication map, lowering
-    block and targets(s) over the box builds. The system and representation
-    are rebuilt first, so only the validation's flip and braid checks (which
-    use the raw Gram and raw 3-letter words) run before the guard."""
+    """With the dilation Kronecker product and np.kron made to raise, the
+    product system (its validation included) and the representation are
+    rebuilt; with the raw tensor made to raise as well, every fiber,
+    multiplication map, lowering block and targets(s) over the box builds.
+    Only the validation's flip check, on the raw Gram of a generator pair,
+    runs before the raw tensor is forbidden. Every word the system builds
+    is a normal (sorted) word."""
+    assert not hasattr(prodsys, "kron")
     given = GUARDED[name](request)
-    given_sys = given.system
-    system = ProductSystem(given_sys.algebra, given_sys.generators, given_sys.flips)
-    rep = CCRepresentation(system, given.sigma, given.t_maps)
-    forbidden = ((prodsys, "kron"), (dilation, "kron"), (correspondence, "_raw_tensor"), (np, "kron"))
-    for module, attr in forbidden:
+    for module, attr in ((dilation, "kron"), (np, "kron")):
         _forbid(monkeypatch, module, attr)
+    system = ProductSystem(given.system.algebra, given.system.generators, given.system.flips)
+    rep = CCRepresentation(system, given.sigma, given.t_maps)
+    _forbid(monkeypatch, correspondence, "_raw_tensor")
     with pytest.raises(AssertionError, match="called"):
         correspondence._raw_tensor(system.generators[0], system.generators[0])
     bound = (2,) * system.k if system.k == 2 else (1,) * system.k
@@ -175,6 +177,7 @@ def test_builders_form_no_kron_or_raw_tensor(request, monkeypatch, name):
     bundle = _bundle(rep, bound)
     for s in box:
         assert bundle.targets(s).shape[0] == system.fiber_dim(s)
+    assert all(list(word) == sorted(word) for word in system._words)
 
 
 @pytest.mark.parametrize(

@@ -267,8 +267,9 @@ def test_singular_split_is_not_well_defined():
 
 
 def test_commutation_residual_matches_raw_pair_oracle(request):
-    """The commutation residual, normed on the localized reduced pair X(e_i +
-    e_j), equals the one normed on the localized raw pair E_i (x) E_j."""
+    """The commutation residual, read off the lowering blocks on the
+    localized reduced pair X(e_i + e_j), equals the one normed on the
+    localized raw pair E_i (x) E_j."""
     seen_nonzero = False
     for name, rep in _quotient_cases(request):
         report = validate_representation(rep)
