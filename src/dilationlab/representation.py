@@ -181,9 +181,9 @@ class CCRepresentation:
         return out
 
 
-def validate_representation(rep: CCRepresentation) -> dict[str, float]:
-    """Residuals: sigma axioms, covariance, vanishing on null vectors,
-    contractivity, flip commutation."""
+def validate_module(rep: CCRepresentation) -> dict[str, float]:
+    """Residuals of the relations of (sigma, T) that need no localization:
+    sigma axioms, covariance and vanishing on null vectors."""
     res = {f"sigma.{k}": v for k, v in validate_sigma(rep.sigma).items()}
     sys_ = rep.system
     sig = rep.sigma.mats
@@ -191,24 +191,29 @@ def validate_representation(rep: CCRepresentation) -> dict[str, float]:
         t_arr = rep.t_maps[i - 1]
         cov = 0.0
         for p in range(sys_.algebra.dim):
-            # T(x . a) = T(x) sigma(a)
-            lhs = np.einsum("cb,cst->bst", gen.right_action[p], t_arr)
-            rhs = np.einsum("bsu,ut->bst", t_arr, sig[p])
-            cov = max(cov, float(np.abs(lhs - rhs).max()))
-            # T(a . x) = sigma(a) T(x)
-            lhs = np.einsum("cb,cst->bst", gen.left_action[p], t_arr)
-            rhs = np.einsum("su,but->bst", sig[p], t_arr)
-            cov = max(cov, float(np.abs(lhs - rhs).max()))
+            # T(x . a) = T(x) sigma(a) and T(a . x) = sigma(a) T(x), with
+            # T(x . a)[b] = sum over c of right_action[p][c, b] T[c]
+            right = np.tensordot(gen.right_action[p], t_arr, axes=(0, 0)) - t_arr @ sig[p]
+            left = np.tensordot(gen.left_action[p], t_arr, axes=(0, 0)) - sig[p] @ t_arr
+            cov = max(cov, float(np.abs(right).max()), float(np.abs(left).max()))
         res[f"covariance_{i}"] = cov
         # a contraction vanishes on the module null vectors of E_i, which
         # the reduced fiber X(e_i) drops: T on I - q^H q
         q = sys_.word_data((i,)).last_q
         null_proj = np.eye(gen.dim) - q.conj().T @ q
-        res[f"null_vanishing_{i}"] = opnorm(rep.gen_t_raw(i) @ kron(null_proj, np.eye(rep.dim)))
-        e_i = lattice.unit(sys_.k, i)
+        t_null = np.tensordot(null_proj, t_arr, axes=(0, 0))  # T(N e_c), (m_i, d, d)
+        res[f"null_vanishing_{i}"] = max_opnorm([t_null.transpose(1, 0, 2).reshape(rep.dim, -1)])
+    return res
+
+
+def validate_representation(rep: CCRepresentation) -> dict[str, float]:
+    """Residuals: validate_module, contractivity, flip commutation."""
+    res = validate_module(rep)
+    k = rep.system.k
+    for i in range(1, k + 1):
+        e_i = lattice.unit(k, i)
         res[f"contraction_{i}"] = max(0.0, opnorm(rep.lowering_block(e_i, e_i)) - 1.0)
-    for i in range(1, sys_.k + 1):
-        for j in range(i + 1, sys_.k + 1):
+        for j in range(i + 1, k + 1):
             res[f"commutation_{i}_{j}"] = _commutation_residual(rep, i, j)
     return res
 

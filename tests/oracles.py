@@ -25,7 +25,10 @@ the Kronecker-product builders (`raw_tensor`, `interior_tensor_dense`,
 `flip_residual_dense`, `append_map_kron`, `mult_iso_kron`,
 `lowering_raw_kron`, `targets_kron`) are the dense bodies of the builders
 the package now contracts factor by factor, run on the package's own
-fibers, surjections and raw Gram.
+fibers, surjections and raw Gram; and `generator_step_bounds` computes,
+from a bundle's factor, the recovered maps and `loc_action`, the bounds
+by which verify_regular_dilation's generator-step residuals control the
+composite-point values of `verify_regular_dilation_loop`.
 """
 
 from __future__ import annotations
@@ -408,15 +411,19 @@ def sigma_residuals_loop(mul_table: np.ndarray, adj: np.ndarray, mats: np.ndarra
 
 
 def verify_regular_dilation_loop(bundle, guard: int = 1) -> dict[str, float]:
-    """verify_regular_dilation with one operator norm per basis pair or per
-    point and fiber basis vector, and one Kronecker product per point of a
-    target; item 4 is `item4_two_orth`. Every V_s is the composition of the
-    recovered generator isometries, isometric_rep.t_raw(s), and the
-    isometry and semigroup checks run on the localized generating vectors
+    """The composite-point form of verify_regular_dilation, as the package
+    computed it before it checked V_0 and the generator steps only: item 3,
+    item 4, the isometry and the semigroup law at every window point s > 0,
+    with one operator norm per basis pair or per point and fiber basis
+    vector, and one Kronecker product per point of a target; item 4 is
+    `item4_two_orth`. Every V_s is the composition of the recovered
+    generator isometries, isometric_rep.t_raw(s), and the isometry and
+    semigroup checks run on the localized generating vectors
     (`loc_domain_and_targets`). Item 2 compares the factor's localized
-    columns with the lowering blocks Theta(s, s), item 3 the composed V_s
-    on H with the raw generating vectors `gen_block`, and its rank test
-    takes the rank of the factor."""
+    columns with the lowering blocks Theta(s, s), and item 3 the composed
+    V_s on H with the raw generating vectors `gen_block`. `V0_star_hom` is
+    the multiplicative and *-preserving part only. The bounds of
+    `generator_step_bounds` hold for these values."""
 
     def support(s):
         return {i for i, c in enumerate(s) if c}
@@ -459,16 +466,6 @@ def verify_regular_dilation_loop(bundle, guard: int = 1) -> dict[str, float]:
             g_s = gen_block(bundle, s)
             for a in range(sys_.fiber_dim(s)):
                 item3 = max(item3, _opnorm(v_of(s, a) @ gen0 - g_s[:, a * d : (a + 1) * d]))
-    span_direct = np.concatenate(
-        [gen0] + [v_of(s, a) @ gen0 for s in points if any(s) for a in range(sys_.fiber_dim(s))],
-        axis=1,
-    )
-
-    def rank_of(m):
-        return int(np.linalg.matrix_rank(m, tol=1e-8 * max(1.0, _opnorm(m))))
-
-    if rank_of(bundle.factor) != rank_of(span_direct):
-        item3 = np.inf
 
     item4 = item4_two_orth(bundle)
 
@@ -545,19 +542,19 @@ def v_semigroup_pairs(bundle, guard: int = 1) -> tuple[float, float]:
     return worst, const
 
 
-def item4_two_orth(bundle) -> float:
-    """Item 4 of verify_regular_dilation, max over points s and fiber basis
-    vectors e_a of ||P_H V_s(e_a) Q||, with Q an orthonormal basis of
-    domain (-) H found by orthonormalising the localized domain and then
-    its part orthogonal to H, as the package computed it before it took
-    the projector P_domain - P_H."""
+def item4_two_orth(bundle, points=None) -> float:
+    """Item 4 of verify_regular_dilation, max over points s (default: every
+    window point s > 0) and fiber basis vectors e_a of ||P_H V_s(e_a) Q||,
+    with Q an orthonormal basis of domain (-) H found by orthonormalising
+    the localized domain and then its part orthogonal to H, as the package
+    computed it before it took the projector P_domain - P_H."""
     from dilationlab.dilation import _orth_cols
 
     rank = bundle.rank
     gen0 = gen_block(bundle, tuple(0 for _ in bundle.window.bound))
     p_h = gen0 @ gen0.conj().T
     item4 = 0.0
-    for s in bundle.window.points:
+    for s in bundle.window.points if points is None else points:
         if any(s):
             dom, _ = loc_domain_and_targets(bundle, s, np.eye(bundle.rep.system.fiber_dim(s))[0])
             q_dom = _orth_cols(dom)
@@ -566,6 +563,170 @@ def item4_two_orth(bundle) -> float:
             for a in range(bundle.rep.system.fiber_dim(s)):
                 item4 = max(item4, _opnorm(gen0.conj().T @ v[:, a * rank : (a + 1) * rank] @ q_perp))
     return item4
+
+
+def generator_step_bounds(bundle, residuals: dict[str, float], guard: int = 1) -> dict[str, float]:
+    """Upper bounds, from verify_regular_dilation's generator-step
+    `residuals`, for the composite-point values of
+    `verify_regular_dilation_loop` (item 3, item 4, isometry, semigroup).
+
+    Every window point s > 0 that is no generator is s = u + e_i with i the
+    largest generator of s, and V_s(e_c) = sum over (a, b) of
+    conj(q_s[c, ab]) V_u(e_a) T_b, with q_s the point's last_q and T_b the
+    map of E_i's basis vector e_b. On domain(s), T_b = V_{e_i}(q_i e_b) +
+    T(N e_b), N the null projector of E_i, maps the generating vectors at t
+    to those at e_i + t up to its defect E_b, with ||E_b|| <= eps_raw =
+    (lam_i + ||domain(e_i)||) g, lam_i the largest column 1-norm of q_i and
+    g the V_semigroup residual (which covers the null vanishing). With
+    rho_s the largest row 1-norm of q_s, A_b the block action of q_i e_b
+    from t to e_i + t (norm nS), and alpha(s) the associativity defect of
+    the targets themselves, the semigroup defect satisfies
+
+        B(s) = rho_s (max_a ||V_u(e_a)|| eps_raw + nS B(u)) + alpha(s),
+
+    with B(e_i) = g; unrolled, B(s) is |s| times g, times the products of
+    these norms, plus the alpha. Item 3 is the t = 0 part of the same
+    defect, so it is bounded by B(s) as well. Item 4 on a unit k in
+    domain(s) (-) H = domain(s) c, ||c|| <= 1/sigma_s, splits as
+    P_H V_u P_H T_b k + P_H V_u (I - P_H) T_b k, where (I - P_H) T_b k lies
+    in domain(u) (-) H up to E_b c:
+
+        B4(s) = rho_s (||V_u|| (lam_i g4 + g) + B4(u) (||T_b|| + eps_raw/sigma_s)
+                       + ||V_u|| eps_raw/sigma_s),
+
+    with B4(e_i) = g4, the item 4 residual. The isometry at s is the
+    window kernel's own shift defect kappa(s) = targets(s)[a]^H
+    targets(s)[b] - domain(s)^H V_0-targets(<e_a, e_b>) plus the defect
+    terms:
+
+        Biso(s) = kappa(s) + (2 ||targets(s)|| + B(s)) B(s)
+                  + ||domain(s)|| |<e_a, e_b>|_1 g,
+
+    as V_0's defect on every generating vector is part of g. alpha and
+    kappa vanish for exact data (associativity of the product system and
+    of the kernel); they are computed here from the localized actions
+    `loc_action`, independently of the recovered maps.
+    """
+    rep = bundle.rep
+    sys_ = rep.system
+    iso = bundle.isometric_rep
+    p = bundle.rank
+    bound = bundle.window.bound
+    k = sys_.k
+    gbound = tuple(max(0, b - guard) for b in bound)
+    zero = tuple(0 for _ in bound)
+    slice_of = dict(zip(bundle.window.points, bundle.window.slices))
+    g, g4 = residuals["V_semigroup"], residuals["regular_item4"]
+
+    def unit(i):
+        return tuple(int(j == i - 1) for j in range(k))
+
+    def gens_at(s):
+        return bundle.factor[:, slice_of[s]]
+
+    def action(s, x, t):
+        # x in X(s) acting loc(t) -> loc(s + t); sigma(x) for s = t = 0
+        if not any(s) and not any(t):
+            return rep.sigma.apply(x)
+        return loc_action(bundle, s, x, t)
+
+    def domain(s):
+        return np.concatenate([gens_at(t) for t in window_points(_sub(bound, s))], axis=1)
+
+    def targets(s, x, shift=None):
+        # the images V_s(x) must give domain(shift), by default domain(s)
+        ts = window_points(_sub(bound, s if shift is None else shift))
+        return np.concatenate([gens_at(_add(s, t)) @ action(s, x, t) for t in ts], axis=1)
+
+    def v_of(s, a):
+        return iso.t_raw(s)[:, a * p : (a + 1) * p]
+
+    memo = {}
+
+    def basis_targets(s):
+        if s not in memo:
+            memo[s] = [targets(s, e) for e in np.eye(sys_.fiber_dim(s))]
+        return memo[s]
+
+    def svals(m):
+        return np.linalg.svd(m, compute_uv=False) if m.size else np.zeros(1)
+
+    step = {}
+    for i in range(1, k + 1):
+        q_i = sys_.word_data((i,)).last_q
+        dom_i = domain(unit(i))
+        step[i] = dict(
+            q=q_i,
+            eps_raw=(np.abs(q_i).sum(axis=0).max() + _opnorm(dom_i)) * g,
+            lam=np.abs(q_i).sum(axis=0).max(),
+            n_t=max(_opnorm(t_b) for t_b in iso.t_maps[i - 1]),
+        )
+    semi = {}
+    item4 = {}
+    isometry = {}
+    for s in window_points(bound):  # u = s - e_i comes before s
+        if not any(s):
+            continue
+        if sum(s) == 1:
+            semi[s], item4[s] = g, g4
+        else:
+            i = max(j + 1 for j, c in enumerate(s) if c)
+            e_i, st = unit(i), step[i]
+            u = _sub(s, e_i)
+            q_s = sys_.point_data(s).last_q
+            m_i = st["q"].shape[1]
+            rho = np.abs(q_s).sum(axis=1).max()
+            n_v = max(_opnorm(v_of(u, a)) for a in range(sys_.fiber_dim(u)))
+            ts = window_points(_sub(bound, s))
+            p_u = sys_.fiber_dim(u)
+            acts_u = [[action(u, e, _add(e_i, t)) for t in ts] for e in np.eye(p_u)]
+            acts_i = [[action(e_i, st["q"][:, b], t) for t in ts] for b in range(m_i)]
+            n_s = max(_opnorm(x) for row in acts_i for x in row)
+            # the targets of V_u(e_a) T_b on domain(s), as (p_u, m_i, p, n_s)
+            pairs = np.array(
+                [
+                    [
+                        np.concatenate(
+                            [gens_at(_add(s, t)) @ x @ y for t, x, y in zip(ts, xs, ys)], axis=1
+                        )
+                        for ys in acts_i
+                    ]
+                    for xs in acts_u
+                ]
+            )
+            composed = np.tensordot(q_s.conj().reshape(-1, p_u, m_i), pairs, axes=([1, 2], [0, 1]))
+            alpha = max(_opnorm(x - y) for x, y in zip(composed, basis_targets(s)))
+            sv = svals(domain(s))
+            sigma_s = sv[sv > 1e-8 * max(sv.max(), 1.0)].min()
+            semi[s] = rho * (n_v * st["eps_raw"] + n_s * semi[u]) + alpha
+            item4[s] = rho * (
+                n_v * (st["lam"] * g4 + g)
+                + item4[u] * (st["n_t"] + st["eps_raw"] / sigma_s)
+                + n_v * st["eps_raw"] / sigma_s
+            )
+        if _leq(s, gbound):
+            dom = domain(s)
+            gram = sys_.fiber(s).gram
+            p_s = sys_.fiber_dim(s)
+            tgts = basis_targets(s)
+            # V_0's targets on domain(s) are linear in the algebra element
+            v0_basis = np.array([targets(zero, e, s) for e in np.eye(sys_.algebra.dim)])
+            v0_tgts = np.tensordot(gram, v0_basis, axes=(2, 0))
+            kappa = max(
+                float(np.abs(tgts[a].conj().T @ tgts[b] - dom.conj().T @ v0_tgts[a, b]).max())
+                for a in range(p_s)
+                for b in range(p_s)
+            )
+            n_tgt = max(_opnorm(t) for t in tgts)
+            ell = np.abs(gram).sum(axis=2).max()
+            isometry[s] = kappa + (2 * n_tgt + semi[s]) * semi[s] + _opnorm(dom) * ell * g
+    worst = max(semi.values(), default=0.0)
+    return {
+        "regular_item3": worst,
+        "regular_item4": max(item4.values(), default=0.0),
+        "V_isometry": max(isometry.values(), default=0.0),
+        "V_semigroup": worst,
+    }
 
 
 def commutation_residual_raw_pair(rep, i: int, j: int) -> float:

@@ -18,7 +18,13 @@ A change that claims to keep every number checks it with
 
 which re-runs the grid, lists every exit code, verdict, window field,
 check field and validation residual that differs from the baseline in any bit, and exits 1 if one
-does.
+does. A change that redefines residuals but claims to keep every outcome
+checks it, before it regenerates the baseline, with
+
+    PYTHONPATH=src python tests/sweep.py --flags tests/sweep_baseline.json
+
+which lists every exit code, verdict, window rank and check pass flag that
+differs from the baseline, and exits 1 if one does.
 """
 
 from __future__ import annotations
@@ -94,18 +100,42 @@ def exact_mismatches(ref, new, path: str = "") -> list[str]:
     return []
 
 
+def outcome(run: dict) -> dict:
+    """The outcome of one run: exit code, verdicts, window rank and the
+    pass flag of each check, by name."""
+    return {
+        "exit": run.get("exit"),
+        "verdicts": run.get("verdicts", {}),
+        "rank": (run.get("window") or {}).get("rank"),
+        "pass": {c["name"]: c["pass"] for c in run.get("checks", [])},
+    }
+
+
+def flag_mismatches(ref: dict, new: dict) -> list[str]:
+    """`exact_mismatches` of the outcomes of two sweeps: every exit code,
+    verdict, window rank or check pass flag that differs, and every run or
+    check present in only one of them."""
+    return exact_mismatches(
+        {case: outcome(run) for case, run in ref.items()},
+        {case: outcome(run) for case, run in new.items()},
+    )
+
+
+COMPARISONS = {"--exact": exact_mismatches, "--flags": flag_mismatches}
+
+
 def main(argv: list[str]) -> int:
-    if len(argv) == 2 and argv[0] == "--exact":
+    if len(argv) == 2 and argv[0] in COMPARISONS:
         baseline = json.loads(Path(argv[1]).read_text(encoding="utf-8"))
         # round-trip through JSON so that floats compare as the baseline stores them
         fresh = json.loads(json.dumps(run_sweep()))
-        mismatches = exact_mismatches(baseline, fresh)
+        mismatches = COMPARISONS[argv[0]](baseline, fresh)
         for line in mismatches:
             print(line)
         print(f"{len(mismatches)} field(s) differ from {argv[1]}", file=sys.stderr)
         return 1 if mismatches else 0
     if len(argv) != 1:
-        print("usage: sweep.py OUT.json | sweep.py --exact BASELINE.json", file=sys.stderr)
+        print("usage: sweep.py OUT.json | sweep.py --exact|--flags BASELINE.json", file=sys.stderr)
         return 2
     Path(argv[0]).write_text(json.dumps(run_sweep(), indent=1, sort_keys=True) + "\n", encoding="utf-8")
     return 0

@@ -4,7 +4,7 @@ import json
 from pathlib import Path
 
 from dilationlab.report import compare_reports
-from sweep import case_ids, exact_mismatches, run_sweep
+from sweep import case_ids, exact_mismatches, flag_mismatches, run_sweep
 
 BASELINE = Path(__file__).parent / "sweep_baseline.json"
 # 10x the CLI's VALIDATION_TOL: the band compare_reports allows a check
@@ -62,4 +62,44 @@ def test_exact_mismatches_flag_any_bit():
         "/case/exit: 0 -> '<absent>'",
         "/case/verdicts/valid: True -> 1",
         "/case/window/rank: 4 -> 5",
+    ]
+
+
+def test_flag_mismatches_flag_any_outcome():
+    """The --flags comparison names every exit code, verdict, window rank
+    and check pass flag that differs, and every check or run present on one
+    side only, and ignores residuals, tolerances, margins and validation."""
+    ref = {
+        "case": {
+            "exit": 0,
+            "verdicts": {"valid": True, "dilatable": True},
+            "window": {"M": [1, 1], "rank": 4, "psd_margin": 0.5},
+            "checks": [
+                {"name": "V_isometry", "residual": 0.1, "tolerance": 1e-8, "pass": True},
+                {"name": "V_semigroup", "residual": 0.2, "tolerance": 1e-8, "pass": True},
+            ],
+            "validation": {"covariance_1": 1e-16},
+        },
+        "other": {"exit": 3, "verdicts": {}, "window": None, "checks": [], "validation": {}},
+    }
+    same = json.loads(json.dumps(ref))
+    same["case"]["checks"][0]["residual"] = 0.3
+    same["case"]["checks"][1]["tolerance"] = 1e-6
+    same["case"]["window"]["psd_margin"] = 0.25
+    same["case"]["validation"]["covariance_1"] = 2e-16
+    assert flag_mismatches(ref, same) == []
+    new = json.loads(json.dumps(ref))
+    new["case"]["exit"] = 4
+    new["case"]["verdicts"]["dilatable"] = False
+    new["case"]["window"]["rank"] = 5
+    new["case"]["checks"][0]["pass"] = False
+    del new["case"]["checks"][1]
+    del new["other"]
+    assert flag_mismatches(ref, new) == [
+        "/case/exit: 0 -> 4",
+        "/case/pass/V_isometry: True -> False",
+        "/case/pass/V_semigroup: True -> '<absent>'",
+        "/case/rank: 4 -> 5",
+        "/case/verdicts/dilatable: True -> False",
+        "/other: {'exit': 3, 'verdicts': {}, 'rank': None, 'pass': {}} -> '<absent>'",
     ]
