@@ -3,8 +3,9 @@
 The grid is every family x seeds 0-2 x (k, dims, L = M) in CASES. Each run
 goes through `cli.main`, so its exit code is the command's. Per run the
 baseline keeps the exit code, the verdicts, the window section (`M`, `rank`,
-`psd_margin`), every check record (residual, tolerance, pass flag) and the
-validation residuals.
+`psd_margin`), every check record (residual, tolerance, pass flag), the
+validation residuals and the check section: the doubly-commuting residuals
+and the Brehmer-type NS minimum eigenvalues, by key.
 `tests/test_sweep.py` re-runs the grid against the committed baseline.
 
 Regenerate the baseline, from the root of a checkout, with
@@ -17,8 +18,9 @@ A change that claims to keep every number checks it with
     PYTHONPATH=src python tests/sweep.py --exact tests/sweep_baseline.json
 
 which re-runs the grid, lists every exit code, verdict, window field,
-check field and validation residual that differs from the baseline in any bit, and exits 1 if one
-does. A change that redefines residuals but claims to keep every outcome
+check field, validation residual, doubly-commuting residual and NS value
+that differs from the baseline in any bit, and exits 1 if one does. A
+change that redefines residuals but claims to keep every outcome
 checks it, before it regenerates the baseline, with
 
     PYTHONPATH=src python tests/sweep.py --flags tests/sweep_baseline.json
@@ -65,6 +67,8 @@ def run_case(family: str, seed: int, k: int, dims: int, bound: int, workdir: Pat
         "window": report.get("window"),
         "checks": report.get("checks", []),
         "validation": report.get("validation", {}),
+        "doubly_commuting": report.get("doubly_commuting", {}),
+        "NS": report.get("NS", {}),
     }
 
 

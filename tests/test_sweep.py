@@ -14,8 +14,8 @@ VALIDATION_DRIFT = 1e-9
 def test_sweep_matches_baseline():
     """Exit codes and window ranks are equal; verdicts, pass flags, residual
     drift and psd_margin follow report.compare_reports's rule; the
-    validation residuals have the same names and drift by at most
-    VALIDATION_DRIFT."""
+    validation residuals, doubly-commuting residuals and NS values have the
+    same names and drift by at most VALIDATION_DRIFT."""
     baseline = json.loads(BASELINE.read_text(encoding="utf-8"))
     fresh = run_sweep()
     assert sorted(fresh) == sorted(baseline) and len(fresh) == len(case_ids())
@@ -28,15 +28,16 @@ def test_sweep_matches_baseline():
             problems.append(f"{case}: window rank {ref['window']} vs {new['window']}")
         _ok, mismatches, _warnings = compare_reports(ref, new)
         problems.extend(f"{case}: {m}" for m in mismatches)
-        ref_val, new_val = ref["validation"], new["validation"]
-        if sorted(ref_val) != sorted(new_val):
-            problems.append(f"{case}: validation keys {sorted(ref_val)} vs {sorted(new_val)}")
-            continue
-        problems.extend(
-            f"{case}: validation {name} {ref_val[name]!r} vs {new_val[name]!r}"
-            for name in sorted(ref_val)
-            if not abs(new_val[name] - ref_val[name]) <= VALIDATION_DRIFT
-        )
+        for section in ("validation", "doubly_commuting", "NS"):
+            ref_val, new_val = ref[section], new[section]
+            if sorted(ref_val) != sorted(new_val):
+                problems.append(f"{case}: {section} keys {sorted(ref_val)} vs {sorted(new_val)}")
+                continue
+            problems.extend(
+                f"{case}: {section} {name} {ref_val[name]!r} vs {new_val[name]!r}"
+                for name in sorted(ref_val)
+                if not abs(new_val[name] - ref_val[name]) <= VALIDATION_DRIFT
+            )
     assert problems == []
 
 
