@@ -38,7 +38,13 @@ from .families import FAMILIES, generate
 from .hatspace import TruncatedFock, hat_checks
 from .instances import Instance, digest, load_instance
 from .report import check_record, compare_reports, make_report, render
-from .representation import brehmer_check_NS, doubly_commuting_check, validate_representation
+from .representation import (
+    brehmer_check_NS,
+    brehmer_keys,
+    doubly_commuting_check,
+    doubly_commuting_keys,
+    validate_representation,
+)
 
 EXIT_OK = 0
 EXIT_INVALID = 1
@@ -113,27 +119,30 @@ def _check_section(inst: Instance, params: dict) -> tuple[dict, dict]:
     minimum eigenvalues over the configured box.
 
     The Brehmer sum for (v, s) depends on s only through s[v], so it is
-    computed once per restricted point and reported under every key.
+    computed once per restricted point and reported under every key. The
+    lowering blocks of both checks are requested in one build, the
+    doubly-commuting keys first, so a block that does not descend raises
+    for the key a check-by-check loop would meet first; the sums of one v
+    then take one brehmer_check_NS call, which stacks them by rank.
     """
     rep = inst.representation
     k = inst.system.k
-    dc = {}
-    for j in range(1, k + 1):
-        for l in range(j + 1, k + 1):
-            dc[f"{j},{l}"] = float(doubly_commuting_check(rep, j, l, 1, 1))
-    ns_box = tuple(params["NS_box"])
+    pairs = [(j, l) for j in range(1, k + 1) for l in range(j + 1, k + 1)]
+    # per nonempty v, the restricted point s[v] of each box point s > 0 on v
+    restricted = {
+        v: {s: lattice.restrict(s, v) for s in lattice.box(tuple(params["NS_box"])) if all(s[i - 1] for i in v)}
+        for v in lattice.subsets(range(1, k + 1))
+        if v
+    }
+    points = {v: list(dict.fromkeys(by_s.values())) for v, by_s in restricted.items()}
+    keys = [key for j, l in pairs for key in doubly_commuting_keys(k, j, l)]
+    keys += [key for v, svs in points.items() for key in brehmer_keys(v, svs)]
+    rep.build(keys=keys)
+    dc = {f"{j},{l}": float(doubly_commuting_check(rep, j, l, 1, 1)) for j, l in pairs}
     ns = {}
-    for v in lattice.subsets(range(1, k + 1)):
-        if not v:
-            continue
-        by_sv: dict[lattice.Point, float] = {}
-        for s in lattice.box(ns_box):
-            if any(s[i - 1] == 0 for i in v):
-                continue
-            sv = lattice.restrict(s, v)
-            if sv not in by_sv:
-                by_sv[sv] = float(brehmer_check_NS(rep, v, sv))
-            ns[f"v={list(v)},s={list(s)}"] = by_sv[sv]
+    for v, by_s in restricted.items():
+        by_sv = dict(zip(points[v], brehmer_check_NS(rep, v, points[v])))
+        ns.update((f"v={list(v)},s={list(s)}", by_sv[sv]) for s, sv in by_s.items())
     return dc, ns
 
 
@@ -191,10 +200,14 @@ def run_pipeline(inst: Instance, command: str, params: dict) -> tuple[dict, int]
                         checks.append(check_record(name, res))
                     if verdicts["doubly_commuting"]:
                         k = inst.system.k
-                        dc_v = 0.0
-                        for j in range(1, k + 1):
-                            for l in range(j + 1, k + 1):
-                                dc_v = max(dc_v, verify_doubly_commuting_V(bundle, j, l, guard=guard))
+                        pairs = [(j, l) for j in range(1, k + 1) for l in range(j + 1, k + 1)]
+                        # the recovered maps' blocks of every pair, in one build
+                        dc_keys = [key for j, l in pairs for key in doubly_commuting_keys(k, j, l)]
+                        bundle.isometric_rep.build(keys=dc_keys)
+                        dc_v = max(
+                            (verify_doubly_commuting_V(bundle, j, l, guard=guard) for j, l in pairs),
+                            default=0.0,
+                        )
                         if k >= 2:
                             checks.append(check_record("doubly_commuting_V", dc_v))
                     alt = kolmogorov(window, tol=tol, method="chol")

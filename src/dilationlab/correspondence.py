@@ -14,6 +14,11 @@ Two kinds of quotient appear:
   surjection;
 * Hilbert-space localizations E (x)_sigma H (``localize``), whose quotient
   coordinates carry the standard inner product via a rank-revealing factor.
+
+``interior_tensor``, ``localize`` and ``descend_map`` take lists of
+operands of one shape and stack their factorizations and products, each
+operand laid out as on its own, so every result has the bits of a
+one-by-one computation.
 """
 
 from __future__ import annotations
@@ -24,15 +29,16 @@ import numpy as np
 
 from . import cstar
 from .cstar import CStarAlgebra
-from .errors import InvalidArgumentError
+from .errors import InvalidArgumentError, NotWellDefinedError
 from .linalg import (
     DEFAULT_TOL,
+    descent_error,
     hermitize,
     max_opnorm,
     null_split,
     opnorm,
     psd_factor,
-    require_descent,
+    stack,
 )
 
 
@@ -176,7 +182,7 @@ def reduce_null(corr: Correspondence, tol: float = DEFAULT_TOL):
     W^H R_p W, W^H L_p W for every algebra basis index p.
     """
     trace = corr.gram @ np.trace(corr.algebra.basis_mats, axis1=1, axis2=2)
-    w, _null = null_split(trace, tol, "reduce_null")
+    [(w, _null)] = null_split(trace[None], tol, "reduce_null")
     # C-ordered: numpy's stacked matmul falls back to a slow non-BLAS loop
     # for a transposed operand
     surjection = np.ascontiguousarray(w.conj().T)
@@ -211,36 +217,43 @@ def _raw_tensor(e: Correspondence, f: Correspondence) -> np.ndarray:
     return gram.transpose(0, 3, 1, 2, 4).reshape(me * mf, me * mf, e.algebra.dim)
 
 
-def interior_tensor(e: Correspondence, f: Correspondence, tol: float = DEFAULT_TOL):
-    """Balanced tensor product E (x)_A F, quotiented by null vectors.
+def interior_tensor(pairs, tol: float = DEFAULT_TOL) -> list:
+    """Balanced tensor products E (x)_A F, quotiented by null vectors, for
+    pairs (E, F) of correspondences with one pair of dimensions.
 
-    Returns (correspondence, surjection from raw m_E * m_F coordinates),
-    the quotient ``reduce_null`` takes of the algebraic tensor, whose Gram
-    is ``_raw_tensor``'s and whose actions are I (x) F.right and
+    Returns one (correspondence, surjection from raw m_E * m_F coordinates)
+    per pair: the quotient ``reduce_null`` takes of the algebraic tensor,
+    whose Gram is ``_raw_tensor``'s and whose actions are I (x) F.right and
     E.left (x) I on raw index i * m_F + j. No raw Gram or action stack is
     formed: the null trace is sum over r of E.gram[:, :, r] (x)
     (tr F.gram) F.left[r], and the compressions W^H G_p W, W^H (I (x) R_p) W
     and W^H (L_p (x) I) W apply each factor to W reshaped to (m_E, m_F, n).
+    The null traces of all the pairs take one stacked null_split.
     """
-    if e.algebra != f.algebra:
+    if any(e.algebra != f.algebra for e, f in pairs):
         raise InvalidArgumentError("interior tensor requires a common algebra")
-    me, mf, adim = e.dim, f.dim, e.algebra.dim
-    f_trace = f.gram @ np.trace(e.algebra.basis_mats, axis1=1, axis2=2)  # [j, q]
-    trace = e.gram.reshape(me * me, adim) @ (f_trace @ f.left_action).reshape(adim, mf * mf)
-    trace = trace.reshape(me, me, mf, mf).transpose(0, 2, 1, 3).reshape(me * mf, me * mf)
-    w, _null = null_split(trace, tol, "interior_tensor")
-    n = w.shape[1]
-    surjection = np.ascontiguousarray(w.conj().T)
-    w3 = w.reshape(me, mf, n)
-    # G_p W = sum over k, r, q of E.gram[i, k, r] F.gram[j, q, p] (F.left[r] W[k])[q]
-    left_f = f.left_action[:, None] @ w3  # [r, k, q, b]
-    left_f = left_f.transpose(1, 0, 2, 3).reshape(me * adim, mf * n)  # [(k, r), (q, b)]
-    inner = (e.gram.reshape(me, me * adim) @ left_f).reshape(me, mf, n)  # [i, q, b]
-    gram_w = np.moveaxis(f.gram, 2, 0)[:, None] @ inner  # [p, i, j, b]
-    gram = np.moveaxis(surjection @ gram_w.reshape(adim, me * mf, n), 0, 2)
-    right = surjection @ (f.right_action[:, None] @ w3).reshape(adim, me * mf, n)
-    left = surjection @ (e.left_action @ w.reshape(me, mf * n)).reshape(adim, me * mf, n)
-    return Correspondence(e.algebra, gram, right, left), surjection
+    traces = []
+    for e, f in pairs:
+        me, mf, adim = e.dim, f.dim, e.algebra.dim
+        f_trace = f.gram @ np.trace(e.algebra.basis_mats, axis1=1, axis2=2)  # [j, q]
+        trace = e.gram.reshape(me * me, adim) @ (f_trace @ f.left_action).reshape(adim, mf * mf)
+        traces.append(trace.reshape(me, me, mf, mf).transpose(0, 2, 1, 3).reshape(me * mf, me * mf))
+    out = []
+    for (e, f), (w, _null) in zip(pairs, null_split(np.array(traces), tol, "interior_tensor")):
+        me, mf, adim = e.dim, f.dim, e.algebra.dim
+        n = w.shape[1]
+        surjection = np.ascontiguousarray(w.conj().T)
+        w3 = w.reshape(me, mf, n)
+        # G_p W = sum over k, r, q of E.gram[i, k, r] F.gram[j, q, p] (F.left[r] W[k])[q]
+        left_f = f.left_action[:, None] @ w3  # [r, k, q, b]
+        left_f = left_f.transpose(1, 0, 2, 3).reshape(me * adim, mf * n)  # [(k, r), (q, b)]
+        inner = (e.gram.reshape(me, me * adim) @ left_f).reshape(me, mf, n)  # [i, q, b]
+        gram_w = np.moveaxis(f.gram, 2, 0)[:, None] @ inner  # [p, i, j, b]
+        gram = np.moveaxis(surjection @ gram_w.reshape(adim, me * mf, n), 0, 2)
+        right = surjection @ (f.right_action[:, None] @ w3).reshape(adim, me * mf, n)
+        left = surjection @ (e.left_action @ w.reshape(me, mf * n)).reshape(adim, me * mf, n)
+        out.append((Correspondence(e.algebra, gram, right, left), surjection))
+    return out
 
 
 # -- localization ----------------------------------------------------------
@@ -251,39 +264,52 @@ def trivial_localized(dim: int, tol: float = DEFAULT_TOL) -> LocalizedSpace:
     return LocalizedSpace(dim, dim, eye, eye, tol)
 
 
-def localize(corr: Correspondence, sigma_mats: np.ndarray, tol: float = DEFAULT_TOL) -> LocalizedSpace:
-    """E (x)_sigma H for a *-representation given by matrices per basis element.
+def localize(corrs, sigma_mats: np.ndarray, tol: float = DEFAULT_TOL) -> list[LocalizedSpace]:
+    """E (x)_sigma H for correspondences E of one dimension and a
+    *-representation given by matrices per basis element.
 
     Raw coordinates are (module index major) kron(x, h); the factor F maps
-    them isometrically onto C^rank.
+    them isometrically onto C^rank. The Grams of all the E take one
+    stacked einsum and one stacked eigh; psd_factor's cutoff and
+    warn_degenerate are applied to each E on its own.
     """
     sigma_mats = np.asarray(sigma_mats, dtype=complex)
-    d = sigma_mats.shape[1]
-    gram_loc = np.einsum("ijp,pkl->ikjl", corr.gram, sigma_mats).reshape(
-        corr.dim * d, corr.dim * d
-    )
-    factor, vals, vecs = psd_factor(gram_loc, tol, "localize")
-    lift = vecs / np.sqrt(vals)[None, :] if vals.size else vecs
-    return LocalizedSpace(corr.dim * d, factor.shape[0], factor, lift, tol)
+    count, m, d = len(corrs), corrs[0].dim, sigma_mats.shape[1]
+    grams = np.einsum("xijp,pkl->xikjl", stack([c.gram for c in corrs]), sigma_mats)
+    grams = grams.reshape(count, m * d, m * d)
+    eigs = zip(*np.linalg.eigh(hermitize(grams))) if m * d else [None] * count
+    out = []
+    for gram, eig in zip(grams, eigs):
+        factor, vals, vecs = psd_factor(gram, tol, "localize", eig=eig)
+        lift = vecs / np.sqrt(vals)[None, :] if vals.size else vecs
+        out.append(LocalizedSpace(m * d, factor.shape[0], factor, lift, tol))
+    return out
 
 
 def descend_map(
     m: np.ndarray,
-    source: LocalizedSpace,
-    target: LocalizedSpace,
+    sources,
+    targets,
     tol: float = DEFAULT_TOL,
-) -> np.ndarray:
-    """Quotient-coordinate matrix B with B F_source = F_target M.
+) -> tuple[np.ndarray, dict[int, NotWellDefinedError]]:
+    """Quotient-coordinate matrices B_x with B_x F_source_x = F_target_x M_x,
+    for a stack m of raw maps of one shape between localized spaces of one
+    shape each.
 
-    Raises NotWellDefinedError when M does not respect the null spaces, that
-    is when the operator norm of the defect B F_source - F_target M exceeds
-    tol. Its Frobenius norm bounds the operator norm, so a defect within tol
-    by that bound passes without an SVD; the exact operator norm is taken
-    only to decide and report a failure.
+    Returns the stack of the B_x and the errors of the maps that do not
+    respect the null spaces, by index: those whose defect B_x F_source_x -
+    F_target_x M_x has operator norm above tol. Its Frobenius norm bounds
+    the operator norm, so a defect within tol by that bound passes without
+    an SVD; the exact operator norm is taken only to decide and report a
+    failure.
     """
-    fm = target.factor @ m
-    b = fm @ source.lift
-    defect = b @ source.factor - fm
-    if not np.linalg.norm(defect) <= tol:  # NaN takes the exact path too
-        require_descent(opnorm(defect), tol, "descend_map")
-    return b
+    fm = stack([t.factor for t in targets]) @ m
+    b = fm @ stack([s.lift for s in sources])
+    defect = b @ stack([s.factor for s in sources]) - fm
+    failures = {}
+    # NaN takes the exact path too
+    for x in np.flatnonzero(~(np.linalg.norm(defect, axis=(1, 2)) <= tol)):
+        residual = opnorm(defect[x])
+        if residual > tol:
+            failures[int(x)] = descent_error(residual, tol, "descend_map")
+    return b, failures

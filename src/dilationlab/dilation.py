@@ -84,6 +84,15 @@ def window_gram(space: TruncatedFock, bound: lattice.Point) -> KernelWindow:
     if len(bound) != rep.system.k or any(b < 0 for b in bound):
         raise InvalidArgumentError(f"bad window bound {bound}")
     points = tuple(lattice.box(bound))
+    # Theta(t, t - m): loc(t) -> loc(m) and Theta(s, s - m) for m = t ^ s,
+    # per pair of points a <= b, built in one call
+    pairs = [(a, b) for a in range(len(points)) for b in range(a, len(points))]
+    keys = []
+    for a, b in pairs:
+        t, s = points[a], points[b]
+        m = lattice.meet(t, s)
+        keys += [(t, lattice.sub(t, m)), (s, lattice.sub(s, m))]
+    thetas = rep.build(points=points, keys=keys)
     slices = []
     dim = 0
     for s in points:
@@ -92,15 +101,11 @@ def window_gram(space: TruncatedFock, bound: lattice.Point) -> KernelWindow:
         dim += rank
 
     gram = np.zeros((dim, dim), dtype=complex)
-    for a, t in enumerate(points):
-        for b in range(a, len(points)):
-            s = points[b]
-            m = lattice.meet(t, s)
-            theta_t = rep.lowering_block(t, lattice.sub(t, m))  # loc(t) -> loc(m)
-            theta_s = rep.lowering_block(s, lattice.sub(s, m))
-            block = theta_t.conj().T @ theta_s
-            gram[slices[a], slices[b]] = block
-            gram[slices[b], slices[a]] = block.conj().T
+    for n, (a, b) in enumerate(pairs):
+        theta_t, theta_s = thetas[2 * n], thetas[2 * n + 1]
+        block = theta_t.conj().T @ theta_s
+        gram[slices[a], slices[b]] = block
+        gram[slices[b], slices[a]] = block.conj().T
     eigvals, eigvecs = np.linalg.eigh(gram)
     return KernelWindow(space, bound, points, tuple(slices), gram, eigvals, eigvecs)
 
@@ -380,14 +385,16 @@ def verify_hat_doubly_commuting(
     nlat = space.rep.system.k
     a = lattice.unit(nlat, j, s_j)
     b = lattice.unit(nlat, k, s_k)
-    theta = space.rep.lowering_block
-    defects = (
-        theta(lattice.add(lattice.sub(r, b), a), a).conj().T @ theta(r, b)
-        - theta(lattice.add(r, a), b) @ theta(lattice.add(r, a), a).conj().T
-        for r in space.blocks
-        if lattice.leq(b, r) and lattice.leq(lattice.add(r, a), space.bound)
+    keys = []
+    for r in space.blocks:
+        if lattice.leq(b, r) and lattice.leq(lattice.add(r, a), space.bound):
+            ra = lattice.add(r, a)
+            keys += [(lattice.add(lattice.sub(r, b), a), a), (r, b), (ra, b), (ra, a)]
+    thetas = space.rep.build(keys=keys)
+    return max_opnorm(
+        thetas[x].conj().T @ thetas[x + 1] - thetas[x + 2] @ thetas[x + 3].conj().T
+        for x in range(0, len(thetas), 4)
     )
-    return max_opnorm(defects)
 
 
 def verify_doubly_commuting_V(bundle: DilationBundle, j: int, k: int, guard: int = 1) -> float:

@@ -6,7 +6,9 @@ lattice point of the box. The lowering operator T^_s maps block r into
 block r - s by Theta(r, s) = CCRepresentation.lowering_block(r, s) and
 annihilates blocks with r not >= s, so H_L is invariant and all semigroup
 identities hold exactly on it: the truncation only limits which vectors
-exist.
+exist. The blocks loc(s) of the box, and the Theta a check needs, are
+requested from CCRepresentation.build in one call each, which computes
+them in stacks grouped by shape.
 
 No T^ is formed as a dim H_L square matrix. Every identity checked here is
 an operator D on H_L that maps each block r into at most one block f(r),
@@ -37,6 +39,7 @@ class TruncatedFock:
         self.rep = rep
         self.bound = bound
         self.blocks: list[lattice.Point] = lattice.box(bound)
+        rep.build(points=self.blocks)
         self.locs = [rep.loc(s) for s in self.blocks]
         self.dim = sum(loc.rank for loc in self.locs)
 
@@ -51,16 +54,20 @@ def _semigroup_defects(
     so it is zero when s + t leaves the box. For s = 0 or t = 0 it is
     exactly zero as well (Theta(r, 0) = I). Such pairs are skipped. The
     blocks r = s + t + u run over u in the box up to bound - s - t, which
-    lists them in the order of space.blocks.
+    lists them in the order of space.blocks. The blocks of all the pairs
+    are built in one call.
     """
-    theta = space.rep.lowering_block
+    keys = []
     for s, t in pairs:
         st = lattice.add(s, t)
         if lattice.is_zero(s) or lattice.is_zero(t) or not lattice.leq(st, space.bound):
             continue
         for u in lattice.box(lattice.sub(space.bound, st)):
             r = lattice.add(st, u)
-            yield theta(lattice.add(s, u), s) @ theta(r, t) - theta(r, st)
+            keys += [(lattice.add(s, u), s), (r, t), (r, st)]
+    blocks = space.rep.build(keys=keys)
+    for x in range(0, len(blocks), 3):
+        yield blocks[x] @ blocks[x + 1] - blocks[x + 2]
 
 
 def hat_checks(space: TruncatedFock) -> dict[str, float]:
@@ -76,16 +83,13 @@ def hat_checks(space: TruncatedFock) -> dict[str, float]:
     The technology map is the block Theta(s, s): loc(s) -> H of T^_s, so
     its residual is max over 0 < s <= L of ||Theta(s, s) F_s - T_s||, with
     F_s the localization factor and T_s on raw fiber (x) H coordinates.
+    Each residual builds its blocks in one call.
     """
     rep = space.rep
     k = rep.system.k
     pairs = [(lattice.unit(k, i), t) for i in range(1, k + 1) for t in space.blocks]
-    technology = (
-        rep.lowering_block(s, s) @ loc.factor - rep.t_raw(s)
-        for s, loc in zip(space.blocks, space.locs)
-        if not lattice.is_zero(s)
-    )
-    return {
-        "hat_semigroup": max_opnorm(_semigroup_defects(space, pairs)),
-        "technology": max_opnorm(technology),
-    }
+    semigroup = max_opnorm(_semigroup_defects(space, pairs))
+    steps = [(s, loc) for s, loc in zip(space.blocks, space.locs) if not lattice.is_zero(s)]
+    thetas = rep.build(keys=[(s, s) for s, _loc in steps])
+    technology = (theta @ loc.factor - rep.t_raw(s) for (s, loc), theta in zip(steps, thetas))
+    return {"hat_semigroup": semigroup, "technology": max_opnorm(technology)}

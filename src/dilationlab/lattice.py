@@ -63,7 +63,7 @@ def is_zero(s: Point) -> bool:
 def restrict(s: Point, u: Iterable[int]) -> Point:
     """s[u]: keep coordinates in the 1-based index set u, zero the rest."""
     keep = set(u)
-    return tuple(a if (j + 1) in keep else 0 for j, a in enumerate(s))
+    return tuple([a if j in keep else 0 for j, a in enumerate(s, 1)])
 
 
 def grade(s: Point) -> tuple[int, Point]:

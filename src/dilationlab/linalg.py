@@ -50,7 +50,30 @@ def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def hermitize(g: np.ndarray) -> np.ndarray:
-    return 0.5 * (g + g.conj().T)
+    """Hermitian part of a matrix, or of each matrix of a stack."""
+    return 0.5 * (g + np.swapaxes(g.conj(), -1, -2))
+
+
+def stack(arrays) -> np.ndarray:
+    """np.stack of arrays of one shape and one memory layout, keeping that
+    layout in every slice; an array listed more than once is copied once.
+
+    BLAS reads a transposed operand by another kernel, so a product of a
+    C-ordered copy of an F-ordered matrix can differ from the original's in
+    the last bits; a stacked product of slices laid out as the arrays are
+    makes the same BLAS calls, and so gives the same bits, as the products
+    of the arrays one by one.
+    """
+    first = arrays[0]
+    if len(arrays) == 1:
+        return first[None]
+    order = sorted(range(first.ndim), key=lambda axis: -first.strides[axis])
+    unique = {id(a): a for a in arrays}
+    out = np.array([a.transpose(order) for a in unique.values()])
+    if len(unique) < len(arrays):
+        row = {key: n for n, key in enumerate(unique)}
+        out = out[[row[id(a)] for a in arrays]]
+    return out.transpose([0] + [1 + order.index(axis) for axis in range(first.ndim)])
 
 
 def warn_degenerate(eigvals: np.ndarray, tol: float, what: str) -> None:
@@ -84,15 +107,19 @@ def psd_factor(gram: np.ndarray, tol: float, what: str = "gram", eig=None):
     return factor, vals_k, vecs_k
 
 
-def null_split(gram: np.ndarray, tol: float, what: str = "gram"):
-    """Orthonormal (kept, null) eigenvector bases of a PSD Hermitian matrix."""
-    if gram.shape[0] == 0:
+def null_split(grams: np.ndarray, tol: float, what: str = "gram") -> list:
+    """Orthonormal (kept, null) eigenvector bases of each PSD Hermitian
+    matrix of a stack, from one stacked eigh; the cutoff and
+    warn_degenerate are applied matrix by matrix."""
+    if grams.shape[1] == 0:
         z = np.zeros((0, 0), dtype=complex)
-        return z, z
-    vals, vecs = np.linalg.eigh(hermitize(gram))
-    warn_degenerate(vals, tol, what)
-    keep = vals > tol
-    return vecs[:, keep], vecs[:, ~keep]
+        return [(z, z)] * grams.shape[0]
+    out = []
+    for vals, vecs in zip(*np.linalg.eigh(hermitize(grams))):
+        warn_degenerate(vals, tol, what)
+        keep = vals > tol
+        out.append((vecs[:, keep], vecs[:, ~keep]))
+    return out
 
 
 def lstsq_map(targets: np.ndarray, domain: np.ndarray, tol: float, what: str) -> np.ndarray:
@@ -109,17 +136,21 @@ def lstsq_map(targets: np.ndarray, domain: np.ndarray, tol: float, what: str) ->
     b = flat @ np.linalg.pinv(domain)
     defect = b @ domain - flat
     if not np.linalg.norm(defect) <= tol:  # NaN takes the exact path too
-        stack = defect.reshape((math.prod(targets.shape[:-2]),) + targets.shape[-2:])
-        require_descent(max_opnorm(stack), tol, what)
+        slices = defect.reshape((math.prod(targets.shape[:-2]),) + targets.shape[-2:])
+        require_descent(max_opnorm(slices), tol, what)
     return b.reshape(targets.shape[:-1] + domain.shape[:1])
+
+
+def descent_error(residual: float, tol: float, what: str) -> NotWellDefinedError:
+    return NotWellDefinedError(
+        f"{what}: descent residual {residual:.3e} exceeds tolerance {tol:.1e}",
+        residual=residual,
+    )
 
 
 def require_descent(residual: float, tol: float, what: str) -> None:
     if residual > tol:
-        raise NotWellDefinedError(
-            f"{what}: descent residual {residual:.3e} exceeds tolerance {tol:.1e}",
-            residual=residual,
-        )
+        raise descent_error(residual, tol, what)
 
 
 def pivoted_cholesky(gram: np.ndarray, rel_tol: float = 1e-10) -> np.ndarray:

@@ -18,7 +18,8 @@ multiplication isomorphisms.
 Fibers and isomorphisms are memoized per word / pair, and a lattice
 point's word data (its fiber, dimension and split of the last letter) per
 point, so the T^ block loops look a point up without rebuilding its
-normal word.
+normal word. The fibers of a list of points are built level by level (word
+length), each level's words of one shape in one stacked interior tensor.
 """
 
 from __future__ import annotations
@@ -174,18 +175,42 @@ class ProductSystem:
 
     def word_data(self, word: tuple[int, ...]) -> _WordData:
         cached = self._words.get(word)
-        if cached is not None:
-            return cached
-        if len(word) == 0:
-            data = _WordData(algebra_correspondence(self.algebra), None)
-        elif len(word) == 1:
-            data = _WordData(*reduce_null(self.generators[word[0] - 1], self.tol))
-        else:
-            prev = self.word_data(word[:-1])
-            gen = self.generators[word[-1] - 1]
-            data = _WordData(*interior_tensor(prev.corr, gen, self.tol))
-        self._words[word] = data
-        return data
+        if cached is None:
+            self._build_words([word])
+            cached = self._words[word]
+        return cached
+
+    def build(self, points) -> None:
+        """Word data of the normal words of the points and of their
+        prefixes, as `_build_words` builds them."""
+        self._build_words([self.normal_word(tuple(s)) for s in points])
+
+    def _build_words(self, words) -> None:
+        """Word data of the words and of their prefixes that are not built
+        yet, level by level (word length): the words of one level whose
+        prefixes have one dimension and whose last generators have one
+        dimension take one stacked interior_tensor."""
+        levels: dict[int, set[tuple[int, ...]]] = {}
+        for word in words:
+            while word not in self._words and word not in levels.get(len(word), ()):
+                levels.setdefault(len(word), set()).add(word)
+                word = word[:-1]
+        for level in sorted(levels):
+            if level == 0:
+                self._words[()] = _WordData(algebra_correspondence(self.algebra), None)
+                continue
+            if level == 1:
+                for word in sorted(levels[1]):
+                    self._words[word] = _WordData(*reduce_null(self.generators[word[0] - 1], self.tol))
+                continue
+            groups: dict[tuple[int, int], list[tuple[int, ...]]] = {}
+            for word in sorted(levels[level]):
+                shape = (self._words[word[:-1]].corr.dim, self.generators[word[-1] - 1].dim)
+                groups.setdefault(shape, []).append(word)
+            for group in groups.values():
+                pairs = [(self._words[word[:-1]].corr, self.generators[word[-1] - 1]) for word in group]
+                for word, tensor in zip(group, interior_tensor(pairs, self.tol)):
+                    self._words[word] = _WordData(*tensor)
 
     @staticmethod
     def normal_word(s: lattice.Point) -> tuple[int, ...]:

@@ -6,9 +6,12 @@ basis vector of E_i. The raw maps of the contractions T~_s for arbitrary
 lattice points are assembled by composing generator factors right-to-left in
 normal order. Every localized map is a lowering block Theta(t, s), the
 descent of I (x) T~_s: loc(t) -> loc(t - s) through the fiber quotients, so
-T~_s is Theta(s, s), and the commutation relation of validation and the
-doubly-commuting identity are read off the same cached blocks the hat
-semigroup is built from.
+T~_s is Theta(s, s). The localizations and the blocks come from one plural
+method, CCRepresentation.build, which computes the missing ones of a list
+of points and (t, s) keys in stacks grouped by shape and caches them; the
+commutation relation of validation, the doubly-commuting identity and the
+Brehmer-type sums are read off the same blocks the hat semigroup is built
+from, each check requesting its whole key set in one call.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from .correspondence import (
 )
 from .cstar import CStarAlgebra, unit
 from .errors import InvalidArgumentError, NotWellDefinedError
-from .linalg import DEFAULT_TOL, kron, max_opnorm, opnorm
+from .linalg import DEFAULT_TOL, hermitize, kron, max_opnorm, opnorm, stack
 from .prodsys import ProductSystem
 
 
@@ -89,17 +92,129 @@ class CCRepresentation:
         self._t_raw: dict[lattice.Point, np.ndarray] = {}
         self._lowering: dict[tuple[lattice.Point, lattice.Point], np.ndarray] = {}
 
-    # -- localized fiber spaces ---------------------------------------------
+    # -- localized fiber spaces and lowering blocks ---------------------------
+
+    def build(self, points=(), keys=()) -> list[np.ndarray]:
+        """Localize the points, and compute the lowering blocks Theta(t, s)
+        of the (t, s) keys, that are not cached yet, in stacks grouped by
+        shape. Returns the blocks of the keys, in their order.
+
+        The fibers are built level by level (ProductSystem.build) and the
+        localizations take one `localize` per fiber dimension. A block with
+        0 < s < t is the descent of (I (x) t_raw(s))(split (x) I_d), split =
+        mu^H (mu mu^H)^{-1} the pseudo-inverse of mu = U_{t-s,s}, which is
+        onto X(t); one with s = t is the descent of t_raw(s). The blocks of
+        one (mu shape, loc ranks) group take one stacked solve, one stacked
+        product with t_raw(s) and one stacked `descend_map`. Every stack is
+        laid out slice by slice as the per-key arrays are, so each block has
+        the bits it has on its own. A key whose split is singular or whose
+        map does not descend raises NotWellDefinedError; of several, the
+        first in the order of `keys` raises, as a key-by-key loop would.
+        """
+        keys = [(tuple(t), tuple(s)) for t, s in keys]
+        new = [(t, s, lattice.sub(t, s)) for t, s in dict.fromkeys(keys) if (t, s) not in self._lowering]
+        for t, s, rest in new:
+            if any(x < 0 for x in rest):
+                raise InvalidArgumentError(f"lowering needs s <= t, got s={s}, t={t}")
+        wanted = [tuple(p) for p in points] + [p for t, _s, rest in new for p in (t, rest)]
+        self._localize([p for p in dict.fromkeys(wanted) if p not in self._loc])
+        dim = self.system.fiber_dim
+        groups: dict[tuple, list] = {}
+        for t, s, rest in new:
+            if not any(s):
+                self._lowering[(t, s)] = np.eye(self._loc[t].rank, dtype=complex)
+                continue
+            top = not any(rest)
+            shape = (top, dim(t), dim(rest), dim(s), self._loc[t].rank, self._loc[rest].rank)
+            groups.setdefault(shape, []).append((t, s, rest))
+        failures: dict[tuple[lattice.Point, lattice.Point], NotWellDefinedError] = {}
+        for (top, p_t, p_rest, p_s, _rank_t, _rank_rest), group in groups.items():
+            if top:
+                raw = stack([self.t_raw(s) for _t, s, _rest in group])
+            else:
+                group, raw = self._lowering_raw(group, p_t, p_rest, p_s, failures)
+            if not group:
+                continue
+            sources = [self._loc[t] for t, _s, _rest in group]
+            targets = [self._loc[rest] for _t, _s, rest in group]
+            blocks, errors = descend_map(raw, sources, targets, self.tol)
+            for x, (t, s, _rest) in enumerate(group):
+                if x in errors:
+                    failures[(t, s)] = errors[x]
+                else:
+                    self._lowering[(t, s)] = blocks[x]
+        for key in keys:
+            if key in failures:
+                raise failures[key]
+        return [self._lowering[key] for key in keys]
+
+    def _localize(self, points) -> None:
+        """loc of each point: H itself at 0, else one `localize` per fiber
+        dimension over the fibers of the points."""
+        self.system.build(points)
+        by_dim: dict[int, list[lattice.Point]] = {}
+        for s in points:
+            if lattice.is_zero(s):
+                self._loc[s] = trivial_localized(self.dim, self.tol)
+            else:
+                by_dim.setdefault(self.system.fiber_dim(s), []).append(s)
+        for group in by_dim.values():
+            fibers = [self.system.fiber(s) for s in group]
+            self._loc.update(zip(group, localize(fibers, self.sigma.mats, self.tol)))
+
+    def _lowering_raw(self, group, p_t: int, p_rest: int, p_s: int, failures):
+        """The raw maps X(t) (x) H -> X(t-s) (x) H of I (x) T~_s for the
+        (t, s, t - s) of one shape with 0 < s < t, as a stack, with the
+        entries they are for: an entry whose mu mu^H is singular is left
+        out, its error in `failures`."""
+        d = self.dim
+        mu = stack([self.system.mult_iso(rest, s) for _t, s, rest in group])
+        gram = mu @ np.swapaxes(mu.conj(), 1, 2)
+        try:
+            split_h = np.linalg.solve(gram, mu)  # adjoint of p_t -> p_rest p_s
+        except np.linalg.LinAlgError:
+            # one singular matrix fails the stacked solve: find its keys
+            kept = []
+            for x, (t, s, rest) in enumerate(group):
+                try:
+                    np.linalg.solve(gram[x], mu[x])
+                except np.linalg.LinAlgError:
+                    failures[(t, s)] = NotWellDefinedError(
+                        f"multiplication isomorphism {(rest, s)} is not onto its fiber"
+                    )
+                else:
+                    kept.append(x)
+            group = [group[x] for x in kept]
+            if not group:
+                return group, None
+            split_h = np.linalg.solve(gram[kept], mu[kept])
+        # (I_{p_rest} (x) t_raw(s))(split (x) I_d), entry ((a, h'), (c, h)) =
+        # sum over b of split[(a, b), c] t_raw(s)[h', (b, h)]: one matmul
+        # batched over (key, a, h')
+        n = len(group)
+        split = split_h.conj().reshape(n, p_t, p_rest, p_s).transpose(0, 2, 1, 3)
+        t_raw = stack([self.t_raw(s) for _t, s, _rest in group]).reshape(n, 1, d, p_s, d)
+        out = np.ascontiguousarray(split)[:, :, None] @ t_raw
+        return group, out.reshape(n, p_rest * d, p_t * d)
 
     def loc(self, s: lattice.Point) -> LocalizedSpace:
         s = tuple(s)
         cached = self._loc.get(s)
         if cached is None:
-            if lattice.is_zero(s):
-                cached = trivial_localized(self.dim, self.tol)
-            else:
-                cached = localize(self.system.fiber(s), self.sigma.mats, self.tol)
-            self._loc[s] = cached
+            self.build(points=[s])
+            cached = self._loc[s]
+        return cached
+
+    def lowering_block(self, t: lattice.Point, s: lattice.Point) -> np.ndarray:
+        """Localized block map loc(t) -> loc(t-s), built by `build`; the
+        identity for s = 0.
+
+        Theta(s, s) is the localized contraction T~_s: loc(s) -> H.
+        """
+        key = (tuple(t), tuple(s))
+        cached = self._lowering.get(key)
+        if cached is None:
+            [cached] = self.build(keys=[key])
         return cached
 
     # -- the localized contractions T~ ---------------------------------------
@@ -131,55 +246,6 @@ class CCRepresentation:
         self._t_raw[s] = out
         return out
 
-    # -- block lowering maps (shared with the hat semigroup) -----------------
-
-    def lowering_raw(self, t: lattice.Point, s: lattice.Point) -> np.ndarray:
-        """Raw map X(t) (x) H -> X(t-s) (x) H implementing I (x) T~_s."""
-        t = tuple(t)
-        s = tuple(s)
-        if not lattice.leq(s, t):
-            raise InvalidArgumentError(f"lowering needs s <= t, got s={s}, t={t}")
-        if lattice.is_zero(s):
-            return np.eye(self.loc(t).source_dim, dtype=complex)
-        d = self.dim
-        rest = lattice.sub(t, s)
-        if lattice.is_zero(rest):
-            return self.t_raw(s)
-        p_rest = self.system.fiber_dim(rest)
-        p_s = self.system.fiber_dim(s)
-        # mu is onto X(t), so its pseudo-inverse is mu^H (mu mu^H)^{-1}
-        mu = self.system.mult_iso(rest, s)
-        try:
-            split_h = np.linalg.solve(mu @ mu.conj().T, mu)  # adjoint of p_t -> p_rest p_s
-        except np.linalg.LinAlgError:
-            raise NotWellDefinedError(
-                f"multiplication isomorphism {(rest, s)} is not onto its fiber"
-            ) from None
-        # (I_{p_rest} (x) t_raw(s))(split (x) I_d), entry ((a, h'), (c, h)) =
-        # sum over b of split[(a, b), c] t_raw(s)[h', (b, h)]: one matmul
-        # batched over (a, h')
-        split = split_h.conj().reshape(mu.shape[0], p_rest, p_s).transpose(1, 0, 2)
-        out = np.ascontiguousarray(split)[:, None] @ self.t_raw(s).reshape(d, p_s, d)
-        return out.reshape(p_rest * d, mu.shape[0] * d)
-
-    def lowering_block(self, t: lattice.Point, s: lattice.Point) -> np.ndarray:
-        """Localized block map loc(t) -> loc(t-s); the identity for s = 0.
-
-        Theta(s, s) is the localized contraction T~_s: loc(s) -> H.
-        """
-        key = (tuple(t), tuple(s))
-        cached = self._lowering.get(key)
-        if cached is not None:
-            return cached
-        if lattice.is_zero(key[1]):
-            out = np.eye(self.loc(t).rank, dtype=complex)
-        else:
-            out = descend_map(
-                self.lowering_raw(t, s), self.loc(t), self.loc(lattice.sub(t, s)), self.tol
-            )
-        self._lowering[key] = out
-        return out
-
 
 def validate_module(rep: CCRepresentation) -> dict[str, float]:
     """Residuals of the relations of (sigma, T) that need no localization:
@@ -207,15 +273,28 @@ def validate_module(rep: CCRepresentation) -> dict[str, float]:
 
 
 def validate_representation(rep: CCRepresentation) -> dict[str, float]:
-    """Residuals: validate_module, contractivity, flip commutation."""
+    """Residuals: validate_module, contractivity, flip commutation. Their
+    lowering blocks are built in one call."""
     res = validate_module(rep)
     k = rep.system.k
+    keys = []
+    for i in range(1, k + 1):
+        e_i = lattice.unit(k, i)
+        keys.append((e_i, e_i))
+        keys.extend(key for j in range(i + 1, k + 1) for key in _commutation_keys(k, i, j))
+    rep.build(keys=keys)
     for i in range(1, k + 1):
         e_i = lattice.unit(k, i)
         res[f"contraction_{i}"] = max(0.0, opnorm(rep.lowering_block(e_i, e_i)) - 1.0)
         for j in range(i + 1, k + 1):
             res[f"commutation_{i}_{j}"] = _commutation_residual(rep, i, j)
     return res
+
+
+def _commutation_keys(k: int, i: int, j: int) -> list:
+    e_i, e_j = lattice.unit(k, i), lattice.unit(k, j)
+    e_ij = lattice.add(e_i, e_j)
+    return [(e_i, e_i), (e_ij, e_j), (e_j, e_j), (e_ij, e_i)]
 
 
 def _commutation_residual(rep: CCRepresentation, i: int, j: int) -> float:
@@ -227,15 +306,26 @@ def _commutation_residual(rep: CCRepresentation, i: int, j: int) -> float:
     Theta(e_i+e_j, e_j) is I (x) T~_j composed with U_{e_i,e_j}^{-1}, and
     Theta(e_i+e_j, e_i) is I (x) T~_i composed with U_{e_j,e_i}^{-1}, so the
     flip t_ij = U_{e_j,e_i}^{-1} U_{e_i,e_j} is carried by the blocks."""
-    e_i, e_j = lattice.unit(rep.system.k, i), lattice.unit(rep.system.k, j)
-    e_ij = lattice.add(e_i, e_j)
-    theta = rep.lowering_block
-    return opnorm(theta(e_i, e_i) @ theta(e_ij, e_j) - theta(e_j, e_j) @ theta(e_ij, e_i))
+    i_i, ij_j, j_j, ij_i = rep.build(keys=_commutation_keys(rep.system.k, i, j))
+    return opnorm(i_i @ ij_j - j_j @ ij_i)
 
 
 def doubly_commuting_check(rep: CCRepresentation, j: int, k: int, s_j: int, s_k: int) -> float:
     """Residual of the doubly-commuting identity for generator directions j, k."""
     return opnorm(doubly_commuting_defect(rep, j, k, s_j, s_k))
+
+
+def doubly_commuting_keys(nlat: int, j: int, k: int, s_j: int = 1, s_k: int = 1) -> list:
+    """The lowering-block keys of `doubly_commuting_defect`, in its order:
+    (a+b, a), (a+b, b), (b, b), (a, a) for a = s_j e_j and b = s_k e_k."""
+    if j == k:
+        raise InvalidArgumentError("doubly commuting check needs distinct directions")
+    if s_j < 1 or s_k < 1:
+        raise InvalidArgumentError("coordinates s_j, s_k must be >= 1")
+    a = lattice.unit(nlat, j, s_j)
+    b = lattice.unit(nlat, k, s_k)
+    ab = lattice.add(a, b)
+    return [(ab, a), (ab, b), (b, b), (a, a)]
 
 
 def doubly_commuting_defect(
@@ -253,29 +343,56 @@ def doubly_commuting_defect(
     negated adjoint of the block r = b of the T^ defect in
     ``dilation.verify_hat_doubly_commuting``.
     """
-    if j == k:
-        raise InvalidArgumentError("doubly commuting check needs distinct directions")
-    if s_j < 1 or s_k < 1:
-        raise InvalidArgumentError("coordinates s_j, s_k must be >= 1")
-    nlat = rep.system.k
-    a = lattice.unit(nlat, j, s_j)
-    b = lattice.unit(nlat, k, s_k)
-    ab = lattice.add(a, b)
-    theta = rep.lowering_block
-    return theta(ab, a) @ theta(ab, b).conj().T - theta(b, b).conj().T @ theta(a, a)
+    ab_a, ab_b, b_b, a_a = rep.build(keys=doubly_commuting_keys(rep.system.k, j, k, s_j, s_k))
+    return ab_a @ ab_b.conj().T - b_b.conj().T @ a_a
 
 
-def brehmer_check_NS(rep: CCRepresentation, v, s: lattice.Point) -> float:
-    """Minimum eigenvalue of the alternating sum over subsets u of v of
-    (-1)^|u| (I (x) T~_{s[u]}^H T~_{s[u]}) on loc(fiber(s[v]), sigma)."""
-    s = tuple(s)
-    sv = lattice.restrict(s, v)
-    rank = rep.loc(sv).rank
-    total = np.zeros((rank, rank), dtype=complex)
-    for u in lattice.subsets(tuple(v)):
-        su = lattice.restrict(s, u)
-        theta = rep.lowering_block(sv, su)
-        total += ((-1) ** len(u)) * (theta.conj().T @ theta)
-    if rank == 0:
-        return 0.0
-    return float(np.linalg.eigvalsh(0.5 * (total + total.conj().T)).min())
+def brehmer_keys(v, points) -> list:
+    """The lowering-block keys (s[v], s[u]) of `brehmer_check_NS`, u over
+    the subsets of v, point by point."""
+    subsets = list(lattice.subsets(tuple(v)))
+    restricted = [lattice.restrict(tuple(s), v) for s in points]
+    return [(sv, lattice.restrict(sv, u)) for sv in restricted for u in subsets]
+
+
+def brehmer_check_NS(rep: CCRepresentation, v, points) -> list[float]:
+    """Minimum eigenvalue, for each point s of `points`, of the alternating
+    sum over subsets u of v of (-1)^|u| (I (x) T~_{s[u]}^H T~_{s[u]}) on
+    loc(fiber(s[v]), sigma), that is of
+
+        sum over u of (-1)^|u| Theta(s[v], s[u])^H Theta(s[v], s[u]).
+
+    The blocks of all the points are built in one call, and their
+    Theta^H Theta take one stacked product per block shape. The sums of the
+    points whose loc(s[v]) have one rank are accumulated as one stack,
+    subset by subset in the order of lattice.subsets, and take one
+    eigvalsh; each sum has the bits of its own loop. A sum on a rank-0
+    space is 0.0.
+    """
+    subsets = list(lattice.subsets(tuple(v)))
+    size = len(subsets)
+    blocks = rep.build(keys=brehmer_keys(v, points))
+    thetas = [blocks[x * size : (x + 1) * size] for x in range(len(points))]
+    # the rank of loc(s[v]) is the size of a point's first block, Theta(s[v], 0) = I
+    by_rank: dict[int, list[int]] = {}
+    for x, point_thetas in enumerate(thetas):
+        by_rank.setdefault(point_thetas[0].shape[0], []).append(x)
+    out = [0.0] * len(points)
+    for rank, members in by_rank.items():
+        if rank == 0:
+            continue
+        flat = [theta for x in members for theta in thetas[x]]  # rows (member, u)
+        by_shape: dict[tuple[int, int], list[int]] = {}
+        for row, theta in enumerate(flat):
+            by_shape.setdefault(theta.shape, []).append(row)
+        square = np.empty((len(flat), rank, rank), dtype=complex)
+        for rows in by_shape.values():
+            theta = stack([flat[row] for row in rows])
+            square[rows] = np.swapaxes(theta.conj(), 1, 2) @ theta
+        square = square.reshape(len(members), size, rank, rank)
+        total = np.zeros((len(members), rank, rank), dtype=complex)
+        for n, u in enumerate(subsets):
+            total += ((-1) ** len(u)) * square[:, n]
+        for x, vals in zip(members, np.linalg.eigvalsh(hermitize(total))):
+            out[x] = float(vals.min())
+    return out

@@ -25,7 +25,12 @@ the Kronecker-product builders (`raw_tensor`, `interior_tensor_dense`,
 `flip_residual_dense`, `append_map_kron`, `mult_iso_kron`,
 `lowering_raw_kron`, `targets_kron`) are the dense bodies of the builders
 the package now contracts factor by factor, run on the package's own
-fibers, surjections and raw Gram; and `generator_step_bounds` computes,
+fibers, surjections and raw Gram; and the per-key bodies
+(`interior_tensor_pair`, `localize_point`, `loc_point`, `descend_map_loop`,
+`lowering_raw`, `lowering_block_loop`, `brehmer_sum_point`) are the
+one-at-a-time forms of the computations the package now runs in stacks grouped
+by shape, on the package's fibers, multiplication maps and raw T maps; and
+`generator_step_bounds` computes,
 from a bundle's factor, the recovered maps and `loc_action`, the bounds
 by which verify_regular_dilation's generator-step residuals control the
 composite-point values of `verify_regular_dilation_loop`.
@@ -187,7 +192,7 @@ def doubly_commuting_V_inline(bundle, j: int, k: int, guard: int = 1) -> float:
     The identity is restricted to x (x) (generating vectors at points at
     least max(guard, 1) inside the window).
     """
-    from dilationlab.correspondence import descend_map, interior_tensor, localize, trivial_localized
+    from dilationlab.correspondence import trivial_localized
 
     sys_ = bundle.rep.system
     a = tuple(int(i == j - 1) for i in range(sys_.k))
@@ -197,23 +202,23 @@ def doubly_commuting_V_inline(bundle, j: int, k: int, guard: int = 1) -> float:
 
     corr_a = sys_.fiber(a)
     corr_b = sys_.fiber(b)
-    loc_a = localize(corr_a, rho, 1e-8)
-    loc_b = localize(corr_b, rho, 1e-8)
-    vt_a = descend_map(v_raw(bundle, a), loc_a, trivial_localized(p), 1e-6)
-    vt_b = descend_map(v_raw(bundle, b), loc_b, trivial_localized(p), 1e-6)
+    loc_a = localize_point(corr_a, rho, 1e-8)
+    loc_b = localize_point(corr_b, rho, 1e-8)
+    vt_a = descend_map_loop(v_raw(bundle, a), loc_a, trivial_localized(p), 1e-6)
+    vt_b = descend_map_loop(v_raw(bundle, b), loc_b, trivial_localized(p), 1e-6)
     rhs = vt_b.conj().T @ vt_a
 
-    pair_ab, q_ab = interior_tensor(corr_a, corr_b, bundle.rep.tol)
-    pair_ba, q_ba = interior_tensor(corr_b, corr_a, bundle.rep.tol)
-    loc_ab = localize(pair_ab, rho, 1e-8)
-    loc_ba = localize(pair_ba, rho, 1e-8)
-    ext_ab = descend_map(
+    pair_ab, q_ab = interior_tensor_pair(corr_a, corr_b, bundle.rep.tol)
+    pair_ba, q_ba = interior_tensor_pair(corr_b, corr_a, bundle.rep.tol)
+    loc_ab = localize_point(pair_ab, rho, 1e-8)
+    loc_ba = localize_point(pair_ba, rho, 1e-8)
+    ext_ab = descend_map_loop(
         np.kron(np.eye(sys_.fiber_dim(a)), v_raw(bundle, b)) @ np.kron(q_ab.conj().T, np.eye(p)),
         loc_ab,
         loc_a,
         1e-6,
     )
-    ext_ba = descend_map(
+    ext_ba = descend_map_loop(
         np.kron(np.eye(sys_.fiber_dim(b)), v_raw(bundle, a)) @ np.kron(q_ba.conj().T, np.eye(p)),
         loc_ba,
         loc_b,
@@ -222,7 +227,7 @@ def doubly_commuting_V_inline(bundle, j: int, k: int, guard: int = 1) -> float:
     u_ab = sys_.mult_iso(a, b) @ q_ab.conj().T
     u_ba = sys_.mult_iso(b, a) @ q_ba.conj().T
     t_mod = np.linalg.pinv(u_ba) @ u_ab
-    t_loc = descend_map(np.kron(t_mod, np.eye(p)), loc_ab, loc_ba, 1e-6)
+    t_loc = descend_map_loop(np.kron(t_mod, np.eye(p)), loc_ab, loc_ba, 1e-6)
     lhs = ext_ba @ t_loc @ ext_ab.conj().T
 
     gbound = tuple(max(0, m - max(guard, 1)) for m in bundle.window.bound)
@@ -352,7 +357,6 @@ def hat_doubly_commuting_dense(dense: DenseFock, j: int, k: int, s_j: int = 1, s
 
 def a_action(dense: DenseFock, a) -> np.ndarray:
     """Block-diagonal left action of an algebra element on H_L."""
-    from dilationlab.correspondence import descend_map
 
     rep = dense.rep
     mat = np.zeros((dense.dim, dense.dim), dtype=complex)
@@ -364,7 +368,7 @@ def a_action(dense: DenseFock, a) -> np.ndarray:
             corr = rep.system.fiber(s)
             loc = dense.block_loc(s)
             raw = np.kron(corr.act_left(a.coords), np.eye(rep.dim))
-            mat[sl, sl] = descend_map(raw, loc, loc, rep.tol)
+            mat[sl, sl] = descend_map_loop(raw, loc, loc, rep.tol)
     return mat
 
 
@@ -732,14 +736,13 @@ def generator_step_bounds(bundle, residuals: dict[str, float], guard: int = 1) -
 def commutation_residual_raw_pair(rep, i: int, j: int) -> float:
     """The commutation residual of validate_representation normed on the
     localization of the raw, unreduced pair E_i (x) E_j."""
-    from dilationlab.correspondence import localize
 
     ei, ej = rep.system.generators[i - 1], rep.system.generators[j - 1]
     d = rep.dim
     ti, tj = rep.gen_t_raw(i), rep.gen_t_raw(j)
     lhs = ti @ np.kron(np.eye(ei.dim), tj)
     rhs = tj @ np.kron(np.eye(ej.dim), ti) @ np.kron(rep.system.flips[(i, j)], np.eye(d))
-    loc_pair = localize(raw_tensor(ei, ej), rep.sigma.mats, rep.tol)
+    loc_pair = localize_point(raw_tensor(ei, ej), rep.sigma.mats, rep.tol)
     return _opnorm((lhs - rhs) @ loc_pair.lift)
 
 
@@ -899,15 +902,14 @@ def append_map_dense(system, word, i) -> np.ndarray:
 
 
 def mult_iso_quotient(system, s, t) -> tuple[np.ndarray, np.ndarray]:
-    """(q, U): the surjection q of interior_tensor(X(s), X(t)) and the
+    """(q, U): the surjection q of interior_tensor_pair(X(s), X(t)) and the
     unitary U on its quotient, with the multiplication map projected onto
     the quotient (mu = U q) at every step of the recursion over t."""
-    from dilationlab.correspondence import interior_tensor
 
     s, t = tuple(s), tuple(t)
     cs = system.fiber(s)
     ct = system.fiber(t)
-    _, q = interior_tensor(cs, ct, system.tol)
+    _, q = interior_tensor_pair(cs, ct, system.tol)
     adim = system.algebra.dim
     if not any(s):
         raw = np.transpose(ct.left_action, (1, 0, 2)).reshape(ct.dim, adim * ct.dim)
@@ -942,21 +944,20 @@ def lowering_raw_quotient(rep, t, s) -> np.ndarray:
 
 def _t_tilde(rep, s) -> np.ndarray:
     """T~_s: loc(s) -> H, the descent of `rep.t_raw(s)` onto H itself."""
-    from dilationlab.correspondence import descend_map, trivial_localized
+    from dilationlab.correspondence import trivial_localized
 
-    return descend_map(rep.t_raw(s), rep.loc(s), trivial_localized(rep.dim), rep.tol)
+    return descend_map_loop(rep.t_raw(s), rep.loc(s), trivial_localized(rep.dim), rep.tol)
 
 
 def _ext_map(rep, a, b):
     """(I_a (x) T~_b): loc(X(a) (x) X(b)) -> loc(a) on the reduced pair of
     `interior_tensor`, with the pair's localization."""
-    from dilationlab.correspondence import descend_map, interior_tensor, localize
 
-    pair, q = interior_tensor(rep.system.fiber(a), rep.system.fiber(b), rep.tol)
-    loc_pair = localize(pair, rep.sigma.mats, rep.tol)
+    pair, q = interior_tensor_pair(rep.system.fiber(a), rep.system.fiber(b), rep.tol)
+    loc_pair = localize_point(pair, rep.sigma.mats, rep.tol)
     p_a = rep.system.fiber_dim(a)
     raw = np.kron(np.eye(p_a), rep.t_raw(b)) @ np.kron(q.conj().T, np.eye(rep.dim))
-    return descend_map(raw, loc_pair, rep.loc(a), rep.tol), loc_pair
+    return descend_map_loop(raw, loc_pair, rep.loc(a), rep.tol), loc_pair
 
 
 def doubly_commuting_defect_quotient(rep, j: int, k: int, s_j: int = 1, s_k: int = 1) -> np.ndarray:
@@ -964,7 +965,6 @@ def doubly_commuting_defect_quotient(rep, j: int, k: int, s_j: int = 1, s_k: int
     b = s_k e_k, on the localized reduced pairs X(a) (x) X(b) and X(b) (x) X(a)
     of `interior_tensor`, with the flip t = U_{b,a}^{-1} U_{a,b} taken from
     `mult_iso_quotient`."""
-    from dilationlab.correspondence import descend_map
 
     nlat = rep.system.k
     a = tuple(s_j if i == j - 1 else 0 for i in range(nlat))
@@ -975,7 +975,7 @@ def doubly_commuting_defect_quotient(rep, j: int, k: int, s_j: int = 1, s_k: int
     u_ab = mult_iso_quotient(rep.system, a, b)[1]
     u_ba = mult_iso_quotient(rep.system, b, a)[1]
     t_mod = np.linalg.pinv(u_ba) @ u_ab
-    t_loc = descend_map(np.kron(t_mod, np.eye(rep.dim)), loc_ab, loc_ba, rep.tol)
+    t_loc = descend_map_loop(np.kron(t_mod, np.eye(rep.dim)), loc_ab, loc_ba, rep.tol)
     return ext_ba @ t_loc @ ext_ab.conj().T - rhs
 
 
@@ -988,12 +988,11 @@ def _embedded_gram(corr) -> np.ndarray:
 def mult_iso_unitarity(system, s, t) -> float:
     """Residual of U_{s,t} = mu q^H preserving the embedded interior-tensor
     inner product, and of U^{-1} preserving it back."""
-    from dilationlab.correspondence import interior_tensor
 
     s, t = tuple(s), tuple(t)
     n = system.algebra.rep_dim
     cs, ct = system.fiber(s), system.fiber(t)
-    tensor_red, q = interior_tensor(cs, ct, system.tol)
+    tensor_red, q = interior_tensor_pair(cs, ct, system.tol)
     u = system.mult_iso(s, t) @ q.conj().T
     src = _embedded_gram(tensor_red)
     tgt = _embedded_gram(system.fiber(_add(s, t)))
@@ -1007,7 +1006,6 @@ def mult_iso_unitarity(system, s, t) -> float:
 def check_associativity(system, s, t, r) -> float:
     """|| U_{s+t,r}(U_{s,t} (x) I) - U_{s,t+r}(I (x) U_{t,r}) || on the
     reduced triple tensor (X(s) (x) X(t)) (x) X(r)."""
-    from dilationlab.correspondence import interior_tensor
 
     s, t, r = tuple(s), tuple(t), tuple(r)
     mu = system.mult_iso
@@ -1017,8 +1015,8 @@ def check_associativity(system, s, t, r) -> float:
     # weight by the lift of the reduced triple tensor so null directions of
     # the semi-inner product do not contribute
     cr = system.fiber(r)
-    c_st, q1 = interior_tensor(system.fiber(s), system.fiber(t), system.tol)
-    _, q2 = interior_tensor(c_st, cr, system.tol)
+    c_st, q1 = interior_tensor_pair(system.fiber(s), system.fiber(t), system.tol)
+    _, q2 = interior_tensor_pair(c_st, cr, system.tol)
     lift3 = np.kron(q1.conj().T, np.eye(cr.dim)) @ q2.conj().T
     return _opnorm((lhs - rhs) @ lift3)
 
@@ -1243,3 +1241,133 @@ def targets_kron(bundle, s) -> np.ndarray:
         raw = raw.reshape(bundle.rank, p_s, loc_t.source_dim).transpose(1, 0, 2)
         blocks.append(raw @ loc_t.lift)
     return np.concatenate(blocks, axis=2)
+
+
+# -- per-key bodies of the grouped computations -------------------------------
+
+
+def interior_tensor_pair(e, f, tol: float = 1e-10):
+    """E (x)_A F for one pair, quotiented by null vectors: (correspondence,
+    surjection), each step on the pair's own arrays, with the cutoff of
+    `interior_tensor` (eigenvalues <= tol of the null trace are null)."""
+    from dilationlab.correspondence import Correspondence
+
+    me, mf, adim = e.dim, f.dim, e.algebra.dim
+    f_trace = f.gram @ np.trace(e.algebra.basis_mats, axis1=1, axis2=2)
+    trace = e.gram.reshape(me * me, adim) @ (f_trace @ f.left_action).reshape(adim, mf * mf)
+    trace = trace.reshape(me, me, mf, mf).transpose(0, 2, 1, 3).reshape(me * mf, me * mf)
+    if trace.shape[0] == 0:
+        w = np.zeros((0, 0), dtype=complex)
+    else:
+        vals, vecs = np.linalg.eigh(0.5 * (trace + trace.conj().T))
+        w = vecs[:, vals > tol]
+    n = w.shape[1]
+    surjection = np.ascontiguousarray(w.conj().T)
+    w3 = w.reshape(me, mf, n)
+    left_f = f.left_action[:, None] @ w3
+    left_f = left_f.transpose(1, 0, 2, 3).reshape(me * adim, mf * n)
+    inner = (e.gram.reshape(me, me * adim) @ left_f).reshape(me, mf, n)
+    gram_w = np.moveaxis(f.gram, 2, 0)[:, None] @ inner
+    gram = np.moveaxis(surjection @ gram_w.reshape(adim, me * mf, n), 0, 2)
+    right = surjection @ (f.right_action[:, None] @ w3).reshape(adim, me * mf, n)
+    left = surjection @ (e.left_action @ w.reshape(me, mf * n)).reshape(adim, me * mf, n)
+    return Correspondence(e.algebra, gram, right, left), surjection
+
+
+def localize_point(corr, sigma_mats: np.ndarray, tol: float):
+    """E (x)_sigma H for one correspondence: its own einsum and eigh, with
+    the cutoff of `localize` (eigenvalues <= tol are null)."""
+    from dilationlab.correspondence import LocalizedSpace
+
+    d = sigma_mats.shape[1]
+    gram = np.einsum("ijp,pkl->ikjl", corr.gram, sigma_mats).reshape(corr.dim * d, corr.dim * d)
+    if gram.shape[0] == 0:
+        empty = np.zeros((0, 0), dtype=complex)
+        return LocalizedSpace(0, 0, empty, empty, tol)
+    vals, vecs = np.linalg.eigh(0.5 * (gram + gram.conj().T))
+    keep = vals > tol
+    vals_k, vecs_k = vals[keep], vecs[:, keep]
+    factor = np.sqrt(vals_k)[:, None] * vecs_k.conj().T
+    lift = vecs_k / np.sqrt(vals_k)[None, :] if vals_k.size else vecs_k
+    return LocalizedSpace(corr.dim * d, factor.shape[0], factor, lift, tol)
+
+
+def loc_point(rep, s):
+    """`localize_point` of the fiber at s, H itself at 0."""
+    from dilationlab.correspondence import trivial_localized
+
+    if not any(s):
+        return trivial_localized(rep.dim, rep.tol)
+    return localize_point(rep.system.fiber(tuple(s)), rep.sigma.mats, rep.tol)
+
+
+def descend_map_loop(m: np.ndarray, source, target, tol: float) -> np.ndarray:
+    """One descent B with B F_source = F_target M, decided by the Frobenius
+    bound of its defect and, when that fails, by its operator norm."""
+    from dilationlab.errors import NotWellDefinedError
+
+    fm = target.factor @ m
+    b = fm @ source.lift
+    defect = b @ source.factor - fm
+    if not np.linalg.norm(defect) <= tol:
+        residual = _opnorm(defect) if defect.size else 0.0
+        if residual > tol:
+            raise NotWellDefinedError(
+                f"descend_map: descent residual {residual:.3e} exceeds tolerance {tol:.1e}",
+                residual=residual,
+            )
+    return b
+
+
+def lowering_raw(rep, t, s) -> np.ndarray:
+    """Raw map X(t) (x) H -> X(t-s) (x) H implementing I (x) T~_s, split
+    through the solve mu^H (mu mu^H)^{-1} of the package's mu, for s <= t."""
+    from dilationlab.errors import NotWellDefinedError
+
+    t, s = tuple(t), tuple(s)
+    if not _leq(s, t):
+        raise InvalidArgumentError(f"lowering needs s <= t, got s={s}, t={t}")
+    if not any(s):
+        return np.eye(rep.system.fiber_dim(t) * rep.dim if any(t) else rep.dim, dtype=complex)
+    d = rep.dim
+    rest = _sub(t, s)
+    if not any(rest):
+        return rep.t_raw(s)
+    p_rest = rep.system.fiber_dim(rest)
+    p_s = rep.system.fiber_dim(s)
+    mu = rep.system.mult_iso(rest, s)
+    try:
+        split_h = np.linalg.solve(mu @ mu.conj().T, mu)
+    except np.linalg.LinAlgError:
+        raise NotWellDefinedError(
+            f"multiplication isomorphism {(rest, s)} is not onto its fiber"
+        ) from None
+    split = split_h.conj().reshape(mu.shape[0], p_rest, p_s).transpose(1, 0, 2)
+    out = np.ascontiguousarray(split)[:, None] @ rep.t_raw(s).reshape(d, p_s, d)
+    return out.reshape(p_rest * d, mu.shape[0] * d)
+
+
+def lowering_block_loop(rep, t, s) -> np.ndarray:
+    """Theta(t, s) by `lowering_raw` and `descend_map_loop` on the per-point
+    localizations of `loc_point`; the identity for s = 0."""
+    t, s = tuple(t), tuple(s)
+    if not any(s):
+        return np.eye(loc_point(rep, t).rank, dtype=complex)
+    return descend_map_loop(lowering_raw(rep, t, s), loc_point(rep, t), loc_point(rep, _sub(t, s)), rep.tol)
+
+
+def brehmer_sum_point(rep, v, s) -> float:
+    """Minimum eigenvalue of the alternating sum over subsets u of v of
+    Theta(s[v], s[u])^H Theta(s[v], s[u]), one point and one eigvalsh."""
+    v = tuple(v)
+    sv = tuple(x if i + 1 in v else 0 for i, x in enumerate(s))
+    rank = rep.loc(sv).rank
+    total = np.zeros((rank, rank), dtype=complex)
+    for size in range(len(v) + 1):
+        for u in itertools.combinations(sorted(v), size):
+            su = tuple(x if i + 1 in u else 0 for i, x in enumerate(s))
+            theta = rep.lowering_block(sv, su)
+            total += ((-1) ** len(u)) * (theta.conj().T @ theta)
+    if rank == 0:
+        return 0.0
+    return float(np.linalg.eigvalsh(0.5 * (total + total.conj().T)).min())

@@ -121,7 +121,7 @@ def test_criterion_2_single_contraction_matches_schaffer():
 
 def test_criterion_3_nilpotent_counterexample(nilpotent_pair, tmp_path):
     """The nilpotent pair is detected as non-dilatable at every layer."""
-    ns = brehmer_check_NS(nilpotent_pair.representation, (1, 2), (1, 1))
+    [ns] = brehmer_check_NS(nilpotent_pair.representation, (1, 2), [(1, 1)])
     space = TruncatedFock(nilpotent_pair.representation, (2, 2))
     window = window_gram(space, (2, 2))
     raised = False
@@ -211,11 +211,8 @@ def test_criterion_5_brehmer_criterion_decides_dilatability():
         rep = inst.representation
         ns_ok = True
         for v in [(1,), (2,), (1, 2)]:
-            for s1 in (1, 2):
-                for s2 in (1, 2):
-                    s = (s1, s2)
-                    if brehmer_check_NS(rep, v, s) < -1e-10:
-                        ns_ok = False
+            if min(brehmer_check_NS(rep, v, [(s1, s2) for s1 in (1, 2) for s2 in (1, 2)])) < -1e-10:
+                ns_ok = False
         space = TruncatedFock(rep, (2, 2))
         window = window_gram(space, (2, 2))
         if ns_ok:

@@ -1,4 +1,5 @@
 import json
+import sys
 import tempfile
 from pathlib import Path
 
@@ -404,24 +405,71 @@ def test_recovery_failure_is_a_failed_V_recovery_check(tmp_path, monkeypatch, ca
     assert "operator recovery failed" in capsys.readouterr().err
 
 
-def test_ns_section_matches_per_key_loop():
-    """The NS values, computed once per restricted point s[v], equal a
-    direct brehmer_check_NS for every reported key."""
+@pytest.mark.parametrize(
+    "family, k",
+    [("diagonal-doubly-commuting", 3), ("random-contractive", 3), ("nilpotent-counterexample", 2)],
+)
+def test_ns_section_matches_per_key_loop(family, k):
+    """The NS values, stacked by rank per v and computed once per
+    restricted point s[v], equal the per-point alternating sum of the
+    oracle, one eigvalsh each, for every reported key."""
     from dilationlab import lattice
     from dilationlab.families import generate
     from dilationlab.instances import parse_instance
-    from dilationlab.representation import brehmer_check_NS
+    from oracles import brehmer_sum_point
 
-    inst = parse_instance(generate("diagonal-doubly-commuting", seed=1, k=3))
-    _dc, ns = cli._check_section(inst, {"NS_box": [2, 2, 2]})
+    inst = parse_instance(generate(family, seed=1, k=k))
+    k = inst.system.k
+    box = (2,) * k
+    _dc, ns = cli._check_section(inst, {"NS_box": list(box)})
     want = {}
-    for v in lattice.subsets((1, 2, 3)):
-        for s in lattice.box((2, 2, 2)):
+    for v in lattice.subsets(range(1, k + 1)):
+        for s in lattice.box(box):
             if v and all(s[i - 1] for i in v):
-                want[f"v={list(v)},s={list(s)}"] = float(brehmer_check_NS(inst.representation, v, s))
+                want[f"v={list(v)},s={list(s)}"] = brehmer_sum_point(inst.representation, v, s)
     assert list(ns) == list(want)
     assert ns == want
     assert len(set(ns.values())) > 1
+
+
+def test_check_section_takes_one_solve_per_shape_and_one_eigvalsh_per_rank(monkeypatch):
+    """On multiplication-isometric M_2, k = 3, NS_box (2, 2, 2), the check
+    section builds its 98 non-identity blocks with one solve per (mu shape,
+    loc ranks) group and takes one eigvalsh per (rank, v) group of Brehmer
+    sums: every loc here has rank 2, so one per nonempty v."""
+    from dilationlab import lattice
+    from dilationlab.families import generate
+    from dilationlab.instances import parse_instance
+
+    inst = parse_instance(generate("multiplication-isometric", k=3, dims=2))
+    calls = {"solve": 0, "eigvalsh": 0}
+    for name in calls:
+        original = getattr(np.linalg, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        for mod_name, module in list(sys.modules.items()):
+            if mod_name.startswith("numpy.linalg") and getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, counted)
+    cli._check_section(inst, {"NS_box": [2, 2, 2]})
+    rep, sys_ = inst.representation, inst.system
+    keys = {
+        (sv, lattice.restrict(sv, u))
+        for v in lattice.subsets((1, 2, 3))
+        for sv in lattice.box((2, 2, 2))
+        if v and lattice.support(sv) == v
+        for u in lattice.subsets(v)
+    }
+    groups = {
+        tuple(sys_.fiber_dim(p) for p in (t, lattice.sub(t, s), s)) + (rep.loc(t).rank, rep.loc(lattice.sub(t, s)).rank)
+        for t, s in keys
+        if s != t and any(s)
+    }
+    assert len([key for key in keys if any(key[1])]) == 98
+    assert calls["eigvalsh"] == 7
+    assert calls["solve"] == len(groups) == 1
 
 
 # -- fuzzing the CLI with mutated sample instances ------------------------------

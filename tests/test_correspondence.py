@@ -74,7 +74,7 @@ def test_gram_of_matches_embedding(m2):
 def test_interior_tensor_m2_quotient(m2):
     corr = algebra_correspondence(m2)
     # M_2 (x)_{M_2} M_2 = M_2: raw dimension 16 collapses to 4
-    tensor, surjection = interior_tensor(corr, corr)
+    [(tensor, surjection)] = interior_tensor([(corr, corr)])
     assert surjection.shape == (4, 16)
     assert tensor.dim == 4
     assert passes(validate_correspondence(tensor))
@@ -90,7 +90,7 @@ def test_reduce_null_keeps_nondegenerate(m2):
 def test_localize_trivial_over_scalars(scalars):
     corr = trivial_correspondence(scalars, 3)
     sigma = np.eye(2, dtype=complex)[None, :, :]
-    loc = localize(corr, sigma)
+    [loc] = localize([corr], sigma)
     assert loc.rank == 6
     assert np.allclose(loc.factor.conj().T @ loc.factor, np.eye(6), atol=1e-12)
     assert np.allclose(loc.factor @ loc.lift, np.eye(6), atol=1e-12)
@@ -99,7 +99,7 @@ def test_localize_trivial_over_scalars(scalars):
 def test_localize_m2_over_identity_rep(m2):
     # M_2 (x)_{id} C^2 = C^2: rank 2 out of raw dimension 8
     corr = algebra_correspondence(m2)
-    loc = localize(corr, m2.basis_mats)
+    [loc] = localize([corr], m2.basis_mats)
     assert loc.source_dim == 8
     assert loc.rank == 2
     gram_loc = loc.factor.conj().T @ loc.factor
@@ -113,7 +113,7 @@ def test_localize_m2_over_identity_rep(m2):
 def test_localize_zero_gram(scalars):
     eye = np.eye(1, dtype=complex)[None, :, :]
     corr = Correspondence(scalars, np.zeros((1, 1, 1), dtype=complex), eye, eye)
-    loc = localize(corr, np.eye(1, dtype=complex)[None, :, :])
+    [loc] = localize([corr], np.eye(1, dtype=complex)[None, :, :])
     assert loc.rank == 0
 
 
@@ -122,13 +122,13 @@ def test_descend_map_rejects_bad_map(scalars):
     gram = np.ones((2, 2, 1), dtype=complex)
     eye = np.eye(2, dtype=complex)[None, :, :]
     corr = Correspondence(scalars, gram, eye, eye)
-    loc = localize(corr, np.eye(1, dtype=complex)[None, :, :])
+    [loc] = localize([corr], np.eye(1, dtype=complex)[None, :, :])
     assert loc.rank == 1
-    with pytest.raises(NotWellDefinedError):
-        descend_map(np.diag([1.0, 0.0]).astype(complex), loc, loc)
     # the identity always descends
-    b = descend_map(np.eye(2, dtype=complex), loc, loc)
-    assert np.allclose(b, np.eye(1), atol=1e-12)
+    maps = np.stack([np.diag([1.0, 0.0]).astype(complex), np.eye(2, dtype=complex)])
+    b, failures = descend_map(maps, [loc, loc], [loc, loc])
+    assert list(failures) == [0] and isinstance(failures[0], NotWellDefinedError)
+    assert np.allclose(b[1], np.eye(1), atol=1e-12)
 
 
 def test_shape_validation(m2):
@@ -186,7 +186,7 @@ TENSOR_PAIRS = {
     "C+M2": lambda: (algebra_correspondence(cstar.make_algebra([1, 2])),) * 2,
     "M2-rotated": lambda: (_rotated_m2(),) * 2,
     "M2-reduced": lambda: (
-        interior_tensor(*(algebra_correspondence(cstar.make_algebra([2])),) * 2)[0],
+        interior_tensor([(algebra_correspondence(cstar.make_algebra([2])),) * 2])[0][0],
         algebra_correspondence(cstar.make_algebra([2])),
     ),
     "C+M2-random": lambda: _random_arrays(3, [1, 2], 4, 3),
@@ -239,7 +239,7 @@ def test_interior_tensor_matches_dense_body(name):
     change of the null trace can turn (the degenerate Gram has such
     eigenvalues); where the arithmetic is exact, the surjections are equal."""
     e, f = FACTORWISE_PAIRS[name]()
-    got, q = interior_tensor(e, f)
+    [(got, q)] = interior_tensor([(e, f)])
     want, q_dense = interior_tensor_dense(e, f)
     assert q.shape == q_dense.shape
     if name in ("C", "M2", "M3", "C+M2", "zero Gram", "empty"):

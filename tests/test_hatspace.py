@@ -128,7 +128,7 @@ def test_ns_implies_hat_brehmer(scalar_pair, mult_m2):
             for s in itertools.product([1, 2], repeat=2):
                 if any(s[i - 1] == 0 for i in v):
                     continue
-                assert brehmer_check_NS(rep, v, s) >= -1e-10
+                assert brehmer_check_NS(rep, v, [s])[0] >= -1e-10
                 assert brehmer_check_hat(dense, v, s) >= -1e-9
 
 

@@ -128,9 +128,20 @@ def test_psd_factor_reconstructs():
 def test_null_split_dimensions():
     rng = np.random.default_rng(1)
     g = random_psd(rng, 5, 2)
-    kept, null = null_split(g, 1e-10)
+    [(kept, null)] = null_split(g[None], 1e-10)
     assert kept.shape[1] == 2 and null.shape[1] == 3
     assert opnorm(g @ null) < 1e-9
+
+
+def test_null_split_of_a_stack_equals_each_split():
+    """A stacked null_split gives each matrix the bases of its own split,
+    whatever the kept dimensions of the others."""
+    rng = np.random.default_rng(2)
+    grams = np.stack([random_psd(rng, 5, rank) for rank in (2, 5, 0, 3)])
+    for g, (kept, null) in zip(grams, null_split(grams, 1e-10)):
+        [(kept_one, null_one)] = null_split(g[None], 1e-10)
+        assert np.array_equal(kept, kept_one) and np.array_equal(null, null_one)
+        assert kept.shape[1] + null.shape[1] == 5
 
 
 @settings(max_examples=25, deadline=None)
@@ -221,10 +232,15 @@ def test_failing_descend_map_reports_exact_spectral_residual():
     defect = b @ src.factor - tgt.factor @ m
     exact = opnorm(defect)
     assert np.linalg.norm(defect) > 1.2 * exact
-    with pytest.raises(NotWellDefinedError) as info:
-        descend_map(m, src, tgt, 0.9 * exact)
-    assert info.value.residual == exact
-    assert np.array_equal(descend_map(m, src, tgt, 1.01 * exact), b)
+    # a stack of the bad map and its part on the kept coordinate: only the
+    # bad map fails
+    maps = np.stack([m, m * np.array([1.0, 0.0, 0.0])])
+    _b, failures = descend_map(maps, [src, src], [tgt, tgt], 0.9 * exact)
+    assert list(failures) == [0] and isinstance(failures[0], NotWellDefinedError)
+    assert failures[0].residual == exact
+    assert "descend_map: descent residual" in str(failures[0])
+    got, failures = descend_map(m[None], [src], [tgt], 1.01 * exact)
+    assert failures == {} and np.array_equal(got[0], b)
 
 
 def test_opnorm_empty():
