@@ -13,6 +13,7 @@ same kind of report.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
@@ -354,7 +355,10 @@ def cmd_verify(args) -> int:
     return code
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's parser, built once per process: parse_args leaves it as
+    it is, and in-process callers run `main` once per instance."""
     parser = argparse.ArgumentParser(
         prog="dilation-lab",
         description="Numerical engine for product-system representations and "

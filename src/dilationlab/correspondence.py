@@ -32,6 +32,7 @@ from .cstar import CStarAlgebra
 from .errors import InvalidArgumentError, NotWellDefinedError
 from .linalg import (
     DEFAULT_TOL,
+    as_data,
     descent_error,
     hermitize,
     max_opnorm,
@@ -44,9 +45,9 @@ from .linalg import (
 
 class Correspondence:
     def __init__(self, algebra: CStarAlgebra, gram, right_action, left_action):
-        gram = np.asarray(gram, dtype=complex)
-        right_action = np.asarray(right_action, dtype=complex)
-        left_action = np.asarray(left_action, dtype=complex)
+        gram = as_data(gram)
+        right_action = as_data(right_action)
+        left_action = as_data(left_action)
         if gram.ndim != 3 or gram.shape[0] != gram.shape[1] or gram.shape[2] != algebra.dim:
             raise InvalidArgumentError(f"gram shape {gram.shape} invalid")
         m = gram.shape[0]
@@ -70,11 +71,11 @@ class Correspondence:
 
     def act_left(self, a_coords: np.ndarray) -> np.ndarray:
         """Coordinate matrix of x -> a . x."""
-        return np.tensordot(np.asarray(a_coords, dtype=complex), self.left_action, axes=(0, 0))
+        return np.tensordot(a_coords, self.left_action, axes=(0, 0))
 
     def act_right(self, a_coords: np.ndarray) -> np.ndarray:
         """Coordinate matrix of x -> x . a."""
-        return np.tensordot(np.asarray(a_coords, dtype=complex), self.right_action, axes=(0, 0))
+        return np.tensordot(a_coords, self.right_action, axes=(0, 0))
 
     def __repr__(self):
         return f"Correspondence(dim={self.dim}, algebra={self.algebra!r})"
@@ -98,8 +99,8 @@ def trivial_correspondence(algebra: CStarAlgebra, m: int) -> Correspondence:
     """C^m with identity Gram over the scalars (requires algebra = C)."""
     if algebra.block_sizes != (1,):
         raise InvalidArgumentError("trivial correspondence needs the scalar algebra")
-    eye = np.eye(m, dtype=complex)[None, :, :]
-    gram = np.eye(m, dtype=complex)[:, :, None]
+    eye = np.eye(m)[None, :, :]
+    gram = np.eye(m)[:, :, None]
     return Correspondence(algebra, gram, eye, eye)
 
 
@@ -260,7 +261,7 @@ def interior_tensor(pairs, tol: float = DEFAULT_TOL) -> list:
 
 
 def trivial_localized(dim: int, tol: float = DEFAULT_TOL) -> LocalizedSpace:
-    eye = np.eye(dim, dtype=complex)
+    eye = np.eye(dim)
     return LocalizedSpace(dim, dim, eye, eye, tol)
 
 
@@ -273,7 +274,6 @@ def localize(corrs, sigma_mats: np.ndarray, tol: float = DEFAULT_TOL) -> list[Lo
     stacked einsum and one stacked eigh; psd_factor's cutoff and
     warn_degenerate are applied to each E on its own.
     """
-    sigma_mats = np.asarray(sigma_mats, dtype=complex)
     count, m, d = len(corrs), corrs[0].dim, sigma_mats.shape[1]
     grams = np.einsum("xijp,pkl->xikjl", stack([c.gram for c in corrs]), sigma_mats)
     grams = grams.reshape(count, m * d, m * d)

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidArgumentError
+from .linalg import as_data
 
 
 class CStarAlgebra:
@@ -36,15 +37,15 @@ class CStarAlgebra:
         self._rows, self._cols = offset + row, offset + col
         coords = np.arange(self.dim)
         # embedded matrix units, used by embed()
-        self.basis_mats = np.zeros((self.dim, self.rep_dim, self.rep_dim), dtype=complex)
+        self.basis_mats = np.zeros((self.dim, self.rep_dim, self.rep_dim))
         self.basis_mats[coords, self._rows, self._cols] = 1.0
         # structure constants: f_p f_q = sum_r mul_table[p, q, r] f_r, the
         # unit at (row p, col q) of their common block when col p = row q
         p, q = np.nonzero((blk[:, None] == blk[None, :]) & (col[:, None] == row[None, :]))
-        self.mul_table = np.zeros((self.dim, self.dim, self.dim), dtype=complex)
+        self.mul_table = np.zeros((self.dim, self.dim, self.dim))
         self.mul_table[p, q, first[p] + row[p] * size[p] + col[q]] = 1.0
         # f_p^* = sum_r adj_table[p, r] f_r, the unit at (col p, row p)
-        self.adj_table = np.zeros((self.dim, self.dim), dtype=complex)
+        self.adj_table = np.zeros((self.dim, self.dim))
         self.adj_table[coords, first + col * size + row] = 1.0
         for table in (self.basis_mats, self.mul_table, self.adj_table):
             table.flags.writeable = False
@@ -65,7 +66,7 @@ class AlgebraElement:
     coords: np.ndarray = field(compare=False)
 
     def __post_init__(self):
-        coords = np.asarray(self.coords, dtype=complex).reshape(-1)
+        coords = as_data(self.coords).reshape(-1)
         if coords.shape[0] != self.algebra.dim:
             raise InvalidArgumentError(
                 f"coordinate length {coords.shape[0]} != algebra dimension {self.algebra.dim}"
@@ -79,7 +80,7 @@ def make_algebra(block_sizes) -> CStarAlgebra:
 
 
 def element(algebra: CStarAlgebra, coords) -> AlgebraElement:
-    return AlgebraElement(algebra, np.asarray(coords, dtype=complex))
+    return AlgebraElement(algebra, coords)
 
 
 def embed(a: AlgebraElement) -> np.ndarray:
@@ -89,11 +90,11 @@ def embed(a: AlgebraElement) -> np.ndarray:
 
 def from_matrix(algebra: CStarAlgebra, m: np.ndarray) -> AlgebraElement:
     """Element whose embedding is the block-diagonal part of m."""
-    m = np.asarray(m, dtype=complex)
+    m = np.asarray(m)
     if m.shape != (algebra.rep_dim, algebra.rep_dim):
         raise InvalidArgumentError(f"matrix shape {m.shape} != faithful rep size")
     return AlgebraElement(algebra, m[algebra._rows, algebra._cols])
 
 
 def unit(algebra: CStarAlgebra) -> AlgebraElement:
-    return from_matrix(algebra, np.eye(algebra.rep_dim, dtype=complex))
+    return from_matrix(algebra, np.eye(algebra.rep_dim))

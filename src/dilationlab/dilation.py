@@ -100,7 +100,7 @@ def window_gram(space: TruncatedFock, bound: lattice.Point) -> KernelWindow:
         slices.append(slice(dim, dim + rank))
         dim += rank
 
-    gram = np.zeros((dim, dim), dtype=complex)
+    gram = np.zeros((dim, dim), dtype=np.result_type(*{theta.dtype for theta in thetas}))
     for n, (a, b) in enumerate(pairs):
         theta_t, theta_s = thetas[2 * n], thetas[2 * n + 1]
         block = theta_t.conj().T @ theta_s
@@ -249,7 +249,7 @@ def kolmogorov(window: KernelWindow, tol: float = 1e-10, method: str = "eig") ->
 def _orth_cols(m: np.ndarray, rtol: float = 1e-8) -> np.ndarray:
     """Orthonormal basis of the column space."""
     if m.size == 0:
-        return np.zeros((m.shape[0], 0), dtype=complex)
+        return np.zeros((m.shape[0], 0), dtype=m.dtype)
     u, svals, _ = np.linalg.svd(m, full_matrices=False)
     keep = svals > rtol * max(svals.max(initial=0.0), 1.0)
     return u[:, keep]

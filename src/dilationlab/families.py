@@ -22,7 +22,7 @@ def _scalar_system(k: int) -> ProductSystem:
     algebra = make_algebra([1])
     gens = [trivial_correspondence(algebra, 1) for _ in range(k)]
     flips = {
-        (i, j): np.eye(1, dtype=complex) for i in range(1, k + 1) for j in range(i + 1, k + 1)
+        (i, j): np.eye(1) for i in range(1, k + 1) for j in range(i + 1, k + 1)
     }
     return ProductSystem(algebra, gens, flips)
 
@@ -32,7 +32,7 @@ def _scalar_instance(t_mats: list[np.ndarray]) -> dict:
     k = len(t_mats)
     system = _scalar_system(k)
     d = t_mats[0].shape[0]
-    sigma = AlgebraRepresentation(system.algebra, d, np.eye(d, dtype=complex)[None, :, :])
+    sigma = AlgebraRepresentation(system.algebra, d, np.eye(d)[None, :, :])
     rep = CCRepresentation(system, sigma, [m[None, :, :] for m in t_mats])
     return instance_to_json(system, rep)
 
@@ -68,7 +68,7 @@ def multiplication_isometric(seed: int = 0, k: int = 2, dims: int | None = None)
     gens = [corr for _ in range(k)]
     m = corr.dim
     flips = {
-        (i, j): np.eye(m * m, dtype=complex)
+        (i, j): np.eye(m * m)
         for i in range(1, k + 1)
         for j in range(i + 1, k + 1)
     }
@@ -102,7 +102,7 @@ def random_contractive(seed: int = 0, k: int = 2, dims: int | None = None) -> di
 def nilpotent_counterexample(seed: int = 0, k: int = 2, dims: int | None = None) -> dict:
     """T_1 = T_2 = e_12 on C^2: commuting contractions with no regular
     isometric dilation."""
-    e12 = np.zeros((2, 2), dtype=complex)
+    e12 = np.zeros((2, 2))
     e12[0, 1] = 1.0
     return _scalar_instance([e12, e12])
 

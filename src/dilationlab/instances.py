@@ -3,7 +3,9 @@ product systems, and representations.
 
 Complex numbers are [re, im] pairs, matrices are row-major nested lists,
 algebra elements are flat coordinate lists in the canonical matrix-unit
-basis. The SHA-256 digest of the canonicalized JSON identifies an instance.
+basis. An array whose imaginary parts are all zero is read as float64, so
+a real instance is computed in real arithmetic. The SHA-256 digest of the
+canonicalized JSON identifies an instance.
 """
 
 from __future__ import annotations
@@ -105,7 +107,8 @@ def _check_entries(obj, shape: tuple[int, ...], where: str) -> None:
 
 
 def json_to_array(obj, shape: tuple[int, ...], where: str) -> np.ndarray:
-    """Complex array of the given shape from nested lists of [re, im] pairs.
+    """Array of the given shape from nested lists of [re, im] pairs: float64
+    when every imaginary part is zero, else complex128.
 
     The whole array is checked at once: its nesting against the shape, every
     number an int or float, every number finite. Only when a check fails is
@@ -116,12 +119,14 @@ def json_to_array(obj, shape: tuple[int, ...], where: str) -> np.ndarray:
         try:
             vals = arr.astype(float)
             if np.isfinite(vals).all():
-                return vals.view(complex)[..., 0]
+                if vals[..., 1].any():
+                    return vals.view(complex)[..., 0]
+                return np.ascontiguousarray(vals[..., 0])
         except OverflowError:  # an int beyond the float range; the walk names it
             pass
     _check_entries(obj, shape, where)
     # the walk accepts an input the fast path does not only when it is empty
-    return np.zeros(shape, dtype=complex)
+    return np.zeros(shape)
 
 
 # -- instance <-> objects ----------------------------------------------------

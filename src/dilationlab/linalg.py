@@ -12,6 +12,19 @@ from .errors import DegenerateRankWarning, NotWellDefinedError
 DEFAULT_TOL = 1e-10
 
 
+def as_data(a) -> np.ndarray:
+    """a as an array of the package's data: float64 or complex128 as it is,
+    any other dtype promoted to float64, or complex128 when it is complex.
+
+    Every computed array then follows its inputs by numpy's promotion, so
+    data without an imaginary part is computed in real arithmetic.
+    """
+    a = np.asarray(a)
+    if a.dtype == np.float64 or a.dtype == np.complex128:
+        return a
+    return a.astype(np.result_type(a.dtype, np.float64))
+
+
 def opnorm(m: np.ndarray) -> float:
     """Operator (spectral) norm; 0.0 for maps with an empty side."""
     if m.size == 0:
@@ -97,7 +110,8 @@ def psd_factor(gram: np.ndarray, tol: float, what: str = "gram", eig=None):
     """
     n = gram.shape[0]
     if n == 0:
-        return np.zeros((0, 0), dtype=complex), np.zeros(0), np.zeros((0, 0), dtype=complex)
+        z = np.zeros((0, 0), dtype=gram.dtype)
+        return z, np.zeros(0), z
     vals, vecs = np.linalg.eigh(hermitize(gram)) if eig is None else eig
     warn_degenerate(vals, tol, what)
     keep = vals > tol
@@ -112,7 +126,7 @@ def null_split(grams: np.ndarray, tol: float, what: str = "gram") -> list:
     matrix of a stack, from one stacked eigh; the cutoff and
     warn_degenerate are applied matrix by matrix."""
     if grams.shape[1] == 0:
-        z = np.zeros((0, 0), dtype=complex)
+        z = np.zeros((0, 0), dtype=grams.dtype)
         return [(z, z)] * grams.shape[0]
     out = []
     for vals, vecs in zip(*np.linalg.eigh(hermitize(grams))):
@@ -158,11 +172,11 @@ def pivoted_cholesky(gram: np.ndarray, rel_tol: float = 1e-10) -> np.ndarray:
 
     R^H R ~ gram up to the pivot cutoff rel_tol * max diagonal.
     """
-    g = hermitize(gram).astype(complex)
+    g = hermitize(gram)
     n = g.shape[0]
     d = np.real(np.diag(g)).copy()
     cutoff = rel_tol * max(d.max(initial=0.0), 0.0)
-    low = np.zeros((n, n), dtype=complex)
+    low = np.zeros((n, n), dtype=g.dtype)
     rank = 0
     for m in range(n):
         i = int(np.argmax(d))

@@ -41,7 +41,7 @@ from .correspondence import (
 )
 from .cstar import CStarAlgebra
 from .errors import IncoherentFlipsError, InvalidArgumentError, InvalidFlipError
-from .linalg import DEFAULT_TOL, max_opnorm, opnorm
+from .linalg import DEFAULT_TOL, as_data, max_opnorm, opnorm
 
 
 @dataclass
@@ -71,7 +71,7 @@ class ProductSystem:
                 raise InvalidArgumentError(f"flip key {(i, j)} must satisfy 1 <= i < j <= k")
             mi = self.generators[i - 1].dim
             mj = self.generators[j - 1].dim
-            mat = np.asarray(mat, dtype=complex)
+            mat = as_data(mat)
             if mat.shape != (mj * mi, mi * mj):
                 raise InvalidArgumentError(
                     f"flip {(i, j)} has shape {mat.shape}, expected {(mj * mi, mi * mj)}"

@@ -29,7 +29,7 @@ from .correspondence import (
 )
 from .cstar import CStarAlgebra, unit
 from .errors import InvalidArgumentError, NotWellDefinedError
-from .linalg import DEFAULT_TOL, hermitize, kron, max_opnorm, opnorm, stack
+from .linalg import DEFAULT_TOL, as_data, hermitize, kron, max_opnorm, opnorm, stack
 from .prodsys import ProductSystem
 
 
@@ -40,13 +40,13 @@ class AlgebraRepresentation:
     mats: np.ndarray = field(compare=False)  # (algebra.dim, d, d)
 
     def __post_init__(self):
-        mats = np.asarray(self.mats, dtype=complex)
+        mats = as_data(self.mats)
         if mats.shape != (self.algebra.dim, self.dim, self.dim):
             raise InvalidArgumentError(f"sigma matrices have shape {mats.shape}")
         object.__setattr__(self, "mats", mats)
 
     def apply(self, coords: np.ndarray) -> np.ndarray:
-        return np.tensordot(np.asarray(coords, dtype=complex), self.mats, axes=(0, 0))
+        return np.tensordot(coords, self.mats, axes=(0, 0))
 
 
 def validate_sigma(sigma: AlgebraRepresentation) -> dict[str, float]:
@@ -80,7 +80,7 @@ class CCRepresentation:
         self.tol = tol
         maps = []
         for i, gen in enumerate(system.generators, start=1):
-            arr = np.asarray(t_maps[i - 1], dtype=complex)
+            arr = as_data(t_maps[i - 1])
             if arr.shape != (gen.dim, sigma.dim, sigma.dim):
                 raise InvalidArgumentError(
                     f"T maps for generator {i} have shape {arr.shape}, "
@@ -122,7 +122,7 @@ class CCRepresentation:
         groups: dict[tuple, list] = {}
         for t, s, rest in new:
             if not any(s):
-                self._lowering[(t, s)] = np.eye(self._loc[t].rank, dtype=complex)
+                self._lowering[(t, s)] = np.eye(self._loc[t].rank)
                 continue
             top = not any(rest)
             shape = (top, dim(t), dim(rest), dim(s), self._loc[t].rank, self._loc[rest].rank)
@@ -232,7 +232,7 @@ class CCRepresentation:
             return cached
         d = self.dim
         if lattice.is_zero(s):
-            out = np.eye(d, dtype=complex)
+            out = np.eye(d)
         else:
             i = max(lattice.support(s))
             last_q = self.system.point_data(s).last_q
@@ -385,12 +385,12 @@ def brehmer_check_NS(rep: CCRepresentation, v, points) -> list[float]:
         by_shape: dict[tuple[int, int], list[int]] = {}
         for row, theta in enumerate(flat):
             by_shape.setdefault(theta.shape, []).append(row)
-        square = np.empty((len(flat), rank, rank), dtype=complex)
+        square = np.empty((len(flat), rank, rank), dtype=np.result_type(*{theta.dtype for theta in flat}))
         for rows in by_shape.values():
             theta = stack([flat[row] for row in rows])
             square[rows] = np.swapaxes(theta.conj(), 1, 2) @ theta
         square = square.reshape(len(members), size, rank, rank)
-        total = np.zeros((len(members), rank, rank), dtype=complex)
+        total = np.zeros((len(members), rank, rank), dtype=square.dtype)
         for n, u in enumerate(subsets):
             total += ((-1) ** len(u)) * square[:, n]
         for x, vals in zip(members, np.linalg.eigvalsh(hermitize(total))):

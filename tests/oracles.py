@@ -33,7 +33,10 @@ by shape, on the package's fibers, multiplication maps and raw T maps; and
 `generator_step_bounds` computes,
 from a bundle's factor, the recovered maps and `loc_action`, the bounds
 by which verify_regular_dilation's generator-step residuals control the
-composite-point values of `verify_regular_dilation_loop`.
+composite-point values of `verify_regular_dilation_loop`; and
+`json_to_complex_array` is the instance reader cast to complex128, which
+runs a real instance all in complex arithmetic: the reference a run in
+real arithmetic is compared with.
 """
 
 from __future__ import annotations
@@ -44,6 +47,7 @@ import numpy as np
 
 from dilationlab.cstar import AlgebraElement, embed, from_matrix
 from dilationlab.errors import InvalidArgumentError
+from dilationlab.instances import json_to_array
 
 
 def herm_sqrt(m: np.ndarray) -> np.ndarray:
@@ -1371,3 +1375,9 @@ def brehmer_sum_point(rep, v, s) -> float:
     if rank == 0:
         return 0.0
     return float(np.linalg.eigvalsh(0.5 * (total + total.conj().T)).min())
+
+
+def json_to_complex_array(obj, shape: tuple[int, ...], where: str) -> np.ndarray:
+    """`instances.json_to_array` cast to complex128: set in its place, every
+    array of an instance is read, and so computed, as complex."""
+    return json_to_array(obj, shape, where).astype(complex)

@@ -54,11 +54,17 @@ def case_ids() -> list[tuple[str, int, int, int, int]]:
 
 
 def run_case(family: str, seed: int, k: int, dims: int, bound: int, workdir: Path) -> dict:
-    """One `dilate` run: its exit code and the comparable part of its report."""
-    name = f"{family}-{seed}-{k}-{dims}-{bound}"
+    """One `dilate` run of a generated instance: its exit code and the
+    comparable part of its report."""
+    data = generate(family, seed=seed, k=k, dims=dims)
+    return run_instance(data, f"{family}-{seed}-{k}-{dims}-{bound}", bound, workdir)
+
+
+def run_instance(data: dict, name: str, bound: int, workdir: Path) -> dict:
+    """`run_case` of an instance dict, its files named after `name`."""
     path = workdir / f"{name}.json"
     out = workdir / f"{name}.report.json"
-    path.write_text(json.dumps(generate(family, seed=seed, k=k, dims=dims)), encoding="utf-8")
+    path.write_text(json.dumps(data), encoding="utf-8")
     code = cli.main(["dilate", str(path), "--L", str(bound), "--M", str(bound), "--out", str(out)])
     report = json.loads(out.read_text(encoding="utf-8")) if out.exists() else {}
     return {
