@@ -37,7 +37,7 @@ from .errors import (
 )
 from .families import FAMILIES, generate
 from .hatspace import TruncatedFock, hat_checks
-from .instances import Instance, digest, load_instance
+from .instances import Instance, load_instance
 from .report import check_record, compare_reports, make_report, render
 from .representation import (
     brehmer_check_NS,
@@ -200,11 +200,7 @@ def run_pipeline(inst: Instance, command: str, params: dict) -> tuple[dict, int]
                     for name, res in verify_regular_dilation(bundle, guard=guard).items():
                         checks.append(check_record(name, res))
                     if verdicts["doubly_commuting"]:
-                        k = inst.system.k
                         pairs = [(j, l) for j in range(1, k + 1) for l in range(j + 1, k + 1)]
-                        # the recovered maps' blocks of every pair, in one build
-                        dc_keys = [key for j, l in pairs for key in doubly_commuting_keys(k, j, l)]
-                        bundle.isometric_rep.build(keys=dc_keys)
                         dc_v = max(
                             (verify_doubly_commuting_V(bundle, j, l, guard=guard) for j, l in pairs),
                             default=0.0,
@@ -224,7 +220,7 @@ def run_pipeline(inst: Instance, command: str, params: dict) -> tuple[dict, int]
                     exit_code = EXIT_CHECK_FAILED
 
     report = make_report(
-        digest(inst.data),
+        inst.digest,
         command,
         params,
         checks,
@@ -246,7 +242,7 @@ def _emit(report: dict, out: str | None) -> None:
 
 
 def _emit_error(args, command: str, inst: Instance | None, params: dict, verdicts: dict, error: str) -> None:
-    inst_digest = "" if inst is None else digest(inst.data)
+    inst_digest = "" if inst is None else inst.digest
     report = make_report(inst_digest, command, params, [], verdicts)
     report["error"] = error
     _emit(report, getattr(args, "out", None))

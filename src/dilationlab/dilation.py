@@ -16,21 +16,33 @@ fiber action is applied to them. V_0 and the generator isometries V_{e_i}
 are recovered by one least-squares path from their defining action on the
 localized generating vectors; every other V_s is their composition in
 normal order. The recovered maps form an isometric CCRepresentation on C^p,
-so its module and doubly-commuting identities are checked by the same code
-as those of (sigma, T). The semigroup law, minimality (its part on the
-generating vectors at 0), item 4 and the isometry are checked at V_0 and
-the V_{e_i} only; at a composite V_s they are bounded by those residuals,
-as verify_regular_dilation states. Regularity compares the factor's inner
+so its module relations are checked by the same code as those of
+(sigma, T). The semigroup law, minimality (its part on the generating
+vectors at 0), item 4 and the isometry are checked at V_0 and the V_{e_i}
+only; at a composite V_s they are bounded by those residuals, as
+verify_regular_dilation states. Regularity compares the factor's inner
 products with the kernel blocks of points of disjoint support,
 Theta(t, t)^H Theta(s, s). Identities involving adjoints are window
 compressions, so they are checked on vectors generated at lattice points
 at least a guard margin g inside the window.
 
+No p-square factorization repeats what the kernel's eigh already knows.
+The eig factor R = Lambda^{1/2} W^H has orthogonal rows, so its
+pseudo-inverse is R^+ = W Lambda^{-1/2} and its singular values are
+sqrt(Lambda): V_0's solve (domain(0) is all of R), the uniqueness
+intertwiner over the bundle's own window and dim K_min take no SVD. Each
+V_{e_i}'s solve takes one SVD of domain(e_i), which also gives item 4 its
+projector onto that domain. The *-homomorphism identities of V_0 and the
+doubly-commuting identity of the recovered maps are taken in weak form,
+between generating vectors, as the isometry is: they need no operator norm
+on C^p and no localization over V_0, and each states its bound on the
+former operator-norm residual.
+
 The doubly-commuting identity of T^ is checked on the lowering blocks, as
 the hatspace checks are: its defect maps each block of H_L into at most one
-block, injectively, so its norm is the largest block norm. The dilation
-checks are maxima of operator norms over many small blocks, and each is
-taken with one stacked max_opnorm.
+block, injectively, so its norm is the largest block norm. The other
+dilation checks are maxima of operator norms over many small blocks, and
+each is taken with one stacked max_opnorm.
 """
 
 from __future__ import annotations
@@ -44,13 +56,15 @@ import numpy as np
 from . import lattice
 from .errors import InvalidArgumentError, NotPositiveDefiniteError
 from .hatspace import TruncatedFock
-from .linalg import lstsq_map, max_opnorm, opnorm, pivoted_cholesky, psd_factor
-from .representation import (
-    AlgebraRepresentation,
-    CCRepresentation,
-    doubly_commuting_defect,
-    validate_module,
+from .linalg import (
+    lstsq_map,
+    max_opnorm,
+    opnorm,
+    pinv_and_range,
+    pivoted_cholesky,
+    psd_factor,
 )
+from .representation import AlgebraRepresentation, CCRepresentation, validate_module
 
 LSQ_TOL = 1e-8  # consistency tolerance for least-squares operator recovery
 
@@ -125,9 +139,20 @@ class DilationBundle:
         self.rank = factor.shape[0]
         self.method = method
         self.tol = tol
-        self._guarded_basis: dict[int, np.ndarray] = {}
         self._slice_of = dict(zip(window.points, window.slices))
         self._k_min_rank: int | None = None
+
+    @property
+    def eig_split(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+        """For the eig factor R = Lambda^{1/2} W^H, its kept eigenvalues
+        Lambda, kept eigenvectors W and discarded eigenvectors W_0, as views
+        of the window's eigenpairs (eigh's eigenvalues ascend, so the kept
+        ones are the last `rank`); None for another factor."""
+        if self.method != "eig":
+            return None
+        first = self.window.eigvals.shape[0] - self.rank
+        vecs = self.window.eigvecs
+        return self.window.eigvals[first:], vecs[:, first:], vecs[:, :first]
 
     # -- generating vectors ---------------------------------------------------
 
@@ -176,19 +201,16 @@ class DilationBundle:
 
     def k_min_rank(self) -> int:
         """dim K_min: the numerical rank of the localized generating vectors,
-        computed once per bundle."""
+        computed once per bundle. The eig factor's singular values are the
+        square roots of its kept eigenvalues; another factor takes an SVD."""
         if self._k_min_rank is None:
-            self._k_min_rank = _rank(self.factor)
+            split = self.eig_split
+            if split is not None:
+                svals = np.sqrt(split[0])
+            else:
+                svals = np.linalg.svd(self.factor, compute_uv=False)
+            self._k_min_rank = _rank(svals)
         return self._k_min_rank
-
-    def guarded_basis(self, guard: int) -> np.ndarray:
-        """Orthonormal basis of the span of the generating vectors at the
-        points at least `guard` inside the window."""
-        cached = self._guarded_basis.get(guard)
-        if cached is None:
-            cached = _orth_cols(self.localized(_guarded(self.window.bound, guard)))
-            self._guarded_basis[guard] = cached
-        return cached
 
     # -- recovered operators ----------------------------------------------------
 
@@ -200,26 +222,44 @@ class DilationBundle:
         return {s: (self.domain(s), self.targets(s)) for s in points}
 
     @cached_property
-    def isometric_rep(self) -> CCRepresentation:
-        """The recovered (V_0, V) as a covariant representation on C^p.
+    def solves(self) -> dict[lattice.Point, tuple[np.ndarray, np.ndarray | None]]:
+        """Per step s, the recovered map as a (dim, p, p) stack and an
+        orthonormal basis of domain(s) from the SVD of its solve (None at
+        s = 0). Each map is one least-squares solve of its defining action
+        on domain(s): V_0 over the algebra basis, and V_{e_i} over the
+        reduced basis of X(e_i), taken to E_i's basis by its surjection.
 
-        V_0 and each V_{e_i} are one least-squares solve of their defining
-        action on their domain, `steps`: V_0 over the algebra basis and
-        V_{e_i} over the reduced basis of X(e_i), taken to E_i's basis by
-        its surjection. Every other V_s is their composition t_raw(s). The
-        window bound must be >= 1 in every coordinate.
+        domain(0) is the whole factor R, so for the eig factor
+        R = Lambda^{1/2} W^H, whose rows are orthogonal, V_0's solve takes
+        R^+ = W Lambda^{-1/2} and no SVD. Each V_{e_i}'s solve takes one SVD
+        of its domain, whose basis gives item 4 its projector.
         """
         sys_ = self.rep.system
-        v0, *gens = (
-            lstsq_map(tgt, dom, LSQ_TOL, f"V_{s}") for s, (dom, tgt) in self.steps.items()
-        )
+        split = self.eig_split
+        out = {}
+        for s, (dom, tgt) in self.steps.items():
+            if lattice.is_zero(s) and split is not None:
+                pinv, basis = split[1] / np.sqrt(split[0]), None
+            else:
+                pinv, basis = pinv_and_range(dom)
+            v = lstsq_map(tgt, dom, pinv, LSQ_TOL, f"V_{s}")
+            if not lattice.is_zero(s):
+                # E_i's basis vector e_c goes to sum over a of last_q[a, c] V_{e_i}(e_a)
+                last_q = sys_.point_data(s).last_q
+                v = last_q.T @ v.reshape(last_q.shape[0], self.rank * self.rank)
+                v = v.reshape(last_q.shape[1], self.rank, self.rank)
+            out[s] = (v, basis)
+        return out
+
+    @cached_property
+    def isometric_rep(self) -> CCRepresentation:
+        """The recovered (V_0, V) as a covariant representation on C^p:
+        V_0 and the T maps are the `solves`, and every other V_s is their
+        composition t_raw(s). The window bound must be >= 1 in every
+        coordinate."""
+        sys_ = self.rep.system
+        v0, *t_maps = (v for v, _basis in self.solves.values())
         sigma = AlgebraRepresentation(sys_.algebra, self.rank, v0)
-        # E_i's basis vector e_c goes to sum over a of last_q[a, c] V_{e_i}(e_a)
-        t_maps = []
-        for i, v in enumerate(gens, start=1):
-            last_q = sys_.word_data((i,)).last_q
-            t_map = last_q.T @ v.reshape(last_q.shape[0], self.rank * self.rank)
-            t_maps.append(t_map.reshape(last_q.shape[1], self.rank, self.rank))
         return CCRepresentation(sys_, sigma, t_maps, tol=LSQ_TOL)
 
 
@@ -236,31 +276,18 @@ def kolmogorov(window: KernelWindow, tol: float = 1e-10, method: str = "eig") ->
         factor, _vals, _vecs = psd_factor(
             window.gram, cutoff, "kolmogorov", eig=(window.eigvals, window.eigvecs)
         )
-    elif method == "chol":
-        factor = pivoted_cholesky(window.gram, rel_tol=tol)
-    else:
-        raise InvalidArgumentError(f"unknown factorization method {method!r}")
-    return DilationBundle(window, factor, method, tol)
+        return DilationBundle(window, factor, method, tol)
+    if method == "chol":
+        return DilationBundle(window, pivoted_cholesky(window.gram, rel_tol=tol), method, tol)
+    raise InvalidArgumentError(f"unknown factorization method {method!r}")
 
 
 # -- verification -------------------------------------------------------------
 
 
-def _orth_cols(m: np.ndarray, rtol: float = 1e-8) -> np.ndarray:
-    """Orthonormal basis of the column space."""
-    if m.size == 0:
-        return np.zeros((m.shape[0], 0), dtype=m.dtype)
-    u, svals, _ = np.linalg.svd(m, full_matrices=False)
-    keep = svals > rtol * max(svals.max(initial=0.0), 1.0)
-    return u[:, keep]
-
-
-def _rank(m: np.ndarray, rtol: float = 1e-8) -> int:
-    """Numerical rank: singular values above rtol * max(1, largest one)."""
-    if m.size == 0:
-        return 0
-    svals = np.linalg.svd(m, compute_uv=False)
-    return int(np.count_nonzero(svals > rtol * max(1.0, svals[0])))
+def _rank(svals: np.ndarray, rtol: float = 1e-8) -> int:
+    """Numerical rank from singular values: those above rtol * max(1, largest one)."""
+    return int(np.count_nonzero(svals > rtol * max(1.0, svals.max(initial=0.0))))
 
 
 def _guarded(bound: lattice.Point, guard: int) -> lattice.Point:
@@ -288,7 +315,11 @@ def verify_regular_dilation(bundle: DilationBundle, guard: int = 1) -> dict[str,
       the semigroup defects at s and at 0.
     Contraction and commutation of the recovered maps follow from these on
     the generating vectors; on all of C^p least squares amplifies rounding
-    by 1/sigma_min(domain)^2, so they are not checked there.
+    by 1/sigma_min(domain)^2, so they are not checked there. V0_star_hom
+    is the weak form of V_0's *-homomorphism residuals on the factor R,
+    max |R^H D R|; the operator norm of each defect D is at most n times it
+    over sigma_min(R)^2, n the number of generating vectors
+    (representation.validate_sigma).
     """
     rep = bundle.rep
     sys_ = rep.system
@@ -298,7 +329,7 @@ def verify_regular_dilation(bundle: DilationBundle, guard: int = 1) -> dict[str,
     p_h = gen0 @ gen0.conj().T
     iso = bundle.isometric_rep
     v0 = iso.sigma
-    valid = validate_module(iso)
+    valid = validate_module(iso, bundle.factor)
     # V_s(e_a) on C^p for the algebra basis (s = 0) or the reduced basis of
     # X(e_i), stacked along axis 0: the t_raw(e_i) columns of iso, kron-free
     v_of = {zero: v0.mats}
@@ -336,7 +367,7 @@ def verify_regular_dilation(bundle: DilationBundle, guard: int = 1) -> dict[str,
     # domain (t = 0 is in it), so its projector is P_domain - P_H.
     item4_blocks = []
     for s in gens:
-        q_dom = _orth_cols(bundle.steps[s][0])
+        q_dom = bundle.solves[s][1]
         item4_blocks.extend(gen0.conj().T @ v_of[s] @ (q_dom @ q_dom.conj().T - p_h))
     item4 = max_opnorm(item4_blocks)
 
@@ -398,36 +429,92 @@ def verify_hat_doubly_commuting(
 
 
 def verify_doubly_commuting_V(bundle: DilationBundle, j: int, k: int, guard: int = 1) -> float:
-    """Residual of the doubly-commuting identity for the recovered isometric
-    representation, on guarded generating vectors."""
+    """Weak residual of the doubly-commuting identity of the recovered maps,
+    V~_b^* V~_a = (I_b (x) V~_a)(t (x) I)(I_a (x) V~_b^*) for a = e_j and
+    b = e_k: the largest entry of W = Phi_b^H D Phi_a, D the defect on
+    loc(a) over V_0 (as representation.doubly_commuting_defect takes it)
+    and Phi the localized images of x (x) g, g the generating vectors on
+    the left and those at least max(guard, 1) inside the window on the
+    right (adjoints are window compressions).
+
+    No localization over V_0 is formed. In raw X (x) C^p coordinates the
+    inner product is Gamma_x = (id (x) V_0)(G_x), G_x the fiber Gram, and
+    V~_b^* g' has the coordinates (id (x) V_0)(G_b^+) V~_b^H g', since a
+    *-homomorphism keeps the Moore-Penrose inverse G_b^+ in M_{p_b}(A).
+    G_b^+ treats eigenvalues at most the representation's tol as null, the
+    cutoff of the localization over V_0 (ProductSystem.gram_pinv). So
+    W[beta, alpha] = (V_b(e_beta) g)^H V_a(e_alpha) g' - sum over beta' of
+    g^H V_0(G_b[beta, beta']) (I_b (x) V~_a)(t (x) I)(e_alpha (x) V~_b^* g'),
+    with t = U_{b,a}^+ U_{a,b} on raw pair coordinates, as the lowering
+    blocks carry it. Phi_b is onto loc(b) and Phi_a onto the guarded part
+    P of loc(a), so the former residual ||D P|| is at most
+    sqrt(p_a p_b n n') max |W| / (sigma_min(Phi_b) sigma_min(Phi_a)), n and
+    n' the numbers of vectors g and g' and sigma_min the smallest nonzero
+    singular value (tests/oracles.py::doubly_commuting_bound).
+    """
+    if j == k:
+        raise InvalidArgumentError("doubly commuting check needs distinct directions")
     iso = bundle.isometric_rep
-    defect = doubly_commuting_defect(iso, j, k)
-    # adjoints are window compressions: restrict to x (x) (guarded vectors)
-    p_guard = bundle.guarded_basis(max(guard, 1))
-    a = lattice.unit(iso.system.k, j)
-    loc_a = iso.loc(a)
-    # F_a (I_{p_a} (x) P P^H), with P P^H applied to each fiber slice of F_a
-    factor = loc_a.factor.reshape(loc_a.rank, iso.system.fiber_dim(a), iso.dim)
-    guarded = (factor @ (p_guard @ p_guard.conj().T)).reshape(loc_a.factor.shape)
-    return opnorm(defect @ guarded @ loc_a.lift)
+    sys_ = iso.system
+    p = iso.dim
+    a, b = lattice.unit(sys_.k, j), lattice.unit(sys_.k, k)
+    p_a, p_b = sys_.fiber_dim(a), sys_.fiber_dim(b)
+    gens = bundle.factor
+    guarded = bundle.localized(_guarded(bundle.window.bound, max(guard, 1)))
+    n, n_g = gens.shape[1], guarded.shape[1]
+    # V_x(e) over the reduced basis of X(x), as (p_x, p, p)
+    v_a = iso.t_raw(a).reshape(p, p_a, p).transpose(1, 0, 2)
+    v_b = iso.t_raw(b).reshape(p, p_b, p).transpose(1, 0, 2)
+    img_a = v_a @ guarded
+    lhs = (v_b @ gens).conj().transpose(0, 2, 1)[:, None] @ img_a[None]  # [beta, alpha, n, n']
+    gram_b = sys_.fiber(b).gram
+    # zeta = V~_b^* g' as [(gamma, p), n'], (id (x) V_0)(G_b^+) on the rows (eps, p)
+    v0_pinv = np.tensordot(sys_.gram_pinv(b, iso.tol), iso.sigma.mats, axes=(2, 0))
+    adjoint = v_b.conj().transpose(0, 2, 1) @ guarded
+    zeta = v0_pinv.transpose(0, 2, 1, 3).reshape(p_b * p, p_b * p) @ adjoint.reshape(p_b * p, n_g)
+    # t = U_{b,a}^+ U_{a,b} as [beta', alpha', alpha, gamma]
+    mu = sys_.mult_iso(b, a)
+    flip = np.linalg.solve(mu @ mu.conj().T, mu).conj().T @ sys_.mult_iso(a, b)
+    moved = v_a[:, None] @ zeta.reshape(1, p_b, p, n_g)  # V_a(e_alpha') zeta_gamma
+    y = np.tensordot(flip.reshape(p_b, p_a, p_a, p_b), moved, axes=([1, 3], [0, 1]))
+    # g^H V_0(G_b[beta, beta']) as [(beta, n), (beta', p)], against y as [(beta', p), (alpha, n')]
+    weight = gens.conj().T @ np.tensordot(gram_b, iso.sigma.mats, axes=(2, 0))
+    weight = weight.transpose(0, 2, 1, 3).reshape(p_b * n, p_b * p)
+    rhs = weight @ y.transpose(0, 2, 1, 3).reshape(p_b * p, p_a * n_g)
+    rhs = rhs.reshape(p_b, n, p_a, n_g).transpose(0, 2, 1, 3)
+    return float(np.abs(lhs - rhs).max(initial=0.0))
 
 
 def compare_minimal_dilations(bundle_a: DilationBundle, bundle_b: DilationBundle) -> float:
     """Max inner-product discrepancy between the localized generating
     vectors of two factorizations of kernels of one representation (so in
     the same loc(t) coordinates), plus the residual of the matched unitary
-    intertwiner."""
+    intertwiner omega = g_b g_a^+.
+
+    Over bundle_a's own window g_a is its factor R. For the eig factor
+    R = Lambda^{1/2} W^H, R^+ R = W W^H, so the residual omega g_a - g_b =
+    -g_b W_0 W_0^H, W_0 the discarded eigenvectors, has the norm of
+    g_b W_0, and no pinv is taken.
+    """
     bound = tuple(
         min(x, y) for x, y in zip(bundle_a.window.bound, bundle_b.window.bound, strict=True)
     )
     g_a = bundle_a.localized(bound)
     g_b = bundle_b.localized(bound)
     gram_diff = float(np.abs(g_a.conj().T @ g_a - g_b.conj().T @ g_b).max())
-    # over a bundle's own window bound the localized vectors are its factor
-    rank_a = bundle_a.k_min_rank() if bound == bundle_a.window.bound else _rank(g_a)
-    rank_b = bundle_b.k_min_rank() if bound == bundle_b.window.bound else _rank(g_b)
+
+    def own(bundle):  # over its own window bound a bundle's localized vectors are its factor
+        return bound == bundle.window.bound
+
+    rank_a, rank_b = (
+        bundle.k_min_rank() if own(bundle) else _rank(np.linalg.svd(g, compute_uv=False))
+        for bundle, g in ((bundle_a, g_a), (bundle_b, g_b))
+    )
     if rank_a != rank_b:
         return float("inf")
-    omega = g_b @ np.linalg.pinv(g_a)
-    intertwine = opnorm(omega @ g_a - g_b)
+    split = bundle_a.eig_split
+    if own(bundle_a) and split is not None:
+        intertwine = opnorm(g_b @ split[2])
+    else:
+        intertwine = opnorm(g_b @ np.linalg.pinv(g_a) @ g_a - g_b)
     return max(gram_diff, intertwine)

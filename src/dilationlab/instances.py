@@ -5,7 +5,8 @@ Complex numbers are [re, im] pairs, matrices are row-major nested lists,
 algebra elements are flat coordinate lists in the canonical matrix-unit
 basis. An array whose imaginary parts are all zero is read as float64, so
 a real instance is computed in real arithmetic. The SHA-256 digest of the
-canonicalized JSON identifies an instance.
+instance file's bytes, as load_instance reads them, identifies an instance
+in reports; a reformatted file gets another digest.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ class Instance:
     system: ProductSystem
     representation: CCRepresentation
     parameters: dict
-    data: dict
+    digest: str = ""  # SHA-256 of the file's bytes; empty when parsed from data
 
 
 # -- complex/matrix codecs ---------------------------------------------------
@@ -232,23 +233,20 @@ def parse_instance(data: dict, tol: float | None = None) -> Instance:
         for i, (gen, mats) in enumerate(zip(generators, t_obj, strict=True), start=1)
     ]
     rep = CCRepresentation(system, sigma, t_maps, tol=params["tol"])
-    return Instance(algebra, system, rep, params, data)
+    return Instance(algebra, system, rep, params)
 
 
 def load_instance(path: str, tol: float | None = None) -> Instance:
+    """parse_instance of the file's JSON, with the digest of its bytes: the
+    file is read once."""
     try:
-        with open(path, encoding="utf-8") as fh:
-            data = json.load(fh)
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        data = json.loads(raw)
     except OSError as exc:
         raise InstanceFormatError(f"cannot read {path}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise InstanceFormatError(f"{path} is not valid JSON: {exc}") from exc
-    return parse_instance(data, tol=tol)
-
-
-def canonical_json(data) -> str:
-    return json.dumps(data, sort_keys=True, separators=(",", ":"))
-
-
-def digest(data) -> str:
-    return hashlib.sha256(canonical_json(data).encode("utf-8")).hexdigest()
+    inst = parse_instance(data, tol=tol)
+    inst.digest = hashlib.sha256(raw).hexdigest()
+    return inst

@@ -136,18 +136,37 @@ def null_split(grams: np.ndarray, tol: float, what: str = "gram") -> list:
     return out
 
 
-def lstsq_map(targets: np.ndarray, domain: np.ndarray, tol: float, what: str) -> np.ndarray:
-    """Least-squares B with B @ domain ~ targets, required consistent to tol.
+def pinv_and_range(m: np.ndarray, rtol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
+    """m's pseudo-inverse and an orthonormal basis of m's column space, from
+    one SVD m = U S V^H.
 
-    A stack of targets (c, m, n) shares one pinv of the domain and gives a
-    stack of maps; the consistency residual is the largest operator norm of
+    The pseudo-inverse V S^+ U^H inverts the singular values above 1e-15
+    times the largest one, np.linalg.pinv's default cutoff; the basis keeps
+    the columns of U whose singular values are above rtol * max(1, largest
+    one).
+    """
+    u, svals, vh = np.linalg.svd(m, full_matrices=False)
+    top = svals.max(initial=0.0)
+    inv = np.divide(1, svals, where=svals > 1e-15 * top, out=np.zeros_like(svals))
+    pinv = (vh.conj().T * inv) @ u.conj().T
+    return pinv, u[:, svals > rtol * max(top, 1.0)]
+
+
+def lstsq_map(
+    targets: np.ndarray, domain: np.ndarray, pinv: np.ndarray, tol: float, what: str
+) -> np.ndarray:
+    """Least-squares B = targets @ pinv with B @ domain ~ targets, required
+    consistent to tol, for pinv the domain's pseudo-inverse.
+
+    A stack of targets (c, m, n) shares the one pinv and gives a stack of
+    maps; the consistency residual is the largest operator norm of
     a slice's defect B @ domain - targets. The Frobenius norm of the whole
     stack bounds every slice's operator norm, so when it is <= tol the
     check passes without an SVD; otherwise the exact residual is taken and
     NotWellDefinedError reports it when it exceeds tol.
     """
     flat = targets.reshape(math.prod(targets.shape[:-1]), targets.shape[-1])
-    b = flat @ np.linalg.pinv(domain)
+    b = flat @ pinv
     defect = b @ domain - flat
     if not np.linalg.norm(defect) <= tol:  # NaN takes the exact path too
         slices = defect.reshape((math.prod(targets.shape[:-2]),) + targets.shape[-2:])

@@ -41,7 +41,7 @@ from .correspondence import (
 )
 from .cstar import CStarAlgebra
 from .errors import IncoherentFlipsError, InvalidArgumentError, InvalidFlipError
-from .linalg import DEFAULT_TOL, as_data, max_opnorm, opnorm
+from .linalg import DEFAULT_TOL, as_data, hermitize, max_opnorm, opnorm
 
 
 @dataclass
@@ -86,6 +86,7 @@ class ProductSystem:
         self._points: dict[lattice.Point, _WordData] = {}
         self._appends: dict[tuple[tuple[int, ...], int], np.ndarray] = {}
         self._inverse_flips: dict[tuple[int, int], np.ndarray] = {}
+        self._gram_pinvs: dict[tuple[lattice.Point, float], np.ndarray] = {}
         self._isos: dict[tuple[lattice.Point, lattice.Point], np.ndarray] = {}
         self.validation = self._validate()
 
@@ -171,6 +172,23 @@ class ProductSystem:
         inv = self._inverse_flips.get((a, b))
         if inv is None:
             inv = self._inverse_flips[(a, b)] = np.linalg.pinv(self.flips[(b, a)])
+        return inv
+
+    def gram_pinv(self, s: lattice.Point, tol: float) -> np.ndarray:
+        """Coordinates, shape (p_s, p_s, dim A), of the Moore-Penrose inverse
+        of the fiber Gram at s as an element of M_{p_s}(A), computed once
+        per (s, tol). It is taken in A's faithful representation, where the
+        inverse of an element lies in the algebra; eigenvalues at most tol
+        are null, as localize takes them."""
+        key = (tuple(s), tol)
+        inv = self._gram_pinvs.get(key)
+        if inv is None:
+            p, n = self.fiber_dim(s), self.algebra.rep_dim
+            vals, vecs = np.linalg.eigh(hermitize(self.fiber(s).gram_embedded()))
+            keep = vals > tol
+            inv = ((vecs[:, keep] / vals[keep]) @ vecs[:, keep].conj().T).reshape(p, n, p, n)
+            rows, cols = self.algebra._rows, self.algebra._cols
+            inv = self._gram_pinvs[key] = inv.transpose(0, 2, 1, 3)[..., rows, cols]
         return inv
 
     def word_data(self, word: tuple[int, ...]) -> _WordData:

@@ -49,19 +49,27 @@ class AlgebraRepresentation:
         return np.tensordot(coords, self.mats, axes=(0, 0))
 
 
-def validate_sigma(sigma: AlgebraRepresentation) -> dict[str, float]:
-    """Residuals for sigma being a unital *-homomorphism."""
+def validate_sigma(sigma: AlgebraRepresentation, vectors: np.ndarray | None = None) -> dict[str, float]:
+    """Residuals for sigma being a unital *-homomorphism: the largest
+    operator norm of each kind of defect D, or, given `vectors` G whose n
+    columns span C^d, its weak form max |G^H D G|, which takes no SVD.
+    Since D = (G^H)^+ (G^H D G) G^+ and an n x n matrix has norm at most n
+    times its largest entry, ||D|| <= n max |G^H D G| / sigma_min(G)^2
+    (tests/oracles.py::weak_form_bound)."""
     alg = sigma.algebra
     d = sigma.dim
-    res: dict[str, float] = {}
     mats = sigma.mats
     combos = np.tensordot(alg.mul_table, mats, axes=(2, 0))  # sigma(f_p f_q)
-    products = combos - mats[:, None] @ mats[None, :]
-    res["multiplicative"] = max_opnorm(products.reshape(alg.dim**2, d, d))
     adjoints = np.tensordot(alg.adj_table, mats, axes=(1, 0))  # sigma(f_p^*)
-    res["star_preserving"] = max_opnorm(adjoints - mats.conj().transpose(0, 2, 1))
-    res["unital"] = opnorm(sigma.apply(unit(alg).coords) - np.eye(sigma.dim))
-    return res
+    defects = {
+        "multiplicative": (combos - mats[:, None] @ mats[None, :]).reshape(alg.dim**2, d, d),
+        "star_preserving": adjoints - mats.conj().transpose(0, 2, 1),
+        "unital": (sigma.apply(unit(alg).coords) - np.eye(d))[None],
+    }
+    if vectors is None:
+        return {name: max_opnorm(defect) for name, defect in defects.items()}
+    weak = {name: vectors.conj().T @ defect @ vectors for name, defect in defects.items()}
+    return {name: float(np.abs(w).max(initial=0.0)) for name, w in weak.items()}
 
 
 class CCRepresentation:
@@ -247,10 +255,11 @@ class CCRepresentation:
         return out
 
 
-def validate_module(rep: CCRepresentation) -> dict[str, float]:
+def validate_module(rep: CCRepresentation, vectors: np.ndarray | None = None) -> dict[str, float]:
     """Residuals of the relations of (sigma, T) that need no localization:
-    sigma axioms, covariance and vanishing on null vectors."""
-    res = {f"sigma.{k}": v for k, v in validate_sigma(rep.sigma).items()}
+    sigma axioms (in weak form on `vectors`, when given; see
+    validate_sigma), covariance and vanishing on null vectors."""
+    res = {f"sigma.{k}": v for k, v in validate_sigma(rep.sigma, vectors).items()}
     sys_ = rep.system
     sig = rep.sigma.mats
     for i, gen in enumerate(sys_.generators, start=1):

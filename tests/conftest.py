@@ -16,10 +16,20 @@ from dilationlab.representation import AlgebraRepresentation, CCRepresentation
 INSTANCES_DIR = Path(__file__).parent.parent / "instances"
 
 
+def _scalar_pair_data() -> dict:
+    return _scalar_instance([np.array([[0.6]]), np.array([[0.8]])])
+
+
 @pytest.fixture(scope="session")
 def scalar_pair():
     """T_1 = 0.6, T_2 = 0.8 on C: commuting, doubly commuting, dilatable."""
-    return parse_instance(_scalar_instance([np.array([[0.6]]), np.array([[0.8]])]))
+    return parse_instance(_scalar_pair_data())
+
+
+@pytest.fixture
+def scalar_pair_data():
+    """The instance JSON of `scalar_pair`, a fresh copy per test."""
+    return _scalar_pair_data()
 
 
 @pytest.fixture(scope="session")

@@ -34,7 +34,10 @@ by shape, on the package's fibers, multiplication maps and raw T maps; and
 from a bundle's factor, the recovered maps and `loc_action`, the bounds
 by which verify_regular_dilation's generator-step residuals control the
 composite-point values of `verify_regular_dilation_loop`; and
-`json_to_complex_array` is the instance reader cast to complex128, which
+`weak_form_bound` and `doubly_commuting_bound` compute, from a bundle's
+factor, its localized vectors and `localize_point` over the recovered V_0,
+the bounds by which the weak V0_star_hom and doubly_commuting_V residuals
+control the former operator norms; and `json_to_complex_array` is the instance reader cast to complex128, which
 runs a real instance all in complex arithmetic: the reference a run in
 real arithmetic is compared with.
 """
@@ -240,6 +243,41 @@ def doubly_commuting_V_inline(bundle, j: int, k: int, guard: int = 1) -> float:
     proj = np.kron(np.eye(sys_.fiber_dim(a)), p_guard @ p_guard.conj().T)
     proj_loc = loc_a.factor @ proj @ loc_a.lift
     return float(np.linalg.norm((lhs - rhs) @ proj_loc, 2))
+
+
+def _smallest_kept_sval(m: np.ndarray, rtol: float = 1e-8) -> float:
+    svals = np.linalg.svd(m, compute_uv=False)
+    return float(svals[svals > rtol * max(svals.max(initial=0.0), 1.0)].min())
+
+
+def weak_form_bound(vectors: np.ndarray, weak: float) -> float:
+    """Bound on the operator norm ||D|| of a d x d defect from its weak form
+    max |G^H D G| on the n columns of G, which span C^d:
+    n max |G^H D G| / sigma_min(G)^2, as representation.validate_sigma
+    states it."""
+    return vectors.shape[1] * weak / _smallest_kept_sval(vectors) ** 2
+
+
+def doubly_commuting_bound(bundle, j: int, k: int, weak: float, guard: int = 1) -> float:
+    """Bound on the operator-norm residual of the doubly-commuting identity
+    on x (x) (guarded generating vectors), `doubly_commuting_V_inline`, from
+    the weak residual of dilation.verify_doubly_commuting_V:
+    sqrt(p_a p_b n n') max |W| / (sigma_min(Phi_b) sigma_min(Phi_a)), with
+    Phi_x = F_x (I (x) G) the localized images over V_0 of the n generating
+    vectors G (on the left, x = b) and of the n' guarded ones (on the right,
+    x = a), F_x the factor of `localize_point`."""
+    sys_ = bundle.rep.system
+    a = tuple(int(i == j - 1) for i in range(sys_.k))
+    b = tuple(int(i == k - 1) for i in range(sys_.k))
+    rho = bundle.isometric_rep.sigma.mats
+    gbound = tuple(max(0, m - max(guard, 1)) for m in bundle.window.bound)
+    gens, guarded = bundle.factor, bundle.localized(gbound)
+    phi = {}
+    for x, vectors in ((a, guarded), (b, gens)):
+        loc = localize_point(sys_.fiber(x), rho, 1e-8)
+        phi[x] = loc.factor @ np.kron(np.eye(sys_.fiber_dim(x)), vectors)
+    size = sys_.fiber_dim(a) * sys_.fiber_dim(b) * gens.shape[1] * guarded.shape[1]
+    return np.sqrt(size) * weak / (_smallest_kept_sval(phi[a]) * _smallest_kept_sval(phi[b]))
 
 
 # -- dense references for the blockwise package checks --------------------------
@@ -550,14 +588,21 @@ def v_semigroup_pairs(bundle, guard: int = 1) -> tuple[float, float]:
     return worst, const
 
 
+def _orth_cols(m: np.ndarray, rtol: float = 1e-8) -> np.ndarray:
+    """Orthonormal basis of the column space: the left singular vectors of
+    the singular values above rtol * max(1, largest one)."""
+    if m.size == 0:
+        return np.zeros((m.shape[0], 0), dtype=m.dtype)
+    u, svals, _ = np.linalg.svd(m, full_matrices=False)
+    return u[:, svals > rtol * max(svals.max(initial=0.0), 1.0)]
+
+
 def item4_two_orth(bundle, points=None) -> float:
     """Item 4 of verify_regular_dilation, max over points s (default: every
     window point s > 0) and fiber basis vectors e_a of ||P_H V_s(e_a) Q||,
     with Q an orthonormal basis of domain (-) H found by orthonormalising
     the localized domain and then its part orthogonal to H, as the package
     computed it before it took the projector P_domain - P_H."""
-    from dilationlab.dilation import _orth_cols
-
     rank = bundle.rank
     gen0 = gen_block(bundle, tuple(0 for _ in bundle.window.bound))
     p_h = gen0 @ gen0.conj().T
@@ -844,7 +889,8 @@ def build_Vs(bundle, s, x) -> np.ndarray:
     x = np.asarray(x, dtype=complex)
     x = x.reshape(-1, 1) if x.ndim < 2 else x
     tgts = np.tensordot(x, bundle.targets(s), axes=(0, 0))
-    vs = lstsq_map(tgts, bundle.domain(s), LSQ_TOL, f"build_Vs at {tuple(s)}")
+    dom = bundle.domain(s)
+    vs = lstsq_map(tgts, dom, np.linalg.pinv(dom), LSQ_TOL, f"build_Vs at {tuple(s)}")
     return vs.transpose(1, 0, 2).reshape(bundle.rank, -1)
 
 
@@ -872,7 +918,8 @@ def isometric_maps_two_paths(bundle) -> tuple[np.ndarray, list[np.ndarray]]:
         else:
             acts = rep.sigma.mats
         tgts.append(gen_block(bundle, s) @ acts @ rep.loc(s).lift)
-    v0 = lstsq_map(np.concatenate(tgts, axis=2), bundle.factor, LSQ_TOL, "V_0")
+    gens = bundle.factor
+    v0 = lstsq_map(np.concatenate(tgts, axis=2), gens, np.linalg.pinv(gens), LSQ_TOL, "V_0")
     t_maps = []
     for i, gen in enumerate(sys_.generators, start=1):
         e_i = tuple(int(j == i - 1) for j in range(sys_.k))

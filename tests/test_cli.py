@@ -34,10 +34,8 @@ def test_validate_ok(tmp_path):
     assert report["command"] == "validate"
 
 
-def test_validate_invalid_instance(tmp_path, scalar_pair):
-    import copy
-
-    data = copy.deepcopy(scalar_pair.data)
+def test_validate_invalid_instance(tmp_path, scalar_pair_data):
+    data = scalar_pair_data
     data["representation"]["T"][0][0][0][0] = [3.0, 0.0]  # norm 3 > 1
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data))
@@ -69,10 +67,8 @@ def test_zero_dimensional_generator_is_a_format_error(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("value, text", [(float("nan"), "NaN"), (float("inf"), "Infinity")])
-def test_non_finite_numbers_are_format_errors(tmp_path, scalar_pair, value, text):
-    import copy
-
-    data = copy.deepcopy(scalar_pair.data)
+def test_non_finite_numbers_are_format_errors(tmp_path, scalar_pair_data, value, text):
+    data = scalar_pair_data
     data["representation"]["T"][0][0][0][0] = [value, 0.0]
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data))  # written as NaN / Infinity
@@ -115,11 +111,9 @@ def test_bad_matrix_entry_is_format_error(tmp_path, capsys, name):
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
-def test_bad_tol_is_format_error(tmp_path, scalar_pair, value):
-    import copy
-
+def test_bad_tol_is_format_error(tmp_path, scalar_pair_data, value):
     assert run(["dilate", SCALAR, "--L", "1", "--tol", str(value)]) == cli.EXIT_FORMAT
-    data = copy.deepcopy(scalar_pair.data)
+    data = scalar_pair_data
     data["parameters"] = {"tol": value}
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(data))
@@ -144,10 +138,8 @@ def test_bad_tol_is_format_error(tmp_path, scalar_pair, value):
         ("verify flags", ["--tol", "nan"]),
     ],
 )
-def test_bad_window_parameters_are_format_errors(tmp_path, scalar_pair, source, value):
-    import copy
-
-    data = copy.deepcopy(scalar_pair.data)
+def test_bad_window_parameters_are_format_errors(tmp_path, scalar_pair_data, source, value):
+    data = scalar_pair_data
     data["parameters"] = value if source == "instance" else {"L": [1, 1]}
     inst = tmp_path / "inst.json"
     inst.write_text(json.dumps(data))
@@ -259,13 +251,11 @@ def test_verify_detects_tampering(tmp_path):
     assert run(["verify", SCALAR, "--report", str(golden)]) == cli.EXIT_GOLDEN_MISMATCH
 
 
-def test_verify_of_a_matching_invalid_run_exits_1(tmp_path, scalar_pair):
+def test_verify_of_a_matching_invalid_run_exits_1(tmp_path, scalar_pair_data):
     """A report that matches its fresh run exits with the run's code: an
     instance that dilate rejects with exit 1 (generator 1's Gram is 0, so
     T_1 does not vanish on its null vectors) exits 1 under verify too."""
-    import copy
-
-    data = copy.deepcopy(scalar_pair.data)
+    data = scalar_pair_data
     data["generators"][0]["gram"] = [[[[0.0, 0.0]]]]
     inst = tmp_path / "zero_gram.json"
     inst.write_text(json.dumps(data))

@@ -84,7 +84,7 @@ def _bundle(rep, bound):
         return kolmogorov(window)
     rng = np.random.default_rng(0)
     n = window.gram.shape[0]
-    return DilationBundle(window, rng.standard_normal((n, n)) + 0j, "eig", 1e-10)
+    return DilationBundle(window, rng.standard_normal((n, n)) + 0j, "random", 1e-10)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

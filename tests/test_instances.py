@@ -1,12 +1,14 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
+from dilationlab import cli
 from dilationlab.errors import InstanceFormatError, InvalidArgumentError
 from dilationlab.families import _scalar_instance
 from dilationlab.instances import (
-    canonical_json,
     complex_to_json,
-    digest,
     instance_to_json,
     json_to_complex,
     load_instance,
@@ -30,20 +32,38 @@ def test_instance_roundtrip(scalar_pair):
         scalar_pair.system, scalar_pair.representation, scalar_pair.parameters
     )
     again = parse_instance(data)
-    assert digest(again.data) == digest(data)
+    assert instance_to_json(again.system, again.representation, again.parameters) == data
     assert again.representation.dim == 1
     t = again.representation.t_maps[0]
     assert t[0, 0, 0] == pytest.approx(0.6)
 
 
-def test_digest_is_canonical(scalar_pair):
-    data = scalar_pair.data
-    shuffled = dict(reversed(list(data.items())))
-    assert canonical_json(data) == canonical_json(shuffled)
-    assert digest(data) == digest(shuffled)
-    bumped = dict(data)
-    bumped["parameters"] = {**(data.get("parameters") or {}), "guard": 2}
-    assert digest(bumped) != digest(data)
+def test_report_instance_is_the_sha256_of_the_file(tmp_path, scalar_pair_data):
+    """A report identifies its instance by the SHA-256 of the file's bytes,
+    read once by load_instance: the same data written in another layout is
+    another file and gets another digest, on every command and on an error
+    report alike."""
+    compact = tmp_path / "compact.json"
+    compact.write_text(json.dumps(scalar_pair_data, separators=(",", ":")))
+    indented = tmp_path / "indented.json"
+    indented.write_text(json.dumps(scalar_pair_data, indent=2))
+    digests = []
+    for path in (compact, indented):
+        want = hashlib.sha256(path.read_bytes()).hexdigest()
+        assert load_instance(str(path)).digest == want
+        for argv in (["validate", str(path)], ["dilate", str(path), "--L", "1"]):
+            out = tmp_path / f"{path.stem}-{argv[0]}.json"
+            assert cli.main([*argv, "--out", str(out)]) == cli.EXIT_OK
+            assert json.loads(out.read_text())["instance"] == want
+        digests.append(want)
+    assert digests[0] != digests[1]
+    # an instance that fails while running reports the digest as well
+    scalar_pair_data["representation"]["T"][0][0][0][0] = [3.0, 0.0]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(scalar_pair_data))
+    out = tmp_path / "bad-report.json"
+    assert cli.main(["validate", str(bad), "--out", str(out)]) == cli.EXIT_INVALID
+    assert json.loads(out.read_text())["instance"] == hashlib.sha256(bad.read_bytes()).hexdigest()
 
 
 def test_load_bundled_instances():
@@ -53,28 +73,24 @@ def test_load_bundled_instances():
         assert inst.representation.dim >= 1
 
 
-def test_missing_fields_raise_format_error(scalar_pair):
+def test_missing_fields_raise_format_error(scalar_pair_data):
     with pytest.raises(InstanceFormatError):
         parse_instance({})
-    data = dict(scalar_pair.data)
+    data = scalar_pair_data
     data.pop("representation")
     with pytest.raises(InstanceFormatError):
         parse_instance(data)
 
 
-def test_malformed_matrix_raises_format_error(scalar_pair):
-    import copy
-
-    data = copy.deepcopy(scalar_pair.data)
+def test_malformed_matrix_raises_format_error(scalar_pair_data):
+    data = scalar_pair_data
     data["representation"]["T"][0][0][0] = "oops"
     with pytest.raises(InstanceFormatError):
         parse_instance(data)
 
 
-def test_mathematically_invalid_raises_argument_error(scalar_pair):
-    import copy
-
-    data = copy.deepcopy(scalar_pair.data)
+def test_mathematically_invalid_raises_argument_error(scalar_pair_data):
+    data = scalar_pair_data
     # break the flip: no longer a correspondence isomorphism
     data["flips"]["1,2"] = [[[2.0, 0.0]]]
     with pytest.raises(InvalidArgumentError):

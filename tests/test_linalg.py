@@ -15,6 +15,7 @@ from dilationlab.linalg import (
     max_opnorm,
     null_split,
     opnorm,
+    pinv_and_range,
     pivoted_cholesky,
     psd_factor,
 )
@@ -159,13 +160,13 @@ def test_lstsq_map_exact_and_inconsistent():
     rng = np.random.default_rng(2)
     b_true = rng.standard_normal((3, 3))
     dom = rng.standard_normal((3, 5))
-    b = lstsq_map(b_true @ dom, dom, 1e-12, "test")
+    b = lstsq_map(b_true @ dom, dom, np.linalg.pinv(dom), 1e-12, "test")
     assert np.allclose(b, b_true)
     # inconsistent targets: domain rank-deficient but targets full
     dom2 = np.array([[1.0, 1.0], [0.0, 0.0]])
     tgt2 = np.array([[1.0, 0.0], [0.0, 1.0]])
     with pytest.raises(NotWellDefinedError) as info:
-        lstsq_map(tgt2, dom2, 1e-8, "test")
+        lstsq_map(tgt2, dom2, np.linalg.pinv(dom2), 1e-8, "test")
     assert info.value.residual > 0.5
     # the residual is the operator norm of B @ domain - targets
     defect = tgt2 @ np.linalg.pinv(dom2) @ dom2 - tgt2
@@ -178,20 +179,38 @@ def test_lstsq_map_stack_shares_one_solve():
     rng = np.random.default_rng(4)
     dom = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
     tgts = rng.standard_normal((4, 2, 5)) + 1j * rng.standard_normal((4, 2, 5))
-    b = lstsq_map(tgts, dom, np.inf, "test")
+    b = lstsq_map(tgts, dom, np.linalg.pinv(dom), np.inf, "test")
     assert b.shape == (4, 2, 3)
-    slices = [lstsq_map(t, dom, np.inf, "test") for t in tgts]
+    slices = [lstsq_map(t, dom, np.linalg.pinv(dom), np.inf, "test") for t in tgts]
     for got, want in zip(b, slices):
         assert np.abs(got - want).max() <= 1e-12
     residuals = []
     for t in tgts:
         with pytest.raises(NotWellDefinedError) as info:
-            lstsq_map(t, dom, 0.0, "test")
+            lstsq_map(t, dom, np.linalg.pinv(dom), 0.0, "test")
         residuals.append(info.value.residual)
     with pytest.raises(NotWellDefinedError) as info:
-        lstsq_map(tgts, dom, 0.0, "test")
+        lstsq_map(tgts, dom, np.linalg.pinv(dom), 0.0, "test")
     assert info.value.residual == pytest.approx(max(residuals), rel=1e-12)
     assert info.value.residual > 0.1
+
+
+@pytest.mark.parametrize("rank", [0, 2, 3])
+def test_pinv_and_range_is_pinv_and_an_orthonormal_range(rank):
+    """One SVD gives np.linalg.pinv's pseudo-inverse, to rounding, and an
+    orthonormal basis of the column space that keeps the singular values
+    above 1e-8 * max(1, largest one)."""
+    rng = np.random.default_rng(6)
+    m = (rng.standard_normal((5, rank)) + 1j * rng.standard_normal((5, rank))) @ (
+        rng.standard_normal((rank, 4)) + 1j * rng.standard_normal((rank, 4))
+    )
+    m[:, 0] += 1e-12  # a singular value below the basis cutoff, above pinv's
+    pinv, basis = pinv_and_range(m)
+    want = np.linalg.pinv(m)
+    assert np.allclose(pinv, want, rtol=0.0, atol=1e-12 * np.abs(want).max(initial=0.0))
+    assert basis.shape == (5, rank)
+    assert np.allclose(basis.conj().T @ basis, np.eye(rank))
+    assert np.allclose(basis @ (basis.conj().T @ m), m, atol=1e-10)
 
 
 def _spectral_between_tol():
@@ -213,10 +232,10 @@ def test_lstsq_map_residual_is_exact_largest_slice_norm():
     exact = max(opnorm(d) for d in defects)
     assert np.linalg.norm(defects) > 1.2 * exact  # the bound is not tight here
     with pytest.raises(NotWellDefinedError) as info:
-        lstsq_map(tgts, dom, 0.9 * exact, "test")
+        lstsq_map(tgts, dom, np.linalg.pinv(dom), 0.9 * exact, "test")
     assert info.value.residual == pytest.approx(exact, rel=1e-14)
     assert "test: descent residual" in str(info.value)
-    b = lstsq_map(tgts, dom, 1.01 * exact, "test")
+    b = lstsq_map(tgts, dom, np.linalg.pinv(dom), 1.01 * exact, "test")
     assert np.allclose(b @ dom, tgts @ np.linalg.pinv(dom) @ dom)
 
 

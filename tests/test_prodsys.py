@@ -212,3 +212,36 @@ def test_inverse_flip_is_computed_once(unitary_flip_rep):
     inv = system.flip_for(2, 1)
     assert system.flip_for(2, 1) is inv
     assert np.abs(inv @ system.flips[(1, 2)] - np.eye(6)).max() <= 1e-12
+
+
+def test_gram_pinv_treats_eigenvalues_at_most_tol_as_null():
+    """Over C, a generator Gram with eigenvalues 1, 1e-9 and 0 gives
+    reduced fibers whose Grams have eigenvalues 1e-9 and 1 (at e_1) and
+    1e-9, 1e-9 and 1 (at 2 e_1). Their pseudo-inverses treat 1e-9 as null
+    at tol 1e-8 (localize's null space) and invert it at tol 1e-10; each is
+    computed once per (point, tol)."""
+    alg = cstar.make_algebra([1])
+    eye = np.eye(3)[None]
+    gram = np.diag([1.0, 1e-9, 0.0])[:, :, None]
+    system = ProductSystem(alg, [Correspondence(alg, gram, eye, eye)])
+    for s, nulls in (((1,), 1), ((2,), 2)):
+        coarse = np.linalg.eigvalsh(system.gram_pinv(s, 1e-8)[..., 0])
+        fine = np.linalg.eigvalsh(system.gram_pinv(s, 1e-10)[..., 0])
+        assert np.allclose(coarse, [0.0] * nulls + [1.0], rtol=0.0, atol=1e-9)
+        assert np.allclose(fine, [1.0] + [1e9] * nulls, rtol=1e-6)
+    assert system.gram_pinv((1,), 1e-8) is system.gram_pinv((1,), 1e-8)
+
+
+def test_gram_pinv_is_the_moore_penrose_inverse_in_the_algebra(m2_system):
+    """Over M2, the coordinates embed to the Moore-Penrose inverse of the
+    embedded fiber Gram: G G^+ G = G, G^+ G G^+ = G^+, both products
+    Hermitian."""
+    alg = m2_system.algebra
+    for s in [(1,), (2,)]:
+        p, n = m2_system.fiber_dim(s), alg.rep_dim
+        gram = m2_system.fiber(s).gram_embedded()
+        inv = np.tensordot(m2_system.gram_pinv(s, 1e-8), alg.basis_mats, axes=(2, 0))
+        inv = inv.transpose(0, 2, 1, 3).reshape(p * n, p * n)
+        assert np.allclose(gram @ inv @ gram, gram, atol=1e-12)
+        assert np.allclose(inv @ gram @ inv, inv, atol=1e-12)
+        assert np.allclose(gram @ inv, (gram @ inv).conj().T, atol=1e-12)
