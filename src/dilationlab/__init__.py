@@ -2,7 +2,7 @@
 over N^k, their block-lowering contractive semigroups, and regular
 isometric dilations via Toeplitz-kernel Kolmogorov factorization."""
 
-from .cstar import CStarAlgebra, make_algebra
+from .cstar import CStarAlgebra
 from .correspondence import (
     Correspondence,
     algebra_correspondence,
@@ -66,7 +66,6 @@ __all__ = [
     "interior_tensor",
     "kolmogorov",
     "localize",
-    "make_algebra",
     "trivial_correspondence",
     "validate_correspondence",
     "validate_representation",

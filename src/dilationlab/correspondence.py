@@ -27,7 +27,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import cstar
 from .cstar import CStarAlgebra
 from .errors import InvalidArgumentError, NotWellDefinedError
 from .linalg import (
@@ -120,8 +119,8 @@ def algebra_correspondence(algebra: CStarAlgebra) -> Correspondence:
 # -- validation ------------------------------------------------------------
 
 
-def validate_correspondence(corr: Correspondence, tol: float = DEFAULT_TOL) -> dict[str, float]:
-    """Named residuals for the correspondence axioms; passes iff all <= tol."""
+def validate_correspondence(corr: Correspondence) -> dict[str, float]:
+    """Named residuals for the correspondence axioms; `passes` at tol iff all <= tol."""
     alg = corr.algebra
     m = corr.dim
     basis = alg.basis_mats
@@ -134,9 +133,8 @@ def validate_correspondence(corr: Correspondence, tol: float = DEFAULT_TOL) -> d
     emb = corr.gram_embedded()
     res["gram_psd"] = max(0.0, -float(np.linalg.eigvalsh(hermitize(emb)).min()))
 
-    unit_coords = cstar.unit(alg).coords
-    res["right_unital"] = opnorm(corr.act_right(unit_coords) - np.eye(m))
-    res["left_unital"] = opnorm(corr.act_left(unit_coords) - np.eye(m))
+    res["right_unital"] = opnorm(corr.act_right(alg.unit) - np.eye(m))
+    res["left_unital"] = opnorm(corr.act_left(alg.unit) - np.eye(m))
 
     # f_p f_q acts on the right as right(f_q) right(f_p), on the left as left(f_p) left(f_q)
     mul_table = alg.mul_table
@@ -146,23 +144,16 @@ def validate_correspondence(corr: Correspondence, tol: float = DEFAULT_TOL) -> d
     res["right_homomorphism"] = max_opnorm(combo_r.reshape(alg.dim**2, m, m))
     res["left_homomorphism"] = max_opnorm(combo_l.reshape(alg.dim**2, m, m))
 
-    # <e_i, e_j . f_p> = <e_i, e_j> f_p
-    compat = 0.0
-    for p in range(alg.dim):
-        lhs = np.einsum("lj,ilst->ijst", corr.right_action[p], gram_mats)
-        rhs = np.einsum("ijsu,ut->ijst", gram_mats, basis[p])
-        compat = max(compat, float(np.abs(lhs - rhs).max()))
-    res["right_compatibility"] = compat
+    # <e_i, e_j . f_p> = <e_i, e_j> f_p, for every p at once
+    lhs = np.einsum("plj,ilst->pijst", corr.right_action, gram_mats)
+    rhs = np.einsum("ijsu,put->pijst", gram_mats, basis)
+    res["right_compatibility"] = float(np.abs(lhs - rhs).max())
 
-    # <f_p . e_i, e_j> = <e_i, f_p^* . e_j>
-    adj = alg.adj_table
-    star = 0.0
-    for p in range(alg.dim):
-        lhs = np.einsum("li,ljst->ijst", np.conj(corr.left_action[p]), gram_mats)
-        act_star = np.tensordot(adj[p], corr.left_action, axes=(0, 0))
-        rhs = np.einsum("lj,ilst->ijst", act_star, gram_mats)
-        star = max(star, float(np.abs(lhs - rhs).max()))
-    res["left_adjointable"] = star
+    # <f_p . e_i, e_j> = <e_i, f_p^* . e_j>, for every p at once
+    lhs = np.einsum("pli,ljst->pijst", np.conj(corr.left_action), gram_mats)
+    act_star = np.tensordot(alg.adj_table, corr.left_action, axes=(1, 0))
+    rhs = np.einsum("plj,ilst->pijst", act_star, gram_mats)
+    res["left_adjointable"] = float(np.abs(lhs - rhs).max())
 
     return res
 
@@ -183,7 +174,7 @@ def reduce_null(corr: Correspondence, tol: float = DEFAULT_TOL):
     W^H R_p W, W^H L_p W for every algebra basis index p.
     """
     trace = corr.gram @ np.trace(corr.algebra.basis_mats, axis1=1, axis2=2)
-    [(w, _null)] = null_split(trace[None], tol, "reduce_null")
+    [w] = null_split(trace[None], tol, "reduce_null")
     # C-ordered: numpy's stacked matmul falls back to a slow non-BLAS loop
     # for a transposed operand
     surjection = np.ascontiguousarray(w.conj().T)
@@ -240,7 +231,7 @@ def interior_tensor(pairs, tol: float = DEFAULT_TOL) -> list:
         trace = e.gram.reshape(me * me, adim) @ (f_trace @ f.left_action).reshape(adim, mf * mf)
         traces.append(trace.reshape(me, me, mf, mf).transpose(0, 2, 1, 3).reshape(me * mf, me * mf))
     out = []
-    for (e, f), (w, _null) in zip(pairs, null_split(np.array(traces), tol, "interior_tensor")):
+    for (e, f), w in zip(pairs, null_split(np.array(traces), tol, "interior_tensor")):
         me, mf, adim = e.dim, f.dim, e.algebra.dim
         n = w.shape[1]
         surjection = np.ascontiguousarray(w.conj().T)
@@ -277,10 +268,9 @@ def localize(corrs, sigma_mats: np.ndarray, tol: float = DEFAULT_TOL) -> list[Lo
     count, m, d = len(corrs), corrs[0].dim, sigma_mats.shape[1]
     grams = np.einsum("xijp,pkl->xikjl", stack([c.gram for c in corrs]), sigma_mats)
     grams = grams.reshape(count, m * d, m * d)
-    eigs = zip(*np.linalg.eigh(hermitize(grams))) if m * d else [None] * count
     out = []
-    for gram, eig in zip(grams, eigs):
-        factor, vals, vecs = psd_factor(gram, tol, "localize", eig=eig)
+    for vals, vecs in zip(*np.linalg.eigh(hermitize(grams))):
+        factor, vals, vecs = psd_factor(vals, vecs, tol, "localize")
         lift = vecs / np.sqrt(vals)[None, :] if vals.size else vecs
         out.append(LocalizedSpace(m * d, factor.shape[0], factor, lift, tol))
     return out

@@ -273,9 +273,7 @@ def kolmogorov(window: KernelWindow, tol: float = 1e-10, method: str = "eig") ->
         )
     if method == "eig":
         cutoff = tol * max(float(window.eigvals.max()), 0.0)
-        factor, _vals, _vecs = psd_factor(
-            window.gram, cutoff, "kolmogorov", eig=(window.eigvals, window.eigvecs)
-        )
+        factor, _vals, _vecs = psd_factor(window.eigvals, window.eigvecs, cutoff, "kolmogorov")
         return DilationBundle(window, factor, method, tol)
     if method == "chol":
         return DilationBundle(window, pivoted_cholesky(window.gram, rel_tol=tol), method, tol)

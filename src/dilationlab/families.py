@@ -10,7 +10,7 @@ from __future__ import annotations
 import numpy as np
 
 from .correspondence import algebra_correspondence, trivial_correspondence
-from .cstar import make_algebra
+from .cstar import CStarAlgebra
 from .errors import InvalidArgumentError
 from .instances import instance_to_json
 from .linalg import opnorm
@@ -19,7 +19,7 @@ from .representation import AlgebraRepresentation, CCRepresentation
 
 
 def _scalar_system(k: int) -> ProductSystem:
-    algebra = make_algebra([1])
+    algebra = CStarAlgebra([1])
     gens = [trivial_correspondence(algebra, 1) for _ in range(k)]
     flips = {
         (i, j): np.eye(1) for i in range(1, k + 1) for j in range(i + 1, k + 1)
@@ -63,7 +63,7 @@ def diagonal_doubly_commuting(seed: int = 0, k: int = 2, dims: int | None = None
 def multiplication_isometric(seed: int = 0, k: int = 2, dims: int | None = None) -> dict:
     """A = M_n acting on C^n by multiplication; every T~_s is unitary."""
     n = dims or 2
-    algebra = make_algebra([n])
+    algebra = CStarAlgebra([n])
     corr = algebra_correspondence(algebra)
     gens = [corr for _ in range(k)]
     m = corr.dim
@@ -123,4 +123,8 @@ def generate(family: str, seed: int = 0, k: int = 2, dims: int | None = None) ->
         raise InvalidArgumentError(
             f"unknown family {family!r}; known: {', '.join(sorted(FAMILIES))}"
         )
+    if k < 1:
+        raise InvalidArgumentError(f"k must be >= 1, got {k}")
+    if dims is not None and dims < 1:
+        raise InvalidArgumentError(f"dims must be >= 1, got {dims}")
     return builder(seed=seed, k=k, dims=dims)

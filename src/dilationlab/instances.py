@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correspondence import Correspondence
-from .cstar import CStarAlgebra, make_algebra
+from .cstar import CStarAlgebra
 from .errors import InstanceFormatError
 from .linalg import DEFAULT_TOL
 from .prodsys import ProductSystem
@@ -189,7 +189,7 @@ def parse_instance(data: dict, tol: float | None = None) -> Instance:
         all(isinstance(b, int) and b >= 1 for b in alg_obj["blocks"]) and alg_obj["blocks"],
         f"instance: bad block sizes {alg_obj['blocks']!r}",
     )
-    algebra = make_algebra(alg_obj["blocks"])
+    algebra = CStarAlgebra(alg_obj["blocks"])
 
     gens_obj = data.get("generators")
     _expect(isinstance(gens_obj, list) and gens_obj, "instance: missing generators")

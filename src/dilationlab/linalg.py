@@ -50,18 +50,6 @@ def max_opnorm(blocks) -> float:
     )
 
 
-def kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Kronecker product of two 1-D or two 2-D arrays.
-
-    One broadcast product and a reshape: the same entrywise products as
-    np.kron, so the same bits, without its per-call shape handling.
-    """
-    if a.ndim == 1 == b.ndim:
-        return (a[:, None] * b[None, :]).reshape(a.shape[0] * b.shape[0])
-    (m, n), (p, q) = a.shape, b.shape
-    return (a[:, None, :, None] * b[None, :, None, :]).reshape(m * p, n * q)
-
-
 def hermitize(g: np.ndarray) -> np.ndarray:
     """Hermitian part of a matrix, or of each matrix of a stack."""
     return 0.5 * (g + np.swapaxes(g.conj(), -1, -2))
@@ -100,19 +88,13 @@ def warn_degenerate(eigvals: np.ndarray, tol: float, what: str) -> None:
         )
 
 
-def psd_factor(gram: np.ndarray, tol: float, what: str = "gram", eig=None):
-    """Rank-revealing factor F of a PSD Hermitian matrix, F^H F = gram.
+def psd_factor(vals: np.ndarray, vecs: np.ndarray, tol: float, what: str):
+    """Rank-revealing factor F of a PSD Hermitian matrix, F^H F = gram, from
+    its eigenpairs (vals, vecs).
 
-    Eigenvalues <= tol are treated as null. `eig`, when given, is the
-    (eigvals, eigvecs) pair of gram and saves the solve. Returns (factor,
-    kept eigvals, kept eigvecs); factor rows are sqrt(eigval)-scaled
-    eigenvector rows.
+    Eigenvalues <= tol are treated as null. Returns (factor, kept eigvals,
+    kept eigvecs); factor rows are sqrt(eigval)-scaled eigenvector rows.
     """
-    n = gram.shape[0]
-    if n == 0:
-        z = np.zeros((0, 0), dtype=gram.dtype)
-        return z, np.zeros(0), z
-    vals, vecs = np.linalg.eigh(hermitize(gram)) if eig is None else eig
     warn_degenerate(vals, tol, what)
     keep = vals > tol
     vals_k = vals[keep]
@@ -121,18 +103,14 @@ def psd_factor(gram: np.ndarray, tol: float, what: str = "gram", eig=None):
     return factor, vals_k, vecs_k
 
 
-def null_split(grams: np.ndarray, tol: float, what: str = "gram") -> list:
-    """Orthonormal (kept, null) eigenvector bases of each PSD Hermitian
-    matrix of a stack, from one stacked eigh; the cutoff and
-    warn_degenerate are applied matrix by matrix."""
-    if grams.shape[1] == 0:
-        z = np.zeros((0, 0), dtype=grams.dtype)
-        return [(z, z)] * grams.shape[0]
+def null_split(grams: np.ndarray, tol: float, what: str) -> list:
+    """Orthonormal bases of the kept eigenvectors, those of eigenvalues
+    above tol, of each PSD Hermitian matrix of a stack, from one stacked
+    eigh; the cutoff and warn_degenerate are applied matrix by matrix."""
     out = []
     for vals, vecs in zip(*np.linalg.eigh(hermitize(grams))):
         warn_degenerate(vals, tol, what)
-        keep = vals > tol
-        out.append((vecs[:, keep], vecs[:, ~keep]))
+        out.append(vecs[:, vals > tol])
     return out
 
 

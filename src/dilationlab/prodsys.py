@@ -95,7 +95,7 @@ class ProductSystem:
     def _validate(self) -> dict[str, float]:
         report: dict[str, float] = {}
         for idx, gen in enumerate(self.generators, start=1):
-            gen_report = validate_correspondence(gen, self.tol)
+            gen_report = validate_correspondence(gen)
             report.update({f"generator_{idx}.{k}": v for k, v in gen_report.items()})
             if not passes(gen_report, self.tol):
                 bad = {k: v for k, v in gen_report.items() if v > self.tol}
@@ -134,7 +134,8 @@ class ProductSystem:
         l_phi = ej.left_action @ phi.reshape(mj, mi * mi * mj)
         left = phi_l.transpose(2, 0, 3, 1).reshape(shape) - l_phi.reshape(shape)
         # phi (I (x) R_p) - (I (x) R_p) phi
-        phi_r = phi.reshape(mj * mi * mi, mj) @ ej.right_action
+        phi_r = np.tensordot(phi.reshape(mj * mi * mi, mj), ej.right_action, axes=(1, 1))
+        phi_r = phi_r.transpose(1, 0, 2)
         r_phi = ei.right_action[:, None] @ phi.reshape(mj, mi, mi * mj)
         right = phi_r.reshape(shape) - r_phi.reshape(shape)
         return max(res, max_opnorm(left), max_opnorm(right))

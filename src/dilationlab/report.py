@@ -34,8 +34,8 @@ def _json_float(x: float) -> float | str:
     return x
 
 
-def check_record(name: str, residual: float, tolerance: float | None = None) -> dict:
-    tol = CHECK_TOLERANCES.get(name, 1e-10) if tolerance is None else tolerance
+def check_record(name: str, residual: float) -> dict:
+    tol = CHECK_TOLERANCES.get(name, 1e-10)
     ok = math.isfinite(residual) and residual <= tol
     return {"name": name, "residual": _json_float(residual), "tolerance": tol, "pass": bool(ok)}
 

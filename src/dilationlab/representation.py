@@ -27,9 +27,9 @@ from .correspondence import (
     localize,
     trivial_localized,
 )
-from .cstar import CStarAlgebra, unit
+from .cstar import CStarAlgebra
 from .errors import InvalidArgumentError, NotWellDefinedError
-from .linalg import DEFAULT_TOL, as_data, hermitize, kron, max_opnorm, opnorm, stack
+from .linalg import DEFAULT_TOL, as_data, hermitize, max_opnorm, opnorm, stack
 from .prodsys import ProductSystem
 
 
@@ -64,7 +64,7 @@ def validate_sigma(sigma: AlgebraRepresentation, vectors: np.ndarray | None = No
     defects = {
         "multiplicative": (combos - mats[:, None] @ mats[None, :]).reshape(alg.dim**2, d, d),
         "star_preserving": adjoints - mats.conj().transpose(0, 2, 1),
-        "unital": (sigma.apply(unit(alg).coords) - np.eye(d))[None],
+        "unital": (sigma.apply(alg.unit) - np.eye(d))[None],
     }
     if vectors is None:
         return {name: max_opnorm(defect) for name, defect in defects.items()}
@@ -233,7 +233,10 @@ class CCRepresentation:
         return np.transpose(arr, (1, 0, 2)).reshape(self.dim, arr.shape[0] * self.dim)
 
     def t_raw(self, s: lattice.Point) -> np.ndarray:
-        """d x (p_s d) map on reduced-fiber (x) H raw coordinates."""
+        """d x (p_s d) map on reduced-fiber (x) H raw coordinates:
+        t_raw(prev) (I_{p_prev} (x) gen_t_raw(i)) (last_q^H (x) I_d) for the
+        last letter i of s and prev = s - e_i, each identity factor applied
+        by reshaping."""
         s = tuple(s)
         cached = self._t_raw.get(s)
         if cached is not None:
@@ -243,14 +246,13 @@ class CCRepresentation:
             out = np.eye(d)
         else:
             i = max(lattice.support(s))
-            last_q = self.system.point_data(s).last_q
-            split = kron(last_q.conj().T, np.eye(d))
             prev = lattice.sub(s, lattice.unit(len(s), i))
-            if lattice.is_zero(prev):
-                out = self.gen_t_raw(i) @ split
-            else:
-                p_prev = self.system.fiber_dim(prev)
-                out = self.t_raw(prev) @ kron(np.eye(p_prev), self.gen_t_raw(i)) @ split
+            raw = self.gen_t_raw(i)
+            if not lattice.is_zero(prev):
+                # rows (h', a) of t_raw(prev) times gen_t_raw(i): columns (a, b, h)
+                raw = (self.t_raw(prev).reshape(-1, d) @ raw).reshape(d, -1)
+            last_q = self.system.point_data(s).last_q  # columns (a, b)
+            out = (last_q.conj() @ raw.reshape(d, -1, d)).reshape(d, -1)
         self._t_raw[s] = out
         return out
 
@@ -264,14 +266,12 @@ def validate_module(rep: CCRepresentation, vectors: np.ndarray | None = None) ->
     sig = rep.sigma.mats
     for i, gen in enumerate(sys_.generators, start=1):
         t_arr = rep.t_maps[i - 1]
-        cov = 0.0
-        for p in range(sys_.algebra.dim):
-            # T(x . a) = T(x) sigma(a) and T(a . x) = sigma(a) T(x), with
-            # T(x . a)[b] = sum over c of right_action[p][c, b] T[c]
-            right = np.tensordot(gen.right_action[p], t_arr, axes=(0, 0)) - t_arr @ sig[p]
-            left = np.tensordot(gen.left_action[p], t_arr, axes=(0, 0)) - sig[p] @ t_arr
-            cov = max(cov, float(np.abs(right).max()), float(np.abs(left).max()))
-        res[f"covariance_{i}"] = cov
+        # T(x . a) = T(x) sigma(a) and T(a . x) = sigma(a) T(x) for every
+        # basis element f_p at once, with T(x . f_p)[b] = sum over c of
+        # right_action[p][c, b] T[c]
+        right = np.tensordot(gen.right_action, t_arr, axes=(1, 0)) - t_arr @ sig[:, None]
+        left = np.tensordot(gen.left_action, t_arr, axes=(1, 0)) - sig[:, None] @ t_arr
+        res[f"covariance_{i}"] = max(float(np.abs(right).max()), float(np.abs(left).max()))
         # a contraction vanishes on the module null vectors of E_i, which
         # the reduced fiber X(e_i) drops: T on I - q^H q
         q = sys_.word_data((i,)).last_q

@@ -7,7 +7,7 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from dilationlab.correspondence import trivial_correspondence
-from dilationlab.cstar import make_algebra
+from dilationlab.cstar import CStarAlgebra
 from dilationlab.families import _scalar_instance, generate
 from dilationlab.instances import parse_instance
 from dilationlab.prodsys import ProductSystem
@@ -57,7 +57,7 @@ def unitary_flip_rep():
     """k = 2 over C with generators C^2 and C^3, a random unitary flip and
     random (not commuting) T maps on C^2. Every generated family has
     identity flips; this representation is the one whose flip is not."""
-    alg = make_algebra([1])
+    alg = CStarAlgebra([1])
     rng = np.random.default_rng(11)
     flip, _ = np.linalg.qr(rng.standard_normal((6, 6)) + 1j * rng.standard_normal((6, 6)))
     system = ProductSystem(alg, [trivial_correspondence(alg, m) for m in (2, 3)], {(1, 2): flip})

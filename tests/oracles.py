@@ -15,17 +15,18 @@ multiplication-isomorphism references rebuild U_{s,t} on the quotient of
 `interior_tensor`, from the package's word surjections, as the unitary
 the package once stored next to that quotient, and `raw_word_maps` rebuilds
 the raw-word surjections and lifts the package once kept for every word;
-the algebra-element arithmetic (`mul`, `adjoint`, `norm`, `is_positive`,
-`random_element`) and `gram_of` go through `cstar.embed`/`from_matrix`
-and a correspondence's Gram array; and the raw generating-vector and
+the algebra elements (`AlgebraElement`, `element`, `embed`,
+`from_matrix`), their arithmetic (`mul`, `adjoint`, `norm`, `is_positive`,
+`random_element`) and `gram_of` go through an algebra's embedded matrix
+units and a correspondence's Gram array; and the raw generating-vector and
 least-squares V_s references (`gen_block`, `generating_matrix`,
 `build_Vs`, `v_raw`) rebuild, from a bundle's factor, targets and domains,
 the raw fiber (x) H copy and the general solve the package once kept; and
 the Kronecker-product builders (`raw_tensor`, `interior_tensor_dense`,
 `flip_residual_dense`, `append_map_kron`, `mult_iso_kron`,
-`lowering_raw_kron`, `targets_kron`) are the dense bodies of the builders
-the package now contracts factor by factor, run on the package's own
-fibers, surjections and raw Gram; and the per-key bodies
+`lowering_raw_kron`, `t_raw_kron`, `targets_kron`) are the dense bodies
+of the builders the package now contracts factor by factor, run on the
+package's own fibers, surjections and raw Gram; and the per-key bodies
 (`interior_tensor_pair`, `localize_point`, `loc_point`, `descend_map_loop`,
 `lowering_raw`, `lowering_block_loop`, `brehmer_sum_point`) are the
 one-at-a-time forms of the computations the package now runs in stacks grouped
@@ -45,10 +46,10 @@ real arithmetic is compared with.
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from dilationlab.cstar import AlgebraElement, embed, from_matrix
 from dilationlab.errors import InvalidArgumentError
 from dilationlab.instances import json_to_array
 
@@ -1100,6 +1101,30 @@ def braid_residual_raw(system, i: int, j: int, l: int) -> float:
 # -- algebra elements and Gram values that only the tests use ----------------
 
 
+@dataclass(frozen=True)
+class AlgebraElement:
+    """An element of a CStarAlgebra by its coordinates in the matrix units."""
+
+    algebra: object
+    coords: np.ndarray = field(compare=False)
+
+
+def element(algebra, coords) -> AlgebraElement:
+    return AlgebraElement(algebra, np.asarray(coords))
+
+
+def embed(a: AlgebraElement) -> np.ndarray:
+    """Faithful block-diagonal n x n matrix of an element."""
+    return np.tensordot(a.coords, a.algebra.basis_mats, axes=(0, 0))
+
+
+def from_matrix(algebra, m: np.ndarray) -> AlgebraElement:
+    """Element whose embedding is the block-diagonal part of m: the entries
+    of m at the matrix units, read off the embedded basis."""
+    _p, rows, cols = np.nonzero(algebra.basis_mats)
+    return AlgebraElement(algebra, np.asarray(m)[rows, cols])
+
+
 def _check_same_algebra(a, b) -> None:
     if a.algebra != b.algebra:
         raise InvalidArgumentError("elements live in different algebras")
@@ -1266,6 +1291,23 @@ def lowering_raw_kron(rep, t, s) -> np.ndarray:
     split = np.linalg.solve(mu @ mu.conj().T, mu).conj().T
     p_rest = rep.system.fiber_dim(rest)
     return np.kron(np.eye(p_rest), rep.t_raw(s)) @ np.kron(split, np.eye(rep.dim))
+
+
+def t_raw_kron(rep, s) -> np.ndarray:
+    """`CCRepresentation.t_raw` composed with np.kron products against
+    identities, t_raw(prev) (I_{p_prev} (x) gen_t_raw(i)) (last_q^H (x) I_d)
+    for the last letter i of the normal word of s and prev = s - e_i."""
+    s = tuple(s)
+    d = rep.dim
+    if not any(s):
+        return np.eye(d)
+    i = max(x for x, v in enumerate(s, start=1) if v)
+    split = np.kron(rep.system.point_data(s).last_q.conj().T, np.eye(d))
+    prev = tuple(v - (x == i) for x, v in enumerate(s, start=1))
+    if not any(prev):
+        return rep.gen_t_raw(i) @ split
+    p_prev = rep.system.fiber_dim(prev)
+    return t_raw_kron(rep, prev) @ np.kron(np.eye(p_prev), rep.gen_t_raw(i)) @ split
 
 
 def targets_kron(bundle, s) -> np.ndarray:

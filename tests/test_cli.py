@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dilationlab import cli
+from dilationlab.families import FAMILIES
 
 from conftest import INSTANCES_DIR
 
@@ -234,6 +235,17 @@ def test_gen_roundtrip(tmp_path):
     assert run(["validate", str(inst)]) == cli.EXIT_OK
     with pytest.raises(SystemExit):  # argparse rejects unknown family names
         run(["gen", "--family", "nope"])
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+@pytest.mark.parametrize("flag", [("--dims", "0"), ("--dims", "-1"), ("--k", "0")])
+def test_gen_below_one_is_an_argument_error(family, flag, capsys):
+    """A size below 1 exits 2 with a message, also for a family that
+    ignores the size, and writes no instance."""
+    assert run(["gen", "--family", family, *flag]) == cli.EXIT_FORMAT
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == f"dilation-lab: {flag[0][2:]} must be >= 1, got {flag[1]}\n"
 
 
 def test_verify_golden_roundtrip(tmp_path):

@@ -30,12 +30,12 @@ from oracles import (
 
 @pytest.fixture(scope="module")
 def m2():
-    return cstar.make_algebra([2])
+    return cstar.CStarAlgebra([2])
 
 
 @pytest.fixture(scope="module")
 def scalars():
-    return cstar.make_algebra([1])
+    return cstar.CStarAlgebra([1])
 
 
 def test_trivial_correspondence_validates(scalars):
@@ -144,7 +144,7 @@ def test_shape_validation(m2):
 
 def _degenerate_scalar():
     """Over C, Gram [[1, 1], [1, 1]]: e_1 and e_2 coincide in the quotient."""
-    alg = cstar.make_algebra([1])
+    alg = cstar.CStarAlgebra([1])
     eye = np.eye(2, dtype=complex)[None, :, :]
     return Correspondence(alg, np.ones((2, 2, 1), dtype=complex), eye, eye)
 
@@ -152,7 +152,7 @@ def _degenerate_scalar():
 def _random_arrays(seed: int, blocks, me: int, mf: int):
     """Correspondence-shaped arrays with no structure: the contractions are
     identities of multilinear algebra and must hold for any entries."""
-    alg = cstar.make_algebra(blocks)
+    alg = cstar.CStarAlgebra(blocks)
     rng = np.random.default_rng(seed)
 
     def arr(*shape):
@@ -166,7 +166,7 @@ def _random_arrays(seed: int, blocks, me: int, mf: int):
 def _rotated_m2():
     """M_2 over itself in a random complex basis: the kept eigenvectors of
     its null quotients are complex."""
-    corr = algebra_correspondence(cstar.make_algebra([2]))
+    corr = algebra_correspondence(cstar.CStarAlgebra([2]))
     rng = np.random.default_rng(4)
     u, _ = np.linalg.qr(rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4)))
     uh = u.conj().T
@@ -179,15 +179,15 @@ def _rotated_m2():
 
 
 TENSOR_PAIRS = {
-    "C": lambda: (trivial_correspondence(cstar.make_algebra([1]), 2),) * 2,
-    "C-degenerate": lambda: (_degenerate_scalar(), trivial_correspondence(cstar.make_algebra([1]), 3)),
-    "M2": lambda: (algebra_correspondence(cstar.make_algebra([2])),) * 2,
-    "M3": lambda: (algebra_correspondence(cstar.make_algebra([3])),) * 2,
-    "C+M2": lambda: (algebra_correspondence(cstar.make_algebra([1, 2])),) * 2,
+    "C": lambda: (trivial_correspondence(cstar.CStarAlgebra([1]), 2),) * 2,
+    "C-degenerate": lambda: (_degenerate_scalar(), trivial_correspondence(cstar.CStarAlgebra([1]), 3)),
+    "M2": lambda: (algebra_correspondence(cstar.CStarAlgebra([2])),) * 2,
+    "M3": lambda: (algebra_correspondence(cstar.CStarAlgebra([3])),) * 2,
+    "C+M2": lambda: (algebra_correspondence(cstar.CStarAlgebra([1, 2])),) * 2,
     "M2-rotated": lambda: (_rotated_m2(),) * 2,
     "M2-reduced": lambda: (
-        interior_tensor([(algebra_correspondence(cstar.make_algebra([2])),) * 2])[0][0],
-        algebra_correspondence(cstar.make_algebra([2])),
+        interior_tensor([(algebra_correspondence(cstar.CStarAlgebra([2])),) * 2])[0][0],
+        algebra_correspondence(cstar.CStarAlgebra([2])),
     ),
     "C+M2-random": lambda: _random_arrays(3, [1, 2], 4, 3),
 }
@@ -213,20 +213,20 @@ def test_raw_tensor_actions_match_kron_stacks(name):
 
 def _zero_gram_scalar():
     """C^2 over C with zero Gram: every tensor with it is null."""
-    alg = cstar.make_algebra([1])
+    alg = cstar.CStarAlgebra([1])
     eye = np.eye(2, dtype=complex)[None]
     return Correspondence(alg, np.zeros((2, 2, 1)), eye, eye)
 
 
 def _empty_scalar():
-    alg = cstar.make_algebra([1])
+    alg = cstar.CStarAlgebra([1])
     return Correspondence(alg, np.zeros((0, 0, 1)), np.zeros((1, 0, 0)), np.zeros((1, 0, 0)))
 
 
 FACTORWISE_PAIRS = {
     **TENSOR_PAIRS,
-    "zero Gram": lambda: (_zero_gram_scalar(), trivial_correspondence(cstar.make_algebra([1]), 3)),
-    "empty": lambda: (trivial_correspondence(cstar.make_algebra([1]), 2), _empty_scalar()),
+    "zero Gram": lambda: (_zero_gram_scalar(), trivial_correspondence(cstar.CStarAlgebra([1]), 3)),
+    "empty": lambda: (trivial_correspondence(cstar.CStarAlgebra([1]), 2), _empty_scalar()),
 }
 
 
@@ -276,8 +276,8 @@ def _swap(m: int) -> np.ndarray:
 
 def test_flip_gram_matches_einsum_oracle():
     for gen in (
-        trivial_correspondence(cstar.make_algebra([1]), 2),
-        algebra_correspondence(cstar.make_algebra([2])),
+        trivial_correspondence(cstar.CStarAlgebra([1]), 2),
+        algebra_correspondence(cstar.CStarAlgebra([2])),
     ):
         gram = _raw_tensor(gen, gen)
         swap = _swap(gen.dim)

@@ -8,7 +8,7 @@ import pytest
 from dilationlab import correspondence, cstar, dilation, lattice, prodsys
 from dilationlab.correspondence import Correspondence, algebra_correspondence, trivial_correspondence
 from dilationlab.dilation import DilationBundle, kolmogorov, window_gram
-from dilationlab.families import generate
+from dilationlab.families import FAMILIES, generate
 from dilationlab.hatspace import TruncatedFock
 from dilationlab.instances import parse_instance
 from dilationlab.prodsys import ProductSystem
@@ -19,15 +19,17 @@ from oracles import (
     lowering_raw,
     lowering_raw_kron,
     mult_iso_kron,
+    t_raw_kron,
     targets_kron,
 )
+from sweep import CASES as SWEEP_CASES
 
 TOL = 1e-13
 
 
 def _multiplication_rep(blocks, k=2):
     """A acting on C^n by multiplication, k generators A with identity flips."""
-    alg = cstar.make_algebra(blocks)
+    alg = cstar.CStarAlgebra(blocks)
     corr = algebra_correspondence(alg)
     m = corr.dim
     flips = {(i, j): np.eye(m * m) for i in range(1, k + 1) for j in range(i + 1, k + 1)}
@@ -39,7 +41,7 @@ def _multiplication_rep(blocks, k=2):
 def _degenerate_rep():
     """Generators C^3 over C with random rank-2 Grams B_i^H B_i and swap
     flips; T_i(e_a) = sum_c B_i[c, a] S_ic vanishes on the null vectors."""
-    alg = cstar.make_algebra([1])
+    alg = cstar.CStarAlgebra([1])
     rng = np.random.default_rng(5)
     eye = np.eye(3)[None]
     swap = np.eye(9).reshape(3, 3, 3, 3).transpose(1, 0, 2, 3).reshape(9, 9)
@@ -57,7 +59,7 @@ def _degenerate_rep():
 def _zero_fiber_rep():
     """Scalar pair whose first generator has Gram 0: every fiber X(s) with
     s_1 > 0 is zero-dimensional."""
-    alg = cstar.make_algebra([1])
+    alg = cstar.CStarAlgebra([1])
     one = np.ones((1, 1, 1), dtype=complex)
     gens = [Correspondence(alg, 0.0 * one, one, one), trivial_correspondence(alg, 1)]
     system = ProductSystem(alg, gens, {(1, 2): np.eye(1)})
@@ -128,6 +130,19 @@ def test_lowering_and_targets_match_kron_bodies(request, name):
         want = targets_kron(bundle, s)
         assert got.shape == want.shape
         assert np.abs(got - want).max(initial=0.0) <= TOL * max(1.0, np.abs(want).max(initial=0.0)), s
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_t_raw_matches_kron_body(family):
+    """t_raw, composed by reshape and contraction, equals its
+    Kronecker-product body at every point of the box of every sweep case
+    of the family, within TOL of the body's largest entry."""
+    for k, dims, bound in SWEEP_CASES:
+        rep = parse_instance(generate(family, k=k, dims=dims)).representation
+        for s in lattice.box((bound,) * rep.system.k):
+            got, want = rep.t_raw(s), t_raw_kron(rep, s)
+            assert got.shape == want.shape
+            assert np.abs(got - want).max(initial=0.0) <= TOL * np.abs(want).max(initial=0.0), (k, dims, s)
 
 
 def _forbid(monkeypatch, module, name):

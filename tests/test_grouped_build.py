@@ -27,7 +27,7 @@ from oracles import (
 def _zero_fiber_rep():
     """Scalar pair whose first generator has Gram 0: every fiber X(s) with
     s_1 > 0 is zero-dimensional, so its localization has rank 0."""
-    alg = cstar.make_algebra([1])
+    alg = cstar.CStarAlgebra([1])
     one = np.ones((1, 1, 1), dtype=complex)
     gens = [Correspondence(alg, 0.0 * one, one, one), trivial_correspondence(alg, 1)]
     system = ProductSystem(alg, gens, {(1, 2): np.eye(1)})
@@ -40,7 +40,7 @@ def _killed_fiber_rep():
     every fiber X(s), s > 0, is one-dimensional with Gram f_2, which sigma
     kills, so every localization but loc(0) has rank 0 on a nonzero raw
     space."""
-    alg = cstar.make_algebra([1, 1])
+    alg = cstar.CStarAlgebra([1, 1])
     act = np.array([[[0.0]], [[1.0]]], dtype=complex)  # f_p . e = delta_{p2} e
     gen = Correspondence(alg, np.array([[[0.0, 1.0]]], dtype=complex), act, act)
     system = ProductSystem(alg, [gen, gen], {(1, 2): np.eye(1)})
@@ -236,7 +236,7 @@ def _faint_rep():
     """Scalar pair whose first generator has Gram 3e-10, inside the
     ambiguous band of the 1e-10 cutoff: X(s) keeps it for s_1 = 1 and drops
     it for s_1 = 2."""
-    alg = cstar.make_algebra([1])
+    alg = cstar.CStarAlgebra([1])
     one = np.ones((1, 1, 1), dtype=complex)
     gens = [Correspondence(alg, 3e-10 * one, one, one), trivial_correspondence(alg, 1)]
     system = ProductSystem(alg, gens, {(1, 2): np.eye(1)})

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 import dilationlab
-from dilationlab import cstar, lattice
+from dilationlab import lattice
 from dilationlab.dilation import verify_hat_doubly_commuting
 from dilationlab.families import generate
 from dilationlab.hatspace import TruncatedFock, hat_checks
@@ -20,6 +20,7 @@ from oracles import (
     brehmer_check_hat,
     check_hat_semigroup,
     check_technology,
+    element,
     hat_doubly_commuting_dense,
     hat_semigroup_dense,
     mul,
@@ -100,7 +101,7 @@ def test_a_action_star_homomorphism(mult_m2):
     a = random_element(alg, rng)
     b = random_element(alg, rng)
     pa, pb = a_action(dense, a), a_action(dense, b)
-    assert opnorm(a_action(dense, cstar.unit(alg)) - np.eye(dense.dim)) <= 1e-12
+    assert opnorm(a_action(dense, element(alg, alg.unit)) - np.eye(dense.dim)) <= 1e-12
     assert opnorm(pa @ pb - a_action(dense, mul(a, b))) <= 1e-10
     assert opnorm(a_action(dense, adjoint(a)) - pa.conj().T) <= 1e-12
 

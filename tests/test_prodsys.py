@@ -24,14 +24,14 @@ from oracles import (
 
 @pytest.fixture(scope="module")
 def scalar_system():
-    alg = cstar.make_algebra([1])
+    alg = cstar.CStarAlgebra([1])
     gens = [trivial_correspondence(alg, 1) for _ in range(2)]
     return ProductSystem(alg, gens, {(1, 2): np.eye(1)})
 
 
 @pytest.fixture(scope="module")
 def m2_system():
-    alg = cstar.make_algebra([2])
+    alg = cstar.CStarAlgebra([2])
     return ProductSystem(alg, [algebra_correspondence(alg)])
 
 
@@ -67,14 +67,14 @@ def test_normal_word():
 
 
 def test_invalid_flip_rejected():
-    alg = cstar.make_algebra([1])
+    alg = cstar.CStarAlgebra([1])
     gens = [trivial_correspondence(alg, 1) for _ in range(2)]
     with pytest.raises(InvalidFlipError):
         ProductSystem(alg, gens, {(1, 2): np.array([[2.0]])})
 
 
 def test_missing_and_misshapen_flips():
-    alg = cstar.make_algebra([1])
+    alg = cstar.CStarAlgebra([1])
     gens = [trivial_correspondence(alg, 1) for _ in range(2)]
     with pytest.raises(InvalidArgumentError):
         ProductSystem(alg, gens)  # no flip for the pair
@@ -94,7 +94,7 @@ def test_incoherent_flips_rejected():
     # three 2-dimensional generators over C with generic unitary flips:
     # each flip alone is a correspondence isomorphism, but the braid
     # (hexagon) identity fails for a generic triple
-    alg = cstar.make_algebra([1])
+    alg = cstar.CStarAlgebra([1])
     gens = [trivial_correspondence(alg, 2) for _ in range(3)]
     rng = np.random.default_rng(7)
     flips = {pair: _random_unitary(rng, 4) for pair in [(1, 2), (1, 3), (2, 3)]}
@@ -124,7 +124,7 @@ def test_braid_residual_matches_full_word_reference(monkeypatch, raw_dim):
     residuals measure different maps: both vanish for the swap and both are
     O(1) for random flips. Random flips fail validation, which is switched
     off to build them."""
-    alg = cstar.make_algebra([1])
+    alg = cstar.CStarAlgebra([1])
     rng = np.random.default_rng(7)
     eye = np.eye(raw_dim)[None]
     gens = []
@@ -220,7 +220,7 @@ def test_gram_pinv_treats_eigenvalues_at_most_tol_as_null():
     1e-9, 1e-9 and 1 (at 2 e_1). Their pseudo-inverses treat 1e-9 as null
     at tol 1e-8 (localize's null space) and invert it at tol 1e-10; each is
     computed once per (point, tol)."""
-    alg = cstar.make_algebra([1])
+    alg = cstar.CStarAlgebra([1])
     eye = np.eye(3)[None]
     gram = np.diag([1.0, 1e-9, 0.0])[:, :, None]
     system = ProductSystem(alg, [Correspondence(alg, gram, eye, eye)])

@@ -11,6 +11,11 @@ def _report(checks, window=WINDOW, verdicts=None):
     return make_report("digest", "dilate", {}, checks, verdicts or {"dilatable": True}, window=window)
 
 
+def _record(name: str, residual: float, tolerance: float) -> dict:
+    """A check record taken at its own tolerance, as check_record makes one."""
+    return {"name": name, "residual": residual, "tolerance": tolerance, "pass": residual <= tolerance}
+
+
 def test_identical_reports_match():
     ref = _report([check_record("V_isometry", 1e-12)])
     assert compare_reports(ref, _report([check_record("V_isometry", 1e-12)])) == (True, [], [])
@@ -25,13 +30,13 @@ def test_pass_flag_change_is_a_mismatch():
 
 
 def test_residual_drift_beyond_ten_tolerances_is_a_mismatch():
-    ref = _report([check_record("V_isometry", 1e-9, tolerance=1e-8)])
+    ref = _report([_record("V_isometry", 1e-9, 1e-8)])
     # pass flags are compared as recorded, so both runs keep their flag
-    drifted = _report([check_record("V_isometry", 2e-7, tolerance=1e-6)])
+    drifted = _report([_record("V_isometry", 2e-7, 1e-6)])
     ok, mismatches, warnings = compare_reports(ref, drifted)
     assert not ok and warnings == []
     assert mismatches == ["check V_isometry: residual drift 1.990e-07 exceeds 10x tolerance 1.0e-08"]
-    within = _report([check_record("V_isometry", 5e-8, tolerance=1e-6)])
+    within = _report([_record("V_isometry", 5e-8, 1e-6)])
     ok, mismatches, warnings = compare_reports(ref, within)
     assert ok and mismatches == []
     assert warnings == ["check V_isometry: residual drifted by 4.900e-08 (within band)"]

@@ -133,7 +133,7 @@ def test_validate_sigma_matches_loop_oracle(mult_m2):
     sigmas = [mult_m2.representation.sigma, m3.representation.sigma]
     rng = np.random.default_rng(8)
     for blocks, d in (([1, 2], 3), ([3], 2)):
-        alg = cstar.make_algebra(blocks)
+        alg = cstar.CStarAlgebra(blocks)
         mats = rng.standard_normal((alg.dim, d, d)) + 1j * rng.standard_normal((alg.dim, d, d))
         sigmas.append(AlgebraRepresentation(alg, d, mats))
     for sigma in sigmas:
