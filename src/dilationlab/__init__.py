@@ -17,7 +17,6 @@ from .dilation import (
     compare_minimal_dilations,
     kolmogorov,
     verify_doubly_commuting_V,
-    verify_hat_doubly_commuting,
     verify_regular_dilation,
     window_gram,
 )
@@ -70,7 +69,6 @@ __all__ = [
     "validate_correspondence",
     "validate_representation",
     "verify_doubly_commuting_V",
-    "verify_hat_doubly_commuting",
     "verify_regular_dilation",
     "window_gram",
 ]

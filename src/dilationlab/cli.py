@@ -25,7 +25,6 @@ from .dilation import (
     compare_minimal_dilations,
     kolmogorov,
     verify_doubly_commuting_V,
-    verify_hat_doubly_commuting,
     verify_regular_dilation,
     window_gram,
 )
@@ -119,12 +118,16 @@ def _check_section(inst: Instance, params: dict) -> tuple[dict, dict]:
     """Doubly-commuting residuals per generator pair and the Brehmer-type
     minimum eigenvalues over the configured box.
 
-    The Brehmer sum for (v, s) depends on s only through s[v], so it is
+    The doubly-commuting residual of (j, l) is doubly_commuting_check at
+    bound e_j + e_l, whose one block has the norm of the defect of
+    (sigma, T). The
+    Brehmer sum for (v, s) depends on s only through s[v], so it is
     computed once per restricted point and reported under every key. The
     lowering blocks of both checks are requested in one build, the
-    doubly-commuting keys first, so a block that does not descend raises
-    for the key a check-by-check loop would meet first; the sums of one v
-    then take one brehmer_check_NS call, which stacks them by rank.
+    doubly-commuting keys first, pair by pair in doubly_commuting_keys'
+    order, so a block that does not descend raises for the key a
+    check-by-check loop would meet first; the sums of one v then take one
+    brehmer_check_NS call, which stacks them by rank.
     """
     rep = inst.representation
     k = inst.system.k
@@ -136,10 +139,11 @@ def _check_section(inst: Instance, params: dict) -> tuple[dict, dict]:
         if v
     }
     points = {v: list(dict.fromkeys(by_s.values())) for v, by_s in restricted.items()}
-    keys = [key for j, l in pairs for key in doubly_commuting_keys(k, j, l)]
+    bounds = {(j, l): lattice.add(lattice.unit(k, j), lattice.unit(k, l)) for j, l in pairs}
+    keys = [key for (j, l), bound in bounds.items() for key in doubly_commuting_keys(k, j, l, bound)]
     keys += [key for v, svs in points.items() for key in brehmer_keys(v, svs)]
     rep.build(keys=keys)
-    dc = {f"{j},{l}": float(doubly_commuting_check(rep, j, l, 1, 1)) for j, l in pairs}
+    dc = {f"{j},{l}": doubly_commuting_check(rep, j, l, bound) for (j, l), bound in bounds.items()}
     ns = {}
     for v, by_s in restricted.items():
         by_sv = dict(zip(points[v], brehmer_check_NS(rep, v, points[v])))
@@ -177,11 +181,9 @@ def run_pipeline(inst: Instance, command: str, params: dict) -> tuple[dict, int]
             space = TruncatedFock(inst.representation, params["L"])
             checks.extend(check_record(name, res) for name, res in hat_checks(space).items())
             k = inst.system.k
+            pairs = [(j, l) for j in range(1, k + 1) for l in range(j + 1, k + 1)]
             if k >= 2 and verdicts["doubly_commuting"]:
-                dc_hat = 0.0
-                for j in range(1, k + 1):
-                    for l in range(j + 1, k + 1):
-                        dc_hat = max(dc_hat, verify_hat_doubly_commuting(space, j, l))
+                dc_hat = max(doubly_commuting_check(inst.representation, j, l, space.bound) for j, l in pairs)
                 checks.append(check_record("doubly_commuting_hat", dc_hat))
             window = window_gram(space, params["M"])
             window_section = {
@@ -200,7 +202,6 @@ def run_pipeline(inst: Instance, command: str, params: dict) -> tuple[dict, int]
                     for name, res in verify_regular_dilation(bundle, guard=guard).items():
                         checks.append(check_record(name, res))
                     if verdicts["doubly_commuting"]:
-                        pairs = [(j, l) for j in range(1, k + 1) for l in range(j + 1, k + 1)]
                         dc_v = max(
                             (verify_doubly_commuting_V(bundle, j, l, guard=guard) for j, l in pairs),
                             default=0.0,

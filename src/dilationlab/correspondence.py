@@ -88,7 +88,6 @@ class LocalizedSpace:
     rank: int
     factor: np.ndarray = field(compare=False)  # (rank, source_dim), F^H F = Gram
     lift: np.ndarray = field(compare=False)  # (source_dim, rank), F @ lift = I
-    tol: float = DEFAULT_TOL
 
 
 # -- constructors ----------------------------------------------------------
@@ -251,9 +250,9 @@ def interior_tensor(pairs, tol: float = DEFAULT_TOL) -> list:
 # -- localization ----------------------------------------------------------
 
 
-def trivial_localized(dim: int, tol: float = DEFAULT_TOL) -> LocalizedSpace:
+def trivial_localized(dim: int) -> LocalizedSpace:
     eye = np.eye(dim)
-    return LocalizedSpace(dim, dim, eye, eye, tol)
+    return LocalizedSpace(dim, dim, eye, eye)
 
 
 def localize(corrs, sigma_mats: np.ndarray, tol: float = DEFAULT_TOL) -> list[LocalizedSpace]:
@@ -272,7 +271,7 @@ def localize(corrs, sigma_mats: np.ndarray, tol: float = DEFAULT_TOL) -> list[Lo
     for vals, vecs in zip(*np.linalg.eigh(hermitize(grams))):
         factor, vals, vecs = psd_factor(vals, vecs, tol, "localize")
         lift = vecs / np.sqrt(vals)[None, :] if vals.size else vecs
-        out.append(LocalizedSpace(m * d, factor.shape[0], factor, lift, tol))
+        out.append(LocalizedSpace(m * d, factor.shape[0], factor, lift))
     return out
 
 

@@ -38,11 +38,8 @@ between generating vectors, as the isometry is: they need no operator norm
 on C^p and no localization over V_0, and each states its bound on the
 former operator-norm residual.
 
-The doubly-commuting identity of T^ is checked on the lowering blocks, as
-the hatspace checks are: its defect maps each block of H_L into at most one
-block, injectively, so its norm is the largest block norm. The other
-dilation checks are maxima of operator norms over many small blocks, and
-each is taken with one stacked max_opnorm.
+The other dilation checks are maxima of operator norms over many small
+blocks, and each is taken with one stacked max_opnorm.
 """
 
 from __future__ import annotations
@@ -132,13 +129,12 @@ class DilationBundle:
     of loc(s); they are the only stored form of the generating vectors.
     """
 
-    def __init__(self, window: KernelWindow, factor: np.ndarray, method: str, tol: float):
+    def __init__(self, window: KernelWindow, factor: np.ndarray, method: str):
         self.window = window
         self.rep = window.space.rep
         self.factor = factor
         self.rank = factor.shape[0]
         self.method = method
-        self.tol = tol
         self._slice_of = dict(zip(window.points, window.slices))
         self._k_min_rank: int | None = None
 
@@ -227,14 +223,13 @@ class DilationBundle:
         orthonormal basis of domain(s) from the SVD of its solve (None at
         s = 0). Each map is one least-squares solve of its defining action
         on domain(s): V_0 over the algebra basis, and V_{e_i} over the
-        reduced basis of X(e_i), taken to E_i's basis by its surjection.
+        reduced basis of X(e_i).
 
         domain(0) is the whole factor R, so for the eig factor
         R = Lambda^{1/2} W^H, whose rows are orthogonal, V_0's solve takes
         R^+ = W Lambda^{-1/2} and no SVD. Each V_{e_i}'s solve takes one SVD
         of its domain, whose basis gives item 4 its projector.
         """
-        sys_ = self.rep.system
         split = self.eig_split
         out = {}
         for s, (dom, tgt) in self.steps.items():
@@ -242,23 +237,23 @@ class DilationBundle:
                 pinv, basis = split[1] / np.sqrt(split[0]), None
             else:
                 pinv, basis = pinv_and_range(dom)
-            v = lstsq_map(tgt, dom, pinv, LSQ_TOL, f"V_{s}")
-            if not lattice.is_zero(s):
-                # E_i's basis vector e_c goes to sum over a of last_q[a, c] V_{e_i}(e_a)
-                last_q = sys_.point_data(s).last_q
-                v = last_q.T @ v.reshape(last_q.shape[0], self.rank * self.rank)
-                v = v.reshape(last_q.shape[1], self.rank, self.rank)
-            out[s] = (v, basis)
+            out[s] = (lstsq_map(tgt, dom, pinv, LSQ_TOL, f"V_{s}"), basis)
         return out
 
     @cached_property
     def isometric_rep(self) -> CCRepresentation:
         """The recovered (V_0, V) as a covariant representation on C^p:
-        V_0 and the T maps are the `solves`, and every other V_s is their
-        composition t_raw(s). The window bound must be >= 1 in every
-        coordinate."""
+        V_0 and the T maps are the `solves`, the V_{e_i} taken to E_i's
+        basis by its surjection, and every other V_s is their composition
+        t_raw(s). The window bound must be >= 1 in every coordinate."""
         sys_ = self.rep.system
-        v0, *t_maps = (v for v, _basis in self.solves.values())
+        v0, *reduced = (v for v, _basis in self.solves.values())
+        t_maps = []
+        for i, v in enumerate(reduced, start=1):
+            # E_i's basis vector e_c goes to sum over a of last_q[a, c] V_{e_i}(e_a)
+            last_q = sys_.word_data((i,)).last_q
+            v = last_q.T @ v.reshape(last_q.shape[0], self.rank * self.rank)
+            t_maps.append(v.reshape(last_q.shape[1], self.rank, self.rank))
         sigma = AlgebraRepresentation(sys_.algebra, self.rank, v0)
         return CCRepresentation(sys_, sigma, t_maps, tol=LSQ_TOL)
 
@@ -274,9 +269,9 @@ def kolmogorov(window: KernelWindow, tol: float = 1e-10, method: str = "eig") ->
     if method == "eig":
         cutoff = tol * max(float(window.eigvals.max()), 0.0)
         factor, _vals, _vecs = psd_factor(window.eigvals, window.eigvecs, cutoff, "kolmogorov")
-        return DilationBundle(window, factor, method, tol)
+        return DilationBundle(window, factor, method)
     if method == "chol":
-        return DilationBundle(window, pivoted_cholesky(window.gram, rel_tol=tol), method, tol)
+        return DilationBundle(window, pivoted_cholesky(window.gram, rel_tol=tol), method)
     raise InvalidArgumentError(f"unknown factorization method {method!r}")
 
 
@@ -329,11 +324,8 @@ def verify_regular_dilation(bundle: DilationBundle, guard: int = 1) -> dict[str,
     v0 = iso.sigma
     valid = validate_module(iso, bundle.factor)
     # V_s(e_a) on C^p for the algebra basis (s = 0) or the reduced basis of
-    # X(e_i), stacked along axis 0: the t_raw(e_i) columns of iso, kron-free
-    v_of = {zero: v0.mats}
-    for i, t_map in enumerate(iso.t_maps, start=1):
-        q = sys_.word_data((i,)).last_q
-        v_of[lattice.unit(sys_.k, i)] = np.tensordot(q.conj(), t_map, axes=(1, 0))
+    # X(e_i), stacked along axis 0
+    v_of = {s: v for s, (v, _basis) in bundle.solves.items()}
     gens = list(v_of)[1:]
     images = {s: v_of[s] @ dom for s, (dom, _tgt) in bundle.steps.items()}
     defects = {s: images[s] - tgt for s, (_dom, tgt) in bundle.steps.items()}
@@ -394,46 +386,15 @@ def verify_regular_dilation(bundle: DilationBundle, guard: int = 1) -> dict[str,
     }
 
 
-def verify_hat_doubly_commuting(
-    space: TruncatedFock, j: int, k: int, s_j: int = 1, s_k: int = 1
-) -> float:
-    """|| T^_a^H T^_b - T^_b T^_a^H || on H_L for a = s_j e_j, b = s_k e_k.
-
-    The defect maps block r >= b to block r + a - b (an injective block
-    map, so its norm is the largest block norm) by
-    Theta(r - b + a, a)^H Theta(r, b) - Theta(r + a, b) Theta(r + a, a)^H.
-    The first term needs r - b + a <= L and the second r + a <= L; for
-    distinct directions both say r_j + s_j <= L_j, so both terms live on
-    the same blocks. The block r = b is the negated adjoint of
-    representation.doubly_commuting_defect(rep, j, k, s_j, s_k).
-    """
-    if j == k:
-        raise InvalidArgumentError("directions must be distinct")
-    if s_j < 0 or s_k < 0:
-        raise InvalidArgumentError(f"lattice point must be nonnegative: {(s_j, s_k)}")
-    nlat = space.rep.system.k
-    a = lattice.unit(nlat, j, s_j)
-    b = lattice.unit(nlat, k, s_k)
-    keys = []
-    for r in space.blocks:
-        if lattice.leq(b, r) and lattice.leq(lattice.add(r, a), space.bound):
-            ra = lattice.add(r, a)
-            keys += [(lattice.add(lattice.sub(r, b), a), a), (r, b), (ra, b), (ra, a)]
-    thetas = space.rep.build(keys=keys)
-    return max_opnorm(
-        thetas[x].conj().T @ thetas[x + 1] - thetas[x + 2] @ thetas[x + 3].conj().T
-        for x in range(0, len(thetas), 4)
-    )
-
-
 def verify_doubly_commuting_V(bundle: DilationBundle, j: int, k: int, guard: int = 1) -> float:
     """Weak residual of the doubly-commuting identity of the recovered maps,
     V~_b^* V~_a = (I_b (x) V~_a)(t (x) I)(I_a (x) V~_b^*) for a = e_j and
     b = e_k: the largest entry of W = Phi_b^H D Phi_a, D the defect on
-    loc(a) over V_0 (as representation.doubly_commuting_defect takes it)
-    and Phi the localized images of x (x) g, g the generating vectors on
-    the left and those at least max(guard, 1) inside the window on the
-    right (adjoints are window compressions).
+    loc(a) over V_0 (whose negated adjoint representation.doubly_commuting_check
+    takes for (sigma, T) at bound a + b) and Phi the localized images of
+    x (x) g, g the generating vectors on the left and those at least
+    max(guard, 1) inside the window on the right (adjoints are window
+    compressions).
 
     No localization over V_0 is formed. In raw X (x) C^p coordinates the
     inner product is Gamma_x = (id (x) V_0)(G_x), G_x the fiber Gram, and
@@ -461,8 +422,7 @@ def verify_doubly_commuting_V(bundle: DilationBundle, j: int, k: int, guard: int
     guarded = bundle.localized(_guarded(bundle.window.bound, max(guard, 1)))
     n, n_g = gens.shape[1], guarded.shape[1]
     # V_x(e) over the reduced basis of X(x), as (p_x, p, p)
-    v_a = iso.t_raw(a).reshape(p, p_a, p).transpose(1, 0, 2)
-    v_b = iso.t_raw(b).reshape(p, p_b, p).transpose(1, 0, 2)
+    v_a, v_b = bundle.solves[a][0], bundle.solves[b][0]
     img_a = v_a @ guarded
     lhs = (v_b @ gens).conj().transpose(0, 2, 1)[:, None] @ img_a[None]  # [beta, alpha, n, n']
     gram_b = sys_.fiber(b).gram
@@ -485,34 +445,19 @@ def verify_doubly_commuting_V(bundle: DilationBundle, j: int, k: int, guard: int
 
 def compare_minimal_dilations(bundle_a: DilationBundle, bundle_b: DilationBundle) -> float:
     """Max inner-product discrepancy between the localized generating
-    vectors of two factorizations of kernels of one representation (so in
-    the same loc(t) coordinates), plus the residual of the matched unitary
-    intertwiner omega = g_b g_a^+.
+    vectors of an eig bundle and another factor of the kernel of the same
+    representation and window bound, plus the residual of the matched
+    unitary intertwiner omega = g_b g_a^+.
 
-    Over bundle_a's own window g_a is its factor R. For the eig factor
-    R = Lambda^{1/2} W^H, R^+ R = W W^H, so the residual omega g_a - g_b =
-    -g_b W_0 W_0^H, W_0 the discarded eigenvectors, has the norm of
-    g_b W_0, and no pinv is taken.
+    For the eig factor g_a = R = Lambda^{1/2} W^H, R^+ R = W W^H, so the
+    residual omega g_a - g_b = -g_b W_0 W_0^H, W_0 the discarded
+    eigenvectors, has the norm of g_b W_0, and no pinv is taken.
     """
-    bound = tuple(
-        min(x, y) for x, y in zip(bundle_a.window.bound, bundle_b.window.bound, strict=True)
-    )
-    g_a = bundle_a.localized(bound)
-    g_b = bundle_b.localized(bound)
-    gram_diff = float(np.abs(g_a.conj().T @ g_a - g_b.conj().T @ g_b).max())
-
-    def own(bundle):  # over its own window bound a bundle's localized vectors are its factor
-        return bound == bundle.window.bound
-
-    rank_a, rank_b = (
-        bundle.k_min_rank() if own(bundle) else _rank(np.linalg.svd(g, compute_uv=False))
-        for bundle, g in ((bundle_a, g_a), (bundle_b, g_b))
-    )
-    if rank_a != rank_b:
-        return float("inf")
     split = bundle_a.eig_split
-    if own(bundle_a) and split is not None:
-        intertwine = opnorm(g_b @ split[2])
-    else:
-        intertwine = opnorm(g_b @ np.linalg.pinv(g_a) @ g_a - g_b)
-    return max(gram_diff, intertwine)
+    if split is None or bundle_b.rep is not bundle_a.rep or bundle_b.window.bound != bundle_a.window.bound:
+        raise InvalidArgumentError("uniqueness compares an eig bundle with another factor of its window")
+    g_a, g_b = bundle_a.factor, bundle_b.factor
+    gram_diff = float(np.abs(g_a.conj().T @ g_a - g_b.conj().T @ g_b).max())
+    if bundle_a.k_min_rank() != bundle_b.k_min_rank():
+        return float("inf")
+    return max(gram_diff, opnorm(g_b @ split[2]))

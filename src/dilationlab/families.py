@@ -109,7 +109,6 @@ def nilpotent_counterexample(seed: int = 0, k: int = 2, dims: int | None = None)
 
 FAMILIES = {
     "scalar-commuting": scalar_commuting,
-    "scalar-doubly-commuting": scalar_commuting,
     "diagonal-doubly-commuting": diagonal_doubly_commuting,
     "multiplication-isometric": multiplication_isometric,
     "random-contractive": random_contractive,

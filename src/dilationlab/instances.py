@@ -44,18 +44,9 @@ class Instance:
 # -- complex/matrix codecs ---------------------------------------------------
 
 
-def complex_to_json(z: complex) -> list[float]:
-    z = complex(z)
-    return [z.real, z.imag]
-
-
-def vector_to_json(v: np.ndarray) -> list:
-    return [complex_to_json(z) for z in np.asarray(v).reshape(-1)]
-
-
-def matrix_to_json(m: np.ndarray) -> list:
-    m = np.asarray(m)
-    return [[complex_to_json(z) for z in row] for row in m]
+def array_to_json(a: np.ndarray) -> list:
+    """Nested lists of [re, im] pairs, one per entry of `a`."""
+    return np.stack([a.real, a.imag], -1).tolist()
 
 
 def _expect(cond: bool, msg: str) -> None:
@@ -136,9 +127,9 @@ def json_to_array(obj, shape: tuple[int, ...], where: str) -> np.ndarray:
 def correspondence_to_json(corr: Correspondence) -> dict:
     return {
         "dim": corr.dim,
-        "gram": [[vector_to_json(corr.gram[i, j]) for j in range(corr.dim)] for i in range(corr.dim)],
-        "right_action": [matrix_to_json(m) for m in corr.right_action],
-        "left_action": [matrix_to_json(m) for m in corr.left_action],
+        "gram": array_to_json(corr.gram),
+        "right_action": array_to_json(corr.right_action),
+        "left_action": array_to_json(corr.left_action),
     }
 
 
@@ -157,11 +148,11 @@ def instance_to_json(system: ProductSystem, rep: CCRepresentation, parameters: d
         "algebra": {"blocks": list(system.algebra.block_sizes)},
         "k": system.k,
         "generators": [correspondence_to_json(g) for g in system.generators],
-        "flips": {f"{i},{j}": matrix_to_json(mat) for (i, j), mat in sorted(system.flips.items())},
+        "flips": {f"{i},{j}": array_to_json(mat) for (i, j), mat in sorted(system.flips.items())},
         "representation": {
             "H_dim": rep.dim,
-            "sigma": [matrix_to_json(m) for m in rep.sigma.mats],
-            "T": [[matrix_to_json(arr[b]) for b in range(arr.shape[0])] for arr in rep.t_maps],
+            "sigma": array_to_json(rep.sigma.mats),
+            "T": [array_to_json(arr) for arr in rep.t_maps],
         },
     }
     if parameters:

@@ -20,11 +20,11 @@ def zero(k: int) -> Point:
     return (0,) * k
 
 
-def unit(k: int, i: int, amount: int = 1) -> Point:
-    """e_i(amount): `amount` in coordinate i (1-based), zero elsewhere."""
+def unit(k: int, i: int) -> Point:
+    """e_i: 1 in coordinate i (1-based), zero elsewhere."""
     if not 1 <= i <= k:
         raise ValueError(f"coordinate index {i} out of range 1..{k}")
-    return tuple(amount if j == i - 1 else 0 for j in range(k))
+    return tuple(int(j == i - 1) for j in range(k))
 
 
 def _length_error(s: Point, t: Point) -> ValueError:

@@ -12,6 +12,12 @@ of points and (t, s) keys in stacks grouped by shape and caches them; the
 commutation relation of validation, the doubly-commuting identity and the
 Brehmer-type sums are read off the same blocks the hat semigroup is built
 from, each check requesting its whole key set in one call.
+
+The doubly-commuting identity is checked once, for T^ on the box up to a
+bound, as the hatspace checks are: its defect maps each block of H_bound
+into at most one block, injectively, so its norm is the largest block
+norm. At bound e_j + e_k its one block is the defect of (sigma, T), up to
+sign and adjoint.
 """
 
 from __future__ import annotations
@@ -163,7 +169,7 @@ class CCRepresentation:
         by_dim: dict[int, list[lattice.Point]] = {}
         for s in points:
             if lattice.is_zero(s):
-                self._loc[s] = trivial_localized(self.dim, self.tol)
+                self._loc[s] = trivial_localized(self.dim)
             else:
                 by_dim.setdefault(self.system.fiber_dim(s), []).append(s)
         for group in by_dim.values():
@@ -319,41 +325,44 @@ def _commutation_residual(rep: CCRepresentation, i: int, j: int) -> float:
     return opnorm(i_i @ ij_j - j_j @ ij_i)
 
 
-def doubly_commuting_check(rep: CCRepresentation, j: int, k: int, s_j: int, s_k: int) -> float:
-    """Residual of the doubly-commuting identity for generator directions j, k."""
-    return opnorm(doubly_commuting_defect(rep, j, k, s_j, s_k))
-
-
-def doubly_commuting_keys(nlat: int, j: int, k: int, s_j: int = 1, s_k: int = 1) -> list:
-    """The lowering-block keys of `doubly_commuting_defect`, in its order:
-    (a+b, a), (a+b, b), (b, b), (a, a) for a = s_j e_j and b = s_k e_k."""
+def doubly_commuting_keys(nlat: int, j: int, k: int, bound: lattice.Point) -> list:
+    """The lowering-block keys of `doubly_commuting_check`, four per block
+    r of the box up to `bound` with b <= r and r + a <= bound, for a = e_j
+    and b = e_k: (r - b + a, a), (r, b), (r + a, b), (r + a, a)."""
     if j == k:
         raise InvalidArgumentError("doubly commuting check needs distinct directions")
-    if s_j < 1 or s_k < 1:
-        raise InvalidArgumentError("coordinates s_j, s_k must be >= 1")
-    a = lattice.unit(nlat, j, s_j)
-    b = lattice.unit(nlat, k, s_k)
-    ab = lattice.add(a, b)
-    return [(ab, a), (ab, b), (b, b), (a, a)]
+    a, b = lattice.unit(nlat, j), lattice.unit(nlat, k)
+    keys = []
+    for r in lattice.box(bound):
+        ra = lattice.add(r, a)
+        if lattice.leq(b, r) and lattice.leq(ra, bound):
+            keys += [(lattice.add(lattice.sub(r, b), a), a), (r, b), (ra, b), (ra, a)]
+    return keys
 
 
-def doubly_commuting_defect(
-    rep: CCRepresentation, j: int, k: int, s_j: int = 1, s_k: int = 1
-) -> np.ndarray:
-    """LHS - RHS of the doubly-commuting identity
-    T~_b^H T~_a = (I_b (x) T~_a)(t (x) I_H)(I_a (x) T~_b^H), a map
-    loc(a) -> loc(b) for a = s_j e_j and b = s_k e_k, on lowering blocks:
+def doubly_commuting_check(rep: CCRepresentation, j: int, k: int, bound: lattice.Point) -> float:
+    """|| T^_a^H T^_b - T^_b T^_a^H || on H_bound for a = e_j and b = e_k.
 
-        Theta(a+b, a) Theta(a+b, b)^H - Theta(b, b)^H Theta(a, a).
+    The defect maps block r >= b to block r + a - b by
+    Theta(r - b + a, a)^H Theta(r, b) - Theta(r + a, b) Theta(r + a, a)^H.
+    The first term needs r - b + a <= bound and the second r + a <= bound;
+    for distinct directions both say r_j < bound_j, so both terms live on
+    the same blocks. The block map is injective, so the norm is the largest
+    block norm. At bound = a + b the only block is r = b, and its defect is
+    the negated adjoint of that of (sigma, T),
 
-    Theta(a+b, b) is I_a (x) T~_b on X(a) (x) X(b) composed with U_{a,b}^{-1},
-    and Theta(a+b, a) is I_b (x) T~_a composed with U_{b,a}^{-1}, so the flip
-    t = U_{b,a}^{-1} U_{a,b} is carried by the blocks. The defect is the
-    negated adjoint of the block r = b of the T^ defect in
-    ``dilation.verify_hat_doubly_commuting``.
+        T~_b^H T~_a - (I_b (x) T~_a)(t (x) I_H)(I_a (x) T~_b^H): loc(a) -> loc(b):
+
+    Theta(a+b, b) is I_a (x) T~_b on X(a) (x) X(b) composed with
+    U_{a,b}^{-1}, and Theta(a+b, a) is I_b (x) T~_a composed with
+    U_{b,a}^{-1}, so the flip t = U_{b,a}^{-1} U_{a,b} is carried by the
+    blocks.
     """
-    ab_a, ab_b, b_b, a_a = rep.build(keys=doubly_commuting_keys(rep.system.k, j, k, s_j, s_k))
-    return ab_a @ ab_b.conj().T - b_b.conj().T @ a_a
+    thetas = rep.build(keys=doubly_commuting_keys(rep.system.k, j, k, bound))
+    return max_opnorm(
+        thetas[x].conj().T @ thetas[x + 1] - thetas[x + 2] @ thetas[x + 3].conj().T
+        for x in range(0, len(thetas), 4)
+    )
 
 
 def brehmer_keys(v, points) -> list:

@@ -40,7 +40,8 @@ factor, its localized vectors and `localize_point` over the recovered V_0,
 the bounds by which the weak V0_star_hom and doubly_commuting_V residuals
 control the former operator norms; and `json_to_complex_array` is the instance reader cast to complex128, which
 runs a real instance all in complex arithmetic: the reference a run in
-real arithmetic is compared with.
+real arithmetic is compared with; and `array_to_json_loop` is the
+entry-by-entry instance writer the package once used.
 """
 
 from __future__ import annotations
@@ -390,11 +391,11 @@ def check_technology(dense: DenseFock, s, x, h) -> float:
     return float(np.linalg.norm(dense.hat(s) @ dense.delta(s, x, h) - expected))
 
 
-def hat_doubly_commuting_dense(dense: DenseFock, j: int, k: int, s_j: int = 1, s_k: int = 1) -> float:
-    """|| T^_a^H T^_b - T^_b T^_a^H || for a = s_j e_j, b = s_k e_k."""
+def hat_doubly_commuting_dense(dense: DenseFock, j: int, k: int) -> float:
+    """|| T^_a^H T^_b - T^_b T^_a^H || for a = e_j, b = e_k."""
     nlat = len(dense.space.bound)
-    a = dense.hat(tuple(s_j if i == j - 1 else 0 for i in range(nlat)))
-    b = dense.hat(tuple(s_k if i == k - 1 else 0 for i in range(nlat)))
+    a = dense.hat(tuple(int(i == j - 1) for i in range(nlat)))
+    b = dense.hat(tuple(int(i == k - 1) for i in range(nlat)))
     return _opnorm(a.conj().T @ b - b @ a.conj().T)
 
 
@@ -1012,15 +1013,15 @@ def _ext_map(rep, a, b):
     return descend_map_loop(raw, loc_pair, rep.loc(a), rep.tol), loc_pair
 
 
-def doubly_commuting_defect_quotient(rep, j: int, k: int, s_j: int = 1, s_k: int = 1) -> np.ndarray:
-    """(I_b (x) T~_a)(t (x) I_H)(I_a (x) T~_b^H) - T~_b^H T~_a for a = s_j e_j,
-    b = s_k e_k, on the localized reduced pairs X(a) (x) X(b) and X(b) (x) X(a)
+def doubly_commuting_defect_quotient(rep, j: int, k: int) -> np.ndarray:
+    """(I_b (x) T~_a)(t (x) I_H)(I_a (x) T~_b^H) - T~_b^H T~_a for a = e_j,
+    b = e_k, on the localized reduced pairs X(a) (x) X(b) and X(b) (x) X(a)
     of `interior_tensor`, with the flip t = U_{b,a}^{-1} U_{a,b} taken from
     `mult_iso_quotient`."""
 
     nlat = rep.system.k
-    a = tuple(s_j if i == j - 1 else 0 for i in range(nlat))
-    b = tuple(s_k if i == k - 1 else 0 for i in range(nlat))
+    a = tuple(int(i == j - 1) for i in range(nlat))
+    b = tuple(int(i == k - 1) for i in range(nlat))
     rhs = _t_tilde(rep, b).conj().T @ _t_tilde(rep, a)
     ext_ab, loc_ab = _ext_map(rep, a, b)
     ext_ba, loc_ba = _ext_map(rep, b, a)
@@ -1376,13 +1377,13 @@ def localize_point(corr, sigma_mats: np.ndarray, tol: float):
     gram = np.einsum("ijp,pkl->ikjl", corr.gram, sigma_mats).reshape(corr.dim * d, corr.dim * d)
     if gram.shape[0] == 0:
         empty = np.zeros((0, 0), dtype=complex)
-        return LocalizedSpace(0, 0, empty, empty, tol)
+        return LocalizedSpace(0, 0, empty, empty)
     vals, vecs = np.linalg.eigh(0.5 * (gram + gram.conj().T))
     keep = vals > tol
     vals_k, vecs_k = vals[keep], vecs[:, keep]
     factor = np.sqrt(vals_k)[:, None] * vecs_k.conj().T
     lift = vecs_k / np.sqrt(vals_k)[None, :] if vals_k.size else vecs_k
-    return LocalizedSpace(corr.dim * d, factor.shape[0], factor, lift, tol)
+    return LocalizedSpace(corr.dim * d, factor.shape[0], factor, lift)
 
 
 def loc_point(rep, s):
@@ -1390,7 +1391,7 @@ def loc_point(rep, s):
     from dilationlab.correspondence import trivial_localized
 
     if not any(s):
-        return trivial_localized(rep.dim, rep.tol)
+        return trivial_localized(rep.dim)
     return localize_point(rep.system.fiber(tuple(s)), rep.sigma.mats, rep.tol)
 
 
@@ -1464,6 +1465,15 @@ def brehmer_sum_point(rep, v, s) -> float:
     if rank == 0:
         return 0.0
     return float(np.linalg.eigvalsh(0.5 * (total + total.conj().T)).min())
+
+
+def array_to_json_loop(a: np.ndarray):
+    """[re, im] of each entry as Python floats, nested as `a` is, one
+    `complex()` per entry."""
+    if a.ndim == 0:
+        z = complex(a)
+        return [z.real, z.imag]
+    return [array_to_json_loop(sub) for sub in a]
 
 
 def json_to_complex_array(obj, shape: tuple[int, ...], where: str) -> np.ndarray:

@@ -11,7 +11,6 @@ from dilationlab.dilation import (
     compare_minimal_dilations,
     kolmogorov,
     verify_doubly_commuting_V,
-    verify_hat_doubly_commuting,
     verify_regular_dilation,
     window_gram,
 )
@@ -20,7 +19,7 @@ from dilationlab.families import _scalar_instance, generate
 from dilationlab.hatspace import TruncatedFock
 from dilationlab.instances import parse_instance
 from dilationlab.linalg import opnorm
-from dilationlab.representation import brehmer_check_NS
+from dilationlab.representation import brehmer_check_NS, doubly_commuting_check
 from oracles import (
     DenseFock,
     a_action,
@@ -180,7 +179,7 @@ def test_criterion_4_doubly_commuting_dilations(dc_bundles):
     worst_hat = worst_reg = worst_item4 = worst_dc = 0.0
     for inst, bundle in dc_bundles:
         space = bundle.window.space
-        worst_hat = max(worst_hat, verify_hat_doubly_commuting(space, 1, 2, 1, 1))
+        worst_hat = max(worst_hat, doubly_commuting_check(inst.representation, 1, 2, space.bound))
         checks = verify_regular_dilation(bundle, guard=1)
         for name in ("regular_item1", "regular_item2", "regular_item3"):
             worst_reg = max(worst_reg, checks[name])

@@ -10,7 +10,6 @@ from dilationlab.dilation import (
     compare_minimal_dilations,
     kolmogorov,
     verify_doubly_commuting_V,
-    verify_hat_doubly_commuting,
     verify_regular_dilation,
     window_gram,
 )
@@ -18,7 +17,7 @@ from dilationlab.errors import InvalidArgumentError, NotPositiveDefiniteError
 from dilationlab.families import _scalar_instance, generate
 from dilationlab.hatspace import TruncatedFock
 from dilationlab.instances import parse_instance
-from dilationlab.representation import AlgebraRepresentation, CCRepresentation, validate_module
+from dilationlab.representation import doubly_commuting_check, validate_module
 from oracles import (
     DenseFock,
     build_Vs,
@@ -203,10 +202,29 @@ def test_uniqueness_across_backends(scalar_pair, mult_m2):
 
 
 def test_uniqueness_across_windows(scalar_pair):
+    """The larger window's generating vectors at the smaller window's points
+    have the smaller window's Gram and rank."""
     space = TruncatedFock(scalar_pair.representation, (3, 3))
     small = kolmogorov(window_gram(space, (2, 2)))
     big = kolmogorov(window_gram(space, (3, 3)))
-    assert compare_minimal_dilations(small, big) <= 1e-9
+    g_small, g_big = small.factor, big.localized((2, 2))
+    assert np.abs(g_small.conj().T @ g_small - g_big.conj().T @ g_big).max() <= 1e-9
+    assert np.linalg.matrix_rank(g_big, tol=1e-8) == small.k_min_rank()
+
+
+def test_uniqueness_takes_an_eig_bundle_and_a_factor_of_its_window(scalar_pair, mult_m2):
+    space = TruncatedFock(scalar_pair.representation, (3, 3))
+    eig = kolmogorov(window_gram(space, (2, 2)))
+    chol = kolmogorov(eig.window, method="chol")
+    assert compare_minimal_dilations(eig, chol) <= 1e-9
+    others = [
+        (chol, eig),  # the first bundle is not an eig bundle
+        (eig, kolmogorov(window_gram(space, (3, 3)), method="chol")),  # another window bound
+        (eig, bundle_of(mult_m2, (2, 2), method="chol")),  # another representation
+    ]
+    for a, b in others:
+        with pytest.raises(InvalidArgumentError):
+            compare_minimal_dilations(a, b)
 
 
 def test_eig_split_reads_the_factor_off_the_window(mult_m2):
@@ -257,8 +275,8 @@ def test_factor_rank_is_taken_once_per_bundle(monkeypatch, mult_m2):
 
 def test_doubly_commuting_checks(scalar_pair):
     space = TruncatedFock(scalar_pair.representation, (2, 2))
-    assert verify_hat_doubly_commuting(space, 1, 2, 1, 1) <= 1e-12
-    assert verify_hat_doubly_commuting(space, 1, 2, 2, 1) <= 1e-12
+    assert doubly_commuting_check(scalar_pair.representation, 1, 2, space.bound) <= 1e-12
+    assert doubly_commuting_check(scalar_pair.representation, 2, 1, space.bound) <= 1e-12
     bundle = bundle_of(scalar_pair, (2, 2))
     assert verify_doubly_commuting_V(bundle, 1, 2) <= 1e-6
 
@@ -325,18 +343,18 @@ STACKED_VERIFY_CASES = [
 
 
 def _push_off_the_dilation(bundle, eps: float) -> None:
-    """Perturb the recovered V_0 and generator isometries V_{e_i} by about
-    eps, and with them every composed V_s, so that the verification
-    residuals are of that size instead of rounding noise."""
+    """Perturb the recovered V_0 and generator isometries V_{e_i} (the
+    `solves`, which isometric_rep is rebuilt from) by about eps, and with
+    them every composed V_s, so that the verification residuals are of
+    that size instead of rounding noise."""
     rng = np.random.default_rng(0)
 
     def noise(shape):
         return eps * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
-    iso = bundle.isometric_rep
-    sigma = AlgebraRepresentation(iso.system.algebra, iso.dim, iso.sigma.mats + noise(iso.sigma.mats.shape))
-    t_maps = [m + noise(m.shape) for m in iso.t_maps]
-    bundle.__dict__["isometric_rep"] = CCRepresentation(iso.system, sigma, t_maps, tol=iso.tol)
+    solves = {s: (v + noise(v.shape), basis) for s, (v, basis) in bundle.solves.items()}
+    bundle.__dict__["solves"] = solves
+    bundle.__dict__.pop("isometric_rep", None)
 
 
 def _instance(request, name, gen_args):
@@ -348,6 +366,26 @@ def _instance(request, name, gen_args):
 def _generator_steps(bundle):
     k = bundle.rep.system.k
     return [tuple(int(j == i) for j in range(k)) for i in range(k)]
+
+
+@pytest.mark.parametrize("name, gen_args, bound", STACKED_VERIFY_CASES)
+def test_recovered_maps_are_kept_in_one_basis(request, name, gen_args, bound):
+    """`solves` keeps each V_{e_i} over the reduced basis of X(e_i);
+    isometric_rep's T map over E_i's basis is its one conversion, so the
+    reduced fiber's coordinates (q-bar applied to it, or t_raw(e_i)) give
+    the solve back up to rounding, and V_0 is the solve itself."""
+    bundle = bundle_of(_instance(request, name, gen_args), bound)
+    iso = bundle.isometric_rep
+    sys_ = iso.system
+    (_zero, (v0, _basis)), *steps = bundle.solves.items()
+    assert iso.sigma.mats is v0
+    for i, (s, (v, _basis)) in enumerate(steps, start=1):
+        q = sys_.word_data((i,)).last_q
+        back = np.tensordot(q.conj(), iso.t_maps[i - 1], axes=(1, 0))
+        raw = iso.t_raw(s).reshape(iso.dim, q.shape[0], iso.dim).transpose(1, 0, 2)
+        scale = max(1.0, float(np.abs(v).max(initial=0.0)))
+        assert np.abs(back - v).max(initial=0.0) <= 1e-13 * scale, (s, "q-bar")
+        assert np.abs(raw - v).max(initial=0.0) <= 1e-13 * scale, (s, "t_raw")
 
 
 @pytest.mark.parametrize("name, gen_args, bound", STACKED_VERIFY_CASES)

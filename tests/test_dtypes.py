@@ -9,7 +9,7 @@ from dilationlab import instances
 from dilationlab.correspondence import Correspondence
 from dilationlab.cstar import CStarAlgebra
 from dilationlab.families import generate
-from dilationlab.instances import json_to_array, matrix_to_json, parse_instance
+from dilationlab.instances import array_to_json, json_to_array, parse_instance
 from dilationlab.lattice import unit
 from dilationlab.linalg import as_data, null_split, pivoted_cholesky, psd_factor
 
@@ -27,7 +27,7 @@ def mixed_instance() -> dict:
     phase = np.exp(0.7j)
     rep = data["representation"]
     rep["T"] = [
-        [matrix_to_json(phase * json_to_array(m, (2, 2), "T")) for m in mats] for mats in rep["T"]
+        array_to_json(phase * json_to_array(mats, (len(mats), 2, 2), "T")) for mats in rep["T"]
     ]
     return data
 

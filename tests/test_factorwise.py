@@ -5,7 +5,7 @@ Kronecker product or raw tensor."""
 import numpy as np
 import pytest
 
-from dilationlab import correspondence, cstar, dilation, lattice, prodsys
+from dilationlab import correspondence, cstar, lattice, prodsys
 from dilationlab.correspondence import Correspondence, algebra_correspondence, trivial_correspondence
 from dilationlab.dilation import DilationBundle, kolmogorov, window_gram
 from dilationlab.families import FAMILIES, generate
@@ -86,7 +86,7 @@ def _bundle(rep, bound):
         return kolmogorov(window)
     rng = np.random.default_rng(0)
     n = window.gram.shape[0]
-    return DilationBundle(window, rng.standard_normal((n, n)) + 0j, "random", 1e-10)
+    return DilationBundle(window, rng.standard_normal((n, n)) + 0j, "random")
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -149,8 +149,7 @@ def _forbid(monkeypatch, module, name):
     def refuse(*_args, **_kwargs):
         raise AssertionError(f"{module.__name__}.{name} called")
 
-    # raising=False: the guard also holds once a module stops importing the name
-    monkeypatch.setattr(module, name, refuse, raising=False)
+    monkeypatch.setattr(module, name, refuse)
 
 
 def _generated_rep(k, dims):
@@ -166,17 +165,15 @@ GUARDED = {
 
 @pytest.mark.parametrize("name", sorted(GUARDED))
 def test_builders_form_no_kron_or_raw_tensor(request, monkeypatch, name):
-    """With the dilation Kronecker product and np.kron made to raise, the
-    product system (its validation included) and the representation are
-    rebuilt; with the raw tensor made to raise as well, every fiber,
-    multiplication map, lowering block and targets(s) over the box builds.
-    Only the validation's flip check, on the raw Gram of a generator pair,
-    runs before the raw tensor is forbidden. Every word the system builds
-    is a normal (sorted) word."""
+    """With np.kron made to raise, the product system (its validation
+    included) and the representation are rebuilt; with the raw tensor made
+    to raise as well, every fiber, multiplication map, lowering block and
+    targets(s) over the box builds. Only the validation's flip check, on
+    the raw Gram of a generator pair, runs before the raw tensor is
+    forbidden. Every word the system builds is a normal (sorted) word."""
     assert not hasattr(prodsys, "kron")
     given = GUARDED[name](request)
-    for module, attr in ((dilation, "kron"), (np, "kron")):
-        _forbid(monkeypatch, module, attr)
+    _forbid(monkeypatch, np, "kron")
     system = ProductSystem(given.system.algebra, given.system.generators, given.system.flips)
     rep = CCRepresentation(system, given.sigma, given.t_maps)
     _forbid(monkeypatch, correspondence, "_raw_tensor")

@@ -25,6 +25,12 @@ def test_families_deterministic(family):
         assert generate(family, seed=5, k=2) != generate(family, seed=6, k=2)
 
 
+def test_no_family_is_an_alias():
+    """Each builder is reachable under one name only."""
+    builders = list(FAMILIES.values())
+    assert len(set(builders)) == len(builders)
+
+
 def test_scalar_family_properties():
     inst = parse_instance(generate("scalar-commuting", seed=1, k=3))
     assert inst.representation.dim == 1
@@ -37,7 +43,7 @@ def test_diagonal_family_is_doubly_commuting():
 
     inst = parse_instance(generate("diagonal-doubly-commuting", seed=2, k=2, dims=3))
     assert inst.representation.dim == 3
-    assert doubly_commuting_check(inst.representation, 1, 2, 1, 1) <= 1e-12
+    assert doubly_commuting_check(inst.representation, 1, 2, (1, 1)) <= 1e-12
 
 
 def test_multiplication_family_is_isometric():

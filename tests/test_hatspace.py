@@ -7,12 +7,11 @@ import pytest
 
 import dilationlab
 from dilationlab import lattice
-from dilationlab.dilation import verify_hat_doubly_commuting
 from dilationlab.families import generate
 from dilationlab.hatspace import TruncatedFock, hat_checks
 from dilationlab.instances import parse_instance
 from dilationlab.linalg import opnorm
-from dilationlab.representation import brehmer_check_NS
+from dilationlab.representation import brehmer_check_NS, doubly_commuting_check
 from oracles import (
     DenseFock,
     a_action,
@@ -173,10 +172,9 @@ def test_blockwise_checks_match_dense_oracle():
         assert checks["hat_semigroup"] <= max(a for a, _ in semi)
         worst = max(worst, abs(checks["technology"] - technology_dense(dense)))
         for j, l in itertools.permutations(range(1, k + 1), 2):
-            for s_j, s_k in [(1, 1), (2, 1), (1, 2), (4, 1)]:
-                got = verify_hat_doubly_commuting(space, j, l, s_j, s_k)
-                worst = max(worst, abs(got - hat_doubly_commuting_dense(dense, j, l, s_j, s_k)))
-                dc_seen = max(dc_seen, got)
+            got = doubly_commuting_check(inst.representation, j, l, space.bound)
+            worst = max(worst, abs(got - hat_doubly_commuting_dense(dense, j, l)))
+            dc_seen = max(dc_seen, got)
     assert worst <= 1e-13
     assert dc_seen > 1e-3  # the comparison covers a nonzero doubly-commuting defect
 

@@ -6,9 +6,9 @@ import pytest
 
 from dilationlab import cli
 from dilationlab.errors import InstanceFormatError, InvalidArgumentError
-from dilationlab.families import _scalar_instance
+from dilationlab.families import FAMILIES, _scalar_instance, generate
 from dilationlab.instances import (
-    complex_to_json,
+    array_to_json,
     instance_to_json,
     json_to_complex,
     load_instance,
@@ -16,15 +16,29 @@ from dilationlab.instances import (
 )
 
 from conftest import INSTANCES_DIR
+from oracles import array_to_json_loop
+from test_dtypes import instance_arrays
 
 
 def test_complex_codec_roundtrip():
     z = 1.25 - 0.5j
-    assert json_to_complex(complex_to_json(z), "here") == z
+    assert json_to_complex(array_to_json(np.asarray(z)), "here") == z
     with pytest.raises(InstanceFormatError):
         json_to_complex("nope", "here")
     with pytest.raises(InstanceFormatError):
         json_to_complex([1.0], "here")
+
+
+@pytest.mark.parametrize("family", sorted(FAMILIES))
+def test_array_encoder_writes_the_entrywise_bytes(family):
+    """One stacked encoder writes every array of a generated instance, real
+    or complex, signed zeros included, byte for byte as the entry-by-entry
+    writer does."""
+    inst = parse_instance(generate(family, seed=1, k=2, dims=2))
+    arrays = instance_arrays(inst)
+    arrays["signed zeros"] = np.array([[-0.0, 0.0], [complex(0.0, -0.0), complex(-0.0, 1.5)]])
+    for name, a in arrays.items():
+        assert json.dumps(array_to_json(a)) == json.dumps(array_to_json_loop(a)), name
 
 
 def test_instance_roundtrip(scalar_pair):

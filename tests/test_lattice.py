@@ -10,7 +10,6 @@ points = st.tuples(st.integers(0, 5), st.integers(0, 5))
 def test_zero_and_unit():
     assert lattice.zero(3) == (0, 0, 0)
     assert lattice.unit(3, 2) == (0, 1, 0)
-    assert lattice.unit(2, 1, 4) == (4, 0)
     with pytest.raises(ValueError):
         lattice.unit(2, 3)
 

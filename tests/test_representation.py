@@ -9,11 +9,12 @@ from dilationlab.errors import InvalidArgumentError, NotWellDefinedError
 from dilationlab.families import _scalar_instance, generate
 from dilationlab.hatspace import TruncatedFock
 from dilationlab.instances import parse_instance
+from dilationlab.linalg import opnorm
 from dilationlab.representation import (
     AlgebraRepresentation,
     brehmer_check_NS,
     doubly_commuting_check,
-    doubly_commuting_defect,
+    doubly_commuting_keys,
     validate_representation,
     validate_sigma,
 )
@@ -69,24 +70,40 @@ def test_scalar_not_isometric(half_scalar):
 
 
 def test_doubly_commuting_scalar_and_diagonal(scalar_pair):
-    assert doubly_commuting_check(scalar_pair.representation, 1, 2, 1, 1) < 1e-12
-    assert doubly_commuting_check(scalar_pair.representation, 2, 1, 2, 1) < 1e-12
+    assert doubly_commuting_check(scalar_pair.representation, 1, 2, (1, 1)) < 1e-12
+    assert doubly_commuting_check(scalar_pair.representation, 2, 1, (3, 2)) < 1e-12
 
 
 def test_doubly_commuting_fails_for_jordan_pair():
     j = np.array([[0.5, 0.3], [0.0, 0.5]], dtype=complex)
     inst = parse_instance(_scalar_instance([j, j]))
     assert max(validate_representation(inst.representation).values()) <= 1e-10
-    assert doubly_commuting_check(inst.representation, 1, 2, 1, 1) == pytest.approx(
+    assert doubly_commuting_check(inst.representation, 1, 2, (1, 1)) == pytest.approx(
         0.09, abs=1e-10
     )
 
 
 def test_doubly_commuting_check_arguments(scalar_pair):
     with pytest.raises(InvalidArgumentError):
-        doubly_commuting_check(scalar_pair.representation, 1, 1, 1, 1)
-    with pytest.raises(InvalidArgumentError):
-        doubly_commuting_check(scalar_pair.representation, 1, 2, 0, 1)
+        doubly_commuting_check(scalar_pair.representation, 1, 1, (1, 1))
+
+
+def test_doubly_commuting_keys_per_block():
+    """Four keys per block r with b <= r and r + a <= bound: at a + b the
+    one block r = b; none when the box leaves no room for a."""
+    assert doubly_commuting_keys(2, 1, 2, (1, 1)) == [
+        ((1, 0), (1, 0)),
+        ((0, 1), (0, 1)),
+        ((1, 1), (0, 1)),
+        ((1, 1), (1, 0)),
+    ]
+    blocks = [keys[1][0] for keys in _chunks(doubly_commuting_keys(3, 2, 1, (2, 1, 1)), 4)]
+    assert blocks == [(1, 0, 0), (1, 0, 1), (2, 0, 0), (2, 0, 1)]  # in the order of lattice.box
+    assert doubly_commuting_keys(2, 1, 2, (0, 3)) == []
+
+
+def _chunks(items, size):
+    return [items[x : x + size] for x in range(0, len(items), size)]
 
 
 @pytest.mark.parametrize(
@@ -175,6 +192,9 @@ def test_lowering_raw_matches_quotient_split(request):
 
 
 def test_doubly_commuting_defect_matches_quotient_oracle(request):
+    """At bound a + b the one block of the check, built from its keys, is
+    the negated adjoint of the defect of (sigma, T) on the localized
+    reduced pairs, and the check is its norm."""
     seen_nonzero = False
     for name, rep in _quotient_cases(request):
         k = rep.system.k
@@ -182,18 +202,21 @@ def test_doubly_commuting_defect_matches_quotient_oracle(request):
             for l in range(1, k + 1):
                 if j == l:
                     continue
-                for s_j, s_k in ((1, 1), (2, 1), (1, 2)):
-                    got = doubly_commuting_defect(rep, j, l, s_j, s_k)
-                    want = doubly_commuting_defect_quotient(rep, j, l, s_j, s_k)
-                    assert np.abs(got - want).max() <= 1e-13, (name, j, l, s_j, s_k)
-                    seen_nonzero |= np.abs(want).max() > 1e-3
+                bound = lattice.add(lattice.unit(k, j), lattice.unit(k, l))
+                a_a, b_b, ab_b, ab_a = rep.build(keys=doubly_commuting_keys(k, j, l, bound))
+                block = a_a.conj().T @ b_b - ab_b @ ab_a.conj().T
+                want = doubly_commuting_defect_quotient(rep, j, l)
+                assert np.abs(block + want.conj().T).max() <= 1e-13, (name, j, l)
+                got = doubly_commuting_check(rep, j, l, bound)
+                assert abs(got - opnorm(want)) <= 1e-13, (name, j, l)
+                seen_nonzero |= np.abs(want).max() > 1e-3
     assert seen_nonzero
 
 
 def test_doubly_commuting_defect_is_hat_block(request):
-    """The defect loc(a) -> loc(b) is the negated adjoint of the block
-    loc(b) -> loc(a) of T^_a^H T^_b - T^_b T^_a^H, cut from the dense T^ on
-    the box up to a + b."""
+    """On the box up to a + b the dense T^_a^H T^_b - T^_b T^_a^H vanishes
+    outside its block loc(b) -> loc(a), so the check there, of (sigma, T),
+    is that block's norm."""
     seen_nonzero = False
     for name, rep in _quotient_cases(request):
         k = rep.system.k
@@ -201,16 +224,18 @@ def test_doubly_commuting_defect_is_hat_block(request):
             for l in range(1, k + 1):
                 if j == l:
                     continue
-                for s_j, s_k in ((1, 1), (2, 1), (1, 2)):
-                    a = lattice.unit(k, j, s_j)
-                    b = lattice.unit(k, l, s_k)
-                    dense = DenseFock(TruncatedFock(rep, lattice.add(a, b)))
-                    hat_a, hat_b = dense.hat(a), dense.hat(b)
-                    hat_defect = hat_a.conj().T @ hat_b - hat_b @ hat_a.conj().T
-                    block = hat_defect[dense.block_slice(a), dense.block_slice(b)]
-                    got = doubly_commuting_defect(rep, j, l, s_j, s_k)
-                    assert np.abs(got + block.conj().T).max() <= 1e-13, (name, j, l, s_j, s_k)
-                    seen_nonzero |= np.abs(block).max() > 1e-3
+                a, b = lattice.unit(k, j), lattice.unit(k, l)
+                bound = lattice.add(a, b)
+                dense = DenseFock(TruncatedFock(rep, bound))
+                hat_a, hat_b = dense.hat(a), dense.hat(b)
+                hat_defect = hat_a.conj().T @ hat_b - hat_b @ hat_a.conj().T
+                rows, cols = dense.block_slice(a), dense.block_slice(b)
+                block = hat_defect[rows, cols].copy()
+                hat_defect[rows, cols] = 0.0
+                assert np.abs(hat_defect).max() <= 1e-13, (name, j, l)
+                got = doubly_commuting_check(rep, j, l, bound)
+                assert abs(got - opnorm(block)) <= 1e-13, (name, j, l)
+                seen_nonzero |= np.abs(block).max() > 1e-3
     assert seen_nonzero
 
 
