@@ -182,10 +182,10 @@ def run_pipeline(inst: Instance, command: str, params: dict) -> tuple[dict, int]
             checks.extend(check_record(name, res) for name, res in hat_checks(space).items())
             k = inst.system.k
             pairs = [(j, l) for j in range(1, k + 1) for l in range(j + 1, k + 1)]
-            if k >= 2 and verdicts["doubly_commuting"]:
+            if pairs and verdicts["doubly_commuting"]:
                 dc_hat = max(doubly_commuting_check(inst.representation, j, l, space.bound) for j, l in pairs)
                 checks.append(check_record("doubly_commuting_hat", dc_hat))
-            window = window_gram(space, params["M"])
+            window = window_gram(inst.representation, params["M"])
             window_section = {
                 "M": list(window.bound),
                 "rank": 0,
@@ -201,17 +201,10 @@ def run_pipeline(inst: Instance, command: str, params: dict) -> tuple[dict, int]
                 try:
                     for name, res in verify_regular_dilation(bundle, guard=guard).items():
                         checks.append(check_record(name, res))
-                    if verdicts["doubly_commuting"]:
-                        dc_v = max(
-                            (verify_doubly_commuting_V(bundle, j, l, guard=guard) for j, l in pairs),
-                            default=0.0,
-                        )
-                        if k >= 2:
-                            checks.append(check_record("doubly_commuting_V", dc_v))
-                    alt = kolmogorov(window, tol=tol, method="chol")
-                    checks.append(
-                        check_record("uniqueness", compare_minimal_dilations(bundle, alt))
-                    )
+                    if pairs and verdicts["doubly_commuting"]:
+                        dc_v = max(verify_doubly_commuting_V(bundle, j, l, guard=guard) for j, l in pairs)
+                        checks.append(check_record("doubly_commuting_V", dc_v))
+                    checks.append(check_record("uniqueness", compare_minimal_dilations(bundle, tol)))
                 except NotWellDefinedError as exc:
                     # the V_0 and V_{e_i} solves, or a descent through them
                     checks.append(check_record("V_recovery", float("inf")))

@@ -26,11 +26,15 @@ Theta(t, t)^H Theta(s, s). Identities involving adjoints are window
 compressions, so they are checked on vectors generated at lattice points
 at least a guard margin g inside the window.
 
+The dilation is built from one factorization, the eig factor
+R = Lambda^{1/2} W^H of the kernel's eigh; a pivoted Cholesky factor of
+the same kernel only checks that the minimal dilation is unique up to
+unitary equivalence (compare_minimal_dilations).
+
 No p-square factorization repeats what the kernel's eigh already knows.
-The eig factor R = Lambda^{1/2} W^H has orthogonal rows, so its
-pseudo-inverse is R^+ = W Lambda^{-1/2} and its singular values are
-sqrt(Lambda): V_0's solve (domain(0) is all of R), the uniqueness
-intertwiner over the bundle's own window and dim K_min take no SVD. Each
+R has orthogonal rows, so its pseudo-inverse is R^+ = W Lambda^{-1/2} and
+its singular values are sqrt(Lambda): V_0's solve (domain(0) is all of
+R), the uniqueness intertwiner and dim K_min take no SVD of R. Each
 V_{e_i}'s solve takes one SVD of domain(e_i), which also gives item 4 its
 projector onto that domain. The *-homomorphism identities of V_0 and the
 doubly-commuting identity of the recovered maps are taken in weak form,
@@ -52,7 +56,6 @@ import numpy as np
 
 from . import lattice
 from .errors import InvalidArgumentError, NotPositiveDefiniteError
-from .hatspace import TruncatedFock
 from .linalg import (
     lstsq_map,
     max_opnorm,
@@ -60,6 +63,7 @@ from .linalg import (
     pinv_and_range,
     pivoted_cholesky,
     psd_factor,
+    rank_mask,
 )
 from .representation import AlgebraRepresentation, CCRepresentation, validate_module
 
@@ -74,7 +78,7 @@ class KernelWindow:
     window point s in turn; `slices[i]` holds those of `points[i]`.
     """
 
-    space: TruncatedFock
+    rep: CCRepresentation
     bound: lattice.Point
     points: tuple[lattice.Point, ...]
     slices: tuple[slice, ...]
@@ -88,10 +92,9 @@ class KernelWindow:
         return float(self.eigvals.min())
 
 
-def window_gram(space: TruncatedFock, bound: lattice.Point) -> KernelWindow:
-    """Kernel of the generating vectors at the points 0 <= s <= bound."""
+def window_gram(rep: CCRepresentation, bound: lattice.Point) -> KernelWindow:
+    """Kernel of the generating vectors of rep at the points 0 <= s <= bound."""
     bound = tuple(int(b) for b in bound)
-    rep = space.rep
     if len(bound) != rep.system.k or any(b < 0 for b in bound):
         raise InvalidArgumentError(f"bad window bound {bound}")
     points = tuple(lattice.box(bound))
@@ -118,34 +121,33 @@ def window_gram(space: TruncatedFock, bound: lattice.Point) -> KernelWindow:
         gram[slices[a], slices[b]] = block
         gram[slices[b], slices[a]] = block.conj().T
     eigvals, eigvecs = np.linalg.eigh(gram)
-    return KernelWindow(space, bound, points, tuple(slices), gram, eigvals, eigvecs)
+    return KernelWindow(rep, bound, points, tuple(slices), gram, eigvals, eigvecs)
 
 
 class DilationBundle:
-    """Kolmogorov factor of a window kernel plus the recovered isometries.
+    """Eig factor of a window kernel plus the recovered isometries.
 
     The factor's columns at a window point s, `factor[:, slices[s]]`, are
     the generating vectors delta_s . x (x) h in the localized coordinates
     of loc(s); they are the only stored form of the generating vectors.
     """
 
-    def __init__(self, window: KernelWindow, factor: np.ndarray, method: str):
+    # Read by nothing in the package: the benchmark's tracer records the
+    # factor rank and dim K_min of a bundle whose method is "eig".
+    method = "eig"
+
+    def __init__(self, window: KernelWindow, factor: np.ndarray):
         self.window = window
-        self.rep = window.space.rep
+        self.rep = window.rep
         self.factor = factor
         self.rank = factor.shape[0]
-        self.method = method
         self._slice_of = dict(zip(window.points, window.slices))
-        self._k_min_rank: int | None = None
 
     @property
-    def eig_split(self) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
-        """For the eig factor R = Lambda^{1/2} W^H, its kept eigenvalues
-        Lambda, kept eigenvectors W and discarded eigenvectors W_0, as views
-        of the window's eigenpairs (eigh's eigenvalues ascend, so the kept
-        ones are the last `rank`); None for another factor."""
-        if self.method != "eig":
-            return None
+    def eig_split(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The factor's kept eigenvalues Lambda, kept eigenvectors W and
+        discarded eigenvectors W_0, as views of the window's eigenpairs
+        (eigh's eigenvalues ascend, so the kept ones are the last `rank`)."""
         first = self.window.eigvals.shape[0] - self.rank
         vecs = self.window.eigvecs
         return self.window.eigvals[first:], vecs[:, first:], vecs[:, :first]
@@ -196,17 +198,10 @@ class DilationBundle:
         return np.concatenate(blocks, axis=2)
 
     def k_min_rank(self) -> int:
-        """dim K_min: the numerical rank of the localized generating vectors,
-        computed once per bundle. The eig factor's singular values are the
-        square roots of its kept eigenvalues; another factor takes an SVD."""
-        if self._k_min_rank is None:
-            split = self.eig_split
-            if split is not None:
-                svals = np.sqrt(split[0])
-            else:
-                svals = np.linalg.svd(self.factor, compute_uv=False)
-            self._k_min_rank = _rank(svals)
-        return self._k_min_rank
+        """dim K_min: the numerical rank of the localized generating vectors.
+        The factor's singular values are the square roots of its kept
+        eigenvalues, so it takes no SVD."""
+        return int(np.count_nonzero(rank_mask(np.sqrt(self.eig_split[0]))))
 
     # -- recovered operators ----------------------------------------------------
 
@@ -225,16 +220,16 @@ class DilationBundle:
         on domain(s): V_0 over the algebra basis, and V_{e_i} over the
         reduced basis of X(e_i).
 
-        domain(0) is the whole factor R, so for the eig factor
-        R = Lambda^{1/2} W^H, whose rows are orthogonal, V_0's solve takes
-        R^+ = W Lambda^{-1/2} and no SVD. Each V_{e_i}'s solve takes one SVD
-        of its domain, whose basis gives item 4 its projector.
+        domain(0) is the whole factor R = Lambda^{1/2} W^H, whose rows are
+        orthogonal, so V_0's solve takes R^+ = W Lambda^{-1/2} and no SVD.
+        Each V_{e_i}'s solve takes one SVD of its domain, whose basis gives
+        item 4 its projector.
         """
-        split = self.eig_split
+        vals, vecs, _null = self.eig_split
         out = {}
         for s, (dom, tgt) in self.steps.items():
-            if lattice.is_zero(s) and split is not None:
-                pinv, basis = split[1] / np.sqrt(split[0]), None
+            if lattice.is_zero(s):
+                pinv, basis = vecs / np.sqrt(vals), None
             else:
                 pinv, basis = pinv_and_range(dom)
             out[s] = (lstsq_map(tgt, dom, pinv, LSQ_TOL, f"V_{s}"), basis)
@@ -258,29 +253,21 @@ class DilationBundle:
         return CCRepresentation(sys_, sigma, t_maps, tol=LSQ_TOL)
 
 
-def kolmogorov(window: KernelWindow, tol: float = 1e-10, method: str = "eig") -> DilationBundle:
-    """Factor the window kernel as R^H R; fails when it is not PSD."""
+def kolmogorov(window: KernelWindow, tol: float = 1e-10) -> DilationBundle:
+    """Factor the window kernel as R^H R from its eigenpairs, keeping the
+    eigenvalues above tol times the largest; fails when it is not PSD."""
     if window.psd_margin < -tol:
         raise NotPositiveDefiniteError(
             f"window Gram has negative eigenvalue {window.psd_margin:.3e}: "
             "no regular isometric dilation exists for this window",
             margin=window.psd_margin,
         )
-    if method == "eig":
-        cutoff = tol * max(float(window.eigvals.max()), 0.0)
-        factor, _vals, _vecs = psd_factor(window.eigvals, window.eigvecs, cutoff, "kolmogorov")
-        return DilationBundle(window, factor, method)
-    if method == "chol":
-        return DilationBundle(window, pivoted_cholesky(window.gram, rel_tol=tol), method)
-    raise InvalidArgumentError(f"unknown factorization method {method!r}")
+    cutoff = tol * max(float(window.eigvals.max()), 0.0)
+    factor, _vals, _vecs = psd_factor(window.eigvals, window.eigvecs, cutoff, "kolmogorov")
+    return DilationBundle(window, factor)
 
 
 # -- verification -------------------------------------------------------------
-
-
-def _rank(svals: np.ndarray, rtol: float = 1e-8) -> int:
-    """Numerical rank from singular values: those above rtol * max(1, largest one)."""
-    return int(np.count_nonzero(svals > rtol * max(1.0, svals.max(initial=0.0))))
 
 
 def _guarded(bound: lattice.Point, guard: int) -> lattice.Point:
@@ -443,21 +430,20 @@ def verify_doubly_commuting_V(bundle: DilationBundle, j: int, k: int, guard: int
     return float(np.abs(lhs - rhs).max(initial=0.0))
 
 
-def compare_minimal_dilations(bundle_a: DilationBundle, bundle_b: DilationBundle) -> float:
-    """Max inner-product discrepancy between the localized generating
-    vectors of an eig bundle and another factor of the kernel of the same
-    representation and window bound, plus the residual of the matched
-    unitary intertwiner omega = g_b g_a^+.
+def compare_minimal_dilations(bundle: DilationBundle, tol: float) -> float:
+    """Uniqueness of the minimal dilation: the largest inner-product
+    discrepancy between the bundle's localized generating vectors R and
+    those of a pivoted Cholesky factor C of its window kernel (pivot
+    cutoff tol), plus the residual of the matched unitary intertwiner
+    omega = C R^+; inf when the two factors differ in numerical rank.
 
-    For the eig factor g_a = R = Lambda^{1/2} W^H, R^+ R = W W^H, so the
-    residual omega g_a - g_b = -g_b W_0 W_0^H, W_0 the discarded
-    eigenvectors, has the norm of g_b W_0, and no pinv is taken.
+    R = Lambda^{1/2} W^H, so R^+ R = W W^H and the residual
+    omega R - C = -C W_0 W_0^H, W_0 the discarded eigenvectors, has the
+    norm of C W_0; no pinv is taken.
     """
-    split = bundle_a.eig_split
-    if split is None or bundle_b.rep is not bundle_a.rep or bundle_b.window.bound != bundle_a.window.bound:
-        raise InvalidArgumentError("uniqueness compares an eig bundle with another factor of its window")
-    g_a, g_b = bundle_a.factor, bundle_b.factor
-    gram_diff = float(np.abs(g_a.conj().T @ g_a - g_b.conj().T @ g_b).max())
-    if bundle_a.k_min_rank() != bundle_b.k_min_rank():
+    chol = pivoted_cholesky(bundle.window.gram, rel_tol=tol)
+    g = bundle.factor
+    gram_diff = float(np.abs(g.conj().T @ g - chol.conj().T @ chol).max())
+    if np.count_nonzero(rank_mask(np.linalg.svd(chol, compute_uv=False))) != bundle.k_min_rank():
         return float("inf")
-    return max(gram_diff, opnorm(g_b @ split[2]))
+    return max(gram_diff, opnorm(chol @ bundle.eig_split[2]))

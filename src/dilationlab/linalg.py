@@ -114,20 +114,24 @@ def null_split(grams: np.ndarray, tol: float, what: str) -> list:
     return out
 
 
-def pinv_and_range(m: np.ndarray, rtol: float = 1e-8) -> tuple[np.ndarray, np.ndarray]:
+def rank_mask(svals: np.ndarray) -> np.ndarray:
+    """The numerical rank rule: the singular values above 1e-8 * max(1,
+    largest one) count."""
+    return svals > 1e-8 * max(1.0, svals.max(initial=0.0))
+
+
+def pinv_and_range(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """m's pseudo-inverse and an orthonormal basis of m's column space, from
     one SVD m = U S V^H.
 
     The pseudo-inverse V S^+ U^H inverts the singular values above 1e-15
     times the largest one, np.linalg.pinv's default cutoff; the basis keeps
-    the columns of U whose singular values are above rtol * max(1, largest
-    one).
+    the columns of U whose singular values count by rank_mask.
     """
     u, svals, vh = np.linalg.svd(m, full_matrices=False)
-    top = svals.max(initial=0.0)
-    inv = np.divide(1, svals, where=svals > 1e-15 * top, out=np.zeros_like(svals))
+    inv = np.divide(1, svals, where=svals > 1e-15 * svals.max(initial=0.0), out=np.zeros_like(svals))
     pinv = (vh.conj().T * inv) @ u.conj().T
-    return pinv, u[:, svals > rtol * max(top, 1.0)]
+    return pinv, u[:, rank_mask(svals)]
 
 
 def lstsq_map(

@@ -296,7 +296,8 @@ def validate_representation(rep: CCRepresentation) -> dict[str, float]:
     for i in range(1, k + 1):
         e_i = lattice.unit(k, i)
         keys.append((e_i, e_i))
-        keys.extend(key for j in range(i + 1, k + 1) for key in _commutation_keys(k, i, j))
+        for j in range(i + 1, k + 1):
+            keys += doubly_commuting_keys(k, i, j, lattice.add(e_i, lattice.unit(k, j)))
     rep.build(keys=keys)
     for i in range(1, k + 1):
         e_i = lattice.unit(k, i)
@@ -304,12 +305,6 @@ def validate_representation(rep: CCRepresentation) -> dict[str, float]:
         for j in range(i + 1, k + 1):
             res[f"commutation_{i}_{j}"] = _commutation_residual(rep, i, j)
     return res
-
-
-def _commutation_keys(k: int, i: int, j: int) -> list:
-    e_i, e_j = lattice.unit(k, i), lattice.unit(k, j)
-    e_ij = lattice.add(e_i, e_j)
-    return [(e_i, e_i), (e_ij, e_j), (e_j, e_j), (e_ij, e_i)]
 
 
 def _commutation_residual(rep: CCRepresentation, i: int, j: int) -> float:
@@ -320,8 +315,11 @@ def _commutation_residual(rep: CCRepresentation, i: int, j: int) -> float:
 
     Theta(e_i+e_j, e_j) is I (x) T~_j composed with U_{e_i,e_j}^{-1}, and
     Theta(e_i+e_j, e_i) is I (x) T~_i composed with U_{e_j,e_i}^{-1}, so the
-    flip t_ij = U_{e_j,e_i}^{-1} U_{e_i,e_j} is carried by the blocks."""
-    i_i, ij_j, j_j, ij_i = rep.build(keys=_commutation_keys(rep.system.k, i, j))
+    flip t_ij = U_{e_j,e_i}^{-1} U_{e_i,e_j} is carried by the blocks, the
+    four of doubly_commuting_keys at bound e_i + e_j."""
+    k = rep.system.k
+    e_ij = lattice.add(lattice.unit(k, i), lattice.unit(k, j))
+    i_i, j_j, ij_j, ij_i = rep.build(keys=doubly_commuting_keys(k, i, j, e_ij))
     return opnorm(i_i @ ij_j - j_j @ ij_i)
 
 

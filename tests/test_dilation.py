@@ -44,9 +44,8 @@ from oracles import (
 )
 
 
-def bundle_of(inst, bound, method="eig"):
-    space = TruncatedFock(inst.representation, bound)
-    return kolmogorov(window_gram(space, bound), method=method)
+def bundle_of(inst, bound):
+    return kolmogorov(window_gram(inst.representation, bound))
 
 
 def test_unitary_scalar_generating_gram():
@@ -86,7 +85,7 @@ SMALL_WINDOWS = [
 def test_kernel_is_generating_subblock_of_full_gram(request, name, bound):
     inst = request.getfixturevalue(name)
     space = TruncatedFock(inst.representation, bound)
-    window = window_gram(space, bound)
+    window = window_gram(inst.representation, bound)
     dense = DenseFock(space)
     full, full_margin = full_window_gram(dense, bound)
     assert list(window.points) == window_points(bound)
@@ -104,7 +103,7 @@ def test_scalar_margins_match_toeplitz_oracle(scalar_pair, half_scalar):
     cases.append((parse_instance(generate("scalar-commuting", seed=7, k=3)), (1, 2, 1)))
     for inst, bound in cases:
         ts = tuple(complex(t[0, 0, 0]) for t in inst.representation.t_maps)
-        window = window_gram(TruncatedFock(inst.representation, bound), bound)
+        window = window_gram(inst.representation, bound)
         assert abs(window.psd_margin - toeplitz_margin_scalar(ts, bound)) <= 1e-12, (ts, bound)
 
 
@@ -116,8 +115,7 @@ def test_window_rank_is_k_min(scalar_pair, mult_m2):
 
 
 def test_kolmogorov_rejects_nilpotent(nilpotent_pair):
-    space = TruncatedFock(nilpotent_pair.representation, (2, 2))
-    window = window_gram(space, (2, 2))
+    window = window_gram(nilpotent_pair.representation, (2, 2))
     assert window.psd_margin < -0.1
     with pytest.raises(NotPositiveDefiniteError):
         kolmogorov(window)
@@ -196,61 +194,63 @@ def test_Vs_compresses_to_T(mult_m2):
 
 def test_uniqueness_across_backends(scalar_pair, mult_m2):
     for inst in (scalar_pair, mult_m2):
-        a = bundle_of(inst, (2, 2), method="eig")
-        b = bundle_of(inst, (2, 2), method="chol")
-        assert compare_minimal_dilations(a, b) <= 1e-9
+        assert compare_minimal_dilations(bundle_of(inst, (2, 2)), 1e-10) <= 1e-9
+
+
+@pytest.mark.parametrize("fault", ["last row dropped", "row scaled"])
+def test_uniqueness_fails_on_another_factor(monkeypatch, mult_m2, fault):
+    """A Cholesky factor of another rank gives inf, one with other inner
+    products a residual above the report's 1e-9 threshold; the true factor
+    passes."""
+    bundle = bundle_of(mult_m2, (2, 2))
+    assert compare_minimal_dilations(bundle, 1e-10) <= 1e-9
+    cholesky = dilation.pivoted_cholesky
+
+    def faulty(gram, rel_tol):
+        c = cholesky(gram, rel_tol=rel_tol)
+        if fault == "last row dropped":
+            return c[:-1]
+        c[0] *= 1.1
+        return c
+
+    monkeypatch.setattr(dilation, "pivoted_cholesky", faulty)
+    res = compare_minimal_dilations(bundle, 1e-10)
+    if fault == "last row dropped":
+        assert res == float("inf")
+    else:
+        assert 1e-9 < res < float("inf")
 
 
 def test_uniqueness_across_windows(scalar_pair):
     """The larger window's generating vectors at the smaller window's points
     have the smaller window's Gram and rank."""
-    space = TruncatedFock(scalar_pair.representation, (3, 3))
-    small = kolmogorov(window_gram(space, (2, 2)))
-    big = kolmogorov(window_gram(space, (3, 3)))
+    small = bundle_of(scalar_pair, (2, 2))
+    big = bundle_of(scalar_pair, (3, 3))
     g_small, g_big = small.factor, big.localized((2, 2))
     assert np.abs(g_small.conj().T @ g_small - g_big.conj().T @ g_big).max() <= 1e-9
     assert np.linalg.matrix_rank(g_big, tol=1e-8) == small.k_min_rank()
 
 
-def test_uniqueness_takes_an_eig_bundle_and_a_factor_of_its_window(scalar_pair, mult_m2):
-    space = TruncatedFock(scalar_pair.representation, (3, 3))
-    eig = kolmogorov(window_gram(space, (2, 2)))
-    chol = kolmogorov(eig.window, method="chol")
-    assert compare_minimal_dilations(eig, chol) <= 1e-9
-    others = [
-        (chol, eig),  # the first bundle is not an eig bundle
-        (eig, kolmogorov(window_gram(space, (3, 3)), method="chol")),  # another window bound
-        (eig, bundle_of(mult_m2, (2, 2), method="chol")),  # another representation
-    ]
-    for a, b in others:
-        with pytest.raises(InvalidArgumentError):
-            compare_minimal_dilations(a, b)
-
-
 def test_eig_split_reads_the_factor_off_the_window(mult_m2):
     """The eig bundle's kept eigenpairs are its factor's,
     R = Lambda^{1/2} W^H, and give its pseudo-inverse W Lambda^{-1/2}; the
-    discarded eigenvectors span R's null space. A Cholesky bundle has no
-    split."""
-    a = bundle_of(mult_m2, (2, 2), method="eig")
+    discarded eigenvectors span R's null space."""
+    a = bundle_of(mult_m2, (2, 2))
     vals, vecs, null = a.eig_split
     assert np.array_equal(a.factor, np.sqrt(vals)[:, None] * vecs.conj().T)
     want = np.linalg.pinv(a.factor)
     assert np.allclose(vecs / np.sqrt(vals), want, rtol=0.0, atol=1e-10 * np.abs(want).max())
     assert null.shape == (a.window.gram.shape[0], a.window.gram.shape[0] - a.rank)
     assert np.abs(a.factor @ null).max(initial=0.0) <= 1e-12
-    assert bundle_of(mult_m2, (2, 2), method="chol").eig_split is None
 
 
 def test_factor_rank_is_taken_once_per_bundle(monkeypatch, mult_m2):
     """k_min_rank reads the eig factor's rank off its kept eigenvalues and
-    takes one SVD of another factor, once per bundle, and
-    compare_minimal_dilations over the bundles' own window reuses both:
-    with both ranks known, only the intertwiner residual takes an SVD, of
-    the Cholesky factor on the eig factor's discarded eigenvectors, and no
-    pinv is taken."""
-    a = bundle_of(mult_m2, (2, 2), method="eig")
-    b = bundle_of(mult_m2, (2, 2), method="chol")
+    takes no SVD. compare_minimal_dilations takes two SVDs and no pinv:
+    the singular values of its Cholesky factor C for C's rank, and the
+    intertwiner residual, C on the eig factor's discarded eigenvectors."""
+    a = bundle_of(mult_m2, (2, 2))
+    chol = dilation.pivoted_cholesky(a.window.gram, rel_tol=1e-10)
     calls = []
     originals = {name: getattr(np.linalg, name) for name in ("svd", "pinv")}
 
@@ -265,12 +265,12 @@ def test_factor_rank_is_taken_once_per_bundle(monkeypatch, mult_m2):
         for mod_name, module in list(sys.modules.items()):
             if mod_name.startswith("numpy.linalg") and getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, counting(name))
-    ranks = (a.k_min_rank(), b.k_min_rank())
-    assert calls == [("svd", b.factor.shape)]
-    assert (a.k_min_rank(), b.k_min_rank()) == ranks
-    assert compare_minimal_dilations(a, b) <= 1e-9
+    assert a.k_min_rank() == a.rank
+    assert calls == []
+    assert compare_minimal_dilations(a, 1e-10) <= 1e-9
     null_dim = a.window.gram.shape[0] - a.rank
-    assert calls == [("svd", b.factor.shape), ("svd", (b.rank, null_dim))]
+    assert null_dim > 0
+    assert calls == [("svd", chol.shape), ("svd", (chol.shape[0], null_dim))]
 
 
 def test_doubly_commuting_checks(scalar_pair):

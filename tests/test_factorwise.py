@@ -9,7 +9,6 @@ from dilationlab import correspondence, cstar, lattice, prodsys
 from dilationlab.correspondence import Correspondence, algebra_correspondence, trivial_correspondence
 from dilationlab.dilation import DilationBundle, kolmogorov, window_gram
 from dilationlab.families import FAMILIES, generate
-from dilationlab.hatspace import TruncatedFock
 from dilationlab.instances import parse_instance
 from dilationlab.prodsys import ProductSystem
 from dilationlab.representation import AlgebraRepresentation, CCRepresentation
@@ -81,12 +80,12 @@ BOX = (2, 2)
 def _bundle(rep, bound):
     """A bundle over the window at `bound`: the Kolmogorov factor where the
     kernel is PSD, else (targets being linear in it) a random factor."""
-    window = window_gram(TruncatedFock(rep, bound), bound)
+    window = window_gram(rep, bound)
     if window.psd_margin >= -1e-10:
         return kolmogorov(window)
     rng = np.random.default_rng(0)
     n = window.gram.shape[0]
-    return DilationBundle(window, rng.standard_normal((n, n)) + 0j, "random")
+    return DilationBundle(window, rng.standard_normal((n, n)) + 0j)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
