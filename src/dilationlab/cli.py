@@ -36,7 +36,7 @@ from .errors import (
 )
 from .families import FAMILIES, generate
 from .hatspace import TruncatedFock, hat_checks
-from .instances import Instance, load_instance
+from .instances import Instance, is_count, load_instance
 from .report import check_record, compare_reports, make_report, render
 from .representation import (
     brehmer_check_NS,
@@ -70,12 +70,8 @@ def _parse_point(text: str, k: int, what: str) -> lattice.Point:
     return parts
 
 
-def _is_count(value, least: int) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= least
-
-
 def _check_point(value, k: int, least: int, name: str) -> None:
-    if not (isinstance(value, list) and len(value) == k and all(_is_count(v, least) for v in value)):
+    if not (isinstance(value, list) and len(value) == k and all(is_count(v, least) for v in value)):
         raise InstanceFormatError(
             f"parameter {name} must be a list of {k} integers >= {least}, got {value!r}"
         )
@@ -96,13 +92,13 @@ def _resolve_params(inst: Instance, args, reference: dict | None = None) -> dict
     if getattr(args, "guard", None) is not None:
         params["guard"] = args.guard
     params["tol"] = inst.system.tol
+    _check_point(params["L"], k, 0, "L")
     if params.get("M") is None:
         params["M"] = list(params["L"])
-    _check_point(params["L"], k, 0, "L")
     _check_point(params["NS_box"], k, 0, "NS_box")
     # isometric_rep needs V_{e_i} for every generator
     _check_point(params["M"], k, 1, "M")
-    if not _is_count(params["guard"], 0):
+    if not is_count(params["guard"], 0):
         raise InstanceFormatError(f"parameter guard must be an integer >= 0, got {params['guard']!r}")
     return params
 
@@ -226,20 +222,23 @@ def run_pipeline(inst: Instance, command: str, params: dict) -> tuple[dict, int]
     return report, exit_code
 
 
-def _emit(report: dict, out: str | None) -> None:
-    text = render(report)
-    if out:
+def _emit(text: str, out: str | None) -> None:
+    """Write text to the file out, else to stdout; main exits 2 when out cannot be written."""
+    if not out:
+        sys.stdout.write(text)
+        return
+    try:
         with open(out, "w", encoding="utf-8") as fh:
             fh.write(text)
-    else:
-        sys.stdout.write(text)
+    except OSError as exc:
+        raise DilationLabError(f"cannot write {out}: {exc.strerror or exc}") from None
 
 
 def _emit_error(args, command: str, inst: Instance | None, params: dict, verdicts: dict, error: str) -> None:
     inst_digest = "" if inst is None else inst.digest
     report = make_report(inst_digest, command, params, [], verdicts)
     report["error"] = error
-    _emit(report, getattr(args, "out", None))
+    _emit(render(report), getattr(args, "out", None))
 
 
 def _abort(args, command: str, inst: Instance | None, params: dict, exc: Exception) -> int:
@@ -286,7 +285,7 @@ def _run(args, command: str, reference: dict | None = None) -> tuple[dict | None
 def _run_command(args, command: str) -> int:
     report, code = _run(args, command)
     if report is not None:
-        _emit(report, getattr(args, "out", None))
+        _emit(render(report), getattr(args, "out", None))
     return code
 
 
@@ -310,12 +309,7 @@ def cmd_gen(args) -> int:
     except InvalidArgumentError as exc:
         print(f"dilation-lab: {exc}", file=sys.stderr)
         return EXIT_FORMAT
-    text = json.dumps(data, sort_keys=True, indent=2) + "\n"
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _emit(json.dumps(data, sort_keys=True, indent=2) + "\n", args.out)
     return EXIT_OK
 
 
@@ -340,7 +334,7 @@ def cmd_verify(args) -> int:
         for m in mismatches:
             print(f"dilation-lab: mismatch: {m}", file=sys.stderr)
         return EXIT_GOLDEN_MISMATCH
-    _emit(fresh, getattr(args, "out", None))
+    _emit(render(fresh), getattr(args, "out", None))
     # matching reports: the exit code is the fresh run's, as under its command
     return code
 

@@ -173,7 +173,7 @@ def reduce_null(corr: Correspondence, tol: float = DEFAULT_TOL):
     W^H R_p W, W^H L_p W for every algebra basis index p.
     """
     trace = corr.gram @ np.trace(corr.algebra.basis_mats, axis1=1, axis2=2)
-    [w] = null_split(trace[None], tol, "reduce_null")
+    [w] = null_split([trace], tol, "reduce_null")
     # C-ordered: numpy's stacked matmul falls back to a slow non-BLAS loop
     # for a transposed operand
     surjection = np.ascontiguousarray(w.conj().T)
@@ -195,31 +195,18 @@ def congruent_gram(gram: np.ndarray, w: np.ndarray) -> np.ndarray:
     return np.moveaxis(wh @ stacked @ w, 0, 2)
 
 
-def _raw_tensor(e: Correspondence, f: Correspondence) -> np.ndarray:
-    """Gram of the algebraic tensor E (x) F on raw coordinates.
-
-    <e_i (x) f_j, e_k (x) f_l>_p = <f_j, <e_i, e_k> . f_l>_p
-    = sum over r, q of E.gram[i, k, r] F.left[r, q, l] F.gram[j, q, p],
-    with raw index i * m_F + j; shape (m_E m_F, m_E m_F, dim A).
-    """
-    me, mf = e.dim, f.dim
-    act = np.tensordot(e.gram, f.left_action, axes=(2, 0))  # [i, k, q, l]
-    gram = np.tensordot(act, f.gram, axes=(2, 1))  # [i, k, l, j, p]
-    return gram.transpose(0, 3, 1, 2, 4).reshape(me * mf, me * mf, e.algebra.dim)
-
-
 def interior_tensor(pairs, tol: float = DEFAULT_TOL) -> list:
     """Balanced tensor products E (x)_A F, quotiented by null vectors, for
-    pairs (E, F) of correspondences with one pair of dimensions.
+    pairs (E, F) of correspondences.
 
     Returns one (correspondence, surjection from raw m_E * m_F coordinates)
     per pair: the quotient ``reduce_null`` takes of the algebraic tensor,
-    whose Gram is ``_raw_tensor``'s and whose actions are I (x) F.right and
-    E.left (x) I on raw index i * m_F + j. No raw Gram or action stack is
-    formed: the null trace is sum over r of E.gram[:, :, r] (x)
-    (tr F.gram) F.left[r], and the compressions W^H G_p W, W^H (I (x) R_p) W
-    and W^H (L_p (x) I) W apply each factor to W reshaped to (m_E, m_F, n).
-    The null traces of all the pairs take one stacked null_split.
+    whose Gram is <e_i (x) f_j, e_k (x) f_l> = <f_j, <e_i, e_k> . f_l> and
+    whose actions are I (x) F.right and E.left (x) I on raw index i * m_F + j.
+    No raw Gram or action stack is formed: the null trace is sum over r of
+    E.gram[:, :, r] (x) (tr F.gram) F.left[r], and the compressions
+    W^H G_p W, W^H (I (x) R_p) W and W^H (L_p (x) I) W apply each factor to
+    W reshaped to (m_E, m_F, n). All null traces take one null_split.
     """
     if any(e.algebra != f.algebra for e, f in pairs):
         raise InvalidArgumentError("interior tensor requires a common algebra")
@@ -230,7 +217,7 @@ def interior_tensor(pairs, tol: float = DEFAULT_TOL) -> list:
         trace = e.gram.reshape(me * me, adim) @ (f_trace @ f.left_action).reshape(adim, mf * mf)
         traces.append(trace.reshape(me, me, mf, mf).transpose(0, 2, 1, 3).reshape(me * mf, me * mf))
     out = []
-    for (e, f), w in zip(pairs, null_split(np.array(traces), tol, "interior_tensor")):
+    for (e, f), w in zip(pairs, null_split(traces, tol, "interior_tensor")):
         me, mf, adim = e.dim, f.dim, e.algebra.dim
         n = w.shape[1]
         surjection = np.ascontiguousarray(w.conj().T)

@@ -49,6 +49,11 @@ def array_to_json(a: np.ndarray) -> list:
     return np.stack([a.real, a.imag], -1).tolist()
 
 
+def is_count(value, least: int) -> bool:
+    """An int >= least; a bool is not a count."""
+    return isinstance(value, int) and not isinstance(value, bool) and value >= least
+
+
 def _expect(cond: bool, msg: str) -> None:
     if not cond:
         raise InstanceFormatError(msg)
@@ -136,7 +141,7 @@ def correspondence_to_json(corr: Correspondence) -> dict:
 def _parse_correspondence(obj, algebra: CStarAlgebra, where: str) -> Correspondence:
     _expect(isinstance(obj, dict), f"{where}: expected an object")
     m = obj.get("dim")
-    _expect(isinstance(m, int) and m >= 1, f"{where}: bad dim {m!r}")
+    _expect(is_count(m, 1), f"{where}: bad dim {m!r}")
     gram = json_to_array(obj.get("gram"), (m, m, algebra.dim), f"{where}: gram")
     right = json_to_array(obj.get("right_action"), (algebra.dim, m, m), f"{where}: right_action")
     left = json_to_array(obj.get("left_action"), (algebra.dim, m, m), f"{where}: left_action")
@@ -177,7 +182,7 @@ def parse_instance(data: dict, tol: float | None = None) -> Instance:
     alg_obj = data.get("algebra")
     _expect(isinstance(alg_obj, dict) and isinstance(alg_obj.get("blocks"), list), "instance: missing algebra.blocks")
     _expect(
-        all(isinstance(b, int) and b >= 1 for b in alg_obj["blocks"]) and alg_obj["blocks"],
+        all(is_count(b, 1) for b in alg_obj["blocks"]) and alg_obj["blocks"],
         f"instance: bad block sizes {alg_obj['blocks']!r}",
     )
     algebra = CStarAlgebra(alg_obj["blocks"])
@@ -185,7 +190,7 @@ def parse_instance(data: dict, tol: float | None = None) -> Instance:
     gens_obj = data.get("generators")
     _expect(isinstance(gens_obj, list) and gens_obj, "instance: missing generators")
     k = data.get("k", len(gens_obj))
-    _expect(k == len(gens_obj), f"instance: k={k} but {len(gens_obj)} generators")
+    _expect(is_count(k, 1) and k == len(gens_obj), f"instance: k={k!r} but {len(gens_obj)} generators")
     generators = [_parse_correspondence(g, algebra, f"generator {i + 1}") for i, g in enumerate(gens_obj)]
 
     flips_obj = data.get("flips", {})
@@ -213,7 +218,7 @@ def parse_instance(data: dict, tol: float | None = None) -> Instance:
     rep_obj = data.get("representation")
     _expect(isinstance(rep_obj, dict), "instance: missing representation")
     d = rep_obj.get("H_dim")
-    _expect(isinstance(d, int) and d >= 1, f"instance: bad H_dim {d!r}")
+    _expect(is_count(d, 1), f"instance: bad H_dim {d!r}")
     sigma = AlgebraRepresentation(
         algebra, d, json_to_array(rep_obj.get("sigma"), (algebra.dim, d, d), "sigma")
     )

@@ -103,14 +103,16 @@ def psd_factor(vals: np.ndarray, vecs: np.ndarray, tol: float, what: str):
     return factor, vals_k, vecs_k
 
 
-def null_split(grams: np.ndarray, tol: float, what: str) -> list:
-    """Orthonormal bases of the kept eigenvectors, those of eigenvalues
-    above tol, of each PSD Hermitian matrix of a stack, from one stacked
-    eigh; the cutoff and warn_degenerate are applied matrix by matrix."""
-    out = []
-    for vals, vecs in zip(*np.linalg.eigh(hermitize(grams))):
-        warn_degenerate(vals, tol, what)
-        out.append(vecs[:, vals > tol])
+def null_split(grams, tol: float, what: str) -> list:
+    """Orthonormal bases of the kept eigenvectors, those of eigenvalues above
+    tol, of each PSD Hermitian matrix of a list, from one stacked eigh per
+    size; the cutoff and warn_degenerate are applied matrix by matrix."""
+    out = [None] * len(grams)
+    for size in dict.fromkeys(g.shape[0] for g in grams):
+        group = [x for x, g in enumerate(grams) if g.shape[0] == size]
+        for x, vals, vecs in zip(group, *np.linalg.eigh(hermitize(np.array([grams[x] for x in group])))):
+            warn_degenerate(vals, tol, what)
+            out[x] = vecs[:, vals > tol]
     return out
 
 

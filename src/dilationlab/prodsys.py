@@ -10,11 +10,10 @@ flips. Every map of the form A (x) I or I (x) A on the way (the peeled
 surjection, the flip under a prefix, the shorter append map or
 multiplication map, the split of the last letter) is applied to its
 neighbour as a reshape and a matmul on the factors, never formed as a
-Kronecker product. Raw coordinates appear only in the flip check, on the
-flip's own domain E_i (x) E_j (the raw Gram of the pair; the actions are
-applied to the flip factor by factor). The braid check compares the two
-reduced words of the longest permutation of three letters through the
-multiplication isomorphisms.
+Kronecker product. No raw Gram or raw action stack is formed: the flip
+check compresses each flip onto the reduced pair words (i, j) and (j, i),
+and the braid check compares the two reduced words of the longest
+permutation of three letters through the multiplication isomorphisms.
 Fibers and isomorphisms are memoized per word / pair, and a lattice
 point's word data (its fiber, dimension and split of the last letter) per
 point, so the T^ block loops look a point up without rebuilding its
@@ -37,7 +36,6 @@ from .correspondence import (
     passes,
     reduce_null,
     validate_correspondence,
-    _raw_tensor,
 )
 from .cstar import CStarAlgebra
 from .errors import IncoherentFlipsError, InvalidArgumentError, InvalidFlipError
@@ -100,8 +98,10 @@ class ProductSystem:
             if not passes(gen_report, self.tol):
                 bad = {k: v for k, v in gen_report.items() if v > self.tol}
                 raise InvalidArgumentError(f"generator {idx} fails validation: {bad}")
-        for (i, j), phi in self.flips.items():
-            res = self._flip_residual(i, j, phi)
+        self._build_words(list(self.flips))
+        swapped = interior_tensor([(self.generators[j - 1], self.generators[i - 1]) for i, j in self.flips], self.tol)
+        for ((i, j), phi), word in zip(self.flips.items(), swapped):
+            res = self._flip_residual(i, j, phi, word)
             report[f"flip_{i}_{j}"] = res
             if res > self.tol:
                 raise InvalidFlipError(
@@ -118,27 +118,44 @@ class ProductSystem:
                         )
         return report
 
-    def _flip_residual(self, i: int, j: int, phi: np.ndarray) -> float:
-        """Largest defect of phi: E_i (x) E_j -> E_j (x) E_i as a
-        correspondence isomorphism: its congruence of the raw Gram, and its
-        intertwining of the left actions L_p (x) I and of the right actions
-        I (x) R_p, each action applied to phi on its own tensor slot."""
-        ei = self.generators[i - 1]
-        ej = self.generators[j - 1]
-        mi, mj, adim = ei.dim, ej.dim, self.algebra.dim
-        lhs = congruent_gram(_raw_tensor(ej, ei), phi)
-        res = float(np.abs(lhs - _raw_tensor(ei, ej)).max(initial=0.0))
-        shape = (adim, mj * mi, mi * mj)
-        # phi (L_p (x) I) - (L_p (x) I) phi
-        phi_l = np.tensordot(phi.reshape(mj * mi, mi, mj), ei.left_action, axes=(1, 1))
-        l_phi = ej.left_action @ phi.reshape(mj, mi * mi * mj)
-        left = phi_l.transpose(2, 0, 3, 1).reshape(shape) - l_phi.reshape(shape)
-        # phi (I (x) R_p) - (I (x) R_p) phi
-        phi_r = np.tensordot(phi.reshape(mj * mi * mi, mj), ej.right_action, axes=(1, 1))
-        phi_r = phi_r.transpose(1, 0, 2)
-        r_phi = ei.right_action[:, None] @ phi.reshape(mj, mi, mi * mj)
-        right = phi_r.reshape(shape) - r_phi.reshape(shape)
-        return max(res, max_opnorm(left), max_opnorm(right))
+    def _flip_residual(self, i: int, j: int, phi: np.ndarray, swapped) -> float:
+        """Largest defect of phi: E_i (x) E_j -> E_j (x) E_i as an isomorphism
+        of the balanced tensor products, read on the words (i, j) and (j, i)
+        (`swapped`, from interior_tensor) with surjections q, q' and
+        F = q' phi q^H: max|F^H G'_p F - G_p|, the norms of the compressed
+        action defects q' (phi A_p - A'_p phi) q^H, and ||T' N|| for
+        N = q' phi - F q and the trace Gram T' = sum_p tr(f_p) G'_p (phi maps
+        null vectors to null vectors). Unlike F A^_p - A^'_p F and ||N||, these
+        do not amplify the rounding of the two null splits. Words of different
+        dimensions raise InvalidFlipError. With exact splits, this r and the
+        raw-Gram residual R (tests/oracles.py::flip_residual_dense) satisfy
+        r <= M R + (t c M R)^(1/2) and R <= max(p + (2||F|| + r/tau) g/tau,
+        1 + 2a/tau) r + nu: M = m_i m_j, c = sum_p |tr f_p|, t and tau the
+        largest and least eigenvalues of T', p = dim X(e_i + e_j),
+        g = max_p ||G'_p||, a the largest norm of a raw action and nu the raw
+        action defects in the null directions of E_j (x) E_i, unseen here."""
+        pair, (ji, q_ji) = self.word_data((i, j)), swapped
+        ei, ej = self.generators[i - 1], self.generators[j - 1]
+        mi, mj, p = ei.dim, ej.dim, pair.corr.dim
+        if ji.dim != p:
+            raise InvalidFlipError(
+                f"flip {(i, j)} is not a correspondence isomorphism: its words have dimensions {p} and {ji.dim}"
+            )
+        # q = last_q (q_i (x) I), with q_i applied to the E_i slot
+        q_i = self.word_data((i,)).last_q
+        q_ij = (q_i.T @ pair.last_q.reshape(p, q_i.shape[0], mj)).reshape(q_ji.shape)
+        lift = q_ij.conj().T.reshape(mi, mj, p)
+        image = (phi @ lift.reshape(mi * mj, p)).reshape(mj, mi, p)  # phi q^H
+        f = q_ji @ image.reshape(mj * mi, p)
+        gram = float(np.abs(congruent_gram(ji.gram, f) - pair.corr.gram).max(initial=0.0))
+        # phi A_p - A'_p phi applied to q^H, each action on its own slot
+        shape = (self.algebra.dim, mj * mi, p)
+        left = phi @ (ei.left_action @ lift.reshape(mi, mj * p)).reshape(shape)
+        left -= (ej.left_action @ image.reshape(mj, mi * p)).reshape(shape)
+        right = phi @ (ej.right_action[:, None] @ lift).reshape(shape)
+        right -= (ei.right_action[:, None] @ image).reshape(shape)
+        null = (ji.gram @ np.trace(self.algebra.basis_mats, axis1=1, axis2=2)) @ (q_ji @ phi - f @ q_ij)
+        return max(gram, max_opnorm([*(q_ji @ left), *(q_ji @ right), null]))
 
     def _braid_residual(self, i: int, j: int, l: int) -> float:
         """Operator norm, on X(e_l) (x) X(e_j) (x) X(e_i) for i < j < l, of
@@ -206,9 +223,8 @@ class ProductSystem:
 
     def _build_words(self, words) -> None:
         """Word data of the words and of their prefixes that are not built
-        yet, level by level (word length): the words of one level whose
-        prefixes have one dimension and whose last generators have one
-        dimension take one stacked interior_tensor."""
+        yet, level by level (word length): the words of one level take one
+        interior_tensor."""
         levels: dict[int, set[tuple[int, ...]]] = {}
         for word in words:
             while word not in self._words and word not in levels.get(len(word), ()):
@@ -222,14 +238,10 @@ class ProductSystem:
                 for word in sorted(levels[1]):
                     self._words[word] = _WordData(*reduce_null(self.generators[word[0] - 1], self.tol))
                 continue
-            groups: dict[tuple[int, int], list[tuple[int, ...]]] = {}
-            for word in sorted(levels[level]):
-                shape = (self._words[word[:-1]].corr.dim, self.generators[word[-1] - 1].dim)
-                groups.setdefault(shape, []).append(word)
-            for group in groups.values():
-                pairs = [(self._words[word[:-1]].corr, self.generators[word[-1] - 1]) for word in group]
-                for word, tensor in zip(group, interior_tensor(pairs, self.tol)):
-                    self._words[word] = _WordData(*tensor)
+            group = sorted(levels[level])
+            pairs = [(self._words[word[:-1]].corr, self.generators[word[-1] - 1]) for word in group]
+            for word, tensor in zip(group, interior_tensor(pairs, self.tol)):
+                self._words[word] = _WordData(*tensor)
 
     @staticmethod
     def normal_word(s: lattice.Point) -> tuple[int, ...]:

@@ -22,11 +22,14 @@ units and a correspondence's Gram array; and the raw generating-vector and
 least-squares V_s references (`gen_block`, `generating_matrix`,
 `build_Vs`, `v_raw`) rebuild, from a bundle's factor, targets and domains,
 the raw fiber (x) H copy and the general solve the package once kept; and
-the Kronecker-product builders (`raw_tensor`, `interior_tensor_dense`,
-`flip_residual_dense`, `append_map_kron`, `mult_iso_kron`,
+the Kronecker-product builders (`raw_tensor_gram`, `raw_tensor`,
+`interior_tensor_dense`, `flip_residual_dense`, `pair_word_surjection`,
+`append_map_kron`, `mult_iso_kron`,
 `lowering_raw_kron`, `t_raw_kron`, `targets_kron`) are the dense bodies
 of the builders the package now contracts factor by factor, run on the
-package's own fibers, surjections and raw Gram; and the per-key bodies
+package's own fibers and surjections, and `flip_residual_bounds` computes
+from them the constants of the two-sided bound between the package's
+reduced flip residual and `flip_residual_dense`; and the per-key bodies
 (`interior_tensor_pair`, `localize_point`, `loc_point`, `descend_map_loop`,
 `lowering_raw`, `lowering_block_loop`, `brehmer_sum_point`) are the
 one-at-a-time forms of the computations the package now runs in stacks grouped
@@ -1212,17 +1215,31 @@ def adjoint_table_loop(algebra) -> np.ndarray:
 # -- Kronecker-product builders the package now contracts factor by factor ----
 
 
+def raw_tensor_gram(e, f) -> np.ndarray:
+    """Gram of the algebraic tensor E (x) F on raw coordinates.
+
+    <e_i (x) f_j, e_k (x) f_l>_p = <f_j, <e_i, e_k> . f_l>_p
+    = sum over r, q of E.gram[i, k, r] F.left[r, q, l] F.gram[j, q, p],
+    with raw index i * m_F + j; shape (m_E m_F, m_E m_F, dim A). The
+    package once formed it to check flips.
+    """
+    me, mf = e.dim, f.dim
+    act = np.tensordot(e.gram, f.left_action, axes=(2, 0))  # [i, k, q, l]
+    gram = np.tensordot(act, f.gram, axes=(2, 1))  # [i, k, l, j, p]
+    return gram.transpose(0, 3, 1, 2, 4).reshape(me * mf, me * mf, e.algebra.dim)
+
+
 def raw_tensor(e, f):
-    """The algebraic tensor E (x) F on raw coordinates i * m_F + j: the
-    package's raw Gram with the action stacks I (x) F.right and
-    E.left (x) I, built in one broadcast product each (entrywise np.kron)."""
-    from dilationlab.correspondence import Correspondence, _raw_tensor
+    """The algebraic tensor E (x) F on raw coordinates i * m_F + j:
+    raw_tensor_gram with the action stacks I (x) F.right and E.left (x) I,
+    built in one broadcast product each (entrywise np.kron)."""
+    from dilationlab.correspondence import Correspondence
 
     me, mf = e.dim, f.dim
     right = np.eye(me)[None, :, None, :, None] * f.right_action[:, None, :, None, :]
     left = e.left_action[:, :, None, :, None] * np.eye(mf)[None, None, :, None, :]
     shape = (e.algebra.dim, me * mf, me * mf)
-    return Correspondence(e.algebra, _raw_tensor(e, f), right.reshape(shape), left.reshape(shape))
+    return Correspondence(e.algebra, raw_tensor_gram(e, f), right.reshape(shape), left.reshape(shape))
 
 
 def interior_tensor_dense(e, f, tol: float = 1e-10):
@@ -1244,6 +1261,41 @@ def flip_residual_dense(system, i: int, j: int, phi: np.ndarray) -> float:
         res = max(res, _opnorm(phi @ raw_ij.left_action[p] - raw_ji.left_action[p] @ phi))
         res = max(res, _opnorm(phi @ raw_ij.right_action[p] - raw_ji.right_action[p] @ phi))
     return res
+
+
+def pair_word_surjection(system, i: int, j: int) -> np.ndarray:
+    """The surjection of raw E_i (x) E_j onto the package's word (i, j):
+    last_q (q_i (x) I) as an np.kron product."""
+    q_i = system.word_data((i,)).last_q
+    return system.word_data((i, j)).last_q @ np.kron(q_i, np.eye(system.generators[j - 1].dim))
+
+
+def flip_residual_bounds(system, i: int, j: int, phi: np.ndarray, r: float) -> tuple[float, float]:
+    """The two bounds ProductSystem._flip_residual states between its
+    residual r and the raw-Gram residual R = flip_residual_dense:
+    (M R + (t c M R)^(1/2), max(p + (2 ||F|| + r/tau) g/tau, 1 + 2a/tau) r + nu),
+    the first bounding r and the second R, with the constants named there,
+    computed from the dense raw tensors and the two words' surjections."""
+    from dilationlab.correspondence import interior_tensor
+
+    ei, ej = system.generators[i - 1], system.generators[j - 1]
+    raw_ij, raw_ji = raw_tensor(ei, ej), raw_tensor(ej, ei)
+    big_r = flip_residual_dense(system, i, j, phi)
+    m = ei.dim * ej.dim
+    sides = [(raw_ij.left_action, raw_ji.left_action), (raw_ij.right_action, raw_ji.right_action)]
+    a = max(_opnorm(x) for pair in sides for stack in pair for x in stack)
+    traces = np.trace(system.algebra.basis_mats, axis1=1, axis2=2)
+    c = float(np.abs(traces).sum())
+    vals = np.linalg.eigvalsh(raw_ji.gram @ traces)
+    kept = vals[vals > system.tol]
+    t, tau = (kept.max(), kept.min()) if kept.size else (0.0, np.inf)
+    [(ji, q_ji)] = interior_tensor([(ej, ei)], system.tol)
+    hat = q_ji @ phi @ pair_word_surjection(system, i, j).conj().T
+    g = max((_opnorm(ji.gram[:, :, p]) for p in range(system.algebra.dim)), default=0.0)
+    null_ji = np.eye(m) - q_ji.conj().T @ q_ji
+    nu = max(_opnorm(null_ji @ (phi @ x - y @ phi)) for pair in sides for x, y in zip(*pair))
+    k = max(ji.dim + (2 * _opnorm(hat) + r / tau) * g / tau, 1 + 2 * a / tau)
+    return m * big_r + np.sqrt(t * c * m * big_r), k * r + nu
 
 
 def append_map_kron(system, word, i) -> np.ndarray:

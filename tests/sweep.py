@@ -26,22 +26,33 @@ checks it, before it regenerates the baseline, with
     PYTHONPATH=src python tests/sweep.py --flags tests/sweep_baseline.json
 
 which lists every exit code, verdict, window rank and check pass flag that
-differs from the baseline, and exits 1 if one does.
+differs from the baseline, and exits 1 if one does. The rule
+`tests/test_sweep.py` holds the sweep to runs as
+
+    PYTHONPATH=src python tests/sweep.py --drift tests/sweep_baseline.json
+
+which lists every field beyond its band, prints the largest drift per
+section, and exits 1 if a field is beyond its band.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import sys
 import tempfile
 from pathlib import Path
 
 from dilationlab import cli
 from dilationlab.families import FAMILIES, generate
+from dilationlab.report import compare_reports
 
 SEEDS = (0, 1, 2)
 # (k, dims, L = M)
 CASES = ((2, 2, 2), (2, 3, 3), (3, 2, 1), (2, 2, 3), (1, 2, 3), (3, 2, 2))
+# 10x the CLI's VALIDATION_TOL: the band compare_reports allows a check
+VALIDATION_DRIFT = 1e-9
+DRIFT_SECTIONS = ("validation", "doubly_commuting", "NS")
 
 
 def case_ids() -> list[tuple[str, int, int, int, int]]:
@@ -131,7 +142,61 @@ def flag_mismatches(ref: dict, new: dict) -> list[str]:
     )
 
 
-COMPARISONS = {"--exact": exact_mismatches, "--flags": flag_mismatches}
+def drift_mismatches(ref: dict, new: dict) -> tuple[list[str], dict[str, float]]:
+    """The baseline rule: exit codes and window ranks are equal; verdicts,
+    pass flags, residual drift and psd_margin follow
+    report.compare_reports's rule; the validation residuals,
+    doubly-commuting residuals and NS values have the same names and drift
+    by at most VALIDATION_DRIFT; every run is in both sweeps.
+
+    Returns every field beyond its band, and the largest finite drift of the
+    check residuals, the psd_margins and each of DRIFT_SECTIONS over the
+    runs of both sweeps."""
+    problems = [f"{case}: run present in only one sweep" for case in sorted(ref.keys() ^ new.keys())]
+    largest = dict.fromkeys(("checks", "psd_margin") + DRIFT_SECTIONS, 0.0)
+
+    def note(section: str, a, b) -> float:
+        drift = abs(b - a)
+        if math.isfinite(drift):
+            largest[section] = max(largest[section], drift)
+        return drift
+
+    for case in sorted(ref.keys() & new.keys()):
+        old, run = ref[case], new[case]
+        if run["exit"] != old["exit"]:
+            problems.append(f"{case}: exit {old['exit']} vs {run['exit']}")
+        if (old["window"] or {}).get("rank") != (run["window"] or {}).get("rank"):
+            problems.append(f"{case}: window rank {old['window']} vs {run['window']}")
+        _ok, mismatches, _warnings = compare_reports(old, run)
+        problems.extend(f"{case}: {m}" for m in mismatches)
+        new_checks = {c["name"]: c["residual"] for c in run["checks"]}
+        for c in old["checks"]:
+            if c["name"] in new_checks:
+                note("checks", c["residual"], new_checks[c["name"]])
+        if old["window"] and run["window"]:
+            note("psd_margin", old["window"]["psd_margin"], run["window"]["psd_margin"])
+        for section in DRIFT_SECTIONS:
+            ref_val, new_val = old[section], run[section]
+            if sorted(ref_val) != sorted(new_val):
+                problems.append(f"{case}: {section} keys {sorted(ref_val)} vs {sorted(new_val)}")
+                continue
+            problems.extend(
+                f"{case}: {section} {name} {ref_val[name]!r} vs {new_val[name]!r}"
+                for name in sorted(ref_val)
+                if not note(section, ref_val[name], new_val[name]) <= VALIDATION_DRIFT
+            )
+    return problems, largest
+
+
+def _drift(ref: dict, new: dict) -> list[str]:
+    """drift_mismatches, with the largest drift per section printed."""
+    problems, largest = drift_mismatches(ref, new)
+    for section, drift in largest.items():
+        print(f"largest {section} drift: {drift!r}")
+    return problems
+
+
+COMPARISONS = {"--exact": exact_mismatches, "--flags": flag_mismatches, "--drift": _drift}
 
 
 def main(argv: list[str]) -> int:
@@ -145,7 +210,7 @@ def main(argv: list[str]) -> int:
         print(f"{len(mismatches)} field(s) differ from {argv[1]}", file=sys.stderr)
         return 1 if mismatches else 0
     if len(argv) != 1:
-        print("usage: sweep.py OUT.json | sweep.py --exact|--flags BASELINE.json", file=sys.stderr)
+        print("usage: sweep.py OUT.json | sweep.py --exact|--flags|--drift BASELINE.json", file=sys.stderr)
         return 2
     Path(argv[0]).write_text(json.dumps(run_sweep(), indent=1, sort_keys=True) + "\n", encoding="utf-8")
     return 0

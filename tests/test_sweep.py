@@ -3,41 +3,22 @@
 import json
 from pathlib import Path
 
-from dilationlab.report import compare_reports
-from sweep import case_ids, exact_mismatches, flag_mismatches, run_sweep
+from sweep import VALIDATION_DRIFT, case_ids, drift_mismatches, exact_mismatches, flag_mismatches, run_sweep
 
 BASELINE = Path(__file__).parent / "sweep_baseline.json"
-# 10x the CLI's VALIDATION_TOL: the band compare_reports allows a check
-VALIDATION_DRIFT = 1e-9
 
 
 def test_sweep_matches_baseline():
-    """Exit codes and window ranks are equal; verdicts, pass flags, residual
-    drift and psd_margin follow report.compare_reports's rule; the
-    validation residuals, doubly-commuting residuals and NS values have the
-    same names and drift by at most VALIDATION_DRIFT."""
+    """Every case runs, and the sweep keeps to the baseline rule of
+    sweep.drift_mismatches: exit codes and window ranks are equal;
+    verdicts, pass flags, residual drift and psd_margin follow
+    report.compare_reports's rule; the validation residuals,
+    doubly-commuting residuals and NS values have the same names and drift
+    by at most VALIDATION_DRIFT."""
     baseline = json.loads(BASELINE.read_text(encoding="utf-8"))
     fresh = run_sweep()
     assert sorted(fresh) == sorted(baseline) and len(fresh) == len(case_ids())
-    problems = []
-    for case, ref in sorted(baseline.items()):
-        new = fresh[case]
-        if new["exit"] != ref["exit"]:
-            problems.append(f"{case}: exit {ref['exit']} vs {new['exit']}")
-        if (ref["window"] or {}).get("rank") != (new["window"] or {}).get("rank"):
-            problems.append(f"{case}: window rank {ref['window']} vs {new['window']}")
-        _ok, mismatches, _warnings = compare_reports(ref, new)
-        problems.extend(f"{case}: {m}" for m in mismatches)
-        for section in ("validation", "doubly_commuting", "NS"):
-            ref_val, new_val = ref[section], new[section]
-            if sorted(ref_val) != sorted(new_val):
-                problems.append(f"{case}: {section} keys {sorted(ref_val)} vs {sorted(new_val)}")
-                continue
-            problems.extend(
-                f"{case}: {section} {name} {ref_val[name]!r} vs {new_val[name]!r}"
-                for name in sorted(ref_val)
-                if not abs(new_val[name] - ref_val[name]) <= VALIDATION_DRIFT
-            )
+    problems, _largest = drift_mismatches(baseline, fresh)
     assert problems == []
 
 
@@ -104,3 +85,58 @@ def test_flag_mismatches_flag_any_outcome():
         "/case/verdicts/dilatable: True -> False",
         "/other: {'exit': 3, 'verdicts': {}, 'rank': None, 'pass': {}} -> '<absent>'",
     ]
+
+
+def test_drift_mismatches_follow_the_baseline_rule():
+    """The --drift comparison names every exit code, window rank,
+    compare_reports mismatch, section key set and section value beyond
+    VALIDATION_DRIFT, and every run on one side only; it reports the largest
+    finite drift per section, drift within the band included."""
+    ref = {
+        "case": {
+            "exit": 0,
+            "verdicts": {"valid": True},
+            "window": {"M": [1, 1], "rank": 4, "psd_margin": 0.5},
+            "checks": [{"name": "V_isometry", "residual": 1e-15, "tolerance": 1e-8, "pass": True}],
+            "validation": {"flip_1_2": 1e-16, "covariance_1": 0.0},
+            "doubly_commuting": {"1,2": 1e-15},
+            "NS": {"v=[1],s=[1]": 0.25},
+        },
+        "other": {
+            "exit": 3,
+            "verdicts": {},
+            "window": None,
+            "checks": [],
+            "validation": {},
+            "doubly_commuting": {},
+            "NS": {},
+        },
+    }
+    same = json.loads(json.dumps(ref))
+    same["case"]["validation"]["flip_1_2"] = 3e-16
+    same["case"]["checks"][0]["residual"] = float("inf")
+    problems, largest = drift_mismatches(ref, same)
+    assert problems == []
+    assert largest == {
+        "checks": 0.0,
+        "psd_margin": 0.0,
+        "validation": 3e-16 - 1e-16,
+        "doubly_commuting": 0.0,
+        "NS": 0.0,
+    }
+    new = json.loads(json.dumps(ref))
+    new["case"]["exit"] = 4
+    new["case"]["window"]["rank"] = 5
+    new["case"]["validation"]["flip_1_2"] = 2 * VALIDATION_DRIFT
+    del new["case"]["NS"]["v=[1],s=[1]"]
+    del new["other"]
+    problems, largest = drift_mismatches(ref, new)
+    assert problems == [
+        "other: run present in only one sweep",
+        "case: exit 0 vs 4",
+        "case: window rank {'M': [1, 1], 'rank': 4, 'psd_margin': 0.5} vs {'M': [1, 1], 'rank': 5, 'psd_margin': 0.5}",
+        "case: window mismatch: {'M': [1, 1], 'rank': 4, 'psd_margin': 0.5} vs {'M': [1, 1], 'rank': 5, 'psd_margin': 0.5}",
+        f"case: validation flip_1_2 1e-16 vs {2 * VALIDATION_DRIFT!r}",
+        "case: NS keys ['v=[1],s=[1]'] vs []",
+    ]
+    assert largest["validation"] == 2 * VALIDATION_DRIFT - 1e-16
