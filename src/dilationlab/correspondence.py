@@ -16,9 +16,10 @@ Two kinds of quotient appear:
   coordinates carry the standard inner product via a rank-revealing factor.
 
 ``interior_tensor``, ``localize`` and ``descend_map`` take lists of
-operands of one shape and stack their factorizations and products, each
-operand laid out as on its own, so every result has the bits of a
-one-by-one computation.
+operands and fold those of one shape into the rows of one GEMM, or into one
+stacked matmul where each operand has its own factor. Their results agree
+with a one-by-one computation up to rounding, not bit for bit: a GEMM over
+more rows may sum in another order.
 """
 
 from __future__ import annotations
@@ -37,8 +38,7 @@ from .linalg import (
     max_opnorm,
     null_split,
     opnorm,
-    psd_factor,
-    stack,
+    warn_degenerate,
 )
 
 
@@ -119,17 +119,20 @@ def algebra_correspondence(algebra: CStarAlgebra) -> Correspondence:
 
 
 def validate_correspondence(corr: Correspondence) -> dict[str, float]:
-    """Named residuals for the correspondence axioms; `passes` at tol iff all <= tol."""
+    """Named residuals for the correspondence axioms; `passes` at tol iff all
+    <= tol. Each identity is formed on all basis indices at once, its
+    contractions as 2-D GEMMs."""
     alg = corr.algebra
-    m = corr.dim
+    m, adim, n = corr.dim, alg.dim, alg.rep_dim
     basis = alg.basis_mats
-    gram_mats = np.einsum("ijp,pkl->ijkl", corr.gram, basis)  # embed(<e_i,e_j>)
+    # embed(<e_i, e_j>) as [i, j, s, t]
+    gram_mats = (corr.gram.reshape(m * m, adim) @ basis.reshape(adim, n * n)).reshape(m, m, n, n)
 
     res: dict[str, float] = {}
     res["gram_hermitian"] = float(
         np.abs(np.conj(np.transpose(gram_mats, (0, 1, 3, 2))) - np.transpose(gram_mats, (1, 0, 2, 3))).max()
     )
-    emb = corr.gram_embedded()
+    emb = gram_mats.transpose(0, 2, 1, 3).reshape(m * n, m * n)
     res["gram_psd"] = max(0.0, -float(np.linalg.eigvalsh(hermitize(emb)).min()))
 
     res["right_unital"] = opnorm(corr.act_right(alg.unit) - np.eye(m))
@@ -140,19 +143,21 @@ def validate_correspondence(corr: Correspondence) -> dict[str, float]:
     right, left = corr.right_action, corr.left_action
     combo_r = np.tensordot(mul_table, right, axes=(2, 0)) - right[None, :] @ right[:, None]
     combo_l = np.tensordot(mul_table, left, axes=(2, 0)) - left[:, None] @ left[None, :]
-    res["right_homomorphism"] = max_opnorm(combo_r.reshape(alg.dim**2, m, m))
-    res["left_homomorphism"] = max_opnorm(combo_l.reshape(alg.dim**2, m, m))
+    res["right_homomorphism"] = max_opnorm(combo_r.reshape(adim**2, m, m))
+    res["left_homomorphism"] = max_opnorm(combo_l.reshape(adim**2, m, m))
 
-    # <e_i, e_j . f_p> = <e_i, e_j> f_p, for every p at once
-    lhs = np.einsum("plj,ilst->pijst", corr.right_action, gram_mats)
-    rhs = np.einsum("ijsu,put->pijst", gram_mats, basis)
-    res["right_compatibility"] = float(np.abs(lhs - rhs).max())
+    # <e_i, e_j . f_p> = <e_i, e_j> f_p, for every p at once, as [p, j, i, s, t]
+    by_l = np.ascontiguousarray(gram_mats.transpose(1, 0, 2, 3)).reshape(m, m * n * n)  # [l, (i, s, t)]
+    lhs = right.transpose(0, 2, 1).reshape(adim * m, m) @ by_l
+    rhs = gram_mats.reshape(m * m * n, n) @ basis.transpose(1, 0, 2).reshape(n, adim * n)  # [(i, j, s), (p, t)]
+    rhs = rhs.reshape(m, m, n, adim, n).transpose(3, 1, 0, 2, 4)
+    res["right_compatibility"] = float(np.abs(lhs.reshape(adim, m, m, n, n) - rhs).max())
 
-    # <f_p . e_i, e_j> = <e_i, f_p^* . e_j>, for every p at once
-    lhs = np.einsum("pli,ljst->pijst", np.conj(corr.left_action), gram_mats)
-    act_star = np.tensordot(alg.adj_table, corr.left_action, axes=(1, 0))
-    rhs = np.einsum("plj,ilst->pijst", act_star, gram_mats)
-    res["left_adjointable"] = float(np.abs(lhs - rhs).max())
+    # <f_p . e_i, e_j> = <e_i, f_p^* . e_j>, for every p at once, as [p, i, j, s, t]
+    lhs = left.conj().transpose(0, 2, 1).reshape(adim * m, m) @ gram_mats.reshape(m, m * n * n)
+    act_star = np.tensordot(alg.adj_table, left, axes=(1, 0))
+    rhs = (act_star.transpose(0, 2, 1).reshape(adim * m, m) @ by_l).reshape(adim, m, m, n, n)
+    res["left_adjointable"] = float(np.abs(lhs.reshape(adim, m, m, n, n) - rhs.transpose(0, 2, 1, 3, 4)).max())
 
     return res
 
@@ -170,10 +175,13 @@ def reduce_null(corr: Correspondence, tol: float = DEFAULT_TOL):
     With W the kept eigenvectors (orthonormal columns) of the m x m PSD
     matrix tr(embed(<e_i, e_j>)), whose kernel is the module null space, and
     the surjection W^H, the quotient has Gram W^H G_p W and actions
-    W^H R_p W, W^H L_p W for every algebra basis index p.
+    W^H R_p W, W^H L_p W for every algebra basis index p. When no vector is
+    null the quotient is corr itself, with the identity surjection.
     """
     trace = corr.gram @ np.trace(corr.algebra.basis_mats, axis1=1, axis2=2)
     [w] = null_split([trace], tol, "reduce_null")
+    if w.shape[1] == corr.dim:
+        return corr, np.eye(corr.dim)
     # C-ordered: numpy's stacked matmul falls back to a slow non-BLAS loop
     # for a transposed operand
     surjection = np.ascontiguousarray(w.conj().T)
@@ -206,32 +214,69 @@ def interior_tensor(pairs, tol: float = DEFAULT_TOL) -> list:
     No raw Gram or action stack is formed: the null trace is sum over r of
     E.gram[:, :, r] (x) (tr F.gram) F.left[r], and the compressions
     W^H G_p W, W^H (I (x) R_p) W and W^H (L_p (x) I) W apply each factor to
-    W reshaped to (m_E, m_F, n). All null traces take one null_split.
+    W reshaped to (m_E, m_F, n). The pairs that share F (one object) and
+    m_E take one GEMM for their null traces; all null traces take one
+    null_split. Those that also share the kept dimension n are compressed
+    together (`_compress`).
     """
     if any(e.algebra != f.algebra for e, f in pairs):
         raise InvalidArgumentError("interior tensor requires a common algebra")
+    groups: dict[tuple[int, int], list[int]] = {}
+    for x, (e, f) in enumerate(pairs):
+        groups.setdefault((id(f), e.dim), []).append(x)
     traces = []
-    for e, f in pairs:
-        me, mf, adim = e.dim, f.dim, e.algebra.dim
-        f_trace = f.gram @ np.trace(e.algebra.basis_mats, axis1=1, axis2=2)  # [j, q]
-        trace = e.gram.reshape(me * me, adim) @ (f_trace @ f.left_action).reshape(adim, mf * mf)
-        traces.append(trace.reshape(me, me, mf, mf).transpose(0, 2, 1, 3).reshape(me * mf, me * mf))
-    out = []
-    for (e, f), w in zip(pairs, null_split(traces, tol, "interior_tensor")):
-        me, mf, adim = e.dim, f.dim, e.algebra.dim
-        n = w.shape[1]
-        surjection = np.ascontiguousarray(w.conj().T)
-        w3 = w.reshape(me, mf, n)
-        # G_p W = sum over k, r, q of E.gram[i, k, r] F.gram[j, q, p] (F.left[r] W[k])[q]
-        left_f = f.left_action[:, None] @ w3  # [r, k, q, b]
-        left_f = left_f.transpose(1, 0, 2, 3).reshape(me * adim, mf * n)  # [(k, r), (q, b)]
-        inner = (e.gram.reshape(me, me * adim) @ left_f).reshape(me, mf, n)  # [i, q, b]
-        gram_w = np.moveaxis(f.gram, 2, 0)[:, None] @ inner  # [p, i, j, b]
-        gram = np.moveaxis(surjection @ gram_w.reshape(adim, me * mf, n), 0, 2)
-        right = surjection @ (f.right_action[:, None] @ w3).reshape(adim, me * mf, n)
-        left = surjection @ (e.left_action @ w.reshape(me, mf * n)).reshape(adim, me * mf, n)
-        out.append((Correspondence(e.algebra, gram, right, left), surjection))
+    for xs in groups.values():
+        (e, f), c = pairs[xs[0]], len(xs)
+        me, mf, adim = e.dim, f.dim, f.algebra.dim
+        f_trace = f.gram @ np.trace(f.algebra.basis_mats, axis1=1, axis2=2)  # [j, q]
+        e_gram = np.array([pairs[x][0].gram for x in xs]).reshape(c * me * me, adim)
+        trace = (e_gram @ (f_trace @ f.left_action).reshape(adim, mf * mf)).reshape(c, me, me, mf, mf)
+        traces.extend(trace.transpose(0, 1, 3, 2, 4).reshape(c, me * mf, me * mf))
+    order = [x for xs in groups.values() for x in xs]
+    kept = dict(zip(order, null_split(traces, tol, "interior_tensor")))
+    out = [None] * len(pairs)
+    for xs in groups.values():
+        by_n: dict[int, list[int]] = {}
+        for x in xs:
+            by_n.setdefault(kept[x].shape[1], []).append(x)
+        for members in by_n.values():
+            es = [pairs[x][0] for x in members]
+            w = np.array([kept[x] for x in members])
+            for x, tensor in zip(members, _compress(es, pairs[members[0]][1], w)):
+                out[x] = tensor
     return out
+
+
+def _compress(es, f: Correspondence, w: np.ndarray) -> list:
+    """The quotients of E (x) F on the kept eigenvectors w, shape
+    (c, m_E * m_F, n), of the c correspondences E of `es` (one dimension).
+
+    Every product is laid out with the word x and the column b of W
+    leading, so that the F slot j and the E slot i end up adjacent and W^H
+    contracts them in place: each product with F's arrays is one GEMM over
+    all the words, and each product with an E's arrays or with W^H one
+    stacked matmul, with no copy of a raw-size array.
+    """
+    c, me, mf, n, adim = len(es), es[0].dim, f.dim, w.shape[2], f.algebra.dim
+    w4 = w.reshape(c, me, mf, n)
+    w_rows = np.ascontiguousarray(w4.transpose(0, 3, 1, 2)).reshape(c * n * me, mf)  # [(x, b, k), l]
+    # G_p W = sum over k, r, q of E.gram[i, k, r] F.gram[j, q, p] (F.left[r] W[k])[q]
+    left_f = w_rows @ np.ascontiguousarray(f.left_action.transpose(2, 0, 1)).reshape(mf, adim * mf)
+    e_gram = np.array([e.gram for e in es]).reshape(c, 1, me, me * adim)
+    inner = (e_gram @ left_f.reshape(c, n, me * adim, mf)).reshape(c * n * me, mf)  # [(x, b, i), q]
+    gram = inner @ np.ascontiguousarray(f.gram.transpose(1, 0, 2)).reshape(mf, mf * adim)
+    right = w_rows @ np.ascontiguousarray(f.right_action.transpose(2, 1, 0)).reshape(mf, mf * adim)
+    e_left = np.array([e.left_action for e in es]).reshape(c, adim * me, me)
+    left = (e_left @ w4.reshape(c, me, mf * n)).reshape(c, adim, me * mf, n)  # [x, p, (i, j), b]
+    # W^H on the (i, j) rows: [x, b, a, p] for the Gram and the right action
+    surjection = np.ascontiguousarray(w.conj().transpose(0, 2, 1))
+    wh = surjection[:, None]
+    grams = np.ascontiguousarray((wh @ gram.reshape(c, n, me * mf, adim)).transpose(0, 2, 1, 3))
+    rights = np.ascontiguousarray((wh @ right.reshape(c, n, me * mf, adim)).transpose(0, 3, 2, 1))
+    lefts = wh @ left
+    return [
+        (Correspondence(e.algebra, grams[x], rights[x], lefts[x]), surjection[x]) for x, e in enumerate(es)
+    ]
 
 
 # -- localization ----------------------------------------------------------
@@ -247,18 +292,19 @@ def localize(corrs, sigma_mats: np.ndarray, tol: float = DEFAULT_TOL) -> list[Lo
     *-representation given by matrices per basis element.
 
     Raw coordinates are (module index major) kron(x, h); the factor F maps
-    them isometrically onto C^rank. The Grams of all the E take one
-    stacked einsum and one stacked eigh; psd_factor's cutoff and
-    warn_degenerate are applied to each E on its own.
+    them isometrically onto C^rank. The Grams of all the E take one GEMM
+    with sigma and one stacked eigh; psd_factor's cutoff (eigenvalues
+    <= tol are null) and warn_degenerate are applied to each E on its own.
     """
-    count, m, d = len(corrs), corrs[0].dim, sigma_mats.shape[1]
-    grams = np.einsum("xijp,pkl->xikjl", stack([c.gram for c in corrs]), sigma_mats)
-    grams = grams.reshape(count, m * d, m * d)
+    count, m, adim, d = len(corrs), corrs[0].dim, sigma_mats.shape[0], sigma_mats.shape[1]
+    grams = np.array([c.gram for c in corrs]).reshape(count * m * m, adim) @ sigma_mats.reshape(adim, d * d)
+    grams = grams.reshape(count, m, m, d, d).transpose(0, 1, 3, 2, 4).reshape(count, m * d, m * d)
+    vals, vecs = np.linalg.eigh(hermitize(grams))
+    warn_degenerate(vals, tol, "localize")
     out = []
-    for vals, vecs in zip(*np.linalg.eigh(hermitize(grams))):
-        factor, vals, vecs = psd_factor(vals, vecs, tol, "localize")
-        lift = vecs / np.sqrt(vals)[None, :] if vals.size else vecs
-        out.append(LocalizedSpace(m * d, factor.shape[0], factor, lift))
+    for keep, v, w in zip(vals > tol, vals, vecs):
+        root, kept = np.sqrt(v[keep]), w[:, keep]
+        out.append(LocalizedSpace(m * d, root.size, root[:, None] * kept.conj().T, kept / root))
     return out
 
 
@@ -279,9 +325,9 @@ def descend_map(
     an SVD; the exact operator norm is taken only to decide and report a
     failure.
     """
-    fm = stack([t.factor for t in targets]) @ m
-    b = fm @ stack([s.lift for s in sources])
-    defect = b @ stack([s.factor for s in sources]) - fm
+    fm = np.array([t.factor for t in targets]) @ m
+    b = fm @ np.array([s.lift for s in sources])
+    defect = b @ np.array([s.factor for s in sources]) - fm
     failures = {}
     # NaN takes the exact path too
     for x in np.flatnonzero(~(np.linalg.norm(defect, axis=(1, 2)) <= tol)):

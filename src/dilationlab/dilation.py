@@ -178,8 +178,11 @@ class DilationBundle:
         p_s = sys_.fiber_dim(s)
         d = self.rep.dim
         blocks = []
-        # the points t <= bound - s, in the order of the window's points
-        for t in lattice.box(lattice.sub(self.window.bound, s)):
+        # the points t <= bound - s, in the order of the window's points,
+        # and their multiplication maps from one mult_isos call
+        points = lattice.box(lattice.sub(self.window.bound, s))
+        mus = dict(zip(points[1:], sys_.mult_isos([(s, t) for t in points[1:]])))
+        for t in points:
             st = lattice.add(s, t)
             raw = self.factor[:, self._slice_of[st]] @ self.rep.loc(st).factor
             if lattice.is_zero(st):
@@ -191,7 +194,7 @@ class DilationBundle:
             if not lattice.is_zero(t):
                 # raw (mu (x) I_d) for mu = U_{s,t}, as [a, rank, y, h]: the
                 # p_st axis of raw contracted with mu's rows in one matmul
-                raw = sys_.mult_iso(s, t).T @ raw.reshape(p_st, self.rank * d)
+                raw = mus[t].T @ raw.reshape(p_st, self.rank * d)
                 raw = raw.reshape(p_s, sys_.fiber_dim(t), self.rank, d).transpose(0, 2, 1, 3)
             loc_t = self.rep.loc(t)
             blocks.append(raw.reshape(p_s, self.rank, loc_t.source_dim) @ loc_t.lift)
@@ -213,12 +216,13 @@ class DilationBundle:
         return {s: (self.domain(s), self.targets(s)) for s in points}
 
     @cached_property
-    def solves(self) -> dict[lattice.Point, tuple[np.ndarray, np.ndarray | None]]:
-        """Per step s, the recovered map as a (dim, p, p) stack and an
+    def solves(self) -> dict[lattice.Point, tuple[np.ndarray, np.ndarray | None, np.ndarray]]:
+        """Per step s, the recovered map as a (dim, p, p) stack, an
         orthonormal basis of domain(s) from the SVD of its solve (None at
-        s = 0). Each map is one least-squares solve of its defining action
-        on domain(s): V_0 over the algebra basis, and V_{e_i} over the
-        reduced basis of X(e_i).
+        s = 0) and the map's defect on domain(s), V_s @ domain(s) -
+        targets(s), which its solve forms to check it. Each map is one
+        least-squares solve of its defining action on domain(s): V_0 over
+        the algebra basis, and V_{e_i} over the reduced basis of X(e_i).
 
         domain(0) is the whole factor R = Lambda^{1/2} W^H, whose rows are
         orthogonal, so V_0's solve takes R^+ = W Lambda^{-1/2} and no SVD.
@@ -232,7 +236,8 @@ class DilationBundle:
                 pinv, basis = vecs / np.sqrt(vals), None
             else:
                 pinv, basis = pinv_and_range(dom)
-            out[s] = (lstsq_map(tgt, dom, pinv, LSQ_TOL, f"V_{s}"), basis)
+            v, defect = lstsq_map(tgt, dom, pinv, LSQ_TOL, f"V_{s}")
+            out[s] = (v, basis, defect)
         return out
 
     @cached_property
@@ -242,7 +247,7 @@ class DilationBundle:
         basis by its surjection, and every other V_s is their composition
         t_raw(s). The window bound must be >= 1 in every coordinate."""
         sys_ = self.rep.system
-        v0, *reduced = (v for v, _basis in self.solves.values())
+        v0, *reduced = (v for v, _basis, _defect in self.solves.values())
         t_maps = []
         for i, v in enumerate(reduced, start=1):
             # E_i's basis vector e_c goes to sum over a of last_q[a, c] V_{e_i}(e_a)
@@ -312,10 +317,9 @@ def verify_regular_dilation(bundle: DilationBundle, guard: int = 1) -> dict[str,
     valid = validate_module(iso, bundle.factor)
     # V_s(e_a) on C^p for the algebra basis (s = 0) or the reduced basis of
     # X(e_i), stacked along axis 0
-    v_of = {s: v for s, (v, _basis) in bundle.solves.items()}
+    v_of = {s: v for s, (v, _basis, _defect) in bundle.solves.items()}
+    defects = {s: defect for s, (_v, _basis, defect) in bundle.solves.items()}
     gens = list(v_of)[1:]
-    images = {s: v_of[s] @ dom for s, (dom, _tgt) in bundle.steps.items()}
-    defects = {s: images[s] - tgt for s, (_dom, tgt) in bundle.steps.items()}
 
     # item 1: V_0(a) reduces H and restricts to sigma(a). [V_0(a), P_H] is
     # (I - P_H) V_0(a) P_H - P_H V_0(a) (I - P_H); its norm is the larger one
@@ -351,7 +355,8 @@ def verify_regular_dilation(bundle: DilationBundle, guard: int = 1) -> dict[str,
     # isometry: V_{e_i}(x)^H V_{e_i}(y) = V_0(<x, y>), weakly on guarded vectors
     iso_res = 0.0
     for s in (s for s in gens if lattice.leq(s, _guarded(window.bound, guard))):
-        dom, w = bundle.steps[s][0], images[s]
+        dom, tgt = bundle.steps[s]
+        w = defects[s] + tgt  # V_{e_i} applied to domain(e_i)
         # V_0(<e_a, e_b>) as [a, b, p, p], from the (p_s, p_s, dim A) Gram
         v0g = np.tensordot(sys_.fiber(s).gram, v0.mats, axes=(2, 0))
         lhs = w.conj().transpose(0, 2, 1)[:, None] @ w[None, :]

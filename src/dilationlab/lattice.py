@@ -84,6 +84,20 @@ def subsets(v: Sequence[int]) -> Iterator[tuple[int, ...]]:
         yield from itertools.combinations(items, r)
 
 
+def last(s: Point) -> int:
+    """The largest 1-based coordinate where s is nonzero, 0 for s = 0: the
+    last letter of the normal word of s."""
+    i = len(s)
+    while i and not s[i - 1]:
+        i -= 1
+    return i
+
+
+def step(s: Point, i: int, by: int) -> Point:
+    """s + by e_i for the 1-based coordinate i."""
+    return s[: i - 1] + (s[i - 1] + by,) + s[i:]
+
+
 def support(s: Point) -> tuple[int, ...]:
     """1-based coordinates where s is nonzero."""
     return tuple(j + 1 for j, a in enumerate(s) if a != 0)

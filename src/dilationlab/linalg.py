@@ -38,8 +38,13 @@ def max_opnorm(blocks) -> float:
     Blocks of one shape share a single stacked SVD, so a check that takes
     the maximum over many small blocks pays one LAPACK dispatch per shape
     instead of one per block. Blocks with an empty side or no nonzero
-    entry have norm exactly 0 and take no SVD.
+    entry have norm exactly 0 and take no SVD. A 3-D array is one stack.
     """
+    if isinstance(blocks, np.ndarray):
+        if blocks.size == 0:
+            return 0.0
+        nonzero = blocks[blocks.reshape(len(blocks), -1).any(axis=1)]
+        return float(np.linalg.svd(nonzero, compute_uv=False).max()) if len(nonzero) else 0.0
     groups: dict[tuple[int, int], list[np.ndarray]] = {}
     for b in blocks:
         if b.any():
@@ -55,37 +60,19 @@ def hermitize(g: np.ndarray) -> np.ndarray:
     return 0.5 * (g + np.swapaxes(g.conj(), -1, -2))
 
 
-def stack(arrays) -> np.ndarray:
-    """np.stack of arrays of one shape and one memory layout, keeping that
-    layout in every slice; an array listed more than once is copied once.
-
-    BLAS reads a transposed operand by another kernel, so a product of a
-    C-ordered copy of an F-ordered matrix can differ from the original's in
-    the last bits; a stacked product of slices laid out as the arrays are
-    makes the same BLAS calls, and so gives the same bits, as the products
-    of the arrays one by one.
-    """
-    first = arrays[0]
-    if len(arrays) == 1:
-        return first[None]
-    order = sorted(range(first.ndim), key=lambda axis: -first.strides[axis])
-    unique = {id(a): a for a in arrays}
-    out = np.array([a.transpose(order) for a in unique.values()])
-    if len(unique) < len(arrays):
-        row = {key: n for n, key in enumerate(unique)}
-        out = out[[row[id(a)] for a in arrays]]
-    return out.transpose([0] + [1 + order.index(axis) for axis in range(first.ndim)])
-
-
 def warn_degenerate(eigvals: np.ndarray, tol: float, what: str) -> None:
+    """One DegenerateRankWarning for each matrix whose eigenvalues, a row of
+    `eigvals` (one row, or a stack of them), fall inside the ambiguous rank
+    band around tol."""
     band = (np.abs(eigvals) > tol / 10.0) & (np.abs(eigvals) < tol * 10.0)
-    if np.any(band):
-        warnings.warn(
-            f"{what}: {int(band.sum())} eigenvalue(s) inside the ambiguous "
-            f"rank band [{tol / 10.0:.1e}, {tol * 10.0:.1e}]",
-            DegenerateRankWarning,
-            stacklevel=3,
-        )
+    for count in np.atleast_1d(band.sum(axis=-1)).ravel():
+        if count:
+            warnings.warn(
+                f"{what}: {int(count)} eigenvalue(s) inside the ambiguous "
+                f"rank band [{tol / 10.0:.1e}, {tol * 10.0:.1e}]",
+                DegenerateRankWarning,
+                stacklevel=3,
+            )
 
 
 def psd_factor(vals: np.ndarray, vecs: np.ndarray, tol: float, what: str):
@@ -110,9 +97,10 @@ def null_split(grams, tol: float, what: str) -> list:
     out = [None] * len(grams)
     for size in dict.fromkeys(g.shape[0] for g in grams):
         group = [x for x, g in enumerate(grams) if g.shape[0] == size]
-        for x, vals, vecs in zip(group, *np.linalg.eigh(hermitize(np.array([grams[x] for x in group])))):
-            warn_degenerate(vals, tol, what)
-            out[x] = vecs[:, vals > tol]
+        vals, vecs = np.linalg.eigh(hermitize(np.array([grams[x] for x in group])))
+        warn_degenerate(vals, tol, what)
+        for x, keep, v in zip(group, vals > tol, vecs):
+            out[x] = v[:, keep]
     return out
 
 
@@ -138,24 +126,25 @@ def pinv_and_range(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def lstsq_map(
     targets: np.ndarray, domain: np.ndarray, pinv: np.ndarray, tol: float, what: str
-) -> np.ndarray:
+) -> tuple[np.ndarray, np.ndarray]:
     """Least-squares B = targets @ pinv with B @ domain ~ targets, required
-    consistent to tol, for pinv the domain's pseudo-inverse.
+    consistent to tol, for pinv the domain's pseudo-inverse. Returns B and
+    its defect B @ domain - targets, shaped as targets.
 
     A stack of targets (c, m, n) shares the one pinv and gives a stack of
     maps; the consistency residual is the largest operator norm of
-    a slice's defect B @ domain - targets. The Frobenius norm of the whole
-    stack bounds every slice's operator norm, so when it is <= tol the
-    check passes without an SVD; otherwise the exact residual is taken and
-    NotWellDefinedError reports it when it exceeds tol.
+    a slice's defect. The Frobenius norm of the whole stack bounds every
+    slice's operator norm, so when it is <= tol the check passes without an
+    SVD; otherwise the exact residual is taken and NotWellDefinedError
+    reports it when it exceeds tol.
     """
     flat = targets.reshape(math.prod(targets.shape[:-1]), targets.shape[-1])
     b = flat @ pinv
-    defect = b @ domain - flat
+    defect = (b @ domain - flat).reshape(targets.shape)
     if not np.linalg.norm(defect) <= tol:  # NaN takes the exact path too
         slices = defect.reshape((math.prod(targets.shape[:-2]),) + targets.shape[-2:])
         require_descent(max_opnorm(slices), tol, what)
-    return b.reshape(targets.shape[:-1] + domain.shape[:1])
+    return b.reshape(targets.shape[:-1] + domain.shape[:1]), defect
 
 
 def descent_error(residual: float, tol: float, what: str) -> NotWellDefinedError:

@@ -14,11 +14,15 @@ Kronecker product. No raw Gram or raw action stack is formed: the flip
 check compresses each flip onto the reduced pair words (i, j) and (j, i),
 and the braid check compares the two reduced words of the longest
 permutation of three letters through the multiplication isomorphisms.
-Fibers and isomorphisms are memoized per word / pair, and a lattice
-point's word data (its fiber, dimension and split of the last letter) per
-point, so the T^ block loops look a point up without rebuilding its
-normal word. The fibers of a list of points are built level by level (word
-length), each level's words of one shape in one stacked interior tensor.
+
+Fibers, append maps and multiplication isomorphisms are built level by
+level (word length), for a list of points, keys or pairs at once: the
+entries of one level and shape take one GEMM or one stacked matmul per
+factor, and are memoized per word, key or pair. Generators with equal
+arrays are validated and reduced as one, and flips with equal arrays
+between them checked and inverted as one; an interior tensor of the same
+two objects is computed once, so over equal generators the words of one
+length share their word data.
 """
 
 from __future__ import annotations
@@ -82,8 +86,12 @@ class ProductSystem:
 
         self._words: dict[tuple[int, ...], _WordData] = {}
         self._points: dict[lattice.Point, _WordData] = {}
-        self._appends: dict[tuple[tuple[int, ...], int], np.ndarray] = {}
-        self._inverse_flips: dict[tuple[int, int], np.ndarray] = {}
+        # word data by the ids of the two correspondences it is the tensor
+        # of, which the system keeps alive
+        self._tensors: dict[tuple[int, int], _WordData] = {}
+        self._appends: dict[tuple[lattice.Point, int], np.ndarray] = {}
+        # (j, i) -> the factors (L, R) of the inverse flip L R
+        self._inverse_flips: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
         self._gram_pinvs: dict[tuple[lattice.Point, float], np.ndarray] = {}
         self._isos: dict[tuple[lattice.Point, lattice.Point], np.ndarray] = {}
         self.validation = self._validate()
@@ -92,16 +100,38 @@ class ProductSystem:
 
     def _validate(self) -> dict[str, float]:
         report: dict[str, float] = {}
-        for idx, gen in enumerate(self.generators, start=1):
-            gen_report = validate_correspondence(gen)
-            report.update({f"generator_{idx}.{k}": v for k, v in gen_report.items()})
+        # per generator, the index of the first generator with equal arrays,
+        # whose residuals, quotient and interior tensors it shares
+        self._first: list[int] = []
+        reports: dict[int, dict[str, float]] = {}
+        for idx, gen in enumerate(self.generators):
+            first = next(x for x in range(idx + 1) if _equal_arrays(self.generators[x], gen))
+            self._first.append(first)
+            if first not in reports:
+                reports[first] = validate_correspondence(gen)
+            gen_report = reports[first]
+            report.update({f"generator_{idx + 1}.{k}": v for k, v in gen_report.items()})
             if not passes(gen_report, self.tol):
                 bad = {k: v for k, v in gen_report.items() if v > self.tol}
-                raise InvalidArgumentError(f"generator {idx} fails validation: {bad}")
+                raise InvalidArgumentError(f"generator {idx + 1} fails validation: {bad}")
         self._build_words(list(self.flips))
-        swapped = interior_tensor([(self.generators[j - 1], self.generators[i - 1]) for i, j in self.flips], self.tol)
+        # the raw words (j, i) of the flips
+        swapped = self._tensors_of([(self._generator(j), self._generator(i)) for i, j in self.flips])
+        # a flip with equal arrays between the same generators as an
+        # earlier one shares its residual and inverse
+        checked: list[tuple[tuple[int, int], np.ndarray, tuple]] = []
         for ((i, j), phi), word in zip(self.flips.items(), swapped):
-            res = self._flip_residual(i, j, phi, word)
+            firsts = (self._first[i - 1], self._first[j - 1])
+            done = next((out for key, other, out in checked if key == firsts and _equal(other, phi)), None)
+            if done is None:
+                res, q, f = self._flip_residual(i, j, phi, (word.corr, word.last_q))
+                # E_j (x) E_i -> E_i (x) E_j through the reduced pair words,
+                # as q^H F^{-1} q': it inverts phi up to null vectors, which
+                # the maps after it in _append_maps kill, and it factors
+                # through X(e_i + e_j), whose dimension is at most m_i m_j
+                done = (res, (q.conj().T, np.linalg.solve(f, word.last_q)))
+                checked.append((firsts, phi, done))
+            res, self._inverse_flips[(j, i)] = done
             report[f"flip_{i}_{j}"] = res
             if res > self.tol:
                 raise InvalidFlipError(
@@ -118,8 +148,12 @@ class ProductSystem:
                         )
         return report
 
-    def _flip_residual(self, i: int, j: int, phi: np.ndarray, swapped) -> float:
-        """Largest defect of phi: E_i (x) E_j -> E_j (x) E_i as an isomorphism
+    def _generator(self, i: int) -> Correspondence:
+        """The first generator whose arrays equal those of generator i."""
+        return self.generators[self._first[i - 1]]
+
+    def _flip_residual(self, i: int, j: int, phi: np.ndarray, swapped) -> tuple[float, np.ndarray, np.ndarray]:
+        """Largest defect r of phi: E_i (x) E_j -> E_j (x) E_i as an isomorphism
         of the balanced tensor products, read on the words (i, j) and (j, i)
         (`swapped`, from interior_tensor) with surjections q, q' and
         F = q' phi q^H: max|F^H G'_p F - G_p|, the norms of the compressed
@@ -133,7 +167,8 @@ class ProductSystem:
         1 + 2a/tau) r + nu: M = m_i m_j, c = sum_p |tr f_p|, t and tau the
         largest and least eigenvalues of T', p = dim X(e_i + e_j),
         g = max_p ||G'_p||, a the largest norm of a raw action and nu the raw
-        action defects in the null directions of E_j (x) E_i, unseen here."""
+        action defects in the null directions of E_j (x) E_i, unseen here.
+        Returns (r, q, F), from which _validate takes the inverse flip."""
         pair, (ji, q_ji) = self.word_data((i, j)), swapped
         ei, ej = self.generators[i - 1], self.generators[j - 1]
         mi, mj, p = ei.dim, ej.dim, pair.corr.dim
@@ -155,7 +190,7 @@ class ProductSystem:
         right = phi @ (ej.right_action[:, None] @ lift).reshape(shape)
         right -= (ei.right_action[:, None] @ image).reshape(shape)
         null = (ji.gram @ np.trace(self.algebra.basis_mats, axis1=1, axis2=2)) @ (q_ji @ phi - f @ q_ij)
-        return max(gram, max_opnorm([*(q_ji @ left), *(q_ji @ right), null]))
+        return max(gram, max_opnorm([*(q_ji @ left), *(q_ji @ right), null])), q_ij, f
 
     def _braid_residual(self, i: int, j: int, l: int) -> float:
         """Operator norm, on X(e_l) (x) X(e_j) (x) X(e_i) for i < j < l, of
@@ -169,28 +204,19 @@ class ProductSystem:
         p_i, p_j, p_l = (self.fiber_dim(e) for e in (e_i, e_j, e_l))
         p_lj = self.fiber_dim(lattice.add(e_l, e_j))
         p_ij = self.fiber_dim(lattice.add(e_i, e_j))
-        outer = self.mult_iso(lattice.add(e_l, e_j), e_i)  # columns (lj, i)
-        p_out = outer.shape[0]
+        outer, lj, inner, ji = self.mult_isos(
+            [(lattice.add(e_l, e_j), e_i), (e_l, e_j), (e_l, lattice.add(e_i, e_j)), (e_j, e_i)]
+        )
+        p_out = outer.shape[0]  # columns (lj, i)
         # (U_{e_l,e_j} (x) I) acts on the lj slot
         outer = outer.reshape(p_out, p_lj, p_i).transpose(0, 2, 1).reshape(p_out * p_i, p_lj)
-        route_a = (outer @ self.mult_iso(e_l, e_j)).reshape(p_out, p_i, p_l * p_j)
+        route_a = (outer @ lj).reshape(p_out, p_i, p_l * p_j)
         route_a = route_a.transpose(0, 2, 1).reshape(p_out, p_l * p_j * p_i)
         # (I (x) U_{e_j,e_i}) acts on the ij slot
-        inner = self.mult_iso(e_l, lattice.add(e_i, e_j)).reshape(p_out * p_l, p_ij)
-        route_b = (inner @ self.mult_iso(e_j, e_i)).reshape(p_out, p_l * p_j * p_i)
+        route_b = (inner.reshape(p_out * p_l, p_ij) @ ji).reshape(p_out, p_l * p_j * p_i)
         return opnorm(route_a - route_b)
 
     # -- word machinery -----------------------------------------------------
-
-    def flip_for(self, a: int, b: int) -> np.ndarray:
-        """Isomorphism E_a (x) E_b -> E_b (x) E_a in raw coordinates for
-        a > b: the inverse of the stored flip (b, a), computed once.
-        `_append_map` moves a letter left only past a larger one, so it asks
-        for nothing else."""
-        inv = self._inverse_flips.get((a, b))
-        if inv is None:
-            inv = self._inverse_flips[(a, b)] = np.linalg.pinv(self.flips[(b, a)])
-        return inv
 
     def gram_pinv(self, s: lattice.Point, tol: float) -> np.ndarray:
         """Coordinates, shape (p_s, p_s, dim A), of the Moore-Penrose inverse
@@ -219,12 +245,15 @@ class ProductSystem:
     def build(self, points) -> None:
         """Word data of the normal words of the points and of their
         prefixes, as `_build_words` builds them."""
-        self._build_words([self.normal_word(tuple(s)) for s in points])
+        new = [s for s in map(tuple, points) if s not in self._points]
+        words = [self.normal_word(s) for s in new]
+        self._build_words(words)
+        self._points.update(zip(new, (self._words[word] for word in words)))
 
     def _build_words(self, words) -> None:
         """Word data of the words and of their prefixes that are not built
         yet, level by level (word length): the words of one level take one
-        interior_tensor."""
+        `_tensors_of` call."""
         levels: dict[int, set[tuple[int, ...]]] = {}
         for word in words:
             while word not in self._words and word not in levels.get(len(word), ()):
@@ -236,12 +265,28 @@ class ProductSystem:
                 continue
             if level == 1:
                 for word in sorted(levels[1]):
-                    self._words[word] = _WordData(*reduce_null(self.generators[word[0] - 1], self.tol))
+                    first = (self._first[word[0] - 1] + 1,)
+                    if first not in self._words:
+                        self._words[first] = _WordData(*reduce_null(self._generator(word[0]), self.tol))
+                    self._words[word] = self._words[first]
                 continue
+            # a word is the tensor of its prefix's fiber and its last generator
             group = sorted(levels[level])
-            pairs = [(self._words[word[:-1]].corr, self.generators[word[-1] - 1]) for word in group]
-            for word, tensor in zip(group, interior_tensor(pairs, self.tol)):
-                self._words[word] = _WordData(*tensor)
+            pairs = [(self._words[word[:-1]].corr, self._generator(word[-1])) for word in group]
+            self._words.update(zip(group, self._tensors_of(pairs)))
+
+    def _tensors_of(self, pairs) -> list[_WordData]:
+        """Word data of the interior tensors of the (E, F) pairs, in one
+        interior_tensor call for the pairs not computed yet: pairs of the
+        same two objects share one word data."""
+        todo = {}
+        for e, f in pairs:
+            if (id(e), id(f)) not in self._tensors:
+                todo[(id(e), id(f))] = (e, f)
+        if todo:
+            for key, tensor in zip(todo, interior_tensor(list(todo.values()), self.tol)):
+                self._tensors[key] = _WordData(*tensor)
+        return [self._tensors[(id(e), id(f))] for e, f in pairs]
 
     @staticmethod
     def normal_word(s: lattice.Point) -> tuple[int, ...]:
@@ -263,50 +308,82 @@ class ProductSystem:
     def fiber_dim(self, s: lattice.Point) -> int:
         return self.point_data(s).corr.dim
 
-    def _append_map(self, word: tuple[int, ...], i: int) -> np.ndarray:
-        """Reduced map X(word) (x) E_i -> X(sorted(word + (i,))).
+    def _append_maps(self, keys) -> list[np.ndarray]:
+        """Reduced maps A(m, i): X(m) (x) E_i -> X(m + e_i) of the keys
+        (m, i), m a point.
 
-        Stays entirely in reduced coordinates: when the letter i has to move
-        left past a larger letter j, the last tensor slot is peeled off with
-        the word's quotient surjection, flipped, and the recursion continues
-        on the shorter prefix.
+        With j the last letter of m's normal word, A(m, i) is the surjection
+        last_q of m + e_i when j <= i. Otherwise the letter i moves left past
+        j in reduced coordinates: with m' = m - e_j and the inverse flip
+        L R: E_j (x) E_i -> X(e_i + e_j) -> E_i (x) E_j,
+
+            A(m, i) = last_q(m + e_i) (A(m', i) (x) I_{m_j}) (I_{p_m'} (x) L) Y,
+            Y = (I_{p_m'} (x) R) (last_q(m)^H (x) I_{m_i}),
+
+        so nothing of size p_m' m_i m_j x p_m m_i is formed. The keys not
+        cached yet, and the shorter keys they need, are built level by
+        level (|m|). The keys of one level and shape, whatever their
+        letters, take one stacked matmul per factor.
         """
-        word = tuple(word)
-        key = (word, i)
-        cached = self._appends.get(key)
-        if cached is not None:
-            return cached
-        if not word or word[-1] <= i:
-            out = self.word_data(word + (i,)).last_q
-        else:
-            prefix, j = word[:-1], word[-1]
-            m_i = self.generators[i - 1].dim
-            m_j = self.generators[j - 1].dim
-            p_prefix = self.word_data(prefix).corr.dim if prefix else 1
-            # (I_{p_prefix} (x) flip)(last_q^H (x) I_{m_i}), with rows split
-            # as ((prefix, i), j) and columns (word, i)
-            last_q = self.word_data(word).last_q
-            p_word = last_q.shape[0]
-            # contract the j slot of the peel with the j slot of the flip,
-            # as [prefix, word] x [j] @ [j] x [(i, j), i] -> [prefix, word, (i, j), i]
-            peel = last_q.conj().T.reshape(p_prefix, m_j, p_word).transpose(0, 2, 1)
-            flip = self.flip_for(j, i).reshape(m_i * m_j, m_j, m_i).transpose(1, 0, 2)
-            flipped = peel.reshape(p_prefix * p_word, m_j) @ flip.reshape(m_j, m_i * m_j * m_i)
-            flipped = flipped.reshape(p_prefix, p_word, m_i * m_j, m_i).transpose(0, 2, 1, 3)
-            cols = p_word * m_i
-            flipped = flipped.reshape(p_prefix * m_i, m_j * cols)
-            rejoin = self._append_map(tuple(sorted(prefix + (i,))), j)
-            # (append(prefix, i) (x) I_{m_j}) acts on the (prefix, i) rows
-            inner = (self._append_map(prefix, i) @ flipped).reshape(rejoin.shape[1], cols)
-            out = rejoin @ inner
-        self._appends[key] = out
-        return out
+        appends = self._appends
+        # per level, each new key's last letter j (0 if it needs no flip)
+        levels: dict[int, dict[tuple[lattice.Point, int], int]] = {}
+        for m, i in keys:
+            n = sum(m)
+            while (m, i) not in appends and (m, i) not in levels.get(n, ()):
+                j = lattice.last(m)
+                levels.setdefault(n, {})[(m, i)] = j if j > i else 0
+                if j <= i:
+                    break
+                m, n = lattice.step(m, j, -1), n - 1
+        if not levels:
+            return [appends[key] for key in keys]
+        self.build([p for level in levels.values() for m, i in level for p in (m, lattice.step(m, i, 1))])
+        points = self._points
+        for n in sorted(levels):
+            groups: dict[tuple[int, ...], list] = {}
+            for (m, i), j in levels[n].items():
+                out = lattice.step(m, i, 1)
+                if not j:
+                    appends[(m, i)] = points[out].last_q
+                    continue
+                prefix = lattice.step(m, j, -1)
+                # a one-letter word's prefix is scalar
+                p_prefix = points[prefix].corr.dim if n > 1 else 1
+                flip = self._inverse_flips[(j, i)]
+                m_i, m_j = self.generators[i - 1].dim, self.generators[j - 1].dim
+                shape = (m_i, m_j, flip[1].shape[0], p_prefix, points[m].corr.dim)
+                shape += (points[lattice.step(prefix, i, 1)].corr.dim, points[out].corr.dim)
+                groups.setdefault(shape, []).append((m, i, prefix, out, flip))
+            for (m_i, m_j, p_pair, p_prefix, p_m, p_mid, _p_out), group in groups.items():
+                c = len(group)
+                # Y: rows (m', m) of the peeled last_q(m)^H times R on its j
+                # slot -> [x, (m', r), (m, i)]
+                peel = np.array([points[m].last_q for m, _i, _prefix, _out, _flip in group]).conj()
+                peel = peel.reshape(c, p_m, p_prefix, m_j).transpose(0, 2, 1, 3).reshape(c, p_prefix * p_m, m_j)
+                right = np.array([flip[1] for *_key, flip in group]).reshape(c, p_pair, m_j, m_i)
+                right = right.transpose(0, 2, 1, 3).reshape(c, m_j, p_pair * m_i)
+                y = (peel @ right).reshape(c, p_prefix, p_m, p_pair, m_i).transpose(0, 1, 3, 2, 4)
+                # (A(m', i) (x) I_{m_j})(I (x) L): rows (mid, m') of A(m', i)
+                # times L on its i slot -> [x, (mid, j), (m', r)]
+                prev = np.array([appends[(prefix, i)] for _m, i, prefix, _out, _flip in group])
+                left = np.array([flip[0] for *_key, flip in group]).reshape(c, m_i, m_j * p_pair)
+                z = (prev.reshape(c, p_mid * p_prefix, m_i) @ left).reshape(c, p_mid, p_prefix, m_j, p_pair)
+                z = z.transpose(0, 1, 3, 2, 4)
+                # the last_q that appends j to m' + e_i
+                rejoin = np.array([points[out].last_q for _m, _i, _prefix, out, _flip in group])
+                rejoin = rejoin @ z.reshape(c, p_mid * m_j, p_prefix * p_pair)
+                maps = rejoin @ y.reshape(c, p_prefix * p_pair, p_m * m_i)
+                for x, (m, i, _prefix, _out, _flip) in enumerate(group):
+                    appends[(m, i)] = maps[x]
+        return [appends[key] for key in keys]
 
     # -- multiplication isomorphisms ----------------------------------------
 
     def mult_iso(self, s: lattice.Point, t: lattice.Point) -> np.ndarray:
         """U_{s,t}: reduced fiber(s) (x) fiber(t) -> fiber(s+t), in coordinates:
-        the map mu of the p_s * p_t tensor coordinates x (x) y onto X(s+t).
+        the map mu of the p_s * p_t tensor coordinates x (x) y onto X(s+t),
+        looked up in the cache that `mult_isos` fills.
 
         mu vanishes on the null vectors of the interior tensor, so ``mu q^H``
         is the unitary U on the quotient coordinates of any surjection q with
@@ -315,39 +392,80 @@ class ProductSystem:
         q^H pinv(U) because U is invertible and q a coisometry. For s = 0 or
         t = 0, mu is the left or right action map of A = X(0).
         """
-        s = tuple(s)
-        t = tuple(t)
-        cached = self._isos.get((s, t))
-        if cached is not None:
-            return cached
-        if lattice.is_zero(s):
-            # left action of A = X(0) on the fiber
-            ct = self.point_data(t).corr
-            mu = np.transpose(ct.left_action, (1, 0, 2)).reshape(
-                ct.dim, self.algebra.dim * ct.dim
-            )
-        elif lattice.is_zero(t):
-            # right action of A = X(0) on the fiber
-            cs = self.point_data(s).corr
-            mu = np.transpose(cs.right_action, (1, 2, 0)).reshape(
-                cs.dim, cs.dim * self.algebra.dim
-            )
-        else:
-            i = max(lattice.support(t))
-            t_prev = lattice.sub(t, lattice.unit(len(t), i))
-            p_s = self.fiber_dim(s)
-            split = self.point_data(t).last_q.conj().T  # (t_prev, i) <- t
-            append = self._append_map(self.normal_word(lattice.add(s, t_prev)), i)
-            p_out = append.shape[0]
-            if not lattice.is_zero(t_prev):
-                # append (mu_prev (x) I_{m_i}), with columns ordered (s, t_prev, i)
-                mu_prev = self.mult_iso(s, t_prev)
-                m_i = self.generators[i - 1].dim
-                append = append.reshape(p_out, mu_prev.shape[0], m_i).transpose(0, 2, 1)
-                append = append.reshape(p_out * m_i, mu_prev.shape[0]) @ mu_prev
-                append = append.reshape(p_out, m_i, p_s, self.fiber_dim(t_prev)).transpose(0, 2, 3, 1)
-            # (I_{p_s} (x) split) acts on the (t_prev, i) columns
-            mu = append.reshape(p_out * p_s, split.shape[0]) @ split
-            mu = mu.reshape(p_out, p_s * split.shape[1])
-        self._isos[(s, t)] = mu
-        return mu
+        cached = self._isos.get((tuple(s), tuple(t)))
+        if cached is None:
+            [cached] = self.mult_isos([(s, t)])
+        return cached
+
+    def mult_isos(self, pairs) -> list[np.ndarray]:
+        """mult_iso of each pair (s, t). The pairs not cached yet, and the
+        shorter pairs they are composed from, are built level by level
+        (|t|): for the last letter i of t and t' = t - e_i,
+
+            U_{s,t} = A(s + t', i) (U_{s,t'} (x) I_{m_i}) (I_{p_s} (x) last_q(t)^H),
+
+        with A the append maps of `_append_maps` and U_{s,0} (x) I_{m_i}
+        read as the identity. The pairs of one level and shape take one
+        stacked matmul per factor.
+        """
+        pairs = [(tuple(s), tuple(t)) for s, t in pairs]
+        isos = self._isos
+        # per level, each new pair's last letter i of t (0 for an action
+        # map), t' and s + t'
+        levels: dict[int, dict] = {}
+        for s, t in pairs:
+            n = sum(t)
+            while (s, t) not in isos and (s, t) not in levels.get(n, ()):
+                i = lattice.last(t) if any(s) else 0
+                prev = lattice.step(t, i, -1) if i else t
+                levels.setdefault(n, {})[(s, t)] = (i, prev, lattice.add(s, prev))
+                if n <= 1 or not i:
+                    break
+                t, n = prev, n - 1
+        if not levels:
+            return [isos[pair] for pair in pairs]
+        entries = [(s, t, *entry) for level in levels.values() for (s, t), entry in level.items()]
+        self.build([p for s, t, _i, _prev, _mid in entries for p in (s, t)])
+        self._append_maps([(mid, i) for _s, _t, i, _prev, mid in entries if i])
+        points, appends, adim = self._points, self._appends, self.algebra.dim
+        for n in sorted(levels):
+            groups: dict[tuple[int, ...], list] = {}
+            for (s, t), (i, prev, mid) in levels[n].items():
+                if not any(s):  # left action of A = X(0) on the fiber
+                    ct = points[t].corr
+                    isos[(s, t)] = np.transpose(ct.left_action, (1, 0, 2)).reshape(ct.dim, adim * ct.dim)
+                elif not i:  # right action of A = X(0) on the fiber
+                    cs = points[s].corr
+                    isos[(s, t)] = np.transpose(cs.right_action, (1, 2, 0)).reshape(cs.dim, cs.dim * adim)
+                else:
+                    # t' = 0 has a scalar fiber slot
+                    p_prev = points[prev].corr.dim if n > 1 else 1
+                    shape = (self.generators[i - 1].dim, points[s].corr.dim, p_prev, points[t].corr.dim)
+                    shape += (points[mid].corr.dim, appends[(mid, i)].shape[0])
+                    groups.setdefault(shape, []).append((s, t, prev, mid, i))
+            for (m_i, p_s, p_prev, p_t, p_mid, p_out), group in groups.items():
+                c = len(group)
+                append = np.array([appends[(mid, i)] for _s, _t, _prev, mid, i in group])
+                # (U_{s,t'} (x) I_{m_i}) on the (s + t') slot: [x, (out, i), (s, t')]
+                append = append.reshape(c, p_out, p_mid, m_i).transpose(0, 1, 3, 2).reshape(c, p_out * m_i, p_mid)
+                if n == 1:  # t' = 0
+                    mu = append
+                else:
+                    mu = append @ np.array([isos[(s, prev)] for s, _t, prev, _mid, _i in group])
+                mu = mu.reshape(c, p_out, m_i, p_s, p_prev).transpose(0, 1, 3, 4, 2)
+                # (I_{p_s} (x) last_q(t)^H) on the (t', i) columns
+                split = np.array([points[t].last_q for _s, t, _prev, _mid, _i in group]).conj().transpose(0, 2, 1)
+                mu = (mu.reshape(c, p_out * p_s, p_prev * m_i) @ split).reshape(c, p_out, p_s * p_t)
+                for x, (s, t, _prev, _mid, _i) in enumerate(group):
+                    isos[(s, t)] = mu[x]
+        return [isos[pair] for pair in pairs]
+
+
+def _equal(x: np.ndarray, y: np.ndarray) -> bool:
+    return x.dtype == y.dtype and np.array_equal(x, y)
+
+
+def _equal_arrays(a: Correspondence, b: Correspondence) -> bool:
+    return all(
+        _equal(x, y) for x, y in ((a.gram, b.gram), (a.right_action, b.right_action), (a.left_action, b.left_action))
+    )

@@ -28,6 +28,7 @@ import numpy as np
 
 from . import lattice
 from .correspondence import (
+    Correspondence,
     LocalizedSpace,
     descend_map,
     localize,
@@ -35,7 +36,7 @@ from .correspondence import (
 )
 from .cstar import CStarAlgebra
 from .errors import InvalidArgumentError, NotWellDefinedError
-from .linalg import DEFAULT_TOL, as_data, hermitize, max_opnorm, opnorm, stack
+from .linalg import DEFAULT_TOL, as_data, hermitize, max_opnorm, opnorm
 from .prodsys import ProductSystem
 
 
@@ -103,6 +104,8 @@ class CCRepresentation:
             maps.append(arr)
         self.t_maps: tuple[np.ndarray, ...] = tuple(maps)
         self._loc: dict[lattice.Point, LocalizedSpace] = {}
+        # by the id of a fiber, which the system keeps alive
+        self._loc_of_fiber: dict[int, LocalizedSpace] = {}
         self._t_raw: dict[lattice.Point, np.ndarray] = {}
         self._lowering: dict[tuple[lattice.Point, lattice.Point], np.ndarray] = {}
 
@@ -117,72 +120,94 @@ class CCRepresentation:
         localizations take one `localize` per fiber dimension. A block with
         0 < s < t is the descent of (I (x) t_raw(s))(split (x) I_d), split =
         mu^H (mu mu^H)^{-1} the pseudo-inverse of mu = U_{t-s,s}, which is
-        onto X(t); one with s = t is the descent of t_raw(s). The blocks of
-        one (mu shape, loc ranks) group take one stacked solve, one stacked
-        product with t_raw(s) and one stacked `descend_map`. Every stack is
-        laid out slice by slice as the per-key arrays are, so each block has
-        the bits it has on its own. A key whose split is singular or whose
+        onto X(t); one with s = t is the descent of t_raw(s). The mu of all
+        the keys take one `mult_isos` call and their t_raw one `_t_raws`
+        call, each level by level. The blocks of one (mu shape, loc ranks)
+        group take one stacked solve, one stacked product with t_raw(s) and
+        one stacked `descend_map`, so they agree with a key-by-key
+        computation up to rounding. A key whose split is singular or whose
         map does not descend raises NotWellDefinedError; of several, the
         first in the order of `keys` raises, as a key-by-key loop would.
         """
+        lowering, locs, d = self._lowering, self._loc, self.dim
         keys = [(tuple(t), tuple(s)) for t, s in keys]
-        new = [(t, s, lattice.sub(t, s)) for t, s in dict.fromkeys(keys) if (t, s) not in self._lowering]
-        for t, s, rest in new:
-            if any(x < 0 for x in rest):
-                raise InvalidArgumentError(f"lowering needs s <= t, got s={s}, t={t}")
-        wanted = [tuple(p) for p in points] + [p for t, _s, rest in new for p in (t, rest)]
-        self._localize([p for p in dict.fromkeys(wanted) if p not in self._loc])
-        dim = self.system.fiber_dim
-        groups: dict[tuple, list] = {}
-        for t, s, rest in new:
+        # the keys not cached yet, with their t - s
+        new: dict[tuple[lattice.Point, lattice.Point], lattice.Point] = {}
+        for key in keys:
+            if key not in lowering and key not in new:
+                t, s = key
+                rest = new[key] = lattice.sub(t, s)
+                if min(rest, default=0) < 0:
+                    raise InvalidArgumentError(f"lowering needs s <= t, got s={s}, t={t}")
+        wanted = [*map(tuple, points), *(p for (t, _s), rest in new.items() for p in (t, rest))]
+        self._localize([p for p in dict.fromkeys(wanted) if p not in locs])
+        if not new:
+            return [lowering[key] for key in keys]
+        self._t_raws([s for _t, s in new if any(s)])
+        pairs, groups = [], {}
+        for (t, s), rest in new.items():
             if not any(s):
-                self._lowering[(t, s)] = np.eye(self._loc[t].rank)
+                lowering[(t, s)] = np.eye(locs[t].rank)
                 continue
             top = not any(rest)
-            shape = (top, dim(t), dim(rest), dim(s), self._loc[t].rank, self._loc[rest].rank)
+            if not top:
+                pairs.append((rest, s))
+            # raw dimensions p d of loc(t), loc(t - s) and t_raw(s), then loc ranks
+            source, target = locs[t], locs[rest]
+            shape = (top, source.source_dim, target.source_dim, self._t_raw[s].shape[1], source.rank, target.rank)
             groups.setdefault(shape, []).append((t, s, rest))
+        mus = dict(zip(pairs, self.system.mult_isos(pairs)))
         failures: dict[tuple[lattice.Point, lattice.Point], NotWellDefinedError] = {}
-        for (top, p_t, p_rest, p_s, _rank_t, _rank_rest), group in groups.items():
+        for (top, raw_t, raw_rest, raw_s, _rank_t, _rank_rest), group in groups.items():
             if top:
-                raw = stack([self.t_raw(s) for _t, s, _rest in group])
+                raw = np.array([self.t_raw(s) for _t, s, _rest in group])
             else:
-                group, raw = self._lowering_raw(group, p_t, p_rest, p_s, failures)
+                group, raw = self._lowering_raw(group, mus, raw_t // d, raw_rest // d, raw_s // d, failures)
             if not group:
                 continue
-            sources = [self._loc[t] for t, _s, _rest in group]
-            targets = [self._loc[rest] for _t, _s, rest in group]
+            sources = [locs[t] for t, _s, _rest in group]
+            targets = [locs[rest] for _t, _s, rest in group]
             blocks, errors = descend_map(raw, sources, targets, self.tol)
             for x, (t, s, _rest) in enumerate(group):
                 if x in errors:
                     failures[(t, s)] = errors[x]
                 else:
-                    self._lowering[(t, s)] = blocks[x]
-        for key in keys:
+                    lowering[(t, s)] = blocks[x]
+        for key in keys if failures else ():
             if key in failures:
                 raise failures[key]
-        return [self._lowering[key] for key in keys]
+        return [lowering[key] for key in keys]
 
     def _localize(self, points) -> None:
         """loc of each point: H itself at 0, else one `localize` per fiber
-        dimension over the fibers of the points."""
+        dimension over the fibers of the points. Points whose fibers are
+        one object (ProductSystem shares the word data of equal tensors)
+        share one localization, and its warnings."""
+        if not points:
+            return
         self.system.build(points)
-        by_dim: dict[int, list[lattice.Point]] = {}
+        by_dim: dict[int, dict[int, Correspondence]] = {}
         for s in points:
             if lattice.is_zero(s):
                 self._loc[s] = trivial_localized(self.dim)
-            else:
-                by_dim.setdefault(self.system.fiber_dim(s), []).append(s)
-        for group in by_dim.values():
-            fibers = [self.system.fiber(s) for s in group]
-            self._loc.update(zip(group, localize(fibers, self.sigma.mats, self.tol)))
+                continue
+            fiber = self.system.fiber(s)
+            if id(fiber) not in self._loc_of_fiber:
+                by_dim.setdefault(fiber.dim, {})[id(fiber)] = fiber
+        for fibers in by_dim.values():
+            self._loc_of_fiber.update(zip(fibers, localize(list(fibers.values()), self.sigma.mats, self.tol)))
+        for s in points:
+            if not lattice.is_zero(s):
+                self._loc[s] = self._loc_of_fiber[id(self.system.fiber(s))]
 
-    def _lowering_raw(self, group, p_t: int, p_rest: int, p_s: int, failures):
+    def _lowering_raw(self, group, mus, p_t: int, p_rest: int, p_s: int, failures):
         """The raw maps X(t) (x) H -> X(t-s) (x) H of I (x) T~_s for the
         (t, s, t - s) of one shape with 0 < s < t, as a stack, with the
-        entries they are for: an entry whose mu mu^H is singular is left
-        out, its error in `failures`."""
+        entries they are for, from the mu = U_{t-s,s} in `mus` by (t - s, s):
+        an entry whose mu mu^H is singular is left out, its error in
+        `failures`."""
         d = self.dim
-        mu = stack([self.system.mult_iso(rest, s) for _t, s, rest in group])
+        mu = np.array([mus[(rest, s)] for _t, s, rest in group])
         gram = mu @ np.swapaxes(mu.conj(), 1, 2)
         try:
             split_h = np.linalg.solve(gram, mu)  # adjoint of p_t -> p_rest p_s
@@ -203,12 +228,13 @@ class CCRepresentation:
                 return group, None
             split_h = np.linalg.solve(gram[kept], mu[kept])
         # (I_{p_rest} (x) t_raw(s))(split (x) I_d), entry ((a, h'), (c, h)) =
-        # sum over b of split[(a, b), c] t_raw(s)[h', (b, h)]: one matmul
-        # batched over (key, a, h')
+        # sum over b of split[(a, b), c] t_raw(s)[h', (b, h)]: one matmul per
+        # key, of split as [(a, c), b] and t_raw(s) as [b, (h', h)]
         n = len(group)
-        split = split_h.conj().reshape(n, p_t, p_rest, p_s).transpose(0, 2, 1, 3)
-        t_raw = stack([self.t_raw(s) for _t, s, _rest in group]).reshape(n, 1, d, p_s, d)
-        out = np.ascontiguousarray(split)[:, :, None] @ t_raw
+        split = split_h.conj().reshape(n, p_t, p_rest, p_s).transpose(0, 2, 1, 3).reshape(n, p_rest * p_t, p_s)
+        t_raw = np.array([self.t_raw(s) for _t, s, _rest in group]).reshape(n, d, p_s, d)
+        out = split @ t_raw.transpose(0, 2, 1, 3).reshape(n, p_s, d * d)
+        out = out.reshape(n, p_rest, p_t, d, d).transpose(0, 1, 3, 2, 4)
         return group, out.reshape(n, p_rest * d, p_t * d)
 
     def loc(self, s: lattice.Point) -> LocalizedSpace:
@@ -242,25 +268,52 @@ class CCRepresentation:
         """d x (p_s d) map on reduced-fiber (x) H raw coordinates:
         t_raw(prev) (I_{p_prev} (x) gen_t_raw(i)) (last_q^H (x) I_d) for the
         last letter i of s and prev = s - e_i, each identity factor applied
-        by reshaping."""
+        by reshaping; looked up in the cache that `_t_raws` fills."""
         s = tuple(s)
         cached = self._t_raw.get(s)
-        if cached is not None:
-            return cached
-        d = self.dim
-        if lattice.is_zero(s):
-            out = np.eye(d)
-        else:
-            i = max(lattice.support(s))
-            prev = lattice.sub(s, lattice.unit(len(s), i))
-            raw = self.gen_t_raw(i)
-            if not lattice.is_zero(prev):
-                # rows (h', a) of t_raw(prev) times gen_t_raw(i): columns (a, b, h)
-                raw = (self.t_raw(prev).reshape(-1, d) @ raw).reshape(d, -1)
-            last_q = self.system.point_data(s).last_q  # columns (a, b)
-            out = (last_q.conj() @ raw.reshape(d, -1, d)).reshape(d, -1)
-        self._t_raw[s] = out
-        return out
+        if cached is None:
+            self._t_raws([s])
+            cached = self._t_raw[s]
+        return cached
+
+    def _t_raws(self, points) -> None:
+        """t_raw of the points and of their prefixes that are not cached
+        yet, level by level (|s|): the points of one level and shape take
+        one stacked matmul with their generators' gen_t_raw and one with
+        their last_q."""
+        # per level, each point's last letter i and prev = s - e_i
+        levels: dict[int, dict[lattice.Point, tuple[int, lattice.Point]]] = {}
+        for s in map(tuple, points):
+            n = sum(s)
+            while s not in self._t_raw and s not in levels.get(n, ()):
+                i = lattice.last(s)
+                prev = lattice.step(s, i, -1) if i else s
+                levels.setdefault(n, {})[s] = (i, prev)
+                if not i:
+                    break
+                s, n = prev, n - 1
+        self.system.build([s for level in levels.values() for s in level])
+        d, dim = self.dim, self.system.fiber_dim
+        for level in sorted(levels):
+            groups: dict[tuple[int, int, int], list] = {}
+            for s, (i, prev) in sorted(levels[level].items()):
+                if not i:
+                    self._t_raw[s] = np.eye(d)
+                    continue
+                # t_raw(0) = I_d has a scalar fiber slot
+                shape = (self.t_maps[i - 1].shape[0], dim(prev) if any(prev) else 1, dim(s))
+                groups.setdefault(shape, []).append((s, i, prev))
+            for (m_i, p_prev, p_s), group in groups.items():
+                c = len(group)
+                gens = {i: self.gen_t_raw(i) for _s, i, _prev in group}
+                # rows (h', a) of t_raw(prev) times gen_t_raw(i), as [x, (a, b), (h', h)]
+                t_prev = np.array([self._t_raw[prev] for _s, _i, prev in group]).reshape(c, d * p_prev, d)
+                raw = t_prev @ np.array([gens[i] for _s, i, _prev in group])
+                raw = raw.reshape(c, d, p_prev * m_i, d).transpose(0, 2, 1, 3).reshape(c, p_prev * m_i, d * d)
+                last_q = np.array([self.system.point_data(s).last_q for s, _i, _prev in group]).conj()
+                out = (last_q @ raw).reshape(c, p_s, d, d).transpose(0, 2, 1, 3).reshape(c, d, p_s * d)
+                for x, (s, _i, _prev) in enumerate(group):
+                    self._t_raw[s] = out[x]
 
 
 def validate_module(rep: CCRepresentation, vectors: np.ndarray | None = None) -> dict[str, float]:
@@ -363,15 +416,7 @@ def doubly_commuting_check(rep: CCRepresentation, j: int, k: int, bound: lattice
     )
 
 
-def brehmer_keys(v, points) -> list:
-    """The lowering-block keys (s[v], s[u]) of `brehmer_check_NS`, u over
-    the subsets of v, point by point."""
-    subsets = list(lattice.subsets(tuple(v)))
-    restricted = [lattice.restrict(tuple(s), v) for s in points]
-    return [(sv, lattice.restrict(sv, u)) for sv in restricted for u in subsets]
-
-
-def brehmer_check_NS(rep: CCRepresentation, v, points) -> list[float]:
+def brehmer_check_NS(rep: CCRepresentation, v, points, rows=None) -> list[float]:
     """Minimum eigenvalue, for each point s of `points`, of the alternating
     sum over subsets u of v of (-1)^|u| (I (x) T~_{s[u]}^H T~_{s[u]}) on
     loc(fiber(s[v]), sigma), that is of
@@ -380,14 +425,17 @@ def brehmer_check_NS(rep: CCRepresentation, v, points) -> list[float]:
 
     The blocks of all the points are built in one call, and their
     Theta^H Theta take one stacked product per block shape. The sums of the
-    points whose loc(s[v]) have one rank are accumulated as one stack,
-    subset by subset in the order of lattice.subsets, and take one
-    eigvalsh; each sum has the bits of its own loop. A sum on a rank-0
-    space is 0.0.
+    points whose loc(s[v]) have one rank take one signed contraction over
+    the subsets and one eigvalsh, so they agree with a point-by-point loop
+    up to rounding. A sum on a rank-0 space is 0.0. `rows`, when given,
+    holds each point's restrictions [s[u] for u in lattice.subsets(v)].
     """
     subsets = list(lattice.subsets(tuple(v)))
     size = len(subsets)
-    blocks = rep.build(keys=brehmer_keys(v, points))
+    # the last subset is v itself: row[-1] = s[v], and s[v][u] = s[u]
+    if rows is None:
+        rows = [[lattice.restrict(tuple(s), u) for u in subsets] for s in points]
+    blocks = rep.build(keys=[(row[-1], su) for row in rows for su in row])
     thetas = [blocks[x * size : (x + 1) * size] for x in range(len(points))]
     # the rank of loc(s[v]) is the size of a point's first block, Theta(s[v], 0) = I
     by_rank: dict[int, list[int]] = {}
@@ -403,12 +451,10 @@ def brehmer_check_NS(rep: CCRepresentation, v, points) -> list[float]:
             by_shape.setdefault(theta.shape, []).append(row)
         square = np.empty((len(flat), rank, rank), dtype=np.result_type(*{theta.dtype for theta in flat}))
         for rows in by_shape.values():
-            theta = stack([flat[row] for row in rows])
+            theta = np.array([flat[row] for row in rows])
             square[rows] = np.swapaxes(theta.conj(), 1, 2) @ theta
-        square = square.reshape(len(members), size, rank, rank)
-        total = np.zeros((len(members), rank, rank), dtype=square.dtype)
-        for n, u in enumerate(subsets):
-            total += ((-1) ** len(u)) * square[:, n]
-        for x, vals in zip(members, np.linalg.eigvalsh(hermitize(total))):
+        signs = np.array([(-1.0) ** len(u) for u in subsets])
+        total = signs @ square.reshape(len(members), size, rank * rank)
+        for x, vals in zip(members, np.linalg.eigvalsh(hermitize(total.reshape(len(members), rank, rank)))):
             out[x] = float(vals.min())
     return out

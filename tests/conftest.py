@@ -6,7 +6,7 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from dilationlab.correspondence import trivial_correspondence
+from dilationlab.correspondence import Correspondence, trivial_correspondence
 from dilationlab.cstar import CStarAlgebra
 from dilationlab.families import _scalar_instance, generate
 from dilationlab.instances import parse_instance
@@ -64,4 +64,31 @@ def unitary_flip_rep():
     d = 2
     sigma = AlgebraRepresentation(alg, d, np.eye(d, dtype=complex)[None])
     t_maps = [0.3 * (rng.standard_normal((m, d, d)) + 1j * rng.standard_normal((m, d, d))) for m in (2, 3)]
+    return CCRepresentation(system, sigma, t_maps)
+
+
+def degenerate_swap_rep(k: int = 2, projectors: bool = False) -> CCRepresentation:
+    """k generators C^3 over C with random rank-2 Grams B_i^H B_i and swap
+    flips; T_i(e_a) = sum_c B_i[c, a] S_ic vanishes on the null vectors.
+    Every fiber quotients its raw word by a null space, and at k = 3 a
+    letter appended to a normal word moves left past up to four larger
+    letters on the box (2, 2, 2). With `projectors`, each B_i has
+    orthonormal rows, so every kept eigenvalue of a fiber's null trace is
+    1: with random B_i, the null eigenvalues of words of length 6 read
+    rounding of the size of the absolute 1e-10 cutoff."""
+    alg = CStarAlgebra([1])
+    rng = np.random.default_rng(5)
+    eye = np.eye(3)[None]
+    swap = np.eye(9).reshape(3, 3, 3, 3).transpose(1, 0, 2, 3).reshape(9, 9)
+    gens, t_maps = [], []
+    for _ in range(k):
+        b = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
+        if projectors:
+            b = np.linalg.qr(b.conj().T)[0].conj().T
+        gens.append(Correspondence(alg, (b.conj().T @ b)[:, :, None], eye, eye))
+        s = 0.1 * (rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2)))
+        t_maps.append(np.tensordot(b, s, axes=(0, 0)))
+    flips = {(i, j): swap for i in range(1, k + 1) for j in range(i + 1, k + 1)}
+    system = ProductSystem(alg, gens, flips)
+    sigma = AlgebraRepresentation(alg, 2, np.eye(2, dtype=complex)[None])
     return CCRepresentation(system, sigma, t_maps)

@@ -450,6 +450,29 @@ def homomorphism_residuals_loop(mul_table: np.ndarray, right: np.ndarray, left: 
     return r_hom, l_hom
 
 
+def axiom_residuals_einsum(corr) -> dict[str, float]:
+    """The Gram and compatibility residuals of validate_correspondence as
+    einsum contractions of the embedded Gram [i, j, s, t]: Hermitian and PSD
+    Gram, <e_i, e_j . f_p> = <e_i, e_j> f_p and <f_p . e_i, e_j> =
+    <e_i, f_p^* . e_j>."""
+    alg = corr.algebra
+    gram_mats = np.einsum("ijp,pkl->ijkl", corr.gram, alg.basis_mats)
+    emb = np.einsum("ijp,pkl->ikjl", corr.gram, alg.basis_mats).reshape(corr.dim * alg.rep_dim, -1)
+    lhs_r = np.einsum("plj,ilst->pijst", corr.right_action, gram_mats)
+    rhs_r = np.einsum("ijsu,put->pijst", gram_mats, alg.basis_mats)
+    lhs_l = np.einsum("pli,ljst->pijst", np.conj(corr.left_action), gram_mats)
+    act_star = np.tensordot(alg.adj_table, corr.left_action, axes=(1, 0))
+    rhs_l = np.einsum("plj,ilst->pijst", act_star, gram_mats)
+    return {
+        "gram_hermitian": float(
+            np.abs(np.conj(np.transpose(gram_mats, (0, 1, 3, 2))) - np.transpose(gram_mats, (1, 0, 2, 3))).max()
+        ),
+        "gram_psd": max(0.0, -float(np.linalg.eigvalsh(0.5 * (emb + emb.conj().T)).min())),
+        "right_compatibility": float(np.abs(lhs_r - rhs_r).max()),
+        "left_adjointable": float(np.abs(lhs_l - rhs_l).max()),
+    }
+
+
 def sigma_residuals_loop(mul_table: np.ndarray, adj: np.ndarray, mats: np.ndarray) -> tuple[float, float]:
     """Multiplicative and *-preserving residuals of a representation given by
     its basis images `mats`, one basis element or pair at a time."""
@@ -895,7 +918,7 @@ def build_Vs(bundle, s, x) -> np.ndarray:
     x = x.reshape(-1, 1) if x.ndim < 2 else x
     tgts = np.tensordot(x, bundle.targets(s), axes=(0, 0))
     dom = bundle.domain(s)
-    vs = lstsq_map(tgts, dom, np.linalg.pinv(dom), LSQ_TOL, f"build_Vs at {tuple(s)}")
+    vs, _defect = lstsq_map(tgts, dom, np.linalg.pinv(dom), LSQ_TOL, f"build_Vs at {tuple(s)}")
     return vs.transpose(1, 0, 2).reshape(bundle.rank, -1)
 
 
@@ -924,7 +947,7 @@ def isometric_maps_two_paths(bundle) -> tuple[np.ndarray, list[np.ndarray]]:
             acts = rep.sigma.mats
         tgts.append(gen_block(bundle, s) @ acts @ rep.loc(s).lift)
     gens = bundle.factor
-    v0 = lstsq_map(np.concatenate(tgts, axis=2), gens, np.linalg.pinv(gens), LSQ_TOL, "V_0")
+    v0, _defect = lstsq_map(np.concatenate(tgts, axis=2), gens, np.linalg.pinv(gens), LSQ_TOL, "V_0")
     t_maps = []
     for i, gen in enumerate(sys_.generators, start=1):
         e_i = tuple(int(j == i - 1) for j in range(sys_.k))
@@ -1300,7 +1323,8 @@ def flip_residual_bounds(system, i: int, j: int, phi: np.ndarray, r: float) -> t
 
 def append_map_kron(system, word, i) -> np.ndarray:
     """Reduced map X(word) (x) E_i -> X(sorted(word + (i,))), peeling with
-    last_q^H (x) I and rejoining with append (x) I as np.kron products."""
+    last_q^H (x) I and rejoining with append (x) I as np.kron products, and
+    flipping with the pseudo-inverse of the raw flip."""
     word = tuple(word)
     if not word or word[-1] <= i:
         return system.word_data(word + (i,)).last_q
@@ -1310,7 +1334,7 @@ def append_map_kron(system, word, i) -> np.ndarray:
     p_prefix = system.word_data(prefix).corr.dim if prefix else 1
     peel = np.kron(system.word_data(word).last_q.conj().T, np.eye(m_i))
     cols = peel.shape[1]
-    flipped = system.flip_for(j, i) @ peel.reshape(p_prefix, m_j * m_i, cols)
+    flipped = np.linalg.pinv(system.flips[(i, j)]) @ peel.reshape(p_prefix, m_j * m_i, cols)
     inner = np.kron(append_map_kron(system, prefix, i), np.eye(m_j))
     rejoin = append_map_kron(system, tuple(sorted(prefix + (i,))), j)
     return rejoin @ inner @ flipped.reshape(p_prefix * m_i * m_j, cols)

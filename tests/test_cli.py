@@ -464,11 +464,14 @@ def test_recovery_failure_is_a_failed_V_recovery_check(tmp_path, monkeypatch, ca
 def test_ns_section_matches_per_key_loop(family, k):
     """The NS values, stacked by rank per v and computed once per
     restricted point s[v], equal the per-point alternating sum of the
-    oracle, one eigvalsh each, for every reported key."""
+    oracle, one eigvalsh each, for every reported key, within TOL
+    (test_factorwise.TOL) per summed term: the stacked sum may add its
+    2^|v| terms in another order."""
     from dilationlab import lattice
     from dilationlab.families import generate
     from dilationlab.instances import parse_instance
     from oracles import brehmer_sum_point
+    from test_factorwise import TOL
 
     inst = parse_instance(generate(family, seed=1, k=k))
     k = inst.system.k
@@ -480,7 +483,8 @@ def test_ns_section_matches_per_key_loop(family, k):
             if v and all(s[i - 1] for i in v):
                 want[f"v={list(v)},s={list(s)}"] = brehmer_sum_point(inst.representation, v, s)
     assert list(ns) == list(want)
-    assert ns == want
+    for key, value in want.items():
+        assert abs(ns[key] - value) <= TOL * 2**k, key
     assert len(set(ns.values())) > 1
 
 

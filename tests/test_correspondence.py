@@ -17,6 +17,7 @@ from dilationlab.correspondence import (
 from dilationlab.errors import InvalidArgumentError, NotWellDefinedError
 
 from oracles import (
+    axiom_residuals_einsum,
     compressed_action_einsum,
     congruent_gram_einsum,
     gram_of,
@@ -81,10 +82,12 @@ def test_interior_tensor_m2_quotient(m2):
 
 
 def test_reduce_null_keeps_nondegenerate(m2):
+    """With no null vector the quotient is the correspondence itself, with
+    the identity surjection."""
     corr = algebra_correspondence(m2)
     reduced, q = reduce_null(corr)
-    assert reduced.dim == corr.dim
-    assert q.shape == (4, 4)
+    assert reduced is corr
+    assert np.array_equal(q, np.eye(4))
 
 
 def test_localize_trivial_over_scalars(scalars):
@@ -302,3 +305,13 @@ def test_homomorphism_residuals_match_loop_oracle(name):
         )
         got = (res["right_homomorphism"], res["left_homomorphism"])
         assert np.allclose(got, want, rtol=0, atol=1e-13), (got, want)
+
+
+@pytest.mark.parametrize("name", sorted(TENSOR_PAIRS))
+def test_axiom_residuals_match_einsum_oracle(name):
+    """The Gram and compatibility residuals, taken as 2-D GEMMs, equal their
+    einsum bodies up to rounding; the random arrays make them nonzero."""
+    for corr in TENSOR_PAIRS[name]():
+        got = validate_correspondence(corr)
+        for key, want in axiom_residuals_einsum(corr).items():
+            assert abs(got[key] - want) <= 1e-13 * max(1.0, want), (key, got[key], want)

@@ -344,15 +344,18 @@ STACKED_VERIFY_CASES = [
 
 def _push_off_the_dilation(bundle, eps: float) -> None:
     """Perturb the recovered V_0 and generator isometries V_{e_i} (the
-    `solves`, which isometric_rep is rebuilt from) by about eps, and with
-    them every composed V_s, so that the verification residuals are of
+    `solves`, which isometric_rep is rebuilt from, with their defects on
+    their domains) by about eps, and with them every composed V_s, so that the verification residuals are of
     that size instead of rounding noise."""
     rng = np.random.default_rng(0)
 
     def noise(shape):
         return eps * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
-    solves = {s: (v + noise(v.shape), basis) for s, (v, basis) in bundle.solves.items()}
+    solves = {}
+    for s, (v, basis, defect) in bundle.solves.items():
+        push = noise(v.shape)
+        solves[s] = (v + push, basis, defect + push @ bundle.steps[s][0])
     bundle.__dict__["solves"] = solves
     bundle.__dict__.pop("isometric_rep", None)
 
@@ -377,9 +380,9 @@ def test_recovered_maps_are_kept_in_one_basis(request, name, gen_args, bound):
     bundle = bundle_of(_instance(request, name, gen_args), bound)
     iso = bundle.isometric_rep
     sys_ = iso.system
-    (_zero, (v0, _basis)), *steps = bundle.solves.items()
+    (_zero, (v0, _basis, _defect)), *steps = bundle.solves.items()
     assert iso.sigma.mats is v0
-    for i, (s, (v, _basis)) in enumerate(steps, start=1):
+    for i, (s, (v, _basis, _defect)) in enumerate(steps, start=1):
         q = sys_.word_data((i,)).last_q
         back = np.tensordot(q.conj(), iso.t_maps[i - 1], axes=(1, 0))
         raw = iso.t_raw(s).reshape(iso.dim, q.shape[0], iso.dim).transpose(1, 0, 2)

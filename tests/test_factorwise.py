@@ -29,6 +29,8 @@ from oracles import (
 )
 from sweep import CASES as SWEEP_CASES
 
+from conftest import degenerate_swap_rep
+
 TOL = 1e-13
 
 
@@ -43,24 +45,6 @@ def _multiplication_rep(blocks, k=2):
     return CCRepresentation(system, sigma, [alg.basis_mats] * k)
 
 
-def _degenerate_rep():
-    """Generators C^3 over C with random rank-2 Grams B_i^H B_i and swap
-    flips; T_i(e_a) = sum_c B_i[c, a] S_ic vanishes on the null vectors."""
-    alg = cstar.CStarAlgebra([1])
-    rng = np.random.default_rng(5)
-    eye = np.eye(3)[None]
-    swap = np.eye(9).reshape(3, 3, 3, 3).transpose(1, 0, 2, 3).reshape(9, 9)
-    gens, t_maps = [], []
-    for _ in range(2):
-        b = rng.standard_normal((2, 3)) + 1j * rng.standard_normal((2, 3))
-        gens.append(Correspondence(alg, (b.conj().T @ b)[:, :, None], eye, eye))
-        s = 0.1 * (rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2)))
-        t_maps.append(np.tensordot(b, s, axes=(0, 0)))
-    system = ProductSystem(alg, gens, {(1, 2): swap})
-    sigma = AlgebraRepresentation(alg, 2, np.eye(2, dtype=complex)[None])
-    return CCRepresentation(system, sigma, t_maps)
-
-
 def _zero_fiber_rep():
     """Scalar pair whose first generator has Gram 0: every fiber X(s) with
     s_1 > 0 is zero-dimensional."""
@@ -72,12 +56,28 @@ def _zero_fiber_rep():
     return CCRepresentation(system, sigma, [0.0 * one, 0.8 * one])
 
 
+def _fading_fiber_rep():
+    """Scalar pair whose first generator has Gram 1e-6: X(s) is
+    one-dimensional for s_1 <= 1 and zero-dimensional for s_1 = 2, whose
+    null trace 1e-12 lies below the band of the 1e-10 cutoff. So the
+    multiplication maps of one level and of equal factor dimensions land in
+    fibers of different dimensions."""
+    alg = cstar.CStarAlgebra([1])
+    one = np.ones((1, 1, 1), dtype=complex)
+    gens = [Correspondence(alg, 1e-6 * one, one, one), trivial_correspondence(alg, 1)]
+    system = ProductSystem(alg, gens, {(1, 2): np.eye(1)})
+    sigma = AlgebraRepresentation(alg, 1, one)
+    return CCRepresentation(system, sigma, [5e-4 * one, 0.8 * one])
+
+
 CASES = {
     "M2": lambda request: _multiplication_rep([2]),
     "M3": lambda request: _multiplication_rep([3]),
     "C+M2": lambda request: _multiplication_rep([1, 2]),
-    "degenerate Gram": lambda request: _degenerate_rep(),
+    "degenerate Gram": lambda request: degenerate_swap_rep(),
+    "degenerate Gram, k=3 swaps": lambda request: degenerate_swap_rep(3, projectors=True),
     "zero-dimensional fiber": lambda request: _zero_fiber_rep(),
+    "fading fiber": lambda request: _fading_fiber_rep(),
     "unitary flip": lambda request: request.getfixturevalue("unitary_flip_rep"),
 }
 BOX = (2, 2)
@@ -97,21 +97,22 @@ def _bundle(rep, bound):
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_product_system_builders_match_kron_bodies(request, name):
     """Append maps, multiplication maps and flip residuals equal their
-    Kronecker-product bodies on the same fibers."""
+    Kronecker-product bodies on the same fibers, over the box 2. The append
+    maps flip with the inverse taken on the reduced pair words, the bodies
+    with the pseudo-inverse of the raw flip; they agree because every map
+    after the flip kills the null vectors on which the two differ."""
     system = CASES[name](request).system
-    box = lattice.box(BOX)
-    for s in box:
-        word = ProductSystem.normal_word(s)
-        for i in range(1, system.k + 1):
-            got = system._append_map(word, i)
-            assert np.abs(got - append_map_kron(system, word, i)).max(initial=0.0) <= TOL, (word, i)
-    for s in box:
-        for t in box:
-            if lattice.leq(lattice.add(s, t), BOX):
-                got = system.mult_iso(s, t)
-                assert np.abs(got - mult_iso_kron(system, s, t)).max(initial=0.0) <= TOL, (s, t)
+    bound = (2,) * system.k
+    box = lattice.box(bound)
+    keys = [(s, i) for s in box for i in range(1, system.k + 1)]
+    for (s, i), got in zip(keys, system._append_maps(keys)):
+        want = append_map_kron(system, ProductSystem.normal_word(s), i)
+        assert np.abs(got - want).max(initial=0.0) <= TOL, (s, i)
+    pairs = [(s, t) for s in box for t in box if lattice.leq(lattice.add(s, t), bound)]
+    for (s, t), got in zip(pairs, system.mult_isos(pairs)):
+        assert np.abs(got - mult_iso_kron(system, s, t)).max(initial=0.0) <= TOL, (s, t)
     for (i, j), phi in system.flips.items():
-        got = system._flip_residual(i, j, phi, _swapped_word(system, i, j))
+        got = system._flip_residual(i, j, phi, _swapped_word(system, i, j))[0]
         assert got == system.validation[f"flip_{i}_{j}"]
         dense = flip_residual_dense(system, i, j, phi)
         assert got <= 1e-12 and dense <= 1e-12
@@ -137,7 +138,7 @@ def test_flip_residual_bounds_hold_for_perturbed_flips(request, name, scale):
     for (i, j), phi in system.flips.items():
         noise = rng.standard_normal(phi.shape) + 1j * rng.standard_normal(phi.shape)
         bad = phi + scale * noise / np.linalg.norm(noise, 2)
-        got = system._flip_residual(i, j, bad, _swapped_word(system, i, j))
+        got = system._flip_residual(i, j, bad, _swapped_word(system, i, j))[0]
         bound_reduced, bound_dense = flip_residual_bounds(system, i, j, bad, got)
         assert got <= bound_reduced + TOL
         assert flip_residual_dense(system, i, j, bad) <= bound_dense + TOL
@@ -235,17 +236,18 @@ def test_building_the_m4_product_system_peaks_under_8_mb():
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_lowering_and_targets_match_kron_bodies(request, name):
     """The raw lowering maps for 0 < s < t of the per-key reference (whose
-    descents the grouped build reproduces bit for bit) and the targets of
+    descents the grouped build reproduces up to rounding) and the targets of
     every V_s over the box equal their Kronecker-product bodies."""
     rep = CASES[name](request)
-    box = lattice.box(BOX)
+    bound = (2,) * rep.system.k
+    box = lattice.box(bound)
     for t in box:
         for s in box:
             if lattice.is_zero(s) or s == t or not lattice.leq(s, t):
                 continue
             got = lowering_raw(rep, t, s)
             assert np.abs(got - lowering_raw_kron(rep, t, s)).max(initial=0.0) <= TOL, (t, s)
-    bundle = _bundle(rep, BOX)
+    bundle = _bundle(rep, bound)
     for s in box:
         got = bundle.targets(s)
         want = targets_kron(bundle, s)

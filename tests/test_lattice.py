@@ -55,3 +55,14 @@ def test_binary_helpers_reject_points_of_different_lengths(name):
         helper((1, 2), (1, 2, 3))
     with pytest.raises(ValueError):
         helper((1, 2, 3), (1, 2))
+
+
+@given(st.tuples(st.integers(0, 3), st.integers(0, 3), st.integers(0, 3)))
+def test_last_and_step(s):
+    """last is the last letter of the normal word (0 for the empty word),
+    and step adds a multiple of one unit vector."""
+    word = [i for i, count in enumerate(s, start=1) for _ in range(count)]
+    assert lattice.last(s) == (word[-1] if word else 0)
+    for i in range(1, 4):
+        assert lattice.step(s, i, 1) == lattice.add(s, lattice.unit(3, i))
+        assert lattice.step(s, i, -1) == lattice.sub(s, lattice.unit(3, i))

@@ -135,8 +135,9 @@ def test_lstsq_map_exact_and_inconsistent():
     rng = np.random.default_rng(2)
     b_true = rng.standard_normal((3, 3))
     dom = rng.standard_normal((3, 5))
-    b = lstsq_map(b_true @ dom, dom, np.linalg.pinv(dom), 1e-12, "test")
+    b, defect = lstsq_map(b_true @ dom, dom, np.linalg.pinv(dom), 1e-12, "test")
     assert np.allclose(b, b_true)
+    assert np.array_equal(defect, b @ dom - b_true @ dom)
     # inconsistent targets: domain rank-deficient but targets full
     dom2 = np.array([[1.0, 1.0], [0.0, 0.0]])
     tgt2 = np.array([[1.0, 0.0], [0.0, 1.0]])
@@ -154,9 +155,10 @@ def test_lstsq_map_stack_shares_one_solve():
     rng = np.random.default_rng(4)
     dom = rng.standard_normal((3, 5)) + 1j * rng.standard_normal((3, 5))
     tgts = rng.standard_normal((4, 2, 5)) + 1j * rng.standard_normal((4, 2, 5))
-    b = lstsq_map(tgts, dom, np.linalg.pinv(dom), np.inf, "test")
-    assert b.shape == (4, 2, 3)
-    slices = [lstsq_map(t, dom, np.linalg.pinv(dom), np.inf, "test") for t in tgts]
+    b, defect = lstsq_map(tgts, dom, np.linalg.pinv(dom), np.inf, "test")
+    assert b.shape == (4, 2, 3) and defect.shape == tgts.shape
+    assert np.abs(defect - (b @ dom - tgts)).max() <= 1e-12
+    slices = [lstsq_map(t, dom, np.linalg.pinv(dom), np.inf, "test")[0] for t in tgts]
     for got, want in zip(b, slices):
         assert np.abs(got - want).max() <= 1e-12
     residuals = []
@@ -210,7 +212,7 @@ def test_lstsq_map_residual_is_exact_largest_slice_norm():
         lstsq_map(tgts, dom, np.linalg.pinv(dom), 0.9 * exact, "test")
     assert info.value.residual == pytest.approx(exact, rel=1e-14)
     assert "test: descent residual" in str(info.value)
-    b = lstsq_map(tgts, dom, np.linalg.pinv(dom), 1.01 * exact, "test")
+    b, _defect = lstsq_map(tgts, dom, np.linalg.pinv(dom), 1.01 * exact, "test")
     assert np.allclose(b @ dom, tgts @ np.linalg.pinv(dom) @ dom)
 
 

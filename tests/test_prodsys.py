@@ -122,8 +122,8 @@ def test_braid_residual_matches_full_word_reference(monkeypatch, raw_dim):
     rank-2 Grams on C^3 quotient each word by its own null space, and the
     random flips are not correspondence isomorphisms there, so the two
     residuals measure different maps: both vanish for the swap and both are
-    O(1) for random flips. Random flips fail validation, which is switched
-    off to build them."""
+    O(1) for random flips. Random flips fail validation, whose flip and
+    braid residuals are read as 0 to build them."""
     alg = cstar.CStarAlgebra([1])
     rng = np.random.default_rng(7)
     eye = np.eye(raw_dim)[None]
@@ -135,8 +135,11 @@ def test_braid_residual_matches_full_word_reference(monkeypatch, raw_dim):
     swap = np.eye(n * n).reshape(n, n, n, n).transpose(1, 0, 2, 3).reshape(n * n, n * n)
     pairs = [(1, 2), (1, 3), (2, 3)]
     swapped = ProductSystem(alg, gens, {p: swap for p in pairs})
-    monkeypatch.setattr(ProductSystem, "_validate", lambda self: {})
+    flip_residual = ProductSystem._flip_residual
+    monkeypatch.setattr(ProductSystem, "_flip_residual", lambda self, *args: (0.0, *flip_residual(self, *args)[1:]))
+    monkeypatch.setattr(ProductSystem, "_braid_residual", lambda self, i, j, l: 0.0)
     randomized = ProductSystem(alg, gens, {p: _random_unitary(rng, n * n) for p in pairs})
+    monkeypatch.undo()
     (got_swap, want_swap), (got_random, want_random) = (
         (system._braid_residual(1, 2, 3), braid_residual_raw(system, 1, 2, 3))
         for system in (swapped, randomized)
@@ -197,20 +200,21 @@ def test_mu_is_the_projected_quotient_map(request, name):
 
 
 def test_append_map_matches_dense_flip(unitary_flip_rep):
-    """The reshaped flip of _append_map equals the dense I (x) flip product
+    """The reshaped flip of _append_maps equals the dense I (x) flip product
     on every normal word of the box and each appended letter."""
     system = unitary_flip_rep.system
-    for s in lattice.box((2, 2)):
-        word = ProductSystem.normal_word(s)
-        for i in (1, 2):
-            want = append_map_dense(system, word, i)
-            assert np.abs(system._append_map(word, i) - want).max() <= 1e-12, (word, i)
+    keys = [(s, i) for s in lattice.box((2, 2)) for i in (1, 2)]
+    for (s, i), got in zip(keys, system._append_maps(keys)):
+        want = append_map_dense(system, ProductSystem.normal_word(s), i)
+        assert np.abs(got - want).max() <= 1e-12, (s, i)
 
 
-def test_inverse_flip_is_computed_once(unitary_flip_rep):
+def test_inverse_flip_on_the_reduced_pair_words_inverts_the_flip(unitary_flip_rep):
+    """Over C with identity Grams no vector is null, so the inverse flip
+    that validation takes on the reduced pair words is the flip's inverse."""
     system = unitary_flip_rep.system
-    inv = system.flip_for(2, 1)
-    assert system.flip_for(2, 1) is inv
+    left, right = system._inverse_flips[(2, 1)]
+    inv = left @ right
     assert np.abs(inv @ system.flips[(1, 2)] - np.eye(6)).max() <= 1e-12
 
 
@@ -245,3 +249,26 @@ def test_gram_pinv_is_the_moore_penrose_inverse_in_the_algebra(m2_system):
         assert np.allclose(gram @ inv @ gram, gram, atol=1e-12)
         assert np.allclose(inv @ gram @ inv, inv, atol=1e-12)
         assert np.allclose(gram @ inv, (gram @ inv).conj().T, atol=1e-12)
+
+
+def test_equal_generators_and_flips_share_words_checks_and_localizations():
+    """With equal generator arrays and equal flips, as multiplication-
+    isometric has them, the normal words of one length share one word data
+    and one localization, and the flips one check and one inverse. Random
+    generators share nothing."""
+    from conftest import degenerate_swap_rep
+
+    inst = parse_instance(generate("multiplication-isometric", k=3, dims=2))
+    system, rep = inst.system, inst.representation
+    box = lattice.box((2, 2, 2))
+    rep.build(points=box)
+    for n in range(1, 7):
+        level = [s for s in box if sum(s) == n]
+        assert len({id(system.point_data(s)) for s in level}) == 1, n
+        assert len({id(rep.loc(s)) for s in level}) == 1, n
+    assert len({id(flip) for flip in system._inverse_flips.values()}) == 1
+    assert len({system.validation[f"flip_{i}_{j}"] for i, j in system.flips}) == 1
+    distinct = degenerate_swap_rep(3, projectors=True).system
+    distinct.build(box)
+    words = [s for s in box if sum(s) == 2]
+    assert len({id(distinct.point_data(s)) for s in words}) == len(words)

@@ -260,13 +260,10 @@ def _forbid_svd(monkeypatch):
 def test_lowering_blocks_and_passing_descents_take_no_svd(monkeypatch, family, gen_args):
     """Building every lowering block over the box, and a passing descend_map,
     use no SVD: the split is a Hermitian solve and a descent passes on the
-    Frobenius bound of its defect. Only the product system's inverse flips,
-    one pinv per generator pair, are taken before numpy's SVD is disabled."""
+    Frobenius bound of its defect. The product system's inverse flips are
+    solves on the reduced pair words, taken during validation."""
     rep = parse_instance(generate(family, **gen_args)).representation
     sys_ = rep.system
-    for i in range(1, sys_.k + 1):
-        for j in range(1, i):
-            sys_.flip_for(i, j)
     _forbid_svd(monkeypatch)
     with pytest.raises(AssertionError, match="svd called"):
         np.linalg.norm(np.eye(2), 2)
