@@ -40,6 +40,7 @@ from .instances import Instance, is_count, load_instance
 from .report import check_record, compare_reports, make_report, render
 from .representation import (
     brehmer_check_NS,
+    brehmer_rows,
     doubly_commuting_check,
     doubly_commuting_keys,
     validate_representation,
@@ -117,42 +118,34 @@ def _check_section(inst: Instance, params: dict) -> tuple[dict, dict]:
     bound e_j + e_l, whose one block has the norm of the defect of
     (sigma, T). The Brehmer sum for (v, s) depends on s only through s[v],
     so it is computed once per restricted point and reported under every
-    key. The restricted points of v are the box points with support v, and
-    their restrictions to the subsets of v are taken once per call: they
-    give the keys, the rows of brehmer_check_NS and the s[v] of every
-    reported key. The lowering blocks of both checks are requested in one
-    build, the doubly-commuting keys first, pair by pair in
-    doubly_commuting_keys' order, so a block that does not descend raises
-    for the key a check-by-check loop would meet first; the sums of one v
-    then take one brehmer_check_NS call, which stacks them by rank.
+    key. Each box point is restricted to each v once, and each restricted
+    point to the subsets of v once (brehmer_rows): the rows give both the
+    keys and brehmer_check_NS's input. The lowering blocks of both checks
+    are requested in one build, the doubly-commuting keys first, pair by
+    pair in doubly_commuting_keys' order, so a block that does not descend
+    raises for the key a check-by-check loop would meet first; the sums of
+    one v then take one brehmer_check_NS call, which stacks them by rank.
     """
     rep = inst.representation
     k = inst.system.k
     pairs = [(j, l) for j in range(1, k + 1) for l in range(j + 1, k + 1)]
-    box = [s for s in lattice.box(tuple(params["NS_box"])) if any(s)]
-    # per support v, the box points on it and their rows [s[u] for u in subsets(v)]
-    points: dict[tuple[int, ...], list[lattice.Point]] = {}
-    for s in box:
-        points.setdefault(lattice.support(s), []).append(s)
-    subsets = {v: list(lattice.subsets(v)) for v in points}
-    rows = {v: [[lattice.restrict(s, u) for u in subsets[v]] for s in svs] for v, svs in points.items()}
-    row_of = {s: (v, row) for v, svs in points.items() for s, row in zip(svs, rows[v])}
+    box = list(lattice.box(tuple(params["NS_box"])))
+    # per nonempty v, the restricted point s[v] of each box point s > 0 on v
+    restricted = {
+        v: {s: lattice.restrict(s, v) for s in box if all(s[i - 1] for i in v)}
+        for v in lattice.subsets(range(1, k + 1))
+        if v
+    }
+    rows = {v: brehmer_rows(v, dict.fromkeys(by_s.values())) for v, by_s in restricted.items()}
     bounds = {(j, l): lattice.add(lattice.unit(k, j), lattice.unit(k, l)) for j, l in pairs}
     keys = [key for (j, l), bound in bounds.items() for key in doubly_commuting_keys(k, j, l, bound)]
-    order = [v for v in lattice.subsets(range(1, k + 1)) if v in points]
-    keys += [(row[-1], su) for v in order for row in rows[v] for su in row]
+    keys += [(row[-1], su) for v_rows in rows.values() for row in v_rows for su in row]
     rep.build(keys=keys)
     dc = {f"{j},{l}": doubly_commuting_check(rep, j, l, bound) for (j, l), bound in bounds.items()}
-    # s[v] is the entry of v in the row of s
-    position = {w: {u: x for x, u in enumerate(us)} for w, us in subsets.items()}
     ns = {}
-    for v in order:
-        by_sv = dict(zip(points[v], brehmer_check_NS(rep, v, points[v], rows[v])))
-        for s in box:
-            w, row = row_of[s]
-            x = position[w].get(v)
-            if x is not None:
-                ns[f"v={list(v)},s={list(s)}"] = by_sv[row[x]]
+    for v, by_s in restricted.items():
+        by_sv = dict(zip((row[-1] for row in rows[v]), brehmer_check_NS(rep, v, rows[v])))
+        ns.update((f"v={list(v)},s={list(s)}", by_sv[sv]) for s, sv in by_s.items())
     return dc, ns
 
 

@@ -38,7 +38,7 @@ from .linalg import (
     max_opnorm,
     null_split,
     opnorm,
-    warn_degenerate,
+    psd_factor,
 )
 
 
@@ -293,19 +293,16 @@ def localize(corrs, sigma_mats: np.ndarray, tol: float = DEFAULT_TOL) -> list[Lo
 
     Raw coordinates are (module index major) kron(x, h); the factor F maps
     them isometrically onto C^rank. The Grams of all the E take one GEMM
-    with sigma and one stacked eigh; psd_factor's cutoff (eigenvalues
-    <= tol are null) and warn_degenerate are applied to each E on its own.
+    with sigma and one stacked eigh, and psd_factor applies its cutoff
+    (eigenvalues <= tol are null) and warn_degenerate to each E on its own.
     """
     count, m, adim, d = len(corrs), corrs[0].dim, sigma_mats.shape[0], sigma_mats.shape[1]
     grams = np.array([c.gram for c in corrs]).reshape(count * m * m, adim) @ sigma_mats.reshape(adim, d * d)
     grams = grams.reshape(count, m, m, d, d).transpose(0, 1, 3, 2, 4).reshape(count, m * d, m * d)
-    vals, vecs = np.linalg.eigh(hermitize(grams))
-    warn_degenerate(vals, tol, "localize")
-    out = []
-    for keep, v, w in zip(vals > tol, vals, vecs):
-        root, kept = np.sqrt(v[keep]), w[:, keep]
-        out.append(LocalizedSpace(m * d, root.size, root[:, None] * kept.conj().T, kept / root))
-    return out
+    factors = psd_factor(*np.linalg.eigh(hermitize(grams)), tol, "localize")
+    return [
+        LocalizedSpace(m * d, vals.size, factor, kept / np.sqrt(vals)) for factor, vals, kept in factors
+    ]
 
 
 def descend_map(

@@ -38,13 +38,9 @@ def max_opnorm(blocks) -> float:
     Blocks of one shape share a single stacked SVD, so a check that takes
     the maximum over many small blocks pays one LAPACK dispatch per shape
     instead of one per block. Blocks with an empty side or no nonzero
-    entry have norm exactly 0 and take no SVD. A 3-D array is one stack.
+    entry have norm exactly 0 and take no SVD. A 3-D array is a stack of
+    blocks.
     """
-    if isinstance(blocks, np.ndarray):
-        if blocks.size == 0:
-            return 0.0
-        nonzero = blocks[blocks.reshape(len(blocks), -1).any(axis=1)]
-        return float(np.linalg.svd(nonzero, compute_uv=False).max()) if len(nonzero) else 0.0
     groups: dict[tuple[int, int], list[np.ndarray]] = {}
     for b in blocks:
         if b.any():
@@ -81,8 +77,16 @@ def psd_factor(vals: np.ndarray, vecs: np.ndarray, tol: float, what: str):
 
     Eigenvalues <= tol are treated as null. Returns (factor, kept eigvals,
     kept eigvecs); factor rows are sqrt(eigval)-scaled eigenvector rows.
+    For a stack of eigenpairs, vals of shape (c, n), returns a list of c
+    such triples, each matrix with its own cutoff and warning.
     """
     warn_degenerate(vals, tol, what)
+    if vals.ndim > 1:
+        return [_factor(v, w, tol) for v, w in zip(vals, vecs)]
+    return _factor(vals, vecs, tol)
+
+
+def _factor(vals: np.ndarray, vecs: np.ndarray, tol: float):
     keep = vals > tol
     vals_k = vals[keep]
     vecs_k = vecs[:, keep]

@@ -16,13 +16,10 @@ and the braid check compares the two reduced words of the longest
 permutation of three letters through the multiplication isomorphisms.
 
 Fibers, append maps and multiplication isomorphisms are built level by
-level (word length), for a list of points, keys or pairs at once: the
-entries of one level and shape take one GEMM or one stacked matmul per
-factor, and are memoized per word, key or pair. Generators with equal
-arrays are validated and reduced as one, and flips with equal arrays
-between them checked and inverted as one; an interior tensor of the same
-two objects is computed once, so over equal generators the words of one
-length share their word data.
+level (word length), for a list of points, keys or pairs at once
+(`plan_levels`, `fill_levels`): the entries of one level and shape take one
+GEMM or one stacked matmul per factor, and are memoized per word, key or
+pair. Generators with equal arrays are validated and reduced as one.
 """
 
 from __future__ import annotations
@@ -86,9 +83,6 @@ class ProductSystem:
 
         self._words: dict[tuple[int, ...], _WordData] = {}
         self._points: dict[lattice.Point, _WordData] = {}
-        # word data by the ids of the two correspondences it is the tensor
-        # of, which the system keeps alive
-        self._tensors: dict[tuple[int, int], _WordData] = {}
         self._appends: dict[tuple[lattice.Point, int], np.ndarray] = {}
         # (j, i) -> the factors (L, R) of the inverse flip L R
         self._inverse_flips: dict[tuple[int, int], tuple[np.ndarray, np.ndarray]] = {}
@@ -101,7 +95,7 @@ class ProductSystem:
     def _validate(self) -> dict[str, float]:
         report: dict[str, float] = {}
         # per generator, the index of the first generator with equal arrays,
-        # whose residuals, quotient and interior tensors it shares
+        # whose residuals and null quotient it shares
         self._first: list[int] = []
         reports: dict[int, dict[str, float]] = {}
         for idx, gen in enumerate(self.generators):
@@ -115,28 +109,20 @@ class ProductSystem:
                 bad = {k: v for k, v in gen_report.items() if v > self.tol}
                 raise InvalidArgumentError(f"generator {idx + 1} fails validation: {bad}")
         self._build_words(list(self.flips))
-        # the raw words (j, i) of the flips
-        swapped = self._tensors_of([(self._generator(j), self._generator(i)) for i, j in self.flips])
-        # a flip with equal arrays between the same generators as an
-        # earlier one shares its residual and inverse
-        checked: list[tuple[tuple[int, int], np.ndarray, tuple]] = []
-        for ((i, j), phi), word in zip(self.flips.items(), swapped):
-            firsts = (self._first[i - 1], self._first[j - 1])
-            done = next((out for key, other, out in checked if key == firsts and _equal(other, phi)), None)
-            if done is None:
-                res, q, f = self._flip_residual(i, j, phi, (word.corr, word.last_q))
-                # E_j (x) E_i -> E_i (x) E_j through the reduced pair words,
-                # as q^H F^{-1} q': it inverts phi up to null vectors, which
-                # the maps after it in _append_maps kill, and it factors
-                # through X(e_i + e_j), whose dimension is at most m_i m_j
-                done = (res, (q.conj().T, np.linalg.solve(f, word.last_q)))
-                checked.append((firsts, phi, done))
-            res, self._inverse_flips[(j, i)] = done
+        swapped = interior_tensor([(self.generators[j - 1], self.generators[i - 1]) for i, j in self.flips], self.tol)
+        for ((i, j), phi), (word, q_ji) in zip(self.flips.items(), swapped):
+            res, q_ij, f = self._flip_residual(i, j, phi, (word, q_ji))
             report[f"flip_{i}_{j}"] = res
             if res > self.tol:
                 raise InvalidFlipError(
                     f"flip {(i, j)} is not a correspondence isomorphism (residual {res:.3e})"
                 )
+            # E_j (x) E_i -> E_i (x) E_j through the reduced pair words, as
+            # q^H F^{-1} q': it inverts phi up to null vectors, which the
+            # maps after it in _append_maps kill, and it factors through
+            # X(e_i + e_j), whose dimension is at most m_i m_j. F is
+            # invertible once the residual above passes.
+            self._inverse_flips[(j, i)] = (q_ij.conj().T, np.linalg.solve(f, q_ji))
         for i in range(1, self.k + 1):
             for j in range(i + 1, self.k + 1):
                 for l in range(j + 1, self.k + 1):
@@ -147,10 +133,6 @@ class ProductSystem:
                             f"braid check failed for triple {(i, j, l)} (residual {res:.3e})"
                         )
         return report
-
-    def _generator(self, i: int) -> Correspondence:
-        """The first generator whose arrays equal those of generator i."""
-        return self.generators[self._first[i - 1]]
 
     def _flip_residual(self, i: int, j: int, phi: np.ndarray, swapped) -> tuple[float, np.ndarray, np.ndarray]:
         """Largest defect r of phi: E_i (x) E_j -> E_j (x) E_i as an isomorphism
@@ -253,40 +235,26 @@ class ProductSystem:
     def _build_words(self, words) -> None:
         """Word data of the words and of their prefixes that are not built
         yet, level by level (word length): the words of one level take one
-        `_tensors_of` call."""
-        levels: dict[int, set[tuple[int, ...]]] = {}
-        for word in words:
-            while word not in self._words and word not in levels.get(len(word), ()):
-                levels.setdefault(len(word), set()).add(word)
-                word = word[:-1]
-        for level in sorted(levels):
-            if level == 0:
-                self._words[()] = _WordData(algebra_correspondence(self.algebra), None)
-                continue
-            if level == 1:
-                for word in sorted(levels[1]):
-                    first = (self._first[word[0] - 1] + 1,)
-                    if first not in self._words:
-                        self._words[first] = _WordData(*reduce_null(self._generator(word[0]), self.tol))
-                    self._words[word] = self._words[first]
-                continue
-            # a word is the tensor of its prefix's fiber and its last generator
-            group = sorted(levels[level])
-            pairs = [(self._words[word[:-1]].corr, self._generator(word[-1])) for word in group]
-            self._words.update(zip(group, self._tensors_of(pairs)))
+        interior_tensor."""
+        levels = plan_levels(words, self._words, lambda word: (len(word), word[:-1] if word else None, None))
+        fill_levels(self._words, levels, lambda word, _plan: min(len(word), 2), self._word_group)
 
-    def _tensors_of(self, pairs) -> list[_WordData]:
-        """Word data of the interior tensors of the (E, F) pairs, in one
-        interior_tensor call for the pairs not computed yet: pairs of the
-        same two objects share one word data."""
-        todo = {}
-        for e, f in pairs:
-            if (id(e), id(f)) not in self._tensors:
-                todo[(id(e), id(f))] = (e, f)
-        if todo:
-            for key, tensor in zip(todo, interior_tensor(list(todo.values()), self.tol)):
-                self._tensors[key] = _WordData(*tensor)
-        return [self._tensors[(id(e), id(f))] for e, f in pairs]
+    def _word_group(self, kind: int, group) -> list[_WordData]:
+        """Word data of the words of one level: the algebra for the empty
+        word (kind 0); a generator's null quotient for a letter (kind 1),
+        shared by the generators with equal arrays; the interior tensor of
+        the prefix's fiber and the last generator (kind 2)."""
+        words = [word for word, _plan in group]
+        if kind == 0:
+            return [_WordData(algebra_correspondence(self.algebra), None)]
+        if kind == 1:
+            firsts = [(self._first[word[0] - 1] + 1,) for word in words]
+            for first in firsts:
+                if first not in self._words:
+                    self._words[first] = _WordData(*reduce_null(self.generators[first[0] - 1], self.tol))
+            return [self._words[first] for first in firsts]
+        pairs = [(self._words[word[:-1]].corr, self.generators[word[-1] - 1]) for word in words]
+        return [_WordData(*tensor) for tensor in interior_tensor(pairs, self.tol)]
 
     @staticmethod
     def normal_word(s: lattice.Point) -> tuple[int, ...]:
@@ -325,58 +293,56 @@ class ProductSystem:
         level (|m|). The keys of one level and shape, whatever their
         letters, take one stacked matmul per factor.
         """
-        appends = self._appends
-        # per level, each new key's last letter j (0 if it needs no flip)
-        levels: dict[int, dict[tuple[lattice.Point, int], int]] = {}
-        for m, i in keys:
-            n = sum(m)
-            while (m, i) not in appends and (m, i) not in levels.get(n, ()):
-                j = lattice.last(m)
-                levels.setdefault(n, {})[(m, i)] = j if j > i else 0
-                if j <= i:
-                    break
-                m, n = lattice.step(m, j, -1), n - 1
-        if not levels:
-            return [appends[key] for key in keys]
-        self.build([p for level in levels.values() for m, i in level for p in (m, lattice.step(m, i, 1))])
-        points = self._points
-        for n in sorted(levels):
-            groups: dict[tuple[int, ...], list] = {}
-            for (m, i), j in levels[n].items():
-                out = lattice.step(m, i, 1)
-                if not j:
-                    appends[(m, i)] = points[out].last_q
-                    continue
-                prefix = lattice.step(m, j, -1)
-                # a one-letter word's prefix is scalar
-                p_prefix = points[prefix].corr.dim if n > 1 else 1
-                flip = self._inverse_flips[(j, i)]
-                m_i, m_j = self.generators[i - 1].dim, self.generators[j - 1].dim
-                shape = (m_i, m_j, flip[1].shape[0], p_prefix, points[m].corr.dim)
-                shape += (points[lattice.step(prefix, i, 1)].corr.dim, points[out].corr.dim)
-                groups.setdefault(shape, []).append((m, i, prefix, out, flip))
-            for (m_i, m_j, p_pair, p_prefix, p_m, p_mid, _p_out), group in groups.items():
-                c = len(group)
-                # Y: rows (m', m) of the peeled last_q(m)^H times R on its j
-                # slot -> [x, (m', r), (m, i)]
-                peel = np.array([points[m].last_q for m, _i, _prefix, _out, _flip in group]).conj()
-                peel = peel.reshape(c, p_m, p_prefix, m_j).transpose(0, 2, 1, 3).reshape(c, p_prefix * p_m, m_j)
-                right = np.array([flip[1] for *_key, flip in group]).reshape(c, p_pair, m_j, m_i)
-                right = right.transpose(0, 2, 1, 3).reshape(c, m_j, p_pair * m_i)
-                y = (peel @ right).reshape(c, p_prefix, p_m, p_pair, m_i).transpose(0, 1, 3, 2, 4)
-                # (A(m', i) (x) I_{m_j})(I (x) L): rows (mid, m') of A(m', i)
-                # times L on its i slot -> [x, (mid, j), (m', r)]
-                prev = np.array([appends[(prefix, i)] for _m, i, prefix, _out, _flip in group])
-                left = np.array([flip[0] for *_key, flip in group]).reshape(c, m_i, m_j * p_pair)
-                z = (prev.reshape(c, p_mid * p_prefix, m_i) @ left).reshape(c, p_mid, p_prefix, m_j, p_pair)
-                z = z.transpose(0, 1, 3, 2, 4)
-                # the last_q that appends j to m' + e_i
-                rejoin = np.array([points[out].last_q for _m, _i, _prefix, out, _flip in group])
-                rejoin = rejoin @ z.reshape(c, p_mid * m_j, p_prefix * p_pair)
-                maps = rejoin @ y.reshape(c, p_prefix * p_pair, p_m * m_i)
-                for x, (m, i, _prefix, _out, _flip) in enumerate(group):
-                    appends[(m, i)] = maps[x]
-        return [appends[key] for key in keys]
+        levels = plan_levels(keys, self._appends, self._append_back)
+        if levels:
+            self.build([p for level in levels.values() for (m, _i), (*_, out) in level.items() for p in (m, out)])
+            fill_levels(self._appends, levels, self._append_shape, self._append_group)
+        return [self._appends[key] for key in keys]
+
+    @staticmethod
+    def _append_back(key):
+        """Level |m| of the key (m, i), the key (m', i) A(m, i) is built
+        from (None when j <= i) and the plan (j or 0 when j <= i, m', m + e_i)."""
+        m, i = key
+        j, out = lattice.last(m), lattice.step(m, i, 1)
+        if j <= i:
+            return sum(m), None, (0, None, out)
+        prefix = lattice.step(m, j, -1)
+        return sum(m), (prefix, i), (j, prefix, out)
+
+    def _append_shape(self, key, plan) -> tuple[int, ...]:
+        (m, i), (j, prefix, out) = key, plan
+        if not j:
+            return ()
+        dim, m_i, m_j = self._points, self.generators[i - 1].dim, self.generators[j - 1].dim
+        # a one-letter word's prefix is scalar
+        p_prefix = dim[prefix].corr.dim if any(prefix) else 1
+        shape = (m_i, m_j, self._inverse_flips[(j, i)][1].shape[0], p_prefix, dim[m].corr.dim)
+        return shape + (dim[lattice.step(prefix, i, 1)].corr.dim, dim[out].corr.dim)
+
+    def _append_group(self, shape, group) -> list[np.ndarray] | np.ndarray:
+        points, c = self._points, len(group)
+        if not shape:  # no flip: the surjection last_q of m + e_i
+            return [points[out].last_q for _key, (*_, out) in group]
+        m_i, m_j, p_pair, p_prefix, p_m, p_mid, _p_out = shape
+        flips = [self._inverse_flips[(j, i)] for (_m, i), (j, _prefix, _out) in group]
+        # Y: rows (m', m) of the peeled last_q(m)^H times R on its j slot
+        # -> [x, (m', r), (m, i)]
+        peel = np.array([points[m].last_q for (m, _i), _plan in group]).conj()
+        peel = peel.reshape(c, p_m, p_prefix, m_j).transpose(0, 2, 1, 3).reshape(c, p_prefix * p_m, m_j)
+        right = np.array([flip[1] for flip in flips]).reshape(c, p_pair, m_j, m_i)
+        right = right.transpose(0, 2, 1, 3).reshape(c, m_j, p_pair * m_i)
+        y = (peel @ right).reshape(c, p_prefix, p_m, p_pair, m_i).transpose(0, 1, 3, 2, 4)
+        # (A(m', i) (x) I_{m_j})(I (x) L): rows (mid, m') of A(m', i) times L
+        # on its i slot -> [x, (mid, j), (m', r)]
+        prev = np.array([self._appends[(prefix, i)] for (_m, i), (_j, prefix, _out) in group])
+        left = np.array([flip[0] for flip in flips]).reshape(c, m_i, m_j * p_pair)
+        z = (prev.reshape(c, p_mid * p_prefix, m_i) @ left).reshape(c, p_mid, p_prefix, m_j, p_pair)
+        z = z.transpose(0, 1, 3, 2, 4)
+        # the last_q that appends j to m' + e_i
+        rejoin = np.array([points[out].last_q for _key, (*_, out) in group])
+        rejoin = rejoin @ z.reshape(c, p_mid * m_j, p_prefix * p_pair)
+        return rejoin @ y.reshape(c, p_prefix * p_pair, p_m * m_i)
 
     # -- multiplication isomorphisms ----------------------------------------
 
@@ -409,56 +375,87 @@ class ProductSystem:
         stacked matmul per factor.
         """
         pairs = [(tuple(s), tuple(t)) for s, t in pairs]
-        isos = self._isos
-        # per level, each new pair's last letter i of t (0 for an action
-        # map), t' and s + t'
-        levels: dict[int, dict] = {}
-        for s, t in pairs:
-            n = sum(t)
-            while (s, t) not in isos and (s, t) not in levels.get(n, ()):
-                i = lattice.last(t) if any(s) else 0
-                prev = lattice.step(t, i, -1) if i else t
-                levels.setdefault(n, {})[(s, t)] = (i, prev, lattice.add(s, prev))
-                if n <= 1 or not i:
-                    break
-                t, n = prev, n - 1
-        if not levels:
-            return [isos[pair] for pair in pairs]
-        entries = [(s, t, *entry) for level in levels.values() for (s, t), entry in level.items()]
-        self.build([p for s, t, _i, _prev, _mid in entries for p in (s, t)])
-        self._append_maps([(mid, i) for _s, _t, i, _prev, mid in entries if i])
-        points, appends, adim = self._points, self._appends, self.algebra.dim
-        for n in sorted(levels):
-            groups: dict[tuple[int, ...], list] = {}
-            for (s, t), (i, prev, mid) in levels[n].items():
-                if not any(s):  # left action of A = X(0) on the fiber
-                    ct = points[t].corr
-                    isos[(s, t)] = np.transpose(ct.left_action, (1, 0, 2)).reshape(ct.dim, adim * ct.dim)
-                elif not i:  # right action of A = X(0) on the fiber
-                    cs = points[s].corr
-                    isos[(s, t)] = np.transpose(cs.right_action, (1, 2, 0)).reshape(cs.dim, cs.dim * adim)
-                else:
-                    # t' = 0 has a scalar fiber slot
-                    p_prev = points[prev].corr.dim if n > 1 else 1
-                    shape = (self.generators[i - 1].dim, points[s].corr.dim, p_prev, points[t].corr.dim)
-                    shape += (points[mid].corr.dim, appends[(mid, i)].shape[0])
-                    groups.setdefault(shape, []).append((s, t, prev, mid, i))
-            for (m_i, p_s, p_prev, p_t, p_mid, p_out), group in groups.items():
-                c = len(group)
-                append = np.array([appends[(mid, i)] for _s, _t, _prev, mid, i in group])
-                # (U_{s,t'} (x) I_{m_i}) on the (s + t') slot: [x, (out, i), (s, t')]
-                append = append.reshape(c, p_out, p_mid, m_i).transpose(0, 1, 3, 2).reshape(c, p_out * m_i, p_mid)
-                if n == 1:  # t' = 0
-                    mu = append
-                else:
-                    mu = append @ np.array([isos[(s, prev)] for s, _t, prev, _mid, _i in group])
-                mu = mu.reshape(c, p_out, m_i, p_s, p_prev).transpose(0, 1, 3, 4, 2)
-                # (I_{p_s} (x) last_q(t)^H) on the (t', i) columns
-                split = np.array([points[t].last_q for _s, t, _prev, _mid, _i in group]).conj().transpose(0, 2, 1)
-                mu = (mu.reshape(c, p_out * p_s, p_prev * m_i) @ split).reshape(c, p_out, p_s * p_t)
-                for x, (s, t, _prev, _mid, _i) in enumerate(group):
-                    isos[(s, t)] = mu[x]
-        return [isos[pair] for pair in pairs]
+        levels = plan_levels(pairs, self._isos, self._iso_back)
+        if levels:
+            entries = [(s, t, *plan) for level in levels.values() for (s, t), plan in level.items()]
+            self.build([p for s, t, *_plan in entries for p in (s, t)])
+            self._append_maps([(mid, i) for _s, _t, i, _prev, mid in entries if i])
+            fill_levels(self._isos, levels, self._iso_shape, self._iso_group)
+        return [self._isos[pair] for pair in pairs]
+
+    @staticmethod
+    def _iso_back(pair):
+        """Level |t| of the pair (s, t), the pair (s, t') U_{s,t} is built
+        from (None for t' = 0 or an action map) and the plan (i, t',
+        s + t'), with i = 0 for an action map."""
+        s, t = pair
+        i = lattice.last(t) if any(s) else 0
+        if not i:
+            return sum(t), None, (0, t, s)
+        prev = lattice.step(t, i, -1)
+        return sum(t), ((s, prev) if any(prev) else None), (i, prev, lattice.add(s, prev))
+
+    def _iso_shape(self, pair, plan) -> tuple:
+        (s, t), (i, prev, mid) = pair, plan
+        if not any(s):
+            return ("left",)
+        if not i:
+            return ("right",)
+        dim = self._points
+        # t' = 0 has a scalar fiber slot
+        p_prev = dim[prev].corr.dim if any(prev) else 1
+        shape = (any(prev), self.generators[i - 1].dim, dim[s].corr.dim, p_prev, dim[t].corr.dim)
+        return shape + (dim[mid].corr.dim, self._appends[(mid, i)].shape[0])
+
+    def _iso_group(self, shape, group) -> list[np.ndarray] | np.ndarray:
+        points, c, adim = self._points, len(group), self.algebra.dim
+        if shape == ("left",):  # left action of A = X(0) on the fiber
+            cts = [points[t].corr for (_s, t), _plan in group]
+            return [np.transpose(ct.left_action, (1, 0, 2)).reshape(ct.dim, adim * ct.dim) for ct in cts]
+        if shape == ("right",):  # right action of A = X(0) on the fiber
+            css = [points[s].corr for (s, _t), _plan in group]
+            return [np.transpose(cs.right_action, (1, 2, 0)).reshape(cs.dim, cs.dim * adim) for cs in css]
+        has_prev, m_i, p_s, p_prev, p_t, p_mid, p_out = shape
+        append = np.array([self._appends[(mid, i)] for _pair, (i, _prev, mid) in group])
+        # (U_{s,t'} (x) I_{m_i}) on the (s + t') slot: [x, (out, i), (s, t')]
+        mu = append.reshape(c, p_out, p_mid, m_i).transpose(0, 1, 3, 2).reshape(c, p_out * m_i, p_mid)
+        if has_prev:
+            mu = mu @ np.array([self._isos[(s, prev)] for (s, _t), (_i, prev, _mid) in group])
+        mu = mu.reshape(c, p_out, m_i, p_s, p_prev).transpose(0, 1, 3, 4, 2)
+        # (I_{p_s} (x) last_q(t)^H) on the (t', i) columns
+        split = np.array([points[t].last_q for (_s, t), _plan in group]).conj().transpose(0, 2, 1)
+        return (mu.reshape(c, p_out * p_s, p_prev * m_i) @ split).reshape(c, p_out, p_s * p_t)
+
+
+def plan_levels(keys, cache: dict, back) -> dict[int, dict]:
+    """The keys not in `cache` and the entries they are built from, by
+    level: back(key) gives the key's level, the key it is built from (None
+    when it needs none) and its plan, what building it needs. Walking back
+    stops at a cached or already planned key. Returns {level: {key: plan}}."""
+    levels: dict[int, dict] = {}
+    for key in keys:
+        while key is not None and key not in cache:
+            level, prev, plan = back(key)
+            planned = levels.setdefault(level, {})
+            if key in planned:
+                break
+            planned[key] = plan
+            key = prev
+    return levels
+
+
+def fill_levels(cache: dict, levels: dict[int, dict], shape_of, build_group) -> None:
+    """Fill `cache` with the planned entries, lowest level first, so an
+    entry finds the shorter ones it is built from: the entries of one level
+    are grouped by shape_of(key, plan), and build_group(shape, group) gives
+    the values of a group's (key, plan) entries in their order, one stack
+    or a list."""
+    for level in sorted(levels):
+        groups: dict = {}
+        for key, plan in levels[level].items():
+            groups.setdefault(shape_of(key, plan), []).append((key, plan))
+        for shape, group in groups.items():
+            cache.update(zip((key for key, _plan in group), build_group(shape, group)))
 
 
 def _equal(x: np.ndarray, y: np.ndarray) -> bool:

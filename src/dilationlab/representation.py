@@ -28,7 +28,6 @@ import numpy as np
 
 from . import lattice
 from .correspondence import (
-    Correspondence,
     LocalizedSpace,
     descend_map,
     localize,
@@ -37,7 +36,7 @@ from .correspondence import (
 from .cstar import CStarAlgebra
 from .errors import InvalidArgumentError, NotWellDefinedError
 from .linalg import DEFAULT_TOL, as_data, hermitize, max_opnorm, opnorm
-from .prodsys import ProductSystem
+from .prodsys import ProductSystem, fill_levels, plan_levels
 
 
 @dataclass(frozen=True)
@@ -104,8 +103,6 @@ class CCRepresentation:
             maps.append(arr)
         self.t_maps: tuple[np.ndarray, ...] = tuple(maps)
         self._loc: dict[lattice.Point, LocalizedSpace] = {}
-        # by the id of a fiber, which the system keeps alive
-        self._loc_of_fiber: dict[int, LocalizedSpace] = {}
         self._t_raw: dict[lattice.Point, np.ndarray] = {}
         self._lowering: dict[tuple[lattice.Point, lattice.Point], np.ndarray] = {}
 
@@ -180,25 +177,19 @@ class CCRepresentation:
 
     def _localize(self, points) -> None:
         """loc of each point: H itself at 0, else one `localize` per fiber
-        dimension over the fibers of the points. Points whose fibers are
-        one object (ProductSystem shares the word data of equal tensors)
-        share one localization, and its warnings."""
+        dimension over the fibers of the points."""
         if not points:
             return
         self.system.build(points)
-        by_dim: dict[int, dict[int, Correspondence]] = {}
+        by_dim: dict[int, list[lattice.Point]] = {}
         for s in points:
             if lattice.is_zero(s):
                 self._loc[s] = trivial_localized(self.dim)
-                continue
-            fiber = self.system.fiber(s)
-            if id(fiber) not in self._loc_of_fiber:
-                by_dim.setdefault(fiber.dim, {})[id(fiber)] = fiber
-        for fibers in by_dim.values():
-            self._loc_of_fiber.update(zip(fibers, localize(list(fibers.values()), self.sigma.mats, self.tol)))
-        for s in points:
-            if not lattice.is_zero(s):
-                self._loc[s] = self._loc_of_fiber[id(self.system.fiber(s))]
+            else:
+                by_dim.setdefault(self.system.fiber_dim(s), []).append(s)
+        for group in by_dim.values():
+            fibers = [self.system.fiber(s) for s in group]
+            self._loc.update(zip(group, localize(fibers, self.sigma.mats, self.tol)))
 
     def _lowering_raw(self, group, mus, p_t: int, p_rest: int, p_s: int, failures):
         """The raw maps X(t) (x) H -> X(t-s) (x) H of I (x) T~_s for the
@@ -281,39 +272,42 @@ class CCRepresentation:
         yet, level by level (|s|): the points of one level and shape take
         one stacked matmul with their generators' gen_t_raw and one with
         their last_q."""
-        # per level, each point's last letter i and prev = s - e_i
-        levels: dict[int, dict[lattice.Point, tuple[int, lattice.Point]]] = {}
-        for s in map(tuple, points):
-            n = sum(s)
-            while s not in self._t_raw and s not in levels.get(n, ()):
-                i = lattice.last(s)
-                prev = lattice.step(s, i, -1) if i else s
-                levels.setdefault(n, {})[s] = (i, prev)
-                if not i:
-                    break
-                s, n = prev, n - 1
-        self.system.build([s for level in levels.values() for s in level])
-        d, dim = self.dim, self.system.fiber_dim
-        for level in sorted(levels):
-            groups: dict[tuple[int, int, int], list] = {}
-            for s, (i, prev) in sorted(levels[level].items()):
-                if not i:
-                    self._t_raw[s] = np.eye(d)
-                    continue
-                # t_raw(0) = I_d has a scalar fiber slot
-                shape = (self.t_maps[i - 1].shape[0], dim(prev) if any(prev) else 1, dim(s))
-                groups.setdefault(shape, []).append((s, i, prev))
-            for (m_i, p_prev, p_s), group in groups.items():
-                c = len(group)
-                gens = {i: self.gen_t_raw(i) for _s, i, _prev in group}
-                # rows (h', a) of t_raw(prev) times gen_t_raw(i), as [x, (a, b), (h', h)]
-                t_prev = np.array([self._t_raw[prev] for _s, _i, prev in group]).reshape(c, d * p_prev, d)
-                raw = t_prev @ np.array([gens[i] for _s, i, _prev in group])
-                raw = raw.reshape(c, d, p_prev * m_i, d).transpose(0, 2, 1, 3).reshape(c, p_prev * m_i, d * d)
-                last_q = np.array([self.system.point_data(s).last_q for s, _i, _prev in group]).conj()
-                out = (last_q @ raw).reshape(c, p_s, d, d).transpose(0, 2, 1, 3).reshape(c, d, p_s * d)
-                for x, (s, _i, _prev) in enumerate(group):
-                    self._t_raw[s] = out[x]
+        levels = plan_levels(map(tuple, points), self._t_raw, _t_raw_back)
+        if levels:
+            self.system.build([s for level in levels.values() for s in level])
+            fill_levels(self._t_raw, levels, self._t_raw_shape, self._t_raw_group)
+
+    def _t_raw_shape(self, s, plan) -> tuple[int, ...]:
+        i, prev = plan
+        if not i:
+            return ()
+        # t_raw(0) = I_d has a scalar fiber slot
+        dim = self.system.fiber_dim
+        return (i, dim(prev) if any(prev) else 1, dim(s))
+
+    def _t_raw_group(self, shape, group) -> list[np.ndarray] | np.ndarray:
+        d, c = self.dim, len(group)
+        if not shape:
+            return [np.eye(d) for _entry in group]
+        i, p_prev, p_s = shape
+        m_i = self.t_maps[i - 1].shape[0]
+        # rows (h', a) of t_raw(prev) times gen_t_raw(i), as [x, (a, b), (h', h)]
+        t_prev = np.array([self._t_raw[prev] for _s, (_i, prev) in group]).reshape(c * d * p_prev, d)
+        raw = (t_prev @ self.gen_t_raw(i)).reshape(c, d, p_prev * m_i, d).transpose(0, 2, 1, 3)
+        last_q = np.array([self.system.point_data(s).last_q for s, _plan in group]).conj()
+        out = (last_q @ raw.reshape(c, p_prev * m_i, d * d)).reshape(c, p_s, d, d)
+        return out.transpose(0, 2, 1, 3).reshape(c, d, p_s * d)
+
+
+def _t_raw_back(s: lattice.Point):
+    """Level |s| of the point s, the point prev = s - e_i that t_raw(s) is
+    built from for the last letter i of s, and the plan (i, prev); i = 0
+    for s = 0."""
+    i = lattice.last(s)
+    if not i:
+        return 0, None, (0, s)
+    prev = lattice.step(s, i, -1)
+    return sum(s), prev, (i, prev)
 
 
 def validate_module(rep: CCRepresentation, vectors: np.ndarray | None = None) -> dict[str, float]:
@@ -416,32 +410,37 @@ def doubly_commuting_check(rep: CCRepresentation, j: int, k: int, bound: lattice
     )
 
 
-def brehmer_check_NS(rep: CCRepresentation, v, points, rows=None) -> list[float]:
-    """Minimum eigenvalue, for each point s of `points`, of the alternating
-    sum over subsets u of v of (-1)^|u| (I (x) T~_{s[u]}^H T~_{s[u]}) on
+def brehmer_rows(v, points) -> list[list[lattice.Point]]:
+    """For each point s, its restrictions [s[u] for u in lattice.subsets(v)]:
+    the row of lowering keys (s[v], s[u]) of `brehmer_check_NS`. The last
+    subset is v itself, so a row ends with s[v]."""
+    subsets = list(lattice.subsets(tuple(v)))
+    return [[lattice.restrict(tuple(s), u) for u in subsets] for s in points]
+
+
+def brehmer_check_NS(rep: CCRepresentation, v, rows) -> list[float]:
+    """Minimum eigenvalue, for each point s with row [s[u] for u in
+    lattice.subsets(v)] (`brehmer_rows`), of the alternating sum over
+    subsets u of v of (-1)^|u| (I (x) T~_{s[u]}^H T~_{s[u]}) on
     loc(fiber(s[v]), sigma), that is of
 
         sum over u of (-1)^|u| Theta(s[v], s[u])^H Theta(s[v], s[u]).
 
-    The blocks of all the points are built in one call, and their
+    The blocks of all the rows are built in one call, and their
     Theta^H Theta take one stacked product per block shape. The sums of the
     points whose loc(s[v]) have one rank take one signed contraction over
     the subsets and one eigvalsh, so they agree with a point-by-point loop
-    up to rounding. A sum on a rank-0 space is 0.0. `rows`, when given,
-    holds each point's restrictions [s[u] for u in lattice.subsets(v)].
+    up to rounding. A sum on a rank-0 space is 0.0.
     """
     subsets = list(lattice.subsets(tuple(v)))
     size = len(subsets)
-    # the last subset is v itself: row[-1] = s[v], and s[v][u] = s[u]
-    if rows is None:
-        rows = [[lattice.restrict(tuple(s), u) for u in subsets] for s in points]
     blocks = rep.build(keys=[(row[-1], su) for row in rows for su in row])
-    thetas = [blocks[x * size : (x + 1) * size] for x in range(len(points))]
+    thetas = [blocks[x * size : (x + 1) * size] for x in range(len(rows))]
     # the rank of loc(s[v]) is the size of a point's first block, Theta(s[v], 0) = I
     by_rank: dict[int, list[int]] = {}
     for x, point_thetas in enumerate(thetas):
         by_rank.setdefault(point_thetas[0].shape[0], []).append(x)
-    out = [0.0] * len(points)
+    out = [0.0] * len(rows)
     for rank, members in by_rank.items():
         if rank == 0:
             continue
@@ -450,9 +449,9 @@ def brehmer_check_NS(rep: CCRepresentation, v, points, rows=None) -> list[float]
         for row, theta in enumerate(flat):
             by_shape.setdefault(theta.shape, []).append(row)
         square = np.empty((len(flat), rank, rank), dtype=np.result_type(*{theta.dtype for theta in flat}))
-        for rows in by_shape.values():
-            theta = np.array([flat[row] for row in rows])
-            square[rows] = np.swapaxes(theta.conj(), 1, 2) @ theta
+        for same in by_shape.values():
+            theta = np.array([flat[row] for row in same])
+            square[same] = np.swapaxes(theta.conj(), 1, 2) @ theta
         signs = np.array([(-1.0) ** len(u) for u in subsets])
         total = signs @ square.reshape(len(members), size, rank * rank)
         for x, vals in zip(members, np.linalg.eigvalsh(hermitize(total.reshape(len(members), rank, rank)))):

@@ -19,7 +19,7 @@ from dilationlab.families import _scalar_instance, generate
 from dilationlab.hatspace import TruncatedFock
 from dilationlab.instances import parse_instance
 from dilationlab.linalg import opnorm
-from dilationlab.representation import brehmer_check_NS, doubly_commuting_check
+from dilationlab.representation import brehmer_check_NS, brehmer_rows, doubly_commuting_check
 from oracles import (
     DenseFock,
     a_action,
@@ -119,7 +119,7 @@ def test_criterion_2_single_contraction_matches_schaffer():
 
 def test_criterion_3_nilpotent_counterexample(nilpotent_pair, tmp_path):
     """The nilpotent pair is detected as non-dilatable at every layer."""
-    [ns] = brehmer_check_NS(nilpotent_pair.representation, (1, 2), [(1, 1)])
+    [ns] = brehmer_check_NS(nilpotent_pair.representation, (1, 2), brehmer_rows((1, 2), [(1, 1)]))
     window = window_gram(nilpotent_pair.representation, (2, 2))
     raised = False
     try:
@@ -206,7 +206,7 @@ def test_criterion_5_brehmer_criterion_decides_dilatability():
         rep = inst.representation
         ns_ok = True
         for v in [(1,), (2,), (1, 2)]:
-            if min(brehmer_check_NS(rep, v, [(s1, s2) for s1 in (1, 2) for s2 in (1, 2)])) < -1e-10:
+            if min(brehmer_check_NS(rep, v, brehmer_rows(v, [(s1, s2) for s1 in (1, 2) for s2 in (1, 2)]))) < -1e-10:
                 ns_ok = False
         window = window_gram(rep, (2, 2))
         if ns_ok:

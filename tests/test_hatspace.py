@@ -11,7 +11,7 @@ from dilationlab.families import generate
 from dilationlab.hatspace import TruncatedFock, hat_checks
 from dilationlab.instances import parse_instance
 from dilationlab.linalg import opnorm
-from dilationlab.representation import brehmer_check_NS, doubly_commuting_check
+from dilationlab.representation import brehmer_check_NS, brehmer_rows, doubly_commuting_check
 from oracles import (
     DenseFock,
     a_action,
@@ -128,7 +128,7 @@ def test_ns_implies_hat_brehmer(scalar_pair, mult_m2):
             for s in itertools.product([1, 2], repeat=2):
                 if any(s[i - 1] == 0 for i in v):
                     continue
-                assert brehmer_check_NS(rep, v, [s])[0] >= -1e-10
+                assert brehmer_check_NS(rep, v, brehmer_rows(v, [s]))[0] >= -1e-10
                 assert brehmer_check_hat(dense, v, s) >= -1e-9
 
 

@@ -71,6 +71,9 @@ def test_invalid_flip_rejected():
     gens = [trivial_correspondence(alg, 1) for _ in range(2)]
     with pytest.raises(InvalidFlipError):
         ProductSystem(alg, gens, {(1, 2): np.array([[2.0]])})
+    # a singular flip fails its residual before anything inverts it
+    with pytest.raises(InvalidFlipError):
+        ProductSystem(alg, gens, {(1, 2): np.array([[0.0]])})
 
 
 def test_missing_and_misshapen_flips():
@@ -251,24 +254,23 @@ def test_gram_pinv_is_the_moore_penrose_inverse_in_the_algebra(m2_system):
         assert np.allclose(gram @ inv, (gram @ inv).conj().T, atol=1e-12)
 
 
-def test_equal_generators_and_flips_share_words_checks_and_localizations():
-    """With equal generator arrays and equal flips, as multiplication-
-    isometric has them, the normal words of one length share one word data
-    and one localization, and the flips one check and one inverse. Random
-    generators share nothing."""
+def test_equal_generators_share_validation_and_quotient():
+    """Generators with equal arrays, as multiplication-isometric has them,
+    are validated and reduced once: each keeps its generator_{i}.* keys,
+    and the one-letter words share one quotient. Longer words are built
+    each on their own. Random generators share nothing."""
     from conftest import degenerate_swap_rep
 
-    inst = parse_instance(generate("multiplication-isometric", k=3, dims=2))
-    system, rep = inst.system, inst.representation
-    box = lattice.box((2, 2, 2))
-    rep.build(points=box)
-    for n in range(1, 7):
-        level = [s for s in box if sum(s) == n]
-        assert len({id(system.point_data(s)) for s in level}) == 1, n
-        assert len({id(rep.loc(s)) for s in level}) == 1, n
-    assert len({id(flip) for flip in system._inverse_flips.values()}) == 1
-    assert len({system.validation[f"flip_{i}_{j}"] for i, j in system.flips}) == 1
+    system = parse_instance(generate("multiplication-isometric", k=3, dims=2)).system
+    units = [lattice.unit(3, i) for i in (1, 2, 3)]
+    assert len({id(system.point_data(e)) for e in units}) == 1
+    reports = [
+        {key.split(".", 1)[1]: v for key, v in system.validation.items() if key.startswith(f"generator_{i}.")}
+        for i in (1, 2, 3)
+    ]
+    assert reports[0] and reports[0] == reports[1] == reports[2]
+    words = [s for s in lattice.box((2, 2, 2)) if sum(s) == 2]
+    system.build(words)
+    assert len({id(system.point_data(s)) for s in words}) == len(words)
     distinct = degenerate_swap_rep(3, projectors=True).system
-    distinct.build(box)
-    words = [s for s in box if sum(s) == 2]
-    assert len({id(distinct.point_data(s)) for s in words}) == len(words)
+    assert len({id(distinct.point_data(e)) for e in units}) == 3

@@ -13,6 +13,7 @@ from dilationlab.linalg import opnorm
 from dilationlab.representation import (
     AlgebraRepresentation,
     brehmer_check_NS,
+    brehmer_rows,
     doubly_commuting_check,
     doubly_commuting_keys,
     validate_representation,
@@ -118,18 +119,18 @@ def _chunks(items, size):
     ],
 )
 def test_brehmer_matches_scalar_oracle(scalar_pair, v, s):
-    [got] = brehmer_check_NS(scalar_pair.representation, v, [s])
+    [got] = brehmer_check_NS(scalar_pair.representation, v, brehmer_rows(v, [s]))
     want = brehmer_sum_scalar((0.6, 0.8), v, s)
     assert got == pytest.approx(want, abs=1e-12)
 
 
 def test_brehmer_nilpotent_is_minus_one(nilpotent_pair):
-    [got] = brehmer_check_NS(nilpotent_pair.representation, (1, 2), [(1, 1)])
+    [got] = brehmer_check_NS(nilpotent_pair.representation, (1, 2), brehmer_rows((1, 2), [(1, 1)]))
     assert got == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_brehmer_isometric_is_zero(mult_m2):
-    [got] = brehmer_check_NS(mult_m2.representation, (1, 2), [(1, 1)])
+    [got] = brehmer_check_NS(mult_m2.representation, (1, 2), brehmer_rows((1, 2), [(1, 1)]))
     assert got == pytest.approx(0.0, abs=1e-10)
 
 
