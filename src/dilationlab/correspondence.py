@@ -214,8 +214,8 @@ def interior_tensor(pairs, tol: float = DEFAULT_TOL) -> list:
     No raw Gram or action stack is formed: the null trace is sum over r of
     E.gram[:, :, r] (x) (tr F.gram) F.left[r], and the compressions
     W^H G_p W, W^H (I (x) R_p) W and W^H (L_p (x) I) W apply each factor to
-    W reshaped to (m_E, m_F, n). The pairs that share F (one object) and
-    m_E take one GEMM for their null traces; all null traces take one
+    W reshaped to (m_E, m_F, n). The pairs of one shape (m_E, m_F) take
+    one stacked product for their null traces; all null traces take one
     null_split. Those that also share the kept dimension n are compressed
     together (`_compress`).
     """
@@ -223,14 +223,14 @@ def interior_tensor(pairs, tol: float = DEFAULT_TOL) -> list:
         raise InvalidArgumentError("interior tensor requires a common algebra")
     groups: dict[tuple[int, int], list[int]] = {}
     for x, (e, f) in enumerate(pairs):
-        groups.setdefault((id(f), e.dim), []).append(x)
+        groups.setdefault((e.dim, f.dim), []).append(x)
     traces = []
-    for xs in groups.values():
-        (e, f), c = pairs[xs[0]], len(xs)
-        me, mf, adim = e.dim, f.dim, f.algebra.dim
-        f_trace = f.gram @ np.trace(f.algebra.basis_mats, axis1=1, axis2=2)  # [j, q]
-        e_gram = np.array([pairs[x][0].gram for x in xs]).reshape(c * me * me, adim)
-        trace = (e_gram @ (f_trace @ f.left_action).reshape(adim, mf * mf)).reshape(c, me, me, mf, mf)
+    for (me, mf), xs in groups.items():
+        c, algebra = len(xs), pairs[xs[0]][1].algebra
+        f_trace = np.array([pairs[x][1].gram for x in xs]) @ np.trace(algebra.basis_mats, axis1=1, axis2=2)  # [x, j, q]
+        f_left = (f_trace[:, None] @ np.array([pairs[x][1].left_action for x in xs])).reshape(c, algebra.dim, mf * mf)
+        e_gram = np.array([pairs[x][0].gram for x in xs]).reshape(c, me * me, algebra.dim)
+        trace = (e_gram @ f_left).reshape(c, me, me, mf, mf)
         traces.extend(trace.transpose(0, 1, 3, 2, 4).reshape(c, me * mf, me * mf))
     order = [x for xs in groups.values() for x in xs]
     kept = dict(zip(order, null_split(traces, tol, "interior_tensor")))
@@ -240,32 +240,34 @@ def interior_tensor(pairs, tol: float = DEFAULT_TOL) -> list:
         for x in xs:
             by_n.setdefault(kept[x].shape[1], []).append(x)
         for members in by_n.values():
-            es = [pairs[x][0] for x in members]
             w = np.array([kept[x] for x in members])
-            for x, tensor in zip(members, _compress(es, pairs[members[0]][1], w)):
+            for x, tensor in zip(members, _compress([pairs[x] for x in members], w)):
                 out[x] = tensor
     return out
 
 
-def _compress(es, f: Correspondence, w: np.ndarray) -> list:
-    """The quotients of E (x) F on the kept eigenvectors w, shape
-    (c, m_E * m_F, n), of the c correspondences E of `es` (one dimension).
+def _compress(pairs, w: np.ndarray) -> list:
+    """The quotients of the c pairs (E, F) of one shape on their kept
+    eigenvectors w, shape (c, m_E * m_F, n).
 
-    Every product is laid out with the word x and the column b of W
+    Every product is laid out with the pair x and the column b of W
     leading, so that the F slot j and the E slot i end up adjacent and W^H
-    contracts them in place: each product with F's arrays is one GEMM over
-    all the words, and each product with an E's arrays or with W^H one
-    stacked matmul, with no copy of a raw-size array.
+    contracts them in place: each product takes one stacked matmul over
+    the pairs, with no copy of a raw-size array.
     """
-    c, me, mf, n, adim = len(es), es[0].dim, f.dim, w.shape[2], f.algebra.dim
+    (e0, f0), c, n = pairs[0], len(pairs), w.shape[2]
+    me, mf, adim = e0.dim, f0.dim, f0.algebra.dim
+    es, fs = [e for e, _f in pairs], [f for _e, f in pairs]
     w4 = w.reshape(c, me, mf, n)
-    w_rows = np.ascontiguousarray(w4.transpose(0, 3, 1, 2)).reshape(c * n * me, mf)  # [(x, b, k), l]
+    w_rows = np.ascontiguousarray(w4.transpose(0, 3, 1, 2)).reshape(c, n * me, mf)  # [x, (b, k), l]
     # G_p W = sum over k, r, q of E.gram[i, k, r] F.gram[j, q, p] (F.left[r] W[k])[q]
-    left_f = w_rows @ np.ascontiguousarray(f.left_action.transpose(2, 0, 1)).reshape(mf, adim * mf)
+    f_left = np.array([f.left_action for f in fs]).transpose(0, 3, 1, 2).reshape(c, mf, adim * mf)
+    left_f = w_rows @ f_left
     e_gram = np.array([e.gram for e in es]).reshape(c, 1, me, me * adim)
-    inner = (e_gram @ left_f.reshape(c, n, me * adim, mf)).reshape(c * n * me, mf)  # [(x, b, i), q]
-    gram = inner @ np.ascontiguousarray(f.gram.transpose(1, 0, 2)).reshape(mf, mf * adim)
-    right = w_rows @ np.ascontiguousarray(f.right_action.transpose(2, 1, 0)).reshape(mf, mf * adim)
+    inner = (e_gram @ left_f.reshape(c, n, me * adim, mf)).reshape(c, n * me, mf)  # [x, (b, i), q]
+    gram = inner @ np.array([f.gram for f in fs]).transpose(0, 2, 1, 3).reshape(c, mf, mf * adim)
+    f_right = np.array([f.right_action for f in fs]).transpose(0, 3, 2, 1).reshape(c, mf, mf * adim)
+    right = w_rows @ f_right
     e_left = np.array([e.left_action for e in es]).reshape(c, adim * me, me)
     left = (e_left @ w4.reshape(c, me, mf * n)).reshape(c, adim, me * mf, n)  # [x, p, (i, j), b]
     # W^H on the (i, j) rows: [x, b, a, p] for the Gram and the right action
