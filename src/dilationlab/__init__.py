@@ -1,6 +1,8 @@
 """dilationlab: completely contractive representations of product systems
 over N^k, their block-lowering contractive semigroups, and regular
-isometric dilations via Toeplitz-kernel Kolmogorov factorization."""
+isometric dilations via Toeplitz-kernel Kolmogorov factorization.
+
+The names imported below are the public API."""
 
 from .cstar import CStarAlgebra
 from .correspondence import (
@@ -40,35 +42,3 @@ from .representation import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "AlgebraRepresentation",
-    "CCRepresentation",
-    "CStarAlgebra",
-    "Correspondence",
-    "DilationBundle",
-    "DilationLabError",
-    "IncoherentFlipsError",
-    "InstanceFormatError",
-    "InvalidArgumentError",
-    "InvalidFlipError",
-    "KernelWindow",
-    "NotPositiveDefiniteError",
-    "NotWellDefinedError",
-    "ProductSystem",
-    "TruncatedFock",
-    "algebra_correspondence",
-    "brehmer_check_NS",
-    "compare_minimal_dilations",
-    "doubly_commuting_check",
-    "hat_checks",
-    "interior_tensor",
-    "kolmogorov",
-    "localize",
-    "trivial_correspondence",
-    "validate_correspondence",
-    "validate_representation",
-    "verify_doubly_commuting_V",
-    "verify_regular_dilation",
-    "window_gram",
-]

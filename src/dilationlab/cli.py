@@ -37,7 +37,7 @@ from .errors import (
 from .families import FAMILIES, generate
 from .hatspace import TruncatedFock, hat_checks
 from .instances import Instance, is_count, load_instance
-from .report import check_record, compare_reports, make_report, render
+from .report import check_record, compare_reports, make_report, reference_error, render
 from .representation import (
     brehmer_check_NS,
     brehmer_rows,
@@ -96,7 +96,8 @@ def _resolve_params(inst: Instance, args, reference: dict | None = None) -> dict
     if params.get("M") is None:
         params["M"] = list(params["L"])
     _check_point(params["NS_box"], k, 0, "NS_box")
-    # isometric_rep needs V_{e_i} for every generator
+    # the recovery solves for V_{e_i} on domain(e_i), so every e_i must lie
+    # in the window
     _check_point(params["M"], k, 1, "M")
     if not is_count(params["guard"], 0):
         raise InstanceFormatError(f"parameter guard must be an integer >= 0, got {params['guard']!r}")
@@ -322,11 +323,11 @@ def cmd_verify(args) -> int:
     except (OSError, json.JSONDecodeError) as exc:
         print(f"dilation-lab: cannot read reference report: {exc}", file=sys.stderr)
         return EXIT_FORMAT
-    ref_params = (reference.get("parameters") or {}) if isinstance(reference, dict) else None
-    if not isinstance(ref_params, dict):
-        print("dilation-lab: reference report: parameters must be an object", file=sys.stderr)
+    error = reference_error(reference)
+    if error is not None:
+        print(f"dilation-lab: reference report: {error}", file=sys.stderr)
         return EXIT_FORMAT
-    fresh, code = _run(args, reference.get("command", "dilate"), ref_params)
+    fresh, code = _run(args, reference.get("command", "dilate"), reference.get("parameters") or {})
     if fresh is None:
         return code
     ok, mismatches, warn = compare_reports(reference, fresh)

@@ -26,6 +26,12 @@ Theta(t, t)^H Theta(s, s). Identities involving adjoints are window
 compressions, so they are checked on vectors generated at lattice points
 at least a guard margin g inside the window.
 
+The recovery is the bundle's one cache: the recovered representation,
+which holds V_0 and one copy of each V_{e_i} (its T map over E_i's basis),
+and the residuals that each step's domain, targets and defect feed before
+they are dropped. A verified bundle so holds dim A + sum of m_i p-square
+arrays beyond its factor.
+
 The dilation is built from one factorization, the eig factor
 R = Lambda^{1/2} W^H of the kernel's eigh; a pivoted Cholesky factor of
 the same kernel only checks that the minimal dilation is unique up to
@@ -124,6 +130,21 @@ def window_gram(rep: CCRepresentation, bound: lattice.Point) -> KernelWindow:
     return KernelWindow(rep, bound, points, tuple(slices), gram, eigvals, eigvecs)
 
 
+@dataclass(frozen=True)
+class Recovery:
+    """The recovered (V_0, V) and the residuals its solves feed: the largest
+    norm of a step's defect V_s domain(s) - targets(s) (s = 0 and the e_i),
+    of its part at the generating vectors at 0 (item 3, over the e_i) and
+    of P_H V_{e_i} on domain(e_i) (-) H (item 4), and each e_i's weak
+    isometry residual."""
+
+    rep: CCRepresentation
+    defect: float
+    item3: float
+    item4: float
+    isometry: dict[lattice.Point, float] = field(compare=False)
+
+
 class DilationBundle:
     """Eig factor of a window kernel plus the recovered isometries.
 
@@ -209,53 +230,65 @@ class DilationBundle:
     # -- recovered operators ----------------------------------------------------
 
     @cached_property
-    def steps(self) -> dict[lattice.Point, tuple[np.ndarray, np.ndarray]]:
-        """(domain(s), targets(s)) at s = 0 and each e_i, built once."""
-        k = self.rep.system.k
-        points = [lattice.zero(k)] + [lattice.unit(k, i) for i in range(1, k + 1)]
-        return {s: (self.domain(s), self.targets(s)) for s in points}
-
-    @cached_property
-    def solves(self) -> dict[lattice.Point, tuple[np.ndarray, np.ndarray | None, np.ndarray]]:
-        """Per step s, the recovered map as a (dim, p, p) stack, an
-        orthonormal basis of domain(s) from the SVD of its solve (None at
-        s = 0) and the map's defect on domain(s), V_s @ domain(s) -
-        targets(s), which its solve forms to check it. Each map is one
-        least-squares solve of its defining action on domain(s): V_0 over
-        the algebra basis, and V_{e_i} over the reduced basis of X(e_i).
+    def recovery(self) -> Recovery:
+        """V_0 and the V_{e_i}, each one least-squares solve of its defining
+        action on domain(s): V_0 over the algebra basis, and V_{e_i} over the
+        reduced basis of X(e_i), then taken to E_i's basis by its surjection.
+        Every other V_s is their composition t_raw(s). The window bound must
+        be >= 1 in every coordinate.
 
         domain(0) is the whole factor R = Lambda^{1/2} W^H, whose rows are
         orthogonal, so V_0's solve takes R^+ = W Lambda^{-1/2} and no SVD.
         Each V_{e_i}'s solve takes one SVD of its domain, whose basis gives
-        item 4 its projector.
+        item 4 its projector. The defects are normed in one max_opnorm, so
+        those of one shape share a stacked SVD.
         """
-        vals, vecs, _null = self.eig_split
-        out = {}
-        for s, (dom, tgt) in self.steps.items():
-            if lattice.is_zero(s):
-                pinv, basis = vecs / np.sqrt(vals), None
-            else:
-                pinv, basis = pinv_and_range(dom)
-            v, defect = lstsq_map(tgt, dom, pinv, LSQ_TOL, f"V_{s}")
-            out[s] = (v, basis, defect)
-        return out
-
-    @cached_property
-    def isometric_rep(self) -> CCRepresentation:
-        """The recovered (V_0, V) as a covariant representation on C^p:
-        V_0 and the T maps are the `solves`, the V_{e_i} taken to E_i's
-        basis by its surjection, and every other V_s is their composition
-        t_raw(s). The window bound must be >= 1 in every coordinate."""
         sys_ = self.rep.system
-        v0, *reduced = (v for v, _basis, _defect in self.solves.values())
-        t_maps = []
-        for i, v in enumerate(reduced, start=1):
+        p, d = self.rank, self.rep.dim
+        vals, vecs, _null = self.eig_split
+        zero = lattice.zero(sys_.k)
+        v0, defect = lstsq_map(self.targets(zero), self.factor, vecs / np.sqrt(vals), LSQ_TOL, f"V_{zero}")
+        defects = [defect]
+        gen0 = self.localized(zero)  # loc(0) = H
+        p_h = gen0 @ gen0.conj().T
+        t_maps, item4, isometry = [], [], {}
+        for i in range(1, sys_.k + 1):
+            s = lattice.unit(sys_.k, i)
+            dom, tgt = self.domain(s), self.targets(s)
+            pinv, basis = pinv_and_range(dom)
+            v, defect = lstsq_map(tgt, dom, pinv, LSQ_TOL, f"V_{s}")
+            del pinv
+            defects.append(defect)
+            # item 4: P_H V_{e_i}(x) vanishes on domain(e_i) (-) H. H lies in
+            # every domain (t = 0 is in it), so its projector is P_domain - P_H
+            item4.extend(gen0.conj().T @ v @ (basis @ basis.conj().T - p_h))
+            del basis
+            # isometry: V_{e_i}(x)^H V_{e_i}(y) = V_0(<x, y>), weakly on
+            # domain(e_i), with V_0(<e_a, e_b>) as [a, b, p, p] from the
+            # (p_s, p_s, dim A) Gram
+            w = defect + tgt  # V_{e_i} applied to domain(e_i)
+            del tgt
+            v0g = np.tensordot(sys_.fiber(s).gram, v0, axes=(2, 0))
+            lhs = w.conj().transpose(0, 2, 1)[:, None] @ w[None, :]
+            isometry[s] = float(np.abs(lhs - dom.conj().T @ v0g @ dom).max(initial=0.0))
             # E_i's basis vector e_c goes to sum over a of last_q[a, c] V_{e_i}(e_a)
-            last_q = sys_.word_data((i,)).last_q
-            v = last_q.T @ v.reshape(last_q.shape[0], self.rank * self.rank)
-            t_maps.append(v.reshape(last_q.shape[1], self.rank, self.rank))
-        sigma = AlgebraRepresentation(sys_.algebra, self.rank, v0)
-        return CCRepresentation(sys_, sigma, t_maps, tol=LSQ_TOL)
+            last_q = sys_.point_data(s).last_q
+            t_maps.append((last_q.T @ v.reshape(last_q.shape[0], p * p)).reshape(last_q.shape[1], p, p))
+        rep = CCRepresentation(sys_, AlgebraRepresentation(sys_.algebra, p, v0), t_maps, tol=LSQ_TOL)
+        return Recovery(
+            rep,
+            defect=max_opnorm(chain.from_iterable(defects)),
+            # minimality: V_{e_i}(x) delta_0 h = delta_{e_i} . x (x) h; the
+            # first d columns of every domain are the generating vectors at 0
+            item3=max_opnorm(chain.from_iterable(defect[..., :d] for defect in defects[1:])),
+            item4=max_opnorm(item4),
+            isometry=isometry,
+        )
+
+    @property
+    def isometric_rep(self) -> CCRepresentation:
+        """The recovered (V_0, V) as a covariant representation on C^p."""
+        return self.recovery.rep
 
 
 def kolmogorov(window: KernelWindow, tol: float = 1e-10) -> DilationBundle:
@@ -283,7 +316,8 @@ def verify_regular_dilation(bundle: DilationBundle, guard: int = 1) -> dict[str,
     """Residuals of the four dilation properties plus the isometry,
     semigroup, and *-homomorphism identities, keyed by fixed check names.
 
-    Only V_0 and the V_{e_i} are checked, on their `steps`, with
+    Only V_0 and the V_{e_i} are checked: on their domains, by the
+    residuals the bundle's recovery takes with its solves, and with
     validate_module of the recovered maps. For s = u + e_i, i the largest
     generator of s, V_s(U_{u,e_i}(x (x) y)) = V_u(x) V_{e_i}(y) and
     V_{e_i}(y) maps domain(s) into domain(u) up to its defect, so by
@@ -307,19 +341,11 @@ def verify_regular_dilation(bundle: DilationBundle, guard: int = 1) -> dict[str,
     (representation.validate_sigma).
     """
     rep = bundle.rep
-    sys_ = rep.system
     window = bundle.window
-    zero = lattice.zero(sys_.k)
-    gen0 = bundle.localized(zero)  # loc(0) = H
-    p_h = gen0 @ gen0.conj().T
-    iso = bundle.isometric_rep
-    v0 = iso.sigma
-    valid = validate_module(iso, bundle.factor)
-    # V_s(e_a) on C^p for the algebra basis (s = 0) or the reduced basis of
-    # X(e_i), stacked along axis 0
-    v_of = {s: v for s, (v, _basis, _defect) in bundle.solves.items()}
-    defects = {s: defect for s, (_v, _basis, defect) in bundle.solves.items()}
-    gens = list(v_of)[1:]
+    gen0 = bundle.localized(lattice.zero(rep.system.k))  # loc(0) = H
+    recovery = bundle.recovery
+    v0 = recovery.rep.sigma
+    valid = validate_module(recovery.rep, bundle.factor)
 
     # item 1: V_0(a) reduces H and restricts to sigma(a). [V_0(a), P_H] is
     # (I - P_H) V_0(a) P_H - P_H V_0(a) (I - P_H); its norm is the larger one
@@ -340,38 +366,20 @@ def verify_regular_dilation(bundle: DilationBundle, guard: int = 1) -> dict[str,
         if sup_neg.isdisjoint(sup_pos)
     )
 
-    # item 3: minimality - V_{e_i}(x) delta_0 h = delta_{e_i} . x (x) h;
-    # the first d columns of every domain are the generating vectors at 0
-    item3 = max_opnorm(chain.from_iterable(defects[s][..., : rep.dim] for s in gens))
-
-    # item 4: P_H V_{e_i}(x) vanishes on domain(e_i) (-) H. H lies in every
-    # domain (t = 0 is in it), so its projector is P_domain - P_H.
-    item4_blocks = []
-    for s in gens:
-        q_dom = bundle.solves[s][1]
-        item4_blocks.extend(gen0.conj().T @ v_of[s] @ (q_dom @ q_dom.conj().T - p_h))
-    item4 = max_opnorm(item4_blocks)
-
-    # isometry: V_{e_i}(x)^H V_{e_i}(y) = V_0(<x, y>), weakly on guarded vectors
-    iso_res = 0.0
-    for s in (s for s in gens if lattice.leq(s, _guarded(window.bound, guard))):
-        dom, tgt = bundle.steps[s]
-        w = defects[s] + tgt  # V_{e_i} applied to domain(e_i)
-        # V_0(<e_a, e_b>) as [a, b, p, p], from the (p_s, p_s, dim A) Gram
-        v0g = np.tensordot(sys_.fiber(s).gram, v0.mats, axes=(2, 0))
-        lhs = w.conj().transpose(0, 2, 1)[:, None] @ w[None, :]
-        iso_res = max(iso_res, float(np.abs(lhs - dom.conj().T @ v0g @ dom).max(initial=0.0)))
+    # isometry on guarded vectors: the e_i at least the guard inside the window
+    guarded = _guarded(window.bound, guard)
+    iso_res = max([0.0, *(res for s, res in recovery.isometry.items() if lattice.leq(s, guarded))])
 
     # semigroup: V_0 and the V_{e_i} against their defining action, and the
     # covariance and null vanishing of the recovered maps
     relations = (v for name, v in valid.items() if not name.startswith("sigma."))
-    semi_res = max([max_opnorm(chain.from_iterable(defects.values())), *relations])
+    semi_res = max([recovery.defect, *relations])
 
     return {
         "regular_item1": item1,
         "regular_item2": item2,
-        "regular_item3": item3,
-        "regular_item4": item4,
+        "regular_item3": recovery.item3,
+        "regular_item4": recovery.item4,
         "V_isometry": iso_res,
         "V_semigroup": semi_res,
         "V0_star_hom": star_hom,
@@ -413,8 +421,11 @@ def verify_doubly_commuting_V(bundle: DilationBundle, j: int, k: int, guard: int
     gens = bundle.factor
     guarded = bundle.localized(_guarded(bundle.window.bound, max(guard, 1)))
     n, n_g = gens.shape[1], guarded.shape[1]
-    # V_x(e) over the reduced basis of X(x), as (p_x, p, p)
-    v_a, v_b = bundle.solves[a][0], bundle.solves[b][0]
+    # V_x(e) over the reduced basis of X(x), as (p_x, p, p): q-bar T of the
+    # T map over E_x's basis, q the surjection, whose rows are orthonormal
+    q_a, q_b = sys_.point_data(a).last_q, sys_.point_data(b).last_q
+    v_a = (q_a.conj() @ iso.t_maps[j - 1].reshape(q_a.shape[1], p * p)).reshape(p_a, p, p)
+    v_b = (q_b.conj() @ iso.t_maps[k - 1].reshape(q_b.shape[1], p * p)).reshape(p_b, p, p)
     img_a = v_a @ guarded
     lhs = (v_b @ gens).conj().transpose(0, 2, 1)[:, None] @ img_a[None]  # [beta, alpha, n, n']
     gram_b = sys_.fiber(b).gram

@@ -2,23 +2,24 @@
 
 Fibers X(s) are realized canonically as the reduced normal-ordered tensor
 E_1^{(x) s_1} (x) ... (x) E_k^{(x) s_k}, and exist only in reduced
-coordinates: a word is its reduced correspondence plus the surjection
-(reduced prefix) (x) (raw last generator) -> reduced word. Only normal
-(sorted) words are built. Multiplication isomorphisms are assembled from
-these surjections by bubble-sorting adjacent transpositions through the
-flips. Every map of the form A (x) I or I (x) A on the way (the peeled
-surjection, the flip under a prefix, the shorter append map or
-multiplication map, the split of the last letter) is applied to its
-neighbour as a reshape and a matmul on the factors, never formed as a
-Kronecker product. No raw Gram or raw action stack is formed: the flip
-check compresses each flip onto the reduced pair words (i, j) and (j, i),
-and the braid check compares the two reduced words of the longest
+coordinates: the fiber at s is its reduced correspondence plus the
+surjection (reduced prefix) (x) (raw last generator) -> reduced fiber, the
+prefix being the fiber at s less its last letter. Fibers are keyed by their
+points, so only normal (sorted) words are built. Multiplication
+isomorphisms are assembled from these surjections by bubble-sorting
+adjacent transpositions through the flips. Every map of the form A (x) I or
+I (x) A on the way (the peeled surjection, the flip under a prefix, the
+shorter append map or multiplication map, the split of the last letter) is
+applied to its neighbour as a reshape and a matmul on the factors, never
+formed as a Kronecker product. No raw Gram or raw action stack is formed:
+the flip check compresses each flip onto the reduced pair words (i, j) and
+(j, i), and the braid check compares the two reduced words of the longest
 permutation of three letters through the multiplication isomorphisms.
 
 Fibers, append maps and multiplication isomorphisms are built level by
 level (word length), for a list of points, keys or pairs at once
 (`plan_levels`, `fill_levels`): the entries of one level and shape take one
-GEMM or one stacked matmul per factor, and are memoized per word, key or
+GEMM or one stacked matmul per factor, and are memoized per point, key or
 pair. Generators with equal arrays are validated and reduced as one.
 """
 
@@ -81,7 +82,6 @@ class ProductSystem:
                 if (i, j) not in self.flips:
                     raise InvalidArgumentError(f"missing flip for generator pair {(i, j)}")
 
-        self._words: dict[tuple[int, ...], _WordData] = {}
         self._points: dict[lattice.Point, _WordData] = {}
         self._appends: dict[tuple[lattice.Point, int], np.ndarray] = {}
         # (j, i) -> the factors (L, R) of the inverse flip L R
@@ -108,7 +108,7 @@ class ProductSystem:
             if not passes(gen_report, self.tol):
                 bad = {k: v for k, v in gen_report.items() if v > self.tol}
                 raise InvalidArgumentError(f"generator {idx + 1} fails validation: {bad}")
-        self._build_words(list(self.flips))
+        self.build([lattice.add(lattice.unit(self.k, i), lattice.unit(self.k, j)) for i, j in self.flips])
         swapped = interior_tensor([(self.generators[j - 1], self.generators[i - 1]) for i, j in self.flips], self.tol)
         for ((i, j), phi), (word, q_ji) in zip(self.flips.items(), swapped):
             res, q_ij, f = self._flip_residual(i, j, phi, (word, q_ji))
@@ -151,7 +151,8 @@ class ProductSystem:
         g = max_p ||G'_p||, a the largest norm of a raw action and nu the raw
         action defects in the null directions of E_j (x) E_i, unseen here.
         Returns (r, q, F), from which _validate takes the inverse flip."""
-        pair, (ji, q_ji) = self.word_data((i, j)), swapped
+        e_i, e_j = lattice.unit(self.k, i), lattice.unit(self.k, j)
+        pair, (ji, q_ji) = self.point_data(lattice.add(e_i, e_j)), swapped
         ei, ej = self.generators[i - 1], self.generators[j - 1]
         mi, mj, p = ei.dim, ej.dim, pair.corr.dim
         if ji.dim != p:
@@ -159,7 +160,7 @@ class ProductSystem:
                 f"flip {(i, j)} is not a correspondence isomorphism: its words have dimensions {p} and {ji.dim}"
             )
         # q = last_q (q_i (x) I), with q_i applied to the E_i slot
-        q_i = self.word_data((i,)).last_q
+        q_i = self.point_data(e_i).last_q
         q_ij = (q_i.T @ pair.last_q.reshape(p, q_i.shape[0], mj)).reshape(q_ji.shape)
         lift = q_ij.conj().T.reshape(mi, mj, p)
         image = (phi @ lift.reshape(mi * mj, p)).reshape(mj, mi, p)  # phi q^H
@@ -217,57 +218,36 @@ class ProductSystem:
             inv = self._gram_pinvs[key] = inv.transpose(0, 2, 1, 3)[..., rows, cols]
         return inv
 
-    def word_data(self, word: tuple[int, ...]) -> _WordData:
-        cached = self._words.get(word)
-        if cached is None:
-            self._build_words([word])
-            cached = self._words[word]
-        return cached
-
     def build(self, points) -> None:
-        """Word data of the normal words of the points and of their
-        prefixes, as `_build_words` builds them."""
-        new = [s for s in map(tuple, points) if s not in self._points]
-        words = [self.normal_word(s) for s in new]
-        self._build_words(words)
-        self._points.update(zip(new, (self._words[word] for word in words)))
-
-    def _build_words(self, words) -> None:
-        """Word data of the words and of their prefixes that are not built
-        yet, level by level (word length): the words of one level take one
+        """Word data of the normal words of the points, and of their
+        prefixes (the point less its last letter), that are not built yet,
+        level by level (|s|): the points of one level take one
         interior_tensor."""
-        levels = plan_levels(words, self._words, lambda word: (len(word), word[:-1] if word else None, None))
-        fill_levels(self._words, levels, lambda word, _plan: min(len(word), 2), self._word_group)
+        levels = plan_levels(map(tuple, points), self._points, point_back)
+        fill_levels(self._points, levels, lambda s, _plan: min(sum(s), 2), self._point_group)
 
-    def _word_group(self, kind: int, group) -> list[_WordData]:
-        """Word data of the words of one level: the algebra for the empty
-        word (kind 0); a generator's null quotient for a letter (kind 1),
-        shared by the generators with equal arrays; the interior tensor of
-        the prefix's fiber and the last generator (kind 2)."""
-        words = [word for word, _plan in group]
+    def _point_group(self, kind: int, group) -> list[_WordData]:
+        """Word data of the points of one level: the algebra for s = 0
+        (kind 0); a generator's null quotient for a letter (kind 1), shared
+        by the generators with equal arrays; the interior tensor of the
+        prefix's fiber and the last generator (kind 2)."""
         if kind == 0:
             return [_WordData(algebra_correspondence(self.algebra), None)]
         if kind == 1:
-            firsts = [(self._first[word[0] - 1] + 1,) for word in words]
+            firsts = [lattice.unit(self.k, self._first[i - 1] + 1) for _s, (i, _prev) in group]
             for first in firsts:
-                if first not in self._words:
-                    self._words[first] = _WordData(*reduce_null(self.generators[first[0] - 1], self.tol))
-            return [self._words[first] for first in firsts]
-        pairs = [(self._words[word[:-1]].corr, self.generators[word[-1] - 1]) for word in words]
+                if first not in self._points:
+                    self._points[first] = _WordData(*reduce_null(self.generators[lattice.last(first) - 1], self.tol))
+            return [self._points[first] for first in firsts]
+        pairs = [(self._points[prev].corr, self.generators[i - 1]) for _s, (i, prev) in group]
         return [_WordData(*tensor) for tensor in interior_tensor(pairs, self.tol)]
 
-    @staticmethod
-    def normal_word(s: lattice.Point) -> tuple[int, ...]:
-        word: list[int] = []
-        for idx, count in enumerate(s, start=1):
-            word.extend([idx] * count)
-        return tuple(word)
-
     def point_data(self, s: lattice.Point) -> _WordData:
-        """word_data of the normal word of the point s, memoized per point."""
+        """Word data of the normal word of the point s, built on first use."""
         data = self._points.get(s)
         if data is None:
-            data = self._points[s] = self.word_data(self.normal_word(s))
+            self.build([s])
+            data = self._points[s]
         return data
 
     def fiber(self, s: lattice.Point) -> Correspondence:
@@ -425,6 +405,17 @@ class ProductSystem:
         # (I_{p_s} (x) last_q(t)^H) on the (t', i) columns
         split = np.array([points[t].last_q for (_s, t), _plan in group]).conj().transpose(0, 2, 1)
         return (mu.reshape(c, p_out * p_s, p_prev * m_i) @ split).reshape(c, p_out, p_s * p_t)
+
+
+def point_back(s: lattice.Point):
+    """Level |s| of the point s, the point prev = s - e_i that an entry at
+    s is built from for the last letter i of s, and the plan (i, prev);
+    i = 0, and nothing to build from, for s = 0."""
+    i = lattice.last(s)
+    if not i:
+        return 0, None, (0, s)
+    prev = lattice.step(s, i, -1)
+    return sum(s), prev, (i, prev)
 
 
 def plan_levels(keys, cache: dict, back) -> dict[int, dict]:

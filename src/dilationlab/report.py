@@ -66,9 +66,42 @@ def render(report: dict) -> str:
     return json.dumps(report, sort_keys=True, indent=2) + "\n"
 
 
+def _is_number(x) -> bool:
+    return isinstance(x, (int, float)) and not isinstance(x, bool) or x in ("inf", "-inf", "nan")
+
+
+def reference_error(reference) -> str | None:
+    """Why a reference report lacks the shape compare_reports reads, or None:
+    a command of validate, check or dilate; parameters (or null) and
+    verdicts that are objects; checks, a list of objects with a string name,
+    a boolean pass flag, a numeric residual and, if any, a numeric
+    tolerance; a window, if any, an object whose psd_margin, if any, is
+    numeric. "inf", "-inf" and "nan" count as numbers, as reports write them."""
+    if not isinstance(reference, dict):
+        return "must be an object"
+    checks, window = reference.get("checks", []), reference.get("window")
+    if reference.get("command", "dilate") not in ("validate", "check", "dilate"):
+        return "command must be validate, check or dilate"
+    if not isinstance(reference.get("parameters") or {}, dict):
+        return "parameters must be an object"
+    if not isinstance(reference.get("verdicts", {}), dict):
+        return "verdicts must be an object"
+    if not (isinstance(checks, list) and all(isinstance(c, dict) for c in checks)):
+        return "checks must be a list of objects"
+    for c in checks:
+        if not (isinstance(c.get("name"), str) and isinstance(c.get("pass"), bool)):
+            return f"check {c.get('name')!r} needs a string name and a boolean pass flag"
+        if not (_is_number(c.get("residual")) and _is_number(c.get("tolerance", 0.0))):
+            return f"check {c['name']} needs a numeric residual and tolerance"
+    if window is not None and not (isinstance(window, dict) and _is_number(window.get("psd_margin", 0.0))):
+        return "window must be an object with a numeric psd_margin"
+    return None
+
+
 def compare_reports(reference: dict, fresh: dict) -> tuple[bool, list[str], list[str]]:
     """Golden-file rule: verdicts and pass flags must match; residual drift
-    within a 10x tolerance band is a warning, beyond it a mismatch.
+    within a 10x tolerance band is a warning, beyond it a mismatch. The
+    reference has the shape reference_error checks.
 
     Returns (ok, mismatches, warnings).
     """

@@ -36,7 +36,7 @@ from .correspondence import (
 from .cstar import CStarAlgebra
 from .errors import InvalidArgumentError, NotWellDefinedError
 from .linalg import DEFAULT_TOL, as_data, hermitize, max_opnorm, opnorm
-from .prodsys import ProductSystem, fill_levels, plan_levels
+from .prodsys import ProductSystem, fill_levels, plan_levels, point_back
 
 
 @dataclass(frozen=True)
@@ -272,7 +272,7 @@ class CCRepresentation:
         yet, level by level (|s|): the points of one level and shape take
         one stacked matmul with their generators' gen_t_raw and one with
         their last_q."""
-        levels = plan_levels(map(tuple, points), self._t_raw, _t_raw_back)
+        levels = plan_levels(map(tuple, points), self._t_raw, point_back)
         if levels:
             self.system.build([s for level in levels.values() for s in level])
             fill_levels(self._t_raw, levels, self._t_raw_shape, self._t_raw_group)
@@ -299,17 +299,6 @@ class CCRepresentation:
         return out.transpose(0, 2, 1, 3).reshape(c, d, p_s * d)
 
 
-def _t_raw_back(s: lattice.Point):
-    """Level |s| of the point s, the point prev = s - e_i that t_raw(s) is
-    built from for the last letter i of s, and the plan (i, prev); i = 0
-    for s = 0."""
-    i = lattice.last(s)
-    if not i:
-        return 0, None, (0, s)
-    prev = lattice.step(s, i, -1)
-    return sum(s), prev, (i, prev)
-
-
 def validate_module(rep: CCRepresentation, vectors: np.ndarray | None = None) -> dict[str, float]:
     """Residuals of the relations of (sigma, T) that need no localization:
     sigma axioms (in weak form on `vectors`, when given; see
@@ -327,7 +316,7 @@ def validate_module(rep: CCRepresentation, vectors: np.ndarray | None = None) ->
         res[f"covariance_{i}"] = max(float(np.abs(right).max()), float(np.abs(left).max()))
         # a contraction vanishes on the module null vectors of E_i, which
         # the reduced fiber X(e_i) drops: T on I - q^H q
-        q = sys_.word_data((i,)).last_q
+        q = sys_.point_data(lattice.unit(sys_.k, i)).last_q
         null_proj = np.eye(gen.dim) - q.conj().T @ q
         t_null = np.tensordot(null_proj, t_arr, axes=(0, 0))  # T(N e_c), (m_i, d, d)
         res[f"null_vanishing_{i}"] = max_opnorm([t_null.transpose(1, 0, 2).reshape(rep.dim, -1)])

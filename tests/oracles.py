@@ -734,7 +734,7 @@ def generator_step_bounds(bundle, residuals: dict[str, float], guard: int = 1) -
 
     step = {}
     for i in range(1, k + 1):
-        q_i = sys_.word_data((i,)).last_q
+        q_i = word_data(sys_, (i,)).last_q
         dom_i = domain(unit(i))
         step[i] = dict(
             q=q_i,
@@ -951,7 +951,7 @@ def isometric_maps_two_paths(bundle) -> tuple[np.ndarray, list[np.ndarray]]:
     t_maps = []
     for i, gen in enumerate(sys_.generators, start=1):
         e_i = tuple(int(j == i - 1) for j in range(sys_.k))
-        raw = v_raw(bundle, e_i) @ np.kron(sys_.word_data((i,)).last_q, np.eye(p))
+        raw = v_raw(bundle, e_i) @ np.kron(word_data(sys_, (i,)).last_q, np.eye(p))
         t_maps.append(raw.reshape(p, gen.dim, p).transpose(1, 0, 2))
     return v0, t_maps
 
@@ -959,8 +959,25 @@ def isometric_maps_two_paths(bundle) -> tuple[np.ndarray, list[np.ndarray]]:
 # -- multiplication isomorphisms on the interior-tensor quotient --------------
 
 
-def _word(s) -> tuple[int, ...]:
+def normal_word(s) -> tuple[int, ...]:
+    """The normal (sorted) word of the point s."""
     return tuple(i + 1 for i, c in enumerate(s) for _ in range(c))
+
+
+def word_data(system, word):
+    """(corr, last_q) of a word: the product system's data at its point
+    for a normal word; otherwise built as the package builds a normal one,
+    the interior tensor of the prefix's fiber and the last generator."""
+    from types import SimpleNamespace
+
+    from dilationlab.correspondence import interior_tensor
+
+    word = tuple(word)
+    if list(word) == sorted(word):
+        return system.point_data(tuple(word.count(i) for i in range(1, system.k + 1)))
+    prefix = word_data(system, word[:-1]).corr
+    [(corr, last_q)] = interior_tensor([(prefix, system.generators[word[-1] - 1])], system.tol)
+    return SimpleNamespace(corr=corr, last_q=last_q)
 
 
 def append_map_dense(system, word, i) -> np.ndarray:
@@ -968,13 +985,13 @@ def append_map_dense(system, word, i) -> np.ndarray:
     the dense I_{p_prefix} (x) flip and inverting flips afresh."""
     word = tuple(word)
     if not word or word[-1] <= i:
-        return system.word_data(word + (i,)).last_q
+        return word_data(system, word + (i,)).last_q
     prefix, j = word[:-1], word[-1]
     m_i = system.generators[i - 1].dim
     m_j = system.generators[j - 1].dim
-    p_prefix = system.word_data(prefix).corr.dim if prefix else 1
+    p_prefix = word_data(system, prefix).corr.dim if prefix else 1
     flip = np.linalg.pinv(system.flips[(i, j)])  # E_j (x) E_i -> E_i (x) E_j, i < j
-    peel = np.kron(system.word_data(word).last_q.conj().T, np.eye(m_i))
+    peel = np.kron(word_data(system, word).last_q.conj().T, np.eye(m_i))
     inner = np.kron(append_map_dense(system, prefix, i), np.eye(m_j))
     rejoin = append_map_dense(system, tuple(sorted(prefix + (i,))), j)
     return rejoin @ inner @ np.kron(np.eye(p_prefix), flip) @ peel
@@ -997,14 +1014,14 @@ def mult_iso_quotient(system, s, t) -> tuple[np.ndarray, np.ndarray]:
     else:
         i = max(j + 1 for j, c in enumerate(t) if c)
         t_prev = tuple(c - (j == i - 1) for j, c in enumerate(t))
-        split = np.kron(np.eye(cs.dim), system.word_data(_word(t)).last_q.conj().T)
+        split = np.kron(np.eye(cs.dim), word_data(system, normal_word(t)).last_q.conj().T)
         if not any(t_prev):
-            raw = append_map_dense(system, _word(s), i) @ split
+            raw = append_map_dense(system, normal_word(s), i) @ split
         else:
             q_prev, u_prev = mult_iso_quotient(system, s, t_prev)
             m_i = system.generators[i - 1].dim
             raw = (
-                append_map_dense(system, _word(_add(s, t_prev)), i)
+                append_map_dense(system, normal_word(_add(s, t_prev)), i)
                 @ np.kron(u_prev @ q_prev, np.eye(m_i))
                 @ split
             )
@@ -1105,7 +1122,7 @@ def raw_word_maps(system, word) -> tuple[np.ndarray, np.ndarray]:
     E_{w_n} and the reduced X(word), by the full-word recursion
     surj = last_q (surj_prefix (x) I), lift = (lift_prefix (x) I) last_q^H."""
     word = tuple(word)
-    q = system.word_data(word).last_q
+    q = word_data(system, word).last_q
     if len(word) == 1:
         return q, q.conj().T
     surj, lift = raw_word_maps(system, word[:-1])
@@ -1289,8 +1306,8 @@ def flip_residual_dense(system, i: int, j: int, phi: np.ndarray) -> float:
 def pair_word_surjection(system, i: int, j: int) -> np.ndarray:
     """The surjection of raw E_i (x) E_j onto the package's word (i, j):
     last_q (q_i (x) I) as an np.kron product."""
-    q_i = system.word_data((i,)).last_q
-    return system.word_data((i, j)).last_q @ np.kron(q_i, np.eye(system.generators[j - 1].dim))
+    q_i = word_data(system, (i,)).last_q
+    return word_data(system, (i, j)).last_q @ np.kron(q_i, np.eye(system.generators[j - 1].dim))
 
 
 def flip_residual_bounds(system, i: int, j: int, phi: np.ndarray, r: float) -> tuple[float, float]:
@@ -1327,12 +1344,12 @@ def append_map_kron(system, word, i) -> np.ndarray:
     flipping with the pseudo-inverse of the raw flip."""
     word = tuple(word)
     if not word or word[-1] <= i:
-        return system.word_data(word + (i,)).last_q
+        return word_data(system, word + (i,)).last_q
     prefix, j = word[:-1], word[-1]
     m_i = system.generators[i - 1].dim
     m_j = system.generators[j - 1].dim
-    p_prefix = system.word_data(prefix).corr.dim if prefix else 1
-    peel = np.kron(system.word_data(word).last_q.conj().T, np.eye(m_i))
+    p_prefix = word_data(system, prefix).corr.dim if prefix else 1
+    peel = np.kron(word_data(system, word).last_q.conj().T, np.eye(m_i))
     cols = peel.shape[1]
     flipped = np.linalg.pinv(system.flips[(i, j)]) @ peel.reshape(p_prefix, m_j * m_i, cols)
     inner = np.kron(append_map_kron(system, prefix, i), np.eye(m_j))
@@ -1352,8 +1369,8 @@ def mult_iso_kron(system, s, t) -> np.ndarray:
         return np.transpose(cs.right_action, (1, 2, 0)).reshape(cs.dim, cs.dim * system.algebra.dim)
     i = max(j + 1 for j, c in enumerate(t) if c)
     t_prev = tuple(c - (j == i - 1) for j, c in enumerate(t))
-    split = np.kron(np.eye(system.fiber_dim(s)), system.word_data(_word(t)).last_q.conj().T)
-    append = append_map_kron(system, _word(_add(s, t_prev)), i)
+    split = np.kron(np.eye(system.fiber_dim(s)), word_data(system, normal_word(t)).last_q.conj().T)
+    append = append_map_kron(system, normal_word(_add(s, t_prev)), i)
     if not any(t_prev):
         return append @ split
     m_i = system.generators[i - 1].dim

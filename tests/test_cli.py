@@ -313,6 +313,51 @@ def test_verify_detects_tampering(tmp_path):
     assert run(["verify", SCALAR, "--report", str(golden)]) == cli.EXIT_GOLDEN_MISMATCH
 
 
+def _drop_pass(report):
+    del report["checks"][0]["pass"]
+
+
+def _set(path, value):
+    def edit(report):
+        *keys, last = path
+        target = report
+        for key in keys:
+            target = target[key]
+        target[last] = value
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit, message",
+    [
+        (_drop_pass, "check 'hat_semigroup' needs a string name and a boolean pass flag"),
+        (_set(["verdicts"], ["x"]), "verdicts must be an object"),
+        (_set(["checks", 0, "residual"], "small"), "check hat_semigroup needs a numeric residual and tolerance"),
+        (_set(["checks", 0, "tolerance"], None), "check hat_semigroup needs a numeric residual and tolerance"),
+        (_set(["window", "psd_margin"], [0.5]), "window must be an object with a numeric psd_margin"),
+        (_set(["checks"], {"hat_semigroup": 0.0}), "checks must be a list of objects"),
+        (_set(["checks", 0], "hat_semigroup"), "checks must be a list of objects"),
+        (_set(["checks", 0, "name"], ["hat_semigroup"]), "check ['hat_semigroup'] needs a string name and a boolean pass flag"),
+        (_set(["window"], [2, 2]), "window must be an object with a numeric psd_margin"),
+        (_set(["command"], ["dilate"]), "command must be validate, check or dilate"),
+        (_set(["parameters"], [1]), "parameters must be an object"),
+    ],
+)
+def test_verify_of_a_malformed_reference_is_a_format_error(tmp_path, capsys, edit, message):
+    """A reference report whose checks, verdicts or window do not have the
+    shape the comparison reads exits 2 with a message, not a traceback;
+    the window's M and rank still match, so a bad psd_margin is read."""
+    golden = tmp_path / "golden.json"
+    assert run(["dilate", SCALAR, "--L", "2", "--out", str(golden)]) == cli.EXIT_OK
+    report = read_report(golden)
+    edit(report)
+    golden.write_text(json.dumps(report))
+    capsys.readouterr()
+    assert run(["verify", SCALAR, "--report", str(golden)]) == cli.EXIT_FORMAT
+    assert capsys.readouterr().err == f"dilation-lab: reference report: {message}\n"
+
+
 def test_verify_of_a_matching_invalid_run_exits_1(tmp_path, scalar_pair_data):
     """A report that matches its fresh run exits with the run's code: an
     instance that dilate rejects with exit 1 (generator 1's Gram is 0, so

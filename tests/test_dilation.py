@@ -1,5 +1,6 @@
 import json
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -342,22 +343,21 @@ STACKED_VERIFY_CASES = [
 ]
 
 
-def _push_off_the_dilation(bundle, eps: float) -> None:
-    """Perturb the recovered V_0 and generator isometries V_{e_i} (the
-    `solves`, which isometric_rep is rebuilt from, with their defects on
-    their domains) by about eps, and with them every composed V_s, so that the verification residuals are of
-    that size instead of rounding noise."""
+def _push_off_the_dilation(monkeypatch, eps: float) -> None:
+    """Make the next recovery perturb the recovered V_0 and generator
+    isometries V_{e_i} by about eps, with their defects on their domains,
+    and with them every composed V_s, so that the verification residuals
+    are of that size instead of rounding noise. It wraps the solve the
+    recovery calls, so it goes before the bundle's first verification."""
     rng = np.random.default_rng(0)
+    solve = dilation.lstsq_map
 
-    def noise(shape):
-        return eps * (rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+    def pushed(targets, domain, pinv, tol, what):
+        v, defect = solve(targets, domain, pinv, tol, what)
+        push = eps * (rng.standard_normal(v.shape) + 1j * rng.standard_normal(v.shape))
+        return v + push, defect + push @ domain
 
-    solves = {}
-    for s, (v, basis, defect) in bundle.solves.items():
-        push = noise(v.shape)
-        solves[s] = (v + push, basis, defect + push @ bundle.steps[s][0])
-    bundle.__dict__["solves"] = solves
-    bundle.__dict__.pop("isometric_rep", None)
+    monkeypatch.setattr(dilation, "lstsq_map", pushed)
 
 
 def _instance(request, name, gen_args):
@@ -372,18 +372,28 @@ def _generator_steps(bundle):
 
 
 @pytest.mark.parametrize("name, gen_args, bound", STACKED_VERIFY_CASES)
-def test_recovered_maps_are_kept_in_one_basis(request, name, gen_args, bound):
-    """`solves` keeps each V_{e_i} over the reduced basis of X(e_i);
-    isometric_rep's T map over E_i's basis is its one conversion, so the
-    reduced fiber's coordinates (q-bar applied to it, or t_raw(e_i)) give
-    the solve back up to rounding, and V_0 is the solve itself."""
+def test_recovered_maps_are_kept_in_one_basis(monkeypatch, request, name, gen_args, bound):
+    """The recovery solves each V_{e_i} over the reduced basis of X(e_i)
+    and keeps only isometric_rep's T map over E_i's basis, its one
+    conversion, so the reduced fiber's coordinates (q-bar applied to it,
+    or t_raw(e_i)) give the solve back up to rounding, and V_0 is the
+    solve itself."""
+    solves = []
+    solve = dilation.lstsq_map
+
+    def recorded(*args):
+        v, defect = solve(*args)
+        solves.append(v)
+        return v, defect
+
+    monkeypatch.setattr(dilation, "lstsq_map", recorded)
     bundle = bundle_of(_instance(request, name, gen_args), bound)
     iso = bundle.isometric_rep
     sys_ = iso.system
-    (_zero, (v0, _basis, _defect)), *steps = bundle.solves.items()
+    v0, *steps = solves
     assert iso.sigma.mats is v0
-    for i, (s, (v, _basis, _defect)) in enumerate(steps, start=1):
-        q = sys_.word_data((i,)).last_q
+    for i, (s, v) in enumerate(zip(_generator_steps(bundle), steps, strict=True), start=1):
+        q = sys_.point_data(s).last_q
         back = np.tensordot(q.conj(), iso.t_maps[i - 1], axes=(1, 0))
         raw = iso.t_raw(s).reshape(iso.dim, q.shape[0], iso.dim).transpose(1, 0, 2)
         scale = max(1.0, float(np.abs(v).max(initial=0.0)))
@@ -394,7 +404,7 @@ def test_recovered_maps_are_kept_in_one_basis(request, name, gen_args, bound):
 @pytest.mark.parametrize("name, gen_args, bound", STACKED_VERIFY_CASES)
 @pytest.mark.parametrize("guard", [0, 1])
 @pytest.mark.parametrize("eps", [0.0, 1e-3])
-def test_generator_steps_bound_the_loop_oracle(request, name, gen_args, bound, guard, eps):
+def test_generator_steps_bound_the_loop_oracle(monkeypatch, request, name, gen_args, bound, guard, eps):
     """verify_regular_dilation checks V_0 and the generator steps only. At
     every window point, the composite-point values of the loop oracle
     (item 3, item 4, isometry, semigroup) are at most the generator
@@ -405,7 +415,7 @@ def test_generator_steps_bound_the_loop_oracle(request, name, gen_args, bound, g
     unital residual to the loop's *-homomorphism residuals."""
     bundle = bundle_of(_instance(request, name, gen_args), bound)
     if eps:
-        _push_off_the_dilation(bundle, eps)
+        _push_off_the_dilation(monkeypatch, eps)
     got = verify_regular_dilation(bundle, guard=guard)
     want = verify_regular_dilation_loop(bundle, guard=guard)
     assert list(got) == list(want)
@@ -430,7 +440,7 @@ def test_generator_steps_bound_the_loop_oracle(request, name, gen_args, bound, g
     ],
 )
 @pytest.mark.parametrize("eps", [0.0, 1e-3])
-def test_item4_bounds_the_two_orthonormalisation_oracle(name, gen_args, bound, eps):
+def test_item4_bounds_the_two_orthonormalisation_oracle(monkeypatch, name, gen_args, bound, eps):
     """Item 4 through the projector P_domain - P_H at the generator steps
     equals item 4 through a second orthonormalisation of domain (-) H
     there, and with the V_semigroup residual it bounds the second form at
@@ -440,7 +450,7 @@ def test_item4_bounds_the_two_orthonormalisation_oracle(name, gen_args, bound, e
     item 4."""
     bundle = bundle_of(parse_instance(generate(name, **gen_args)), bound)
     if eps:
-        _push_off_the_dilation(bundle, eps)
+        _push_off_the_dilation(monkeypatch, eps)
     got = verify_regular_dilation(bundle)
     assert abs(got["regular_item4"] - item4_two_orth(bundle, _generator_steps(bundle))) <= 1e-12
     want = item4_two_orth(bundle)
@@ -524,12 +534,34 @@ def test_one_dilate_takes_six_p_square_factorizations(monkeypatch, tmp_path):
     assert sorted(name for name, _shape in square) == ["eigh"] + ["svd"] * 5, square
 
 
-def test_recovered_representation_goes_through_validate_module(mult_m2):
+def test_a_verified_bundle_holds_v0_and_one_copy_of_each_generator_map():
+    """After verify_regular_dilation and both verify_doubly_commuting_V
+    calls, a bundle of diagonal d = 8, k = 2, M = 4 (p = dim K_min = 200;
+    the algebra is C and each E_i is one-dimensional) holds, beyond its
+    factor, V_0 and one copy of each V_{e_i}: three complex p-square
+    arrays, and less than half of one more. Domains, targets, defects and
+    the reduced V_{e_i} are not kept."""
+    bundle = bundle_of(parse_instance(generate("diagonal-doubly-commuting", seed=0, k=2, dims=8)), (4, 4))
+    p = bundle.rank
+    assert p == 200
+    tracemalloc.start()
+    try:
+        verify_regular_dilation(bundle)
+        verify_doubly_commuting_V(bundle, 1, 2)
+        verify_doubly_commuting_V(bundle, 2, 1)
+        held, _peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    square = 16 * p * p
+    assert 3 * square <= held < 3.5 * square, held / square
+
+
+def test_recovered_representation_goes_through_validate_module(monkeypatch, mult_m2):
     """The sigma, covariance and null-vanishing residuals of the recovered
     representation are part of V0_star_hom and V_semigroup: breaking the
     covariance of the recovered maps shows in V_semigroup."""
     bundle = bundle_of(mult_m2, (2, 2))
-    _push_off_the_dilation(bundle, 1e-3)
+    _push_off_the_dilation(monkeypatch, 1e-3)
     got = verify_regular_dilation(bundle)
     module = validate_module(bundle.isometric_rep, bundle.factor)
     assert module["covariance_1"] > 1e-5
@@ -588,7 +620,7 @@ def test_localized_build_Vs_equals_raw_domain_solve(name, gen_args, bound):
 
 @pytest.mark.parametrize("name, gen_args, bound", STACKED_VERIFY_CASES)
 @pytest.mark.parametrize("eps", [0.0, 1e-3])
-def test_V_semigroup_bounds_the_pairwise_law(request, name, gen_args, bound, eps):
+def test_V_semigroup_bounds_the_pairwise_law(monkeypatch, request, name, gen_args, bound, eps):
     """The per-pair law V_{s+t}(U_{s,t}(x (x) y)) = V_s(x) V_t(y) is at most
     the stated constant times the per-point semigroup residual of the loop
     oracle, which test_generator_steps_bound_the_loop_oracle bounds by the
@@ -598,7 +630,7 @@ def test_V_semigroup_bounds_the_pairwise_law(request, name, gen_args, bound, eps
     for by 1e-13."""
     bundle = bundle_of(_instance(request, name, gen_args), bound)
     if eps:
-        _push_off_the_dilation(bundle, eps)
+        _push_off_the_dilation(monkeypatch, eps)
     # guard 0 compares every pair with s + t in the window
     per_point = verify_regular_dilation_loop(bundle, guard=0)["V_semigroup"]
     pairs, const = v_semigroup_pairs(bundle, guard=0)
@@ -636,7 +668,7 @@ def test_generating_vectors_are_stored_localized_only():
 
     inst = parse_instance(generate("multiplication-isometric", seed=0, k=2, dims=2))
     bundle = bundle_of(inst, (1, 1))
-    removed = ("gen_block", "generating_matrix", "build_Vs", "v_raw", "generators", "_cols")
+    removed = ("gen_block", "generating_matrix", "build_Vs", "v_raw", "generators", "_cols", "steps", "solves")
     assert [n for n in removed if hasattr(bundle, n) or hasattr(DilationBundle, n)] == []
     src = Path(dilationlab.__file__).parent
     for path in sorted(src.glob("*.py")):

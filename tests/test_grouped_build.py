@@ -162,7 +162,7 @@ def test_ns_box_builds_each_word_length_once_without_per_pair_recursion(monkeypa
     inst = parse_instance(generate("multiplication-isometric", k=3, dims=2))
     system = inst.system
     cli._validation_section(inst)
-    before = set(system._words)
+    before = set(system._points)
     tensors, isos, depth = [], [], [0]
     interior_tensor, mult_isos = prodsys.interior_tensor, ProductSystem.mult_isos
 
@@ -185,7 +185,7 @@ def test_ns_box_builds_each_word_length_once_without_per_pair_recursion(monkeypa
     monkeypatch.setattr(ProductSystem, "mult_isos", counted_isos)
     monkeypatch.setattr(ProductSystem, "mult_iso", refuse)
     cli._check_section(inst, {"NS_box": [2, 2, 2]})
-    lengths = {len(word) for word in set(system._words) - before}
+    lengths = {sum(s) for s in set(system._points) - before}
     assert lengths == {2, 3, 4, 5, 6}
     assert len(tensors) <= len(lengths)
     assert max(isos) == 1

@@ -6,6 +6,7 @@ from pathlib import Path
 import dilationlab
 
 PACKAGE = Path(dilationlab.__file__).parent
+BENCH = PACKAGE.parents[1] / "bench"
 
 
 def _references(tree: ast.Module, module: str) -> set[tuple[str, str]]:
@@ -53,3 +54,25 @@ def test_every_function_and_class_is_used_by_the_package():
     }
     used = set().union(*(_references(tree, module) for module, tree in trees.items()))
     assert sorted(defined - used) == []
+
+
+def test_every_method_and_property_is_read_outside_its_definition():
+    """Every method and property of a package class, dunder methods aside,
+    is read as an attribute by package or benchmark code (bench/*.py)
+    outside its own definition, so that no cache or helper outlives its
+    last reader. Reads are matched by attribute name."""
+    paths = sorted(PACKAGE.glob("*.py")) + sorted(BENCH.glob("*.py"))
+    trees = {path: ast.parse(path.read_text(encoding="utf-8")) for path in paths}
+    reads = [node for tree in trees.values() for node in ast.walk(tree) if isinstance(node, ast.Attribute)]
+    unread = []
+    for path, tree in trees.items():
+        if path.parent != PACKAGE:
+            continue
+        for cls in (node for node in tree.body if isinstance(node, ast.ClassDef)):
+            for fn in cls.body:
+                if not isinstance(fn, ast.FunctionDef) or (fn.name.startswith("__") and fn.name.endswith("__")):
+                    continue
+                own = {id(node) for node in ast.walk(fn)}
+                if not any(node.attr == fn.name and id(node) not in own for node in reads):
+                    unread.append(f"{path.stem}.{cls.name}.{fn.name}")
+    assert unread == []

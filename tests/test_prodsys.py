@@ -19,6 +19,7 @@ from oracles import (
     check_associativity,
     mult_iso_quotient,
     mult_iso_unitarity,
+    normal_word,
 )
 
 
@@ -59,11 +60,6 @@ def test_associativity(m2_system, scalar_system):
     assert check_associativity(m2_system, (1,), (1,), (1,)) < 1e-10
     assert check_associativity(scalar_system, (1, 0), (0, 1), (1, 1)) < 1e-10
     assert check_associativity(scalar_system, (0, 0), (1, 0), (0, 1)) < 1e-10
-
-
-def test_normal_word():
-    assert ProductSystem.normal_word((2, 0, 1)) == (1, 1, 3)
-    assert ProductSystem.normal_word((0, 0)) == ()
 
 
 def test_invalid_flip_rejected():
@@ -208,7 +204,7 @@ def test_append_map_matches_dense_flip(unitary_flip_rep):
     system = unitary_flip_rep.system
     keys = [(s, i) for s in lattice.box((2, 2)) for i in (1, 2)]
     for (s, i), got in zip(keys, system._append_maps(keys)):
-        want = append_map_dense(system, ProductSystem.normal_word(s), i)
+        want = append_map_dense(system, normal_word(s), i)
         assert np.abs(got - want).max() <= 1e-12, (s, i)
 
 
