@@ -199,11 +199,8 @@ class DilationBundle:
         p_s = sys_.fiber_dim(s)
         d = self.rep.dim
         blocks = []
-        # the points t <= bound - s, in the order of the window's points,
-        # and their multiplication maps from one mult_isos call
-        points = lattice.box(lattice.sub(self.window.bound, s))
-        mus = dict(zip(points[1:], sys_.mult_isos([(s, t) for t in points[1:]])))
-        for t in points:
+        # the points t <= bound - s, in the order of the window's points
+        for t in lattice.box(lattice.sub(self.window.bound, s)):
             st = lattice.add(s, t)
             raw = self.factor[:, self._slice_of[st]] @ self.rep.loc(st).factor
             if lattice.is_zero(st):
@@ -215,7 +212,7 @@ class DilationBundle:
             if not lattice.is_zero(t):
                 # raw (mu (x) I_d) for mu = U_{s,t}, as [a, rank, y, h]: the
                 # p_st axis of raw contracted with mu's rows in one matmul
-                raw = mus[t].T @ raw.reshape(p_st, self.rank * d)
+                raw = sys_.mult_iso(s, t).T @ raw.reshape(p_st, self.rank * d)
                 raw = raw.reshape(p_s, sys_.fiber_dim(t), self.rank, d).transpose(0, 2, 1, 3)
             loc_t = self.rep.loc(t)
             blocks.append(raw.reshape(p_s, self.rank, loc_t.source_dim) @ loc_t.lift)

@@ -16,11 +16,11 @@ the flip check compresses each flip onto the reduced pair words (i, j) and
 (j, i), and the braid check compares the two reduced words of the longest
 permutation of three letters through the multiplication isomorphisms.
 
-Fibers, append maps and multiplication isomorphisms are built level by
-level (word length), for a list of points, keys or pairs at once
-(`plan_levels`, `fill_levels`): the entries of one level and shape take one
-GEMM or one stacked matmul per factor, and are memoized per point, key or
-pair. Generators with equal arrays are validated and reduced as one.
+Fibers are built one word length at a time (`build`): the points of one
+length take one interior_tensor. Append maps and multiplication
+isomorphisms are built one key at a time and memoized; a miss builds the
+missing shorter maps it is composed from in a loop, shortest first
+(`missing`). Generators with equal arrays are validated and reduced as one.
 """
 
 from __future__ import annotations
@@ -119,7 +119,7 @@ class ProductSystem:
                 )
             # E_j (x) E_i -> E_i (x) E_j through the reduced pair words, as
             # q^H F^{-1} q': it inverts phi up to null vectors, which the
-            # maps after it in _append_maps kill, and it factors through
+            # maps after it in _append_map kill, and it factors through
             # X(e_i + e_j), whose dimension is at most m_i m_j. F is
             # invertible once the residual above passes.
             self._inverse_flips[(j, i)] = (q_ij.conj().T, np.linalg.solve(f, q_ji))
@@ -187,8 +187,9 @@ class ProductSystem:
         p_i, p_j, p_l = (self.fiber_dim(e) for e in (e_i, e_j, e_l))
         p_lj = self.fiber_dim(lattice.add(e_l, e_j))
         p_ij = self.fiber_dim(lattice.add(e_i, e_j))
-        outer, lj, inner, ji = self.mult_isos(
-            [(lattice.add(e_l, e_j), e_i), (e_l, e_j), (e_l, lattice.add(e_i, e_j)), (e_j, e_i)]
+        outer, lj, inner, ji = (
+            self.mult_iso(*pair)
+            for pair in ((lattice.add(e_l, e_j), e_i), (e_l, e_j), (e_l, lattice.add(e_i, e_j)), (e_j, e_i))
         )
         p_out = outer.shape[0]  # columns (lj, i)
         # (U_{e_l,e_j} (x) I) acts on the lj slot
@@ -219,28 +220,40 @@ class ProductSystem:
         return inv
 
     def build(self, points) -> None:
-        """Word data of the normal words of the points, and of their
-        prefixes (the point less its last letter), that are not built yet,
-        level by level (|s|): the points of one level take one
-        interior_tensor."""
-        levels = plan_levels(map(tuple, points), self._points, point_back)
-        fill_levels(self._points, levels, lambda s, _plan: min(sum(s), 2), self._point_group)
+        """Word data of the points, and of their prefixes, that are not
+        built yet, one word length at a time: the algebra at 0; a
+        generator's null quotient at a letter, shared by the generators
+        with equal arrays; and for the longer points of one length, one
+        interior_tensor of their prefixes' fibers and last generators. A
+        point whose length is not k raises InvalidArgumentError."""
+        levels: dict[int, dict[lattice.Point, None]] = {}
+        for s in points:
+            for s in missing(self._points, tuple(s), self.prefix):
+                levels.setdefault(sum(s), {})[s] = None
+        for level in sorted(levels):
+            group = list(levels[level])
+            if level == 0:
+                self._points[group[0]] = _WordData(algebra_correspondence(self.algebra), None)
+            elif level == 1:
+                for s in group:
+                    first = self._first[lattice.last(s) - 1]
+                    e_first = lattice.unit(self.k, first + 1)
+                    if e_first not in self._points:
+                        self._points[e_first] = _WordData(*reduce_null(self.generators[first], self.tol))
+                    self._points[s] = self._points[e_first]
+            else:
+                pairs = [(self._points[self.prefix(s)].corr, self.generators[lattice.last(s) - 1]) for s in group]
+                tensors = interior_tensor(pairs, self.tol)
+                self._points.update((s, _WordData(*tensor)) for s, tensor in zip(group, tensors))
 
-    def _point_group(self, kind: int, group) -> list[_WordData]:
-        """Word data of the points of one level: the algebra for s = 0
-        (kind 0); a generator's null quotient for a letter (kind 1), shared
-        by the generators with equal arrays; the interior tensor of the
-        prefix's fiber and the last generator (kind 2)."""
-        if kind == 0:
-            return [_WordData(algebra_correspondence(self.algebra), None)]
-        if kind == 1:
-            firsts = [lattice.unit(self.k, self._first[i - 1] + 1) for _s, (i, _prev) in group]
-            for first in firsts:
-                if first not in self._points:
-                    self._points[first] = _WordData(*reduce_null(self.generators[lattice.last(first) - 1], self.tol))
-            return [self._points[first] for first in firsts]
-        pairs = [(self._points[prev].corr, self.generators[i - 1]) for _s, (i, prev) in group]
-        return [_WordData(*tensor) for tensor in interior_tensor(pairs, self.tol)]
+    def prefix(self, s: lattice.Point) -> lattice.Point | None:
+        """The prefix of s, the point less the last letter of its normal
+        word, from which the word data and t_raw at s are built; None for
+        s = 0. A point whose length is not k raises InvalidArgumentError."""
+        if len(s) != self.k:
+            raise InvalidArgumentError(f"point {s} has length {len(s)}, expected k = {self.k}")
+        i = lattice.last(s)
+        return lattice.step(s, i, -1) if i else None
 
     def point_data(self, s: lattice.Point) -> _WordData:
         """Word data of the normal word of the point s, built on first use."""
@@ -256,9 +269,8 @@ class ProductSystem:
     def fiber_dim(self, s: lattice.Point) -> int:
         return self.point_data(s).corr.dim
 
-    def _append_maps(self, keys) -> list[np.ndarray]:
-        """Reduced maps A(m, i): X(m) (x) E_i -> X(m + e_i) of the keys
-        (m, i), m a point.
+    def _append_map(self, m: lattice.Point, i: int) -> np.ndarray:
+        """Reduced map A(m, i): X(m) (x) E_i -> X(m + e_i), m a point.
 
         With j the last letter of m's normal word, A(m, i) is the surjection
         last_q of m + e_i when j <= i. Otherwise the letter i moves left past
@@ -268,68 +280,61 @@ class ProductSystem:
             A(m, i) = last_q(m + e_i) (A(m', i) (x) I_{m_j}) (I_{p_m'} (x) L) Y,
             Y = (I_{p_m'} (x) R) (last_q(m)^H (x) I_{m_i}),
 
-        so nothing of size p_m' m_i m_j x p_m m_i is formed. The keys not
-        cached yet, and the shorter keys they need, are built level by
-        level (|m|). The keys of one level and shape, whatever their
-        letters, take one stacked matmul per factor.
+        so nothing of size p_m' m_i m_j x p_m m_i is formed. A miss builds
+        the missing maps of the chain A(m', i), ... shortest first.
         """
-        levels = plan_levels(keys, self._appends, self._append_back)
-        if levels:
-            self.build([p for level in levels.values() for (m, _i), (*_, out) in level.items() for p in (m, out)])
-            fill_levels(self._appends, levels, self._append_shape, self._append_group)
-        return [self._appends[key] for key in keys]
+        cached = self._appends.get((m, i))
+        if cached is not None:
+            return cached
+        for m, i in missing(self._appends, (m, i), self._append_back):
+            j, out = lattice.last(m), lattice.step(m, i, 1)
+            if j <= i:
+                self._appends[(m, i)] = self.point_data(out).last_q
+                continue
+            prefix = lattice.step(m, j, -1)
+            m_i, m_j = self.generators[i - 1].dim, self.generators[j - 1].dim
+            left, right = self._inverse_flips[(j, i)]
+            p_pair = right.shape[0]
+            # a one-letter word's prefix is scalar
+            p_prefix = self.fiber_dim(prefix) if any(prefix) else 1
+            # Y: rows (m', m) of the peeled last_q(m)^H times R on its j slot
+            # -> [(m', r), (m, i)]
+            peel = self.point_data(m).last_q.conj()
+            p_m = peel.shape[0]
+            peel = peel.reshape(p_m, p_prefix, m_j).transpose(1, 0, 2).reshape(p_prefix * p_m, m_j)
+            right = right.reshape(p_pair, m_j, m_i).transpose(1, 0, 2).reshape(m_j, p_pair * m_i)
+            y = (peel @ right).reshape(p_prefix, p_m, p_pair, m_i).transpose(0, 2, 1, 3)
+            # (A(m', i) (x) I_{m_j})(I (x) L): rows (mid, m') of A(m', i)
+            # times L on its i slot -> [(mid, j), (m', r)]
+            prev = self._appends[(prefix, i)]
+            p_mid = prev.shape[0]
+            z = prev.reshape(p_mid * p_prefix, m_i) @ left.reshape(m_i, m_j * p_pair)
+            z = z.reshape(p_mid, p_prefix, m_j, p_pair).transpose(0, 2, 1, 3)
+            # the last_q that appends j to m' + e_i
+            rejoin = self.point_data(out).last_q @ z.reshape(p_mid * m_j, p_prefix * p_pair)
+            self._appends[(m, i)] = rejoin @ y.reshape(p_prefix * p_pair, p_m * m_i)
+        return self._appends[(m, i)]
 
     @staticmethod
     def _append_back(key):
-        """Level |m| of the key (m, i), the key (m', i) A(m, i) is built
-        from (None when j <= i) and the plan (j or 0 when j <= i, m', m + e_i)."""
+        """The key (m', i) that A(m, i) is built from, None when j <= i."""
         m, i = key
-        j, out = lattice.last(m), lattice.step(m, i, 1)
-        if j <= i:
-            return sum(m), None, (0, None, out)
-        prefix = lattice.step(m, j, -1)
-        return sum(m), (prefix, i), (j, prefix, out)
-
-    def _append_shape(self, key, plan) -> tuple[int, ...]:
-        (m, i), (j, prefix, out) = key, plan
-        if not j:
-            return ()
-        dim, m_i, m_j = self._points, self.generators[i - 1].dim, self.generators[j - 1].dim
-        # a one-letter word's prefix is scalar
-        p_prefix = dim[prefix].corr.dim if any(prefix) else 1
-        shape = (m_i, m_j, self._inverse_flips[(j, i)][1].shape[0], p_prefix, dim[m].corr.dim)
-        return shape + (dim[lattice.step(prefix, i, 1)].corr.dim, dim[out].corr.dim)
-
-    def _append_group(self, shape, group) -> list[np.ndarray] | np.ndarray:
-        points, c = self._points, len(group)
-        if not shape:  # no flip: the surjection last_q of m + e_i
-            return [points[out].last_q for _key, (*_, out) in group]
-        m_i, m_j, p_pair, p_prefix, p_m, p_mid, _p_out = shape
-        flips = [self._inverse_flips[(j, i)] for (_m, i), (j, _prefix, _out) in group]
-        # Y: rows (m', m) of the peeled last_q(m)^H times R on its j slot
-        # -> [x, (m', r), (m, i)]
-        peel = np.array([points[m].last_q for (m, _i), _plan in group]).conj()
-        peel = peel.reshape(c, p_m, p_prefix, m_j).transpose(0, 2, 1, 3).reshape(c, p_prefix * p_m, m_j)
-        right = np.array([flip[1] for flip in flips]).reshape(c, p_pair, m_j, m_i)
-        right = right.transpose(0, 2, 1, 3).reshape(c, m_j, p_pair * m_i)
-        y = (peel @ right).reshape(c, p_prefix, p_m, p_pair, m_i).transpose(0, 1, 3, 2, 4)
-        # (A(m', i) (x) I_{m_j})(I (x) L): rows (mid, m') of A(m', i) times L
-        # on its i slot -> [x, (mid, j), (m', r)]
-        prev = np.array([self._appends[(prefix, i)] for (_m, i), (_j, prefix, _out) in group])
-        left = np.array([flip[0] for flip in flips]).reshape(c, m_i, m_j * p_pair)
-        z = (prev.reshape(c, p_mid * p_prefix, m_i) @ left).reshape(c, p_mid, p_prefix, m_j, p_pair)
-        z = z.transpose(0, 1, 3, 2, 4)
-        # the last_q that appends j to m' + e_i
-        rejoin = np.array([points[out].last_q for _key, (*_, out) in group])
-        rejoin = rejoin @ z.reshape(c, p_mid * m_j, p_prefix * p_pair)
-        return rejoin @ y.reshape(c, p_prefix * p_pair, p_m * m_i)
+        j = lattice.last(m)
+        return (lattice.step(m, j, -1), i) if j > i else None
 
     # -- multiplication isomorphisms ----------------------------------------
 
     def mult_iso(self, s: lattice.Point, t: lattice.Point) -> np.ndarray:
         """U_{s,t}: reduced fiber(s) (x) fiber(t) -> fiber(s+t), in coordinates:
-        the map mu of the p_s * p_t tensor coordinates x (x) y onto X(s+t),
-        looked up in the cache that `mult_isos` fills.
+        the map mu of the p_s * p_t tensor coordinates x (x) y onto X(s+t).
+        For the last letter i of t and t' = t - e_i,
+
+            U_{s,t} = A(s + t', i) (U_{s,t'} (x) I_{m_i}) (I_{p_s} (x) last_q(t)^H),
+
+        with A the append maps of `_append_map` and U_{s,0} (x) I_{m_i} read
+        as the identity. A miss builds the missing maps of the chain
+        U_{s,t'}, ... shortest first. A point whose length is not k raises
+        InvalidArgumentError.
 
         mu vanishes on the null vectors of the interior tensor, so ``mu q^H``
         is the unitary U on the quotient coordinates of any surjection q with
@@ -338,115 +343,55 @@ class ProductSystem:
         q^H pinv(U) because U is invertible and q a coisometry. For s = 0 or
         t = 0, mu is the left or right action map of A = X(0).
         """
-        cached = self._isos.get((tuple(s), tuple(t)))
-        if cached is None:
-            [cached] = self.mult_isos([(s, t)])
-        return cached
-
-    def mult_isos(self, pairs) -> list[np.ndarray]:
-        """mult_iso of each pair (s, t). The pairs not cached yet, and the
-        shorter pairs they are composed from, are built level by level
-        (|t|): for the last letter i of t and t' = t - e_i,
-
-            U_{s,t} = A(s + t', i) (U_{s,t'} (x) I_{m_i}) (I_{p_s} (x) last_q(t)^H),
-
-        with A the append maps of `_append_maps` and U_{s,0} (x) I_{m_i}
-        read as the identity. The pairs of one level and shape take one
-        stacked matmul per factor.
-        """
-        pairs = [(tuple(s), tuple(t)) for s, t in pairs]
-        levels = plan_levels(pairs, self._isos, self._iso_back)
-        if levels:
-            entries = [(s, t, *plan) for level in levels.values() for (s, t), plan in level.items()]
-            self.build([p for s, t, *_plan in entries for p in (s, t)])
-            self._append_maps([(mid, i) for _s, _t, i, _prev, mid in entries if i])
-            fill_levels(self._isos, levels, self._iso_shape, self._iso_group)
-        return [self._isos[pair] for pair in pairs]
+        key = (tuple(s), tuple(t))
+        cached = self._isos.get(key)
+        if cached is not None:
+            return cached
+        self.build(key)
+        for s, t in missing(self._isos, key, self._iso_back):
+            if not any(s):  # left action of A = X(0) on the fiber
+                ct = self.fiber(t)
+                mu = np.transpose(ct.left_action, (1, 0, 2)).reshape(ct.dim, self.algebra.dim * ct.dim)
+            elif not any(t):  # right action of A = X(0) on the fiber
+                cs = self.fiber(s)
+                mu = np.transpose(cs.right_action, (1, 2, 0)).reshape(cs.dim, cs.dim * self.algebra.dim)
+            else:
+                i = lattice.last(t)
+                prev = lattice.step(t, i, -1)
+                m_i, p_s = self.generators[i - 1].dim, self.fiber_dim(s)
+                # t' = 0 has a scalar fiber slot
+                p_prev = self.fiber_dim(prev) if any(prev) else 1
+                append = self._append_map(lattice.add(s, prev), i)
+                p_out, p_mid = append.shape[0], append.shape[1] // m_i
+                # (U_{s,t'} (x) I_{m_i}) on the (s + t') slot: [(out, i), (s, t')]
+                mu = append.reshape(p_out, p_mid, m_i).transpose(0, 2, 1).reshape(p_out * m_i, p_mid)
+                if any(prev):
+                    mu = mu @ self._isos[(s, prev)]
+                mu = mu.reshape(p_out, m_i, p_s, p_prev).transpose(0, 2, 3, 1)
+                # (I_{p_s} (x) last_q(t)^H) on the (t', i) columns
+                split = self.point_data(t).last_q.conj().T
+                mu = (mu.reshape(p_out * p_s, p_prev * m_i) @ split).reshape(p_out, p_s * split.shape[1])
+            self._isos[(s, t)] = mu
+        return self._isos[key]
 
     @staticmethod
     def _iso_back(pair):
-        """Level |t| of the pair (s, t), the pair (s, t') U_{s,t} is built
-        from (None for t' = 0 or an action map) and the plan (i, t',
-        s + t'), with i = 0 for an action map."""
+        """The pair (s, t') that U_{s,t} is built from, None for an action
+        map or t' = 0."""
         s, t = pair
-        i = lattice.last(t) if any(s) else 0
-        if not i:
-            return sum(t), None, (0, t, s)
-        prev = lattice.step(t, i, -1)
-        return sum(t), ((s, prev) if any(prev) else None), (i, prev, lattice.add(s, prev))
-
-    def _iso_shape(self, pair, plan) -> tuple:
-        (s, t), (i, prev, mid) = pair, plan
-        if not any(s):
-            return ("left",)
-        if not i:
-            return ("right",)
-        dim = self._points
-        # t' = 0 has a scalar fiber slot
-        p_prev = dim[prev].corr.dim if any(prev) else 1
-        shape = (any(prev), self.generators[i - 1].dim, dim[s].corr.dim, p_prev, dim[t].corr.dim)
-        return shape + (dim[mid].corr.dim, self._appends[(mid, i)].shape[0])
-
-    def _iso_group(self, shape, group) -> list[np.ndarray] | np.ndarray:
-        points, c, adim = self._points, len(group), self.algebra.dim
-        if shape == ("left",):  # left action of A = X(0) on the fiber
-            cts = [points[t].corr for (_s, t), _plan in group]
-            return [np.transpose(ct.left_action, (1, 0, 2)).reshape(ct.dim, adim * ct.dim) for ct in cts]
-        if shape == ("right",):  # right action of A = X(0) on the fiber
-            css = [points[s].corr for (s, _t), _plan in group]
-            return [np.transpose(cs.right_action, (1, 2, 0)).reshape(cs.dim, cs.dim * adim) for cs in css]
-        has_prev, m_i, p_s, p_prev, p_t, p_mid, p_out = shape
-        append = np.array([self._appends[(mid, i)] for _pair, (i, _prev, mid) in group])
-        # (U_{s,t'} (x) I_{m_i}) on the (s + t') slot: [x, (out, i), (s, t')]
-        mu = append.reshape(c, p_out, p_mid, m_i).transpose(0, 1, 3, 2).reshape(c, p_out * m_i, p_mid)
-        if has_prev:
-            mu = mu @ np.array([self._isos[(s, prev)] for (s, _t), (_i, prev, _mid) in group])
-        mu = mu.reshape(c, p_out, m_i, p_s, p_prev).transpose(0, 1, 3, 4, 2)
-        # (I_{p_s} (x) last_q(t)^H) on the (t', i) columns
-        split = np.array([points[t].last_q for (_s, t), _plan in group]).conj().transpose(0, 2, 1)
-        return (mu.reshape(c, p_out * p_s, p_prev * m_i) @ split).reshape(c, p_out, p_s * p_t)
+        return (s, lattice.step(t, lattice.last(t), -1)) if any(s) and sum(t) > 1 else None
 
 
-def point_back(s: lattice.Point):
-    """Level |s| of the point s, the point prev = s - e_i that an entry at
-    s is built from for the last letter i of s, and the plan (i, prev);
-    i = 0, and nothing to build from, for s = 0."""
-    i = lattice.last(s)
-    if not i:
-        return 0, None, (0, s)
-    prev = lattice.step(s, i, -1)
-    return sum(s), prev, (i, prev)
-
-
-def plan_levels(keys, cache: dict, back) -> dict[int, dict]:
-    """The keys not in `cache` and the entries they are built from, by
-    level: back(key) gives the key's level, the key it is built from (None
-    when it needs none) and its plan, what building it needs. Walking back
-    stops at a cached or already planned key. Returns {level: {key: plan}}."""
-    levels: dict[int, dict] = {}
-    for key in keys:
-        while key is not None and key not in cache:
-            level, prev, plan = back(key)
-            planned = levels.setdefault(level, {})
-            if key in planned:
-                break
-            planned[key] = plan
-            key = prev
-    return levels
-
-
-def fill_levels(cache: dict, levels: dict[int, dict], shape_of, build_group) -> None:
-    """Fill `cache` with the planned entries, lowest level first, so an
-    entry finds the shorter ones it is built from: the entries of one level
-    are grouped by shape_of(key, plan), and build_group(shape, group) gives
-    the values of a group's (key, plan) entries in their order, one stack
-    or a list."""
-    for level in sorted(levels):
-        groups: dict = {}
-        for key, plan in levels[level].items():
-            groups.setdefault(shape_of(key, plan), []).append((key, plan))
-        for shape, group in groups.items():
-            cache.update(zip((key for key, _plan in group), build_group(shape, group)))
+def missing(cache: dict, key, back) -> list:
+    """The keys that building `key` needs and `cache` lacks, shortest
+    first, `key` last: back(key) is the key that key is built from, None
+    when it needs none. The walk back is a loop, so a long chain takes no
+    recursion."""
+    keys = []
+    while key is not None and key not in cache:
+        keys.append(key)
+        key = back(key)
+    return keys[::-1]
 
 
 def _equal(x: np.ndarray, y: np.ndarray) -> bool:

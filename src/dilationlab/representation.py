@@ -4,11 +4,12 @@ A representation is given by a unital *-representation sigma of the
 coefficient algebra on H = C^d and, per generator E_i, one d x d matrix per
 basis vector of E_i. The raw maps of the contractions T~_s for arbitrary
 lattice points are assembled by composing generator factors right-to-left in
-normal order. Every localized map is a lowering block Theta(t, s), the
-descent of I (x) T~_s: loc(t) -> loc(t - s) through the fiber quotients, so
-T~_s is Theta(s, s). The localizations and the blocks come from one plural
-method, CCRepresentation.build, which computes the missing ones of a list
-of points and (t, s) keys in stacks grouped by shape and caches them; the
+normal order, one point at a time, and memoized (`t_raw`). Every localized
+map is a lowering block Theta(t, s), the descent of I (x) T~_s:
+loc(t) -> loc(t - s) through the fiber quotients, so T~_s is Theta(s, s).
+The localizations and the blocks come from one plural method,
+CCRepresentation.build, which computes the missing ones of a list of
+points and (t, s) keys in stacks grouped by shape and caches them; the
 commutation relation of validation, the doubly-commuting identity and the
 Brehmer-type sums are read off the same blocks the hat semigroup is built
 from, each check requesting its whole key set in one call.
@@ -36,7 +37,7 @@ from .correspondence import (
 from .cstar import CStarAlgebra
 from .errors import InvalidArgumentError, NotWellDefinedError
 from .linalg import DEFAULT_TOL, as_data, hermitize, max_opnorm, opnorm
-from .prodsys import ProductSystem, fill_levels, plan_levels, point_back
+from .prodsys import ProductSystem, missing
 
 
 @dataclass(frozen=True)
@@ -113,18 +114,18 @@ class CCRepresentation:
         of the (t, s) keys, that are not cached yet, in stacks grouped by
         shape. Returns the blocks of the keys, in their order.
 
-        The fibers are built level by level (ProductSystem.build) and the
-        localizations take one `localize` per fiber dimension. A block with
-        0 < s < t is the descent of (I (x) t_raw(s))(split (x) I_d), split =
+        The fibers take one ProductSystem.build and the localizations one
+        `localize` per fiber dimension. A block with 0 < s < t is the
+        descent of (I (x) t_raw(s))(split (x) I_d), split =
         mu^H (mu mu^H)^{-1} the pseudo-inverse of mu = U_{t-s,s}, which is
-        onto X(t); one with s = t is the descent of t_raw(s). The mu of all
-        the keys take one `mult_isos` call and their t_raw one `_t_raws`
-        call, each level by level. The blocks of one (mu shape, loc ranks)
-        group take one stacked solve, one stacked product with t_raw(s) and
-        one stacked `descend_map`, so they agree with a key-by-key
-        computation up to rounding. A key whose split is singular or whose
-        map does not descend raises NotWellDefinedError; of several, the
-        first in the order of `keys` raises, as a key-by-key loop would.
+        onto X(t); one with s = t is the descent of t_raw(s). The blocks of
+        one (mu shape, loc ranks) group take one stacked solve, one stacked
+        product with t_raw(s) and one stacked `descend_map`, so they agree
+        with a key-by-key computation up to rounding. A key whose split is
+        singular or whose map does not descend raises NotWellDefinedError;
+        of several, the first in the order of `keys` raises, as a
+        key-by-key loop would. A point whose length is not k raises
+        InvalidArgumentError.
         """
         lowering, locs, d = self._lowering, self._loc, self.dim
         keys = [(tuple(t), tuple(s)) for t, s in keys]
@@ -138,28 +139,22 @@ class CCRepresentation:
                     raise InvalidArgumentError(f"lowering needs s <= t, got s={s}, t={t}")
         wanted = [*map(tuple, points), *(p for (t, _s), rest in new.items() for p in (t, rest))]
         self._localize([p for p in dict.fromkeys(wanted) if p not in locs])
-        if not new:
-            return [lowering[key] for key in keys]
-        self._t_raws([s for _t, s in new if any(s)])
-        pairs, groups = [], {}
+        groups = {}
         for (t, s), rest in new.items():
             if not any(s):
                 lowering[(t, s)] = np.eye(locs[t].rank)
                 continue
             top = not any(rest)
-            if not top:
-                pairs.append((rest, s))
             # raw dimensions p d of loc(t), loc(t - s) and t_raw(s), then loc ranks
             source, target = locs[t], locs[rest]
-            shape = (top, source.source_dim, target.source_dim, self._t_raw[s].shape[1], source.rank, target.rank)
+            shape = (top, source.source_dim, target.source_dim, self.t_raw(s).shape[1], source.rank, target.rank)
             groups.setdefault(shape, []).append((t, s, rest))
-        mus = dict(zip(pairs, self.system.mult_isos(pairs)))
         failures: dict[tuple[lattice.Point, lattice.Point], NotWellDefinedError] = {}
         for (top, raw_t, raw_rest, raw_s, _rank_t, _rank_rest), group in groups.items():
             if top:
                 raw = np.array([self.t_raw(s) for _t, s, _rest in group])
             else:
-                group, raw = self._lowering_raw(group, mus, raw_t // d, raw_rest // d, raw_s // d, failures)
+                group, raw = self._lowering_raw(group, raw_t // d, raw_rest // d, raw_s // d, failures)
             if not group:
                 continue
             sources = [locs[t] for t, _s, _rest in group]
@@ -191,14 +186,13 @@ class CCRepresentation:
             fibers = [self.system.fiber(s) for s in group]
             self._loc.update(zip(group, localize(fibers, self.sigma.mats, self.tol)))
 
-    def _lowering_raw(self, group, mus, p_t: int, p_rest: int, p_s: int, failures):
+    def _lowering_raw(self, group, p_t: int, p_rest: int, p_s: int, failures):
         """The raw maps X(t) (x) H -> X(t-s) (x) H of I (x) T~_s for the
         (t, s, t - s) of one shape with 0 < s < t, as a stack, with the
-        entries they are for, from the mu = U_{t-s,s} in `mus` by (t - s, s):
-        an entry whose mu mu^H is singular is left out, its error in
-        `failures`."""
+        entries they are for, from mu = U_{t-s,s}: an entry whose mu mu^H
+        is singular is left out, its error in `failures`."""
         d = self.dim
-        mu = np.array([mus[(rest, s)] for _t, s, rest in group])
+        mu = np.array([self.system.mult_iso(rest, s) for _t, s, rest in group])
         gram = mu @ np.swapaxes(mu.conj(), 1, 2)
         try:
             split_h = np.linalg.solve(gram, mu)  # adjoint of p_t -> p_rest p_s
@@ -259,44 +253,28 @@ class CCRepresentation:
         """d x (p_s d) map on reduced-fiber (x) H raw coordinates:
         t_raw(prev) (I_{p_prev} (x) gen_t_raw(i)) (last_q^H (x) I_d) for the
         last letter i of s and prev = s - e_i, each identity factor applied
-        by reshaping; looked up in the cache that `_t_raws` fills."""
+        by reshaping, and I_d at s = 0. A miss builds the missing maps of the
+        chain t_raw(prev), ... shortest first. A point whose length is not k
+        raises InvalidArgumentError."""
         s = tuple(s)
         cached = self._t_raw.get(s)
-        if cached is None:
-            self._t_raws([s])
-            cached = self._t_raw[s]
-        return cached
-
-    def _t_raws(self, points) -> None:
-        """t_raw of the points and of their prefixes that are not cached
-        yet, level by level (|s|): the points of one level and shape take
-        one stacked matmul with their generators' gen_t_raw and one with
-        their last_q."""
-        levels = plan_levels(map(tuple, points), self._t_raw, point_back)
-        if levels:
-            self.system.build([s for level in levels.values() for s in level])
-            fill_levels(self._t_raw, levels, self._t_raw_shape, self._t_raw_group)
-
-    def _t_raw_shape(self, s, plan) -> tuple[int, ...]:
-        i, prev = plan
-        if not i:
-            return ()
-        # t_raw(0) = I_d has a scalar fiber slot
-        dim = self.system.fiber_dim
-        return (i, dim(prev) if any(prev) else 1, dim(s))
-
-    def _t_raw_group(self, shape, group) -> list[np.ndarray] | np.ndarray:
-        d, c = self.dim, len(group)
-        if not shape:
-            return [np.eye(d) for _entry in group]
-        i, p_prev, p_s = shape
-        m_i = self.t_maps[i - 1].shape[0]
-        # rows (h', a) of t_raw(prev) times gen_t_raw(i), as [x, (a, b), (h', h)]
-        t_prev = np.array([self._t_raw[prev] for _s, (_i, prev) in group]).reshape(c * d * p_prev, d)
-        raw = (t_prev @ self.gen_t_raw(i)).reshape(c, d, p_prev * m_i, d).transpose(0, 2, 1, 3)
-        last_q = np.array([self.system.point_data(s).last_q for s, _plan in group]).conj()
-        out = (last_q @ raw.reshape(c, p_prev * m_i, d * d)).reshape(c, p_s, d, d)
-        return out.transpose(0, 2, 1, 3).reshape(c, d, p_s * d)
+        if cached is not None:
+            return cached
+        system, d = self.system, self.dim
+        for s in missing(self._t_raw, s, system.prefix):
+            i = lattice.last(s)
+            if not i:
+                self._t_raw[s] = np.eye(d)
+                continue
+            last_q = system.point_data(s).last_q
+            m_i = self.t_maps[i - 1].shape[0]
+            p_s, p_prev = last_q.shape[0], last_q.shape[1] // m_i
+            # rows (h', a) of t_raw(prev) times gen_t_raw(i), as [(a, b), (h', h)]
+            t_prev = self._t_raw[lattice.step(s, i, -1)].reshape(d * p_prev, d)
+            raw = (t_prev @ self.gen_t_raw(i)).reshape(d, p_prev * m_i, d).transpose(1, 0, 2)
+            out = (last_q.conj() @ raw.reshape(p_prev * m_i, d * d)).reshape(p_s, d, d)
+            self._t_raw[s] = out.transpose(1, 0, 2).reshape(d, p_s * d)
+        return self._t_raw[s]
 
 
 def validate_module(rep: CCRepresentation, vectors: np.ndarray | None = None) -> dict[str, float]:

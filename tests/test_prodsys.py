@@ -199,13 +199,13 @@ def test_mu_is_the_projected_quotient_map(request, name):
 
 
 def test_append_map_matches_dense_flip(unitary_flip_rep):
-    """The reshaped flip of _append_maps equals the dense I (x) flip product
+    """The reshaped flip of _append_map equals the dense I (x) flip product
     on every normal word of the box and each appended letter."""
     system = unitary_flip_rep.system
-    keys = [(s, i) for s in lattice.box((2, 2)) for i in (1, 2)]
-    for (s, i), got in zip(keys, system._append_maps(keys)):
-        want = append_map_dense(system, normal_word(s), i)
-        assert np.abs(got - want).max() <= 1e-12, (s, i)
+    for s in lattice.box((2, 2)):
+        for i in (1, 2):
+            want = append_map_dense(system, normal_word(s), i)
+            assert np.abs(system._append_map(s, i) - want).max() <= 1e-12, (s, i)
 
 
 def test_inverse_flip_on_the_reduced_pair_words_inverts_the_flip(unitary_flip_rep):

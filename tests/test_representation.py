@@ -305,3 +305,45 @@ def test_commutation_residual_matches_raw_pair_oracle(request):
                 assert abs(got - want) <= 1e-13 * max(1.0, want), (name, i, j, got, want)
                 seen_nonzero |= want > 1e-3
     assert seen_nonzero
+
+
+WRONG_LENGTH_CALLS = {
+    "point_data-long-past-k": lambda rep: rep.system.point_data((2, 0, 1)),
+    "point_data-long": lambda rep: rep.system.point_data((1, 0, 0)),
+    "point_data-short": lambda rep: rep.system.point_data((1,)),
+    "fiber": lambda rep: rep.system.fiber((1, 1, 1)),
+    "mult_iso-t": lambda rep: rep.system.mult_iso((1, 0), (0, 1, 0)),
+    "mult_iso-s": lambda rep: rep.system.mult_iso((0, 0, 1), (1, 0)),
+    "system-build": lambda rep: rep.system.build([(1, 0), (0, 2, 0)]),
+    "rep-build": lambda rep: rep.build(points=[(0, 0, 0)]),
+    "loc": lambda rep: rep.loc((1, 0, 0)),
+    "lowering_block": lambda rep: rep.lowering_block((1, 1, 0), (1, 0, 0)),
+    "t_raw": lambda rep: rep.t_raw((1, 0, 0)),
+}
+
+
+@pytest.mark.parametrize("call", list(WRONG_LENGTH_CALLS.values()), ids=list(WRONG_LENGTH_CALLS))
+def test_wrong_length_points_raise(call):
+    """A point whose length is not k raises InvalidArgumentError from every
+    method that looks one up, and caches nothing for it."""
+    rep = parse_instance(generate("diagonal-doubly-commuting", k=2, dims=2)).representation
+    with pytest.raises(InvalidArgumentError, match="length"):
+        call(rep)
+    caches = (rep.system._points, rep.system._isos, rep._loc, rep._t_raw, rep._lowering)
+    assert all(len(key) == 2 for cache in caches for key in cache)
+
+
+def test_deep_points_build_without_recursion():
+    """Maps at points 1500 letters long are built by loops: a fiber, a
+    multiplication map, a t_raw and a lowering block over k = 1, and over
+    k = 2 a lowering block whose append chain is 1500 maps long."""
+    rep = parse_instance(generate("diagonal-doubly-commuting", k=1, dims=2)).representation
+    system = rep.system
+    assert system.fiber((1500,)).dim == 1
+    assert system.mult_iso((1,), (1500,)).shape == (1, 1)
+    assert rep.t_raw((1500,)).shape == (2, 2)
+    assert rep.lowering_block((1500,), (1400,)).shape == (rep.loc((1500,)).rank, rep.loc((100,)).rank)
+    rep = parse_instance(generate("diagonal-doubly-commuting", k=2, dims=2)).representation
+    block = rep.lowering_block((1, 1500), (1, 0))
+    assert block.shape == (rep.loc((1, 1500)).rank, rep.loc((0, 1500)).rank)
+    assert len(rep.system._appends) >= 1500
