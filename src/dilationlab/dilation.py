@@ -2,54 +2,55 @@
 generating-vector kernel.
 
 The minimal dilation space is spanned by the generating vectors
-delta_s . x (x) h, s in a lattice window W. Their
-kernel has block (t, s) = Theta(t, t-m)^H Theta(s, s-m) with m = t ^ s and
-Theta the lowering blocks of the representation, so it is built without
-forming any T^ matrix and has dimension sum over s in W of rank loc(s). It
-is positive semidefinite exactly when a regular isometric dilation exists
-for the windowed data: its minimum eigenvalue is the window's psd_margin,
-and the rank of its factor R, reported as window.rank, is dim K_min. The
-generating vectors at s are the columns of R at s, in the localized
+delta_s . x (x) h, s in a lattice window W. Their kernel K has block
+(t, s) = Theta(t, t-m)^H Theta(s, s-m) with m = t ^ s and Theta the
+lowering blocks of the representation, so it is built without forming any
+T^ matrix and has dimension sum over s in W of rank loc(s). It is positive
+semidefinite exactly when a regular isometric dilation exists for the
+windowed data: its minimum eigenvalue is the window's psd_margin, and the
+rank of its factor R, reported as window.rank, is dim K_min.
+
+R comes from the Brehmer defects (Brehmer 1961; Solel, Math. Proc. R. Ir.
+Acad. 108 (2008)) Delta(r) = sum over u in supp r of (-1)^|u|
+Theta(r, e_u)^H Theta(r, e_u), e_u the sum of the e_i over i in u, and
+Delta(0) = I. With F the unit upper block-triangular matrix of blocks
+F[r, s] = Theta(s, s - r), r <= s, T^'s semigroup law makes K the
+congruence F^H diag(Delta(r)) F. So R = S F, S = (+) Lambda_r^{1/2} W_r^H
+from one small eigh Delta(r) = W_r Lambda_r W_r^H per point, keeping the
+eigenvalues above tol times the largest of them all. R's rows are
+independent, so X = F^{-1} S^+ is a right inverse, and F^{-1} is sparse:
+F^{-1}[r - e_u, r] = (-1)^|u| Theta(r, e_u), the blocks Delta(r) reads.
+
+The generating vectors at s are the columns of R at s, in the localized
 coordinates of loc(s), and are stored in no other form: they are taken to
 raw fiber (x) H coordinates, by the localization factor F_s, only where a
 fiber action is applied to them. V_0 and the generator isometries V_{e_i}
 are recovered by one least-squares path from their defining action on the
-localized generating vectors; every other V_s is their composition in
-normal order. The recovered maps form an isometric CCRepresentation on C^p,
-so its module relations are checked by the same code as those of
-(sigma, T). The semigroup law, minimality (its part on the generating
-vectors at 0), item 4 and the isometry are checked at V_0 and the V_{e_i}
-only; at a composite V_s they are bounded by those residuals, as
-verify_regular_dilation states. Regularity compares the factor's inner
-products with the kernel blocks of points of disjoint support,
-Theta(t, t)^H Theta(s, s). Identities involving adjoints are window
-compressions, so they are checked on vectors generated at lattice points
-at least a guard margin g inside the window.
+localized generating vectors, each solve taking X and no factorization:
+V_0 all of it, and V_{e_i} its restriction to the down-set D of points
+t <= bound - e_i, on which R is S F over D and zero in the other rows.
+Every other V_s is their composition in normal order. The recovered maps
+form an isometric CCRepresentation on C^p, whose module relations are
+checked by the same code as those of (sigma, T). The semigroup law,
+minimality, item 4 and the isometry are checked at V_0 and the V_{e_i}
+only, and bound those at a composite V_s (verify_regular_dilation). Item
+4's P_domain - P_H selects the factor rows of D's points other than 0.
+Regularity compares the factor's inner products with the kernel blocks
+Theta(t, t)^H Theta(s, s) of points of disjoint support. S_0 = I and F's
+first block row holds the Theta(s, s), so regular_item2 and regular_item3
+read 0.0 by construction for this factor; both stay as checks of the
+assembled factor. Identities involving adjoints are window compressions,
+checked on vectors generated at least a guard margin g inside the window;
+the *-homomorphism and doubly-commuting identities of the recovered maps
+are taken in weak form, between generating vectors, as the isometry is.
 
 The recovery is the bundle's one cache: the recovered representation,
 which holds V_0 and one copy of each V_{e_i} (its T map over E_i's basis),
-and the residuals that each step's domain, targets and defect feed before
-they are dropped. A verified bundle so holds dim A + sum of m_i p-square
-arrays beyond its factor.
-
-The dilation is built from one factorization, the eig factor
-R = Lambda^{1/2} W^H of the kernel's eigh; a pivoted Cholesky factor of
-the same kernel only checks that the minimal dilation is unique up to
-unitary equivalence (compare_minimal_dilations).
-
-No p-square factorization repeats what the kernel's eigh already knows.
-R has orthogonal rows, so its pseudo-inverse is R^+ = W Lambda^{-1/2} and
-its singular values are sqrt(Lambda): V_0's solve (domain(0) is all of
-R), the uniqueness intertwiner and dim K_min take no SVD of R. Each
-V_{e_i}'s solve takes one SVD of domain(e_i), which also gives item 4 its
-projector onto that domain. The *-homomorphism identities of V_0 and the
-doubly-commuting identity of the recovered maps are taken in weak form,
-between generating vectors, as the isometry is: they need no operator norm
-on C^p and no localization over V_0, and each states its bound on the
-former operator-norm residual.
-
-The other dilation checks are maxima of operator norms over many small
-blocks, and each is taken with one stacked max_opnorm.
+and the residuals its solves feed. A verified bundle so holds dim A + sum
+of m_i p-square arrays beyond its factor. A pivoted Cholesky factor of the
+same kernel only checks that the minimal dilation is unique up to unitary
+equivalence (compare_minimal_dilations), on an orthonormal basis of
+null R = F^{-1} (the discarded eigenvectors).
 """
 
 from __future__ import annotations
@@ -62,15 +63,7 @@ import numpy as np
 
 from . import lattice
 from .errors import InvalidArgumentError, NotPositiveDefiniteError
-from .linalg import (
-    lstsq_map,
-    max_opnorm,
-    opnorm,
-    pinv_and_range,
-    pivoted_cholesky,
-    psd_factor,
-    rank_mask,
-)
+from .linalg import eigh_by_size, lstsq_map, max_opnorm, opnorm, pivoted_cholesky, rank_mask, warn_degenerate
 from .representation import AlgebraRepresentation, CCRepresentation, validate_module
 
 LSQ_TOL = 1e-8  # consistency tolerance for least-squares operator recovery
@@ -78,28 +71,23 @@ LSQ_TOL = 1e-8  # consistency tolerance for least-squares operator recovery
 
 @dataclass(frozen=True)
 class KernelWindow:
-    """Generating-vector kernel over the window box, with its eigenpairs.
-
-    Rows and columns run over the localized coordinates of loc(s) for each
-    window point s in turn; `slices[i]` holds those of `points[i]`.
-    """
+    """Generating-vector kernel over the window box, its minimum eigenvalue
+    and its unit block-triangular factor F. Rows and columns run over the
+    localized coordinates of loc(s) for each window point s in turn;
+    `slices[i]` holds those of `points[i]`."""
 
     rep: CCRepresentation
     bound: lattice.Point
     points: tuple[lattice.Point, ...]
     slices: tuple[slice, ...]
     gram: np.ndarray = field(compare=False)
-    eigvals: np.ndarray = field(compare=False)
-    eigvecs: np.ndarray = field(compare=False)
-
-    @property
-    def psd_margin(self) -> float:
-        """Minimum eigenvalue; negative when no regular dilation exists."""
-        return float(self.eigvals.min())
+    triangular: np.ndarray = field(compare=False)  # F[r, s] = Theta(s, s - r), r <= s
+    psd_margin: float  # minimum eigenvalue; negative when no regular dilation exists
 
 
 def window_gram(rep: CCRepresentation, bound: lattice.Point) -> KernelWindow:
-    """Kernel of the generating vectors of rep at the points 0 <= s <= bound."""
+    """Kernel of the generating vectors of rep at the points 0 <= s <= bound,
+    with F, whose blocks are among the kernel's."""
     bound = tuple(int(b) for b in bound)
     if len(bound) != rep.system.k or any(b < 0 for b in bound):
         raise InvalidArgumentError(f"bad window bound {bound}")
@@ -113,21 +101,20 @@ def window_gram(rep: CCRepresentation, bound: lattice.Point) -> KernelWindow:
         m = lattice.meet(t, s)
         keys += [(t, lattice.sub(t, m)), (s, lattice.sub(s, m))]
     thetas = rep.build(points=points, keys=keys)
-    slices = []
-    dim = 0
-    for s in points:
-        rank = rep.loc(s).rank
-        slices.append(slice(dim, dim + rank))
-        dim += rank
+    ends = np.cumsum([0, *(rep.loc(s).rank for s in points)]).tolist()
+    slices, dim = tuple(slice(a, b) for a, b in zip(ends, ends[1:])), ends[-1]
 
     gram = np.zeros((dim, dim), dtype=np.result_type(*{theta.dtype for theta in thetas}))
+    triangular = np.zeros_like(gram)
     for n, (a, b) in enumerate(pairs):
         theta_t, theta_s = thetas[2 * n], thetas[2 * n + 1]
         block = theta_t.conj().T @ theta_s
         gram[slices[a], slices[b]] = block
         gram[slices[b], slices[a]] = block.conj().T
-    eigvals, eigvecs = np.linalg.eigh(gram)
-    return KernelWindow(rep, bound, points, tuple(slices), gram, eigvals, eigvecs)
+        if lattice.leq(points[a], points[b]):  # m = t, so theta_s is Theta(s, s - t)
+            triangular[slices[a], slices[b]] = theta_s
+    margin = float(np.linalg.eigvalsh(gram).min())
+    return KernelWindow(rep, bound, points, slices, gram, triangular, margin)
 
 
 @dataclass(frozen=True)
@@ -146,46 +133,68 @@ class Recovery:
 
 
 class DilationBundle:
-    """Eig factor of a window kernel plus the recovered isometries.
+    """The factor R = S F of a window kernel, its right inverse
+    X = F^{-1} S^+ and an orthonormal basis of its null space, plus the
+    recovered isometries.
 
     The factor's columns at a window point s, `factor[:, slices[s]]`, are
     the generating vectors delta_s . x (x) h in the localized coordinates
     of loc(s); they are the only stored form of the generating vectors.
+    The factor's rows at s are those of S's block at s. The Brehmer defects
+    of a window that is not PSD have negative eigenvalues, which the factor
+    drops like the null ones; kolmogorov refuses such a window.
     """
 
     # Read by nothing in the package: the benchmark's tracer records the
     # factor rank and dim K_min of a bundle whose method is "eig".
     method = "eig"
 
-    def __init__(self, window: KernelWindow, factor: np.ndarray):
+    def __init__(self, window: KernelWindow, tol: float):
         self.window = window
         self.rep = window.rep
-        self.factor = factor
-        self.rank = factor.shape[0]
         self._slice_of = dict(zip(window.points, window.slices))
-
-    @property
-    def eig_split(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The factor's kept eigenvalues Lambda, kept eigenvectors W and
-        discarded eigenvectors W_0, as views of the window's eigenpairs
-        (eigh's eigenvalues ascend, so the kept ones are the last `rank`)."""
-        first = self.window.eigvals.shape[0] - self.rank
-        vecs = self.window.eigvecs
-        return self.window.eigvals[first:], vecs[:, first:], vecs[:, :first]
+        # column r of F^{-1}: the signed blocks (-1)^|u| Theta(r, e_u) =
+        # (-1)^|u| F[r - e_u, r], by the rows r - e_u they sit in
+        inverse = []
+        for r, sl in zip(window.points, window.slices):
+            column = []
+            for u in lattice.subsets(lattice.support(r)):
+                below = self._slice_of[tuple(c - (j in u) for j, c in enumerate(r, 1))]
+                column.append((below, (-1.0) ** len(u), window.triangular[below, sl]))
+            inverse.append(column)
+        # the Brehmer defects; the cutoff is relative to their largest eigenvalue
+        eig = eigh_by_size([sum(sign * th.conj().T @ th for _b, sign, th in col) for col in inverse])
+        vals = np.concatenate([v for v, _w in eig])
+        cutoff = tol * vals.max(initial=0.0)
+        warn_degenerate(vals, cutoff, "kolmogorov")
+        halves = [np.sqrt(v[v > cutoff])[:, None] * w[:, v > cutoff].conj().T for v, w in eig]
+        self.factor = np.concatenate([half @ window.triangular[sl] for half, sl in zip(halves, window.slices)])
+        self.rank = self.factor.shape[0]
+        # F^{-1} (+) W_r, the kept columns scaled by Lambda_r^{-1/2}: X and a basis of null R
+        scaled = np.zeros_like(window.triangular)
+        for (v, w), col, sl in zip(eig, inverse, window.slices):
+            w = w / np.sqrt(np.where(v > cutoff, v, 1.0))
+            for below, sign, theta in col:
+                scaled[below, sl] = sign * (theta @ w)
+        self.right = scaled[:, vals > cutoff]
+        self.null = np.linalg.qr(scaled[:, vals <= cutoff])[0]
+        # the window point of each kernel column and of each factor row
+        self._col_point = np.repeat(np.arange(len(halves)), [sl.stop - sl.start for sl in window.slices])
+        self._row_point = np.repeat(np.arange(len(halves)), [half.shape[0] for half in halves])
 
     # -- generating vectors ---------------------------------------------------
 
+    def _down_set(self, bound: lattice.Point) -> tuple[np.ndarray, np.ndarray]:
+        """The kernel columns of the window points t <= bound, and the mask
+        of their factor rows."""
+        inside = np.array([lattice.leq(t, bound) for t in self.window.points])
+        return np.flatnonzero(inside[self._col_point]), inside[self._row_point]
+
     def localized(self, bound: lattice.Point) -> np.ndarray:
         """Generating vectors at the window points t <= bound in localized
-        coordinates: the factor's rank loc(t) columns at each point."""
-        w = self.window
-        cols = [self.factor[:, sl] for t, sl in zip(w.points, w.slices) if lattice.leq(t, bound)]
-        return np.concatenate(cols, axis=1)
-
-    def domain(self, s: lattice.Point) -> np.ndarray:
-        """Localized generating vectors at the window points t with s + t in
-        the window, on which V_s is defined."""
-        return self.localized(lattice.sub(self.window.bound, s))
+        coordinates: the factor's rank loc(t) columns at each point. Those
+        at bound - s are domain(s), on which V_s is defined."""
+        return self.factor[:, self._down_set(bound)[0]]
 
     def targets(self, s: lattice.Point) -> np.ndarray:
         """The images V_s(e_a) must give domain(s), as a (p_s, p, n) stack:
@@ -219,10 +228,8 @@ class DilationBundle:
         return np.concatenate(blocks, axis=2)
 
     def k_min_rank(self) -> int:
-        """dim K_min: the numerical rank of the localized generating vectors.
-        The factor's singular values are the square roots of its kept
-        eigenvalues, so it takes no SVD."""
-        return int(np.count_nonzero(rank_mask(np.sqrt(self.eig_split[0]))))
+        """dim K_min: the rank of R = S F, whose rows are independent."""
+        return self.rank
 
     # -- recovered operators ----------------------------------------------------
 
@@ -232,34 +239,27 @@ class DilationBundle:
         action on domain(s): V_0 over the algebra basis, and V_{e_i} over the
         reduced basis of X(e_i), then taken to E_i's basis by its surjection.
         Every other V_s is their composition t_raw(s). The window bound must
-        be >= 1 in every coordinate.
-
-        domain(0) is the whole factor R = Lambda^{1/2} W^H, whose rows are
-        orthogonal, so V_0's solve takes R^+ = W Lambda^{-1/2} and no SVD.
-        Each V_{e_i}'s solve takes one SVD of its domain, whose basis gives
-        item 4 its projector. The defects are normed in one max_opnorm, so
-        those of one shape share a stacked SVD.
+        be >= 1 in every coordinate. The solves take the right inverse X, all
+        of it for V_0 and its rows and columns at the down-set D of
+        domain(e_i) for V_{e_i}, and no factorization; the defects are normed
+        in one max_opnorm, so those of one shape share a stacked SVD.
         """
         sys_ = self.rep.system
         p, d = self.rank, self.rep.dim
-        vals, vecs, _null = self.eig_split
         zero = lattice.zero(sys_.k)
-        v0, defect = lstsq_map(self.targets(zero), self.factor, vecs / np.sqrt(vals), LSQ_TOL, f"V_{zero}")
+        v0, defect = lstsq_map(self.targets(zero), self.factor, self.right, LSQ_TOL, f"V_{zero}")
         defects = [defect]
-        gen0 = self.localized(zero)  # loc(0) = H
-        p_h = gen0 @ gen0.conj().T
+        at_zero = self._row_point == 0
         t_maps, item4, isometry = [], [], {}
         for i in range(1, sys_.k + 1):
             s = lattice.unit(sys_.k, i)
-            dom, tgt = self.domain(s), self.targets(s)
-            pinv, basis = pinv_and_range(dom)
-            v, defect = lstsq_map(tgt, dom, pinv, LSQ_TOL, f"V_{s}")
-            del pinv
+            cols, rows = self._down_set(lattice.sub(self.window.bound, s))
+            dom, tgt = self.factor[:, cols], self.targets(s)
+            v, defect = lstsq_map(tgt, dom, self.right[cols] * rows, LSQ_TOL, f"V_{s}")
             defects.append(defect)
-            # item 4: P_H V_{e_i}(x) vanishes on domain(e_i) (-) H. H lies in
-            # every domain (t = 0 is in it), so its projector is P_domain - P_H
-            item4.extend(gen0.conj().T @ v @ (basis @ basis.conj().T - p_h))
-            del basis
+            # item 4: P_H V_{e_i}(x) vanishes on domain(e_i) (-) H, the rows of
+            # D but not of 0 (S_0 = I = F[0, 0], so 0's rows span H)
+            item4.extend(v[:, at_zero][..., rows & ~at_zero])
             # isometry: V_{e_i}(x)^H V_{e_i}(y) = V_0(<x, y>), weakly on
             # domain(e_i), with V_0(<e_a, e_b>) as [a, b, p, p] from the
             # (p_s, p_s, dim A) Gram
@@ -282,24 +282,18 @@ class DilationBundle:
             isometry=isometry,
         )
 
-    @property
-    def isometric_rep(self) -> CCRepresentation:
-        """The recovered (V_0, V) as a covariant representation on C^p."""
-        return self.recovery.rep
-
 
 def kolmogorov(window: KernelWindow, tol: float = 1e-10) -> DilationBundle:
-    """Factor the window kernel as R^H R from its eigenpairs, keeping the
-    eigenvalues above tol times the largest; fails when it is not PSD."""
+    """Factor the window kernel as R^H R with R = S F, keeping the Brehmer
+    defects' eigenvalues above tol times the largest; fails when the kernel
+    is not PSD."""
     if window.psd_margin < -tol:
         raise NotPositiveDefiniteError(
             f"window Gram has negative eigenvalue {window.psd_margin:.3e}: "
             "no regular isometric dilation exists for this window",
             margin=window.psd_margin,
         )
-    cutoff = tol * max(float(window.eigvals.max()), 0.0)
-    factor, _vals, _vecs = psd_factor(window.eigvals, window.eigvecs, cutoff, "kolmogorov")
-    return DilationBundle(window, factor)
+    return DilationBundle(window, tol)
 
 
 # -- verification -------------------------------------------------------------
@@ -410,7 +404,7 @@ def verify_doubly_commuting_V(bundle: DilationBundle, j: int, k: int, guard: int
     """
     if j == k:
         raise InvalidArgumentError("doubly commuting check needs distinct directions")
-    iso = bundle.isometric_rep
+    iso = bundle.recovery.rep
     sys_ = iso.system
     p = iso.dim
     a, b = lattice.unit(sys_.k, j), lattice.unit(sys_.k, k)
@@ -448,15 +442,13 @@ def compare_minimal_dilations(bundle: DilationBundle, tol: float) -> float:
     discrepancy between the bundle's localized generating vectors R and
     those of a pivoted Cholesky factor C of its window kernel (pivot
     cutoff tol), plus the residual of the matched unitary intertwiner
-    omega = C R^+; inf when the two factors differ in numerical rank.
-
-    R = Lambda^{1/2} W^H, so R^+ R = W W^H and the residual
-    omega R - C = -C W_0 W_0^H, W_0 the discarded eigenvectors, has the
-    norm of C W_0; no pinv is taken.
+    omega = C X; inf when the two factors differ in numerical rank.
+    omega R - C = C (X R - I) vanishes exactly when C does on null R, so the
+    residual is the norm of C on the bundle's orthonormal basis of null R.
     """
     chol = pivoted_cholesky(bundle.window.gram, rel_tol=tol)
     g = bundle.factor
     gram_diff = float(np.abs(g.conj().T @ g - chol.conj().T @ chol).max())
     if np.count_nonzero(rank_mask(np.linalg.svd(chol, compute_uv=False))) != bundle.k_min_rank():
         return float("inf")
-    return max(gram_diff, opnorm(chol @ bundle.eig_split[2]))
+    return max(gram_diff, opnorm(chol @ bundle.null))

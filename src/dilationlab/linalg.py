@@ -94,17 +94,25 @@ def _factor(vals: np.ndarray, vecs: np.ndarray, tol: float):
     return factor, vals_k, vecs_k
 
 
+def eigh_by_size(grams) -> list:
+    """The eigenpairs (vals, vecs) of each Hermitian matrix of a list, from
+    one stacked eigh per size."""
+    out = [None] * len(grams)
+    for size in dict.fromkeys(len(g) for g in grams):
+        group = [x for x, g in enumerate(grams) if len(g) == size]
+        for x, pair in zip(group, zip(*np.linalg.eigh(hermitize(np.array([grams[x] for x in group]))))):
+            out[x] = pair
+    return out
+
+
 def null_split(grams, tol: float, what: str) -> list:
     """Orthonormal bases of the kept eigenvectors, those of eigenvalues above
-    tol, of each PSD Hermitian matrix of a list, from one stacked eigh per
-    size; the cutoff and warn_degenerate are applied matrix by matrix."""
-    out = [None] * len(grams)
-    for size in dict.fromkeys(g.shape[0] for g in grams):
-        group = [x for x, g in enumerate(grams) if g.shape[0] == size]
-        vals, vecs = np.linalg.eigh(hermitize(np.array([grams[x] for x in group])))
+    tol, of each PSD Hermitian matrix of a list (eigh_by_size); the cutoff
+    and warn_degenerate are applied matrix by matrix."""
+    out = []
+    for vals, vecs in eigh_by_size(grams):
         warn_degenerate(vals, tol, what)
-        for x, keep, v in zip(group, vals > tol, vecs):
-            out[x] = v[:, keep]
+        out.append(vecs[:, vals > tol])
     return out
 
 
@@ -114,28 +122,16 @@ def rank_mask(svals: np.ndarray) -> np.ndarray:
     return svals > 1e-8 * max(1.0, svals.max(initial=0.0))
 
 
-def pinv_and_range(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """m's pseudo-inverse and an orthonormal basis of m's column space, from
-    one SVD m = U S V^H.
-
-    The pseudo-inverse V S^+ U^H inverts the singular values above 1e-15
-    times the largest one, np.linalg.pinv's default cutoff; the basis keeps
-    the columns of U whose singular values count by rank_mask.
-    """
-    u, svals, vh = np.linalg.svd(m, full_matrices=False)
-    inv = np.divide(1, svals, where=svals > 1e-15 * svals.max(initial=0.0), out=np.zeros_like(svals))
-    pinv = (vh.conj().T * inv) @ u.conj().T
-    return pinv, u[:, rank_mask(svals)]
-
-
 def lstsq_map(
-    targets: np.ndarray, domain: np.ndarray, pinv: np.ndarray, tol: float, what: str
+    targets: np.ndarray, domain: np.ndarray, inverse: np.ndarray, tol: float, what: str
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Least-squares B = targets @ pinv with B @ domain ~ targets, required
-    consistent to tol, for pinv the domain's pseudo-inverse. Returns B and
-    its defect B @ domain - targets, shaped as targets.
+    """Least-squares B = targets @ inverse with B @ domain ~ targets,
+    required consistent to tol, for inverse a generalized inverse of the
+    domain, domain @ inverse @ domain = domain, so that B @ domain =
+    targets whenever some map gives the targets. Returns B and its defect
+    B @ domain - targets, shaped as targets.
 
-    A stack of targets (c, m, n) shares the one pinv and gives a stack of
+    A stack of targets (c, m, n) shares the one inverse and gives a stack of
     maps; the consistency residual is the largest operator norm of
     a slice's defect. The Frobenius norm of the whole stack bounds every
     slice's operator norm, so when it is <= tol the check passes without an
@@ -143,7 +139,7 @@ def lstsq_map(
     reports it when it exceeds tol.
     """
     flat = targets.reshape(math.prod(targets.shape[:-1]), targets.shape[-1])
-    b = flat @ pinv
+    b = flat @ inverse
     defect = (b @ domain - flat).reshape(targets.shape)
     if not np.linalg.norm(defect) <= tol:  # NaN takes the exact path too
         slices = defect.reshape((math.prod(targets.shape[:-2]),) + targets.shape[-2:])

@@ -134,6 +134,8 @@ class CCRepresentation:
         for key in keys:
             if key not in lowering and key not in new:
                 t, s = key
+                if not len(t) == len(s) == self.system.k:
+                    raise InvalidArgumentError(f"lowering key {key}: a point's length is not k = {self.system.k}")
                 rest = new[key] = lattice.sub(t, s)
                 if min(rest, default=0) < 0:
                     raise InvalidArgumentError(f"lowering needs s <= t, got s={s}, t={t}")

@@ -9,7 +9,9 @@ with the package internals beyond numpy, with these kinds of exception:
 representation, but not on its lowering blocks; the
 dense T^ references (`DenseFock` and the functions taking one) assemble
 the lowering blocks `CCRepresentation.lowering_block` into dim H_L square
-matrices, where the package only ever norms blocks; the loop references
+matrices, where the package only ever norms blocks, and
+`brehmer_congruence` assembles them into a window's triangular factor and
+Brehmer defects; the loop references
 reproduce a stacked package check one basis pair at a time; and the
 multiplication-isomorphism references rebuild U_{s,t} on the quotient of
 `interior_tensor`, from the package's word surjections, as the unitary
@@ -154,6 +156,40 @@ def full_window_gram(dense, bound: tuple[int, ...]) -> tuple[np.ndarray, float]:
     return gram, margin
 
 
+def brehmer_congruence(rep, bound: tuple[int, ...]) -> tuple[np.ndarray, list[np.ndarray]]:
+    """The unit block-triangular F and the Brehmer defects Delta(r) of the
+    window box at `bound`, from `rep.lowering_block` only.
+
+    Rows and columns of F run over the rank loc(r) localized coordinates of
+    each window point r in graded-lexicographic order (the rank read off
+    Theta(r, 0) = I); F[r, s] = Theta(s, s - r) for r <= s and 0 otherwise,
+    and Delta(r) = sum over u in supp r of (-1)^|u| Theta(r, e_u)^H
+    Theta(r, e_u), e_u the sum of the e_i over i in u. T^'s semigroup law
+    makes the window kernel F^H diag(Delta(r)) F, with the same inertia as
+    diag(Delta(r)) by Sylvester's law.
+    """
+    pts = window_points(bound)
+    zero = tuple(0 for _ in bound)
+    ranks = [rep.lowering_block(r, zero).shape[0] for r in pts]
+    starts = np.concatenate([[0], np.cumsum(ranks)]).astype(int)
+    n = int(starts[-1])
+    tri = np.zeros((n, n), dtype=complex)
+    for a, r in enumerate(pts):
+        for b, s in enumerate(pts):
+            if _leq(r, s):
+                tri[starts[a] : starts[a + 1], starts[b] : starts[b + 1]] = rep.lowering_block(s, _sub(s, r))
+    deltas = []
+    for r, rank in zip(pts, ranks):
+        delta = np.zeros((rank, rank), dtype=complex)
+        support = [i for i, c in enumerate(r) if c]
+        for size in range(len(support) + 1):
+            for u in itertools.combinations(support, size):
+                theta = rep.lowering_block(r, tuple(int(i in u) for i in range(len(r))))
+                delta += (-1) ** size * (theta.conj().T @ theta)
+        deltas.append(delta)
+    return tri, deltas
+
+
 def raw_tensor_gram_loop(e_gram: np.ndarray, f_gram: np.ndarray, f_left: np.ndarray) -> np.ndarray:
     """Algebra-valued Gram of the raw tensor E (x) F, one (i, k) block at a
     time: <e_i (x) f_j, e_k (x) f_l> = <f_j, <e_i, e_k> . f_l>.
@@ -198,7 +234,7 @@ def doubly_commuting_V_inline(bundle, j: int, k: int, guard: int = 1) -> float:
     recovered dilation, assembled directly from the correspondence
     primitives instead of through CCRepresentation.
 
-    `bundle` provides the recovered V_0 (as `isometric_rep.sigma.mats`),
+    `bundle` provides the recovered V_0 (as `recovery.rep.sigma.mats`),
     `rank` and the window bound; the raw maps are `v_raw(bundle, s)` and the
     guarded vectors `generating_matrix(bundle, bound)`.
     The identity is restricted to x (x) (generating vectors at points at
@@ -210,7 +246,7 @@ def doubly_commuting_V_inline(bundle, j: int, k: int, guard: int = 1) -> float:
     a = tuple(int(i == j - 1) for i in range(sys_.k))
     b = tuple(int(i == k - 1) for i in range(sys_.k))
     p = bundle.rank
-    rho = bundle.isometric_rep.sigma.mats
+    rho = bundle.recovery.rep.sigma.mats
 
     corr_a = sys_.fiber(a)
     corr_b = sys_.fiber(b)
@@ -274,7 +310,7 @@ def doubly_commuting_bound(bundle, j: int, k: int, weak: float, guard: int = 1) 
     sys_ = bundle.rep.system
     a = tuple(int(i == j - 1) for i in range(sys_.k))
     b = tuple(int(i == k - 1) for i in range(sys_.k))
-    rho = bundle.isometric_rep.sigma.mats
+    rho = bundle.recovery.rep.sigma.mats
     gbound = tuple(max(0, m - max(guard, 1)) for m in bundle.window.bound)
     gens, guarded = bundle.factor, bundle.localized(gbound)
     phi = {}
@@ -491,7 +527,7 @@ def verify_regular_dilation_loop(bundle, guard: int = 1) -> dict[str, float]:
     with one operator norm per basis pair or per point and fiber basis
     vector, and one Kronecker product per point of a target; item 4 is
     `item4_two_orth`. Every V_s is the composition of the recovered
-    generator isometries, isometric_rep.t_raw(s), and the isometry and
+    generator isometries, recovery.rep.t_raw(s), and the isometry and
     semigroup checks run on the localized generating vectors
     (`loc_domain_and_targets`). Item 2 compares the factor's localized
     columns with the lowering blocks Theta(s, s), and item 3 the composed
@@ -510,7 +546,7 @@ def verify_regular_dilation_loop(bundle, guard: int = 1) -> dict[str, float]:
     zero = tuple(0 for _ in bundle.window.bound)
     gen0 = gen_block(bundle, zero)
     p_h = gen0 @ gen0.conj().T
-    iso = bundle.isometric_rep
+    iso = bundle.recovery.rep
     v0 = iso.sigma
     rank = bundle.rank
     d = rep.dim
@@ -576,7 +612,7 @@ def v_semigroup_pairs(bundle, guard: int = 1) -> tuple[float, float]:
     """The per-pair semigroup law V_{s+t}(U_{s,t}(e_a (x) e_b)) = V_s(e_a) V_t(e_b)
     on the localized generating vectors at the points r with s + t + r in
     the window, for s, t > 0 with s + t at least `guard` inside it, with
-    every V_s = isometric_rep.t_raw(s): (largest residual, constant).
+    every V_s = recovery.rep.t_raw(s): (largest residual, constant).
 
     The constant is the largest C(s, t, a, b) = ||mu_{s,t} e_ab||_1 +
     max_r ||A_{t,r}(e_b)|| + ||V_s(e_a)|| over the same pairs, with
@@ -588,7 +624,7 @@ def v_semigroup_pairs(bundle, guard: int = 1) -> tuple[float, float]:
     - V_s(e_a) E_{t,b} at r, with E_{u,c} = V_u(e_c) domain(u) - targets.
     """
     sys_ = bundle.rep.system
-    iso = bundle.isometric_rep
+    iso = bundle.recovery.rep
     rank = bundle.rank
     bound = bundle.window.bound
     gbound = tuple(max(0, b - guard) for b in bound)
@@ -640,7 +676,7 @@ def item4_two_orth(bundle, points=None) -> float:
             dom, _ = loc_domain_and_targets(bundle, s, np.eye(bundle.rep.system.fiber_dim(s))[0])
             q_dom = _orth_cols(dom)
             q_perp = _orth_cols(q_dom - p_h @ q_dom)
-            v = bundle.isometric_rep.t_raw(s)
+            v = bundle.recovery.rep.t_raw(s)
             for a in range(bundle.rep.system.fiber_dim(s)):
                 item4 = max(item4, _opnorm(gen0.conj().T @ v[:, a * rank : (a + 1) * rank] @ q_perp))
     return item4
@@ -690,7 +726,7 @@ def generator_step_bounds(bundle, residuals: dict[str, float], guard: int = 1) -
     """
     rep = bundle.rep
     sys_ = rep.system
-    iso = bundle.isometric_rep
+    iso = bundle.recovery.rep
     p = bundle.rank
     bound = bundle.window.bound
     k = sys_.k
@@ -917,7 +953,7 @@ def build_Vs(bundle, s, x) -> np.ndarray:
     x = np.asarray(x, dtype=complex)
     x = x.reshape(-1, 1) if x.ndim < 2 else x
     tgts = np.tensordot(x, bundle.targets(s), axes=(0, 0))
-    dom = bundle.domain(s)
+    dom = bundle.localized(_sub(bundle.window.bound, s))  # domain(s)
     vs, _defect = lstsq_map(tgts, dom, np.linalg.pinv(dom), LSQ_TOL, f"build_Vs at {tuple(s)}")
     return vs.transpose(1, 0, 2).reshape(bundle.rank, -1)
 

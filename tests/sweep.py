@@ -1,6 +1,9 @@
-"""Equivalence sweep: `dilate` over every generated family on a fixed grid.
+"""Equivalence sweep: `dilate` over every generated family on a fixed grid,
+and over every sample instance.
 
-The grid is every family x seeds 0-2 x (k, dims, L = M) in CASES. Each run
+The grid is every family x seeds 0-2 x (k, dims, L = M) in CASES, and
+each file in `instances/` at L = M = SAMPLE_BOUND, so the sweep sees a
+flip other than the identity (`swap_pair`). Each run
 goes through `cli.main`, so its exit code is the command's. Per run the
 baseline keeps the exit code, the verdicts, the window section (`M`, `rank`,
 `psd_margin`), every check record (residual, tolerance, pass flag), the
@@ -53,6 +56,8 @@ CASES = ((2, 2, 2), (2, 3, 3), (3, 2, 1), (2, 2, 3), (1, 2, 3), (3, 2, 2))
 # 10x the CLI's VALIDATION_TOL: the band compare_reports allows a check
 VALIDATION_DRIFT = 1e-9
 DRIFT_SECTIONS = ("validation", "doubly_commuting", "NS")
+SAMPLES = Path(__file__).parent.parent / "instances"
+SAMPLE_BOUND = 2
 
 
 def case_ids() -> list[tuple[str, int, int, int, int]]:
@@ -89,11 +94,17 @@ def run_instance(data: dict, name: str, bound: int, workdir: Path) -> dict:
     }
 
 
+def sample_paths() -> list[Path]:
+    return sorted(SAMPLES.glob("*.json"))
+
+
 def run_sweep() -> dict[str, dict]:
     with tempfile.TemporaryDirectory() as tmp:
-        return {
-            "/".join(str(x) for x in case): run_case(*case, Path(tmp)) for case in case_ids()
-        }
+        runs = {"/".join(str(x) for x in case): run_case(*case, Path(tmp)) for case in case_ids()}
+        for path in sample_paths():
+            data = json.loads(path.read_text(encoding="utf-8"))
+            runs[f"instances/{path.stem}"] = run_instance(data, path.stem, SAMPLE_BOUND, Path(tmp))
+        return runs
 
 
 def exact_mismatches(ref, new, path: str = "") -> list[str]:

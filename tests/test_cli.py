@@ -16,6 +16,7 @@ from conftest import INSTANCES_DIR
 SCALAR = str(INSTANCES_DIR / "scalar_pair.json")
 NILPOTENT = str(INSTANCES_DIR / "nilpotent_pair.json")
 UNITARY = str(INSTANCES_DIR / "unitary_scalar.json")
+SWAP = INSTANCES_DIR / "swap_pair.json"
 
 
 def run(args):
@@ -247,6 +248,30 @@ def test_dilate_scalar_pair(tmp_path):
 
 def test_dilate_unitary_scalar():
     assert run(["dilate", UNITARY, "--L", "2"]) == cli.EXIT_OK
+
+
+def test_dilate_swap_pair(tmp_path):
+    """Commuting diagonal row contractions on C^3 over E_1 = E_2 = C^2,
+    whose flip swaps the two tensor factors, dilate with every loc(s) of
+    full rank: window.rank is 3 (1 + 2 + 4)^2 at M = 2."""
+    out = tmp_path / "r.json"
+    assert run(["dilate", str(SWAP), "--L", "2", "--M", "2", "--out", str(out)]) == cli.EXIT_OK
+    report = read_report(out)
+    assert report["window"]["rank"] == 147 == 3 * (1 + 2 + 4) ** 2
+    assert all(c["pass"] for c in report["checks"])
+
+
+def test_swap_pair_with_the_identity_flip_does_not_commute(tmp_path):
+    """With the identity as its flip, swap_pair's T_1 and T_2 no longer
+    satisfy the commutation relation, and that is all validation finds."""
+    data = json.loads(SWAP.read_text(encoding="utf-8"))
+    data["flips"]["1,2"] = [[[float(i == j), 0.0] for j in range(4)] for i in range(4)]
+    path = tmp_path / "eye.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    out = tmp_path / "r.json"
+    assert run(["dilate", str(path), "--L", "2", "--M", "2", "--out", str(out)]) == cli.EXIT_INVALID
+    failed = [name for name, res in read_report(out)["validation"].items() if not res <= cli.VALIDATION_TOL]
+    assert failed == ["commutation_1_2"]
 
 
 def test_dilate_window_beyond_truncation(tmp_path):
@@ -577,6 +602,7 @@ def test_check_section_takes_one_solve_per_shape_and_one_eigvalsh_per_rank(monke
 
 # every exit code the README documents
 DOCUMENTED_EXITS = {0, 1, 2, 3, 4, 5, 6}
+# swap_pair is left out: the mutator assumes one-dimensional generators
 SAMPLE_INSTANCES = ("scalar_pair", "nilpotent_pair", "unitary_scalar")
 
 

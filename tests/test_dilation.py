@@ -19,6 +19,8 @@ from dilationlab.families import _scalar_instance, generate
 from dilationlab.hatspace import TruncatedFock
 from dilationlab.instances import parse_instance
 from dilationlab.representation import doubly_commuting_check, validate_module
+
+from conftest import INSTANCES_DIR
 from oracles import (
     DenseFock,
     build_Vs,
@@ -160,7 +162,7 @@ def test_V0_star_homomorphism(mult_m2):
     rng = np.random.default_rng(1)
     a = random_element(alg, rng)
     b = random_element(alg, rng)
-    v0 = bundle.isometric_rep.sigma
+    v0 = bundle.recovery.rep.sigma
     va, vb = v0.apply(a.coords), v0.apply(b.coords)
     vab = v0.apply(mul(a, b).coords)
     gen = generating_matrix(bundle)
@@ -176,7 +178,7 @@ def test_Vs_covariance(mult_m2):
     a = random_element(alg, rng)
     xa = mult_m2.system.generators[0].act_right(a.coords) @ x
     lhs = build_Vs(bundle, (1, 0), xa)
-    rhs = build_Vs(bundle, (1, 0), x) @ bundle.isometric_rep.sigma.apply(a.coords)
+    rhs = build_Vs(bundle, (1, 0), x) @ bundle.recovery.rep.sigma.apply(a.coords)
     gen = generating_matrix(bundle)
     assert np.linalg.norm((lhs - rhs) @ gen) <= 1e-10
 
@@ -232,24 +234,28 @@ def test_uniqueness_across_windows(scalar_pair):
     assert np.linalg.matrix_rank(g_big, tol=1e-8) == small.k_min_rank()
 
 
-def test_eig_split_reads_the_factor_off_the_window(mult_m2):
-    """The eig bundle's kept eigenpairs are its factor's,
-    R = Lambda^{1/2} W^H, and give its pseudo-inverse W Lambda^{-1/2}; the
-    discarded eigenvectors span R's null space."""
-    a = bundle_of(mult_m2, (2, 2))
-    vals, vecs, null = a.eig_split
-    assert np.array_equal(a.factor, np.sqrt(vals)[:, None] * vecs.conj().T)
-    want = np.linalg.pinv(a.factor)
-    assert np.allclose(vecs / np.sqrt(vals), want, rtol=0.0, atol=1e-10 * np.abs(want).max())
-    assert null.shape == (a.window.gram.shape[0], a.window.gram.shape[0] - a.rank)
-    assert np.abs(a.factor @ null).max(initial=0.0) <= 1e-12
+def test_factor_has_a_right_inverse_and_a_null_basis(mult_m2, scalar_pair):
+    """The bundle's factor R = S F has independent rows: its right inverse
+    X = F^{-1} S^+ gives R X = I, R^H R is the window kernel, and its null
+    basis is orthonormal, of dimension n - rank, and killed by R; swap_pair
+    has a flip other than the identity."""
+    swap_pair = parse_instance(json.loads((INSTANCES_DIR / "swap_pair.json").read_text(encoding="utf-8")))
+    for inst in (mult_m2, scalar_pair, swap_pair):
+        a = bundle_of(inst, (2, 2))
+        n = a.window.gram.shape[0]
+        scale = np.abs(a.window.gram).max()
+        assert np.abs(a.factor @ a.right - np.eye(a.rank)).max() <= 1e-12
+        assert np.abs(a.factor.conj().T @ a.factor - a.window.gram).max() <= 1e-12 * scale
+        assert a.null.shape == (n, n - a.rank)
+        assert np.abs(a.null.conj().T @ a.null - np.eye(n - a.rank)).max(initial=0.0) <= 1e-12
+        assert np.abs(a.factor @ a.null).max(initial=0.0) <= 1e-12
 
 
 def test_factor_rank_is_taken_once_per_bundle(monkeypatch, mult_m2):
-    """k_min_rank reads the eig factor's rank off its kept eigenvalues and
+    """k_min_rank is the rank of R = S F, whose rows are independent, and
     takes no SVD. compare_minimal_dilations takes two SVDs and no pinv:
     the singular values of its Cholesky factor C for C's rank, and the
-    intertwiner residual, C on the eig factor's discarded eigenvectors."""
+    intertwiner residual, C on the bundle's orthonormal basis of null R."""
     a = bundle_of(mult_m2, (2, 2))
     chol = dilation.pivoted_cholesky(a.window.gram, rel_tol=1e-10)
     calls = []
@@ -322,7 +328,7 @@ def test_isometric_rep_sigma_restricts_to_sigma(scalar_pair, mult_m2):
     for inst in (scalar_pair, mult_m2):
         bundle = bundle_of(inst, (2, 2))
         gen0 = gen_block(bundle, (0, 0))
-        v0 = bundle.isometric_rep.sigma.mats
+        v0 = bundle.recovery.rep.sigma.mats
         assert np.abs(gen0.conj().T @ v0 @ gen0 - inst.representation.sigma.mats).max() <= 1e-10
 
 
@@ -374,7 +380,7 @@ def _generator_steps(bundle):
 @pytest.mark.parametrize("name, gen_args, bound", STACKED_VERIFY_CASES)
 def test_recovered_maps_are_kept_in_one_basis(monkeypatch, request, name, gen_args, bound):
     """The recovery solves each V_{e_i} over the reduced basis of X(e_i)
-    and keeps only isometric_rep's T map over E_i's basis, its one
+    and keeps only the recovered representation's T map over E_i's basis, its one
     conversion, so the reduced fiber's coordinates (q-bar applied to it,
     or t_raw(e_i)) give the solve back up to rounding, and V_0 is the
     solve itself."""
@@ -388,7 +394,7 @@ def test_recovered_maps_are_kept_in_one_basis(monkeypatch, request, name, gen_ar
 
     monkeypatch.setattr(dilation, "lstsq_map", recorded)
     bundle = bundle_of(_instance(request, name, gen_args), bound)
-    iso = bundle.isometric_rep
+    iso = bundle.recovery.rep
     sys_ = iso.system
     v0, *steps = solves
     assert iso.sigma.mats is v0
@@ -470,53 +476,50 @@ def test_item4_bounds_the_two_orthonormalisation_oracle(monkeypatch, name, gen_a
     ],
 )
 def test_steps_are_built_once_per_bundle(monkeypatch, name, gen_args, bound):
-    """isometric_rep and verify_regular_dilation together build the targets
-    at 0 and at each generator step once, k + 1 calls, and factor each
-    generator's domain once, k calls of pinv_and_range, whose SVD serves
-    both the solve and item 4's projector; V_0's solve takes the eig
-    factor's pseudo-inverse, so no pinv is taken."""
+    """The recovery and verify_regular_dilation together build the targets
+    at 0 and at each generator step once, k + 1 calls, and the solves take
+    no pinv and no SVD: each takes the bundle's right inverse X, all of it
+    for V_0 and its restriction to the generator's down-set for V_{e_i}.
+    The SVDs left are max_opnorm's, one per defect shape."""
     bundle = bundle_of(parse_instance(generate(name, **gen_args)), bound)
-    calls = {"targets": 0, "pinv_and_range": 0, "pinv": 0}
-    targets, pinv_and_range, pinv = DilationBundle.targets, dilation.pinv_and_range, np.linalg.pinv
+    calls = {"targets": 0, "pinv": 0, "max_opnorm": 0}
+    targets, pinv, max_opnorm = DilationBundle.targets, np.linalg.pinv, dilation.max_opnorm
 
-    def counted_targets(self, s):
-        calls["targets"] += 1
-        return targets(self, s)
+    def counted(name, original):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
 
-    def counted_pinv_and_range(*args, **kwargs):
-        calls["pinv_and_range"] += 1
-        return pinv_and_range(*args, **kwargs)
+        return call
 
-    def counted_pinv(*args, **kwargs):
-        calls["pinv"] += 1
-        return pinv(*args, **kwargs)
-
-    monkeypatch.setattr(DilationBundle, "targets", counted_targets)
-    monkeypatch.setattr(dilation, "pinv_and_range", counted_pinv_and_range)
-    monkeypatch.setattr(np.linalg, "pinv", counted_pinv)
-    assert bundle.isometric_rep is not None
+    monkeypatch.setattr(DilationBundle, "targets", counted("targets", targets))
+    monkeypatch.setattr(np.linalg, "pinv", counted("pinv", pinv))
+    monkeypatch.setattr(dilation, "max_opnorm", counted("max_opnorm", max_opnorm))
+    assert bundle.recovery.rep is not None
+    assert calls == {"targets": bundle.rep.system.k + 1, "pinv": 0, "max_opnorm": 3}
     verify_regular_dilation(bundle)
-    k = bundle.rep.system.k
-    assert calls == {"targets": k + 1, "pinv_and_range": k, "pinv": 0}
+    assert calls["targets"] == bundle.rep.system.k + 1 and calls["pinv"] == 0
 
 
-def test_one_dilate_takes_six_p_square_factorizations(monkeypatch, tmp_path):
+def test_one_dilate_takes_four_p_square_factorizations(monkeypatch, tmp_path):
     """One `dilate` of a k = 2 instance with p = dim K_min = 48 (and a
     window kernel of dimension 48) factors a p-square matrix, or a stack of
-    them, six times: the eigh of the window kernel, one SVD per generator
-    domain (its solve and item 4's projector), the V_semigroup defects in
-    two stacks (V_0's and the generators' shape) and the rank of the
-    Cholesky factor. V_0's solve, the eig factor's rank and the uniqueness
-    intertwiner read the window's eigh, and the doubly-commuting and
+    them, four times: the eigvalsh of the window kernel for its margin, the
+    V_semigroup defects in two stacks (V_0's and the generators' shape) and
+    the rank of the Cholesky factor. The factor R = S F takes one small
+    eigh per Brehmer defect, and every solve its right inverse; the
+    eig factor's rank is its row count, the uniqueness intertwiner is
+    normed on null R, which is empty here, and the doubly-commuting and
     *-homomorphism checks of the recovered maps are weak forms that take
     no factorization. A p-square operand has both trailing dimensions at
-    least p / 2."""
+    least p / 2.
+    """
     from dilationlab import cli
 
     path = tmp_path / "diag.json"
     path.write_text(json.dumps(generate("diagonal-doubly-commuting", seed=1000005, k=2, dims=3)))
     calls = []
-    for name in ("eigh", "eigvalsh", "pinv", "svd"):
+    for name in ("eigh", "eigvalsh", "pinv", "svd", "qr", "solve"):
         original = getattr(np.linalg, name)
 
         def counted(a, *args, _name=name, _original=original, **kwargs):
@@ -531,7 +534,7 @@ def test_one_dilate_takes_six_p_square_factorizations(monkeypatch, tmp_path):
     p = json.loads(out.read_text())["window"]["rank"]
     assert p == 48
     square = [(name, shape) for name, shape in calls if len(shape) >= 2 and min(shape[-2:]) >= p // 2]
-    assert sorted(name for name, _shape in square) == ["eigh"] + ["svd"] * 5, square
+    assert sorted(name for name, _shape in square) == ["eigvalsh"] + ["svd"] * 3, square
 
 
 def test_a_verified_bundle_holds_v0_and_one_copy_of_each_generator_map():
@@ -563,7 +566,7 @@ def test_recovered_representation_goes_through_validate_module(monkeypatch, mult
     bundle = bundle_of(mult_m2, (2, 2))
     _push_off_the_dilation(monkeypatch, 1e-3)
     got = verify_regular_dilation(bundle)
-    module = validate_module(bundle.isometric_rep, bundle.factor)
+    module = validate_module(bundle.recovery.rep, bundle.factor)
     assert module["covariance_1"] > 1e-5
     assert got["V_semigroup"] >= max(v for n, v in module.items() if not n.startswith("sigma."))
     assert got["V0_star_hom"] == max(v for n, v in module.items() if n.startswith("sigma."))
@@ -641,7 +644,7 @@ def test_V_semigroup_bounds_the_pairwise_law(monkeypatch, request, name, gen_arg
 
 @pytest.mark.parametrize("name, gen_args, bound", STACKED_VERIFY_CASES)
 def test_one_recovery_path_matches_the_former_two(request, name, gen_args, bound):
-    """V_0 and the generator maps of isometric_rep, all solved by one path
+    """V_0 and the generator maps of recovery.rep, all solved by one path
     on localized targets, equal the former raw-coordinate V_0 solve and the
     v_raw generator solves."""
     if gen_args is None:
@@ -649,7 +652,7 @@ def test_one_recovery_path_matches_the_former_two(request, name, gen_args, bound
     else:
         inst = parse_instance(generate(name, **gen_args))
     bundle = bundle_of(inst, bound)
-    iso = bundle.isometric_rep
+    iso = bundle.recovery.rep
     v0, t_maps = isometric_maps_two_paths(bundle)
     assert np.abs(iso.sigma.mats - v0).max() <= 1e-12
     for got, want in zip(iso.t_maps, t_maps, strict=True):

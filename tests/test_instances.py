@@ -81,7 +81,7 @@ def test_report_instance_is_the_sha256_of_the_file(tmp_path, scalar_pair_data):
 
 
 def test_load_bundled_instances():
-    for name in ("scalar_pair.json", "nilpotent_pair.json", "unitary_scalar.json"):
+    for name in ("scalar_pair.json", "nilpotent_pair.json", "unitary_scalar.json", "swap_pair.json"):
         inst = load_instance(str(INSTANCES_DIR / name))
         assert inst.system.k >= 1
         assert inst.representation.dim >= 1

@@ -14,7 +14,6 @@ from dilationlab.linalg import (
     max_opnorm,
     null_split,
     opnorm,
-    pinv_and_range,
     pivoted_cholesky,
     psd_factor,
 )
@@ -170,24 +169,6 @@ def test_lstsq_map_stack_shares_one_solve():
         lstsq_map(tgts, dom, np.linalg.pinv(dom), 0.0, "test")
     assert info.value.residual == pytest.approx(max(residuals), rel=1e-12)
     assert info.value.residual > 0.1
-
-
-@pytest.mark.parametrize("rank", [0, 2, 3])
-def test_pinv_and_range_is_pinv_and_an_orthonormal_range(rank):
-    """One SVD gives np.linalg.pinv's pseudo-inverse, to rounding, and an
-    orthonormal basis of the column space that keeps the singular values
-    above 1e-8 * max(1, largest one)."""
-    rng = np.random.default_rng(6)
-    m = (rng.standard_normal((5, rank)) + 1j * rng.standard_normal((5, rank))) @ (
-        rng.standard_normal((rank, 4)) + 1j * rng.standard_normal((rank, 4))
-    )
-    m[:, 0] += 1e-12  # a singular value below the basis cutoff, above pinv's
-    pinv, basis = pinv_and_range(m)
-    want = np.linalg.pinv(m)
-    assert np.allclose(pinv, want, rtol=0.0, atol=1e-12 * np.abs(want).max(initial=0.0))
-    assert basis.shape == (5, rank)
-    assert np.allclose(basis.conj().T @ basis, np.eye(rank))
-    assert np.allclose(basis @ (basis.conj().T @ m), m, atol=1e-10)
 
 
 def _spectral_between_tol():

@@ -318,6 +318,8 @@ WRONG_LENGTH_CALLS = {
     "rep-build": lambda rep: rep.build(points=[(0, 0, 0)]),
     "loc": lambda rep: rep.loc((1, 0, 0)),
     "lowering_block": lambda rep: rep.lowering_block((1, 1, 0), (1, 0, 0)),
+    "lowering_block-mixed": lambda rep: rep.lowering_block((1, 1), (1, 0, 0)),
+    "rep-build-key-mixed": lambda rep: rep.build(keys=[((1, 1), (1,))]),
     "t_raw": lambda rep: rep.t_raw((1, 0, 0)),
 }
 

@@ -3,13 +3,21 @@
 import json
 from pathlib import Path
 
-from sweep import VALIDATION_DRIFT, case_ids, drift_mismatches, exact_mismatches, flag_mismatches, run_sweep
+from sweep import (
+    VALIDATION_DRIFT,
+    case_ids,
+    drift_mismatches,
+    exact_mismatches,
+    flag_mismatches,
+    run_sweep,
+    sample_paths,
+)
 
 BASELINE = Path(__file__).parent / "sweep_baseline.json"
 
 
 def test_sweep_matches_baseline():
-    """Every case runs, and the sweep keeps to the baseline rule of
+    """Every case and every sample instance runs, and the sweep keeps to the baseline rule of
     sweep.drift_mismatches: exit codes and window ranks are equal;
     verdicts, pass flags, residual drift and psd_margin follow
     report.compare_reports's rule; the validation residuals,
@@ -17,7 +25,7 @@ def test_sweep_matches_baseline():
     by at most VALIDATION_DRIFT."""
     baseline = json.loads(BASELINE.read_text(encoding="utf-8"))
     fresh = run_sweep()
-    assert sorted(fresh) == sorted(baseline) and len(fresh) == len(case_ids())
+    assert sorted(fresh) == sorted(baseline) and len(fresh) == len(case_ids()) + len(sample_paths())
     problems, _largest = drift_mismatches(baseline, fresh)
     assert problems == []
 
